@@ -36,7 +36,7 @@ impl Comm {
             let dst = (rank + i) % size;
             let src = (rank + size - i) % size;
             let payload = std::mem::take(&mut outgoing[dst]);
-            self.send_bytes(dst, tags::ALLTOALL, &payload)?;
+            self.send_owned(dst, tags::ALLTOALL, payload)?;
             out[src] = self.recv_bytes(src, tags::ALLTOALL)?;
         }
         self.counters().incr("mpi.alltoalls");

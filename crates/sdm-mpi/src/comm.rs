@@ -254,6 +254,13 @@ impl Comm {
     /// Eager byte send. The sender is busy for the injection cost; the
     /// message's wire time is charged on the receive side.
     pub fn send_bytes(&mut self, dst: usize, tag: Tag, payload: &[u8]) -> MpiResult<()> {
+        self.send_owned(dst, tag, payload.to_vec())
+    }
+
+    /// [`Comm::send_bytes`] for a payload the caller is done with: the
+    /// buffer itself travels in the envelope instead of a copy of it.
+    /// Charged exactly like `send_bytes`.
+    pub fn send_owned(&mut self, dst: usize, tag: Tag, payload: Vec<u8>) -> MpiResult<()> {
         self.check_rank(dst)?;
         let depart = self.clock.now();
         self.clock
@@ -275,7 +282,7 @@ impl Comm {
                 src: self.rank,
                 tag,
                 depart,
-                payload: payload.to_vec(),
+                payload,
             })
             .map_err(|_| MpiError::Disconnected)
     }

@@ -11,8 +11,10 @@ pub struct Hints {
     /// Number of aggregator ranks in two-phase collective I/O
     /// (`cb_nodes`). `None` means every rank aggregates.
     pub cb_nodes: Option<usize>,
-    /// Aggregator staging-buffer size in bytes (`cb_buffer_size`). Each
-    /// aggregator moves its file domain through a buffer of this size.
+    /// Aggregator staging memory in bytes (`cb_buffer_size`). Each
+    /// aggregator moves its file domain through two staging halves of at
+    /// most half this size each, one being filled while the other is at
+    /// the servers (see `twophase`).
     pub cb_buffer_size: usize,
     /// Maximum covering-extent size for independent data sieving
     /// (`ind_rd_buffer_size`/`ind_wr_buffer_size` folded into one knob).

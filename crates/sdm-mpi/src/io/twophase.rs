@@ -1,81 +1,299 @@
 //! Two-phase collective I/O (ROMIO's generalized collective
-//! read/write), the optimization the paper's results rest on.
+//! read/write), the optimization the paper's results rest on, run as a
+//! round-based, double-buffered pipeline.
 //!
-//! Phase 1 (exchange): ranks compute their flattened file segments,
-//! agree on the global byte range, split it into contiguous *file
-//! domains* (one per aggregator), and ship segment descriptors plus data
-//! (for writes) to the owning aggregators with a pairwise alltoallv.
+//! **Plan.** The ranks agree on the global byte range with one fused
+//! reduction and split it into contiguous *file domains*, one per
+//! aggregator. Each aggregator walks its domain in *rounds* of one PFS
+//! stripe cycle (`stripe_size × io_servers`, so every request loads every
+//! server equally), capped at `cb_buffer_size / 2`. The number of rounds
+//! follows from the range, the aggregator count and the round size, so
+//! every rank knows it without asking. One pass over a rank's segments
+//! yields, per aggregator, the clipped `(offset, length, position in the
+//! caller's buffer)` pieces; they are exchanged **once**, as descriptors,
+//! and both sides walk them window by window from then on, so the later
+//! messages carry payload only.
 //!
-//! Phase 2 (access): each aggregator moves its domain through a staging
-//! buffer of `cb_buffer_size` bytes, issuing large contiguous PFS
-//! requests — with read-modify-write only where the received segments
-//! leave holes. For reads the phases run in the other order, ending with
-//! a second alltoallv that returns extracted bytes to the requesting
-//! ranks.
+//! **Write.** Round *r*: the ranks exchange the payload of every
+//! aggregator's window *r* (round 0 also carries the descriptors); the
+//! aggregator lays the pieces into one half of its staging buffer — its
+//! own straight from the caller's buffer, the others' from the wire, in
+//! rank order so that the higher rank wins where writers overlap — and
+//! hands the half to the servers with a nonblocking write. While the
+//! servers work on it, round *r + 1* is exchanged and staged in the other
+//! half. **At most two writes are in flight:** before a half is reused,
+//! the aggregator waits for the write issued from it two rounds earlier;
+//! all of them are drained before the closing barrier. A window the
+//! pieces do not cover completely is read first (read-modify-write);
+//! coverage is the *union* of the pieces, so overlapping writers cannot
+//! hide a hole.
 //!
-//! Overlapping writes resolve lower-source-rank-first (higher ranks win),
-//! deterministically.
+//! **Read.** The mirror image with read-ahead: the aggregator issues the
+//! read of window *r + 1* into the free half before it waits for window
+//! *r*, extracts each requester's bytes and replies; requesters scatter
+//! each round's reply straight into their buffer.
+//!
+//! **Cost.** Nothing is un-charged: every PFS transfer pays the client
+//! copy and each server's service time (with its per-request latency, so
+//! more, smaller requests cost more of it), a rank's own contribution
+//! pays the client copy, remote bytes pay injection and wire time. Only
+//! the *overlap* is new — client-side work of round *r + 1* proceeds
+//! while the FIFO server queues work on round *r* — so a collective that
+//! fits in one round costs what the serial schedule cost.
+
+use sdm_sim::Seconds;
 
 use crate::comm::Comm;
 use crate::error::{MpiError, MpiResult};
 use crate::io::MpiFile;
-use crate::pod::{as_bytes, as_bytes_mut, vec_from_bytes, Pod};
+use crate::pod::{as_bytes, as_bytes_mut, Pod};
 
-/// One segment owned by an aggregator, tagged with its origin.
-#[derive(Debug, Clone, Copy)]
-struct AggSeg {
+/// Stripe cycles an aggregator moves per round, fixed by measurement
+/// (`bench_e2e`, 2 ranks, `origin2000`): one cycle gave `rt_write`
+/// the highest simulated bandwidth; with two and four the per-request
+/// latency saved is worth less than the overlap lost to fewer, longer
+/// rounds (CHANGES.md, PR 13).
+const ROUND_CYCLES: u64 = 1;
+
+/// One piece of a rank's request, clipped to one aggregator's domain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Piece {
+    /// Absolute file offset.
     off: u64,
     len: u64,
-    src: usize,
-    /// Byte position of this segment within the source's (clipped)
-    /// per-aggregator stream.
-    stream_pos: u64,
+    /// Where the piece starts in the requesting rank's buffer. Zero in
+    /// descriptors received from another rank: its bytes travel in
+    /// piece order, so the aggregator takes them as they come.
+    pos: u64,
 }
 
-/// Split `[gmin, gmax)` into `naggs` contiguous file domains.
-fn domain_of(gmin: u64, gmax: u64, naggs: usize, d: usize) -> (u64, u64) {
-    let total = gmax - gmin;
-    let share = total.div_ceil(naggs as u64).max(1);
-    let lo = gmin + (d as u64 * share).min(total);
-    let hi = gmin + ((d as u64 + 1) * share).min(total);
-    (lo, hi)
+/// How one collective divides the global byte range `[gmin, gmin + total)`
+/// into per-aggregator domains and per-round windows.
+#[derive(Debug, Clone, Copy)]
+struct Schedule {
+    gmin: u64,
+    total: u64,
+    naggs: usize,
+    /// Bytes per file domain (the last domains may be shorter or empty).
+    share: u64,
+    /// Bytes an aggregator moves per round.
+    round: u64,
+    /// Rounds the longest domain takes; every rank runs this many.
+    nrounds: u64,
 }
 
-/// Clip `(off, len)` to `[lo, hi)`; returns `None` if disjoint.
-fn clip(off: u64, len: u64, lo: u64, hi: u64) -> Option<(u64, u64)> {
-    let s = off.max(lo);
-    let e = (off + len).min(hi);
-    (s < e).then(|| (s, e - s))
-}
-
-fn encode_header(segs: &[(u64, u64)]) -> Vec<u8> {
-    let mut words: Vec<u64> = Vec::with_capacity(1 + segs.len() * 2);
-    words.push(segs.len() as u64);
-    for &(o, l) in segs {
-        words.push(o);
-        words.push(l);
+impl Schedule {
+    fn new(gmin: u64, gmax: u64, naggs: usize, round: u64) -> Self {
+        let total = gmax - gmin;
+        let share = total.div_ceil(naggs as u64).max(1);
+        Self {
+            gmin,
+            total,
+            naggs,
+            share,
+            round,
+            nrounds: share.div_ceil(round),
+        }
     }
-    as_bytes(&words).to_vec()
+
+    /// File domain of aggregator `d`.
+    fn domain(&self, d: usize) -> (u64, u64) {
+        let lo = (d as u64 * self.share).min(self.total);
+        let hi = ((d as u64 + 1) * self.share).min(self.total);
+        (self.gmin + lo, self.gmin + hi)
+    }
+
+    /// The part of aggregator `d`'s domain it moves in round `r`
+    /// (empty once the domain is exhausted).
+    fn window(&self, d: usize, r: u64) -> (u64, u64) {
+        let (dlo, dhi) = self.domain(d);
+        (
+            (dlo + r * self.round).min(dhi),
+            (dlo + (r + 1) * self.round).min(dhi),
+        )
+    }
+
+    /// The one planning pass: split a rank's segments (ascending and
+    /// disjoint, as a file view yields them) by aggregator domain.
+    fn plan(&self, segs: &[(u64, u64)]) -> Vec<Vec<Piece>> {
+        debug_assert!(
+            segs.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0),
+            "collective I/O needs ascending, disjoint segments"
+        );
+        let mut per_agg: Vec<Vec<Piece>> = vec![Vec::new(); self.naggs];
+        let mut pos = 0u64;
+        for &(off, len) in segs {
+            let end = off + len;
+            let mut cur = off;
+            while cur < end {
+                let d = ((cur - self.gmin) / self.share) as usize;
+                let upto = end.min(self.domain(d).1);
+                per_agg[d].push(Piece {
+                    off: cur,
+                    len: upto - cur,
+                    pos: pos + (cur - off),
+                });
+                cur = upto;
+            }
+            pos += len;
+        }
+        per_agg
+    }
 }
 
-fn decode_header(bytes: &[u8]) -> MpiResult<(Vec<(u64, u64)>, usize)> {
-    if bytes.len() < 8 {
-        return Err(MpiError::LengthMismatch {
-            expected: 8,
-            got: bytes.len(),
+/// Visit the parts of `pieces[*cur..]` that lie in the window
+/// `[wlo, whi)`, in order, as `(file offset, length, buffer position)`.
+/// Windows are walked in ascending order; `*cur` is left at the first
+/// piece that reaches past `whi` (it continues in the next window).
+fn walk_window(
+    pieces: &[Piece],
+    cur: &mut usize,
+    wlo: u64,
+    whi: u64,
+    mut visit: impl FnMut(u64, usize, usize),
+) {
+    while let Some(p) = pieces.get(*cur).filter(|p| p.off < whi) {
+        let lo = p.off.max(wlo);
+        let hi = (p.off + p.len).min(whi);
+        visit(lo, (hi - lo) as usize, (p.pos + (lo - p.off)) as usize);
+        if p.off + p.len > whi {
+            break;
+        }
+        *cur += 1;
+    }
+}
+
+/// Bytes `pieces[cur..]` have in the window `[wlo, whi)`.
+fn window_bytes(pieces: &[Piece], mut cur: usize, wlo: u64, whi: u64) -> usize {
+    let mut n = 0;
+    walk_window(pieces, &mut cur, wlo, whi, |_, len, _| n += len);
+    n
+}
+
+/// Encoded length of the descriptors of `n` pieces.
+fn header_len(n: usize) -> usize {
+    8 + n * 16
+}
+
+/// Append the descriptors of `pieces`: a count, then `(offset, length)`
+/// pairs.
+fn push_header(msg: &mut Vec<u8>, pieces: &[Piece]) {
+    msg.extend_from_slice(&(pieces.len() as u64).to_ne_bytes());
+    for p in pieces {
+        msg.extend_from_slice(&p.off.to_ne_bytes());
+        msg.extend_from_slice(&p.len.to_ne_bytes());
+    }
+}
+
+/// Decode the descriptors at the front of `bytes` and return them with
+/// their encoded length. An empty message holds none.
+fn decode_header(bytes: &[u8]) -> MpiResult<(Vec<Piece>, usize)> {
+    if bytes.is_empty() {
+        return Ok((Vec::new(), 0));
+    }
+    let word = |b: &[u8]| u64::from_ne_bytes(b.try_into().expect("8-byte chunk"));
+    let short = |expected: usize| MpiError::LengthMismatch {
+        expected,
+        got: bytes.len(),
+    };
+    let count = bytes.get(..8).map(word).ok_or_else(|| short(8))? as usize;
+    let body = count
+        .checked_mul(16)
+        .and_then(|n| bytes.get(8..8 + n))
+        .ok_or_else(|| short(header_len(count)))?;
+    let pieces = body
+        .chunks_exact(16)
+        .map(|c| Piece {
+            off: word(&c[..8]),
+            len: word(&c[8..]),
+            pos: 0,
+        })
+        .collect();
+    Ok((pieces, header_len(count)))
+}
+
+/// An aggregator's side of one collective: who wants which bytes of its
+/// domain, and the two staging halves they move through.
+struct Aggregator {
+    rank: usize,
+    /// Descriptors by source rank, each ascending. This rank's own are
+    /// its plan for itself and never travel.
+    pieces: Vec<Vec<Piece>>,
+    /// Walk cursor into each source's descriptors.
+    cur: Vec<usize>,
+    /// Union of all descriptors: disjoint, non-adjacent `[lo, hi)`
+    /// intervals, ascending.
+    cover: Vec<(u64, u64)>,
+    cover_cur: usize,
+    /// Sized once per collective for the even and the odd rounds; together
+    /// at most `cb_buffer_size`.
+    staging: [Vec<u8>; 2],
+}
+
+impl Aggregator {
+    fn new(size: usize, rank: usize, own: Vec<Piece>) -> Self {
+        let mut pieces = vec![Vec::new(); size];
+        pieces[rank] = own;
+        Self {
+            rank,
+            pieces,
+            cur: vec![0; size],
+            cover: Vec::new(),
+            cover_cur: 0,
+            staging: [Vec::new(), Vec::new()],
+        }
+    }
+
+    /// Take in the descriptors at the front of every other rank's
+    /// message, then size the staging halves. Returns the descriptors'
+    /// encoded length per source (what precedes any payload).
+    fn learn(&mut self, received: &[Vec<u8>], sched: &Schedule) -> MpiResult<Vec<usize>> {
+        let mut header = vec![0; received.len()];
+        for (src, msg) in received.iter().enumerate() {
+            if src != self.rank {
+                (self.pieces[src], header[src]) = decode_header(msg)?;
+            }
+        }
+        self.cover = (self.pieces.iter().flatten())
+            .map(|p| (p.off, p.off + p.len))
+            .collect();
+        // Stable sort: the input is one ascending run per source, which
+        // it merges instead of sorting from scratch.
+        self.cover.sort();
+        self.cover.dedup_by(|next, kept| {
+            let joins = next.0 <= kept.1;
+            if joins {
+                kept.1 = kept.1.max(next.1);
+            }
+            joins
         });
+        for (half, buf) in self.staging.iter_mut().enumerate() {
+            // Rounds 0 and 1 have the longest windows of their parity.
+            let (wlo, whi) = sched.window(self.rank, half as u64);
+            *buf = vec![0; (whi - wlo) as usize];
+        }
+        Ok(header)
     }
-    let n = u64::from_ne_bytes(bytes[..8].try_into().unwrap()) as usize;
-    let header_len = 8 + n * 16;
-    if bytes.len() < header_len {
-        return Err(MpiError::LengthMismatch {
-            expected: header_len,
-            got: bytes.len(),
-        });
+
+    /// The span of the window `[wlo, whi)` the descriptors touch, and
+    /// whether they leave holes inside it; `None` if they touch nothing.
+    /// Windows are asked for in ascending order.
+    fn touched(&mut self, wlo: u64, whi: u64) -> Option<(u64, u64, bool)> {
+        while self.cover.get(self.cover_cur).is_some_and(|c| c.1 <= wlo) {
+            self.cover_cur += 1;
+        }
+        let inside = |c: &&(u64, u64)| c.0 < whi;
+        let first = self.cover.get(self.cover_cur).filter(inside)?;
+        let (lo, mut hi) = (first.0.max(wlo), first.1.min(whi));
+        let mut holes = false;
+        // The last interval may reach into the next window: stay on it.
+        while let Some(next) = self.cover.get(self.cover_cur + 1).filter(inside) {
+            self.cover_cur += 1;
+            hi = next.1.min(whi);
+            holes = true;
+        }
+        Some((lo, hi, holes))
     }
-    let words: Vec<u64> = vec_from_bytes(&bytes[8..header_len]);
-    let segs = words.chunks_exact(2).map(|c| (c[0], c[1])).collect();
-    Ok((segs, header_len))
 }
 
 impl MpiFile {
@@ -98,8 +316,9 @@ impl MpiFile {
         self.two_phase_read(comm, &my_segs, bytes)
     }
 
-    /// Collective write of explicit absolute segments (used by SDM's
-    /// import path where the segment list is already computed).
+    /// Collective write of explicit absolute segments, ascending and
+    /// disjoint (used by SDM's import path where the segment list is
+    /// already computed).
     pub fn write_all_segments(
         &self,
         comm: &mut Comm,
@@ -109,7 +328,8 @@ impl MpiFile {
         self.two_phase_write(comm, segs, data)
     }
 
-    /// Collective read of explicit absolute segments.
+    /// Collective read of explicit absolute segments, ascending and
+    /// disjoint.
     pub fn read_all_segments(
         &self,
         comm: &mut Comm,
@@ -123,34 +343,29 @@ impl MpiFile {
     fn global_range(&self, comm: &mut Comm, segs: &[(u64, u64)]) -> Option<(u64, u64)> {
         let lo = segs.first().map_or(u64::MAX, |&(o, _)| o);
         let hi = segs.last().map_or(0, |&(o, l)| o + l);
-        let gmin = comm.allreduce_min(&[lo])[0];
-        let gmax = comm.allreduce_max(&[hi])[0];
+        // One reduction for both ends: the minimum of `MAX - hi` is the
+        // maximum of `hi`.
+        let ends = comm.allreduce_min(&[lo, u64::MAX - hi]);
+        let (gmin, gmax) = (ends[0], u64::MAX - ends[1]);
         (gmin < gmax).then_some((gmin, gmax))
     }
 
-    /// Split this rank's segments by destination aggregator domain.
-    fn split_by_domain(
-        &self,
-        segs: &[(u64, u64)],
-        gmin: u64,
-        gmax: u64,
-        naggs: usize,
-    ) -> Vec<Vec<(u64, u64)>> {
-        let total = gmax - gmin;
-        let share = total.div_ceil(naggs as u64).max(1);
-        let mut per_agg: Vec<Vec<(u64, u64)>> = vec![Vec::new(); naggs];
-        for &(off, len) in segs {
-            let d0 = ((off - gmin) / share) as usize;
-            let d1 = ((off + len - 1 - gmin) / share) as usize;
-            let d1 = d1.min(naggs - 1);
-            for (d, agg) in per_agg.iter_mut().enumerate().take(d1 + 1).skip(d0) {
-                let (dlo, dhi) = domain_of(gmin, gmax, naggs, d);
-                if let Some(c) = clip(off, len, dlo, dhi) {
-                    agg.push(c);
-                }
-            }
-        }
-        per_agg
+    /// Agree on the schedule of one collective; `None` if no rank
+    /// requests anything.
+    fn schedule(&self, comm: &mut Comm, segs: &[(u64, u64)]) -> Option<Schedule> {
+        let (gmin, gmax) = self.global_range(comm, segs)?;
+        let cfg = self.pfs().config();
+        let cycle = (cfg.stripe_size * cfg.io_servers) as u64;
+        // Two halves of at most `cb_buffer_size / 2` (and at least a byte,
+        // or nothing would move).
+        let half = (self.hints().cb_buffer_size as u64 / 2).max(1);
+        let naggs = self.hints().aggregators(comm.size());
+        Some(Schedule::new(
+            gmin,
+            gmax,
+            naggs,
+            (ROUND_CYCLES * cycle).min(half),
+        ))
     }
 
     fn two_phase_write(&self, comm: &mut Comm, segs: &[(u64, u64)], data: &[u8]) -> MpiResult<()> {
@@ -158,132 +373,118 @@ impl MpiFile {
             segs.iter().map(|&(_, l)| l).sum::<u64>() as usize,
             data.len()
         );
-        let size = comm.size();
-        let Some((gmin, gmax)) = self.global_range(comm, segs) else {
+        let Some(sched) = self.schedule(comm, segs) else {
             comm.barrier();
             return Ok(());
         };
-        let naggs = self.hints().aggregators(size);
+        let (rank, size) = (comm.rank(), comm.size());
+        let mut plan = sched.plan(segs);
+        let mut agg = (rank < sched.naggs)
+            .then(|| Aggregator::new(size, rank, std::mem::take(&mut plan[rank])));
+        let mut send_cur = vec![0usize; sched.naggs];
+        // Descriptor bytes ahead of each source's payload (round 0 only).
+        let mut header = vec![0usize; size];
+        // When the write last issued from each staging half completes.
+        let mut in_flight: [Seconds; 2] = [0.0; 2];
 
-        // Phase 1: build per-aggregator messages (header + payload).
-        let per_agg = self.split_by_domain(segs, gmin, gmax, naggs);
-        let mut msgs: Vec<Vec<u8>> = vec![Vec::new(); size];
-        {
-            // Map from absolute file offset back into `data`: walk the
-            // original segments, tracking each one's position in `data`.
-            let mut seg_data_pos = Vec::with_capacity(segs.len());
-            let mut acc = 0u64;
-            for &(_, l) in segs {
-                seg_data_pos.push(acc);
-                acc += l;
+        for r in 0..sched.nrounds {
+            let half = (r % 2) as usize;
+            if let Some(agg) = &agg {
+                // Two in flight at most: the half is free once the write
+                // issued from it two rounds ago is done.
+                comm.sync_to(in_flight[half]);
+                // Own pieces go from the caller's buffer straight into
+                // staging; that copy is charged here, ahead of the
+                // exchange, where the self block of the exchange paid it.
+                let (wlo, whi) = sched.window(rank, r);
+                let own = window_bytes(&agg.pieces[rank], agg.cur[rank], wlo, whi);
+                let copy = comm.config().io.client_copy(own);
+                comm.compute(copy);
             }
-            for (d, dsegs) in per_agg.iter().enumerate() {
-                if dsegs.is_empty() {
+
+            let mut msgs: Vec<Vec<u8>> = vec![Vec::new(); size];
+            for (d, pieces) in plan.iter().enumerate() {
+                if pieces.is_empty() {
                     continue;
                 }
-                let mut msg = encode_header(dsegs);
-                for &(off, len) in dsegs {
-                    // Find the original segment containing this clip.
-                    let i = segs.partition_point(|&(o, _)| o <= off) - 1;
-                    let (so, _) = segs[i];
-                    let dpos = (seg_data_pos[i] + (off - so)) as usize;
-                    msg.extend_from_slice(&data[dpos..dpos + len as usize]);
+                let (wlo, whi) = sched.window(d, r);
+                let payload = window_bytes(pieces, send_cur[d], wlo, whi);
+                let msg = &mut msgs[d];
+                if r == 0 {
+                    msg.reserve_exact(header_len(pieces.len()) + payload);
+                    push_header(msg, pieces);
+                } else {
+                    msg.reserve_exact(payload);
                 }
-                msgs[d] = msg;
+                walk_window(pieces, &mut send_cur[d], wlo, whi, |_, len, pos| {
+                    msg.extend_from_slice(&data[pos..pos + len]);
+                });
             }
-        }
-        let received = comm.alltoallv_bytes(msgs)?;
+            let received = comm.alltoallv_bytes(msgs)?;
 
-        // Phase 2: aggregators apply their domain through the staging buffer.
-        if comm.rank() < naggs {
-            let (dlo, dhi) = domain_of(gmin, gmax, naggs, comm.rank());
-            let mut agg_segs: Vec<AggSeg> = Vec::new();
-            let mut payloads: Vec<(usize, Vec<u8>)> = Vec::new(); // (src, data stream)
-            for (src, msg) in received.iter().enumerate() {
-                if msg.is_empty() {
-                    continue;
+            let Some(agg) = &mut agg else { continue };
+            if r == 0 {
+                header = agg.learn(&received, &sched)?;
+            }
+            let (wlo, whi) = sched.window(rank, r);
+            if let Some((lo, hi, holes)) = agg.touched(wlo, whi) {
+                let span = &mut agg.staging[half][..(hi - lo) as usize];
+                if holes {
+                    // Read-modify-write; what lies past EOF reads as zeros.
+                    let (n, t) = self.pfs().read_at(self.pfs_file(), lo, span, comm.now())?;
+                    span[n..].fill(0);
+                    comm.sync_to(t);
+                    self.pfs().counters().incr("mpi.twophase_rmw");
                 }
-                let (hsegs, header_len) = decode_header(msg)?;
-                let mut pos = 0u64;
-                for &(o, l) in &hsegs {
-                    agg_segs.push(AggSeg {
-                        off: o,
-                        len: l,
-                        src,
-                        stream_pos: pos,
+                // Sources in rank order: where writers overlap, the
+                // higher rank wins.
+                for (src, msg) in received.iter().enumerate() {
+                    let (pieces, cur) = (&agg.pieces[src], &mut agg.cur[src]);
+                    let mut at = header[src];
+                    walk_window(pieces, cur, wlo, whi, |off, len, pos| {
+                        let from = if src == rank {
+                            &data[pos..]
+                        } else {
+                            &msg[at..]
+                        };
+                        span[(off - lo) as usize..][..len].copy_from_slice(&from[..len]);
+                        at += len;
                     });
-                    pos += l;
                 }
-                payloads.push((src, msg[header_len..].to_vec()));
+                let (caller, done) =
+                    self.pfs()
+                        .write_at_async(self.pfs_file(), lo, span, comm.now())?;
+                comm.sync_to(caller);
+                in_flight[half] = done;
             }
-            agg_segs.sort_by_key(|s| (s.off, s.src));
-            let stream_of = |src: usize| -> &[u8] {
-                payloads
-                    .iter()
-                    .find(|&&(s, _)| s == src)
-                    .map(|(_, d)| d.as_slice())
-                    .unwrap()
-            };
-            let cb = self.hints().cb_buffer_size.max(1) as u64;
-            let mut now = comm.now();
-            let mut win = dlo;
-            let mut next_seg = 0usize;
-            while win < dhi && next_seg < agg_segs.len() {
-                let wlo = win;
-                let whi = (win + cb).min(dhi);
-                // Segments overlapping this window (they're sorted by off;
-                // a segment can span multiple windows, so scan from the
-                // first not-yet-finished one).
-                let mut touched_lo = u64::MAX;
-                let mut touched_hi = 0u64;
-                let mut useful = 0u64;
-                let mut in_window: Vec<(u64, u64, usize, u64)> = Vec::new(); // off, len, src, stream_pos
-                for s in &agg_segs[next_seg..] {
-                    if s.off >= whi {
-                        break;
-                    }
-                    if let Some((co, cl)) = clip(s.off, s.len, wlo, whi) {
-                        touched_lo = touched_lo.min(co);
-                        touched_hi = touched_hi.max(co + cl);
-                        useful += cl;
-                        in_window.push((co, cl, s.src, s.stream_pos + (co - s.off)));
-                    }
-                }
-                // Advance next_seg past segments fully consumed by this window.
-                while next_seg < agg_segs.len()
-                    && agg_segs[next_seg].off + agg_segs[next_seg].len <= whi
-                {
-                    next_seg += 1;
-                }
-                if touched_lo < touched_hi {
-                    let span = (touched_hi - touched_lo) as usize;
-                    let mut staging = vec![0u8; span];
-                    if useful < span as u64 {
-                        // Holes: read-modify-write (short read leaves zeros
-                        // past EOF, matching extension semantics).
-                        let (_n, t) =
-                            self.pfs()
-                                .read_at(self.pfs_file(), touched_lo, &mut staging, now)?;
-                        now = t;
-                        self.pfs().counters().incr("mpi.twophase_rmw");
-                    }
-                    for (co, cl, src, spos) in in_window {
-                        let s = (co - touched_lo) as usize;
-                        let stream = stream_of(src);
-                        staging[s..s + cl as usize]
-                            .copy_from_slice(&stream[spos as usize..(spos + cl) as usize]);
-                    }
-                    now = self
-                        .pfs()
-                        .write_at(self.pfs_file(), touched_lo, &staging, now)?;
-                }
-                win = whi;
-            }
-            comm.sync_to(now);
+            header.fill(0);
+        }
+
+        if agg.is_some() {
+            comm.sync_to(in_flight[0].max(in_flight[1]));
             comm.counters().incr("mpi.write_alls");
         }
         comm.barrier();
         Ok(())
+    }
+
+    /// Issue the read of the window `[wlo, whi)` into `staging` at `now`
+    /// without waiting for it: returns where the staged bytes start in
+    /// the file and when they will have arrived (`None`: nothing of the
+    /// window is wanted).
+    fn read_ahead(
+        &self,
+        agg: &mut Aggregator,
+        (wlo, whi): (u64, u64),
+        half: usize,
+        now: Seconds,
+    ) -> MpiResult<Option<(u64, Seconds)>> {
+        let Some((lo, hi, _)) = agg.touched(wlo, whi) else {
+            return Ok(None);
+        };
+        let span = &mut agg.staging[half][..(hi - lo) as usize];
+        let ready = self.pfs().read_exact_at(self.pfs_file(), lo, span, now)?;
+        Ok(Some((lo, ready)))
     }
 
     fn two_phase_read(
@@ -296,110 +497,86 @@ impl MpiFile {
             segs.iter().map(|&(_, l)| l).sum::<u64>() as usize,
             buf.len()
         );
-        let size = comm.size();
-        let Some((gmin, gmax)) = self.global_range(comm, segs) else {
+        let Some(sched) = self.schedule(comm, segs) else {
             comm.barrier();
             return Ok(());
         };
-        let naggs = self.hints().aggregators(size);
+        let (rank, size) = (comm.rank(), comm.size());
+        let mut plan = sched.plan(segs);
+        let mut agg = (rank < sched.naggs)
+            .then(|| Aggregator::new(size, rank, std::mem::take(&mut plan[rank])));
 
-        // Phase 1: send segment requests to aggregators.
-        let per_agg = self.split_by_domain(segs, gmin, gmax, naggs);
+        // Descriptors travel once, up front.
         let mut msgs: Vec<Vec<u8>> = vec![Vec::new(); size];
-        for (d, dsegs) in per_agg.iter().enumerate() {
-            if !dsegs.is_empty() {
-                msgs[d] = encode_header(dsegs);
+        for (d, pieces) in plan.iter().enumerate() {
+            if !pieces.is_empty() {
+                msgs[d].reserve_exact(header_len(pieces.len()));
+                push_header(&mut msgs[d], pieces);
             }
         }
         let received = comm.alltoallv_bytes(msgs)?;
 
-        // Phase 2: aggregators read their domain and extract per-source data.
-        let mut replies: Vec<Vec<u8>> = vec![Vec::new(); size];
-        if comm.rank() < naggs {
-            let (dlo, dhi) = domain_of(gmin, gmax, naggs, comm.rank());
-            let mut agg_segs: Vec<AggSeg> = Vec::new();
-            let mut reply_len = vec![0u64; size];
-            for (src, msg) in received.iter().enumerate() {
-                if msg.is_empty() {
-                    continue;
+        // What each staging half holds: file offset of its first byte and
+        // the time its read completes.
+        let mut staged: [Option<(u64, Seconds)>; 2] = [None; 2];
+        if let Some(agg) = &mut agg {
+            agg.learn(&received, &sched)?;
+            staged[0] = self.read_ahead(agg, sched.window(rank, 0), 0, comm.now())?;
+        }
+        drop(received);
+
+        let mut reply_cur = vec![0usize; sched.naggs];
+        for r in 0..sched.nrounds {
+            let half = (r % 2) as usize;
+            let mut replies: Vec<Vec<u8>> = vec![Vec::new(); size];
+            if let Some(agg) = &mut agg {
+                // Read-ahead: the next window is on its way to the other
+                // half (whose replies went out last round) before this
+                // one is waited for.
+                if r + 1 < sched.nrounds {
+                    let next = sched.window(rank, r + 1);
+                    staged[1 - half] = self.read_ahead(agg, next, 1 - half, comm.now())?;
                 }
-                let (hsegs, _) = decode_header(msg)?;
-                for &(o, l) in &hsegs {
-                    agg_segs.push(AggSeg {
-                        off: o,
-                        len: l,
-                        src,
-                        stream_pos: reply_len[src],
-                    });
-                    reply_len[src] += l;
-                }
-            }
-            for (src, &l) in reply_len.iter().enumerate() {
-                replies[src] = vec![0u8; l as usize];
-            }
-            agg_segs.sort_by_key(|s| (s.off, s.src));
-            let cb = self.hints().cb_buffer_size.max(1) as u64;
-            let mut now = comm.now();
-            let mut win = dlo;
-            let mut next_seg = 0usize;
-            while win < dhi && next_seg < agg_segs.len() {
-                let wlo = win;
-                let whi = (win + cb).min(dhi);
-                let mut touched_lo = u64::MAX;
-                let mut touched_hi = 0u64;
-                let mut in_window: Vec<(u64, u64, usize, u64)> = Vec::new();
-                for s in &agg_segs[next_seg..] {
-                    if s.off >= whi {
-                        break;
-                    }
-                    if let Some((co, cl)) = clip(s.off, s.len, wlo, whi) {
-                        touched_lo = touched_lo.min(co);
-                        touched_hi = touched_hi.max(co + cl);
-                        in_window.push((co, cl, s.src, s.stream_pos + (co - s.off)));
-                    }
-                }
-                while next_seg < agg_segs.len()
-                    && agg_segs[next_seg].off + agg_segs[next_seg].len <= whi
-                {
-                    next_seg += 1;
-                }
-                if touched_lo < touched_hi {
-                    let span = (touched_hi - touched_lo) as usize;
-                    let mut staging = vec![0u8; span];
-                    now =
-                        self.pfs()
-                            .read_exact_at(self.pfs_file(), touched_lo, &mut staging, now)?;
-                    for (co, cl, src, spos) in in_window {
-                        let s = (co - touched_lo) as usize;
-                        replies[src][spos as usize..(spos + cl) as usize]
-                            .copy_from_slice(&staging[s..s + cl as usize]);
+                if let Some((lo, ready)) = staged[half] {
+                    comm.sync_to(ready);
+                    let (wlo, whi) = sched.window(rank, r);
+                    let span = &agg.staging[half];
+                    for (src, reply) in replies.iter_mut().enumerate() {
+                        let (pieces, cur) = (&agg.pieces[src], &mut agg.cur[src]);
+                        if src == rank {
+                            // Own bytes go straight from staging into the
+                            // caller's buffer, at the client-copy price the
+                            // self block of the exchange paid.
+                            let mut own = 0;
+                            walk_window(pieces, cur, wlo, whi, |off, len, pos| {
+                                buf[pos..pos + len]
+                                    .copy_from_slice(&span[(off - lo) as usize..][..len]);
+                                own += len;
+                            });
+                            let copy = comm.config().io.client_copy(own);
+                            comm.compute(copy);
+                        } else {
+                            reply.reserve_exact(window_bytes(pieces, *cur, wlo, whi));
+                            walk_window(pieces, cur, wlo, whi, |off, len, _| {
+                                reply.extend_from_slice(&span[(off - lo) as usize..][..len]);
+                            });
+                        }
                     }
                 }
-                win = whi;
             }
-            comm.sync_to(now);
-            comm.counters().incr("mpi.read_alls");
+            let replies = comm.alltoallv_bytes(replies)?;
+            for (d, pieces) in plan.iter().enumerate() {
+                let (wlo, whi) = sched.window(d, r);
+                let mut at = 0;
+                walk_window(pieces, &mut reply_cur[d], wlo, whi, |_, len, pos| {
+                    buf[pos..pos + len].copy_from_slice(&replies[d][at..at + len]);
+                    at += len;
+                });
+            }
         }
 
-        // Phase 3: replies back to requesters, then reassemble in view order.
-        let replies = comm.alltoallv_bytes(replies)?;
-        let mut stream_pos = vec![0usize; size];
-        let total = gmax - gmin;
-        let share = total.div_ceil(naggs as u64).max(1);
-        let mut cursor = 0usize;
-        for &(off, len) in segs {
-            let d0 = ((off - gmin) / share) as usize;
-            let d1 = ((off + len - 1 - gmin) / share) as usize;
-            for d in d0..=d1.min(naggs - 1) {
-                let (dlo, dhi) = domain_of(gmin, gmax, naggs, d);
-                if let Some((_, cl)) = clip(off, len, dlo, dhi) {
-                    let p = stream_pos[d];
-                    buf[cursor..cursor + cl as usize]
-                        .copy_from_slice(&replies[d][p..p + cl as usize]);
-                    stream_pos[d] += cl as usize;
-                    cursor += cl as usize;
-                }
-            }
+        if agg.is_some() {
+            comm.counters().incr("mpi.read_alls");
         }
         comm.barrier();
         Ok(())
@@ -417,19 +594,6 @@ mod tests {
 
     fn tiny_pfs() -> Arc<Pfs> {
         Pfs::new(MachineConfig::test_tiny())
-    }
-
-    /// `clip` on a disjoint range must be `None`, including when the
-    /// segment ends *before* the window (regression: the subtraction in
-    /// the `Some` arm must not be evaluated eagerly).
-    #[test]
-    fn clip_disjoint_is_none() {
-        assert_eq!(clip(0, 10, 20, 30), None); // ends before window
-        assert_eq!(clip(40, 10, 20, 30), None); // starts after window
-        assert_eq!(clip(0, 0, 0, 10), None); // empty segment
-        assert_eq!(clip(5, 10, 8, 12), Some((8, 4))); // straddles lo
-        assert_eq!(clip(9, 10, 8, 12), Some((9, 3))); // straddles hi
-        assert_eq!(clip(9, 1, 8, 12), Some((9, 1))); // interior
     }
 
     /// Each rank writes an interleaved view; reading back the whole file
@@ -705,5 +869,160 @@ mod tests {
             coll < indep,
             "two-phase ({coll}s) should beat independent sieved writes ({indep}s) on interleaved data"
         );
+    }
+
+    /// Regression: rank 1's second piece makes the pieces' lengths sum to
+    /// the touched span although bytes 8..16 are written by nobody. They
+    /// must be read-modify-written, not zeroed.
+    #[test]
+    fn overlapping_writers_do_not_hide_a_hole() {
+        let pfs = tiny_pfs();
+        World::run(2, MachineConfig::test_tiny(), {
+            let pfs = Arc::clone(&pfs);
+            move |c| {
+                let mut f = MpiFile::open_collective(c, &pfs, "hole.bin", true).unwrap();
+                f.set_hints(crate::io::Hints {
+                    cb_nodes: Some(1),
+                    ..Default::default()
+                });
+                if c.rank() == 0 {
+                    f.write_at(c, 0, &[0xAAu8; 24]).unwrap();
+                }
+                c.barrier();
+                if c.rank() == 0 {
+                    f.write_all_segments(c, &[(0, 8)], &[1; 8]).unwrap();
+                } else {
+                    f.write_all_segments(c, &[(0, 8), (16, 8)], &[2; 16])
+                        .unwrap();
+                }
+                let mut raw = [0u8; 24];
+                f.read_at(c, 0, &mut raw).unwrap();
+                assert_eq!(raw[..8], [2; 8]);
+                assert_eq!(raw[8..16], [0xAA; 8], "the hole keeps what the file held");
+                assert_eq!(raw[16..], [2; 8]);
+                assert_eq!(pfs.counters().get("mpi.twophase_rmw"), 1);
+                f.close(c);
+            }
+        });
+    }
+
+    /// Virtual seconds of one collective write and one collective read of
+    /// `segs_of(rank)` on `origin2000`, each entered with synchronized
+    /// clocks, and of one allreduce among back-to-back ones.
+    fn origin2000_times(
+        nprocs: usize,
+        hints: crate::io::Hints,
+        segs_of: impl Fn(usize) -> Vec<(u64, u64)> + Sync,
+    ) -> (f64, f64, f64) {
+        let pfs = Pfs::new(MachineConfig::origin2000());
+        let out = World::run(nprocs, MachineConfig::origin2000(), |c| {
+            let mut f = MpiFile::open_collective(c, &pfs, "timed.bin", true).unwrap();
+            f.set_hints(hints.clone());
+            let segs = segs_of(c.rank());
+            let nbytes = segs.iter().map(|&(_, l)| l as usize).sum();
+            let data = vec![c.rank() as u8 + 1; nbytes];
+            c.barrier();
+            c.allreduce_min(&[0u64, 0]);
+            let t0 = c.now();
+            c.allreduce_min(&[0u64, 0]);
+            let reduction = c.now() - t0;
+            c.barrier();
+            let t0 = c.now();
+            f.write_all_segments(c, &segs, &data).unwrap();
+            let write = c.now() - t0;
+            let mut back = vec![0u8; nbytes];
+            let t0 = c.now();
+            f.read_all_segments(c, &segs, &mut back).unwrap();
+            let read = c.now() - t0;
+            assert_eq!(back, data);
+            f.close(c);
+            (write, read, reduction)
+        });
+        out[0]
+    }
+
+    /// A collective that fits in one round has nothing to overlap: it
+    /// costs what the serial engine charged, less the reduction that
+    /// `global_range` fused away. The two domains are one stripe unit
+    /// each, on different servers, so no queue depends on thread timing.
+    #[test]
+    fn single_round_costs_what_the_serial_engine_did_less_one_reduction() {
+        const K: u64 = 1024;
+        // Measured with this scenario on the serial engine (commit 2923382).
+        const SERIAL_WRITE: f64 = 5.32288e-3;
+        const SERIAL_READ: f64 = 5.32888e-3;
+        let (write, read, reduction) = origin2000_times(2, Default::default(), |rank| {
+            let base = rank as u64 * 32 * K;
+            vec![(base, 32 * K), (base + 64 * K, 32 * K)]
+        });
+        // The serial engine also copied its own 24 descriptor bytes.
+        let tol = 1e-7;
+        assert!(
+            (write - (SERIAL_WRITE - reduction)).abs() < tol,
+            "write {write} s, serial {SERIAL_WRITE} s, one reduction {reduction} s"
+        );
+        assert!(
+            (read - (SERIAL_READ - reduction)).abs() < tol,
+            "read {read} s, serial {SERIAL_READ} s, one reduction {reduction} s"
+        );
+    }
+
+    /// A collective of many rounds overlaps exchange and staging with the
+    /// servers' work: it finishes sooner than the serial sum of the three
+    /// and, as no server time is un-charged, no sooner than the servers
+    /// alone need. One aggregator, so no queue depends on thread timing.
+    #[test]
+    fn multi_round_overlaps_client_work_with_the_servers() {
+        const BLOCK: usize = 4 << 20;
+        let cfg = MachineConfig::origin2000();
+        let hints = crate::io::Hints {
+            cb_nodes: Some(1),
+            ..Default::default()
+        };
+        let (write, read, _) =
+            origin2000_times(2, hints, |rank| vec![((rank * BLOCK) as u64, BLOCK as u64)]);
+        let per_server = 2 * BLOCK / cfg.io_servers;
+        let floor = cfg.io.service_time(per_server);
+        // Rank 0's own block is copied while rank 1's is on the wire, then
+        // everything is staged, then served.
+        let serial = cfg.network.wire_time(BLOCK).max(cfg.io.client_copy(BLOCK))
+            + cfg.io.client_copy(2 * BLOCK)
+            + floor;
+        for (what, t) in [("write", write), ("read", read)] {
+            assert!(t >= floor, "{what}: {t} s is below the servers' {floor} s");
+            assert!(
+                t < serial,
+                "{what}: {t} s is not below the serial {serial} s"
+            );
+        }
+    }
+
+    /// The staging halves are all the memory an aggregator moves file
+    /// data through, and they stay within `cb_buffer_size` however large
+    /// its domain is.
+    #[test]
+    fn staging_stays_within_cb_buffer_size() {
+        let cb_buffer_size = 100_000; // less than a stripe cycle (640 KiB)
+        let pfs = Pfs::new(MachineConfig::origin2000());
+        World::run(1, MachineConfig::origin2000(), |c| {
+            let mut f = MpiFile::open_collective(c, &pfs, "big.bin", true).unwrap();
+            f.set_hints(crate::io::Hints {
+                cb_buffer_size,
+                ..Default::default()
+            });
+            let domain = 64u64 << 20;
+            let sched = f.schedule(c, &[(0, domain)]).unwrap();
+            assert!(sched.nrounds > 1000);
+            let whole = Piece {
+                off: 0,
+                len: domain,
+                pos: 0,
+            };
+            let mut agg = Aggregator::new(1, 0, vec![whole]);
+            agg.learn(&[Vec::new()], &sched).unwrap();
+            let staged: usize = agg.staging.iter().map(Vec::len).sum();
+            assert_eq!(staged, cb_buffer_size);
+            f.close(c);
+        });
     }
 }

@@ -1,12 +1,46 @@
 //! Property tests: collectives equal their sequential references for
 //! arbitrary inputs; datatype flattening conserves bytes; the view
-//! mapper agrees with a brute-force reference.
+//! mapper agrees with a brute-force reference; pipelined two-phase
+//! collective I/O equals a sequentially applied file image.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use sdm_mpi::datatype::Datatype;
 use sdm_mpi::io::view::FileView;
+use sdm_mpi::io::{Hints, MpiFile};
 use sdm_mpi::World;
+use sdm_pfs::Pfs;
 use sdm_sim::MachineConfig;
+
+/// Bytes of file the collective-I/O property spans: on `test_tiny` (one
+/// stripe cycle = 16 KiB) a lone aggregator needs four rounds for it.
+const SPAN: u64 = 50_000;
+
+/// One rank's request: ascending, disjoint segments between random cut
+/// points, each kept or dropped at random (dropped ones are holes; an
+/// empty list is an empty rank). Ranks draw independently, so their
+/// segments overlap.
+fn rank_segments() -> impl Strategy<Value = Vec<(u64, u64)>> {
+    (
+        proptest::collection::btree_set(0u64..SPAN, 0..24),
+        any::<u32>(),
+    )
+        .prop_map(|(cuts, keep)| {
+            let cuts: Vec<u64> = cuts.into_iter().collect();
+            cuts.windows(2)
+                .enumerate()
+                .filter(|(i, _)| keep >> (i % 32) & 1 == 1)
+                .map(|(_, w)| (w[0], w[1] - w[0]))
+                .collect()
+        })
+}
+
+/// What rank `rank` writes at byte `i` of its buffer: never 0 (a hole past
+/// EOF) and never 0xAA (the prefill), different for every rank.
+fn payload_byte(rank: usize, i: usize) -> u8 {
+    (rank * 40 + i % 40 + 1) as u8
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -64,6 +98,72 @@ proptest! {
                 let want = vec![seed ^ (s as u64) << 16 ^ d as u64; (s + d) % 3];
                 prop_assert_eq!(b, &want, "s={} d={}", s, d);
             }
+        }
+    }
+
+    /// The pipelined two-phase engine against a sequential reference:
+    /// apply every rank's segments in rank order (so the higher rank wins
+    /// an overlap) to an image of the prefilled file.
+    #[test]
+    fn collective_io_equals_sequential_reference(
+        segs in proptest::collection::vec(rank_segments(), 1..5),
+        cb_nodes in prop_oneof![Just(None), Just(Some(1)), Just(Some(2))],
+        // 16 and 100: rounds far smaller than a stripe cycle.
+        cb_buffer_size in prop_oneof![Just(16usize), Just(100), Just(5000), Just(16 << 20)],
+        prefill in 0u64..SPAN,
+    ) {
+        let nprocs = segs.len();
+        let mut image = vec![0xAAu8; prefill as usize];
+        for (rank, mine) in segs.iter().enumerate() {
+            let mut i = 0;
+            for &(off, len) in mine {
+                let end = (off + len) as usize;
+                if image.len() < end {
+                    image.resize(end, 0);
+                }
+                for b in &mut image[off as usize..end] {
+                    *b = payload_byte(rank, i);
+                    i += 1;
+                }
+            }
+        }
+
+        let pfs = Pfs::new(MachineConfig::test_tiny());
+        {
+            let (f, _) = pfs.open_or_create("ref.dat", 0.0).unwrap();
+            pfs.write_at(&f, 0, &vec![0xAA; prefill as usize], 0.0).unwrap();
+        }
+        let read_back = World::run(nprocs, MachineConfig::test_tiny(), {
+            let (pfs, segs) = (Arc::clone(&pfs), segs.clone());
+            move |c| {
+                let mut f = MpiFile::open_collective(c, &pfs, "ref.dat", false).unwrap();
+                f.set_hints(Hints { cb_nodes, cb_buffer_size, ..Default::default() });
+                let mine = &segs[c.rank()];
+                let nbytes: u64 = mine.iter().map(|&(_, l)| l).sum();
+                let data: Vec<u8> = (0..nbytes as usize).map(|i| payload_byte(c.rank(), i)).collect();
+                f.write_all_segments(c, mine, &data).unwrap();
+                // Read back the next rank's segments, so that requests
+                // and file domains pair up differently than in the write.
+                let theirs = &segs[(c.rank() + 1) % nprocs];
+                let nbytes: u64 = theirs.iter().map(|&(_, l)| l).sum();
+                let mut back = vec![0u8; nbytes as usize];
+                f.read_all_segments(c, theirs, &mut back).unwrap();
+                f.close(c);
+                back
+            }
+        });
+
+        let (f, _) = pfs.open("ref.dat", 0.0).unwrap();
+        let mut stored = vec![0u8; f.len() as usize];
+        pfs.read_exact_at(&f, 0, &mut stored, 0.0).unwrap();
+        prop_assert!(stored == image, "file image differs from the reference");
+        for (rank, back) in read_back.iter().enumerate() {
+            let want: Vec<u8> = segs[(rank + 1) % nprocs]
+                .iter()
+                .flat_map(|&(off, len)| &image[off as usize..(off + len) as usize])
+                .copied()
+                .collect();
+            prop_assert!(back == &want, "rank {} read back other bytes than the image holds", rank);
         }
     }
 

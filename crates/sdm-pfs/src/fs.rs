@@ -181,11 +181,15 @@ impl Pfs {
         }
         {
             let mut bytes = file.data.bytes.write();
-            let end = offset as usize + data.len();
-            if bytes.len() < end {
-                bytes.resize(end, 0);
+            let off = offset as usize;
+            // A hole before `offset` reads back as zeros; what lands past
+            // the end is appended, not zero-filled and then overwritten.
+            if bytes.len() < off {
+                bytes.resize(off, 0);
             }
-            bytes[offset as usize..end].copy_from_slice(data);
+            let inside = (bytes.len() - off).min(data.len());
+            bytes[off..off + inside].copy_from_slice(&data[..inside]);
+            bytes.extend_from_slice(&data[inside..]);
         }
         self.counters.add("pfs.write_bytes", data.len() as u64);
         self.counters.incr("pfs.write_ops");
@@ -306,6 +310,17 @@ mod tests {
         assert_eq!(n, 4);
         assert_eq!(buf, [0, 0, 0, 0]);
         assert_eq!(f.len(), 101);
+    }
+
+    #[test]
+    fn write_straddling_eof_overwrites_then_appends() {
+        let fs = fs();
+        let (f, t) = fs.open_or_create("x.dat", 0.0).unwrap();
+        fs.write_at(&f, 0, b"abcdef", t).unwrap();
+        fs.write_at(&f, 4, b"WXYZ", t).unwrap();
+        let mut buf = [0u8; 8];
+        fs.read_exact_at(&f, 0, &mut buf, 0.0).unwrap();
+        assert_eq!(&buf, b"abcdWXYZ");
     }
 
     #[test]
