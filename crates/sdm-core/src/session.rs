@@ -301,11 +301,22 @@ struct Staged {
 /// drop (best-effort). Closing performs, in order:
 ///
 /// 1. one collective I/O burst: every staged region is appended and
-///    written back-to-back through the two-phase collective path;
-/// 2. one `execution_table` insert per dataset on rank 0, flushed as a
+///    its two-phase collective write *begun* back-to-back, so the
+///    servers work on one region's last windows while the next region's
+///    first one is exchanged and staged;
+/// 2. one drain: every file written is waited for
+///    (`MpiFile::sync`), so that **no metadata row exists before the
+///    bytes it names are at the servers**, whether the store buffers
+///    rows or not;
+/// 3. one `execution_table` insert per dataset on rank 0, flushed as a
 ///    **single store transaction**;
-/// 3. exactly **one** metadata round-trip + clock sync and one barrier
+/// 4. exactly **one** metadata round-trip + clock sync and one barrier
 ///    — instead of one per dataset as on the legacy path.
+///
+/// If a write fails mid-burst, what was begun is still drained and
+/// recorded (those regions did land), the rows are flushed best-effort,
+/// and the error is returned: at most the failing dataset is without
+/// metadata.
 ///
 /// All ranks of the communicator must stage the same datasets in the
 /// same order (the writes are collective).
@@ -412,51 +423,61 @@ impl<'a> TimestepScope<'a> {
         self.staged.clear();
     }
 
-    /// Issue a batch of staged writes: the collective I/O burst, the
-    /// single-transaction metadata landing, and the single sync.
+    /// Issue a batch of staged writes: the collective I/O burst, its
+    /// drain, the single-transaction metadata landing, and the single
+    /// sync.
     fn issue(sdm: &mut Sdm, comm: &mut Comm, timestep: i64, staged: Vec<Staged>) -> SdmResult<()> {
         if staged.is_empty() {
             return Ok(());
         }
         // ---- One collective I/O burst over all staged regions ----
-        // Each dataset's execution row is recorded (rank 0) right after
-        // its region lands, as on the legacy path, so a mid-burst error
-        // leaves at most the failing dataset without metadata. The rows
-        // only buffer in `CachedStore` here — the single transaction
-        // and the single sync still happen once, below.
-        let mut written: Vec<(DatasetSlot, String)> = Vec::with_capacity(staged.len());
+        // Every write is begun and none waited for: a region's last
+        // windows are still at the servers while the next region's
+        // first one is exchanged and staged.
+        let mut written: Vec<(DatasetSlot, String, u64)> = Vec::with_capacity(staged.len());
         let burst = (|| {
             for w in &staged {
                 let (file_name, base) = sdm.alloc_region(w.slot, timestep)?;
                 sdm.open_cached(comm, w.slot.group_handle(), &file_name)?;
                 let ftype = sdm.slot_view(w.slot)?.ftype.clone();
-                {
-                    let g = sdm.group_at_mut(w.slot.group_handle())?;
-                    // analyze:allow(unwrap: open_cached inserted this key and the map is untouched since)
-                    let f = g.open_files.get_mut(&file_name).expect("cached above");
-                    f.set_view(comm, base, ftype)?;
-                    f.write_all(comm, 0, &w.bytes)?;
-                }
-                if comm.rank() == 0 {
-                    let name = &sdm.slot_desc(w.slot)?.name;
-                    sdm.store.record_execution(
-                        sdm.runid,
-                        name,
-                        timestep,
-                        base as i64,
-                        &file_name,
-                    )?;
-                }
-                written.push((w.slot, file_name));
+                let g = sdm.group_at_mut(w.slot.group_handle())?;
+                // analyze:allow(unwrap: open_cached inserted this key and the map is untouched since)
+                let f = g.open_files.get_mut(&file_name).expect("cached above");
+                f.set_view(comm, base, ftype)?;
+                f.write_all_begin(comm, 0, &w.bytes)?;
+                written.push((w.slot, file_name, base));
                 comm.counters().incr("sdm.writes");
             }
             Ok(())
         })();
-        if let Err(e) = burst {
-            // The rows buffered so far describe regions that *did*
-            // land; push them down now (best effort) so they cannot
-            // leak into a later step's transaction and the written
-            // data stays reachable through the metadata.
+        // ---- Drain, then the rows: no row names bytes still in flight ----
+        // After an error too: what was begun did land, and its rows keep
+        // it reachable, so at most the failing dataset is without
+        // metadata.
+        let landed = (|| {
+            for (slot, file_name, _) in &written {
+                let g = sdm.group_at(slot.group_handle())?;
+                if let Some(f) = g.open_files.get(file_name) {
+                    f.sync(comm);
+                }
+            }
+            if comm.rank() == 0 {
+                for (slot, file_name, base) in &written {
+                    let name = &sdm.slot_desc(*slot)?.name;
+                    sdm.store.record_execution(
+                        sdm.runid,
+                        name,
+                        timestep,
+                        *base as i64,
+                        file_name,
+                    )?;
+                }
+            }
+            Ok(())
+        })();
+        if let Err(e) = burst.and(landed) {
+            // Push the rows buffered so far down now (best effort) so
+            // they cannot leak into a later step's transaction.
             if comm.rank() == 0 {
                 let _ = sdm.store.flush();
             }
@@ -474,7 +495,7 @@ impl<'a> TimestepScope<'a> {
         if sdm.cfg.org.opens_per_timestep() {
             // Level 1: dedicated per-(dataset, timestep) files, close
             // them now that the step is done.
-            for (slot, file_name) in &written {
+            for (slot, file_name, _) in &written {
                 if let Some(f) = sdm
                     .group_at_mut(slot.group_handle())?
                     .open_files

@@ -385,10 +385,21 @@ impl Comm {
     /// Barrier: all ranks wait; every clock jumps to the max entry time
     /// plus one synchronization latency.
     pub fn barrier(&mut self) {
-        let t_max = self.shared.barrier.rendezvous_max(self.clock.now());
-        self.clock
-            .sync_to(t_max + self.shared.config.network.latency);
+        let done = self.barrier_begin(self.clock.now());
+        self.clock.sync_to(done);
+    }
+
+    /// Enter a barrier and return when it completes, without waiting for
+    /// that: the caller passes the result to [`Comm::sync_to`] when it
+    /// has to know that every rank arrived. This rank arrives at `at`
+    /// (its clock, or later: when work it has handed off completes). All
+    /// ranks still meet on the host, so what they did before is visible
+    /// to all of them afterwards.
+    pub fn barrier_begin(&mut self, at: Seconds) -> Seconds {
+        let arrival = at.max(self.clock.now());
+        let t_max = self.shared.barrier.rendezvous_max(arrival);
         self.shared.counters.incr("mpi.barriers");
+        t_max + self.shared.config.network.latency
     }
 
     /// Rendezvous on the max of an arbitrary value (also acts as a

@@ -11,10 +11,15 @@ pub struct Hints {
     /// Number of aggregator ranks in two-phase collective I/O
     /// (`cb_nodes`). `None` means every rank aggregates.
     pub cb_nodes: Option<usize>,
-    /// Aggregator staging memory in bytes (`cb_buffer_size`). Each
-    /// aggregator moves its file domain through two staging halves of at
-    /// most half this size each, one being filled while the other is at
-    /// the servers (see `twophase`).
+    /// Aggregator staging memory in bytes per open file
+    /// (`cb_buffer_size`). An aggregator moves its file domains through
+    /// two staging halves that belong to the file handle, one being
+    /// filled while the other is at the servers. A half grows to the
+    /// largest window it has held and no further than the largest window
+    /// there is: the whole stripe cycles that fit half this size (the
+    /// half itself if it is under one cycle). Windows start at one stripe
+    /// cycle and double up to that (see `twophase`), so this also bounds
+    /// how far a collective's requests grow.
     pub cb_buffer_size: usize,
     /// Maximum covering-extent size for independent data sieving
     /// (`ind_rd_buffer_size`/`ind_wr_buffer_size` folded into one knob).

@@ -23,13 +23,16 @@ pub use view::FileView;
 /// Mirrors the `MPI_File` surface SDM uses: collective open,
 /// `set_view`, independent `read_at`/`write_at`, independent
 /// noncontiguous I/O through the view (data sieving), and collective
-/// `read_all`/`write_all` (two-phase).
+/// `read_all`/`write_all` (two-phase), the latter also split into
+/// `write_all_begin` and `sync`.
 #[derive(Debug)]
 pub struct MpiFile {
     pfs: Arc<Pfs>,
     file: PfsFile,
     view: FileView,
     hints: Hints,
+    /// Collective staging memory and the writes in flight from it.
+    staging: twophase::Staging,
 }
 
 impl MpiFile {
@@ -49,12 +52,7 @@ impl MpiFile {
         };
         comm.sync_to(t);
         comm.barrier();
-        Ok(Self {
-            pfs: Arc::clone(pfs),
-            file,
-            view: FileView::contiguous(0),
-            hints: Hints::default(),
-        })
+        Ok(Self::new(pfs, file))
     }
 
     /// Independent open (no synchronization) — used by rank 0 in the
@@ -71,17 +69,25 @@ impl MpiFile {
             pfs.open(name, comm.now())?
         };
         comm.sync_to(t);
-        Ok(Self {
+        Ok(Self::new(pfs, file))
+    }
+
+    fn new(pfs: &Arc<Pfs>, file: PfsFile) -> Self {
+        Self {
             pfs: Arc::clone(pfs),
             file,
             view: FileView::contiguous(0),
             hints: Hints::default(),
-        })
+            staging: Default::default(),
+        }
     }
 
-    /// Replace the I/O hints.
+    /// Replace the I/O hints. The collective staging memory is given
+    /// back, so that the next collective sizes it by the new
+    /// `cb_buffer_size`.
     pub fn set_hints(&mut self, hints: Hints) {
         self.hints = hints;
+        self.staging.release();
     }
 
     /// Current hints.
@@ -123,6 +129,7 @@ impl MpiFile {
     /// Independent contiguous write at an absolute byte offset (ignores
     /// the view), like `MPI_File_write_at`.
     pub fn write_at<T: Pod>(&self, comm: &mut Comm, offset: u64, data: &[T]) -> MpiResult<()> {
+        self.sync(comm);
         let t = self
             .pfs
             .write_at(&self.file, offset, as_bytes(data), comm.now())?;
@@ -133,6 +140,7 @@ impl MpiFile {
     /// Independent contiguous read at an absolute byte offset (ignores the
     /// view), like `MPI_File_read_at`. Fails on short reads.
     pub fn read_at<T: Pod>(&self, comm: &mut Comm, offset: u64, buf: &mut [T]) -> MpiResult<()> {
+        self.sync(comm);
         let t = self
             .pfs
             .read_exact_at(&self.file, offset, as_bytes_mut(buf), comm.now())?;
@@ -143,6 +151,7 @@ impl MpiFile {
     /// Independent noncontiguous write through the view starting at
     /// visible byte `view_off`, using data sieving where profitable.
     pub fn write_view<T: Pod>(&self, comm: &mut Comm, view_off: u64, data: &[T]) -> MpiResult<()> {
+        self.sync(comm);
         let bytes = as_bytes(data);
         let segs = self.view.segments(view_off, bytes.len() as u64);
         let t = sieve::sieved_write(&self.pfs, &self.file, &segs, bytes, &self.hints, comm.now())?;
@@ -158,6 +167,7 @@ impl MpiFile {
         view_off: u64,
         buf: &mut [T],
     ) -> MpiResult<()> {
+        self.sync(comm);
         let nbytes = std::mem::size_of_val(buf) as u64;
         let segs = self.view.segments(view_off, nbytes);
         let bytes = as_bytes_mut(buf);
@@ -168,6 +178,7 @@ impl MpiFile {
 
     /// Collective close.
     pub fn close(self, comm: &mut Comm) {
+        self.sync(comm);
         let t = self.pfs.close(&self.file, comm.now());
         comm.sync_to(t);
         comm.barrier();
@@ -175,6 +186,7 @@ impl MpiFile {
 
     /// Independent close (no synchronization).
     pub fn close_independent(self, comm: &mut Comm) {
+        self.sync(comm);
         let t = self.pfs.close(&self.file, comm.now());
         comm.sync_to(t);
     }

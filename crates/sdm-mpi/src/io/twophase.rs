@@ -1,32 +1,58 @@
 //! Two-phase collective I/O (ROMIO's generalized collective
 //! read/write), the optimization the paper's results rest on, run as a
-//! round-based, double-buffered pipeline.
+//! round-based, double-buffered pipeline whose last writes outlive the
+//! call that issued them.
 //!
 //! **Plan.** The ranks agree on the global byte range with one fused
 //! reduction and split it into contiguous *file domains*, one per
-//! aggregator. Each aggregator walks its domain in *rounds* of one PFS
-//! stripe cycle (`stripe_size × io_servers`, so every request loads every
-//! server equally), capped at `cb_buffer_size / 2`. The number of rounds
-//! follows from the range, the aggregator count and the round size, so
-//! every rank knows it without asking. One pass over a rank's segments
-//! yields, per aggregator, the clipped `(offset, length, position in the
-//! caller's buffer)` pieces; they are exchanged **once**, as descriptors,
-//! and both sides walk them window by window from then on, so the later
-//! messages carry payload only.
+//! aggregator. Each aggregator walks its domain, front to back, in
+//! *rounds* whose windows follow one size sequence: one PFS stripe cycle
+//! (`stripe_size × io_servers`, so every request loads every server
+//! equally), then twice the previous window each round, up to the largest
+//! whole number of cycles that fits `cb_buffer_size / 2`; the one window
+//! that has to be cut to fit the domain takes its place by size. A write
+//! takes the sequence as it grows, a read takes the same sizes in
+//! reverse. The servers have nothing to do while the *first* window of a
+//! write is exchanged and staged, and while the *last* window of a read
+//! is extracted and replied, so those two are the small ones; every other
+//! window spreads the servers' per-request latency over a multiple of
+//! the bytes while the client-side work on it still hides behind the
+//! servers' work on its predecessor (doubling does; tripling stalls). The sequence follows from the
+//! range, the aggregator count, the stripe cycle and `cb_buffer_size`, so
+//! every rank knows every window and the number of rounds without
+//! asking. One pass over a rank's segments yields, per aggregator, the
+//! clipped `(offset, length, position in the caller's buffer)` pieces;
+//! they are exchanged **once**, as descriptors, and both sides walk them
+//! window by window from then on, so the later messages carry payload
+//! only.
 //!
 //! **Write.** Round *r*: the ranks exchange the payload of every
 //! aggregator's window *r* (round 0 also carries the descriptors); the
-//! aggregator lays the pieces into one half of its staging buffer — its
-//! own straight from the caller's buffer, the others' from the wire, in
-//! rank order so that the higher rank wins where writers overlap — and
+//! aggregator lays the pieces into one of the file's two staging halves —
+//! its own straight from the caller's buffer, the others' from the wire,
+//! in rank order so that the higher rank wins where writers overlap — and
 //! hands the half to the servers with a nonblocking write. While the
 //! servers work on it, round *r + 1* is exchanged and staged in the other
-//! half. **At most two writes are in flight:** before a half is reused,
-//! the aggregator waits for the write issued from it two rounds earlier;
-//! all of them are drained before the closing barrier. A window the
-//! pieces do not cover completely is read first (read-modify-write);
-//! coverage is the *union* of the pieces, so overlapping writers cannot
-//! hide a hole.
+//! half. **At most two writes are in flight per file:** before a half is
+//! reused, the aggregator waits for the write last issued from it. A
+//! window the pieces do not cover completely is read first
+//! (read-modify-write); coverage is the *union* of the pieces, so
+//! overlapping writers cannot hide a hole.
+//!
+//! **Write-behind.** The staging halves and the completion times of the
+//! writes issued from them belong to the [`MpiFile`], not to one
+//! collective. [`MpiFile::write_all_begin`] returns with its last one or
+//! two windows still at the servers. Its closing barrier is split the
+//! same way: every rank enters it, an aggregator as of the completion of
+//! its last write, and learns when it completes — when all aggregators'
+//! writes are at the servers — but waits for that only in
+//! [`MpiFile::sync`]. The next collective on the handle starts in the
+//! half whose write completes first and waits for a half only when it
+//! needs it, so the servers keep working while the next dataset's first
+//! window is exchanged and staged. [`MpiFile::write_all`] is
+//! `write_all_begin` followed by `sync`, which is the instant the old
+//! drain-then-barrier ended at. Every read and every independent write
+//! on the handle, and `close`, wait for the writes in flight first.
 //!
 //! **Read.** The mirror image with read-ahead: the aggregator issues the
 //! read of window *r + 1* into the free half before it waits for window
@@ -37,9 +63,10 @@
 //! copy and each server's service time (with its per-request latency, so
 //! more, smaller requests cost more of it), a rank's own contribution
 //! pays the client copy, remote bytes pay injection and wire time. Only
-//! the *overlap* is new — client-side work of round *r + 1* proceeds
-//! while the FIFO server queues work on round *r* — so a collective that
-//! fits in one round costs what the serial schedule cost.
+//! the *overlap* is new — client-side work proceeds while the FIFO server
+//! queues work on what was handed to them — so a collective that fits in
+//! one round and is waited for at once costs what the serial schedule
+//! cost.
 
 use sdm_sim::Seconds;
 
@@ -47,13 +74,6 @@ use crate::comm::Comm;
 use crate::error::{MpiError, MpiResult};
 use crate::io::MpiFile;
 use crate::pod::{as_bytes, as_bytes_mut, Pod};
-
-/// Stripe cycles an aggregator moves per round, fixed by measurement
-/// (`bench_e2e`, 2 ranks, `origin2000`): one cycle gave `rt_write`
-/// the highest simulated bandwidth; with two and four the per-request
-/// latency saved is worth less than the overlap lost to fewer, longer
-/// rounds (CHANGES.md, PR 13).
-const ROUND_CYCLES: u64 = 1;
 
 /// One piece of a rank's request, clipped to one aggregator's domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -76,23 +96,86 @@ struct Schedule {
     naggs: usize,
     /// Bytes per file domain (the last domains may be shorter or empty).
     share: u64,
-    /// Bytes an aggregator moves per round.
-    round: u64,
+    /// The smallest full window: one stripe cycle, or `cap` if that is
+    /// less.
+    first: u64,
+    /// The largest window: the whole stripe cycles that fit half of
+    /// `cb_buffer_size`, or that half itself if it is under a cycle.
+    cap: u64,
+    /// Full windows that are smaller than `cap` (`first · 2^k` for
+    /// `k < doublings`).
+    doublings: u32,
     /// Rounds the longest domain takes; every rank runs this many.
     nrounds: u64,
+    /// What `nrounds - 1` full windows leave of `share`: the one window
+    /// that is cut to fit.
+    rest: u64,
+    /// Full windows smaller than `rest`, which come before it.
+    rest_at: u64,
+    /// Reads take the sizes largest first.
+    shrinking: bool,
 }
 
 impl Schedule {
-    fn new(gmin: u64, gmax: u64, naggs: usize, round: u64) -> Self {
+    fn new(
+        (gmin, gmax): (u64, u64),
+        naggs: usize,
+        cycle: u64,
+        cb_buffer_size: u64,
+        shrinking: bool,
+    ) -> Self {
         let total = gmax - gmin;
         let share = total.div_ceil(naggs as u64).max(1);
-        Self {
+        // Two halves of at most `cb_buffer_size / 2` (and at least a byte,
+        // or nothing would move).
+        let half = (cb_buffer_size / 2).max(1);
+        let cap = if half < cycle {
+            half
+        } else {
+            half - half % cycle
+        };
+        let first = cycle.min(cap);
+        let doublings = cap.div_ceil(first).next_power_of_two().trailing_zeros();
+        let mut sched = Self {
             gmin,
             total,
             naggs,
             share,
-            round,
-            nrounds: share.div_ceil(round),
+            first,
+            cap,
+            doublings,
+            nrounds: 0,
+            rest: 0,
+            rest_at: 0,
+            shrinking,
+        };
+        let doublings = doublings as u64;
+        sched.nrounds = (1..=doublings)
+            .find(|&k| sched.full(k) >= share)
+            .unwrap_or_else(|| doublings + (share - sched.full(doublings)).div_ceil(cap));
+        let nfull = sched.nrounds - 1;
+        sched.rest = share - sched.full(nfull);
+        // Windows of `cap` bytes are not smaller than what is cut from one.
+        sched.rest_at = (0..nfull.min(doublings))
+            .take_while(|&k| first << k < sched.rest)
+            .count() as u64;
+        sched
+    }
+
+    /// Bytes the first `k` full windows cover: `first · (2^k - 1)` while
+    /// they double, `cap` more for every window after that.
+    fn full(&self, k: u64) -> u64 {
+        let doubling = k.min(self.doublings as u64);
+        (self.first * ((1 << doubling) - 1)).saturating_add((k - doubling).saturating_mul(self.cap))
+    }
+
+    /// Bytes of a domain the first `k <= nrounds` windows cover, smallest
+    /// first: the full windows with the cut one in its place by size.
+    fn covered(&self, k: u64) -> u64 {
+        if k <= self.rest_at {
+            self.full(k)
+        } else {
+            self.full(k - 1) + self.rest
         }
     }
 
@@ -103,14 +186,22 @@ impl Schedule {
         (self.gmin + lo, self.gmin + hi)
     }
 
-    /// The part of aggregator `d`'s domain it moves in round `r`
-    /// (empty once the domain is exhausted).
+    /// The part of aggregator `d`'s domain it moves in round
+    /// `r < nrounds`: ascending in the file for reads too, which take
+    /// the window *sizes* in reverse (empty where a short domain ends
+    /// before the window starts).
     fn window(&self, d: usize, r: u64) -> (u64, u64) {
         let (dlo, dhi) = self.domain(d);
-        (
-            (dlo + r * self.round).min(dhi),
-            (dlo + (r + 1) * self.round).min(dhi),
-        )
+        let (lo, hi) = if self.shrinking {
+            let left = self.nrounds - r;
+            (
+                self.share - self.covered(left),
+                self.share - self.covered(left - 1),
+            )
+        } else {
+            (self.covered(r), self.covered(r + 1))
+        };
+        ((dlo + lo).min(dhi), (dlo + hi).min(dhi))
     }
 
     /// The one planning pass: split a rank's segments (ascending and
@@ -186,7 +277,9 @@ fn push_header(msg: &mut Vec<u8>, pieces: &[Piece]) {
 }
 
 /// Decode the descriptors at the front of `bytes` and return them with
-/// their encoded length. An empty message holds none.
+/// their encoded length. An empty message holds none. The count comes
+/// from a peer: one that no message could hold is a `LengthMismatch`,
+/// whatever arithmetic it would overflow.
 fn decode_header(bytes: &[u8]) -> MpiResult<(Vec<Piece>, usize)> {
     if bytes.is_empty() {
         return Ok((Vec::new(), 0));
@@ -196,11 +289,14 @@ fn decode_header(bytes: &[u8]) -> MpiResult<(Vec<Piece>, usize)> {
         expected,
         got: bytes.len(),
     };
-    let count = bytes.get(..8).map(word).ok_or_else(|| short(8))? as usize;
-    let body = count
-        .checked_mul(16)
-        .and_then(|n| bytes.get(8..8 + n))
-        .ok_or_else(|| short(header_len(count)))?;
+    let count = bytes.get(..8).map(word).ok_or_else(|| short(8))?;
+    let end = usize::try_from(count)
+        .ok()
+        .and_then(|n| n.checked_mul(16))
+        .and_then(|n| n.checked_add(8));
+    let body = end
+        .and_then(|end| bytes.get(8..end))
+        .ok_or_else(|| short(end.unwrap_or(usize::MAX)))?;
     let pieces = body
         .chunks_exact(16)
         .map(|c| Piece {
@@ -209,11 +305,44 @@ fn decode_header(bytes: &[u8]) -> MpiResult<(Vec<Piece>, usize)> {
             pos: 0,
         })
         .collect();
-    Ok((pieces, header_len(count)))
+    Ok((pieces, 8 + body.len()))
+}
+
+/// The memory an aggregator moves a file's data through, and what the
+/// servers still owe it. Kept per file handle: a collective leaves its
+/// last writes in flight, and the next one finds here which half is free.
+#[derive(Debug, Default)]
+pub(super) struct Staging {
+    /// Allocated on first use, each grown to the largest window it has
+    /// held; a window is at most half of `cb_buffer_size`.
+    halves: [Vec<u8>; 2],
+    /// When the write last issued from each half completes.
+    in_flight: [Seconds; 2],
+    /// When the closing barrier of the last collective write completes:
+    /// every aggregator's writes are at the servers and every rank can
+    /// know it.
+    landed: Seconds,
+}
+
+impl Staging {
+    /// Give the halves back; the next collective sizes them anew.
+    pub(super) fn release(&mut self) {
+        self.halves = Default::default();
+    }
+
+    /// The first `len` bytes of half `h`.
+    fn span(&mut self, h: usize, len: usize) -> &mut [u8] {
+        let half = &mut self.halves[h];
+        if half.len() < len {
+            // What it held is in the file: nothing to carry over.
+            *half = vec![0; len];
+        }
+        &mut half[..len]
+    }
 }
 
 /// An aggregator's side of one collective: who wants which bytes of its
-/// domain, and the two staging halves they move through.
+/// domain.
 struct Aggregator {
     rank: usize,
     /// Descriptors by source rank, each ascending. This rank's own are
@@ -225,9 +354,6 @@ struct Aggregator {
     /// intervals, ascending.
     cover: Vec<(u64, u64)>,
     cover_cur: usize,
-    /// Sized once per collective for the even and the odd rounds; together
-    /// at most `cb_buffer_size`.
-    staging: [Vec<u8>; 2],
 }
 
 impl Aggregator {
@@ -240,14 +366,13 @@ impl Aggregator {
             cur: vec![0; size],
             cover: Vec::new(),
             cover_cur: 0,
-            staging: [Vec::new(), Vec::new()],
         }
     }
 
     /// Take in the descriptors at the front of every other rank's
-    /// message, then size the staging halves. Returns the descriptors'
-    /// encoded length per source (what precedes any payload).
-    fn learn(&mut self, received: &[Vec<u8>], sched: &Schedule) -> MpiResult<Vec<usize>> {
+    /// message. Returns the descriptors' encoded length per source (what
+    /// precedes any payload).
+    fn learn(&mut self, received: &[Vec<u8>]) -> MpiResult<Vec<usize>> {
         let mut header = vec![0; received.len()];
         for (src, msg) in received.iter().enumerate() {
             if src != self.rank {
@@ -267,11 +392,6 @@ impl Aggregator {
             }
             joins
         });
-        for (half, buf) in self.staging.iter_mut().enumerate() {
-            // Rounds 0 and 1 have the longest windows of their parity.
-            let (wlo, whi) = sched.window(self.rank, half as u64);
-            *buf = vec![0; (whi - wlo) as usize];
-        }
         Ok(header)
     }
 
@@ -300,16 +420,53 @@ impl MpiFile {
     /// Collective write through the view: every rank of the communicator
     /// must call this ("collective" in the MPI sense). `view_off` is the
     /// rank's starting position in visible bytes; ranks may pass
-    /// different offsets and lengths, including empty.
-    pub fn write_all<T: Pod>(&self, comm: &mut Comm, view_off: u64, data: &[T]) -> MpiResult<()> {
+    /// different offsets and lengths, including empty. Returns when the
+    /// bytes are at the servers: [`MpiFile::write_all_begin`], then
+    /// [`MpiFile::sync`].
+    pub fn write_all<T: Pod>(
+        &mut self,
+        comm: &mut Comm,
+        view_off: u64,
+        data: &[T],
+    ) -> MpiResult<()> {
+        self.write_all_begin(comm, view_off, data)?;
+        self.sync(comm);
+        Ok(())
+    }
+
+    /// [`MpiFile::write_all`] without the wait at its end: on return the
+    /// caller's buffer is free and every rank has passed the closing
+    /// barrier, but an aggregator's last windows may still be at the
+    /// servers. Whatever uses this handle next finds them: another
+    /// collective write queues behind them, [`MpiFile::sync`] waits for
+    /// them, and so does every read, every independent write and `close`.
+    pub fn write_all_begin<T: Pod>(
+        &mut self,
+        comm: &mut Comm,
+        view_off: u64,
+        data: &[T],
+    ) -> MpiResult<()> {
         let bytes = as_bytes(data);
         let my_segs = self.view().segments(view_off, bytes.len() as u64);
         self.two_phase_write(comm, &my_segs, bytes)
     }
 
+    /// Wait for the collective writes begun on this handle (what
+    /// `MPI_File_sync` is to a split collective): until the closing
+    /// barrier of the last one completes, when every aggregator's writes
+    /// are at the servers. Local, and free when nothing is in flight.
+    pub fn sync(&self, comm: &mut Comm) {
+        comm.sync_to(self.staging.landed);
+    }
+
     /// Collective read through the view (counterpart of
     /// [`MpiFile::write_all`]). Fails if any requested byte lies past EOF.
-    pub fn read_all<T: Pod>(&self, comm: &mut Comm, view_off: u64, buf: &mut [T]) -> MpiResult<()> {
+    pub fn read_all<T: Pod>(
+        &mut self,
+        comm: &mut Comm,
+        view_off: u64,
+        buf: &mut [T],
+    ) -> MpiResult<()> {
         let nbytes = std::mem::size_of_val(buf) as u64;
         let my_segs = self.view().segments(view_off, nbytes);
         let bytes = as_bytes_mut(buf);
@@ -320,7 +477,20 @@ impl MpiFile {
     /// disjoint (used by SDM's import path where the segment list is
     /// already computed).
     pub fn write_all_segments(
-        &self,
+        &mut self,
+        comm: &mut Comm,
+        segs: &[(u64, u64)],
+        data: &[u8],
+    ) -> MpiResult<()> {
+        self.write_all_segments_begin(comm, segs, data)?;
+        self.sync(comm);
+        Ok(())
+    }
+
+    /// [`MpiFile::write_all_segments`] without the wait at its end (see
+    /// [`MpiFile::write_all_begin`]).
+    pub fn write_all_segments_begin(
+        &mut self,
         comm: &mut Comm,
         segs: &[(u64, u64)],
         data: &[u8],
@@ -331,7 +501,7 @@ impl MpiFile {
     /// Collective read of explicit absolute segments, ascending and
     /// disjoint.
     pub fn read_all_segments(
-        &self,
+        &mut self,
         comm: &mut Comm,
         segs: &[(u64, u64)],
         buf: &mut [u8],
@@ -350,30 +520,34 @@ impl MpiFile {
         (gmin < gmax).then_some((gmin, gmax))
     }
 
-    /// Agree on the schedule of one collective; `None` if no rank
-    /// requests anything.
-    fn schedule(&self, comm: &mut Comm, segs: &[(u64, u64)]) -> Option<Schedule> {
-        let (gmin, gmax) = self.global_range(comm, segs)?;
+    /// Agree on the schedule of one collective, a read's with the window
+    /// sizes `shrinking`; `None` if no rank requests anything.
+    fn schedule(&self, comm: &mut Comm, segs: &[(u64, u64)], shrinking: bool) -> Option<Schedule> {
+        let range = self.global_range(comm, segs)?;
         let cfg = self.pfs().config();
-        let cycle = (cfg.stripe_size * cfg.io_servers) as u64;
-        // Two halves of at most `cb_buffer_size / 2` (and at least a byte,
-        // or nothing would move).
-        let half = (self.hints().cb_buffer_size as u64 / 2).max(1);
-        let naggs = self.hints().aggregators(comm.size());
         Some(Schedule::new(
-            gmin,
-            gmax,
-            naggs,
-            (ROUND_CYCLES * cycle).min(half),
+            range,
+            self.hints().aggregators(comm.size()),
+            (cfg.stripe_size * cfg.io_servers) as u64,
+            self.hints().cb_buffer_size as u64,
+            shrinking,
         ))
     }
 
-    fn two_phase_write(&self, comm: &mut Comm, segs: &[(u64, u64)], data: &[u8]) -> MpiResult<()> {
+    /// The collective write up to its closing barrier, which every rank
+    /// enters but none waits for: what is still at the servers is left
+    /// in `staging`.
+    fn two_phase_write(
+        &mut self,
+        comm: &mut Comm,
+        segs: &[(u64, u64)],
+        data: &[u8],
+    ) -> MpiResult<()> {
         debug_assert_eq!(
             segs.iter().map(|&(_, l)| l).sum::<u64>() as usize,
             data.len()
         );
-        let Some(sched) = self.schedule(comm, segs) else {
+        let Some(sched) = self.schedule(comm, segs, false) else {
             comm.barrier();
             return Ok(());
         };
@@ -384,15 +558,18 @@ impl MpiFile {
         let mut send_cur = vec![0usize; sched.naggs];
         // Descriptor bytes ahead of each source's payload (round 0 only).
         let mut header = vec![0usize; size];
-        // When the write last issued from each staging half completes.
-        let mut in_flight: [Seconds; 2] = [0.0; 2];
+        // Start in the half that is free first. Taking them in a fixed
+        // order would, after a collective with an odd number of rounds,
+        // begin with the half whose write was issued last.
+        let [a, b] = self.staging.in_flight;
+        let start = usize::from(b < a);
 
         for r in 0..sched.nrounds {
-            let half = (r % 2) as usize;
+            let half = (start + r as usize) % 2;
             if let Some(agg) = &agg {
                 // Two in flight at most: the half is free once the write
-                // issued from it two rounds ago is done.
-                comm.sync_to(in_flight[half]);
+                // last issued from it is done.
+                comm.sync_to(self.staging.in_flight[half]);
                 // Own pieces go from the caller's buffer straight into
                 // staging; that copy is charged here, ahead of the
                 // exchange, where the self block of the exchange paid it.
@@ -424,17 +601,17 @@ impl MpiFile {
 
             let Some(agg) = &mut agg else { continue };
             if r == 0 {
-                header = agg.learn(&received, &sched)?;
+                header = agg.learn(&received)?;
             }
             let (wlo, whi) = sched.window(rank, r);
             if let Some((lo, hi, holes)) = agg.touched(wlo, whi) {
-                let span = &mut agg.staging[half][..(hi - lo) as usize];
+                let span = self.staging.span(half, (hi - lo) as usize);
                 if holes {
                     // Read-modify-write; what lies past EOF reads as zeros.
-                    let (n, t) = self.pfs().read_at(self.pfs_file(), lo, span, comm.now())?;
+                    let (n, t) = self.pfs.read_at(&self.file, lo, span, comm.now())?;
                     span[n..].fill(0);
                     comm.sync_to(t);
-                    self.pfs().counters().incr("mpi.twophase_rmw");
+                    self.pfs.counters().incr("mpi.twophase_rmw");
                 }
                 // Sources in rank order: where writers overlap, the
                 // higher rank wins.
@@ -451,29 +628,31 @@ impl MpiFile {
                         at += len;
                     });
                 }
-                let (caller, done) =
-                    self.pfs()
-                        .write_at_async(self.pfs_file(), lo, span, comm.now())?;
+                let (caller, done) = self.pfs.write_at_async(&self.file, lo, span, comm.now())?;
                 comm.sync_to(caller);
-                in_flight[half] = done;
+                self.staging.in_flight[half] = done;
             }
             header.fill(0);
         }
 
         if agg.is_some() {
-            comm.sync_to(in_flight[0].max(in_flight[1]));
             comm.counters().incr("mpi.write_alls");
         }
-        comm.barrier();
+        // The closing barrier, split like the collective: an aggregator
+        // arrives when its last write completes, every rank learns here
+        // when all have arrived, and `sync` waits for that.
+        let [a, b] = self.staging.in_flight;
+        let landed = comm.barrier_begin(a.max(b));
+        self.staging.landed = self.staging.landed.max(landed);
         Ok(())
     }
 
-    /// Issue the read of the window `[wlo, whi)` into `staging` at `now`
-    /// without waiting for it: returns where the staged bytes start in
-    /// the file and when they will have arrived (`None`: nothing of the
-    /// window is wanted).
+    /// Issue the read of the window `[wlo, whi)` into staging half `half`
+    /// at `now` without waiting for it: returns where the staged bytes
+    /// start in the file and when they will have arrived (`None`: nothing
+    /// of the window is wanted).
     fn read_ahead(
-        &self,
+        &mut self,
         agg: &mut Aggregator,
         (wlo, whi): (u64, u64),
         half: usize,
@@ -482,13 +661,13 @@ impl MpiFile {
         let Some((lo, hi, _)) = agg.touched(wlo, whi) else {
             return Ok(None);
         };
-        let span = &mut agg.staging[half][..(hi - lo) as usize];
-        let ready = self.pfs().read_exact_at(self.pfs_file(), lo, span, now)?;
+        let span = self.staging.span(half, (hi - lo) as usize);
+        let ready = self.pfs.read_exact_at(&self.file, lo, span, now)?;
         Ok(Some((lo, ready)))
     }
 
     fn two_phase_read(
-        &self,
+        &mut self,
         comm: &mut Comm,
         segs: &[(u64, u64)],
         buf: &mut [u8],
@@ -497,7 +676,9 @@ impl MpiFile {
             segs.iter().map(|&(_, l)| l).sum::<u64>() as usize,
             buf.len()
         );
-        let Some(sched) = self.schedule(comm, segs) else {
+        // Reads are not deferred and need both halves.
+        self.sync(comm);
+        let Some(sched) = self.schedule(comm, segs, true) else {
             comm.barrier();
             return Ok(());
         };
@@ -520,7 +701,7 @@ impl MpiFile {
         // the time its read completes.
         let mut staged: [Option<(u64, Seconds)>; 2] = [None; 2];
         if let Some(agg) = &mut agg {
-            agg.learn(&received, &sched)?;
+            agg.learn(&received)?;
             staged[0] = self.read_ahead(agg, sched.window(rank, 0), 0, comm.now())?;
         }
         drop(received);
@@ -540,7 +721,7 @@ impl MpiFile {
                 if let Some((lo, ready)) = staged[half] {
                     comm.sync_to(ready);
                     let (wlo, whi) = sched.window(rank, r);
-                    let span = &agg.staging[half];
+                    let span = &self.staging.halves[half];
                     for (src, reply) in replies.iter_mut().enumerate() {
                         let (pieces, cur) = (&agg.pieces[src], &mut agg.cur[src]);
                         if src == rank {
@@ -666,7 +847,7 @@ mod tests {
         World::run(3, MachineConfig::test_tiny(), {
             let pfs = Arc::clone(&pfs);
             move |c| {
-                let f = MpiFile::open_collective(c, &pfs, "e.bin", true).unwrap();
+                let mut f = MpiFile::open_collective(c, &pfs, "e.bin", true).unwrap();
                 // Only rank 1 writes anything.
                 if c.rank() == 1 {
                     f.write_all_segments(c, &[(8, 8)], &7u64.to_ne_bytes())
@@ -693,7 +874,7 @@ mod tests {
         World::run(2, MachineConfig::test_tiny(), {
             let pfs = Arc::clone(&pfs);
             move |c| {
-                let f = MpiFile::open_collective(c, &pfs, "z.bin", true).unwrap();
+                let mut f = MpiFile::open_collective(c, &pfs, "z.bin", true).unwrap();
                 f.write_all_segments(c, &[], &[]).unwrap();
                 f.read_all_segments(c, &[], &mut []).unwrap();
                 f.close(c);
@@ -707,7 +888,7 @@ mod tests {
         World::run(2, MachineConfig::test_tiny(), {
             let pfs = Arc::clone(&pfs);
             move |c| {
-                let f = MpiFile::open_collective(c, &pfs, "rmw.bin", true).unwrap();
+                let mut f = MpiFile::open_collective(c, &pfs, "rmw.bin", true).unwrap();
                 if c.rank() == 0 {
                     f.write_at(c, 0, &[0xAAu8; 64]).unwrap();
                 }
@@ -788,7 +969,7 @@ mod tests {
         World::run(2, MachineConfig::test_tiny(), {
             let pfs = Arc::clone(&pfs);
             move |c| {
-                let f = MpiFile::open_collective(c, &pfs, "span.bin", true).unwrap();
+                let mut f = MpiFile::open_collective(c, &pfs, "span.bin", true).unwrap();
                 // One rank writes a segment crossing the middle of the
                 // global range, which is exactly the domain boundary.
                 if c.rank() == 0 {
@@ -817,7 +998,7 @@ mod tests {
         World::run(2, MachineConfig::test_tiny(), {
             let pfs = Arc::clone(&pfs);
             move |c| {
-                let f = MpiFile::open_collective(c, &pfs, "ovl.bin", true).unwrap();
+                let mut f = MpiFile::open_collective(c, &pfs, "ovl.bin", true).unwrap();
                 let mine = vec![c.rank() as u8 + 1; 8];
                 f.write_all_segments(c, &[(0, 8)], &mine).unwrap();
                 let mut raw = [0u8; 8];
@@ -997,9 +1178,94 @@ mod tests {
         }
     }
 
-    /// The staging halves are all the memory an aggregator moves file
-    /// data through, and they stay within `cb_buffer_size` however large
-    /// its domain is.
+    /// Virtual seconds rank 0 (the one aggregator) takes for two
+    /// collective writes of 8 MiB each to one file on `origin2000`, and
+    /// for one more `sync` after them.
+    fn two_collectives(deferred: bool) -> (f64, f64) {
+        const BLOCK: u64 = 4 << 20;
+        let pfs = Pfs::new(MachineConfig::origin2000());
+        let out = World::run(2, MachineConfig::origin2000(), |c| {
+            let mut f = MpiFile::open_collective(c, &pfs, "pair.bin", true).unwrap();
+            f.set_hints(crate::io::Hints {
+                cb_nodes: Some(1),
+                ..Default::default()
+            });
+            let data = vec![c.rank() as u8 + 1; BLOCK as usize];
+            c.barrier();
+            let t0 = c.now();
+            for base in [0, 2 * BLOCK] {
+                let segs = [(base + c.rank() as u64 * BLOCK, BLOCK)];
+                if deferred {
+                    f.write_all_segments_begin(c, &segs, &data).unwrap();
+                } else {
+                    f.write_all_segments(c, &segs, &data).unwrap();
+                }
+            }
+            f.sync(c);
+            let both = c.now() - t0;
+            f.sync(c);
+            let again = c.now() - t0 - both;
+            f.close(c);
+            (both, again)
+        });
+        out[0]
+    }
+
+    /// Two collectives begun back to back and waited for once keep the
+    /// servers busy while the second one's first window is staged: less
+    /// than two collectives each waited for, no less than the servers
+    /// need for the bytes. With nothing in flight `sync` costs nothing.
+    #[test]
+    fn write_behind_overlaps_the_next_collective_with_the_servers() {
+        let cfg = MachineConfig::origin2000();
+        let (deferred, again) = two_collectives(true);
+        let (waited, _) = two_collectives(false);
+        let floor = cfg.io.service_time((16 << 20) / cfg.io_servers);
+        assert!(
+            deferred >= floor,
+            "{deferred} s is below the servers' {floor} s"
+        );
+        assert!(
+            deferred < waited,
+            "begin, begin, sync: {deferred} s; write_all twice: {waited} s"
+        );
+        assert_eq!(again, 0.0, "a second sync waits for nothing");
+    }
+
+    /// A read on a handle whose writes are still at the servers waits for
+    /// them, also where its own bytes are on a server they do not load.
+    #[test]
+    fn read_waits_for_the_writes_in_flight() {
+        let cfg = MachineConfig::origin2000();
+        let unit = cfg.stripe_size as u64;
+        let pfs = Pfs::new(cfg.clone());
+        World::run(1, cfg.clone(), |c| {
+            let mut f = MpiFile::open_collective(c, &pfs, "wait.bin", true).unwrap();
+            let data = vec![7u8; 2 * unit as usize];
+            f.write_all_segments(c, &[(0, 2 * unit)], &data).unwrap();
+            // One stripe unit, on the first server only.
+            f.write_all_segments_begin(c, &[(0, unit)], &data[..unit as usize])
+                .unwrap();
+            let done = f.staging.landed;
+            assert!(done > c.now(), "the write is still in flight");
+            // One stripe unit on the second server.
+            let mut back = vec![0u8; unit as usize];
+            f.read_all_segments(c, &[(unit, unit)], &mut back).unwrap();
+            let earliest = done + cfg.io.service_time(unit as usize);
+            assert!(
+                c.now() >= earliest,
+                "read done at {} s, the writes at {done} s",
+                c.now()
+            );
+            assert_eq!(back, data[unit as usize..]);
+            f.close(c);
+        });
+    }
+
+    /// The two staging halves are all the memory an aggregator moves file
+    /// data through. They belong to the file, and they stay within
+    /// `cb_buffer_size` however many collectives of whatever size pass
+    /// through them, waited for or not.
     #[test]
     fn staging_stays_within_cb_buffer_size() {
         let cb_buffer_size = 100_000; // less than a stripe cycle (640 KiB)
@@ -1010,19 +1276,116 @@ mod tests {
                 cb_buffer_size,
                 ..Default::default()
             });
-            let domain = 64u64 << 20;
-            let sched = f.schedule(c, &[(0, domain)]).unwrap();
-            assert!(sched.nrounds > 1000);
-            let whole = Piece {
-                off: 0,
-                len: domain,
-                pos: 0,
-            };
-            let mut agg = Aggregator::new(1, 0, vec![whole]);
-            agg.learn(&[Vec::new()], &sched).unwrap();
-            let staged: usize = agg.staging.iter().map(Vec::len).sum();
-            assert_eq!(staged, cb_buffer_size);
+            let staged = |f: &MpiFile| f.staging.halves.iter().map(Vec::len).sum::<usize>();
+            assert_eq!(staged(&f), 0, "allocated on first use");
+            let mut at = 0u64;
+            for i in 0..10 {
+                let len = 30_000u64 << i;
+                let data = vec![i as u8; len as usize];
+                f.write_all_segments_begin(c, &[(at, len)], &data).unwrap();
+                if i % 3 == 2 {
+                    f.sync(c);
+                }
+                assert!(
+                    staged(&f) <= cb_buffer_size,
+                    "{} B staged after {len} B",
+                    staged(&f)
+                );
+                at += len;
+            }
+            assert_eq!(staged(&f), cb_buffer_size);
             f.close(c);
         });
+    }
+
+    /// A count no message could hold is a length mismatch, not an
+    /// overflow in the arithmetic on it.
+    #[test]
+    fn decode_header_rejects_hostile_counts() {
+        for count in [u64::MAX, (usize::MAX / 16) as u64, 3] {
+            let mut msg = count.to_ne_bytes().to_vec();
+            msg.extend_from_slice(&[0; 32]);
+            assert!(
+                matches!(
+                    decode_header(&msg),
+                    Err(MpiError::LengthMismatch { got: 40, .. })
+                ),
+                "count {count}"
+            );
+        }
+        let (pieces, len) = decode_header(&[&2u64.to_ne_bytes()[..], &[0; 40]].concat()).unwrap();
+        assert_eq!((pieces.len(), len), (2, 40));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The window sequence, for any range, aggregator count, stripe
+        /// cycle and `cb_buffer_size`.
+        #[test]
+        fn windows_tile_every_domain_within_half_the_buffer(
+            gmin in 0u64..1_000_000,
+            naggs in 1usize..8,
+            cycle in proptest::prop_oneof![
+                proptest::strategy::Just(1u64),
+                2u64..100,
+                proptest::strategy::Just(4 * 4096),
+                proptest::strategy::Just(10 * 65536)
+            ],
+            cb_exp in 4u32..25,
+            cb_jitter in 0u64..1000,
+            // The range in thousandths of `cb_buffer_size`: up to some
+            // eighty windows per aggregator.
+            span in 1u64..40_000,
+        ) {
+            // 16 B to 16 MiB.
+            let cb_buffer_size =
+                ((1u64 << cb_exp) + (cb_jitter << cb_exp) / 1000).min(16 << 20);
+            let total = span * cb_buffer_size / 1000 + 1;
+            let half = (cb_buffer_size / 2).max(1);
+            let range = (gmin, gmin + total);
+            let write = Schedule::new(range, naggs, cycle, cb_buffer_size, false);
+            let read = Schedule::new(range, naggs, cycle, cb_buffer_size, true);
+            // Known to every rank without asking: nothing but the range
+            // and the file's parameters went in, and reads and writes
+            // agree on it.
+            proptest::prop_assert_eq!(write.nrounds, read.nrounds);
+            let n = write.nrounds;
+
+            let mut sizes = [Vec::new(), Vec::new()];
+            for (sched, sizes) in [write, read].iter().zip(&mut sizes) {
+                for d in 0..naggs {
+                    let (dlo, dhi) = sched.domain(d);
+                    let mut at = dlo;
+                    for r in 0..n {
+                        let (lo, hi) = sched.window(d, r);
+                        proptest::prop_assert_eq!(lo, at, "domain {} round {}", d, r);
+                        proptest::prop_assert!(hi >= lo && hi - lo <= half);
+                        if d == 0 {
+                            sizes.push(hi - lo);
+                        }
+                        at = hi;
+                    }
+                    proptest::prop_assert_eq!(at, dhi, "domain {} is not covered", d);
+                }
+            }
+            // The first domain is a full share: no round is wasted on it.
+            // A write's windows grow, each at most twice the one before,
+            // and a read takes the same sizes in reverse.
+            proptest::prop_assert!(sizes[0][0] > 0);
+            proptest::prop_assert!(sizes[0]
+                .windows(2)
+                .all(|w| w[0] <= w[1] && w[1] <= 2 * w[0].max(cycle)));
+            sizes[1].reverse();
+            proptest::prop_assert_eq!(&sizes[0], &sizes[1]);
+            // Up to one stripe cycle per aggregator is one round, as it
+            // was before the windows grew.
+            proptest::prop_assert_eq!(n == 1, write.share <= cycle.min(half));
+            // Whole cycles where one fits, but for the window cut to fit.
+            if half >= cycle {
+                let cut = sizes[0].iter().filter(|&len| len % cycle != 0).count();
+                proptest::prop_assert!(cut <= 1, "{} windows are not whole cycles", cut);
+            }
+        }
     }
 }

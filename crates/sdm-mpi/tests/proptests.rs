@@ -36,10 +36,19 @@ fn rank_segments() -> impl Strategy<Value = Vec<(u64, u64)>> {
         })
 }
 
-/// What rank `rank` writes at byte `i` of its buffer: never 0 (a hole past
-/// EOF) and never 0xAA (the prefill), different for every rank.
-fn payload_byte(rank: usize, i: usize) -> u8 {
-    (rank * 40 + i % 40 + 1) as u8
+/// What rank `rank` writes at byte `i` of its buffer in the collective
+/// `step`: never 0 (a hole past EOF) and never 0xAA (the prefill),
+/// different for every rank and from one collective to the next.
+fn payload_byte(rank: usize, step: usize, i: usize) -> u8 {
+    (rank * 40 + (i + step * 7) % 40 + 1) as u8
+}
+
+/// The bytes `image` holds at `segs`, in order.
+fn image_bytes(image: &[u8], segs: &[(u64, u64)]) -> Vec<u8> {
+    segs.iter()
+        .flat_map(|&(off, len)| &image[off as usize..(off + len) as usize])
+        .copied()
+        .collect()
 }
 
 proptest! {
@@ -101,53 +110,100 @@ proptest! {
         }
     }
 
-    /// The pipelined two-phase engine against a sequential reference:
-    /// apply every rank's segments in rank order (so the higher rank wins
-    /// an overlap) to an image of the prefilled file.
+    /// The pipelined two-phase engine against a sequential reference, over
+    /// a sequence of collectives on one handle: writes that are waited
+    /// for, writes that are only begun, `sync`s and reads in between, and
+    /// a final read. The reference applies every write's segments in rank
+    /// order (so the higher rank wins an overlap) to an image of the
+    /// prefilled file, and reads from the image as it is at that point.
     #[test]
     fn collective_io_equals_sequential_reference(
-        segs in proptest::collection::vec(rank_segments(), 1..5),
+        // Per collective: four ranks' segments (the first `nprocs` are
+        // used), what it is (0: `write_all_segments_begin`, 1:
+        // `write_all_segments`, 2: read back what was written last) and
+        // whether a `sync` follows. The first one always writes.
+        ops in proptest::collection::vec(
+            (proptest::collection::vec(rank_segments(), 4), 0u8..3, any::<bool>()),
+            1..4,
+        ),
+        nprocs in 1usize..5,
         cb_nodes in prop_oneof![Just(None), Just(Some(1)), Just(Some(2))],
-        // 16 and 100: rounds far smaller than a stripe cycle.
-        cb_buffer_size in prop_oneof![Just(16usize), Just(100), Just(5000), Just(16 << 20)],
+        // 16 and 100: rounds far smaller than a stripe cycle. 16 KiB on
+        // 256 B stripes: windows of 1, 2, 4, 8, 8, ... KiB.
+        cb_buffer_size in prop_oneof![Just(16usize), Just(100), Just(5000), Just(16 << 10), Just(16 << 20)],
+        stripe_size in prop_oneof![Just(256usize), Just(4096)],
         prefill in 0u64..SPAN,
     ) {
-        let nprocs = segs.len();
         let mut image = vec![0xAAu8; prefill as usize];
-        for (rank, mine) in segs.iter().enumerate() {
-            let mut i = 0;
-            for &(off, len) in mine {
-                let end = (off + len) as usize;
-                if image.len() < end {
-                    image.resize(end, 0);
+        // The segments of the last write, and per read what every rank
+        // must get back.
+        let mut written: &[Vec<(u64, u64)>] = &[];
+        let mut expected: Vec<Vec<Vec<u8>>> = Vec::new();
+        for (step, (segs, kind, _)) in ops.iter().enumerate() {
+            if step == 0 || *kind < 2 {
+                written = &segs[..nprocs];
+                for (rank, mine) in written.iter().enumerate() {
+                    let mut i = 0;
+                    for &(off, len) in mine {
+                        let end = (off + len) as usize;
+                        if image.len() < end {
+                            image.resize(end, 0);
+                        }
+                        for b in &mut image[off as usize..end] {
+                            *b = payload_byte(rank, step, i);
+                            i += 1;
+                        }
+                    }
                 }
-                for b in &mut image[off as usize..end] {
-                    *b = payload_byte(rank, i);
-                    i += 1;
-                }
+            } else {
+                // The next rank's segments, so that requests and file
+                // domains pair up differently than in the write.
+                expected.push(
+                    (0..nprocs).map(|r| image_bytes(&image, &written[(r + 1) % nprocs])).collect(),
+                );
             }
         }
+        expected.push((0..nprocs).map(|r| image_bytes(&image, &written[(r + 1) % nprocs])).collect());
 
-        let pfs = Pfs::new(MachineConfig::test_tiny());
+        let machine = MachineConfig { stripe_size, ..MachineConfig::test_tiny() };
+        let pfs = Pfs::new(machine.clone());
         {
             let (f, _) = pfs.open_or_create("ref.dat", 0.0).unwrap();
             pfs.write_at(&f, 0, &vec![0xAA; prefill as usize], 0.0).unwrap();
         }
-        let read_back = World::run(nprocs, MachineConfig::test_tiny(), {
-            let (pfs, segs) = (Arc::clone(&pfs), segs.clone());
+        let read_back = World::run(nprocs, machine, {
+            let (pfs, ops) = (Arc::clone(&pfs), ops.clone());
             move |c| {
                 let mut f = MpiFile::open_collective(c, &pfs, "ref.dat", false).unwrap();
                 f.set_hints(Hints { cb_nodes, cb_buffer_size, ..Default::default() });
-                let mine = &segs[c.rank()];
-                let nbytes: u64 = mine.iter().map(|&(_, l)| l).sum();
-                let data: Vec<u8> = (0..nbytes as usize).map(|i| payload_byte(c.rank(), i)).collect();
-                f.write_all_segments(c, mine, &data).unwrap();
-                // Read back the next rank's segments, so that requests
-                // and file domains pair up differently than in the write.
-                let theirs = &segs[(c.rank() + 1) % nprocs];
-                let nbytes: u64 = theirs.iter().map(|&(_, l)| l).sum();
-                let mut back = vec![0u8; nbytes as usize];
-                f.read_all_segments(c, theirs, &mut back).unwrap();
+                let read = |f: &mut MpiFile, c: &mut sdm_mpi::Comm, segs: &[(u64, u64)]| {
+                    let nbytes: u64 = segs.iter().map(|&(_, l)| l).sum();
+                    let mut back = vec![0u8; nbytes as usize];
+                    f.read_all_segments(c, segs, &mut back).unwrap();
+                    back
+                };
+                let mut written: &[Vec<(u64, u64)>] = &[];
+                let mut back = Vec::new();
+                for (step, (segs, kind, sync)) in ops.iter().enumerate() {
+                    if step == 0 || *kind < 2 {
+                        written = &segs[..nprocs];
+                        let mine = &written[c.rank()];
+                        let nbytes: u64 = mine.iter().map(|&(_, l)| l).sum();
+                        let data: Vec<u8> =
+                            (0..nbytes as usize).map(|i| payload_byte(c.rank(), step, i)).collect();
+                        if *kind == 0 {
+                            f.write_all_segments_begin(c, mine, &data).unwrap();
+                        } else {
+                            f.write_all_segments(c, mine, &data).unwrap();
+                        }
+                    } else {
+                        back.push(read(&mut f, c, &written[(c.rank() + 1) % nprocs]));
+                    }
+                    if *sync {
+                        f.sync(c);
+                    }
+                }
+                back.push(read(&mut f, c, &written[(c.rank() + 1) % nprocs]));
                 f.close(c);
                 back
             }
@@ -158,12 +214,12 @@ proptest! {
         pfs.read_exact_at(&f, 0, &mut stored, 0.0).unwrap();
         prop_assert!(stored == image, "file image differs from the reference");
         for (rank, back) in read_back.iter().enumerate() {
-            let want: Vec<u8> = segs[(rank + 1) % nprocs]
-                .iter()
-                .flat_map(|&(off, len)| &image[off as usize..(off + len) as usize])
-                .copied()
-                .collect();
-            prop_assert!(back == &want, "rank {} read back other bytes than the image holds", rank);
+            for (nth, want) in expected.iter().enumerate() {
+                prop_assert!(
+                    back[nth] == want[rank],
+                    "rank {}, read {}: other bytes than the image held", rank, nth
+                );
+            }
         }
     }
 

@@ -265,6 +265,12 @@ impl Pfs {
         Ok(t)
     }
 
+    /// When the data servers will have finished everything submitted to
+    /// them so far: nothing is in flight at or after this time.
+    pub fn drained_at(&self) -> Seconds {
+        (self.servers.iter().map(IoServer::busy_until)).fold(0.0, Seconds::max)
+    }
+
     /// Reset all server queues to idle and zero the counters, keeping the
     /// namespace. Used between benchmark repetitions.
     pub fn reset_timing(&self) {
@@ -489,6 +495,19 @@ mod tests {
         let mut b = [9u8; 1];
         let (n, _) = fs.read_at(&f, 0, &mut b, 0.0).unwrap();
         assert_eq!((n, b[0]), (1, 0));
+    }
+
+    #[test]
+    fn drained_at_is_the_last_background_completion() {
+        let fs = Pfs::new(MachineConfig::origin2000());
+        assert_eq!(fs.drained_at(), 0.0);
+        let (f, _) = fs.open_or_create("d.dat", 0.0).unwrap();
+        let (_, small) = fs.write_at_async(&f, 0, &[0u8; 1024], 0.0).unwrap();
+        let (_, big) = fs
+            .write_at_async(&f, 65536, &vec![0u8; 1 << 20], 0.0)
+            .unwrap();
+        assert!(small < big);
+        assert_eq!(fs.drained_at(), big);
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //!   legacy path at all three file-organization levels, while paying
 //!   one metadata sync per timestep instead of one per dataset and
 //!   landing each step's execution rows in a single store transaction.
+//! * A scope's commit drains the step's data before the first execution
+//!   row is recorded, and returns with nothing of the step in flight.
 
 #![allow(deprecated)] // half of the equivalence pair *is* the legacy veneer
 
@@ -15,10 +17,11 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use sdm::core::schema::ExecutionRow;
+use sdm::core::store::{HistoryBlock, MetadataStore, RunRecord, SharedStore};
 use sdm::core::view::DataView;
 use sdm::core::{OrgLevel, Sdm, SdmConfig, SdmType};
-use sdm::metadb::stmt::Query;
-use sdm::metadb::Database;
+use sdm::metadb::stmt::{Query, Stmt};
+use sdm::metadb::{Database, DbResult, ResultSet, Value};
 use sdm::mpi::World;
 use sdm::pfs::Pfs;
 use sdm::sim::MachineConfig;
@@ -198,4 +201,207 @@ fn scoped_timestep_pays_one_sync_and_one_transaction() {
         rs.scalar().and_then(sdm::metadb::Value::as_i64),
         Some(DATASETS.len() as i64 * STEPS)
     );
+}
+
+// ---------------------------------------------------------------------
+// Commit order: data drain, then execution rows
+// ---------------------------------------------------------------------
+
+/// A store that passes everything on and notes, at each
+/// `record_execution`, the timestep and how many PFS writes had been
+/// issued by then.
+struct RecordingStore {
+    inner: SharedStore,
+    pfs: Arc<Pfs>,
+    seen: std::sync::Mutex<Vec<(i64, u64)>>,
+}
+
+impl MetadataStore for RecordingStore {
+    fn ensure_schema(&self) -> DbResult<()> {
+        self.inner.ensure_schema()
+    }
+    fn allocate_runid(&self, application: &str) -> DbResult<i64> {
+        self.inner.allocate_runid(application)
+    }
+    fn latest_runid_for_app(&self, application: &str) -> DbResult<Option<i64>> {
+        self.inner.latest_runid_for_app(application)
+    }
+    fn run_exists(&self, runid: i64) -> DbResult<bool> {
+        self.inner.run_exists(runid)
+    }
+    fn record_run(&self, rec: &RunRecord) -> DbResult<()> {
+        self.inner.record_run(rec)
+    }
+    fn record_access_pattern(
+        &self,
+        runid: i64,
+        dataset: &str,
+        data_type: &str,
+        storage_order: &str,
+        access_pattern: &str,
+        global_size: i64,
+    ) -> DbResult<()> {
+        self.inner.record_access_pattern(
+            runid,
+            dataset,
+            data_type,
+            storage_order,
+            access_pattern,
+            global_size,
+        )
+    }
+    fn record_execution(
+        &self,
+        runid: i64,
+        dataset: &str,
+        timestep: i64,
+        file_offset: i64,
+        file_name: &str,
+    ) -> DbResult<()> {
+        let issued = self.pfs.counters().get("pfs.write_ops");
+        self.seen.lock().unwrap().push((timestep, issued));
+        self.inner
+            .record_execution(runid, dataset, timestep, file_offset, file_name)
+    }
+    fn lookup_execution(
+        &self,
+        runid: i64,
+        dataset: &str,
+        timestep: i64,
+    ) -> DbResult<Option<(i64, String)>> {
+        self.inner.lookup_execution(runid, dataset, timestep)
+    }
+    fn record_import(
+        &self,
+        runid: i64,
+        imported_name: &str,
+        file_name: &str,
+        data_type: &str,
+        storage_order: &str,
+        file_content: &str,
+    ) -> DbResult<()> {
+        self.inner.record_import(
+            runid,
+            imported_name,
+            file_name,
+            data_type,
+            storage_order,
+            file_content,
+        )
+    }
+    fn record_index_registry(
+        &self,
+        problem_size: i64,
+        num_procs: i64,
+        dimension: i64,
+        file_name: &str,
+    ) -> DbResult<()> {
+        self.inner
+            .record_index_registry(problem_size, num_procs, dimension, file_name)
+    }
+    fn lookup_index_registry(&self, problem_size: i64, num_procs: i64) -> DbResult<Option<String>> {
+        self.inner.lookup_index_registry(problem_size, num_procs)
+    }
+    fn record_history_block(
+        &self,
+        problem_size: i64,
+        num_procs: i64,
+        block: &HistoryBlock,
+    ) -> DbResult<()> {
+        self.inner
+            .record_history_block(problem_size, num_procs, block)
+    }
+    fn lookup_history_block(
+        &self,
+        problem_size: i64,
+        num_procs: i64,
+        rank: i64,
+    ) -> DbResult<Option<HistoryBlock>> {
+        self.inner
+            .lookup_history_block(problem_size, num_procs, rank)
+    }
+    fn delete_index_registry(&self, problem_size: i64, num_procs: i64) -> DbResult<()> {
+        self.inner.delete_index_registry(problem_size, num_procs)
+    }
+    fn run(&self, stmt: &Stmt, params: &[Value]) -> DbResult<ResultSet> {
+        self.inner.run(stmt, params)
+    }
+    fn flush(&self) -> DbResult<()> {
+        self.inner.flush()
+    }
+    fn database(&self) -> &Arc<Database> {
+        self.inner.database()
+    }
+}
+
+/// The order of a commit: every dataset's bytes are issued and drained
+/// before the first execution row is recorded — with a store that does
+/// not buffer, a row recorded between two datasets would be in the
+/// database while later bytes of the step are still on their way — and
+/// when `commit` returns nothing of the step is in flight at the servers.
+#[test]
+fn commit_drains_the_data_before_it_records_any_row() {
+    for org in [OrgLevel::Level1, OrgLevel::Level3] {
+        let nprocs = 2;
+        let pfs = Pfs::new(MachineConfig::origin2000());
+        let db = Arc::new(Database::new());
+        let recording = Arc::new(RecordingStore {
+            inner: sdm::core::SqlStore::shared(&db),
+            pfs: Arc::clone(&pfs),
+            seen: Default::default(),
+        });
+        let store: SharedStore = recording.clone();
+        let issued_by_step = World::run(nprocs, MachineConfig::origin2000(), {
+            let (pfs, store) = (Arc::clone(&pfs), Arc::clone(&store));
+            move |c| {
+                let cfg = SdmConfig {
+                    org,
+                    ..SdmConfig::default()
+                };
+                let mut sdm = Sdm::initialize_with(c, &pfs, &store, "order", cfg).unwrap();
+                let mut b = sdm.group(c);
+                for name in DATASETS {
+                    b = b.dataset::<f64>(name, GLOBAL);
+                }
+                let g = b.build().unwrap();
+                let handles: Vec<_> = DATASETS
+                    .iter()
+                    .map(|n| g.handle::<f64>(n).unwrap())
+                    .collect();
+                let mine: Vec<u64> = (c.rank() as u64..GLOBAL).step_by(c.size()).collect();
+                for &h in &handles {
+                    sdm.set_view(c, h, &mine).unwrap();
+                }
+                let mut issued_by_step = Vec::new();
+                for t in 0..STEPS {
+                    let mut step = sdm.timestep(c, t);
+                    for (d, &h) in handles.iter().enumerate() {
+                        let buf: Vec<f64> = mine.iter().map(|&g| value(d, g, t)).collect();
+                        step.write(h, &buf).unwrap();
+                    }
+                    step.commit().unwrap();
+                    assert!(
+                        c.now() >= pfs.drained_at(),
+                        "org {org:?} step {t} rank {}: back at {} s, servers busy until {} s",
+                        c.rank(),
+                        c.now(),
+                        pfs.drained_at()
+                    );
+                    issued_by_step.push(pfs.counters().get("pfs.write_ops"));
+                    // Nobody starts the next step before everyone looked.
+                    c.barrier();
+                }
+                sdm.finalize(c).unwrap();
+                issued_by_step
+            }
+        });
+        let seen = recording.seen.lock().unwrap();
+        assert_eq!(seen.len(), DATASETS.len() * STEPS as usize);
+        for &(t, issued) in seen.iter() {
+            assert_eq!(
+                issued, issued_by_step[0][t as usize],
+                "org {org:?}: a row of step {t} was recorded with writes of the step still to come"
+            );
+        }
+    }
 }

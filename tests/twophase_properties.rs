@@ -38,7 +38,7 @@ proptest! {
         let all = World::run(nprocs, MachineConfig::test_tiny(), {
             let (pfs, segs) = (Arc::clone(&pfs), segs.clone());
             move |c| {
-                let f = MpiFile::open_collective(c, &pfs, "prop.dat", true).unwrap();
+                let mut f = MpiFile::open_collective(c, &pfs, "prop.dat", true).unwrap();
                 let mine = &segs[c.rank()];
                 let nbytes: usize = mine.iter().map(|&(_, l)| l as usize).sum();
                 let data: Vec<u8> =
@@ -84,7 +84,7 @@ proptest! {
         let out = World::run(nprocs, MachineConfig::test_tiny(), {
             let pfs = Arc::clone(&pfs);
             move |c| {
-                let f = MpiFile::open_collective(c, &pfs, "src.dat", false).unwrap();
+                let mut f = MpiFile::open_collective(c, &pfs, "src.dat", false).unwrap();
                 // Rank r reads the r-th half collectively and independently.
                 let half = len / 2;
                 let (lo, n) = if c.rank() == 0 { (0u64, half) } else { (half as u64, len - half) };
@@ -108,7 +108,7 @@ fn typed_round_trip_f64_through_segments() {
     World::run(2, MachineConfig::test_tiny(), {
         let pfs = Arc::clone(&pfs);
         move |c| {
-            let f = MpiFile::open_collective(c, &pfs, "t.dat", true).unwrap();
+            let mut f = MpiFile::open_collective(c, &pfs, "t.dat", true).unwrap();
             let vals: Vec<f64> = (0..32).map(|i| (c.rank() * 100 + i) as f64 / 3.0).collect();
             let off = c.rank() as u64 * 256;
             f.write_all_segments(c, &[(off, 256)], as_bytes(&vals))
