@@ -55,13 +55,16 @@ pub const RESULT_DATASETS: [&str; 4] = ["p", "q", "r", "s"];
 /// The large fifth dataset (5× the node count).
 pub const BIG_DATASET: &str = "res";
 
-fn local_index_of(sorted: &[u32], node: u32) -> usize {
-    sorted.binary_search(&node).expect("node must be local")
-}
-
 /// The edge-sweep kernel: for every owned node, accumulate flux
 /// contributions from all incident edges (ghost edges are local by
 /// construction, so owned-node sums are complete without communication).
+///
+/// `x` is aligned with `pi`'s edges and `y` with its slots (the order of
+/// [`PartitionedIndex::all_nodes`], which `partition_data_nodes` imports
+/// in); the sweep reads both through `pi`'s local numbering and searches
+/// nothing. `all_nodes` is what callers used to be searched through: it
+/// is only checked to be as long as the numbering, and can go when no
+/// caller passes it any more.
 pub fn edge_sweep(
     pi: &PartitionedIndex,
     all_nodes: &[u32],
@@ -69,17 +72,20 @@ pub fn edge_sweep(
     y: &[f64],
     step: usize,
 ) -> Vec<f64> {
+    assert_eq!(
+        all_nodes.len(),
+        pi.num_slots(),
+        "all_nodes does not belong to this partition"
+    );
     let mut out = vec![0.0f64; pi.owned_nodes.len()];
     let scale = (step + 1) as f64;
-    for (k, &(a, b)) in pi.edge_nodes.iter().enumerate() {
+    for (k, &(a, b)) in pi.edge_slots().iter().enumerate() {
         let xa = x[k] * scale;
-        let ya = y[local_index_of(all_nodes, a)];
-        let yb = y[local_index_of(all_nodes, b)];
-        let flux = xa * (ya + yb);
-        if let Ok(i) = pi.owned_nodes.binary_search(&a) {
+        let flux = xa * (y[a as usize] + y[b as usize]);
+        if let Some(i) = pi.owned_position(a) {
             out[i] += flux;
         }
-        if let Ok(i) = pi.owned_nodes.binary_search(&b) {
+        if let Some(i) = pi.owned_position(b) {
             out[i] -= flux;
         }
     }
@@ -305,8 +311,67 @@ fn import_and_distribute(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sdm_mpi::World;
     use sdm_sim::MachineConfig;
+
+    /// The sweep as it was before `PartitionedIndex` numbered its nodes:
+    /// four binary searches per edge. Kept as the oracle of
+    /// [`edge_sweep`]'s arithmetic.
+    fn edge_sweep_by_search(
+        pi: &PartitionedIndex,
+        all_nodes: &[u32],
+        x: &[f64],
+        y: &[f64],
+        step: usize,
+    ) -> Vec<f64> {
+        let mut out = vec![0.0f64; pi.owned_nodes.len()];
+        let scale = (step + 1) as f64;
+        for (k, &(a, b)) in pi.edge_nodes.iter().enumerate() {
+            let xa = x[k] * scale;
+            let ya = y[all_nodes.binary_search(&a).expect("node must be local")];
+            let yb = y[all_nodes.binary_search(&b).expect("node must be local")];
+            let flux = xa * (ya + yb);
+            if let Ok(i) = pi.owned_nodes.binary_search(&a) {
+                out[i] += flux;
+            }
+            if let Ok(i) = pi.owned_nodes.binary_search(&b) {
+                out[i] -= flux;
+            }
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Same edge order, same arithmetic: the indexed sweep's output
+        /// is the searching sweep's, bit for bit.
+        #[test]
+        fn sweep_is_bit_identical_to_the_searching_sweep(
+            ranks in 1u32..5,
+            owners in proptest::collection::vec(0u32..64, 2..60),
+            picks in proptest::collection::vec((0u32..1000, 0u32..1000), 0..150),
+            step in 0usize..4,
+        ) {
+            let pv: Vec<u32> = owners.iter().map(|o| o % ranks).collect();
+            let n = pv.len() as u32;
+            let e1: Vec<i32> = picks.iter().map(|&(a, _)| (a % n) as i32).collect();
+            let e2: Vec<i32> = picks.iter().map(|&(_, b)| (b % n) as i32).collect();
+            for rank in 0..ranks {
+                let pi = Sdm::partition_index_reference(&pv, &e1, &e2, rank);
+                let all = pi.all_nodes();
+                let x: Vec<f64> = pi.edge_ids.iter().map(|&e| Uns3dLayout::edge_value(0, e)).collect();
+                let y: Vec<f64> = all.iter().map(|&v| Uns3dLayout::node_value(0, v as u64)).collect();
+                let got = edge_sweep(&pi, &all, &x, &y, step);
+                let want = edge_sweep_by_search(&pi, &all, &x, &y, step);
+                prop_assert_eq!(
+                    got.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    want.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                );
+            }
+        }
+    }
 
     fn small_world(n: usize, opts: Fun3dOptions) -> (Vec<Fun3dResult>, Arc<Pfs>, SharedStore) {
         let w = Fun3dWorkload::new(150, n, 7);

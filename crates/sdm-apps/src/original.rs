@@ -110,30 +110,12 @@ pub fn fun3d_original_import(
     }
     comm.compute(e1.len() as f64 * cfg.per_edge_scan_cost);
 
-    let owned_nodes: Vec<u32> = w
-        .partitioning_vector
-        .iter()
-        .enumerate()
-        .filter(|&(_, &p)| p == me)
-        .map(|(n, _)| n as u32)
-        .collect();
+    // Owned and ghost nodes, charged as one pass over the vector.
+    let pi = PartitionedIndex::from_edges(&w.partitioning_vector, me, edge_ids, edge_nodes)?;
     comm.compute(w.partitioning_vector.len() as f64 * cfg.per_edge_scan_cost * 0.25);
-    let mut ghost: Vec<u32> = edge_nodes
-        .iter()
-        .flat_map(|&(a, b)| [a, b])
-        .filter(|&n| w.partitioning_vector[n as usize] != me)
-        .collect();
-    ghost.sort_unstable();
-    ghost.dedup();
     report.add("index-distribution", comm.now() - t0);
 
     comm.barrier();
-    let pi = PartitionedIndex {
-        edge_ids,
-        edge_nodes,
-        owned_nodes,
-        ghost_nodes: ghost,
-    };
     Ok((report, pi))
 }
 

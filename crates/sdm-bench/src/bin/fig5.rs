@@ -108,15 +108,20 @@ fn main() {
         with_hist.get("import") <= no_hist.get("import"),
         "history skips the edge import"
     );
-    // Below ~1/8 of the paper's problem the fixed metadata costs of the
-    // history lookup (64 serialized DB round trips) outweigh the saved
-    // ring distribution — a real crossover; the paper's 807 MB workload
-    // sits far above it. Enforce the history claims only above it.
+    // A replay costs what does not shrink with the problem: two database
+    // round trips on rank 0 (whatever the process count), a broadcast,
+    // and every rank's open of the history file. The run still wins in
+    // total at every scale at which SDM beats the original at all,
+    // because it also skips the edge import.
+    assert!(
+        t(&no_hist) > t(&with_hist),
+        "history must beat fresh distribution"
+    );
+    // Phase by phase the ring over a small enough problem is cheaper than
+    // that fixed cost — a real crossover, at about 1/16 of the paper's
+    // problem on 64 processes; the paper's 807 MB workload sits far above
+    // it. Enforce the per-phase claim only above it.
     if args.scale >= 0.1 {
-        assert!(
-            t(&no_hist) > t(&with_hist),
-            "history must beat fresh distribution"
-        );
         assert!(
             with_hist.get("index-distribution") < no_hist.get("index-distribution"),
             "history replaces the ring distribution with a contiguous read"
@@ -124,9 +129,10 @@ fn main() {
         println!("PASS: Original > SDM(no hist) > SDM(hist), per-phase shape holds");
     } else {
         println!(
-            "PASS: Original > SDM. NOTE: at scale {} the run is below the history
-             crossover (metadata round trips outweigh the saved distribution);
-             rerun with --scale 0.125 or larger to see the paper's full shape.",
+            "PASS: Original > SDM(no hist) > SDM(hist) in total. NOTE: at scale {} the
+             index-distribution phase alone is below the history crossover (the
+             replay's fixed costs can outweigh a ring this small); rerun with
+             --scale 0.125 or larger to see the paper's per-phase shape.",
             args.scale
         );
     }

@@ -18,11 +18,13 @@
 //!   imports, and irregularly distributed imports through map arrays.
 //! * [`partition_api`] — `partition_table` / `partition_index`: the
 //!   replicated partitioning vector, the ring-pipelined edge
-//!   distribution with ghost edges/nodes, and the dynamically doubled
-//!   receive buffers (single-pass import).
+//!   distribution with ghost edges/nodes, the dynamically doubled
+//!   receive buffers (single-pass import), and the local numbering a
+//!   [`PartitionedIndex`] carries (global node ids translated once).
 //! * [`history`] — `index_registry` and history-file replay: partitioned
-//!   index sets written asynchronously, indexed in the database, and
-//!   reused by later runs with the same problem size and process count.
+//!   index sets written asynchronously in a compact block format,
+//!   indexed in the database, and reused by later runs with the same
+//!   problem size and process count; rank 0 alone asks the database.
 //! * [`org`] — the three file organizations (Level 1 / 2 / 3) and the
 //!   `execution_table` offset bookkeeping.
 //! * [`schema`] — the six Figure-4 tables as typed relations

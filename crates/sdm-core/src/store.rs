@@ -231,6 +231,22 @@ pub trait MetadataStore: Send + Sync {
         rank: i64,
     ) -> DbResult<Option<HistoryBlock>>;
 
+    /// Fetch the block metadata of every rank of a registration, in one
+    /// request — what a replay asks, once, on rank 0. Ranks without a row
+    /// are simply absent. The default asks rank by rank; stores that can
+    /// do better answer from one probe.
+    fn lookup_history_blocks(
+        &self,
+        problem_size: i64,
+        num_procs: i64,
+    ) -> DbResult<Vec<HistoryBlock>> {
+        let mut blocks = Vec::new();
+        for rank in 0..num_procs {
+            blocks.extend(self.lookup_history_block(problem_size, num_procs, rank)?);
+        }
+        Ok(blocks)
+    }
+
     /// Remove a registered history (e.g. after detecting corruption).
     fn delete_index_registry(&self, problem_size: i64, num_procs: i64) -> DbResult<()>;
 
@@ -295,12 +311,34 @@ enum Hot {
     LookupRegistry,
     InsertBlock,
     LookupBlock,
+    LookupBlocks,
     DeleteRegistry,
     DeleteBlocks,
 }
 
+/// The columns a [`HistoryBlock`] is read back from, in field order.
+const BLOCK_COLUMNS: [IndexHistoryCol; 6] = [
+    IndexHistoryCol::Rank,
+    IndexHistoryCol::EdgeCount,
+    IndexHistoryCol::NodeCount,
+    IndexHistoryCol::GhostCount,
+    IndexHistoryCol::FileOffset,
+    IndexHistoryCol::ByteLen,
+];
+
+fn block_from_row(r: &[Value]) -> HistoryBlock {
+    HistoryBlock {
+        rank: r[0].as_i64().unwrap_or(0),
+        edge_count: r[1].as_i64().unwrap_or(0),
+        node_count: r[2].as_i64().unwrap_or(0),
+        ghost_count: r[3].as_i64().unwrap_or(0),
+        file_offset: r[4].as_i64().unwrap_or(0),
+        byte_len: r[5].as_i64().unwrap_or(0),
+    }
+}
+
 impl Hot {
-    const COUNT: usize = 15;
+    const COUNT: usize = 16;
 
     /// Build the typed statement for this operation.
     fn compile(self) -> Stmt {
@@ -351,14 +389,16 @@ impl Hot {
                     .and(IndexHistoryCol::NumProcs.eq(param(1)))
                     .and(IndexHistoryCol::Rank.eq(param(2))),
             )
-            .select(&[
-                IndexHistoryCol::Rank,
-                IndexHistoryCol::EdgeCount,
-                IndexHistoryCol::NodeCount,
-                IndexHistoryCol::GhostCount,
-                IndexHistoryCol::FileOffset,
-                IndexHistoryCol::ByteLen,
-            ])
+            .select(&BLOCK_COLUMNS)
+            .compile(),
+            // The whole key of the ordered (problem_size, num_procs)
+            // index: one range probe returns every rank's row.
+            Hot::LookupBlocks => Query::<IndexHistoryRow>::filter(
+                IndexHistoryCol::ProblemSize
+                    .eq(param(0))
+                    .and(IndexHistoryCol::NumProcs.eq(param(1))),
+            )
+            .select(&BLOCK_COLUMNS)
             .compile(),
             Hot::DeleteRegistry => Delete::<IndexRow>::filter(
                 IndexCol::ProblemSize
@@ -650,14 +690,19 @@ impl MetadataStore for SqlStore {
                 Value::Int(rank),
             ],
         )?;
-        Ok(rs.first().map(|r| HistoryBlock {
-            rank: r[0].as_i64().unwrap_or(0),
-            edge_count: r[1].as_i64().unwrap_or(0),
-            node_count: r[2].as_i64().unwrap_or(0),
-            ghost_count: r[3].as_i64().unwrap_or(0),
-            file_offset: r[4].as_i64().unwrap_or(0),
-            byte_len: r[5].as_i64().unwrap_or(0),
-        }))
+        Ok(rs.first().map(|r| block_from_row(r)))
+    }
+
+    fn lookup_history_blocks(
+        &self,
+        problem_size: i64,
+        num_procs: i64,
+    ) -> DbResult<Vec<HistoryBlock>> {
+        let rs = self.run_hot(
+            Hot::LookupBlocks,
+            &[Value::Int(problem_size), Value::Int(num_procs)],
+        )?;
+        Ok(rs.rows.iter().map(|r| block_from_row(r)).collect())
     }
 
     fn delete_index_registry(&self, problem_size: i64, num_procs: i64) -> DbResult<()> {
@@ -1029,6 +1074,16 @@ impl MetadataStore for CachedStore {
         Ok(found)
     }
 
+    fn lookup_history_blocks(
+        &self,
+        problem_size: i64,
+        num_procs: i64,
+    ) -> DbResult<Vec<HistoryBlock>> {
+        // History rows are written through, never buffered: the inner
+        // store's one probe is the whole answer.
+        self.inner.lookup_history_blocks(problem_size, num_procs)
+    }
+
     fn delete_index_registry(&self, problem_size: i64, num_procs: i64) -> DbResult<()> {
         self.inner.delete_index_registry(problem_size, num_procs)?;
         let mut state = self.state.lock();
@@ -1261,6 +1316,40 @@ mod tests {
         s.record_history_block(500, 8, &b).unwrap();
         assert_eq!(s.lookup_history_block(500, 8, 3).unwrap(), Some(b));
         assert_eq!(s.lookup_history_block(500, 8, 4).unwrap(), None);
+    }
+
+    #[test]
+    fn all_blocks_of_a_registration_come_from_one_probe() {
+        let block = |rank| HistoryBlock {
+            rank,
+            edge_count: 100 + rank,
+            node_count: 30,
+            ghost_count: 4,
+            file_offset: rank * 512,
+            byte_len: 512,
+        };
+        let db = Arc::new(Database::new());
+        let s = SqlStore::new(Arc::clone(&db));
+        s.ensure_schema().unwrap();
+        for rank in [2, 0, 1] {
+            s.record_history_block(500, 3, &block(rank)).unwrap();
+        }
+        // Same problem on other process counts: not part of the answer.
+        s.record_history_block(500, 2, &block(0)).unwrap();
+        s.record_history_block(500, 4, &block(3)).unwrap();
+        db.reset_stats();
+        let mut found = s.lookup_history_blocks(500, 3).unwrap();
+        found.sort_by_key(|b| b.rank);
+        assert_eq!(found, [block(0), block(1), block(2)]);
+        let stats = db.stats();
+        assert_eq!((stats.index_scans, stats.full_scans), (1, 0));
+        assert_eq!(s.lookup_history_blocks(500, 5).unwrap(), []);
+
+        // The default stack passes the one probe through.
+        let cached = CachedStore::new(Arc::new(s));
+        db.reset_stats();
+        assert_eq!(cached.lookup_history_blocks(500, 3).unwrap().len(), 3);
+        assert_eq!((db.stats().index_scans, db.stats().full_scans), (1, 0));
     }
 
     #[test]

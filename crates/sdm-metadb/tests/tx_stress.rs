@@ -77,7 +77,14 @@ fn rollback_under_concurrent_readers_restores_exact_rows() {
         // of the 200-row table, then rolls back. Readers may see the
         // uncommitted state mid-flight (table-lock semantics, as in the
         // paper's MySQL 3.23) but never a torn row, and each rollback
-        // must restore the exact pre-transaction image.
+        // must restore the exact pre-transaction image. It starts once
+        // a reader is demonstrably running: on a loaded two-core host
+        // all 25 transactions can otherwise finish before any reader
+        // thread is scheduled, and the progress assertion below fails
+        // for no fault of the database.
+        while reads.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
         for tx in 0..WRITER_TXS {
             let k = (tx as i64 * 7) % SEED_ROWS;
             db.exec("BEGIN", &[]).unwrap();

@@ -1,11 +1,13 @@
 //! Integration: history files across runs — registration, replay
 //! equivalence, cross-process-count invalidation, corruption fallback,
-//! and database persistence across "sessions".
+//! re-registration over an unusable file, block size, and database
+//! persistence across "sessions".
 
 use std::sync::Arc;
 
 use sdm::apps::fun3d::{run_sdm, Fun3dOptions};
 use sdm::apps::Fun3dWorkload;
+use sdm::core::{HistoryBlock, MetadataStore, SqlStore};
 use sdm::metadb::Database;
 use sdm::mpi::World;
 use sdm::pfs::Pfs;
@@ -33,6 +35,100 @@ fn run(
         let (pfs, store, w, opts) = (Arc::clone(pfs), Arc::clone(&store), w.clone(), opts);
         move |c| run_sdm(c, &pfs, &store, &w, &opts).unwrap()
     })
+}
+
+fn history_file(w: &Fun3dWorkload, nprocs: usize) -> String {
+    format!("fun3d.hist.{}.{nprocs}", w.mesh.num_edges())
+}
+
+fn block_rows(w: &Fun3dWorkload, db: &Arc<Database>, nprocs: usize) -> Vec<HistoryBlock> {
+    SqlStore::new(Arc::clone(db))
+        .lookup_history_blocks(w.mesh.num_edges() as i64, nprocs as i64)
+        .unwrap()
+}
+
+const REGISTER: Fun3dOptions = Fun3dOptions {
+    org: sdm::core::OrgLevel::Level2,
+    use_history: false,
+    register_history: true,
+};
+const REPLAY_OR_REGISTER: Fun3dOptions = Fun3dOptions {
+    org: sdm::core::OrgLevel::Level2,
+    use_history: true,
+    register_history: true,
+};
+
+/// A run that finds the registered file unusable goes fresh, registers
+/// again over it, and leaves a file of exactly the new blocks that the
+/// next run replays.
+fn assert_reregisters_cleanly(w: &Fun3dWorkload, pfs: &Arc<Pfs>, db: &Arc<Database>) {
+    let first = run(w, pfs, db, 3, REPLAY_OR_REGISTER);
+    assert!(first.iter().all(|r| !r.history_hit), "unusable file: miss");
+    let rows = block_rows(w, db, 3);
+    assert_eq!(rows.len(), 3, "registered again");
+    assert_eq!(
+        pfs.file_len(&history_file(w, 3)).unwrap(),
+        rows.iter().map(|b| b.byte_len as u64).sum::<u64>(),
+        "nothing of the old file is left behind the new blocks"
+    );
+    let second = run(w, pfs, db, 3, REPLAY_OR_REGISTER);
+    assert!(second.iter().all(|r| r.history_hit), "the new file replays");
+    for (a, b) in first.iter().zip(&second) {
+        assert_eq!(a.partition, b.partition);
+    }
+}
+
+#[test]
+fn reregistration_after_corruption_leaves_no_stale_bytes() {
+    let (w, pfs, db) = world();
+    run(&w, &pfs, &db, 3, REGISTER);
+    // Corrupt the first block and hang a long dead tail on the file.
+    let name = history_file(&w, 3);
+    let (f, _) = pfs.open(&name, 0.0).unwrap();
+    let len = f.len();
+    pfs.write_at(&f, 20, &[0xA5; 8], 0.0).unwrap();
+    pfs.write_at(&f, len, &vec![0xEE; 3 * len as usize], 0.0)
+        .unwrap();
+    assert_reregisters_cleanly(&w, &pfs, &db);
+}
+
+#[test]
+fn version_1_file_misses_reregisters_then_hits() {
+    let (w, pfs, db) = world();
+    run(&w, &pfs, &db, 3, REGISTER);
+    // What an SDMHIST1 registration looks like to this reader: blocks
+    // under the old magic, in a file four times as long.
+    let name = history_file(&w, 3);
+    let (f, _) = pfs.open(&name, 0.0).unwrap();
+    let len = f.len();
+    for b in block_rows(&w, &db, 3) {
+        let magic = 0x5344_4D48_4953_5431u64.to_ne_bytes(); // "SDMHIST1"
+        pfs.write_at(&f, b.file_offset as u64, &magic, 0.0).unwrap();
+    }
+    pfs.write_at(&f, len, &vec![0u8; 3 * len as usize], 0.0)
+        .unwrap();
+    assert_reregisters_cleanly(&w, &pfs, &db);
+}
+
+#[test]
+fn a_block_is_under_eight_bytes_per_local_edge() {
+    let w = Fun3dWorkload::new(220, 4, 21);
+    let pfs = Pfs::new(MachineConfig::test_tiny());
+    let db = Arc::new(Database::new());
+    w.stage(&pfs);
+    run(&w, &pfs, &db, 4, REGISTER);
+    let rows = block_rows(&w, &db, 4);
+    assert_eq!(rows.len(), 4);
+    for b in rows {
+        // Version 1 stored 16 bytes per edge and 4 per node.
+        assert!(
+            b.byte_len < 8 * b.edge_count,
+            "rank {}: {} bytes for {} edges",
+            b.rank,
+            b.byte_len,
+            b.edge_count
+        );
+    }
 }
 
 #[test]
