@@ -10,8 +10,6 @@
 //!   let`/`match` scrutinee temporaries, early `drop`s).
 //! * **`sql-layering`** — no raw SQL string literals above
 //!   `sdm-metadb`; higher layers build typed `Stmt` values.
-//! * **`deprecated-call`** — the `#[deprecated]` compatibility veneers
-//!   may only be exercised from their designated files.
 //! * **`unwrap`** — no `.unwrap()` / `.expect("…")` in non-test library
 //!   code on the `sdm-metadb`/`sdm-core` hot paths.
 //! * **`compiled-eval`** — no direct AST-walk evaluation
@@ -246,7 +244,7 @@ mod tests {
         assert_eq!(r.allows.len(), 1);
         assert!(r.allows[0].used);
         assert_eq!(r.allows[0].rule, "unwrap");
-        assert_eq!(r.rules_checked.len(), 10);
+        assert_eq!(r.rules_checked.len(), 9);
     }
 
     #[test]

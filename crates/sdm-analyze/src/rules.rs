@@ -1,5 +1,5 @@
-//! Architecture rules: SQL layering, deprecated-veneer opt-ins,
-//! `unwrap`/`expect` on library hot paths, and undo-log coverage.
+//! Architecture rules: SQL layering, `unwrap`/`expect` on library hot
+//! paths, and undo-log coverage.
 //!
 //! Each rule is scoped by repo-relative path (forward slashes). Rule ids
 //! are the ones `analyze:allow(id: reason)` suppresses and DESIGN.md
@@ -16,7 +16,6 @@ use crate::scopes::Model;
 pub const RULES: &[&str] = &[
     "ladder",
     "sql-layering",
-    "deprecated-call",
     "unwrap",
     "undo-coverage",
     "compiled-eval",
@@ -42,7 +41,6 @@ const SQL_PREFIXES: &[&str] = &[
 /// build statements as typed values, never as SQL text.
 const SQL_SCOPE: &[&str] = &[
     "crates/sdm-core/",
-    "crates/sdm-sci/",
     "crates/sdm-apps/",
     "crates/sdm-bench/",
     "src/",
@@ -81,62 +79,6 @@ pub fn sql_layering(path: &str, model: &Model) -> Vec<Finding> {
                     chain: Vec::new(),
                 });
             }
-        }
-    }
-    findings
-}
-
-// ------------------------------------------------------------- deprecated-call
-
-/// The only files entitled to call the deprecated store/session veneers
-/// (equivalently: to write `allow(deprecated)`). The veneers' own
-/// definitions carry `#[deprecated]`, not `allow`, so they need no entry.
-const DEPRECATED_ALLOWLIST: &[&str] = &[
-    "crates/sdm-core/src/store.rs",
-    "crates/sdm-core/tests/api.rs",
-    "tests/session_api.rs",
-];
-
-/// Rule `deprecated-call`: a call site of a `#[deprecated]` veneer
-/// outside its designated files. The workspace builds with
-/// `-D warnings`, so every such call must carry an `allow(deprecated)`
-/// opt-in — which is exactly the token sequence this rule hunts.
-pub fn deprecated_call(path: &str, model: &Model) -> Vec<Finding> {
-    if DEPRECATED_ALLOWLIST.contains(&path) {
-        return Vec::new();
-    }
-    let mut findings = Vec::new();
-    let toks = &model.tokens;
-    for i in 0..toks.len() {
-        let Tok::Ident(w) = &toks[i].tok else {
-            continue;
-        };
-        if w != "allow" || !matches!(toks.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('('))) {
-            continue;
-        }
-        // Scan the argument list for `deprecated`.
-        let mut j = i + 2;
-        let mut hit = false;
-        while let Some(t) = toks.get(j) {
-            match &t.tok {
-                Tok::Punct(')') => break,
-                Tok::Ident(a) if a == "deprecated" => hit = true,
-                _ => {}
-            }
-            j += 1;
-        }
-        if hit {
-            let line = toks[i].line;
-            findings.push(Finding {
-                rule: "deprecated-call".into(),
-                file: path.to_string(),
-                line,
-                snippet: model.snippet(line),
-                message: "deprecated-veneer opt-in (`allow(deprecated)`) outside the designated \
-                          veneer/equivalence files; migrate to the typed API"
-                    .into(),
-                chain: Vec::new(),
-            });
         }
     }
     findings
@@ -367,7 +309,6 @@ pub fn intra(path: &str, model: &Model) -> Vec<Finding> {
     let mut all = Vec::new();
     all.extend(crate::ladder::check(path, model));
     all.extend(sql_layering(path, model));
-    all.extend(deprecated_call(path, model));
     all.extend(unwrap_rule(path, model));
     all.extend(undo_coverage(path, model));
     all.extend(compiled_eval(path, model));
@@ -395,13 +336,6 @@ mod tests {
     fn sql_in_comment_is_not_flagged() {
         let src = "fn f() {} // the old way: \"SELECT x FROM t\"";
         assert!(findings("crates/sdm-core/src/foo.rs", src).is_empty());
-    }
-
-    #[test]
-    fn deprecated_optin_flagged_outside_allowlist() {
-        let src = "#[allow(deprecated)]\nfn f() {}";
-        assert_eq!(findings("crates/sdm-apps/src/foo.rs", src).len(), 1);
-        assert!(findings("crates/sdm-core/tests/api.rs", src).is_empty());
     }
 
     #[test]

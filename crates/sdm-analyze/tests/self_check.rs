@@ -64,23 +64,6 @@ fn sql_layering_good_typed_stmt_passes() {
     assert!(rules_hit("crates/sdm-core/src/history.rs", src).is_empty());
 }
 
-// ------------------------------------------------------- deprecated-call
-
-#[test]
-fn deprecated_call_bad_optin_is_flagged() {
-    let src = "fn f(s: &Store) { #[allow(deprecated)] s.exec(\"x\"); }";
-    assert_eq!(
-        rules_hit("crates/sdm-sci/src/lib.rs", src),
-        ["deprecated-call"]
-    );
-}
-
-#[test]
-fn deprecated_call_good_in_designated_file_passes() {
-    let src = "fn f(s: &Store) { #[allow(deprecated)] s.exec(\"x\"); }";
-    assert!(rules_hit("crates/sdm-core/src/store.rs", src).is_empty());
-}
-
 // --------------------------------------------------------------- unwrap
 
 #[test]
@@ -344,7 +327,7 @@ fn workspace_analyzes_clean() {
     assert!(report.analyzed_files > 100, "walk found the workspace");
     assert!(report.analyzed_fns > 500, "call graph covers the workspace");
     assert!(report.call_edges > 1000, "call sites resolved");
-    assert_eq!(report.rules_checked.len(), 10);
+    assert_eq!(report.rules_checked.len(), 9);
     assert!(report.suppressed > 0, "justified allows are in effect");
     assert!(
         report

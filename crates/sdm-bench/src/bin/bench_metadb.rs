@@ -650,13 +650,12 @@ fn main() {
     // ---- Scoped session writes: metadata syncs per timestep ----
     // N datasets written per step through a TimestepScope must cost
     // exactly one metadata round-trip + sync (per rank) and one store
-    // transaction per timestep; the legacy per-dataset path pays one
-    // sync per dataset. The same world, same data, both paths.
+    // transaction per timestep.
     let procs = 4usize;
     let scope_datasets = 6usize;
     let scope_steps = 10i64;
     let global = 64u64;
-    let scoped = |use_scope: bool| -> (u64, u64) {
+    let (scoped_syncs_per_step, scoped_txs) = {
         let pfs = Pfs::new(MachineConfig::test_tiny());
         let db = Arc::new(Database::new());
         let store = CachedStore::shared(&db);
@@ -680,17 +679,11 @@ fn main() {
                 let vals: Vec<f64> = mine.iter().map(|&g| g as f64).collect();
                 let before = c.counters().get("sdm.metadata_syncs");
                 for t in 0..scope_steps {
-                    if use_scope {
-                        let mut step = sdm.timestep(c, t);
-                        for &h in &handles {
-                            step.write(h, &vals).unwrap();
-                        }
-                        step.commit().unwrap();
-                    } else {
-                        for &h in &handles {
-                            sdm.write_handle(c, h, t, &vals).unwrap();
-                        }
+                    let mut step = sdm.timestep(c, t);
+                    for &h in &handles {
+                        step.write(h, &vals).unwrap();
                     }
+                    step.commit().unwrap();
                 }
                 let after = c.counters().get("sdm.metadata_syncs");
                 sdm.finalize(c).unwrap();
@@ -703,8 +696,6 @@ fn main() {
         let per_step = syncs[0] / (procs as u64 * scope_steps as u64);
         (per_step, db.stats().transactions - 1)
     };
-    let (legacy_syncs_per_step, _) = scoped(false);
-    let (scoped_syncs_per_step, scoped_txs) = scoped(true);
     assert_eq!(
         scoped_syncs_per_step, 1,
         "a TimestepScope must perform exactly one metadata sync per timestep"
@@ -712,10 +703,6 @@ fn main() {
     assert_eq!(
         scoped_txs, scope_steps as u64,
         "a TimestepScope must land each step's execution rows in one transaction"
-    );
-    assert_eq!(
-        legacy_syncs_per_step, scope_datasets as u64,
-        "the legacy path pays one sync per dataset"
     );
 
     // The refactor's core invariant: after warmup, the typed hot path
@@ -882,7 +869,7 @@ fn main() {
          (table: {table_rows} rows); small tx cycles {small_tx:.0} ops/s"
     );
     println!(
-        "scoped writes    {scoped_syncs_per_step} sync/timestep (legacy: {legacy_syncs_per_step}), {scoped_txs} txs / {scope_steps} steps"
+        "scoped writes    {scoped_syncs_per_step} sync/timestep ({scope_datasets} datasets), {scoped_txs} txs / {scope_steps} steps"
     );
     println!(
         "durable commits  {durable_commit_ops:>12.0} ops/s ({wal_bytes_per_commit:.0} wal bytes/commit, \
@@ -944,7 +931,7 @@ fn main() {
         "  \"tx_rows_touched\": {tx_rows_touched},\n  \"tx_rows_undone\": {tx_rows_undone},\n  \"small_tx_rollback_ops_per_sec\": {small_tx:.1},\n"
     ));
     json.push_str(&format!(
-        "  \"scoped_syncs_per_timestep\": {scoped_syncs_per_step},\n  \"legacy_syncs_per_timestep\": {legacy_syncs_per_step},\n  \"scoped_store_tx_per_timestep\": {},\n",
+        "  \"scoped_syncs_per_timestep\": {scoped_syncs_per_step},\n  \"scoped_store_tx_per_timestep\": {},\n",
         scoped_txs / scope_steps as u64
     ));
     json.push_str(&format!(

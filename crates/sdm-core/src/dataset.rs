@@ -1,50 +1,19 @@
-//! Dataset and import descriptors (the `SDM_make_datalist` /
-//! `SDM_make_importlist` structures).
+//! Dataset and import descriptors (what `SDM_make_datalist` /
+//! `SDM_make_importlist` describe).
 
-use crate::types::{AccessPattern, FileContent, SdmType, StorageOrder};
+use crate::types::{FileContent, SdmType};
 
 /// Description of one dataset produced through SDM (Figure 2's `result`
-/// entries: `p` and `q`).
+/// entries: `p` and `q`), as [`crate::GroupBuilder::dataset`] declares
+/// it.
 #[derive(Debug, Clone)]
-pub struct DatasetDesc {
+pub(crate) struct DatasetDesc {
     /// Dataset name.
     pub name: String,
     /// Element type.
     pub data_type: SdmType,
-    /// Storage order annotation.
-    pub storage_order: StorageOrder,
-    /// Access pattern annotation.
-    pub access_pattern: AccessPattern,
     /// Global element count (e.g. total number of nodes).
     pub global_size: u64,
-}
-
-impl DatasetDesc {
-    /// A double-typed irregular dataset — the paper's common case.
-    pub fn doubles(name: impl Into<String>, global_size: u64) -> Self {
-        Self {
-            name: name.into(),
-            data_type: SdmType::Double,
-            storage_order: StorageOrder::RowMajor,
-            access_pattern: AccessPattern::Irregular,
-            global_size,
-        }
-    }
-}
-
-/// `SDM_make_datalist`: build descriptors for a group of datasets that
-/// share type and size (the paper groups `p` and `q` this way).
-pub fn make_datalist(names: &[&str], ty: SdmType, global_size: u64) -> Vec<DatasetDesc> {
-    names
-        .iter()
-        .map(|n| DatasetDesc {
-            name: n.to_string(),
-            data_type: ty,
-            storage_order: StorageOrder::RowMajor,
-            access_pattern: AccessPattern::Irregular,
-            global_size,
-        })
-        .collect()
 }
 
 /// Description of one array imported from outside SDM (Figure 3's
@@ -59,8 +28,6 @@ pub struct ImportDesc {
     pub data_type: SdmType,
     /// Whether the region holds index arrays or physical data.
     pub file_content: FileContent,
-    /// Storage order annotation.
-    pub storage_order: StorageOrder,
 }
 
 impl ImportDesc {
@@ -71,7 +38,6 @@ impl ImportDesc {
             file_name: file.into(),
             data_type: SdmType::Int32,
             file_content: FileContent::Index,
-            storage_order: StorageOrder::RowMajor,
         }
     }
 
@@ -82,7 +48,6 @@ impl ImportDesc {
             file_name: file.into(),
             data_type: SdmType::Double,
             file_content: FileContent::Data,
-            storage_order: StorageOrder::RowMajor,
         }
     }
 }
@@ -90,16 +55,6 @@ impl ImportDesc {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn datalist_shares_attributes() {
-        let ds = make_datalist(&["p", "q"], SdmType::Double, 1000);
-        assert_eq!(ds.len(), 2);
-        assert_eq!(ds[0].name, "p");
-        assert_eq!(ds[1].global_size, 1000);
-        assert_eq!(ds[1].data_type, SdmType::Double);
-        assert_eq!(ds[0].access_pattern, AccessPattern::Irregular);
-    }
 
     #[test]
     fn import_descriptors() {

@@ -13,6 +13,7 @@ use sdm_mpi::Comm;
 use crate::dataset::ImportDesc;
 use crate::error::{SdmError, SdmResult};
 use crate::sdm::{GroupHandle, Sdm};
+use crate::types::ROW_MAJOR;
 use crate::view::DataView;
 
 impl Sdm {
@@ -31,7 +32,7 @@ impl Sdm {
                     &im.name,
                     &im.file_name,
                     im.data_type.sql_name(),
-                    im.storage_order.sql_name(),
+                    ROW_MAJOR,
                     im.file_content.sql_name(),
                 )?;
             }

@@ -10,9 +10,8 @@
 //!   [`session`] API ([`sdm::Sdm::group`] → [`session::GroupBuilder`]),
 //!   views install through resolved handles, and per-timestep writes go
 //!   through [`session::TimestepScope`] ([`sdm::Sdm::timestep`]) as one
-//!   collective burst with one metadata sync. The paper's
-//!   `set_attributes` / `data_view` / `write` / `read` surface remains
-//!   as a deprecated veneer over the same paths.
+//!   collective burst with one metadata sync; `read_handle` reads a
+//!   step back. Each `SDM_*` call has exactly one implementation.
 //! * [`import`] — the import path for data created *outside* SDM
 //!   (the `uns3d.msh` mesh file): `make_importlist`, contiguous domain
 //!   imports, and irregularly distributed imports through map arrays.
@@ -50,7 +49,7 @@ pub mod store;
 pub mod types;
 pub mod view;
 
-pub use dataset::{DatasetDesc, ImportDesc};
+pub use dataset::ImportDesc;
 pub use error::{SdmError, SdmResult};
 pub use org::OrgLevel;
 pub use partition_api::PartitionedIndex;
@@ -59,4 +58,4 @@ pub use session::{DatasetHandle, DatasetSlot, GroupBuilder, GroupRegistration, T
 pub use store::{
     ensure_table, CachedStore, HistoryBlock, MetadataStore, RunRecord, SharedStore, SqlStore,
 };
-pub use types::{AccessPattern, SdmElem, SdmType, StorageOrder};
+pub use types::{SdmElem, SdmType};

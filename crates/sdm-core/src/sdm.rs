@@ -1,19 +1,12 @@
-//! The SDM handle: initialize, attributes, views, write/read, finalize.
+//! The SDM handle: initialize, group registration, views, read,
+//! finalize.
 //!
-//! Two API generations live here:
-//!
-//! * The **typed session API** (this module + [`crate::session`]):
-//!   [`Sdm::group`] returns a [`crate::GroupBuilder`] that registers a
-//!   data group and resolves typed [`crate::DatasetHandle`]s once;
-//!   [`Sdm::timestep`] opens a [`crate::TimestepScope`] that stages a
-//!   step's writes and lands them as one collective burst with one
-//!   metadata sync. Handle-based `write_handle`/`read_handle` skip the
-//!   per-call name lookup and element-size check entirely.
-//! * The **paper-shaped veneer** (`set_attributes`, `data_view`,
-//!   `write`, `read`): thin deprecated wrappers that resolve the dataset
-//!   name through the group's name→slot index and delegate to the slot
-//!   paths, kept so code written against the paper's `SDM_*` surface
-//!   (and DESIGN.md's paper→module map) stays valid.
+//! [`Sdm::group`] returns a [`crate::GroupBuilder`] that registers a
+//! data group and resolves typed [`crate::DatasetHandle`]s once;
+//! [`Sdm::set_view`] installs a dataset's map array; [`Sdm::timestep`]
+//! opens a [`crate::TimestepScope`], the one write path, which lands a
+//! step's writes as one collective burst with one metadata sync; and
+//! [`Sdm::read_handle`] is the one read path.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -28,7 +21,7 @@ use crate::error::{SdmError, SdmResult};
 use crate::org::OrgLevel;
 use crate::session::{DatasetHandle, DatasetSlot, GroupBuilder, TimestepScope};
 use crate::store::{RunRecord, SharedStore};
-use crate::types::SdmElem;
+use crate::types::{SdmElem, IRREGULAR, ROW_MAJOR};
 use crate::view::DataView;
 
 /// Tunables for an SDM instance.
@@ -63,27 +56,13 @@ impl Default for SdmConfig {
     }
 }
 
-/// Handle to a data group created by [`Sdm::group`] (or the legacy
-/// `set_attributes`).
+/// Handle to a data group created by [`Sdm::group`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupHandle(pub(crate) usize);
-
-impl GroupHandle {
-    /// The group's position in creation order. Group indices are part of
-    /// Level 2/3 file names, so layers that re-attach to a previous run
-    /// (e.g. `sdm-sci` containers) persist and replay them.
-    pub fn index(&self) -> usize {
-        self.0
-    }
-}
 
 /// One data group: datasets sharing attributes and (under Level 3) a file.
 pub(crate) struct DataGroup {
     pub(crate) datasets: Vec<DatasetDesc>,
-    /// Name → dataset slot. Built once at registration so name
-    /// resolution (the compat veneer, `attach_group`, handle lookup) is
-    /// a hash probe instead of a linear scan over the descriptors.
-    pub(crate) by_name: HashMap<String, usize>,
     /// Installed views, indexed by dataset slot (the hot path never
     /// touches a dataset name).
     pub(crate) views: Vec<Option<DataView>>,
@@ -97,24 +76,14 @@ pub(crate) struct DataGroup {
 
 impl DataGroup {
     pub(crate) fn new(datasets: Vec<DatasetDesc>) -> Self {
-        let mut by_name = HashMap::with_capacity(datasets.len());
-        for (i, d) in datasets.iter().enumerate() {
-            // First declaration wins, matching the old linear `find`.
-            by_name.entry(d.name.clone()).or_insert(i);
-        }
         let views = datasets.iter().map(|_| None).collect();
         Self {
             datasets,
-            by_name,
             views,
             open_files: HashMap::new(),
             append_offsets: HashMap::new(),
             imports: Vec::new(),
         }
-    }
-
-    pub(crate) fn slot_of(&self, name: &str) -> Option<usize> {
-        self.by_name.get(name).copied()
     }
 }
 
@@ -127,7 +96,7 @@ pub struct Sdm {
     pub(crate) cfg: SdmConfig,
     pub(crate) groups: Vec<DataGroup>,
     /// Whether this run's `run_table` row is complete yet (the first
-    /// group registration or an explicit `record_run` fills it in).
+    /// group registration fills it in).
     pub(crate) run_recorded: bool,
 }
 
@@ -174,10 +143,9 @@ impl Sdm {
     /// Attach to an *existing* run's metadata instead of opening a new
     /// run: no new `run_table` row is created and reads resolve against
     /// `runid`'s execution records. This is how post-processing tools
-    /// (the visualization support the paper's summary plans, and the
-    /// `sdm-sci` containers built on SDM) reopen data a previous run
-    /// wrote. Rank 0 verifies the run id actually has a `run_table` row;
-    /// attaching to a never-recorded id fails with
+    /// (the visualization support the paper's summary plans) reopen data
+    /// a previous run wrote. Rank 0 verifies the run id actually has a
+    /// `run_table` row; attaching to a never-recorded id fails with
     /// [`SdmError::NoSuchRun`] on every rank. Collective.
     pub fn attach(
         comm: &mut Comm,
@@ -258,35 +226,6 @@ impl Sdm {
             .ok_or_else(|| SdmError::Usage(format!("bad group handle {}", h.0)))
     }
 
-    /// Resolve a dataset name to its slot in a group (one hash probe
-    /// against the group's name index).
-    pub fn resolve(&self, h: GroupHandle, dataset: &str) -> SdmResult<DatasetSlot> {
-        let g = self.group_at(h)?;
-        let slot = g
-            .slot_of(dataset)
-            .ok_or_else(|| SdmError::NoSuchDataset(dataset.to_string()))?;
-        Ok(DatasetSlot::new(h.0, slot))
-    }
-
-    /// Resolve a dataset name to a typed handle, checking the element
-    /// type once so handle-based writes and reads never re-check it.
-    pub fn resolve_typed<T: SdmElem>(
-        &self,
-        h: GroupHandle,
-        dataset: &str,
-    ) -> SdmResult<DatasetHandle<T>> {
-        let slot = self.resolve(h, dataset)?;
-        let d = self.slot_desc(slot)?;
-        if d.data_type != T::SDM_TYPE {
-            return Err(SdmError::TypeMismatch {
-                dataset: d.name.clone(),
-                declared: d.data_type,
-                requested: T::SDM_TYPE,
-            });
-        }
-        Ok(DatasetHandle::new(slot))
-    }
-
     pub(crate) fn slot_desc(&self, s: DatasetSlot) -> SdmResult<&DatasetDesc> {
         self.group_at(s.group_handle())?
             .datasets
@@ -316,7 +255,6 @@ impl Sdm {
     /// let g = sdm
     ///     .group(comm)
     ///     .dataset::<f64>("pressure", n)
-    ///     .access(AccessPattern::Irregular)
     ///     .dataset::<f64>("q", n)
     ///     .build()?;
     /// let hp = g.handle::<f64>("pressure")?;
@@ -334,10 +272,9 @@ impl Sdm {
         TimestepScope::new(self, comm, timestep)
     }
 
-    /// Register a data group (shared by [`crate::GroupBuilder::build`]
-    /// and the deprecated `set_attributes`). Rank 0 stores the run row
-    /// (first group only) and one `access_pattern_table` row per
-    /// dataset. Collective.
+    /// Register a data group (for [`crate::GroupBuilder::build`]). Rank 0
+    /// stores the run row (first group only) and one
+    /// `access_pattern_table` row per dataset. Collective.
     pub(crate) fn register_group(
         &mut self,
         comm: &mut Comm,
@@ -365,8 +302,8 @@ impl Sdm {
                     self.runid,
                     &d.name,
                     d.data_type.sql_name(),
-                    d.storage_order.sql_name(),
-                    d.access_pattern.sql_name(),
+                    ROW_MAJOR,
+                    IRREGULAR,
                     d.global_size as i64,
                 )?;
             }
@@ -379,11 +316,10 @@ impl Sdm {
     }
 
     /// Rebuild a data group for datasets whose metadata a *previous* run
-    /// already recorded — no new rows are written (shared by
-    /// [`crate::GroupBuilder::attach`] and the deprecated
-    /// `attach_group`). Collective; handles are assigned in call order,
-    /// so callers must re-register groups in the original creation
-    /// order for Level 3 file names to resolve.
+    /// already recorded — no new rows are written (for
+    /// [`crate::GroupBuilder::attach`]). Collective; handles are assigned
+    /// in call order, so callers must re-register groups in the original
+    /// creation order for Level 3 file names to resolve.
     pub(crate) fn reattach_group(
         &mut self,
         comm: &mut Comm,
@@ -397,28 +333,6 @@ impl Sdm {
         comm.barrier();
         self.groups.push(DataGroup::new(datasets));
         Ok(GroupHandle(self.groups.len() - 1))
-    }
-
-    /// Write this run's `run_table` row explicitly (normally the first
-    /// group registration does it). Container layers use this so an
-    /// empty container is still discoverable by `latest_runid_for_app`.
-    /// Collective; idempotent.
-    pub fn record_run(&mut self, comm: &mut Comm, problem_size: u64) -> SdmResult<()> {
-        if comm.rank() == 0 && !self.run_recorded {
-            self.store.record_run(&RunRecord {
-                runid: self.runid,
-                application: self.app.clone(),
-                dimension: self.cfg.dimension,
-                problem_size: problem_size as i64,
-                num_timesteps: 0,
-                date: self.cfg.run_date,
-                time: self.cfg.run_time,
-            })?;
-        }
-        Self::sync_metadata(&self.pfs, comm);
-        comm.barrier();
-        self.run_recorded = true;
-        Ok(())
     }
 
     /// Install the map array for a dataset: `map[i]` is the global
@@ -457,54 +371,9 @@ impl Sdm {
         Ok(())
     }
 
-    /// Collectively write a dataset at a timestep through its installed
-    /// view, with one metadata sync (legacy per-dataset cadence). `buf`
-    /// is in the caller's local element order; its element size is
-    /// checked against the dataset's declared type at run time — use
-    /// [`Sdm::write_handle`] to settle that agreement at handle
-    /// resolution instead.
-    pub fn write_slot<T: Pod>(
-        &mut self,
-        comm: &mut Comm,
-        ds: impl Into<DatasetSlot>,
-        timestep: i64,
-        buf: &[T],
-    ) -> SdmResult<()> {
-        let s = ds.into();
-        self.check_elem_size::<T>(s)?;
-        self.write_unchecked(comm, s, timestep, buf)
-    }
-
-    /// [`Sdm::write_slot`] through a typed handle: no name lookup, no
-    /// element-size check — both were settled when the handle was
-    /// resolved.
-    pub fn write_handle<T: SdmElem>(
-        &mut self,
-        comm: &mut Comm,
-        h: DatasetHandle<T>,
-        timestep: i64,
-        buf: &[T],
-    ) -> SdmResult<()> {
-        self.write_unchecked(comm, h.slot(), timestep, buf)
-    }
-
-    /// Collectively read back a dataset written in this run. The
-    /// installed view selects which elements this rank receives, in its
-    /// local order. Element size is checked at run time.
-    pub fn read_slot<T: Pod + Default>(
-        &mut self,
-        comm: &mut Comm,
-        ds: impl Into<DatasetSlot>,
-        timestep: i64,
-        out: &mut [T],
-    ) -> SdmResult<()> {
-        let s = ds.into();
-        self.check_elem_size::<T>(s)?;
-        self.read_unchecked(comm, s, timestep, out)
-    }
-
-    /// [`Sdm::read_slot`] through a typed handle: no name lookup, no
-    /// element-size check.
+    /// Collectively read back a dataset written in this run through a
+    /// typed handle. The installed view selects which elements this rank
+    /// receives, in its local order.
     pub fn read_handle<T: SdmElem>(
         &mut self,
         comm: &mut Comm,
@@ -515,21 +384,11 @@ impl Sdm {
         self.read_unchecked(comm, h.slot(), timestep, out)
     }
 
-    pub(crate) fn check_elem_size<T: Pod>(&self, s: DatasetSlot) -> SdmResult<()> {
-        let d = self.slot_desc(s)?;
-        if std::mem::size_of::<T>() as u64 != d.data_type.size() {
-            return Err(SdmError::Usage(format!(
-                "element size {} does not match dataset type ({} bytes)",
-                std::mem::size_of::<T>(),
-                d.data_type.size()
-            )));
-        }
-        Ok(())
-    }
-
     /// Allocate the base offset for one (dataset, timestep) region and
     /// return `(file_name, base)`. Level 1 writes at 0 in a dedicated
-    /// file; Level 2/3 append one full global-array region.
+    /// file; Level 2/3 append one full global-array region. A region
+    /// whose end would pass `i64::MAX` (the `execution_table` offset
+    /// column's range) is refused, never wrapped.
     pub(crate) fn alloc_region(
         &mut self,
         s: DatasetSlot,
@@ -541,58 +400,24 @@ impl Sdm {
                 self.cfg
                     .org
                     .file_name(&self.app, s.group_handle().0, &d.name, timestep),
+                // Cannot overflow: `GroupBuilder` admits only datasets
+                // whose byte size fits `i64`.
                 d.global_size * d.data_type.size(),
             )
         };
         let g = self.group_at_mut(s.group_handle())?;
         let cursor = g.append_offsets.entry(file_name.clone()).or_insert(0);
         let base = *cursor;
-        *cursor += global_bytes;
+        *cursor = base
+            .checked_add(global_bytes)
+            .filter(|&end| end <= i64::MAX as u64)
+            .ok_or_else(|| {
+                SdmError::Usage(format!(
+                    "{file_name}: a {global_bytes}-byte region at offset {base} \
+                     overflows the file offset"
+                ))
+            })?;
         Ok((file_name, base))
-    }
-
-    fn write_unchecked<T: Pod>(
-        &mut self,
-        comm: &mut Comm,
-        s: DatasetSlot,
-        timestep: i64,
-        buf: &[T],
-    ) -> SdmResult<()> {
-        let (file_name, base) = self.alloc_region(s, timestep)?;
-        self.open_cached(comm, s.group_handle(), &file_name)?;
-        let (file_ordered, ftype) = {
-            let view = self.slot_view(s)?;
-            (view.to_file_order(buf)?, view.ftype.clone())
-        };
-        {
-            let g = self.group_at_mut(s.group_handle())?;
-            // analyze:allow(unwrap: open_cached inserted this key and the map is untouched since)
-            let f = g.open_files.get_mut(&file_name).expect("cached above");
-            f.set_view(comm, base, ftype)?;
-            f.write_all(comm, 0, &file_ordered)?;
-        }
-        if comm.rank() == 0 {
-            let name = &self.slot_desc(s)?.name;
-            self.store
-                .record_execution(self.runid, name, timestep, base as i64, &file_name)?;
-        }
-        Self::sync_metadata(&self.pfs, comm);
-        // The offset row must be visible before any rank can issue a
-        // read for this (dataset, timestep) — reads look it up on every
-        // rank, not just rank 0.
-        comm.barrier();
-        if self.cfg.org.opens_per_timestep() {
-            // Level 1: dedicated file, close it now.
-            let f = self
-                .group_at_mut(s.group_handle())?
-                .open_files
-                .remove(&file_name)
-                // analyze:allow(unwrap: open_cached inserted this key and the map is untouched since)
-                .expect("cached above");
-            f.close(comm);
-        }
-        comm.counters().incr("sdm.writes");
-        Ok(())
     }
 
     fn read_unchecked<T: Pod + Default>(
@@ -659,74 +484,5 @@ impl Sdm {
         }
         comm.barrier();
         Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Paper-shaped veneer (deprecated): the `SDM_*` call surface, kept
-    // as thin delegates so DESIGN.md's paper→module map stays valid.
-    // ------------------------------------------------------------------
-
-    /// `SDM_set_attributes`: register a data group from hand-assembled
-    /// descriptors. Collective.
-    #[deprecated(note = "build groups with `Sdm::group(comm)…build()` and use typed handles")]
-    pub fn set_attributes(
-        &mut self,
-        comm: &mut Comm,
-        datasets: Vec<DatasetDesc>,
-    ) -> SdmResult<GroupHandle> {
-        self.register_group(comm, datasets)
-    }
-
-    /// Legacy form of [`crate::GroupBuilder::attach`]. Collective.
-    #[deprecated(note = "re-attach groups with `Sdm::group(comm)…attach()`")]
-    pub fn attach_group(
-        &mut self,
-        comm: &mut Comm,
-        datasets: Vec<DatasetDesc>,
-    ) -> SdmResult<GroupHandle> {
-        self.reattach_group(comm, datasets)
-    }
-
-    /// `SDM_data_view`: install the map array for a named dataset.
-    #[deprecated(note = "use `Sdm::set_view` with a resolved handle")]
-    pub fn data_view(
-        &mut self,
-        comm: &mut Comm,
-        h: GroupHandle,
-        dataset: &str,
-        map: &[u64],
-    ) -> SdmResult<()> {
-        let s = self.resolve(h, dataset)?;
-        self.set_view(comm, s, map)
-    }
-
-    /// `SDM_write`: collectively write a named dataset at a timestep
-    /// through its installed view.
-    #[deprecated(note = "use `Sdm::write_handle` or a `TimestepScope` (`Sdm::timestep`)")]
-    pub fn write<T: Pod>(
-        &mut self,
-        comm: &mut Comm,
-        h: GroupHandle,
-        dataset: &str,
-        timestep: i64,
-        buf: &[T],
-    ) -> SdmResult<()> {
-        let s = self.resolve(h, dataset)?;
-        self.write_slot(comm, s, timestep, buf)
-    }
-
-    /// `SDM_read`: collectively read back a named dataset written in
-    /// this run.
-    #[deprecated(note = "use `Sdm::read_handle` or `Sdm::read_slot`")]
-    pub fn read<T: Pod + Default>(
-        &mut self,
-        comm: &mut Comm,
-        h: GroupHandle,
-        dataset: &str,
-        timestep: i64,
-        out: &mut [T],
-    ) -> SdmResult<()> {
-        let s = self.resolve(h, dataset)?;
-        self.read_slot(comm, s, timestep, out)
     }
 }

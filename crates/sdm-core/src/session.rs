@@ -3,16 +3,16 @@
 //!
 //! The paper's `SDM_*` surface is stringly typed: every `SDM_write`
 //! resolves a dataset name and re-checks the element size. This module
-//! replaces that with *resolve-once* constructs:
+//! is SDM's only way to register and write datasets, built from
+//! *resolve-once* constructs:
 //!
 //! * [`DatasetSlot`] / [`DatasetHandle`] — a dataset's resolved address
 //!   (group index + slot). The typed form carries the element type, so
 //!   buffer/dataset agreement is a compile-time property and the write
 //!   hot path performs no string lookup and no size check.
-//! * [`GroupBuilder`] — a fluent builder over [`Sdm::group`] replacing
-//!   hand-assembled `Vec<DatasetDesc>`; one collective registers the
-//!   whole group and the returned [`GroupRegistration`] resolves typed
-//!   handles.
+//! * [`GroupBuilder`] — a fluent builder over [`Sdm::group`]; one
+//!   collective registers the whole group and the returned
+//!   [`GroupRegistration`] resolves typed handles.
 //! * [`TimestepScope`] — an RAII guard from [`Sdm::timestep`] that
 //!   stages a step's dataset writes and lands them at scope close as
 //!   one collective I/O burst, one `CachedStore` transaction, and
@@ -27,7 +27,7 @@ use sdm_mpi::Comm;
 use crate::dataset::DatasetDesc;
 use crate::error::{SdmError, SdmResult};
 use crate::sdm::{GroupHandle, Sdm};
-use crate::types::{AccessPattern, SdmElem, SdmType, StorageOrder};
+use crate::types::{SdmElem, SdmType};
 
 /// Untyped resolved address of one dataset: the group's index and the
 /// dataset's slot within it. Copyable; valid for the lifetime of the
@@ -106,18 +106,13 @@ impl<T: SdmElem> From<DatasetHandle<T>> for DatasetSlot {
 /// Fluent builder for a data group, from [`Sdm::group`].
 ///
 /// Datasets are added with [`GroupBuilder::dataset`] (element type as a
-/// type parameter) and modified in place by [`GroupBuilder::access`] /
-/// [`GroupBuilder::order`], which apply to the most recently added
-/// dataset. [`GroupBuilder::build`] registers the group's attributes in
-/// one collective; [`GroupBuilder::attach`] re-registers a group a
-/// previous run already recorded (no metadata rows written).
+/// type parameter). [`GroupBuilder::build`] registers the group's
+/// attributes in one collective; [`GroupBuilder::attach`] re-registers a
+/// group a previous run already recorded (no metadata rows written).
 pub struct GroupBuilder<'a> {
     sdm: &'a mut Sdm,
     comm: &'a mut Comm,
     datasets: Vec<DatasetDesc>,
-    /// First fluent-call misuse (e.g. `access()` before any
-    /// `dataset()`), reported by `build()`/`attach()`.
-    misuse: Option<String>,
 }
 
 impl<'a> GroupBuilder<'a> {
@@ -126,59 +121,35 @@ impl<'a> GroupBuilder<'a> {
             sdm,
             comm,
             datasets: Vec::new(),
-            misuse: None,
         }
     }
 
     /// Add a dataset of element type `T` with `global_size` elements
-    /// (row-major, irregular access — the paper's common case; adjust
-    /// with [`GroupBuilder::access`] / [`GroupBuilder::order`]).
-    pub fn dataset<T: SdmElem>(self, name: impl Into<String>, global_size: u64) -> Self {
-        self.dataset_desc(DatasetDesc {
+    /// (recorded as row-major with irregular access, the paper's case).
+    pub fn dataset<T: SdmElem>(mut self, name: impl Into<String>, global_size: u64) -> Self {
+        self.datasets.push(DatasetDesc {
             name: name.into(),
             data_type: T::SDM_TYPE,
-            storage_order: StorageOrder::RowMajor,
-            access_pattern: AccessPattern::Irregular,
             global_size,
-        })
-    }
-
-    /// Add a dataset from an explicit descriptor (for element types
-    /// only known at run time, e.g. the `sdm-sci` container layer).
-    pub fn dataset_desc(mut self, desc: DatasetDesc) -> Self {
-        self.datasets.push(desc);
+        });
         self
-    }
-
-    /// Set the access pattern of the most recently added dataset.
-    pub fn access(mut self, pattern: AccessPattern) -> Self {
-        match self.datasets.last_mut() {
-            Some(d) => d.access_pattern = pattern,
-            None => self.note_misuse("access() called before any dataset()"),
-        }
-        self
-    }
-
-    /// Set the storage order of the most recently added dataset.
-    pub fn order(mut self, order: StorageOrder) -> Self {
-        match self.datasets.last_mut() {
-            Some(d) => d.storage_order = order,
-            None => self.note_misuse("order() called before any dataset()"),
-        }
-        self
-    }
-
-    fn note_misuse(&mut self, what: &str) {
-        if self.misuse.is_none() {
-            self.misuse = Some(what.to_string());
-        }
     }
 
     fn validate(&self) -> SdmResult<()> {
-        if let Some(m) = &self.misuse {
-            return Err(SdmError::Usage(m.clone()));
-        }
         for (i, d) in self.datasets.iter().enumerate() {
+            // Every byte offset of a region must fit the
+            // `execution_table`'s `i64` offset column.
+            if d.global_size
+                .checked_mul(d.data_type.size())
+                .is_none_or(|bytes| bytes > i64::MAX as u64)
+            {
+                return Err(SdmError::Usage(format!(
+                    "dataset {:?}: {} elements of {} bytes overflow a file offset",
+                    d.name,
+                    d.global_size,
+                    d.data_type.size()
+                )));
+            }
             if self.datasets[..i].iter().any(|e| e.name == d.name) {
                 return Err(SdmError::Usage(format!(
                     "duplicate dataset name {:?} in group",
@@ -205,7 +176,6 @@ impl<'a> GroupBuilder<'a> {
             sdm,
             comm,
             datasets,
-            ..
         } = self;
         let slots = Self::slots_of(&datasets);
         let group = sdm.register_group(comm, datasets)?;
@@ -222,7 +192,6 @@ impl<'a> GroupBuilder<'a> {
             sdm,
             comm,
             datasets,
-            ..
         } = self;
         let slots = Self::slots_of(&datasets);
         let group = sdm.reattach_group(comm, datasets)?;
@@ -311,7 +280,7 @@ struct Staged {
 /// 3. one `execution_table` insert per dataset on rank 0, flushed as a
 ///    **single store transaction**;
 /// 4. exactly **one** metadata round-trip + clock sync and one barrier
-///    — instead of one per dataset as on the legacy path.
+///    — not one per dataset.
 ///
 /// If a write fails mid-burst, what was begun is still drained and
 /// recorded (those regions did land), the rows are flushed best-effort,
@@ -361,18 +330,6 @@ impl<'a> TimestepScope<'a> {
     /// lookup, no element-size check.
     pub fn write<T: SdmElem>(&mut self, h: DatasetHandle<T>, buf: &[T]) -> SdmResult<()> {
         self.stage(h.slot(), buf)
-    }
-
-    /// Stage a write through an untyped slot (element size checked at
-    /// run time) — for layers whose dataset types are only known
-    /// dynamically.
-    pub fn write_slot<T: Pod>(&mut self, ds: impl Into<DatasetSlot>, buf: &[T]) -> SdmResult<()> {
-        let s = ds.into();
-        if let Err(e) = self.sdm.check_elem_size::<T>(s) {
-            self.poisoned = true;
-            return Err(e);
-        }
-        self.stage(s, buf)
     }
 
     fn stage<T: Pod>(&mut self, slot: DatasetSlot, buf: &[T]) -> SdmResult<()> {

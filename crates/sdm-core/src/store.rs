@@ -39,8 +39,8 @@ use crate::schema::{
 /// Create a relation's table and secondary indexes through a store,
 /// entirely from its descriptor (no DDL strings). Idempotent: the table
 /// is `IF NOT EXISTS` and already-present indexes are ignored. Layered
-/// schemas (the `sdm-sci` container tables) call this with their own
-/// descriptors so their DDL rides the same machinery.
+/// schemas call this with their own descriptors so their DDL rides the
+/// same machinery.
 pub fn ensure_table(store: &dyn MetadataStore, desc: &TableDesc) -> DbResult<()> {
     store.run(&desc.create_table(), &[])?;
     for ix in desc.create_indexes() {
@@ -251,11 +251,10 @@ pub trait MetadataStore: Send + Sync {
     fn delete_index_registry(&self, problem_size: i64, num_procs: i64) -> DbResult<()>;
 
     /// Run a typed statement through the store. Layered metadata
-    /// schemas — the `sdm-sci` container tables, bench report queries —
-    /// use this instead of holding a raw database handle, so their
-    /// statements share the same caching/batching machinery, and future
-    /// backends can route them by [`Stmt::table`] instead of parsing
-    /// SQL text.
+    /// schemas and bench report queries use this instead of holding a
+    /// raw database handle, so their statements share the same
+    /// caching/batching machinery, and future backends can route them
+    /// by [`Stmt::table`] instead of parsing SQL text.
     fn run(&self, stmt: &Stmt, params: &[Value]) -> DbResult<ResultSet>;
 
     /// Run arbitrary SQL text through the store: a veneer that parses

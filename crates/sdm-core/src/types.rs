@@ -32,45 +32,13 @@ impl SdmType {
     }
 }
 
-/// Storage order annotation (row-major everywhere in the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum StorageOrder {
-    /// Row-major.
-    #[default]
-    RowMajor,
-    /// Column-major.
-    ColMajor,
-}
+/// Storage order recorded in the metadata tables: row-major, as
+/// everywhere in the paper.
+pub(crate) const ROW_MAJOR: &str = "ROW_MAJOR";
 
-impl StorageOrder {
-    /// Name stored in the metadata tables.
-    pub fn sql_name(&self) -> &'static str {
-        match self {
-            StorageOrder::RowMajor => "ROW_MAJOR",
-            StorageOrder::ColMajor => "COL_MAJOR",
-        }
-    }
-}
-
-/// Access-pattern annotation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum AccessPattern {
-    /// Irregular (map-array driven) — this paper's subject.
-    #[default]
-    Irregular,
-    /// Regular block/cyclic (the companion SC2000 paper).
-    Regular,
-}
-
-impl AccessPattern {
-    /// Name stored in the metadata tables.
-    pub fn sql_name(&self) -> &'static str {
-        match self {
-            AccessPattern::Irregular => "IRREGULAR",
-            AccessPattern::Regular => "REGULAR",
-        }
-    }
-}
+/// Access pattern recorded in `access_pattern_table`: irregular
+/// (map-array driven), this paper's subject.
+pub(crate) const IRREGULAR: &str = "IRREGULAR";
 
 /// A Rust element type with a fixed SDM attribute type.
 ///
@@ -131,15 +99,7 @@ mod tests {
     fn sql_names_match_figure4() {
         assert_eq!(SdmType::Double.sql_name(), "DOUBLE");
         assert_eq!(SdmType::Int32.sql_name(), "INTEGER");
-        assert_eq!(StorageOrder::RowMajor.sql_name(), "ROW_MAJOR");
-        assert_eq!(AccessPattern::Irregular.sql_name(), "IRREGULAR");
         assert_eq!(FileContent::Index.sql_name(), "INDEX");
         assert_eq!(FileContent::Data.sql_name(), "DATA");
-    }
-
-    #[test]
-    fn defaults_match_paper() {
-        assert_eq!(StorageOrder::default(), StorageOrder::RowMajor);
-        assert_eq!(AccessPattern::default(), AccessPattern::Irregular);
     }
 }

@@ -1,21 +1,13 @@
 //! API-contract tests for the SDM surface: call-order errors, size
-//! mismatches, metadata registration, and multi-group behaviour.
-//!
-//! The first half deliberately exercises the deprecated paper-shaped
-//! veneer (`set_attributes` / `data_view` / `write` / `read`) so the
-//! compat layer over the typed session API stays contract-true; the
-//! second half covers the session API itself (builder validation, typed
-//! handle resolution, scopes, `attach` verification).
-#![allow(deprecated)]
+//! mismatches, metadata registration, multi-group behaviour, builder
+//! validation, typed handle resolution, scopes, and `attach`
+//! verification.
 
 use std::sync::Arc;
 
-use sdm_core::dataset::{make_datalist, DatasetDesc, ImportDesc};
+use sdm_core::dataset::ImportDesc;
 use sdm_core::schema::{AccessPatternCol, AccessPatternRow, ExecutionCol, ExecutionRow, RunRow};
-use sdm_core::{
-    AccessPattern, CachedStore, OrgLevel, Sdm, SdmConfig, SdmError, SdmType, SharedStore,
-    StorageOrder,
-};
+use sdm_core::{CachedStore, OrgLevel, Sdm, SdmConfig, SdmError, SharedStore};
 use sdm_metadb::stmt::Query;
 use sdm_metadb::{Database, Value};
 use sdm_mpi::World;
@@ -57,16 +49,17 @@ fn initialize_creates_tables_and_unique_runids() {
 }
 
 #[test]
-fn set_attributes_registers_run_and_datasets() {
+fn group_build_registers_run_and_datasets() {
     let (pfs, db, store) = setup();
     World::run(2, MachineConfig::test_tiny(), {
         let (pfs, store) = (Arc::clone(&pfs), Arc::clone(&store));
         move |c| {
             let mut s = Sdm::initialize(c, &pfs, &store, "meta").unwrap();
-            let h = s
-                .set_attributes(c, make_datalist(&["p", "q"], SdmType::Double, 100))
+            s.group(c)
+                .dataset::<f64>("p", 100)
+                .dataset::<f64>("q", 100)
+                .build()
                 .unwrap();
-            let _ = h;
             s.finalize(c).unwrap();
         }
     });
@@ -83,16 +76,19 @@ fn set_attributes_registers_run_and_datasets() {
     let rs = db
         .exec_stmt(
             &Query::<AccessPatternRow>::all()
-                .select(&[AccessPatternCol::Dataset])
+                .select(&[
+                    AccessPatternCol::Dataset,
+                    AccessPatternCol::StorageOrder,
+                    AccessPatternCol::AccessPattern,
+                ])
                 .order_by(AccessPatternCol::Dataset)
                 .compile(),
             &[],
         )
         .unwrap();
-    assert_eq!(
-        rs.rows,
-        vec![vec![Value::from("p")], vec![Value::from("q")]]
-    );
+    // Figure 4's annotations: every dataset is row-major and irregular.
+    let row = |d: &str| vec![Value::from(d), "ROW_MAJOR".into(), "IRREGULAR".into()];
+    assert_eq!(rs.rows, vec![row("p"), row("q")]);
 }
 
 #[test]
@@ -102,11 +98,12 @@ fn write_without_view_is_error() {
         let (pfs, store) = (Arc::clone(&pfs), Arc::clone(&store));
         move |c| {
             let mut s = Sdm::initialize(c, &pfs, &store, "e1").unwrap();
-            let h = s
-                .set_attributes(c, vec![DatasetDesc::doubles("p", 10)])
-                .unwrap();
-            let err = s.write(c, h, "p", 0, &[1.0f64]).unwrap_err();
+            let g = s.group(c).dataset::<f64>("p", 10).build().unwrap();
+            let hp = g.handle::<f64>("p").unwrap();
+            let mut step = s.timestep(c, 0);
+            let err = step.write(hp, &[1.0f64]).unwrap_err();
             assert!(matches!(err, SdmError::NoView(_)), "got {err}");
+            step.abandon();
         }
     });
 }
@@ -118,12 +115,11 @@ fn read_unwritten_timestep_is_error() {
         let (pfs, store) = (Arc::clone(&pfs), Arc::clone(&store));
         move |c| {
             let mut s = Sdm::initialize(c, &pfs, &store, "e2").unwrap();
-            let h = s
-                .set_attributes(c, vec![DatasetDesc::doubles("p", 4)])
-                .unwrap();
-            s.data_view(c, h, "p", &[0, 1, 2, 3]).unwrap();
+            let g = s.group(c).dataset::<f64>("p", 4).build().unwrap();
+            let hp = g.handle::<f64>("p").unwrap();
+            s.set_view(c, hp, &[0, 1, 2, 3]).unwrap();
             let mut buf = vec![0.0f64; 4];
-            let err = s.read(c, h, "p", 5, &mut buf).unwrap_err();
+            let err = s.read_handle(c, hp, 5, &mut buf).unwrap_err();
             assert!(
                 matches!(err, SdmError::NotWritten { timestep: 5, .. }),
                 "got {err}"
@@ -139,34 +135,35 @@ fn unknown_dataset_and_bad_sizes_are_errors() {
         let (pfs, store) = (Arc::clone(&pfs), Arc::clone(&store));
         move |c| {
             let mut s = Sdm::initialize(c, &pfs, &store, "e3").unwrap();
-            let h = s
-                .set_attributes(c, vec![DatasetDesc::doubles("p", 4)])
-                .unwrap();
+            let g = s.group(c).dataset::<f64>("p", 4).build().unwrap();
+            assert!(matches!(g.slot("nope"), Err(SdmError::NoSuchDataset(_))));
+            // Wrong element type (4-byte vs DOUBLE): refused when the
+            // handle is resolved, before any buffer exists.
             assert!(matches!(
-                s.data_view(c, h, "nope", &[0]),
-                Err(SdmError::NoSuchDataset(_))
+                g.handle::<i32>("p"),
+                Err(SdmError::TypeMismatch { .. })
             ));
-            // Wrong element type (4-byte vs DOUBLE).
-            s.data_view(c, h, "p", &[0, 1]).unwrap();
+            let hp = g.handle::<f64>("p").unwrap();
+            s.set_view(c, hp, &[0, 1]).unwrap();
+            // A buffer longer or shorter than the map.
+            for buf in [&[1.0f64][..], &[1.0, 2.0, 3.0]] {
+                let mut step = s.timestep(c, 0);
+                assert!(matches!(step.write(hp, buf), Err(SdmError::Usage(_))));
+                step.abandon();
+            }
+            // A read buffer that does not match the map.
+            let mut step = s.timestep(c, 0);
+            step.write(hp, &[1.0, 2.0]).unwrap();
+            step.commit().unwrap();
+            let mut short = vec![0.0f64; 1];
             assert!(matches!(
-                s.write(c, h, "p", 0, &[1i32, 2]),
-                Err(SdmError::Usage(_))
-            ));
-            // Wrong buffer length.
-            assert!(matches!(
-                s.write(c, h, "p", 0, &[1.0f64]),
+                s.read_handle(c, hp, 0, &mut short),
                 Err(SdmError::Usage(_))
             ));
             // Map index out of range.
-            assert!(matches!(
-                s.data_view(c, h, "p", &[99]),
-                Err(SdmError::Usage(_))
-            ));
+            assert!(matches!(s.set_view(c, hp, &[99]), Err(SdmError::Usage(_))));
             // Empty data group.
-            assert!(matches!(
-                s.set_attributes(c, vec![]),
-                Err(SdmError::Usage(_))
-            ));
+            assert!(matches!(s.group(c).build(), Err(SdmError::Usage(_))));
         }
     });
 }
@@ -183,9 +180,7 @@ fn import_type_mismatch_is_error() {
         let (pfs, store) = (Arc::clone(&pfs), Arc::clone(&store));
         move |c| {
             let mut s = Sdm::initialize(c, &pfs, &store, "e4").unwrap();
-            let h = s
-                .set_attributes(c, vec![DatasetDesc::doubles("p", 4)])
-                .unwrap();
+            let h = s.group(c).dataset::<f64>("p", 4).build().unwrap().group();
             s.make_importlist(c, h, vec![ImportDesc::index("edge1", "m.msh")])
                 .unwrap();
             // edge1 is declared INTEGER (4 bytes); importing f64 must fail.
@@ -209,28 +204,31 @@ fn two_groups_are_independent() {
                 ..Default::default()
             };
             let mut s = Sdm::initialize_with(c, &pfs, &store, "two", cfg).unwrap();
-            let g1 = s
-                .set_attributes(c, vec![DatasetDesc::doubles("a", 8)])
-                .unwrap();
-            let g2 = s
-                .set_attributes(c, vec![DatasetDesc::doubles("b", 8)])
-                .unwrap();
+            let g1 = s.group(c).dataset::<f64>("a", 8).build().unwrap();
+            let g2 = s.group(c).dataset::<f64>("b", 8).build().unwrap();
+            let ha = g1.handle::<f64>("a").unwrap();
+            let hb = g2.handle::<f64>("b").unwrap();
             let mine: Vec<u64> = (c.rank() as u64..8).step_by(c.size()).collect();
-            s.data_view(c, g1, "a", &mine).unwrap();
-            s.data_view(c, g2, "b", &mine).unwrap();
+            s.set_view(c, ha, &mine).unwrap();
+            s.set_view(c, hb, &mine).unwrap();
             let va: Vec<f64> = mine.iter().map(|&g| g as f64).collect();
             let vb: Vec<f64> = mine.iter().map(|&g| -(g as f64)).collect();
-            s.write(c, g1, "a", 0, &va).unwrap();
-            s.write(c, g2, "b", 0, &vb).unwrap();
+            let mut step = s.timestep(c, 0);
+            step.write(ha, &va).unwrap();
+            step.write(hb, &vb).unwrap();
+            step.commit().unwrap();
             // Level 3: one file per *group*.
             let mut ba = vec![0.0f64; mine.len()];
-            s.read(c, g1, "a", 0, &mut ba).unwrap();
+            s.read_handle(c, ha, 0, &mut ba).unwrap();
             assert_eq!(ba, va);
             let mut bb = vec![0.0f64; mine.len()];
-            s.read(c, g2, "b", 0, &mut bb).unwrap();
+            s.read_handle(c, hb, 0, &mut bb).unwrap();
             assert_eq!(bb, vb);
             // Dataset "a" is not visible through group 2.
-            assert!(s.data_view(c, g2, "a", &mine).is_err());
+            assert!(matches!(
+                g2.handle::<f64>("a"),
+                Err(SdmError::NoSuchDataset(_))
+            ));
             s.finalize(c).unwrap();
         }
     });
@@ -251,9 +249,7 @@ fn builder_registers_attributes_and_resolves_typed_handles() {
             let g = s
                 .group(c)
                 .dataset::<f64>("p", 64)
-                .access(AccessPattern::Irregular)
                 .dataset::<i32>("flags", 64)
-                .order(StorageOrder::RowMajor)
                 .build()
                 .unwrap();
             assert_eq!(g.len(), 2);
@@ -270,13 +266,7 @@ fn builder_registers_attributes_and_resolves_typed_handles() {
                 g.handle::<f64>("nope"),
                 Err(SdmError::NoSuchDataset(_))
             ));
-            // Same checks through the late-resolution path on Sdm.
-            let hp2 = s.resolve_typed::<f64>(g.group(), "p").unwrap();
-            assert_eq!(hp.slot(), hp2.slot());
-            assert!(matches!(
-                s.resolve_typed::<i64>(g.group(), "p"),
-                Err(SdmError::TypeMismatch { .. })
-            ));
+            assert_eq!(hp.slot(), g.slot("p").unwrap());
 
             let mine: Vec<u64> = (c.rank() as u64..64).step_by(c.size()).collect();
             s.set_view(c, hp, &mine).unwrap();
@@ -297,8 +287,7 @@ fn builder_registers_attributes_and_resolves_typed_handles() {
             s.finalize(c).unwrap();
         }
     });
-    // The builder registered the run row and one access-pattern row per
-    // dataset, exactly like the legacy surface.
+    // The builder registered one access-pattern row per dataset.
     let rs = db
         .exec_stmt(
             &Query::<AccessPatternRow>::all()
@@ -325,15 +314,6 @@ fn builder_rejects_empty_and_duplicate_groups() {
             assert!(matches!(
                 s.group(c)
                     .dataset::<f64>("p", 4)
-                    .dataset::<f64>("p", 4)
-                    .build(),
-                Err(SdmError::Usage(_))
-            ));
-            // Fluent modifiers before any dataset() are misuse, not a
-            // silent no-op.
-            assert!(matches!(
-                s.group(c)
-                    .access(AccessPattern::Regular)
                     .dataset::<f64>("p", 4)
                     .build(),
                 Err(SdmError::Usage(_))
@@ -463,7 +443,7 @@ fn attach_to_unknown_run_is_error() {
             }
             // A recorded run attaches fine.
             let mut s = Sdm::initialize(c, &pfs, &store, "real").unwrap();
-            s.record_run(c, 10).unwrap();
+            s.group(c).dataset::<f64>("p", 10).build().unwrap();
             let id = s.runid();
             s.finalize(c).unwrap();
             let s2 = Sdm::attach(c, &pfs, &store, "real", id, SdmConfig::default()).unwrap();
@@ -484,17 +464,17 @@ fn level2_appends_across_timesteps() {
                 ..Default::default()
             };
             let mut s = Sdm::initialize_with(c, &pfs, &store, "app", cfg).unwrap();
-            let h = s
-                .set_attributes(c, vec![DatasetDesc::doubles("p", 4)])
-                .unwrap();
-            s.data_view(c, h, "p", &[0, 1, 2, 3]).unwrap();
+            let g = s.group(c).dataset::<f64>("p", 4).build().unwrap();
+            let hp = g.handle::<f64>("p").unwrap();
+            s.set_view(c, hp, &[0, 1, 2, 3]).unwrap();
             for t in 0..3i64 {
-                let v = vec![t as f64; 4];
-                s.write(c, h, "p", t, &v).unwrap();
+                let mut step = s.timestep(c, t);
+                step.write(hp, &[t as f64; 4]).unwrap();
+                step.commit().unwrap();
             }
             // Read back the middle timestep.
             let mut buf = vec![0.0f64; 4];
-            s.read(c, h, "p", 1, &mut buf).unwrap();
+            s.read_handle(c, hp, 1, &mut buf).unwrap();
             assert_eq!(buf, vec![1.0; 4]);
             s.finalize(c).unwrap();
         }
@@ -512,4 +492,86 @@ fn level2_appends_across_timesteps() {
         .unwrap();
     assert_eq!(rs.len(), 3);
     assert_eq!(rs.rows[2][0].as_i64(), Some(64));
+}
+
+// ---------------------------------------------------------------------
+// File offsets that do not fit the `execution_table`'s i64 column
+// ---------------------------------------------------------------------
+
+#[test]
+fn oversized_dataset_is_rejected_at_build_and_attach() {
+    let (pfs, db, store) = setup();
+    World::run(1, MachineConfig::test_tiny(), {
+        let (pfs, store) = (Arc::clone(&pfs), Arc::clone(&store));
+        move |c| {
+            let mut s = Sdm::initialize(c, &pfs, &store, "huge").unwrap();
+            // 2^62 doubles are 2^65 bytes: the byte size overflows u64.
+            assert!(matches!(
+                s.group(c).dataset::<f64>("x", u64::MAX / 4).build(),
+                Err(SdmError::Usage(_))
+            ));
+            // 2^60 doubles are 2^63 bytes: fits u64, not i64.
+            assert!(matches!(
+                s.group(c).dataset::<f64>("x", 1 << 60).attach(),
+                Err(SdmError::Usage(_))
+            ));
+            // The largest admissible dataset still registers.
+            s.group(c)
+                .dataset::<f64>("x", i64::MAX as u64 / 8)
+                .build()
+                .unwrap();
+            s.finalize(c).unwrap();
+        }
+    });
+    let rs = db
+        .exec_stmt(&Query::<AccessPatternRow>::all().count().compile(), &[])
+        .unwrap();
+    assert_eq!(
+        rs.scalar().and_then(Value::as_i64),
+        Some(1),
+        "a refused group records no rows"
+    );
+}
+
+#[test]
+fn append_past_the_largest_file_offset_is_refused() {
+    let (pfs, db, store) = setup();
+    World::run(1, MachineConfig::test_tiny(), {
+        let (pfs, store) = (Arc::clone(&pfs), Arc::clone(&store));
+        move |c| {
+            let cfg = SdmConfig {
+                org: OrgLevel::Level2,
+                ..Default::default()
+            };
+            let mut s = Sdm::initialize_with(c, &pfs, &store, "edge", cfg).unwrap();
+            // One region ends 8 bytes short of i64::MAX; a second
+            // appended after it cannot be addressed.
+            let g = s
+                .group(c)
+                .dataset::<f64>("x", i64::MAX as u64 / 8)
+                .build()
+                .unwrap();
+            let hx = g.handle::<f64>("x").unwrap();
+            s.set_view(c, hx, &[0]).unwrap();
+            let mut step = s.timestep(c, 0);
+            step.write(hx, &[1.5]).unwrap();
+            step.commit().unwrap();
+            let mut step = s.timestep(c, 1);
+            step.write(hx, &[2.5]).unwrap();
+            assert!(matches!(step.commit(), Err(SdmError::Usage(_))));
+            // The refused step left the landed one readable.
+            let mut back = [0.0f64];
+            s.read_handle(c, hx, 0, &mut back).unwrap();
+            assert_eq!(back, [1.5]);
+            assert!(matches!(
+                s.read_handle(c, hx, 1, &mut back),
+                Err(SdmError::NotWritten { timestep: 1, .. })
+            ));
+            s.finalize(c).unwrap();
+        }
+    });
+    let rs = db
+        .exec_stmt(&Query::<ExecutionRow>::all().count().compile(), &[])
+        .unwrap();
+    assert_eq!(rs.scalar().and_then(Value::as_i64), Some(1));
 }

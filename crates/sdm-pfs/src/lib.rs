@@ -18,7 +18,6 @@
 //! Every operation takes the caller's current virtual time and returns the
 //! completion time; the caller syncs its [`sdm_sim::VClock`] to that.
 
-pub mod cache;
 pub mod error;
 pub mod faults;
 pub mod file;

@@ -14,5 +14,4 @@ pub use sdm_metadb as metadb;
 pub use sdm_mpi as mpi;
 pub use sdm_partition as partition;
 pub use sdm_pfs as pfs;
-pub use sdm_sci as sci;
 pub use sdm_sim as sim;

@@ -4,14 +4,13 @@
 //!   through the permutation and reading back through its inverse is
 //!   the identity, for arbitrary (unique, in-range, shuffled) map
 //!   arrays.
-//! * `TimestepScope` writes are **byte-identical** to the per-dataset
-//!   legacy path at all three file-organization levels, while paying
+//! * `TimestepScope` writes produce exactly the expected files and
+//!   bytes at all three file-organization levels, computed from the
+//!   written values and each level's naming/append rule; a step pays
 //!   one metadata sync per timestep instead of one per dataset and
-//!   landing each step's execution rows in a single store transaction.
+//!   lands its execution rows in a single store transaction.
 //! * A scope's commit drains the step's data before the first execution
 //!   row is recorded, and returns with nothing of the step in flight.
-
-#![allow(deprecated)] // half of the equivalence pair *is* the legacy veneer
 
 use std::sync::Arc;
 
@@ -76,7 +75,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// TimestepScope ≡ legacy per-dataset writes, at every org level
+// TimestepScope writes: expected bytes and sync cadence, at every level
 // ---------------------------------------------------------------------
 
 const GLOBAL: u64 = 48;
@@ -87,10 +86,11 @@ fn value(ds: usize, g: u64, t: i64) -> f64 {
     (ds as f64 + 1.0) * 1000.0 + g as f64 + t as f64 * 0.5
 }
 
-/// Run the workload and return the backing Pfs + Database.
-/// `scoped` picks the TimestepScope path; otherwise the legacy veneer
-/// writes each dataset separately.
-fn run(org: OrgLevel, nprocs: usize, scoped: bool) -> (Arc<Pfs>, Arc<Database>, u64) {
+/// Run the workload and return the backing Pfs + Database and the
+/// metadata syncs the steps paid. Each step writes every dataset
+/// through one scope, or — with `scope_per_dataset` — through one scope
+/// per dataset.
+fn run(org: OrgLevel, nprocs: usize, scope_per_dataset: bool) -> (Arc<Pfs>, Arc<Database>, u64) {
     let pfs = Pfs::new(MachineConfig::test_tiny());
     let db = Arc::new(Database::new());
     let store = sdm::core::CachedStore::shared(&db);
@@ -120,16 +120,18 @@ fn run(org: OrgLevel, nprocs: usize, scoped: bool) -> (Arc<Pfs>, Arc<Database>, 
                 let bufs: Vec<Vec<f64>> = (0..DATASETS.len())
                     .map(|d| mine.iter().map(|&g| value(d, g, t)).collect())
                     .collect();
-                if scoped {
+                if scope_per_dataset {
+                    for (i, &h) in handles.iter().enumerate() {
+                        let mut step = sdm.timestep(c, t);
+                        step.write(h, &bufs[i]).unwrap();
+                        step.commit().unwrap();
+                    }
+                } else {
                     let mut step = sdm.timestep(c, t);
                     for (i, &h) in handles.iter().enumerate() {
                         step.write(h, &bufs[i]).unwrap();
                     }
                     step.commit().unwrap();
-                } else {
-                    for (i, name) in DATASETS.iter().enumerate() {
-                        sdm.write(c, g.group(), name, t, &bufs[i]).unwrap();
-                    }
                 }
             }
             let syncs = c.counters().get("sdm.metadata_syncs") - before;
@@ -148,22 +150,61 @@ fn file_bytes(pfs: &Arc<Pfs>, name: &str) -> Vec<u8> {
     buf
 }
 
+/// One (dataset, timestep) region as it must sit in the file: every
+/// global element in index order, little-endian.
+fn region(ds: usize, t: i64) -> Vec<u8> {
+    (0..GLOBAL)
+        .flat_map(|g| value(ds, g, t).to_le_bytes())
+        .collect()
+}
+
+/// The file set a run must leave behind, with each file's bytes, from
+/// the levels' rules: Level 1 one file per (dataset, step); Level 2 one
+/// file per dataset, its steps appended; Level 3 one file per group, its
+/// steps appended and each step's datasets in staging order.
+fn expected_files(org: OrgLevel) -> Vec<(String, Vec<u8>)> {
+    let mut files = Vec::new();
+    match org {
+        OrgLevel::Level1 => {
+            for (d, name) in DATASETS.iter().enumerate() {
+                for t in 0..STEPS {
+                    files.push((format!("eqv.g0.{name}.t{t}.dat"), region(d, t)));
+                }
+            }
+        }
+        OrgLevel::Level2 => {
+            for (d, name) in DATASETS.iter().enumerate() {
+                let bytes = (0..STEPS).flat_map(|t| region(d, t)).collect();
+                files.push((format!("eqv.g0.{name}.dat"), bytes));
+            }
+        }
+        OrgLevel::Level3 => {
+            let bytes = (0..STEPS)
+                .flat_map(|t| (0..DATASETS.len()).flat_map(move |d| region(d, t)))
+                .collect();
+            files.push(("eqv.g0.dat".to_string(), bytes));
+        }
+    }
+    files.sort();
+    files
+}
+
 #[test]
-fn scoped_writes_byte_identical_to_legacy_at_all_levels() {
+fn scoped_writes_produce_expected_bytes_at_all_levels() {
     for org in OrgLevel::all() {
-        let nprocs = 3;
-        let (pfs_legacy, _, _) = run(org, nprocs, false);
-        let (pfs_scoped, _, _) = run(org, nprocs, true);
-        let mut legacy_files = pfs_legacy.list();
-        let mut scoped_files = pfs_scoped.list();
-        legacy_files.sort();
-        scoped_files.sort();
-        assert_eq!(legacy_files, scoped_files, "org {org:?}: same file set");
-        for name in &legacy_files {
-            assert_eq!(
-                file_bytes(&pfs_legacy, name),
-                file_bytes(&pfs_scoped, name),
-                "org {org:?}: {name} must be byte-identical"
+        let (pfs, _, _) = run(org, 3, false);
+        let mut names = pfs.list();
+        names.sort();
+        let expected = expected_files(org);
+        assert_eq!(
+            names,
+            expected.iter().map(|(n, _)| n.clone()).collect::<Vec<_>>(),
+            "org {org:?}: file set"
+        );
+        for (name, bytes) in &expected {
+            assert!(
+                file_bytes(&pfs, name) == *bytes,
+                "org {org:?}: {name} differs from the expected bytes"
             );
         }
     }
@@ -172,15 +213,17 @@ fn scoped_writes_byte_identical_to_legacy_at_all_levels() {
 #[test]
 fn scoped_timestep_pays_one_sync_and_one_transaction() {
     let nprocs = 2;
-    // Legacy: one metadata sync per dataset per timestep (per rank).
-    let (_, _, legacy_syncs) = run(OrgLevel::Level2, nprocs, false);
+    // Baseline: one scope per dataset pays one sync per dataset write
+    // (per rank).
+    let (_, _, per_dataset_syncs) = run(OrgLevel::Level2, nprocs, true);
     assert_eq!(
-        legacy_syncs,
+        per_dataset_syncs,
         (nprocs * DATASETS.len()) as u64 * STEPS as u64,
-        "legacy path syncs once per dataset write"
+        "one scope per dataset syncs once per dataset write"
     );
-    // Scoped: exactly one metadata sync per timestep (per rank)...
-    let (_, db, scoped_syncs) = run(OrgLevel::Level2, nprocs, true);
+    // One scope per step: exactly one metadata sync per timestep (per
+    // rank)...
+    let (_, db, scoped_syncs) = run(OrgLevel::Level2, nprocs, false);
     assert_eq!(
         scoped_syncs,
         nprocs as u64 * STEPS as u64,
@@ -193,7 +236,7 @@ fn scoped_timestep_pays_one_sync_and_one_transaction() {
         1 + STEPS as u64,
         "each scope commit is one BEGIN..COMMIT"
     );
-    // Both paths recorded the same execution rows.
+    // ...and one execution row per (dataset, timestep).
     let rs = db
         .exec_stmt(&Query::<ExecutionRow>::all().count().compile(), &[])
         .unwrap();
