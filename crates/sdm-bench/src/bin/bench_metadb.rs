@@ -649,8 +649,8 @@ fn main() {
 
     // ---- Scoped session writes: metadata syncs per timestep ----
     // N datasets written per step through a TimestepScope must cost
-    // exactly one metadata round-trip + sync (per rank) and one store
-    // transaction per timestep.
+    // exactly one metadata round trip, whatever the process count, and
+    // one store transaction per timestep.
     let procs = 4usize;
     let scope_datasets = 6usize;
     let scope_steps = 10i64;
@@ -690,10 +690,10 @@ fn main() {
                 after - before
             }
         });
-        // World-shared counter: divide by ranks and steps to get
+        // World-shared counter of round trips: divide by steps to get
         // syncs-per-timestep; transactions are counted by the database
         // (rank 0 writes), minus the one `allocate_runid` reservation.
-        let per_step = syncs[0] / (procs as u64 * scope_steps as u64);
+        let per_step = syncs[0] / scope_steps as u64;
         (per_step, db.stats().transactions - 1)
     };
     assert_eq!(

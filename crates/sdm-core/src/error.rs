@@ -41,6 +41,9 @@ pub enum SdmError {
     BadHistory(String),
     /// API misuse (wrong sizes, wrong order of calls).
     Usage(String),
+    /// Rank 0's side of a collective metadata call failed; every other
+    /// rank gets this, carrying rank 0's error message.
+    Root(String),
 }
 
 impl fmt::Display for SdmError {
@@ -65,6 +68,7 @@ impl fmt::Display for SdmError {
             }
             SdmError::BadHistory(m) => write!(f, "bad history file: {m}"),
             SdmError::Usage(m) => write!(f, "API misuse: {m}"),
+            SdmError::Root(m) => write!(f, "on rank 0: {m}"),
         }
     }
 }

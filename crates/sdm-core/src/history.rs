@@ -36,8 +36,8 @@ use sdm_mpi::Comm;
 
 use crate::error::{SdmError, SdmResult};
 use crate::partition_api::PartitionedIndex;
-use crate::sdm::Sdm;
-use crate::store::HistoryBlock;
+use crate::sdm::{MetaReply, Sdm};
+use crate::store::{HistoryBlock, MetadataStore};
 
 const MAGIC: u64 = 0x5344_4D48_4953_5432; // "SDMHIST2"
 
@@ -284,15 +284,15 @@ impl Sdm {
                 my_len,
             ],
         )?;
-        if let Some(metas) = metas {
-            self.store.record_index_registry(
+        self.metadata_call(comm, |store| {
+            store.record_index_registry(
                 problem_size as i64,
                 nprocs as i64,
                 self.cfg.dimension,
                 &name,
             )?;
-            for (rank, m) in metas.iter().enumerate() {
-                self.store.record_history_block(
+            for (rank, m) in metas.iter().flatten().enumerate() {
+                store.record_history_block(
                     problem_size as i64,
                     nprocs as i64,
                     &HistoryBlock {
@@ -305,8 +305,8 @@ impl Sdm {
                     },
                 )?;
             }
-        }
-        Self::sync_metadata(&self.pfs, comm);
+            Ok(MetaReply::trips(1))
+        })?;
         // Registration must be visible before any rank can attempt a
         // same-run replay lookup.
         comm.barrier();
@@ -316,24 +316,20 @@ impl Sdm {
 
     /// Rank 0's half of a replay: ask the database whether a history is
     /// registered and, if so, for every rank's block row — two round
-    /// trips whatever the process count. Returns the file name and the
-    /// rows laid out by rank ([`NO_ROW`] where the database has none),
-    /// both empty when nothing is registered.
-    fn lookup_history(&self, comm: &mut Comm, problem_size: i64) -> SdmResult<(Vec<u8>, Vec<i64>)> {
-        let nprocs = comm.size();
+    /// trips whatever the process count, one on a miss. Replies with the
+    /// file name and the rows laid out by rank ([`NO_ROW`] where the
+    /// database has none), both empty when nothing is registered.
+    fn lookup_history(
+        store: &dyn MetadataStore,
+        problem_size: i64,
+        nprocs: usize,
+    ) -> SdmResult<MetaReply> {
         // "the SDM_import first accesses the index table in the database
         // to see whether a history file exists with this problem size"
-        let reg = self
-            .store
-            .lookup_index_registry(problem_size, nprocs as i64)?;
-        Self::sync_metadata(&self.pfs, comm);
-        let Some(name) = reg else {
-            return Ok((Vec::new(), Vec::new()));
+        let Some(name) = store.lookup_index_registry(problem_size, nprocs as i64)? else {
+            return Ok(MetaReply::trips(1));
         };
-        let blocks = self
-            .store
-            .lookup_history_blocks(problem_size, nprocs as i64)?;
-        Self::sync_metadata(&self.pfs, comm);
+        let blocks = store.lookup_history_blocks(problem_size, nprocs as i64)?;
         let mut table = NO_ROW.repeat(nprocs);
         for b in blocks {
             let row = usize::try_from(b.rank)
@@ -349,7 +345,11 @@ impl Sdm {
                 ]);
             }
         }
-        Ok((name.into_bytes(), table))
+        Ok(MetaReply {
+            trips: 2,
+            words: table,
+            name,
+        })
     }
 
     /// Try to replay the index distribution from a registered history
@@ -364,20 +364,17 @@ impl Sdm {
         problem_size: u64,
     ) -> SdmResult<Option<PartitionedIndex>> {
         let nprocs = comm.size();
-        let (name, table) = if comm.rank() == 0 {
-            self.lookup_history(comm, problem_size as i64)?
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        let table = comm.bcast(0, &table)?;
+        let MetaReply {
+            words: table, name, ..
+        } = self.metadata_call(comm, |store| {
+            Self::lookup_history(store, problem_size as i64, nprocs)
+        })?;
         if table.is_empty() {
             return Ok(None);
         }
-        let name = comm.bcast(0, &name)?;
 
         // Read and validate my block; any rank's failure aborts for all.
         let attempt: SdmResult<PartitionedIndex> = (|| {
-            let name = std::str::from_utf8(&name).map_err(|_| bad("file name is not UTF-8"))?;
             let row = table
                 .chunks_exact(ROW)
                 .nth(comm.rank())
@@ -385,7 +382,7 @@ impl Sdm {
                 .ok_or_else(|| {
                     SdmError::BadHistory(format!("no block row for rank {}", comm.rank()))
                 })?;
-            let (file, t) = self.pfs.open(name, comm.now())?;
+            let (file, t) = self.pfs.open(&name, comm.now())?;
             comm.sync_to(t);
             // The row is the database's word; size nothing by it that
             // the file does not hold.
@@ -418,10 +415,10 @@ impl Sdm {
         if !all_ok {
             // Drop the poisoned registration so later runs go fresh
             // immediately ("fall back to the fresh distribution").
-            if comm.rank() == 0 {
-                self.store
-                    .delete_index_registry(problem_size as i64, nprocs as i64)?;
-            }
+            self.metadata_call(comm, |store| {
+                store.delete_index_registry(problem_size as i64, nprocs as i64)?;
+                Ok(MetaReply::trips(1))
+            })?;
             comm.counters().incr("sdm.history_invalid");
             return Ok(None);
         }

@@ -12,7 +12,7 @@ use sdm_mpi::Comm;
 
 use crate::dataset::ImportDesc;
 use crate::error::{SdmError, SdmResult};
-use crate::sdm::{GroupHandle, Sdm};
+use crate::sdm::{GroupHandle, MetaReply, Sdm};
 use crate::types::ROW_MAJOR;
 use crate::view::DataView;
 
@@ -25,9 +25,9 @@ impl Sdm {
         h: GroupHandle,
         imports: Vec<ImportDesc>,
     ) -> SdmResult<()> {
-        if comm.rank() == 0 {
+        self.metadata_call(comm, |store| {
             for im in &imports {
-                self.store.record_import(
+                store.record_import(
                     self.runid,
                     &im.name,
                     &im.file_name,
@@ -36,8 +36,8 @@ impl Sdm {
                     im.file_content.sql_name(),
                 )?;
             }
-        }
-        Self::sync_metadata(&self.pfs, comm);
+            Ok(MetaReply::trips(1))
+        })?;
         self.group_at_mut(h)?.imports = imports;
         Ok(())
     }

@@ -32,8 +32,9 @@
 //! * [`store`] — the [`store::MetadataStore`] trait over those
 //!   relations: [`store::SqlStore`] (typed statements compiled once —
 //!   the warmed hot path formats zero SQL text) and
-//!   [`store::CachedStore`] (rank-0 write-through cache, keyed by
-//!   relation, with per-timestep transaction batching).
+//!   [`store::CachedStore`] (per-timestep transaction batching). Rank 0
+//!   alone calls the store, through one collective helper that charges
+//!   each round trip once and broadcasts the answer.
 
 pub mod dataset;
 pub mod error;

@@ -5,14 +5,18 @@
 //! data group and resolves typed [`crate::DatasetHandle`]s once;
 //! [`Sdm::set_view`] installs a dataset's map array; [`Sdm::timestep`]
 //! opens a [`crate::TimestepScope`], the one write path, which lands a
-//! step's writes as one collective burst with one metadata sync; and
-//! [`Sdm::read_handle`] is the one read path.
+//! step's writes as one collective burst with one metadata round trip;
+//! and [`Sdm::read_handle`] is the one read path.
+//!
+//! Rank 0 alone talks to the database, always through
+//! `Sdm::metadata_call`: it runs the store calls, alone charges their
+//! round trips at the `meta` server, and broadcasts what it learnt.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use sdm_mpi::io::MpiFile;
-use sdm_mpi::pod::Pod;
+use sdm_mpi::pod::{as_bytes, vec_from_bytes, Pod};
 use sdm_mpi::Comm;
 use sdm_pfs::Pfs;
 
@@ -20,7 +24,7 @@ use crate::dataset::{DatasetDesc, ImportDesc};
 use crate::error::{SdmError, SdmResult};
 use crate::org::OrgLevel;
 use crate::session::{DatasetHandle, DatasetSlot, GroupBuilder, TimestepScope};
-use crate::store::{RunRecord, SharedStore};
+use crate::store::{MetadataStore, RunRecord, SharedStore};
 use crate::types::{SdmElem, IRREGULAR, ROW_MAJOR};
 use crate::view::DataView;
 
@@ -87,6 +91,82 @@ impl DataGroup {
     }
 }
 
+/// What rank 0 learnt in one [`Sdm::metadata_call`], as every rank
+/// receives it.
+#[derive(Debug, Default)]
+pub(crate) struct MetaReply {
+    /// Round trips the call cost at the metadata server; rank 0 alone
+    /// charges them.
+    pub(crate) trips: u32,
+    /// A small integer result.
+    pub(crate) words: Vec<i64>,
+    /// A file name, where the call found one.
+    pub(crate) name: String,
+}
+
+impl MetaReply {
+    /// `trips` round trips and nothing to report.
+    pub(crate) fn trips(trips: u32) -> Self {
+        Self {
+            trips,
+            ..Self::default()
+        }
+    }
+
+    /// One round trip answered with `words`.
+    pub(crate) fn words(words: Vec<i64>) -> Self {
+        Self {
+            trips: 1,
+            words,
+            name: String::new(),
+        }
+    }
+}
+
+/// Status byte of a broadcast reply: what follows is a reply, or rank
+/// 0's error message.
+const REPLY_OK: u8 = 0;
+const REPLY_ERR: u8 = 1;
+
+/// `[REPLY_OK][word count u64][words i64 …][name]` or
+/// `[REPLY_ERR][message]`, native-endian.
+fn encode_reply(reply: &SdmResult<MetaReply>) -> Vec<u8> {
+    match reply {
+        Ok(r) => {
+            let mut out = vec![REPLY_OK];
+            out.extend_from_slice(&(r.words.len() as u64).to_ne_bytes());
+            out.extend_from_slice(as_bytes(&r.words));
+            out.extend_from_slice(r.name.as_bytes());
+            out
+        }
+        Err(e) => [&[REPLY_ERR][..], e.to_string().as_bytes()].concat(),
+    }
+}
+
+fn decode_reply(bytes: &[u8]) -> SdmResult<MetaReply> {
+    let malformed = || SdmError::Usage("malformed metadata reply".into());
+    match bytes.split_first() {
+        Some((&REPLY_OK, rest)) => {
+            let (count, rest) = rest.split_at_checked(8).ok_or_else(malformed)?;
+            let count = count.try_into().map_err(|_| malformed())?;
+            let (words, name) = usize::try_from(u64::from_ne_bytes(count))
+                .ok()
+                .and_then(|n| n.checked_mul(8))
+                .and_then(|len| rest.split_at_checked(len))
+                .ok_or_else(malformed)?;
+            Ok(MetaReply {
+                trips: 0,
+                words: vec_from_bytes(words),
+                name: String::from_utf8(name.to_vec()).map_err(|_| malformed())?,
+            })
+        }
+        Some((&REPLY_ERR, message)) => Err(SdmError::Root(
+            String::from_utf8_lossy(message).into_owned(),
+        )),
+        _ => Err(malformed()),
+    }
+}
+
 /// The per-rank SDM instance (the paper's `handle`).
 pub struct Sdm {
     pub(crate) pfs: Arc<Pfs>,
@@ -120,24 +200,25 @@ impl Sdm {
         application: &str,
         cfg: SdmConfig,
     ) -> SdmResult<Self> {
-        let runid = if comm.rank() == 0 {
+        let mut sdm = Self::new(pfs, store, application, cfg);
+        let reply = sdm.metadata_call(comm, |store| {
             store.ensure_schema()?;
-            store.allocate_runid(application)?
-        } else {
-            0
-        };
-        // Everyone charges the DB round trip; rank 0's id wins.
-        Self::sync_metadata(pfs, comm);
-        let runid = comm.bcast(0, &[runid])?[0];
-        Ok(Self {
+            Ok(MetaReply::words(vec![store.allocate_runid(application)?]))
+        })?;
+        sdm.runid = reply.words[0];
+        Ok(sdm)
+    }
+
+    fn new(pfs: &Arc<Pfs>, store: &SharedStore, application: &str, cfg: SdmConfig) -> Self {
+        Self {
             pfs: Arc::clone(pfs),
             store: Arc::clone(store),
             app: application.to_string(),
-            runid,
+            runid: 0,
             cfg,
             groups: Vec::new(),
             run_recorded: false,
-        })
+        }
     }
 
     /// Attach to an *existing* run's metadata instead of opening a new
@@ -155,27 +236,17 @@ impl Sdm {
         runid: i64,
         cfg: SdmConfig,
     ) -> SdmResult<Self> {
-        let exists = if comm.rank() == 0 {
+        let mut sdm = Self::new(pfs, store, application, cfg);
+        let reply = sdm.metadata_call(comm, |store| {
             store.ensure_schema()?;
-            i64::from(store.run_exists(runid)?)
-        } else {
-            0
-        };
-        Self::sync_metadata(pfs, comm);
-        let exists = comm.bcast(0, &[exists])?[0] != 0;
-        comm.barrier();
-        if !exists {
+            Ok(MetaReply::words(vec![i64::from(store.run_exists(runid)?)]))
+        })?;
+        if reply.words[0] == 0 {
             return Err(SdmError::NoSuchRun(runid));
         }
-        Ok(Self {
-            pfs: Arc::clone(pfs),
-            store: Arc::clone(store),
-            app: application.to_string(),
-            runid,
-            cfg,
-            groups: Vec::new(),
-            run_recorded: true, // the original run wrote the row
-        })
+        sdm.runid = runid;
+        sdm.run_recorded = true; // the original run wrote the row
+        Ok(sdm)
     }
 
     /// This run's id in the metadata tables.
@@ -203,15 +274,35 @@ impl Sdm {
         &self.store
     }
 
-    /// Charge one metadata-server round trip and synchronize the
-    /// caller's clock to it. Every metadata sync in SDM funnels through
-    /// here so the `sdm.metadata_syncs` counter is an exact count —
-    /// `bench_metadb` asserts the scoped write path performs exactly one
-    /// per timestep.
-    pub(crate) fn sync_metadata(pfs: &Arc<Pfs>, comm: &mut Comm) {
-        let t = pfs.metadata_roundtrip(comm.now());
-        comm.sync_to(t);
-        comm.counters().incr("sdm.metadata_syncs");
+    /// One collective metadata call, the only way SDM talks to the
+    /// database. Rank 0 runs `f` against the store and alone charges the
+    /// round trips `f` reports at the `meta` server, then broadcasts a
+    /// status byte and the reply; every other rank's clock syncs to the
+    /// broadcast's arrival. So `sdm.metadata_syncs` counts round trips,
+    /// not rank participations, whatever the process count.
+    ///
+    /// An error on rank 0 reaches every rank: rank 0 returns it and the
+    /// others return [`SdmError::Root`] with its message, so no rank is
+    /// left waiting at a collective rank 0 never enters.
+    pub(crate) fn metadata_call(
+        &self,
+        comm: &mut Comm,
+        f: impl FnOnce(&dyn MetadataStore) -> SdmResult<MetaReply>,
+    ) -> SdmResult<MetaReply> {
+        if comm.rank() != 0 {
+            return decode_reply(&comm.bcast_bytes(0, &[])?);
+        }
+        let reply = f(&*self.store);
+        if let Ok(r) = &reply {
+            for _ in 0..r.trips {
+                let t = self.pfs.metadata_roundtrip(comm.now());
+                comm.sync_to(t);
+            }
+            comm.counters()
+                .add("sdm.metadata_syncs", u64::from(r.trips));
+        }
+        comm.bcast_bytes(0, &encode_reply(&reply))?;
+        reply
     }
 
     pub(crate) fn group_at(&self, h: GroupHandle) -> SdmResult<&DataGroup> {
@@ -285,9 +376,9 @@ impl Sdm {
                 "a data group needs at least one dataset".into(),
             ));
         }
-        if comm.rank() == 0 {
+        self.metadata_call(comm, |store| {
             if !self.run_recorded {
-                self.store.record_run(&RunRecord {
+                store.record_run(&RunRecord {
                     runid: self.runid,
                     application: self.app.clone(),
                     dimension: self.cfg.dimension,
@@ -298,7 +389,7 @@ impl Sdm {
                 })?;
             }
             for d in &datasets {
-                self.store.record_access_pattern(
+                store.record_access_pattern(
                     self.runid,
                     &d.name,
                     d.data_type.sql_name(),
@@ -307,8 +398,8 @@ impl Sdm {
                     d.global_size as i64,
                 )?;
             }
-        }
-        Self::sync_metadata(&self.pfs, comm);
+            Ok(MetaReply::trips(1))
+        })?;
         comm.barrier();
         self.run_recorded = true;
         self.groups.push(DataGroup::new(datasets));
@@ -428,12 +519,23 @@ impl Sdm {
         out: &mut [T],
     ) -> SdmResult<()> {
         let name = self.slot_desc(s)?.name.clone();
-        let hit = self.store.lookup_execution(self.runid, &name, timestep)?;
-        Self::sync_metadata(&self.pfs, comm);
-        let (base, file_name) = hit.ok_or(SdmError::NotWritten {
-            dataset: name,
-            timestep,
+        let hit = self.metadata_call(comm, |store| {
+            Ok(match store.lookup_execution(self.runid, &name, timestep)? {
+                Some((base, file)) => MetaReply {
+                    trips: 1,
+                    words: vec![base],
+                    name: file,
+                },
+                None => MetaReply::trips(1),
+            })
         })?;
+        let Some(&base) = hit.words.first() else {
+            return Err(SdmError::NotWritten {
+                dataset: name,
+                timestep,
+            });
+        };
+        let file_name = hit.name;
         self.open_cached(comm, s.group_handle(), &file_name)?;
         let ftype = {
             let view = self.slot_view(s)?;
@@ -479,9 +581,11 @@ impl Sdm {
                 f.close(comm);
             }
         }
-        if comm.rank() == 0 {
-            self.store.flush()?;
-        }
+        // No round trip: the steps' commits already paid for their rows.
+        self.metadata_call(comm, |store| {
+            store.flush()?;
+            Ok(MetaReply::trips(0))
+        })?;
         comm.barrier();
         Ok(())
     }

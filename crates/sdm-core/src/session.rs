@@ -16,8 +16,8 @@
 //! * [`TimestepScope`] — an RAII guard from [`Sdm::timestep`] that
 //!   stages a step's dataset writes and lands them at scope close as
 //!   one collective I/O burst, one `CachedStore` transaction, and
-//!   exactly one metadata round-trip + sync (the paper's per-dataset
-//!   cadence pays one of each per dataset).
+//!   exactly one metadata round trip (the paper's per-dataset cadence
+//!   pays one of each per dataset).
 
 use std::marker::PhantomData;
 
@@ -26,7 +26,7 @@ use sdm_mpi::Comm;
 
 use crate::dataset::DatasetDesc;
 use crate::error::{SdmError, SdmResult};
-use crate::sdm::{GroupHandle, Sdm};
+use crate::sdm::{GroupHandle, MetaReply, Sdm};
 use crate::types::{SdmElem, SdmType};
 
 /// Untyped resolved address of one dataset: the group's index and the
@@ -279,8 +279,9 @@ struct Staged {
 ///    rows or not;
 /// 3. one `execution_table` insert per dataset on rank 0, flushed as a
 ///    **single store transaction**;
-/// 4. exactly **one** metadata round-trip + clock sync and one barrier
-///    — not one per dataset.
+/// 4. exactly **one** metadata round trip, charged on rank 0, whose
+///    outcome every rank receives, and one barrier — not one of each per
+///    dataset.
 ///
 /// If a write fails mid-burst, what was begun is still drained and
 /// recorded (those regions did land), the rows are flushed best-effort,
@@ -381,8 +382,8 @@ impl<'a> TimestepScope<'a> {
     }
 
     /// Issue a batch of staged writes: the collective I/O burst, its
-    /// drain, the single-transaction metadata landing, and the single
-    /// sync.
+    /// drain, and the single-transaction metadata landing in one round
+    /// trip.
     fn issue(sdm: &mut Sdm, comm: &mut Comm, timestep: i64, staged: Vec<Staged>) -> SdmResult<()> {
         if staged.is_empty() {
             return Ok(());
@@ -411,43 +412,28 @@ impl<'a> TimestepScope<'a> {
         // After an error too: what was begun did land, and its rows keep
         // it reachable, so at most the failing dataset is without
         // metadata.
-        let landed = (|| {
-            for (slot, file_name, _) in &written {
-                let g = sdm.group_at(slot.group_handle())?;
-                if let Some(f) = g.open_files.get(file_name) {
-                    f.sync(comm);
-                }
+        for (slot, file_name, _) in &written {
+            if let Some(f) = sdm.group_at(slot.group_handle())?.open_files.get(file_name) {
+                f.sync(comm);
             }
-            if comm.rank() == 0 {
-                for (slot, file_name, base) in &written {
-                    let name = &sdm.slot_desc(*slot)?.name;
-                    sdm.store.record_execution(
-                        sdm.runid,
-                        name,
-                        timestep,
-                        *base as i64,
-                        file_name,
-                    )?;
-                }
-            }
-            Ok(())
-        })();
-        if let Err(e) = burst.and(landed) {
-            // Push the rows buffered so far down now (best effort) so
-            // they cannot leak into a later step's transaction.
-            if comm.rank() == 0 {
-                let _ = sdm.store.flush();
-            }
-            return Err(e);
         }
-        // ---- One store transaction for the step's execution rows ----
-        if comm.rank() == 0 {
+        // ---- The step's rows, one store transaction, one round trip ----
+        let landed = sdm.metadata_call(comm, |store| {
+            let rows = written.iter().try_for_each(|(slot, file_name, base)| {
+                let name = &sdm.slot_desc(*slot)?.name;
+                store.record_execution(sdm.runid, name, timestep, *base as i64, file_name)?;
+                Ok::<_, SdmError>(())
+            });
             // `CachedStore` lands the buffered batch in one
             // BEGIN…COMMIT; unbuffered stores already wrote row by row.
-            sdm.store.flush()?;
-        }
-        // ---- Exactly one metadata round-trip + sync for the step ----
-        Sdm::sync_metadata(&sdm.pfs, comm);
+            // After a failed row too (best effort), so the rows buffered
+            // so far cannot leak into a later step's transaction.
+            let flushed = store.flush();
+            rows?;
+            flushed?;
+            Ok(MetaReply::trips(1))
+        });
+        burst.and(landed)?;
         comm.barrier();
         if sdm.cfg.org.opens_per_timestep() {
             // Level 1: dedicated per-(dataset, timestep) files, close

@@ -12,11 +12,12 @@
 //!   six [`crate::schema`] relations of the paper's Figure 4 (DDL and
 //!   secondary indexes generated from their descriptors), so the warmed
 //!   metadata path formats, hashes, and parses **zero SQL text**.
-//! * [`CachedStore`] layers a rank-0 write-through cache on any inner
-//!   store, keyed by `(relation, key)`: repeated per-timestep
-//!   `execution_table` inserts batch into one transaction per timestep,
-//!   and hot lookups (execution rows, index registrations, history
-//!   blocks) are answered from memory.
+//! * [`CachedStore`] layers per-timestep batching on any inner store:
+//!   repeated `execution_table` inserts land in one transaction per
+//!   timestep.
+//!
+//! Rank 0 alone calls the store (`Sdm::metadata_call`) and broadcasts
+//! what it learnt, so there is nothing for other ranks to cache.
 //!
 //! Future backends (sharded, remote, persistent) implement the same
 //! trait; `Sdm`, the container layers, and the application harnesses
@@ -24,7 +25,6 @@
 //! values naming their relation, a `ShardedStore` is a pure routing
 //! function over them.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -93,9 +93,9 @@ pub type SharedStore = Arc<dyn MetadataStore>;
 
 /// Typed access to SDM's metadata tables.
 ///
-/// All methods take `&self` and must be safe to call from every rank
-/// thread of a world; implementations serialize internally. `Sdm` calls
-/// the mutating methods from rank 0 only, mirroring the paper.
+/// All methods take `&self` and must be safe to call from any thread;
+/// implementations serialize internally. `Sdm` calls every method from
+/// rank 0 only, mirroring the paper's one database connection.
 pub trait MetadataStore: Send + Sync {
     /// Create the six tables (and any backend index structures) if
     /// absent. Idempotent.
@@ -744,36 +744,28 @@ struct PendingExec {
 
 #[derive(Default)]
 struct CacheState {
-    /// (runid, dataset, timestep) → (offset, file): every recorded or
-    /// looked-up execution row.
-    executions: HashMap<(i64, String, i64), (i64, String)>,
     /// Execution rows recorded but not yet in the database; all share
     /// `pending_key`'s (runid, timestep).
     pending: Vec<PendingExec>,
     pending_key: Option<(i64, i64)>,
-    /// (problem_size, num_procs) → history file name.
-    registry: HashMap<(i64, i64), String>,
-    /// (problem_size, num_procs, rank) → block metadata.
-    blocks: HashMap<(i64, i64, i64), HistoryBlock>,
 }
 
-/// Write-through cache over an inner [`MetadataStore`].
+/// Batching layer over an inner [`MetadataStore`].
 ///
-/// Designed for the world-shared usage pattern: all ranks of a run hold
-/// one `CachedStore` (rank 0 writes, everyone reads), so a row recorded
-/// by rank 0 is immediately visible to every rank through the cache even
-/// while its database insert is still buffered. Buffered
-/// `execution_table` inserts are flushed in one `BEGIN`/`COMMIT`
-/// transaction whenever the (runid, timestep) key advances, on
-/// [`MetadataStore::flush`], and on drop — turning N-datasets-per-
-/// timestep metadata traffic into one round trip per timestep.
+/// All ranks of a run hold one `CachedStore`, and rank 0 alone calls it
+/// (`Sdm::metadata_call`). Buffered `execution_table` inserts are
+/// flushed in one `BEGIN`/`COMMIT` transaction whenever the (runid,
+/// timestep) key advances, on [`MetadataStore::flush`], and on drop —
+/// turning N-datasets-per-timestep metadata traffic into one round trip
+/// per timestep. Reads go to the inner store; one that can see the
+/// buffered relation lands the batch first.
 pub struct CachedStore {
     inner: SharedStore,
     state: Mutex<CacheState>,
 }
 
 impl CachedStore {
-    /// Layer a cache over `inner`.
+    /// Layer the batching over `inner`.
     pub fn new(inner: SharedStore) -> Self {
         CachedStore {
             inner,
@@ -838,7 +830,7 @@ impl CachedStore {
             (Err(e), TxTicket::Owned) => {
                 let _ = db.exec_stmt(&Stmt::rollback(), &[]);
                 // Nothing landed: requeue the whole batch for a later
-                // retry (rows stay visible through the cache meanwhile).
+                // retry.
                 self.requeue(batch);
                 Err(e)
             }
@@ -943,10 +935,6 @@ impl MetadataStore for CachedStore {
                 file_offset,
                 file_name: file_name.to_string(),
             });
-            state.executions.insert(
-                (runid, dataset.to_string(), timestep),
-                (file_offset, file_name.to_string()),
-            );
             closed
         };
         self.write_batch(closed_batch)
@@ -958,29 +946,9 @@ impl MetadataStore for CachedStore {
         dataset: &str,
         timestep: i64,
     ) -> DbResult<Option<(i64, String)>> {
-        let batch = {
-            let mut state = self.state.lock();
-            if let Some(hit) = state
-                .executions
-                .get(&(runid, dataset.to_string(), timestep))
-            {
-                return Ok(Some(hit.clone()));
-            }
-            // Not cached: the row may predate this store (attach) or
-            // belong to a foreign writer. Make buffered rows visible
-            // first (outside the cache mutex), then ask the inner store
-            // and remember a positive answer.
-            Self::take_pending(&mut state)
-        };
-        self.write_batch(batch)?;
-        let found = self.inner.lookup_execution(runid, dataset, timestep)?;
-        if let Some(hit) = &found {
-            self.state
-                .lock()
-                .executions
-                .insert((runid, dataset.to_string(), timestep), hit.clone());
-        }
-        Ok(found)
+        // The row may still be buffered: land the batch first.
+        self.flush_pending()?;
+        self.inner.lookup_execution(runid, dataset, timestep)
     }
 
     fn record_import(
@@ -1010,26 +978,11 @@ impl MetadataStore for CachedStore {
         file_name: &str,
     ) -> DbResult<()> {
         self.inner
-            .record_index_registry(problem_size, num_procs, dimension, file_name)?;
-        self.state
-            .lock()
-            .registry
-            .insert((problem_size, num_procs), file_name.to_string());
-        Ok(())
+            .record_index_registry(problem_size, num_procs, dimension, file_name)
     }
 
     fn lookup_index_registry(&self, problem_size: i64, num_procs: i64) -> DbResult<Option<String>> {
-        if let Some(hit) = self.state.lock().registry.get(&(problem_size, num_procs)) {
-            return Ok(Some(hit.clone()));
-        }
-        let found = self.inner.lookup_index_registry(problem_size, num_procs)?;
-        if let Some(name) = &found {
-            self.state
-                .lock()
-                .registry
-                .insert((problem_size, num_procs), name.clone());
-        }
-        Ok(found)
+        self.inner.lookup_index_registry(problem_size, num_procs)
     }
 
     fn record_history_block(
@@ -1039,12 +992,7 @@ impl MetadataStore for CachedStore {
         block: &HistoryBlock,
     ) -> DbResult<()> {
         self.inner
-            .record_history_block(problem_size, num_procs, block)?;
-        self.state
-            .lock()
-            .blocks
-            .insert((problem_size, num_procs, block.rank), *block);
-        Ok(())
+            .record_history_block(problem_size, num_procs, block)
     }
 
     fn lookup_history_block(
@@ -1053,24 +1001,8 @@ impl MetadataStore for CachedStore {
         num_procs: i64,
         rank: i64,
     ) -> DbResult<Option<HistoryBlock>> {
-        if let Some(hit) = self
-            .state
-            .lock()
-            .blocks
-            .get(&(problem_size, num_procs, rank))
-        {
-            return Ok(Some(*hit));
-        }
-        let found = self
-            .inner
-            .lookup_history_block(problem_size, num_procs, rank)?;
-        if let Some(b) = found {
-            self.state
-                .lock()
-                .blocks
-                .insert((problem_size, num_procs, rank), b);
-        }
-        Ok(found)
+        self.inner
+            .lookup_history_block(problem_size, num_procs, rank)
     }
 
     fn lookup_history_blocks(
@@ -1084,53 +1016,22 @@ impl MetadataStore for CachedStore {
     }
 
     fn delete_index_registry(&self, problem_size: i64, num_procs: i64) -> DbResult<()> {
-        self.inner.delete_index_registry(problem_size, num_procs)?;
-        let mut state = self.state.lock();
-        state.registry.remove(&(problem_size, num_procs));
-        state
-            .blocks
-            .retain(|&(ps, np, _), _| (ps, np) != (problem_size, num_procs));
-        Ok(())
+        self.inner.delete_index_registry(problem_size, num_procs)
     }
 
     fn run(&self, stmt: &Stmt, params: &[Value]) -> DbResult<ResultSet> {
-        // The cache is keyed by relation: only statements that touch a
-        // relation with buffered rows — as FROM table, join side, or
-        // mutation target — or whose target is unknown force the
-        // pending batch down first. Statements over other relations
-        // pass straight through. Never flush ahead of a ROLLBACK: the
-        // batch would join the very transaction being discarded and be
-        // lost from the database while the cache kept serving it — it
-        // stays queued for the next flush instead.
+        // Only statements that touch the relation with buffered rows —
+        // as FROM table, join side, or mutation target — or whose target
+        // is unknown force the pending batch down first. Statements over
+        // other relations pass straight through. Never flush ahead of a
+        // ROLLBACK: the batch would join the very transaction being
+        // discarded and be lost — it stays queued for the next flush
+        // instead.
         let rollback = matches!(stmt.ast(), sdm_metadb::sql::ast::Statement::Rollback);
         if !rollback && (stmt.table().is_none() || stmt.references(ExecutionRow::TABLE.name)) {
             self.flush()?;
         }
-        let rs = self.inner.run(stmt, params)?;
-        // A mutation routed through the escape hatch may rewrite rows
-        // the read caches hold; drop the affected relation's cache so
-        // later lookups re-ask the database instead of serving stale
-        // (possibly deleted) rows. A ROLLBACK may have discarded any
-        // write that joined the transaction, so it drops everything
-        // (pending rows are unaffected — they flush later).
-        if rollback {
-            let mut state = self.state.lock();
-            state.executions.clear();
-            state.registry.clear();
-            state.blocks.clear();
-        } else if stmt.is_mutation() {
-            let mut state = self.state.lock();
-            if stmt.references(ExecutionRow::TABLE.name) {
-                state.executions.clear();
-            }
-            if stmt.references(IndexRow::TABLE.name) {
-                state.registry.clear();
-            }
-            if stmt.references(IndexHistoryRow::TABLE.name) {
-                state.blocks.clear();
-            }
-        }
-        Ok(rs)
+        self.inner.run(stmt, params)
     }
 
     fn flush(&self) -> DbResult<()> {
@@ -1414,7 +1315,7 @@ mod tests {
     // ---- CachedStore ----
 
     /// Rows currently in `execution_table` as the database sees them
-    /// (bypassing the store's cache).
+    /// (bypassing the store's batch).
     fn db_exec_rows(db: &Database) -> i64 {
         db.exec_stmt(&Query::<ExecutionRow>::all().count().compile(), &[])
             .unwrap()
@@ -1427,21 +1328,19 @@ mod tests {
     fn cached_store_batches_per_timestep() {
         let s = cached_store();
         let count = |s: &SharedStore| db_exec_rows(s.database());
-        // Three datasets in timestep 0: buffered, not yet in the DB...
+        // Three datasets in timestep 0: buffered, not yet in the DB.
         s.record_execution(1, "p", 0, 0, "f").unwrap();
         s.record_execution(1, "q", 0, 100, "f").unwrap();
         s.record_execution(1, "r", 0, 200, "f").unwrap();
         assert_eq!(count(&s), 0, "same-timestep inserts stay buffered");
-        // ...but visible through the cache on every rank.
-        assert_eq!(
-            s.lookup_execution(1, "q", 0).unwrap(),
-            Some((100, "f".into()))
-        );
         // Moving to timestep 1 flushes the batch in one transaction.
         s.record_execution(1, "p", 1, 300, "f").unwrap();
         assert_eq!(count(&s), 3);
-        // Explicit flush drains the rest.
-        s.flush().unwrap();
+        // A lookup lands the buffered row before it asks.
+        assert_eq!(
+            s.lookup_execution(1, "p", 1).unwrap(),
+            Some((300, "f".into()))
+        );
         assert_eq!(count(&s), 4);
     }
 
@@ -1458,14 +1357,6 @@ mod tests {
             reader.lookup_execution(1, "p", 0).unwrap(),
             Some((42, "f".into()))
         );
-        // Second lookup is a pure cache hit: no new scans.
-        db.reset_stats();
-        assert_eq!(
-            reader.lookup_execution(1, "p", 0).unwrap(),
-            Some((42, "f".into()))
-        );
-        let stats = db.stats();
-        assert_eq!(stats.index_scans + stats.full_scans, 0);
     }
 
     #[test]
@@ -1524,8 +1415,7 @@ mod tests {
     fn rollback_does_not_swallow_buffered_rows() {
         // Rows buffered while a caller transaction is open must not be
         // flushed into that transaction by the ROLLBACK statement
-        // itself — they would be silently discarded from the database
-        // while the cache kept serving them.
+        // itself — they would be silently discarded from the database.
         let s = cached_store();
         s.run(&Stmt::begin(), &[]).unwrap();
         s.record_execution(1, "p", 0, 7, "f").unwrap(); // buffered
@@ -1541,23 +1431,6 @@ mod tests {
             s.lookup_execution(1, "p", 0).unwrap(),
             Some((7, "f".into()))
         );
-    }
-
-    #[test]
-    fn typed_mutations_invalidate_read_caches() {
-        let s = cached_store();
-        s.record_execution(5, "p", 0, 7, "f").unwrap();
-        s.record_index_registry(100, 4, 3, "hist").unwrap();
-        // Warm the read caches.
-        assert!(s.lookup_execution(5, "p", 0).unwrap().is_some());
-        assert!(s.lookup_index_registry(100, 4).unwrap().is_some());
-        // Mutations through the statement escape hatch must not leave
-        // the caches serving deleted rows.
-        s.run(&Delete::<ExecutionRow>::all().compile(), &[])
-            .unwrap();
-        assert_eq!(s.lookup_execution(5, "p", 0).unwrap(), None);
-        s.run(&Delete::<IndexRow>::all().compile(), &[]).unwrap();
-        assert_eq!(s.lookup_index_registry(100, 4).unwrap(), None);
     }
 
     #[test]
@@ -1681,37 +1554,6 @@ mod tests {
             s.record_execution(1, "p", 0, 1, "f").unwrap();
         }
         assert_eq!(db_exec_rows(&db), 1);
-    }
-
-    #[test]
-    fn cached_store_registry_and_blocks_cache() {
-        let s = cached_store();
-        s.record_index_registry(100, 4, 3, "hist").unwrap();
-        let b = HistoryBlock {
-            rank: 0,
-            edge_count: 10,
-            node_count: 5,
-            ghost_count: 1,
-            file_offset: 0,
-            byte_len: 64,
-        };
-        s.record_history_block(100, 4, &b).unwrap();
-        s.database().reset_stats();
-        assert_eq!(
-            s.lookup_index_registry(100, 4).unwrap(),
-            Some("hist".into())
-        );
-        assert_eq!(s.lookup_history_block(100, 4, 0).unwrap(), Some(b));
-        let stats = s.database().stats();
-        assert_eq!(
-            stats.index_scans + stats.full_scans,
-            0,
-            "lookups served from cache"
-        );
-        // Deletion invalidates both caches.
-        s.delete_index_registry(100, 4).unwrap();
-        assert_eq!(s.lookup_index_registry(100, 4).unwrap(), None);
-        assert_eq!(s.lookup_history_block(100, 4, 0).unwrap(), None);
     }
 
     #[test]

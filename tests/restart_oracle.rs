@@ -1,0 +1,165 @@
+//! Integration: restart on another process count. A run writes on P
+//! ranks; a later job attaches to it on Q ≠ P ranks with a fresh cyclic
+//! partition and reads every step back. The global arrays it reassembles
+//! must be bit-identical to the ones written, at every file organization
+//! and for P, Q ∈ {1, 2, 3, 4}, and a step never written is `NotWritten`
+//! on every rank.
+
+use std::sync::Arc;
+
+use sdm::core::{CachedStore, OrgLevel, Sdm, SdmConfig, SdmError};
+use sdm::metadb::Database;
+use sdm::mpi::World;
+use sdm::pfs::Pfs;
+use sdm::sim::MachineConfig;
+
+/// No process count divides it: every partition is uneven.
+const GLOBAL: u64 = 29;
+const STEPS: i64 = 3;
+const APP: &str = "restart";
+
+fn pressure(g: u64, t: i64) -> f64 {
+    ((g * 7 + 3) as f64).sqrt() * (t as f64 + 1.5) - g as f64
+}
+
+fn cell(g: u64, t: i64) -> i32 {
+    (g as i32 * 31) ^ (t as i32 * 1_000_003)
+}
+
+fn config(org: OrgLevel) -> SdmConfig {
+    SdmConfig {
+        org,
+        ..SdmConfig::default()
+    }
+}
+
+/// The writer's partition: a contiguous block per rank, listed
+/// backwards so the map is not in file order.
+fn block_map(rank: usize, size: usize) -> Vec<u64> {
+    let chunk = GLOBAL.div_ceil(size as u64);
+    let lo = (rank as u64 * chunk).min(GLOBAL);
+    let hi = (lo + chunk).min(GLOBAL);
+    (lo..hi).rev().collect()
+}
+
+/// The reader's partition: cyclic.
+fn cyclic_map(rank: usize, size: usize) -> Vec<u64> {
+    (rank as u64..GLOBAL).step_by(size).collect()
+}
+
+/// Write `STEPS` steps of both datasets on `p` ranks; return the run id.
+fn write_run(org: OrgLevel, p: usize, pfs: &Arc<Pfs>, db: &Arc<Database>) -> i64 {
+    let store = CachedStore::shared(db);
+    World::run(p, MachineConfig::test_tiny(), |c| {
+        let mut sdm = Sdm::initialize_with(c, pfs, &store, APP, config(org)).unwrap();
+        let g = sdm
+            .group(c)
+            .dataset::<f64>("pressure", GLOBAL)
+            .dataset::<i32>("cell", GLOBAL)
+            .build()
+            .unwrap();
+        let (hp, hc) = (
+            g.handle::<f64>("pressure").unwrap(),
+            g.handle::<i32>("cell").unwrap(),
+        );
+        let map = block_map(c.rank(), c.size());
+        sdm.set_view(c, hp, &map).unwrap();
+        sdm.set_view(c, hc, &map).unwrap();
+        for t in 0..STEPS {
+            let ps: Vec<f64> = map.iter().map(|&g| pressure(g, t)).collect();
+            let cs: Vec<i32> = map.iter().map(|&g| cell(g, t)).collect();
+            let mut step = sdm.timestep(c, t);
+            step.write(hp, &ps).unwrap();
+            step.write(hc, &cs).unwrap();
+            step.commit().unwrap();
+        }
+        let runid = sdm.runid();
+        sdm.finalize(c).unwrap();
+        runid
+    })[0]
+}
+
+/// What one reader rank got: its map, per step its pressure and cell
+/// values in map order, and whether the unwritten step was `NotWritten`.
+type Readback = (Vec<u64>, Vec<Vec<f64>>, Vec<Vec<i32>>, bool);
+
+/// Attach to `runid` on `q` ranks with a cyclic partition and read
+/// every step back, then one step past the last.
+fn read_back(
+    org: OrgLevel,
+    q: usize,
+    runid: i64,
+    pfs: &Arc<Pfs>,
+    db: &Arc<Database>,
+) -> Vec<Readback> {
+    let store = CachedStore::shared(db);
+    World::run(q, MachineConfig::test_tiny(), |c| {
+        let mut sdm = Sdm::attach(c, pfs, &store, APP, runid, config(org)).unwrap();
+        let g = sdm
+            .group(c)
+            .dataset::<f64>("pressure", GLOBAL)
+            .dataset::<i32>("cell", GLOBAL)
+            .attach()
+            .unwrap();
+        let (hp, hc) = (
+            g.handle::<f64>("pressure").unwrap(),
+            g.handle::<i32>("cell").unwrap(),
+        );
+        let map = cyclic_map(c.rank(), c.size());
+        sdm.set_view(c, hp, &map).unwrap();
+        sdm.set_view(c, hc, &map).unwrap();
+        let (mut ps, mut cs) = (Vec::new(), Vec::new());
+        for t in 0..STEPS {
+            let mut p = vec![0.0f64; map.len()];
+            let mut n = vec![0i32; map.len()];
+            sdm.read_handle(c, hp, t, &mut p).unwrap();
+            sdm.read_handle(c, hc, t, &mut n).unwrap();
+            ps.push(p);
+            cs.push(n);
+        }
+        let mut past = vec![0.0f64; map.len()];
+        let unwritten = matches!(
+            sdm.read_handle(c, hp, STEPS, &mut past),
+            Err(SdmError::NotWritten {
+                timestep: STEPS,
+                ..
+            })
+        );
+        sdm.finalize(c).unwrap();
+        (map, ps, cs, unwritten)
+    })
+}
+
+#[test]
+fn restart_on_another_process_count_reads_back_bit_identical_arrays() {
+    for org in OrgLevel::all() {
+        for p in 1..=4 {
+            let pfs = Pfs::new(MachineConfig::test_tiny());
+            let db = Arc::new(Database::new());
+            let runid = write_run(org, p, &pfs, &db);
+            for q in (1..=4).filter(|&q| q != p) {
+                let ranks = read_back(org, q, runid, &pfs, &db);
+                let case = format!("{org:?}, written on {p}, read on {q}");
+                let mut got_p = vec![vec![None; GLOBAL as usize]; STEPS as usize];
+                let mut got_c = vec![vec![None; GLOBAL as usize]; STEPS as usize];
+                for (rank, (map, ps, cs, unwritten)) in ranks.iter().enumerate() {
+                    assert!(unwritten, "{case}: rank {rank} read an unwritten step");
+                    for t in 0..STEPS as usize {
+                        for (i, &g) in map.iter().enumerate() {
+                            got_p[t][g as usize] = Some(ps[t][i].to_bits());
+                            got_c[t][g as usize] = Some(cs[t][i]);
+                        }
+                    }
+                }
+                for t in 0..STEPS {
+                    let want_p: Vec<_> = (0..GLOBAL)
+                        .map(|g| Some(pressure(g, t).to_bits()))
+                        .collect();
+                    let want_c: Vec<_> = (0..GLOBAL).map(|g| Some(cell(g, t))).collect();
+                    assert_eq!(got_p[t as usize], want_p, "{case}: pressure, step {t}");
+                    assert_eq!(got_c[t as usize], want_c, "{case}: cell, step {t}");
+                }
+            }
+        }
+    }
+}

@@ -11,17 +11,21 @@
 //!   lands its execution rows in a single store transaction.
 //! * A scope's commit drains the step's data before the first execution
 //!   row is recorded, and returns with nothing of the step in flight.
+//! * A store error on rank 0 — at group build, commit or read — fails
+//!   every rank, with no rank left waiting.
 
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::time::Duration;
 
 use proptest::prelude::*;
 use sdm::core::schema::ExecutionRow;
 use sdm::core::store::{HistoryBlock, MetadataStore, RunRecord, SharedStore};
 use sdm::core::view::DataView;
-use sdm::core::{OrgLevel, Sdm, SdmConfig, SdmType};
+use sdm::core::{OrgLevel, Sdm, SdmConfig, SdmError, SdmResult, SdmType};
 use sdm::metadb::stmt::{Query, Stmt};
-use sdm::metadb::{Database, DbResult, ResultSet, Value};
-use sdm::mpi::World;
+use sdm::metadb::{Database, DbError, DbResult, ResultSet, Value};
+use sdm::mpi::{Comm, World};
 use sdm::pfs::Pfs;
 use sdm::sim::MachineConfig;
 
@@ -213,20 +217,17 @@ fn scoped_writes_produce_expected_bytes_at_all_levels() {
 #[test]
 fn scoped_timestep_pays_one_sync_and_one_transaction() {
     let nprocs = 2;
-    // Baseline: one scope per dataset pays one sync per dataset write
-    // (per rank).
+    // Baseline: one scope per dataset pays one sync per dataset write.
     let (_, _, per_dataset_syncs) = run(OrgLevel::Level2, nprocs, true);
     assert_eq!(
         per_dataset_syncs,
-        (nprocs * DATASETS.len()) as u64 * STEPS as u64,
+        DATASETS.len() as u64 * STEPS as u64,
         "one scope per dataset syncs once per dataset write"
     );
-    // One scope per step: exactly one metadata sync per timestep (per
-    // rank)...
+    // One scope per step: exactly one metadata sync per timestep...
     let (_, db, scoped_syncs) = run(OrgLevel::Level2, nprocs, false);
     assert_eq!(
-        scoped_syncs,
-        nprocs as u64 * STEPS as u64,
+        scoped_syncs, STEPS as u64,
         "scoped path must sync exactly once per timestep"
     );
     // ...and exactly one store transaction per timestep: STEPS scope
@@ -250,13 +251,41 @@ fn scoped_timestep_pays_one_sync_and_one_transaction() {
 // Commit order: data drain, then execution rows
 // ---------------------------------------------------------------------
 
+/// The store call a [`RecordingStore`] can be told to refuse.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Refuses {
+    RecordAccessPattern,
+    Flush,
+    LookupExecution,
+}
+
 /// A store that passes everything on and notes, at each
 /// `record_execution`, the timestep and how many PFS writes had been
-/// issued by then.
+/// issued by then — except the call it `refuses`, which fails.
 struct RecordingStore {
     inner: SharedStore,
     pfs: Arc<Pfs>,
     seen: std::sync::Mutex<Vec<(i64, u64)>>,
+    refuses: Option<Refuses>,
+}
+
+impl RecordingStore {
+    fn new(db: &Arc<Database>, pfs: &Arc<Pfs>, refuses: Option<Refuses>) -> Self {
+        RecordingStore {
+            inner: sdm::core::SqlStore::shared(db),
+            pfs: Arc::clone(pfs),
+            seen: Default::default(),
+            refuses,
+        }
+    }
+
+    fn at(&self, call: Refuses) -> DbResult<()> {
+        if self.refuses == Some(call) {
+            Err(DbError::Persist(format!("injected {call:?} failure")))
+        } else {
+            Ok(())
+        }
+    }
 }
 
 impl MetadataStore for RecordingStore {
@@ -284,6 +313,7 @@ impl MetadataStore for RecordingStore {
         access_pattern: &str,
         global_size: i64,
     ) -> DbResult<()> {
+        self.at(Refuses::RecordAccessPattern)?;
         self.inner.record_access_pattern(
             runid,
             dataset,
@@ -312,6 +342,7 @@ impl MetadataStore for RecordingStore {
         dataset: &str,
         timestep: i64,
     ) -> DbResult<Option<(i64, String)>> {
+        self.at(Refuses::LookupExecution)?;
         self.inner.lookup_execution(runid, dataset, timestep)
     }
     fn record_import(
@@ -370,6 +401,7 @@ impl MetadataStore for RecordingStore {
         self.inner.run(stmt, params)
     }
     fn flush(&self) -> DbResult<()> {
+        self.at(Refuses::Flush)?;
         self.inner.flush()
     }
     fn database(&self) -> &Arc<Database> {
@@ -388,11 +420,7 @@ fn commit_drains_the_data_before_it_records_any_row() {
         let nprocs = 2;
         let pfs = Pfs::new(MachineConfig::origin2000());
         let db = Arc::new(Database::new());
-        let recording = Arc::new(RecordingStore {
-            inner: sdm::core::SqlStore::shared(&db),
-            pfs: Arc::clone(&pfs),
-            seen: Default::default(),
-        });
+        let recording = Arc::new(RecordingStore::new(&db, &pfs, None));
         let store: SharedStore = recording.clone();
         let issued_by_step = World::run(nprocs, MachineConfig::origin2000(), {
             let (pfs, store) = (Arc::clone(&pfs), Arc::clone(&store));
@@ -445,6 +473,82 @@ fn commit_drains_the_data_before_it_records_any_row() {
                 issued, issued_by_step[0][t as usize],
                 "org {org:?}: a row of step {t} was recorded with writes of the step still to come"
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// A store error on rank 0 reaches every rank
+// ---------------------------------------------------------------------
+
+/// Build a group, commit one Level-2 step, read it back, finalize.
+fn one_step(c: &mut Comm, pfs: &Arc<Pfs>, store: &SharedStore) -> SdmResult<()> {
+    let cfg = SdmConfig {
+        org: OrgLevel::Level2,
+        ..SdmConfig::default()
+    };
+    let mut sdm = Sdm::initialize_with(c, pfs, store, "faulty", cfg)?;
+    let g = sdm.group(c).dataset::<f64>("p", GLOBAL).build()?;
+    let h = g.handle::<f64>("p")?;
+    let mine: Vec<u64> = (c.rank() as u64..GLOBAL).step_by(c.size()).collect();
+    sdm.set_view(c, h, &mine)?;
+    let mut step = sdm.timestep(c, 0);
+    step.write(h, &vec![1.0; mine.len()])?;
+    step.commit()?;
+    let mut back = vec![0.0; mine.len()];
+    sdm.read_handle(c, h, 0, &mut back)?;
+    sdm.finalize(c)
+}
+
+/// Run [`one_step`] on three ranks over a store that refuses `call`,
+/// failing the test if the world has not returned within 20 s.
+fn run_with_watchdog(call: Refuses) -> Vec<SdmResult<()>> {
+    let (tx, rx) = mpsc::channel();
+    // Not joined on a timeout: a hung world never returns, and the
+    // test reports the hang instead of waiting with it.
+    let world = std::thread::spawn(move || {
+        let pfs = Pfs::new(MachineConfig::test_tiny());
+        let store: SharedStore = Arc::new(RecordingStore::new(
+            &Arc::new(Database::new()),
+            &pfs,
+            Some(call),
+        ));
+        let out = World::run(3, MachineConfig::test_tiny(), |c| one_step(c, &pfs, &store));
+        let _ = tx.send(out);
+    });
+    match rx.recv_timeout(Duration::from_secs(20)) {
+        Ok(out) => out,
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("{call:?} refused: ranks still waiting after 20 s")
+        }
+        Err(RecvTimeoutError::Disconnected) => match world.join() {
+            Err(panic) => std::panic::resume_unwind(panic),
+            Ok(()) => unreachable!("the world thread sends before it ends"),
+        },
+    }
+}
+
+/// A refused build, commit or read fails on rank 0 with the store's
+/// error and on every other rank with rank 0's message — none of them
+/// is left waiting at a collective rank 0 never enters.
+#[test]
+fn a_store_error_on_rank_0_fails_every_rank_without_a_hang() {
+    for call in [
+        Refuses::RecordAccessPattern,
+        Refuses::Flush,
+        Refuses::LookupExecution,
+    ] {
+        let out = run_with_watchdog(call);
+        let message = match &out[0] {
+            Err(e @ SdmError::Db(_)) => e.to_string(),
+            other => panic!("{call:?} refused: rank 0 returned {other:?}"),
+        };
+        assert!(message.contains(&format!("injected {call:?} failure")));
+        for (rank, got) in out.iter().enumerate().skip(1) {
+            match got {
+                Err(SdmError::Root(m)) if *m == message => {}
+                other => panic!("{call:?} refused: rank {rank} returned {other:?}"),
+            }
         }
     }
 }
