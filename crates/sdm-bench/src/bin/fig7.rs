@@ -87,15 +87,10 @@ fn main() {
                 "p={procs}: SDM must significantly beat the original"
             );
         }
-        // Level 1's p opens and p closes per file are its only cost that
-        // grows with p; below half the paper's size they outweigh the
-        // data at 64 processes.
-        if args.scale >= 0.5 {
-            assert!(
-                (sdm1 - sdm23).abs() / sdm1 < 0.35,
-                "p={procs}: levels should be close on the Origin2000 model"
-            );
-        }
+        assert!(
+            (sdm1 - sdm23).abs() / sdm1 < 0.35,
+            "p={procs}: levels should be close on the Origin2000 model"
+        );
     }
     if proc_counts.len() == 2 {
         let bw32 = get("sdm-Level 2/3-32");
@@ -109,14 +104,8 @@ fn main() {
             "64 procs must be slower than 32 for the same data"
         );
     }
-    if args.scale >= 0.5 {
-        println!("PASS: SDM >> original; L1 ~ L2/3; BW(64) < BW(32)");
-    } else {
-        println!(
-            "PASS: SDM {} original; BW(64) < BW(32). NOTE: fixed open/close costs \
-             dominate at scale {}; rerun with --scale 0.5 to check L1 ~ L2/3.",
-            if args.scale >= 0.2 { ">>" } else { ">" },
-            args.scale
-        );
-    }
+    println!(
+        "PASS: SDM {} original; L1 ~ L2/3; BW(64) < BW(32)",
+        if args.scale >= 0.2 { ">>" } else { ">" }
+    );
 }

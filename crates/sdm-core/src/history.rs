@@ -32,6 +32,7 @@
 //! misses, drops the registration, and the run distributes afresh and
 //! may register again.
 
+use sdm_mpi::io::MpiFile;
 use sdm_mpi::Comm;
 
 use crate::error::{SdmError, SdmResult};
@@ -258,8 +259,8 @@ impl Sdm {
         // A file left by an earlier registration (invalidated since, or
         // of an older format) may be longer than what is about to be
         // written; start from nothing rather than leave its tail behind.
-        // Rank 0 is the head of the scan's chain, so no rank leaves the
-        // scan, let alone opens the file, before the old one is gone.
+        // Rank 0 deletes it before it opens the new one, and no rank
+        // takes a handle before rank 0's open.
         let name = self.history_file_name(problem_size, nprocs);
         if comm.rank() == 0 && self.pfs.exists(&name) {
             let t = self.pfs.delete(&name, comm.now())?;
@@ -267,10 +268,11 @@ impl Sdm {
         }
         let my_off = comm.exscan_sum(&[my_len])[0];
 
-        let (file, t) = self.pfs.open_or_create(&name, comm.now())?;
-        comm.sync_to(t);
+        let file = MpiFile::open_collective(comm, &self.pfs, &name, true)?;
         // "the partitioned edges are asynchronously written"
-        let (caller_t, _bg_t) = self.pfs.write_at_async(&file, my_off, &block, comm.now())?;
+        let (caller_t, _bg_t) =
+            self.pfs
+                .write_at_async(file.pfs_file(), my_off, &block, comm.now())?;
         comm.sync_to(caller_t);
 
         // Rank 0 stores the registry row + every rank's block metadata.
@@ -373,8 +375,13 @@ impl Sdm {
             return Ok(None);
         }
 
-        // Read and validate my block; any rank's failure aborts for all.
+        // Open the file once for all ranks (a missing one fails every
+        // rank), then read and validate my block; any rank's failure
+        // aborts for all.
+        let opened = MpiFile::open_collective(comm, &self.pfs, &name, false);
         let attempt: SdmResult<PartitionedIndex> = (|| {
+            let opened = opened?;
+            let file = opened.pfs_file();
             let row = table
                 .chunks_exact(ROW)
                 .nth(comm.rank())
@@ -382,8 +389,6 @@ impl Sdm {
                 .ok_or_else(|| {
                     SdmError::BadHistory(format!("no block row for rank {}", comm.rank()))
                 })?;
-            let (file, t) = self.pfs.open(&name, comm.now())?;
-            comm.sync_to(t);
             // The row is the database's word; size nothing by it that
             // the file does not hold.
             let span = u64::try_from(row[3])
@@ -394,9 +399,7 @@ impl Sdm {
                 return Err(bad("block row points outside the file"));
             };
             let mut buf = vec![0u8; len as usize];
-            let t = self
-                .pfs
-                .read_exact_at(&file, offset, &mut buf, comm.now())?;
+            let t = self.pfs.read_exact_at(file, offset, &mut buf, comm.now())?;
             comm.sync_to(t);
             let pi = decode_block(&buf)?;
             let counts = [

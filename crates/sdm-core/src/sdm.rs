@@ -447,14 +447,17 @@ impl Sdm {
         Ok(())
     }
 
+    /// Open `file_name` collectively unless this group holds it open
+    /// already; `create` for a write, never for a read.
     pub(crate) fn open_cached(
         &mut self,
         comm: &mut Comm,
         h: GroupHandle,
         file_name: &str,
+        create: bool,
     ) -> SdmResult<()> {
         if !self.group_at(h)?.open_files.contains_key(file_name) {
-            let f = MpiFile::open_collective(comm, &self.pfs, file_name, true)?;
+            let f = MpiFile::open_collective(comm, &self.pfs, file_name, create)?;
             self.group_at_mut(h)?
                 .open_files
                 .insert(file_name.to_string(), f);
@@ -536,7 +539,9 @@ impl Sdm {
             });
         };
         let file_name = hit.name;
-        self.open_cached(comm, s.group_handle(), &file_name)?;
+        // A file the row names but the file system lacks is `NotFound`
+        // on every rank, and nothing is created in its place.
+        self.open_cached(comm, s.group_handle(), &file_name, false)?;
         let ftype = {
             let view = self.slot_view(s)?;
             if view.len() != out.len() {

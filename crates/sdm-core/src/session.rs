@@ -276,7 +276,7 @@ struct Staged {
 /// 2. one drain: every file written is waited for
 ///    (`MpiFile::sync`), so that **no metadata row exists before the
 ///    bytes it names are at the servers**, whether the store buffers
-///    rows or not;
+///    rows or not; a Level-1 file is closed as soon as it is drained;
 /// 3. one `execution_table` insert per dataset on rank 0, flushed as a
 ///    **single store transaction**;
 /// 4. exactly **one** metadata round trip, charged on rank 0, whose
@@ -396,7 +396,7 @@ impl<'a> TimestepScope<'a> {
         let burst = (|| {
             for w in &staged {
                 let (file_name, base) = sdm.alloc_region(w.slot, timestep)?;
-                sdm.open_cached(comm, w.slot.group_handle(), &file_name)?;
+                sdm.open_cached(comm, w.slot.group_handle(), &file_name, true)?;
                 let ftype = sdm.slot_view(w.slot)?.ftype.clone();
                 let g = sdm.group_at_mut(w.slot.group_handle())?;
                 // analyze:allow(unwrap: open_cached inserted this key and the map is untouched since)
@@ -411,9 +411,16 @@ impl<'a> TimestepScope<'a> {
         // ---- Drain, then the rows: no row names bytes still in flight ----
         // After an error too: what was begun did land, and its rows keep
         // it reachable, so at most the failing dataset is without
-        // metadata.
+        // metadata. A Level-1 file is dedicated to this (dataset, step):
+        // it closes as soon as it is drained, and `close` syncs it.
+        let close_each = sdm.cfg.org.opens_per_timestep();
         for (slot, file_name, _) in &written {
-            if let Some(f) = sdm.group_at(slot.group_handle())?.open_files.get(file_name) {
+            let files = &mut sdm.group_at_mut(slot.group_handle())?.open_files;
+            if close_each {
+                if let Some(f) = files.remove(file_name) {
+                    f.close(comm);
+                }
+            } else if let Some(f) = files.get(file_name) {
                 f.sync(comm);
             }
         }
@@ -435,19 +442,6 @@ impl<'a> TimestepScope<'a> {
         });
         burst.and(landed)?;
         comm.barrier();
-        if sdm.cfg.org.opens_per_timestep() {
-            // Level 1: dedicated per-(dataset, timestep) files, close
-            // them now that the step is done.
-            for (slot, file_name, _) in &written {
-                if let Some(f) = sdm
-                    .group_at_mut(slot.group_handle())?
-                    .open_files
-                    .remove(file_name)
-                {
-                    f.close(comm);
-                }
-            }
-        }
         Ok(())
     }
 }

@@ -8,7 +8,7 @@ pub mod view;
 
 use std::sync::Arc;
 
-use sdm_pfs::{Pfs, PfsFile};
+use sdm_pfs::{Pfs, PfsError, PfsFile};
 
 use crate::comm::Comm;
 use crate::datatype::Flattened;
@@ -17,6 +17,11 @@ use crate::pod::{as_bytes, as_bytes_mut, Pod};
 
 pub use hints::Hints;
 pub use view::FileView;
+
+/// Status byte of a collective open, broadcast by rank 0.
+const OPEN_OK: u8 = 0;
+const OPEN_NOT_FOUND: u8 = 1;
+const OPEN_FAILED: u8 = 2;
 
 /// An open MPI file: one per rank, sharing the PFS image.
 ///
@@ -36,22 +41,43 @@ pub struct MpiFile {
 }
 
 impl MpiFile {
-    /// Collective open: every rank of `comm` calls this. Charges each
-    /// rank's open at the (serializing) metadata service and synchronizes,
-    /// like `MPI_File_open` on a real system.
+    /// Collective open: every rank of `comm` calls this. Rank 0 alone
+    /// opens the file at the (serializing) metadata service, charged one
+    /// `open_cost`, and broadcasts a status byte; the other ranks' clocks
+    /// sync to its arrival and they take a handle on the same image
+    /// without asking the service again, as ROMIO does on PVFS2. The
+    /// broadcast orders every rank after the open, so no barrier follows.
+    /// A failed open on rank 0 (`NotFound`, or an injected `OpenFailed`)
+    /// is the same error on every rank.
     pub fn open_collective(
         comm: &mut Comm,
         pfs: &Arc<Pfs>,
         name: &str,
         create: bool,
     ) -> MpiResult<Self> {
-        let (file, t) = if create {
-            pfs.open_or_create(name, comm.now())?
+        let file = if comm.rank() == 0 {
+            let opened = if create {
+                pfs.open_or_create(name, comm.now())
+            } else {
+                pfs.open(name, comm.now())
+            };
+            let status = match &opened {
+                Ok((_, t)) => {
+                    comm.sync_to(*t);
+                    OPEN_OK
+                }
+                Err(PfsError::NotFound(_)) => OPEN_NOT_FOUND,
+                Err(_) => OPEN_FAILED,
+            };
+            comm.bcast_bytes(0, &[status])?;
+            opened?.0
         } else {
-            pfs.open(name, comm.now())?
+            match comm.bcast_bytes(0, &[])?[..] {
+                [OPEN_OK] => pfs.lookup(name)?,
+                [OPEN_NOT_FOUND] => return Err(PfsError::NotFound(name.to_string()).into()),
+                _ => return Err(PfsError::OpenFailed(name.to_string()).into()),
+            }
         };
-        comm.sync_to(t);
-        comm.barrier();
         Ok(Self::new(pfs, file))
     }
 
@@ -176,11 +202,18 @@ impl MpiFile {
         Ok(())
     }
 
-    /// Collective close.
+    /// Collective close: every rank waits for its writes on this handle,
+    /// rank 0 alone closes the file at the metadata service, charged one
+    /// `close_cost`, the other ranks drop their handles, and a barrier
+    /// ends it.
     pub fn close(self, comm: &mut Comm) {
         self.sync(comm);
-        let t = self.pfs.close(&self.file, comm.now());
-        comm.sync_to(t);
+        if comm.rank() == 0 {
+            let t = self.pfs.close(&self.file, comm.now());
+            comm.sync_to(t);
+        } else {
+            self.pfs.release(&self.file);
+        }
         comm.barrier();
     }
 
@@ -197,6 +230,7 @@ mod tests {
     use super::*;
     use crate::comm::World;
     use crate::datatype::Datatype;
+    use crate::error::MpiError;
     use sdm_sim::MachineConfig;
 
     fn pfs() -> Arc<Pfs> {
@@ -220,6 +254,9 @@ mod tests {
                 f.close(c);
             }
         });
+        // Rank 0 alone asked the metadata service.
+        assert_eq!(pfs.counters().get("pfs.opens"), 1);
+        assert_eq!(pfs.counters().get("pfs.closes"), 1);
     }
 
     #[test]
@@ -276,12 +313,14 @@ mod tests {
     #[test]
     fn missing_file_open_fails() {
         let pfs = pfs();
-        World::run(1, MachineConfig::test_tiny(), {
+        let out = World::run(3, MachineConfig::test_tiny(), {
             let pfs = Arc::clone(&pfs);
-            move |c| {
-                assert!(MpiFile::open_collective(c, &pfs, "absent", false).is_err());
-            }
+            move |c| MpiFile::open_collective(c, &pfs, "absent", false).unwrap_err()
         });
+        for e in out {
+            assert_eq!(e, MpiError::Pfs(PfsError::NotFound("absent".into())));
+        }
+        assert!(!pfs.exists("absent"));
     }
 
     #[test]

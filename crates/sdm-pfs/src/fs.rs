@@ -62,7 +62,7 @@ impl Pfs {
     }
 
     /// Open `name`, creating it if absent. Charges the open cost at the
-    /// metadata service (opens from many ranks serialize, which is the
+    /// metadata service (opens of many files serialize, which is the
     /// Level 1 penalty when the open cost is high).
     pub fn open_or_create(&self, name: &str, now: Seconds) -> PfsResult<(PfsFile, Seconds)> {
         if self.faults.open_fails(name) {
@@ -86,15 +86,24 @@ impl Pfs {
         if self.faults.open_fails(name) {
             return Err(PfsError::OpenFailed(name.to_string()));
         }
+        let file = self.lookup(name)?;
+        let t = self.meta.submit(now, self.config.io.open_cost);
+        self.counters.incr("pfs.opens");
+        Ok((file, t))
+    }
+
+    /// A handle on the image of `name`, which another process has just
+    /// opened and told this one about (a collective open's other ranks).
+    /// Not charged and not counted: the metadata service is asked once
+    /// per open, by the process that opened it. `NotFound` if absent.
+    pub fn lookup(&self, name: &str) -> PfsResult<PfsFile> {
         let data = self
             .files
             .read()
             .get(name)
             .cloned()
             .ok_or_else(|| PfsError::NotFound(name.to_string()))?;
-        let t = self.meta.submit(now, self.config.io.open_cost);
-        self.counters.incr("pfs.opens");
-        Ok((PfsFile::new(data), t))
+        Ok(PfsFile::new(data))
     }
 
     /// Close a handle. Charges the close cost.
@@ -102,6 +111,12 @@ impl Pfs {
         file.mark_closed();
         self.counters.incr("pfs.closes");
         self.meta.submit(now, self.config.io.close_cost)
+    }
+
+    /// Close a handle from [`Pfs::lookup`] whose file another process
+    /// closes at the metadata service: not charged and not counted.
+    pub fn release(&self, file: &PfsFile) {
+        file.mark_closed();
     }
 
     /// Charge the cost of installing a file view (`MPI_File_set_view`).
@@ -355,6 +370,23 @@ mod tests {
         fs.open_or_create("nope", 0.0).unwrap();
         assert!(fs.open("nope", 0.0).is_ok());
         assert!(fs.exists("nope"));
+    }
+
+    #[test]
+    fn lookup_shares_the_image_and_costs_nothing() {
+        let fs = Pfs::new(MachineConfig::high_open_cost());
+        assert!(matches!(fs.lookup("l.dat"), Err(PfsError::NotFound(_))));
+        let (f, t) = fs.open_or_create("l.dat", 0.0).unwrap();
+        let g = fs.lookup("l.dat").unwrap();
+        fs.write_at(&f, 0, b"abc", t).unwrap();
+        assert_eq!(g.len(), 3);
+        fs.release(&g);
+        assert!(g.is_closed() && !f.is_closed());
+        assert_eq!(fs.counters().get("pfs.opens"), 1);
+        assert_eq!(fs.counters().get("pfs.closes"), 0);
+        // The metadata service saw one open: the next queues behind it only.
+        let (_, t2) = fs.open_or_create("m.dat", 0.0).unwrap();
+        assert!((t2 - 2.0 * fs.config().io.open_cost).abs() < 1e-9);
     }
 
     #[test]

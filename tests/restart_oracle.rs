@@ -3,14 +3,15 @@
 //! partition and reads every step back. The global arrays it reassembles
 //! must be bit-identical to the ones written, at every file organization
 //! and for P, Q ∈ {1, 2, 3, 4}, and a step never written is `NotWritten`
-//! on every rank.
+//! on every rank. A step whose file has gone is `NotFound` on every rank,
+//! and the read does not create the file.
 
 use std::sync::Arc;
 
 use sdm::core::{CachedStore, OrgLevel, Sdm, SdmConfig, SdmError};
 use sdm::metadb::Database;
-use sdm::mpi::World;
-use sdm::pfs::Pfs;
+use sdm::mpi::{MpiError, World};
+use sdm::pfs::{Pfs, PfsError};
 use sdm::sim::MachineConfig;
 
 /// No process count divides it: every partition is uneven.
@@ -161,5 +162,41 @@ fn restart_on_another_process_count_reads_back_bit_identical_arrays() {
                 }
             }
         }
+    }
+}
+
+/// A read of a step whose file was deleted fails on every rank with the
+/// file system's `NotFound`, and leaves no file at that path: the read
+/// opens without creating.
+#[test]
+fn a_read_of_a_deleted_file_fails_every_rank_and_creates_nothing() {
+    for org in OrgLevel::all() {
+        let pfs = Pfs::new(MachineConfig::test_tiny());
+        let db = Arc::new(Database::new());
+        let runid = write_run(org, 2, &pfs, &db);
+        let file = org.file_name(APP, 0, "pressure", 0);
+        pfs.delete(&file, 0.0).unwrap();
+        let store = CachedStore::shared(&db);
+        let got = World::run(2, MachineConfig::test_tiny(), |c| {
+            let mut sdm = Sdm::attach(c, &pfs, &store, APP, runid, config(org)).unwrap();
+            let g = sdm
+                .group(c)
+                .dataset::<f64>("pressure", GLOBAL)
+                .dataset::<i32>("cell", GLOBAL)
+                .attach()
+                .unwrap();
+            let hp = g.handle::<f64>("pressure").unwrap();
+            let map = cyclic_map(c.rank(), c.size());
+            sdm.set_view(c, hp, &map).unwrap();
+            let mut p = vec![0.0f64; map.len()];
+            sdm.read_handle(c, hp, 0, &mut p)
+        });
+        for (rank, r) in got.iter().enumerate() {
+            assert!(
+                matches!(r, Err(SdmError::Mpi(MpiError::Pfs(PfsError::NotFound(n)))) if *n == file),
+                "{org:?}: rank {rank} read a deleted file: {r:?}"
+            );
+        }
+        assert!(!pfs.exists(&file), "{org:?}: the read created {file}");
     }
 }

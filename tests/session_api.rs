@@ -10,9 +10,11 @@
 //!   one metadata sync per timestep instead of one per dataset and
 //!   lands its execution rows in a single store transaction.
 //! * A scope's commit drains the step's data before the first execution
-//!   row is recorded, and returns with nothing of the step in flight.
-//! * A store error on rank 0 — at group build, commit or read — fails
-//!   every rank, with no rank left waiting.
+//!   row is recorded, and returns with nothing of the step in flight; a
+//!   Level-1 commit closes each file inside that drain.
+//! * A store error on rank 0 — at group build, commit or read — and an
+//!   open the file system refuses fail every rank, with no rank left
+//!   waiting.
 
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
@@ -25,8 +27,8 @@ use sdm::core::view::DataView;
 use sdm::core::{OrgLevel, Sdm, SdmConfig, SdmError, SdmResult, SdmType};
 use sdm::metadb::stmt::{Query, Stmt};
 use sdm::metadb::{Database, DbError, DbResult, ResultSet, Value};
-use sdm::mpi::{Comm, World};
-use sdm::pfs::Pfs;
+use sdm::mpi::{Comm, MpiError, World};
+use sdm::pfs::{FaultPlan, Pfs, PfsError};
 use sdm::sim::MachineConfig;
 
 // ---------------------------------------------------------------------
@@ -500,26 +502,21 @@ fn one_step(c: &mut Comm, pfs: &Arc<Pfs>, store: &SharedStore) -> SdmResult<()> 
     sdm.finalize(c)
 }
 
-/// Run [`one_step`] on three ranks over a store that refuses `call`,
-/// failing the test if the world has not returned within 20 s.
-fn run_with_watchdog(call: Refuses) -> Vec<SdmResult<()>> {
+/// Run [`one_step`] on three ranks over `pfs` and `store`, failing the
+/// test (`what` names the fault) if the world has not returned within
+/// 20 s.
+fn run_with_watchdog(what: String, pfs: Arc<Pfs>, store: SharedStore) -> Vec<SdmResult<()>> {
     let (tx, rx) = mpsc::channel();
     // Not joined on a timeout: a hung world never returns, and the
     // test reports the hang instead of waiting with it.
     let world = std::thread::spawn(move || {
-        let pfs = Pfs::new(MachineConfig::test_tiny());
-        let store: SharedStore = Arc::new(RecordingStore::new(
-            &Arc::new(Database::new()),
-            &pfs,
-            Some(call),
-        ));
         let out = World::run(3, MachineConfig::test_tiny(), |c| one_step(c, &pfs, &store));
         let _ = tx.send(out);
     });
     match rx.recv_timeout(Duration::from_secs(20)) {
         Ok(out) => out,
         Err(RecvTimeoutError::Timeout) => {
-            panic!("{call:?} refused: ranks still waiting after 20 s")
+            panic!("{what}: ranks still waiting after 20 s")
         }
         Err(RecvTimeoutError::Disconnected) => match world.join() {
             Err(panic) => std::panic::resume_unwind(panic),
@@ -538,7 +535,13 @@ fn a_store_error_on_rank_0_fails_every_rank_without_a_hang() {
         Refuses::Flush,
         Refuses::LookupExecution,
     ] {
-        let out = run_with_watchdog(call);
+        let pfs = Pfs::new(MachineConfig::test_tiny());
+        let store = Arc::new(RecordingStore::new(
+            &Arc::new(Database::new()),
+            &pfs,
+            Some(call),
+        ));
+        let out = run_with_watchdog(format!("{call:?} refused"), pfs, store);
         let message = match &out[0] {
             Err(e @ SdmError::Db(_)) => e.to_string(),
             other => panic!("{call:?} refused: rank 0 returned {other:?}"),
@@ -551,4 +554,78 @@ fn a_store_error_on_rank_0_fails_every_rank_without_a_hang() {
             }
         }
     }
+}
+
+/// An open the file system refuses fails the commit on every rank, with
+/// the same error and no rank left waiting: rank 0 alone asks the
+/// metadata service and broadcasts the outcome.
+#[test]
+fn a_refused_collective_open_fails_every_rank_without_a_hang() {
+    let file = OrgLevel::Level2.file_name("faulty", 0, "p", 0);
+    let pfs = Pfs::with_faults(
+        MachineConfig::test_tiny(),
+        FaultPlan::none().fail_open(file.clone()),
+    );
+    let store = sdm::core::SqlStore::shared(&Arc::new(Database::new()));
+    let out = run_with_watchdog(format!("opening {file} refused"), pfs, store);
+    for (rank, got) in out.iter().enumerate() {
+        assert!(
+            matches!(got, Err(SdmError::Mpi(MpiError::Pfs(PfsError::OpenFailed(n)))) if *n == file),
+            "rank {rank} returned {got:?}"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// A Level-1 commit closes its files inside the drain
+// ---------------------------------------------------------------------
+
+/// Eight Level-1 datasets of 32 KB on two ranks: every file closes as
+/// soon as it is drained, so `commit` returns one close, one metadata
+/// round trip and a few message latencies after the servers finish,
+/// not after a close per file.
+#[test]
+fn a_level_1_commit_returns_one_close_and_one_round_trip_after_the_drain() {
+    const N: u64 = 32 * 1024 / 8;
+    let cfg = MachineConfig::origin2000();
+    let slack = cfg.io.close_cost
+        + cfg.io.metadata_cost
+        + 4.0 * (cfg.network.latency + cfg.network.overhead);
+    let pfs = Pfs::new(cfg.clone());
+    let store = sdm::core::CachedStore::shared(&Arc::new(Database::new()));
+    World::run(2, cfg, |c| {
+        let level1 = SdmConfig {
+            org: OrgLevel::Level1,
+            ..SdmConfig::default()
+        };
+        let mut sdm = Sdm::initialize_with(c, &pfs, &store, "drain", level1).unwrap();
+        let names: Vec<String> = (0..8).map(|d| format!("d{d}")).collect();
+        let mut b = sdm.group(c);
+        for name in &names {
+            b = b.dataset::<f64>(name.as_str(), N);
+        }
+        let g = b.build().unwrap();
+        let mine: Vec<u64> = (c.rank() as u64..N).step_by(c.size()).collect();
+        let mut handles = Vec::new();
+        for name in &names {
+            let h = g.handle::<f64>(name).unwrap();
+            sdm.set_view(c, h, &mine).unwrap();
+            handles.push(h);
+        }
+        let vals: Vec<f64> = mine.iter().map(|&g| g as f64).collect();
+        let mut step = sdm.timestep(c, 0);
+        for &h in &handles {
+            step.write(h, &vals).unwrap();
+        }
+        step.commit().unwrap();
+        let late = c.now() - pfs.drained_at();
+        assert!(
+            (0.0..=slack).contains(&late),
+            "rank {}: commit returned {:.3} ms after the drain, allowed {:.3} ms",
+            c.rank(),
+            late * 1e3,
+            slack * 1e3
+        );
+        sdm.finalize(c).unwrap();
+    });
 }
