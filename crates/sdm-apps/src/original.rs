@@ -182,12 +182,6 @@ pub fn serialized_write_runs(
     Ok(comm.now() - t0)
 }
 
-/// Equivalence check helper: the original import must produce exactly the
-/// partition SDM's ring produces.
-pub fn partitions_agree(a: &PartitionedIndex, b: &PartitionedIndex) -> bool {
-    a == b
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,7 +203,7 @@ mod tests {
         for (rank, pi) in out.iter().enumerate() {
             let want =
                 Sdm::partition_index_reference(&w.partitioning_vector, &e1, &e2, rank as u32);
-            assert!(partitions_agree(pi, &want), "rank {rank} diverged");
+            assert_eq!(pi, &want, "rank {rank} diverged");
         }
     }
 

@@ -16,13 +16,11 @@
 //! * [`format::Uns3dLayout`] — byte layout of the mesh file: `edge1`,
 //!   `edge2` (i32 each), then edge data arrays (f64), then node data
 //!   arrays (f64), exactly the offsets Figure 3 of the paper computes.
-//! * [`rcm`] — reverse Cuthill-McKee reordering (locality ablation).
 
 pub mod csr;
 pub mod format;
 pub mod gen;
 pub mod mesh;
-pub mod rcm;
 
 pub use csr::CsrGraph;
 pub use format::Uns3dLayout;

@@ -1,11 +1,10 @@
 //! Property tests: mesh invariants across generator parameters, edge
-//! extraction against a reference, format offsets, and RCM permutations.
+//! extraction against a reference, and format offsets.
 
 use proptest::prelude::*;
 use sdm_mesh::gen::{rt_interface_mesh, tet_box, tri_rect};
 use sdm_mesh::mesh::CellKind;
-use sdm_mesh::rcm::{bandwidth, invert, rcm_order};
-use sdm_mesh::{CsrGraph, Uns3dLayout, UnstructuredMesh};
+use sdm_mesh::{Uns3dLayout, UnstructuredMesh};
 use std::collections::BTreeSet;
 
 proptest! {
@@ -70,20 +69,6 @@ proptest! {
             end = off + len;
         }
         prop_assert_eq!(end, l.file_len());
-    }
-
-    #[test]
-    fn rcm_is_permutation_and_helps_on_meshes(nx in 3usize..6, ny in 3usize..6, seed in any::<u64>()) {
-        let m = tet_box(nx, ny, 3, 0.1, seed);
-        let g = CsrGraph::from_edges(m.num_nodes(), &m.edges);
-        let perm = rcm_order(&g);
-        let mut sorted = perm.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(sorted, (0..m.num_nodes() as u32).collect::<Vec<_>>());
-        // RCM bandwidth must not exceed n (sanity) and typically helps on
-        // shuffled numbering; at least require it's computed consistently.
-        let bw = bandwidth(&g, &invert(&perm));
-        prop_assert!(bw < m.num_nodes());
     }
 
     #[test]

@@ -32,14 +32,6 @@ impl Comm {
             .gather_bytes(root, as_bytes(data))?
             .map(|blocks| blocks.iter().map(|b| vec_from_bytes(b)).collect()))
     }
-
-    /// Typed gather that concatenates all ranks' contributions in rank
-    /// order (classic `MPI_Gatherv` into one buffer).
-    pub fn gather_concat<T: Pod>(&mut self, root: usize, data: &[T]) -> MpiResult<Option<Vec<T>>> {
-        Ok(self
-            .gather(root, data)?
-            .map(|blocks| blocks.into_iter().flatten().collect()))
-    }
 }
 
 #[cfg(test)]
@@ -60,15 +52,6 @@ mod tests {
             assert_eq!(b, &vec![r as u32; r]);
         }
         assert!(out[0].is_none() && out[1].is_none() && out[3].is_none());
-    }
-
-    #[test]
-    fn gather_concat_orders_by_rank() {
-        let out = World::run(3, MachineConfig::test_tiny(), |c| {
-            c.gather_concat(0, &[c.rank() as u64 * 10, c.rank() as u64 * 10 + 1])
-                .unwrap()
-        });
-        assert_eq!(out[0], Some(vec![0, 1, 10, 11, 20, 21]));
     }
 
     #[test]

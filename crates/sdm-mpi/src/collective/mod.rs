@@ -1,18 +1,16 @@
 //! Collective operations over [`crate::Comm`].
 //!
 //! All collectives are built from point-to-point messages with the
-//! algorithms MPICH uses at these scales (binomial trees, ring
-//! allgather, pairwise alltoall), so their *virtual cost* scales the way
-//! the paper's MPI did (log p trees, p-step rings). None of them use
-//! wildcard receives, which keeps virtual time deterministic.
+//! algorithms MPICH uses at these scales (binomial trees, pairwise
+//! alltoall), so their *virtual cost* scales the way the paper's MPI did
+//! (log p trees, p − 1 exchange steps). None of them use wildcard receives,
+//! which keeps virtual time deterministic.
 
-pub mod allgather;
 pub mod alltoall;
 pub mod bcast;
 pub mod gather;
 pub mod reduce;
 pub mod scan;
-pub mod scatter;
 
 use crate::pod::Pod;
 

@@ -5,7 +5,6 @@ use std::sync::Arc;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use sdm_sim::stats::Counters;
-use sdm_sim::trace::{EventKind, Trace};
 use sdm_sim::{MachineConfig, Seconds, VClock};
 
 use crate::envelope::{tags, Envelope, Tag};
@@ -74,7 +73,6 @@ pub(crate) struct Shared {
     pub(crate) config: Arc<MachineConfig>,
     barrier: MaxBarrier,
     counters: Counters,
-    trace: Trace,
 }
 
 /// SPMD launcher.
@@ -100,21 +98,11 @@ impl World {
         T: Send,
         F: Fn(&mut Comm) -> T + Sync,
     {
-        Self::run_traced(n, config, Trace::disabled(), f)
-    }
-
-    /// Like [`World::run`] with an externally supplied event trace.
-    pub fn run_traced<T, F>(n: usize, config: MachineConfig, trace: Trace, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(&mut Comm) -> T + Sync,
-    {
         assert!(n > 0, "world needs at least one rank");
         let shared = Arc::new(Shared {
             config: Arc::new(config),
             barrier: MaxBarrier::new(n),
             counters: Counters::new(),
-            trace,
         });
         let mut txs = Vec::with_capacity(n);
         let mut rxs = Vec::with_capacity(n);
@@ -236,11 +224,6 @@ impl Comm {
         &self.shared.counters
     }
 
-    /// World-shared trace.
-    pub fn trace(&self) -> &Trace {
-        &self.shared.trace
-    }
-
     fn check_rank(&self, r: usize) -> MpiResult<()> {
         if r >= self.size {
             return Err(MpiError::InvalidRank {
@@ -269,14 +252,6 @@ impl Comm {
             .counters
             .add("mpi.send_bytes", payload.len() as u64);
         self.shared.counters.incr("mpi.sends");
-        if self.shared.trace.is_enabled() {
-            self.shared.trace.record(
-                depart,
-                self.rank,
-                EventKind::Send,
-                format!("to={dst} tag={tag}"),
-            );
-        }
         self.txs[dst]
             .send(Envelope {
                 src: self.rank,
@@ -332,14 +307,6 @@ impl Comm {
             .counters
             .add("mpi.recv_bytes", env.payload.len() as u64);
         self.shared.counters.incr("mpi.recvs");
-        if self.shared.trace.is_enabled() {
-            self.shared.trace.record(
-                self.clock.now(),
-                self.rank,
-                EventKind::Recv,
-                format!("from={src} tag={tag}"),
-            );
-        }
         Ok(env.payload)
     }
 
@@ -353,33 +320,6 @@ impl Comm {
             });
         }
         Ok(vec_from_bytes(&bytes))
-    }
-
-    /// Typed receive into an existing buffer; the payload must match the
-    /// buffer length exactly.
-    pub fn recv_into<T: Pod>(&mut self, src: usize, tag: Tag, dst: &mut [T]) -> MpiResult<()> {
-        let bytes = self.recv_bytes(src, tag)?;
-        let want = std::mem::size_of_val(dst);
-        if bytes.len() != want {
-            return Err(MpiError::LengthMismatch {
-                expected: want,
-                got: bytes.len(),
-            });
-        }
-        crate::pod::copy_into(&bytes, dst);
-        Ok(())
-    }
-
-    /// Combined send+receive (deadlock-free because sends are eager).
-    pub fn sendrecv<T: Pod>(
-        &mut self,
-        dst: usize,
-        send_data: &[T],
-        src: usize,
-        tag: Tag,
-    ) -> MpiResult<Vec<T>> {
-        self.send(dst, tag, send_data)?;
-        self.recv_vec(src, tag)
     }
 
     /// Barrier: all ranks wait; every clock jumps to the max entry time
@@ -401,19 +341,11 @@ impl Comm {
         self.shared.counters.incr("mpi.barriers");
         t_max + self.shared.config.network.latency
     }
-
-    /// Rendezvous on the max of an arbitrary value (also acts as a
-    /// barrier, but does NOT touch the clock). Used by harnesses to agree
-    /// on wall-clock-style maxima outside the virtual-time model.
-    pub fn rendezvous_max(&self, x: f64) -> f64 {
-        self.shared.barrier.rendezvous_max(x)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::envelope::tags;
 
     fn tiny() -> MachineConfig {
         MachineConfig::test_tiny()
@@ -497,19 +429,6 @@ mod tests {
     }
 
     #[test]
-    fn sendrecv_shifts_along_ring() {
-        let out = World::run(3, tiny(), |c| {
-            let right = (c.rank() + 1) % 3;
-            let left = (c.rank() + 2) % 3;
-            let got = c
-                .sendrecv(right, &[c.rank() as u64], left, tags::SDM_RING)
-                .unwrap();
-            got[0]
-        });
-        assert_eq!(out, vec![2, 0, 1]);
-    }
-
-    #[test]
     fn invalid_rank_is_error() {
         World::run(2, tiny(), |c| {
             let err = c.send(5, 0, &[0u8]).unwrap_err();
@@ -538,22 +457,6 @@ mod tests {
             } else {
                 let err = c.recv_vec::<u32>(0, 3).unwrap_err();
                 assert!(matches!(err, MpiError::LengthMismatch { .. }));
-            }
-        });
-    }
-
-    #[test]
-    fn recv_into_checks_exact_length() {
-        World::run(2, tiny(), |c| {
-            if c.rank() == 0 {
-                c.send(1, 4, &[1u32, 2]).unwrap();
-                c.send(1, 5, &[1u32, 2]).unwrap();
-            } else {
-                let mut buf = [0u32; 2];
-                c.recv_into(0, 4, &mut buf).unwrap();
-                assert_eq!(buf, [1, 2]);
-                let mut small = [0u32; 1];
-                assert!(c.recv_into(0, 5, &mut small).is_err());
             }
         });
     }

@@ -4,7 +4,7 @@
 //! noncontiguous data — the irregular file regions named by a map array —
 //! as derived datatypes, so one collective I/O call moves everything.
 //! This module is the datatype algebra: constructors mirroring
-//! `MPI_Type_contiguous` / `vector` / `indexed` / `create_hindexed`, and
+//! `MPI_Type_contiguous` / `indexed` / `create_resized`, and
 //! [`Datatype::flatten`] which lowers any type to a sorted-by-construction
 //! list of `(byte offset, byte length)` segments with adjacent runs
 //! coalesced — the representation the I/O layer consumes.
@@ -24,18 +24,6 @@ pub enum Datatype {
         /// Inner type.
         inner: Box<Datatype>,
     },
-    /// `count` blocks of `blocklen` inner elements, successive blocks
-    /// separated by `stride` inner extents (like `MPI_Type_vector`).
-    Vector {
-        /// Number of blocks.
-        count: usize,
-        /// Elements per block.
-        blocklen: usize,
-        /// Distance between block starts, in inner extents.
-        stride: usize,
-        /// Inner type.
-        inner: Box<Datatype>,
-    },
     /// Blocks at explicit displacements (in inner extents), each with its
     /// own length (like `MPI_Type_indexed`).
     Indexed {
@@ -43,13 +31,6 @@ pub enum Datatype {
         blocklens: Vec<usize>,
         /// Per-block displacements in inner extents (must be >= 0).
         displs: Vec<u64>,
-        /// Inner type.
-        inner: Box<Datatype>,
-    },
-    /// Blocks at explicit *byte* displacements (like `MPI_Type_create_hindexed`).
-    Hindexed {
-        /// (byte displacement, inner-element count) per block.
-        blocks: Vec<(u64, usize)>,
         /// Inner type.
         inner: Box<Datatype>,
     },
@@ -92,16 +73,6 @@ impl Datatype {
         }
     }
 
-    /// Strided blocks (see [`Datatype::Vector`]).
-    pub fn vector(count: usize, blocklen: usize, stride: usize, inner: Datatype) -> Self {
-        Datatype::Vector {
-            count,
-            blocklen,
-            stride,
-            inner: Box::new(inner),
-        }
-    }
-
     /// Indexed blocks with per-block lengths.
     pub fn indexed(blocklens: Vec<usize>, displs: Vec<u64>, inner: Datatype) -> Self {
         Datatype::Indexed {
@@ -121,14 +92,6 @@ impl Datatype {
         }
     }
 
-    /// Byte-displacement blocks.
-    pub fn hindexed(blocks: Vec<(u64, usize)>, inner: Datatype) -> Self {
-        Datatype::Hindexed {
-            blocks,
-            inner: Box::new(inner),
-        }
-    }
-
     /// Override the extent (tiling period).
     pub fn resized(extent: u64, inner: Datatype) -> Self {
         Datatype::Resized {
@@ -142,18 +105,9 @@ impl Datatype {
         match self {
             Datatype::Elementary(s) => *s as u64,
             Datatype::Contiguous { count, inner } => *count as u64 * inner.size(),
-            Datatype::Vector {
-                count,
-                blocklen,
-                inner,
-                ..
-            } => *count as u64 * *blocklen as u64 * inner.size(),
             Datatype::Indexed {
                 blocklens, inner, ..
             } => blocklens.iter().map(|&b| b as u64).sum::<u64>() * inner.size(),
-            Datatype::Hindexed { blocks, inner } => {
-                blocks.iter().map(|&(_, c)| c as u64).sum::<u64>() * inner.size()
-            }
             Datatype::Resized { inner, .. } => inner.size(),
         }
     }
@@ -164,18 +118,6 @@ impl Datatype {
         match self {
             Datatype::Elementary(s) => *s as u64,
             Datatype::Contiguous { count, inner } => *count as u64 * inner.extent(),
-            Datatype::Vector {
-                count,
-                blocklen,
-                stride,
-                inner,
-            } => {
-                if *count == 0 {
-                    0
-                } else {
-                    ((*count as u64 - 1) * *stride as u64 + *blocklen as u64) * inner.extent()
-                }
-            }
             Datatype::Indexed {
                 blocklens,
                 displs,
@@ -186,14 +128,6 @@ impl Datatype {
                     .iter()
                     .zip(blocklens)
                     .map(|(&d, &b)| (d + b as u64) * ie)
-                    .max()
-                    .unwrap_or(0)
-            }
-            Datatype::Hindexed { blocks, inner } => {
-                let ie = inner.extent();
-                blocks
-                    .iter()
-                    .map(|&(d, c)| d + c as u64 * ie)
                     .max()
                     .unwrap_or(0)
             }
@@ -249,25 +183,6 @@ impl Datatype {
                 }
                 Ok(())
             }
-            Datatype::Vector {
-                count,
-                blocklen,
-                stride,
-                inner,
-            } => {
-                let ie = inner.extent();
-                for i in 0..*count {
-                    let bstart = base + i as u64 * *stride as u64 * ie;
-                    if let Datatype::Elementary(s) = **inner {
-                        segs.push((bstart, *blocklen as u64 * s as u64));
-                    } else {
-                        for j in 0..*blocklen {
-                            inner.emit(bstart + j as u64 * ie, segs)?;
-                        }
-                    }
-                }
-                Ok(())
-            }
             Datatype::Indexed {
                 blocklens,
                 displs,
@@ -287,20 +202,6 @@ impl Datatype {
                         segs.push((bstart, b as u64 * s as u64));
                     } else {
                         for j in 0..b {
-                            inner.emit(bstart + j as u64 * ie, segs)?;
-                        }
-                    }
-                }
-                Ok(())
-            }
-            Datatype::Hindexed { blocks, inner } => {
-                let ie = inner.extent();
-                for &(d, c) in blocks {
-                    let bstart = base + d;
-                    if let Datatype::Elementary(s) = **inner {
-                        segs.push((bstart, c as u64 * s as u64));
-                    } else {
-                        for j in 0..c {
                             inner.emit(bstart + j as u64 * ie, segs)?;
                         }
                     }
@@ -379,25 +280,6 @@ mod tests {
     }
 
     #[test]
-    fn vector_layout() {
-        // 3 blocks of 2 doubles every 4 doubles: |XX..|XX..|XX|
-        let t = Datatype::vector(3, 2, 4, Datatype::double());
-        let f = t.flatten().unwrap();
-        assert_eq!(f.segments, vec![(0, 16), (32, 16), (64, 16)]);
-        assert_eq!(f.size, 48);
-        assert_eq!(f.extent, (2 * 4 + 2) * 8);
-        assert_eq!(f.hole_count(), 2);
-    }
-
-    #[test]
-    fn vector_with_stride_equal_blocklen_coalesces() {
-        let t = Datatype::vector(4, 2, 2, Datatype::int32());
-        let f = t.flatten().unwrap();
-        assert_eq!(f.segments, vec![(0, 32)]);
-        assert!(f.is_contiguous());
-    }
-
-    #[test]
     fn indexed_blocks() {
         let t = Datatype::indexed(vec![2, 1], vec![1, 5], Datatype::double());
         let f = t.flatten().unwrap();
@@ -433,18 +315,10 @@ mod tests {
     }
 
     #[test]
-    fn hindexed_byte_displacements() {
-        let t = Datatype::hindexed(vec![(4, 2), (20, 1)], Datatype::int32());
-        let f = t.flatten().unwrap();
-        assert_eq!(f.segments, vec![(4, 8), (20, 4)]);
-        assert_eq!(f.extent, 24);
-    }
-
-    #[test]
-    fn nested_contiguous_of_vector() {
-        // 2 x (vector of 2 blocks of 1 int every 2): |X.X|X.X|
-        let v = Datatype::vector(2, 1, 2, Datatype::int32());
-        // The vector's extent is ((2-1)*2+1)*4 = 12 bytes, so the second
+    fn nested_contiguous_of_indexed() {
+        // 2 x (ints 0 and 2 of three): |X.X|X.X|
+        let v = Datatype::indexed_block(1, vec![0, 2], Datatype::int32());
+        // The indexed type's extent is (2+1)*4 = 12 bytes, so the second
         // instance starts at byte 12: segments at 0, 8, 12, 20 — and the
         // adjacent pair (8,4)+(12,4) coalesces into (8,8).
         let t = Datatype::contiguous(2, v);

@@ -21,20 +21,10 @@ pub mod tags {
     pub const REDUCE: Tag = INTERNAL_TAG_BASE + 2;
     /// Gather to root.
     pub const GATHER: Tag = INTERNAL_TAG_BASE + 3;
-    /// Scatter from root.
-    pub const SCATTER: Tag = INTERNAL_TAG_BASE + 4;
-    /// Ring allgather steps.
-    pub const ALLGATHER: Tag = INTERNAL_TAG_BASE + 5;
     /// Pairwise alltoall exchange.
     pub const ALLTOALL: Tag = INTERNAL_TAG_BASE + 6;
     /// Scan chain.
     pub const SCAN: Tag = INTERNAL_TAG_BASE + 7;
-    /// Two-phase I/O: rank -> aggregator requests/data.
-    pub const TWOPHASE_FWD: Tag = INTERNAL_TAG_BASE + 8;
-    /// Two-phase I/O: aggregator -> rank data.
-    pub const TWOPHASE_BWD: Tag = INTERNAL_TAG_BASE + 9;
-    /// Barrier fan-in/fan-out (used by the message-based fallback).
-    pub const BARRIER: Tag = INTERNAL_TAG_BASE + 10;
     /// SDM ring-pipelined index distribution.
     pub const SDM_RING: Tag = INTERNAL_TAG_BASE + 11;
     /// Rank-finished notification, sent to every peer when a rank's
@@ -68,13 +58,8 @@ mod tests {
             tags::BCAST,
             tags::REDUCE,
             tags::GATHER,
-            tags::SCATTER,
-            tags::ALLGATHER,
             tags::ALLTOALL,
             tags::SCAN,
-            tags::TWOPHASE_FWD,
-            tags::TWOPHASE_BWD,
-            tags::BARRIER,
             tags::SDM_RING,
         ];
         for (i, a) in all.iter().enumerate() {

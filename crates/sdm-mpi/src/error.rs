@@ -27,8 +27,6 @@ pub enum MpiError {
     Pfs(PfsError),
     /// Datatype/view construction error.
     InvalidDatatype(String),
-    /// Collective called with inconsistent arguments across ranks.
-    CollectiveMismatch(String),
 }
 
 impl fmt::Display for MpiError {
@@ -49,7 +47,6 @@ impl fmt::Display for MpiError {
             }
             MpiError::Pfs(e) => write!(f, "file system: {e}"),
             MpiError::InvalidDatatype(s) => write!(f, "invalid datatype: {s}"),
-            MpiError::CollectiveMismatch(s) => write!(f, "collective mismatch: {s}"),
         }
     }
 }

@@ -106,11 +106,6 @@ impl FileView {
         }
         out
     }
-
-    /// Total visible bytes per tile (0 means contiguous/unbounded).
-    pub fn tile_size(&self) -> u64 {
-        self.ftype.size
-    }
 }
 
 #[cfg(test)]

@@ -9,11 +9,10 @@
 //!
 //! * [`World::run`] — SPMD launch of `n` ranks.
 //! * [`Comm`] — point-to-point `send`/`recv` (typed, eager, FIFO per
-//!   source), nonblocking handles, and the collectives SDM uses:
-//!   barrier, bcast, reduce, allreduce, gather(v), allgather(v),
-//!   scatter(v), alltoall(v), exclusive scan.
-//! * [`datatype::Datatype`] — derived datatypes (contiguous, vector,
-//!   indexed, hindexed) with flattening + segment coalescing, exactly the
+//!   source) and the collectives SDM uses: barrier, bcast, reduce,
+//!   allreduce, gather(v), alltoall(v), exclusive scan.
+//! * [`datatype::Datatype`] — derived datatypes (contiguous, indexed,
+//!   resized) with flattening + segment coalescing, exactly the
 //!   machinery SDM builds from map arrays for noncontiguous file views.
 //! * [`io::MpiFile`] — file views over a [`sdm_pfs::Pfs`] file,
 //!   independent I/O with **data sieving**, and collective
@@ -32,7 +31,6 @@ pub mod envelope;
 pub mod error;
 pub mod io;
 pub mod pod;
-pub mod request;
 
 pub use comm::{Comm, World};
 pub use datatype::{Datatype, Flattened};

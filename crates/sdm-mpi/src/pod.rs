@@ -63,17 +63,6 @@ pub fn vec_from_bytes<T: Pod>(bytes: &[u8]) -> Vec<T> {
     out
 }
 
-/// Copy bytes over an existing slice of Pod values. Panics if lengths
-/// disagree.
-pub fn copy_into<T: Pod>(bytes: &[u8], dst: &mut [T]) {
-    assert_eq!(
-        bytes.len(),
-        std::mem::size_of_val(dst),
-        "length mismatch in copy_into"
-    );
-    as_bytes_mut(dst).copy_from_slice(bytes);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,14 +95,6 @@ mod tests {
         assert!(as_bytes(&xs).is_empty());
         let back: Vec<u64> = vec_from_bytes(&[]);
         assert!(back.is_empty());
-    }
-
-    #[test]
-    fn copy_into_overwrites() {
-        let src = vec![42u32, 43];
-        let mut dst = vec![0u32; 2];
-        copy_into(as_bytes(&src), &mut dst);
-        assert_eq!(dst, src);
     }
 
     #[test]

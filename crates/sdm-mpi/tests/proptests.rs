@@ -82,18 +82,6 @@ proptest! {
     }
 
     #[test]
-    fn allgather_preserves_blocks(blocks in proptest::collection::vec(proptest::collection::vec(any::<u32>(), 0..20), 1..5)) {
-        let n = blocks.len();
-        let out = World::run(n, MachineConfig::test_tiny(), {
-            let blocks = blocks.clone();
-            move |c| c.allgather(&blocks[c.rank()]).unwrap()
-        });
-        for got in out {
-            prop_assert_eq!(&got, &blocks);
-        }
-    }
-
-    #[test]
     fn alltoallv_is_transpose(n in 1usize..5, seed in any::<u64>()) {
         // blocks[s][d] = f(s, d); after exchange rank d holds f(s, d) from s.
         let out = World::run(n, MachineConfig::test_tiny(), move |c| {

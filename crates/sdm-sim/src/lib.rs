@@ -16,8 +16,6 @@
 //! * [`stats`] — lightweight counters shared across rank threads.
 //! * [`rng`] — small deterministic PRNGs so workloads are reproducible
 //!   without threading `rand` state through every substrate.
-//! * [`trace`] — an optional event trace used by tests and the figure
-//!   harnesses to attribute virtual time to phases.
 //!
 //! Data movement in the workspace is always real (bytes are copied and can
 //! be read back and verified); only *time* is virtual.
@@ -27,7 +25,6 @@ pub mod cost;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use config::MachineConfig;
 pub use cost::{IoModel, NetworkModel};

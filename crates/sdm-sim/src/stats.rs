@@ -1,4 +1,4 @@
-//! Shared counters and simple summaries.
+//! Shared counters.
 //!
 //! Rank threads increment counters concurrently (bytes written, messages
 //! sent, history hits...); harnesses snapshot them to build report rows.
@@ -68,58 +68,6 @@ impl Counters {
     }
 }
 
-/// Summary statistics over a sample of f64s.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of samples.
-    pub n: usize,
-    /// Minimum (0 if empty).
-    pub min: f64,
-    /// Maximum (0 if empty).
-    pub max: f64,
-    /// Arithmetic mean (0 if empty).
-    pub mean: f64,
-    /// Sample standard deviation (0 if n < 2).
-    pub stddev: f64,
-}
-
-impl Summary {
-    /// Compute a summary of `xs`.
-    pub fn of(xs: &[f64]) -> Self {
-        if xs.is_empty() {
-            return Self {
-                n: 0,
-                min: 0.0,
-                max: 0.0,
-                mean: 0.0,
-                stddev: 0.0,
-            };
-        }
-        let n = xs.len();
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut sum = 0.0;
-        for &x in xs {
-            min = min.min(x);
-            max = max.max(x);
-            sum += x;
-        }
-        let mean = sum / n as f64;
-        let var = if n < 2 {
-            0.0
-        } else {
-            xs.iter().map(|&x| (x - mean) * (x - mean)).sum::<f64>() / (n as f64 - 1.0)
-        };
-        Self {
-            n,
-            min,
-            max,
-            mean,
-            stddev: var.sqrt(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,29 +111,5 @@ mod tests {
         c.reset();
         assert_eq!(c.get("a"), 0);
         assert_eq!(c.get("b"), 0);
-    }
-
-    #[test]
-    fn summary_of_empty() {
-        let s = Summary::of(&[]);
-        assert_eq!(s.n, 0);
-        assert_eq!(s.mean, 0.0);
-    }
-
-    #[test]
-    fn summary_basic() {
-        let s = Summary::of(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(s.n, 4);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert!((s.mean - 2.5).abs() < 1e-12);
-        assert!((s.stddev - (5.0f64 / 3.0).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn summary_single_sample_no_stddev() {
-        let s = Summary::of(&[7.0]);
-        assert_eq!(s.stddev, 0.0);
-        assert_eq!(s.mean, 7.0);
     }
 }

@@ -70,79 +70,6 @@ impl VClock {
     }
 }
 
-/// A span of virtual time attributed to a named phase, as reported by the
-/// figure harnesses (e.g. the paper's `index distri.` vs `import` bars).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PhaseSpan {
-    /// Phase label, e.g. `"import"` or `"index-distribution"`.
-    pub phase: String,
-    /// Start of the span.
-    pub start: Seconds,
-    /// End of the span (`end >= start`).
-    pub end: Seconds,
-}
-
-impl PhaseSpan {
-    /// Duration of the span.
-    pub fn duration(&self) -> Seconds {
-        self.end - self.start
-    }
-}
-
-/// Stopwatch over a [`VClock`] for attributing virtual time to phases.
-#[derive(Debug)]
-pub struct PhaseTimer {
-    spans: Vec<PhaseSpan>,
-    open: Option<(String, Seconds)>,
-}
-
-impl Default for PhaseTimer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl PhaseTimer {
-    /// An empty timer.
-    pub fn new() -> Self {
-        Self {
-            spans: Vec::new(),
-            open: None,
-        }
-    }
-
-    /// Begin a phase at the clock's current time, ending any open phase.
-    pub fn begin(&mut self, clock: &VClock, phase: impl Into<String>) {
-        self.end(clock);
-        self.open = Some((phase.into(), clock.now()));
-    }
-
-    /// End the open phase (if any) at the clock's current time.
-    pub fn end(&mut self, clock: &VClock) {
-        if let Some((phase, start)) = self.open.take() {
-            self.spans.push(PhaseSpan {
-                phase,
-                start,
-                end: clock.now(),
-            });
-        }
-    }
-
-    /// All completed spans in order.
-    pub fn spans(&self) -> &[PhaseSpan] {
-        &self.spans
-    }
-
-    /// Total duration attributed to a phase label across all spans.
-    pub fn total(&self, phase: &str) -> Seconds {
-        self.spans
-            .iter()
-            .filter(|s| s.phase == phase)
-            .map(PhaseSpan::duration)
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,39 +106,5 @@ mod tests {
     #[test]
     fn starting_at_rejects_nan() {
         assert!(std::panic::catch_unwind(|| VClock::starting_at(f64::NAN)).is_err());
-    }
-
-    #[test]
-    fn phase_timer_attributes_time() {
-        let mut c = VClock::new();
-        let mut t = PhaseTimer::new();
-        t.begin(&c, "import");
-        c.advance(2.0);
-        t.begin(&c, "index-distribution"); // implicitly ends "import"
-        c.advance(3.0);
-        t.end(&c);
-        assert!((t.total("import") - 2.0).abs() < 1e-12);
-        assert!((t.total("index-distribution") - 3.0).abs() < 1e-12);
-        assert_eq!(t.spans().len(), 2);
-    }
-
-    #[test]
-    fn phase_timer_end_without_begin_is_noop() {
-        let c = VClock::new();
-        let mut t = PhaseTimer::new();
-        t.end(&c);
-        assert!(t.spans().is_empty());
-    }
-
-    #[test]
-    fn phase_timer_same_label_accumulates() {
-        let mut c = VClock::new();
-        let mut t = PhaseTimer::new();
-        for _ in 0..3 {
-            t.begin(&c, "io");
-            c.advance(1.0);
-            t.end(&c);
-        }
-        assert!((t.total("io") - 3.0).abs() < 1e-12);
     }
 }

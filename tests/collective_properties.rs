@@ -47,7 +47,7 @@ proptest! {
         }
     }
 
-    /// allreduce(sum) and allgatherv agree with sequential folds.
+    /// allreduce(sum) agrees with a sequential fold.
     #[test]
     fn reductions_match_reference(
         n in 1usize..5,
@@ -57,21 +57,16 @@ proptest! {
             let vals = vals.clone();
             move |c| {
                 let mine = [vals[c.rank() % 5], vals[(c.rank() + 1) % 5]];
-                let sum = c.allreduce_sum(&mine);
-                let gathered = c.allgather_concat(&mine[..1]).unwrap();
-                (sum, gathered)
+                c.allreduce_sum(&mine)
             }
         });
         let mut want_sum = [0i64; 2];
-        let mut want_gather = Vec::new();
         for r in 0..n {
             want_sum[0] += vals[r % 5];
             want_sum[1] += vals[(r + 1) % 5];
-            want_gather.push(vals[r % 5]);
         }
-        for (sum, gathered) in out {
+        for sum in out {
             prop_assert_eq!(&sum[..], &want_sum[..]);
-            prop_assert_eq!(&gathered, &want_gather);
         }
     }
 }
