@@ -16,7 +16,7 @@
 //!   (`eval_ast(…)`) outside `sdm-metadb/src/eval.rs` and test code;
 //!   hot-path expressions run as compiled instruction-list programs.
 //! * **`wal-ordering`** — no direct filesystem writes in `sdm-metadb`
-//!   outside `wal/` and `persist.rs`.
+//!   outside `wal/`.
 //!
 //! Interprocedural rules (built on [`callgraph`] + [`dataflow`], each
 //! finding carrying a witness chain):

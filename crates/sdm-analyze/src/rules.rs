@@ -181,9 +181,8 @@ pub fn undo_coverage(path: &str, model: &Model) -> Vec<Finding> {
 /// hot path must run as compiled instruction-list programs through
 /// `row_truthy`/`row_value`, which fall back to the walker only when
 /// compilation itself declined; a direct `eval_ast` call site is the
-/// interpreted tree traversal creeping back in. Benchmarks measuring
-/// the walker as a baseline justify themselves with
-/// `// analyze:allow(compiled-eval: …)`.
+/// interpreted tree traversal creeping back in. A caller that needs the
+/// walker anyway justifies itself with `// analyze:allow(compiled-eval: …)`.
 pub fn compiled_eval(path: &str, model: &Model) -> Vec<Finding> {
     // eval.rs owns the walker; integration-test trees exercise it as
     // the equivalence oracle (the proptest suite's whole point).
@@ -224,10 +223,8 @@ pub fn compiled_eval(path: &str, model: &Model) -> Vec<Finding> {
 // --------------------------------------------------------------- wal-ordering
 
 /// Where `sdm-metadb` *is* allowed to touch the filesystem directly: the
-/// WAL storage backends (the durability layer itself) and the snapshot
-/// persistence module (whose save rides the WAL's `write_atomic`).
+/// WAL storage backends (the durability layer itself).
 const WAL_FS_ALLOWLIST_PREFIX: &str = "crates/sdm-metadb/src/wal/";
-const WAL_FS_ALLOWLIST: &[&str] = &["crates/sdm-metadb/src/persist.rs"];
 
 /// `std::fs` free functions that mutate the filesystem. Reads
 /// (`fs::read`, `fs::read_dir`, …) are deliberately absent: recovery and
@@ -249,15 +246,12 @@ const FS_MUTATORS: &[&str] = &[
 const FILE_WRITERS: &[&str] = &["create", "create_new", "options"];
 
 /// Rule `wal-ordering`: no direct filesystem writes in `sdm-metadb`
-/// outside `wal/` and `persist.rs`. Durable state must flow through the
-/// `WalStorage` seam — a stray `fs::write`/`File::create` elsewhere in
-/// the engine is a mutation crash recovery can never replay, silently
-/// breaking the append-before-apply invariant.
+/// outside `wal/`. Durable state must flow through the `WalStorage` seam
+/// — a stray `fs::write`/`File::create` elsewhere in the engine is a
+/// mutation crash recovery can never replay, silently breaking the
+/// append-before-apply invariant.
 pub fn wal_ordering(path: &str, model: &Model) -> Vec<Finding> {
-    if !path.starts_with("crates/sdm-metadb/src/")
-        || path.starts_with(WAL_FS_ALLOWLIST_PREFIX)
-        || WAL_FS_ALLOWLIST.contains(&path)
-    {
+    if !path.starts_with("crates/sdm-metadb/src/") || path.starts_with(WAL_FS_ALLOWLIST_PREFIX) {
         return Vec::new();
     }
     let mut findings = Vec::new();
@@ -288,10 +282,9 @@ pub fn wal_ordering(path: &str, model: &Model) -> Vec<Finding> {
                 file: path.to_string(),
                 line,
                 snippet: model.snippet(line),
-                message: "direct filesystem write inside sdm-metadb but outside wal/ and \
-                          persist.rs; durable mutations must go through the `WalStorage` seam so \
-                          crash recovery can replay them, or justify with \
-                          `// analyze:allow(wal-ordering: …)`"
+                message: "direct filesystem write inside sdm-metadb but outside wal/; durable \
+                          mutations must go through the `WalStorage` seam so crash recovery can \
+                          replay them, or justify with `// analyze:allow(wal-ordering: …)`"
                     .into(),
                 chain: Vec::new(),
             });
@@ -383,9 +376,9 @@ mod tests {
     fn eval_ast_in_tests_or_allowed_is_not_flagged() {
         let test_src = "#[cfg(test)] mod tests { fn t() { eval_ast(e, r, w, p); } }";
         assert!(findings("crates/sdm-metadb/src/exec.rs", test_src).is_empty());
-        let allowed = "fn f() {\n  // analyze:allow(compiled-eval: AST-walk baseline twin)\n  \
+        let allowed = "fn f() {\n  // analyze:allow(compiled-eval: compilation declined)\n  \
                        eval_ast(e, r, w, p);\n}";
-        assert!(findings("crates/sdm-bench/src/bin/bench_metadb.rs", allowed).is_empty());
+        assert!(findings("crates/sdm-metadb/src/exec.rs", allowed).is_empty());
         // Mentions in comments and the definition itself don't count.
         let comment = "fn f() {} // eval_ast(…) is the fallback";
         assert!(findings("crates/sdm-metadb/src/exec.rs", comment).is_empty());
@@ -407,7 +400,6 @@ mod tests {
     fn wal_ordering_exempts_wal_persist_reads_and_tests() {
         let write = "fn f(p: &Path) { fs::write(p, b\"x\").ok(); }";
         assert!(findings("crates/sdm-metadb/src/wal/storage.rs", write).is_empty());
-        assert!(findings("crates/sdm-metadb/src/persist.rs", write).is_empty());
         assert!(findings("crates/sdm-core/src/store.rs", write).is_empty());
         let read = "fn f(p: &Path) { fs::read_to_string(p).ok(); fs::read_dir(p).ok(); }";
         assert!(findings("crates/sdm-metadb/src/table.rs", read).is_empty());

@@ -1310,6 +1310,7 @@ mod tests {
         assert_eq!(stats.parse_misses, 0);
         assert_eq!(stats.parse_hits, 0);
         assert_eq!(stats.sql_texts, 0, "no SQL text entered the engine");
+        assert_eq!(stats.ast_eval_fallbacks, 0, "no predicate walked its AST");
     }
 
     // ---- CachedStore ----

@@ -735,19 +735,6 @@ impl Database {
     pub fn reset_stats(&self) {
         *self.stats.lock() = DbStats::default();
     }
-
-    /// Snapshot of the catalog (persistence).
-    pub(crate) fn catalog_snapshot(&self) -> Catalog {
-        self.catalog.read().clone()
-    }
-
-    /// Replace the catalog (load from disk). Index maps are not
-    /// serialized, so they are rebuilt here before the catalog serves
-    /// its first probe.
-    pub(crate) fn install_catalog(&self, mut c: Catalog) {
-        c.rebuild_indexes();
-        *self.catalog.write() = c;
-    }
 }
 
 #[cfg(test)]
@@ -1198,6 +1185,68 @@ mod tests {
         assert!(!db.is_durable());
         assert!(db.recovery_info().is_none());
         assert!(db.checkpoint().is_err());
+    }
+
+    #[test]
+    fn checkpoint_snapshot_keeps_nulls_and_rebuilds_indexes() {
+        // The snapshot holds index *definitions*, not maps: the reopened
+        // database must rebuild them before its first probe. A NULL
+        // must come back as NULL.
+        let dir = tempfile::tempdir().unwrap();
+        let db = Database::open(dir.path()).unwrap();
+        db.exec("CREATE TABLE t (k INT, b TEXT)", &[]).unwrap();
+        for i in 0..20 {
+            db.exec("INSERT INTO t (k) VALUES (?)", &[Value::Int(i % 4)])
+                .unwrap();
+        }
+        db.exec("CREATE INDEX tk ON t (k)", &[]).unwrap();
+        db.checkpoint().unwrap();
+        drop(db);
+
+        let db = Database::open(dir.path()).unwrap();
+        assert_eq!(db.recovery_info().unwrap().replayed_txs, 0);
+        db.reset_stats();
+        let rs = db.exec("SELECT b FROM t WHERE k = 2", &[]).unwrap();
+        assert_eq!(rs.len(), 5);
+        assert!(rs.rows.iter().all(|r| r[0].is_null()));
+        let s = db.stats();
+        assert_eq!((s.index_scans, s.full_scans, s.rows_scanned), (1, 0, 5));
+    }
+
+    #[test]
+    fn autocommit_costs_one_fsync_and_wal_bytes_independent_of_table_size() {
+        // 64 autocommits of an execution-shaped row, after seeding
+        // `seed` rows: (fsyncs, WAL bytes) they added.
+        fn autocommits(seed: i64) -> (u64, u64) {
+            let (storage, _h) = MemStorage::new();
+            let db = Database::open_with_storage(Box::new(storage)).unwrap();
+            db.exec_batch(&[
+                "CREATE TABLE ex (runid INT, dataset TEXT, timestep INT, off INT, file TEXT)",
+                "CREATE INDEX ex_run ON ex (runid)",
+            ])
+            .unwrap();
+            let insert = "INSERT INTO ex VALUES (?, 'p', ?, ?, 'f.dat')";
+            let row = |runid: i64, t: i64| [runid, t, t * 512].map(Value::Int);
+            db.exec("BEGIN", &[]).unwrap();
+            for t in 0..seed {
+                db.exec(insert, &row(1, t)).unwrap();
+            }
+            db.exec("COMMIT", &[]).unwrap();
+            let (fsyncs, bytes) = (db.stats().wal_fsyncs, db.wal_appended_bytes());
+            for t in 0..64 {
+                db.exec(insert, &row(2, t)).unwrap();
+            }
+            let fsyncs = db.stats().wal_fsyncs - fsyncs;
+            (fsyncs, db.wal_appended_bytes() - bytes)
+        }
+        let (small_fsyncs, small_bytes) = autocommits(10);
+        let (large_fsyncs, large_bytes) = autocommits(5_000);
+        assert_eq!((small_fsyncs, large_fsyncs), (64, 64));
+        assert!(small_bytes > 0);
+        assert_eq!(
+            small_bytes, large_bytes,
+            "WAL bytes per commit grew with the table"
+        );
     }
 
     #[test]

@@ -31,13 +31,12 @@
 //!   ([`stmt::Query`] / [`stmt::Insert`] / [`stmt::Update`] /
 //!   [`stmt::Delete`]) into compiled [`stmt::Stmt`] values that execute
 //!   with zero SQL-text formatting or parsing.
-//! * [`persist`] — JSON snapshot persistence, so metadata survives
-//!   "runs" the way a MySQL server's tables did.
-//! * [`wal`] — **durability**: a write-ahead log with group commit,
-//!   checkpoints, and crash recovery ([`Database::open`] replays the
-//!   log to exactly the last committed transaction), behind a
-//!   [`wal::storage::WalStorage`] trait with fsync'd-file and
-//!   fault-injectable in-memory backends.
+//! * [`wal`] — **durability**, so metadata survives "runs" the way a
+//!   MySQL server's tables did: a write-ahead log with group commit,
+//!   checkpoint snapshots (the one on-disk format), and crash recovery
+//!   ([`Database::open`] replays the log to exactly the last committed
+//!   transaction), behind a [`wal::storage::WalStorage`] trait with
+//!   fsync'd-file and fault-injectable in-memory backends.
 //!
 //! The engine is deliberately small but real: every SDM metadata path
 //! (run registration, offset tracking, import descriptions, index-history
@@ -48,7 +47,6 @@ pub mod db;
 pub mod error;
 pub mod eval;
 pub mod exec;
-pub mod persist;
 pub mod schema;
 pub mod sql;
 pub mod stmt;

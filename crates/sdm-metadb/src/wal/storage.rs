@@ -17,8 +17,7 @@
 //!   through it and recover from every byte prefix of what "survived".
 //!
 //! Every durability-bearing filesystem call in `sdm-metadb` lives in
-//! this file or `persist.rs` — machine-checked by `sdm-analyze` rule
-//! `wal-ordering`.
+//! this file — machine-checked by `sdm-analyze` rule `wal-ordering`.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -54,10 +53,9 @@ pub trait WalStorage: Send + std::fmt::Debug {
 
 /// Write `bytes` to `path` atomically: temp file in the same directory,
 /// fsync, rename over `path`, fsync the directory. A crash at any point
-/// leaves either the old file or the new one, never a torn mix — this
-/// is both the checkpoint-install primitive and the fix for
-/// `Database::save`'s old non-atomic whole-file write.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+/// leaves either the old file or the new one, never a torn mix — the
+/// checkpoint-install primitive.
+fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
     tmp_name.push(".tmp");

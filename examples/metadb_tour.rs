@@ -1,7 +1,8 @@
 //! Tour of the metadata layer: the `MetadataStore` trait over the six
 //! SDM tables, typed statements compiled once (what PR 4 replaced the
 //! stringly SQL surface with), raw SQL at the embedded-engine level,
-//! and snapshot persistence — what MySQL did for the paper's SDM.
+//! and durability: a write-ahead log that a reopened database replays —
+//! what MySQL did for the paper's SDM.
 //!
 //! Run: `cargo run --example metadb_tour`
 
@@ -13,7 +14,8 @@ use sdm::metadb::stmt::{param, Query, TypedColumn};
 use sdm::metadb::{Database, Value};
 
 fn main() {
-    let db = Arc::new(Database::new());
+    let dir = tempfile::tempdir().unwrap();
+    let db = Arc::new(Database::open(dir.path()).unwrap());
     let store = SqlStore::new(Arc::clone(&db));
 
     // The six tables of Figure 4, plus secondary indexes on the hot
@@ -92,16 +94,16 @@ fn main() {
         .is_none());
     println!("history miss for (18M, 32): fresh distribution required");
 
-    // Persistence: metadata must survive across runs.
-    let dir = std::env::temp_dir().join("sdm_metadb_tour.json");
-    db.save(&dir).unwrap();
-    let db2 = Database::load(&dir).unwrap();
+    // Persistence: metadata must survive across runs. Close the
+    // database and reopen its directory; recovery replays the log.
+    drop(store);
+    drop(db);
+    let db2 = Database::open(dir.path()).unwrap();
     let n = db2
         .exec("SELECT * FROM execution_table", &[])
         .unwrap()
         .len();
-    println!("\nreloaded snapshot: {n} execution rows survive");
+    println!("\nreopened database: {n} execution rows survive");
     assert_eq!(n, 6);
-    std::fs::remove_file(&dir).ok();
     println!("OK");
 }

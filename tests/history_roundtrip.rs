@@ -269,7 +269,9 @@ fn truncated_history_file_falls_back_and_deregisters() {
 
 #[test]
 fn metadata_persists_across_database_sessions() {
-    let (w, pfs, db) = world();
+    let (w, pfs, _) = world();
+    let dir = tempfile::tempdir().unwrap();
+    let db = Arc::new(Database::open(dir.path()).unwrap());
     run(
         &w,
         &pfs,
@@ -280,11 +282,10 @@ fn metadata_persists_across_database_sessions() {
             ..Default::default()
         },
     );
-    // Save + reload the DB (a new "MySQL session"), keep the PFS.
-    let dir = tempfile::tempdir().unwrap();
-    let snap = dir.path().join("meta.json");
-    db.save(&snap).unwrap();
-    let db2 = Arc::new(Database::load(&snap).unwrap());
+    // Close and reopen the durable DB (a new "MySQL session"), keep the
+    // PFS.
+    drop(db);
+    let db2 = Arc::new(Database::open(dir.path()).unwrap());
     let out = run(
         &w,
         &pfs,
@@ -297,6 +298,6 @@ fn metadata_persists_across_database_sessions() {
     );
     assert!(
         out.iter().all(|r| r.history_hit),
-        "a reloaded metadata DB must still resolve the history file"
+        "a reopened metadata DB must still resolve the history file"
     );
 }
