@@ -42,7 +42,6 @@ pub const RANKED: &[(&str, &[&str], u32)] = &[
     ("wal_sync", &["lock"], sdm_ranks::WAL_SYNC),
     ("wal_buf", &["lock"], sdm_ranks::WAL_BUF),
     ("stats", &["lock"], sdm_ranks::LEAF),
-    ("plans", &["lock"], sdm_ranks::LEAF),
 ];
 
 /// Look up a ranked lock by field name.

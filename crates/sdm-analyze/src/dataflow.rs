@@ -461,7 +461,7 @@ fn check_call(
                     format!(
                         "upward lock acquisition via call chain: `{}` eventually acquires \
                          `{tlock}` ({}) while `{}` ({}) is held — the ladder runs tx → catalog \
-                         → wal_sync → wal_buf → stats/plans",
+                         → wal_sync → wal_buf → stats",
                         cg.fns[cal].qualified(),
                         sdm_ranks::describe(r),
                         h.lock,

@@ -11,10 +11,9 @@
 //! | 24   | `wal_sync` | `wal_sync.lock()`                 |
 //! | 26   | `wal_buf`  | `wal_buf.lock()`                  |
 //! | 30   | `stats`    | `stats.lock()`                    |
-//! | 30   | `plans`    | `plans.lock()`                    |
 //!
-//! `stats` and `plans` share a rank on purpose: leaves are taken alone,
-//! never nested — under the other leaf or under themselves.
+//! `stats` is the leaf: it is taken alone, never nested — under another
+//! leaf-ranked lock or under itself.
 //!
 //! The guard-scope model (named bindings, statement temporaries,
 //! construct-scrutinee temporaries, early `drop`s) lives in
@@ -49,7 +48,7 @@ pub fn check(path: &str, model: &Model) -> Vec<Finding> {
                     format!(
                         "upward lock acquisition: `{lock}` ({}) acquired while `{}` ({}) is \
                          held — the ladder runs tx → catalog → wal_sync → wal_buf → \
-                         stats/plans",
+                         stats",
                         sdm_ranks::describe(rank),
                         h.lock,
                         sdm_ranks::describe(h.rank),
@@ -95,7 +94,7 @@ mod tests {
     #[test]
     fn sequential_temporaries_pass() {
         assert!(
-            run("self.stats.lock().n += 1; self.plans.lock().insert(k); \
+            run("self.stats.lock().n += 1; self.stats.lock().insert(k); \
                      let c = self.catalog.read(); drop(c); self.tx.lock().take();")
             .is_empty()
         );
@@ -128,9 +127,9 @@ mod tests {
 
     #[test]
     fn leaf_across_leaf_is_flagged() {
-        let f = run("let s = self.stats.lock(); self.plans.lock().get(k);");
+        let f = run("let s = self.stats.lock(); self.stats.lock().get(k);");
         assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("taken alone"));
+        assert!(f[0].message.contains("nested acquisition"));
     }
 
     #[test]
@@ -150,15 +149,15 @@ mod tests {
 
     #[test]
     fn if_let_scrutinee_lives_through_body() {
-        let f = run("if let Some(x) = self.plans.lock().get(k) { self.stats.lock().hits += 1; }");
+        let f = run("if let Some(x) = self.stats.lock().get(k) { self.stats.lock().hits += 1; }");
         assert_eq!(f.len(), 1);
-        assert!(f[0].message.contains("taken alone"));
+        assert!(f[0].message.contains("nested acquisition"));
     }
 
     #[test]
     fn if_let_scrutinee_dies_after_construct() {
         assert!(
-            run("if let Some(x) = self.plans.lock().get(k) { use_it(x); } \
+            run("if let Some(x) = self.stats.lock().get(k) { use_it(x); } \
                  self.stats.lock().hits += 1;")
             .is_empty()
         );
@@ -166,16 +165,16 @@ mod tests {
 
     #[test]
     fn else_chain_extends_scrutinee() {
-        let f = run("if let Some(x) = self.plans.lock().get(k) { a(); } \
+        let f = run("if let Some(x) = self.stats.lock().get(k) { a(); } \
                      else { self.stats.lock().miss += 1; }");
         assert_eq!(f.len(), 1);
     }
 
     #[test]
     fn impure_let_rhs_is_statement_temp() {
-        // The guard in `let cached = self.plans.lock().get(k);` dies at
+        // The guard in `let cached = self.stats.lock().get(k);` dies at
         // the `;` — the binding holds the *result*, not the guard.
-        assert!(run("let cached = self.plans.lock().get(k); self.stats.lock().n += 1;").is_empty());
+        assert!(run("let cached = self.stats.lock().get(k); self.stats.lock().n += 1;").is_empty());
     }
 
     #[test]

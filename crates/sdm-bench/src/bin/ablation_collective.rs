@@ -11,7 +11,7 @@ use sdm_mpi::World;
 use sdm_pfs::Pfs;
 
 fn main() {
-    let args = HarnessArgs::parse(std::env::args().skip(1));
+    let args = HarnessArgs::from_env();
     let cfg = args.machine_config();
     let procs = args.procs.unwrap_or(16);
     let elems_per_rank = ((args.fun3d_nodes() / procs).max(256)) & !1;

@@ -15,7 +15,7 @@ use sdm_mpi::World;
 use sdm_pfs::Pfs;
 
 fn main() {
-    let args = HarnessArgs::parse(std::env::args().skip(1));
+    let args = HarnessArgs::from_env();
     let cfg = args.machine_config();
     let procs = args.procs.unwrap_or(16);
     let w = Fun3dWorkload::new(args.fun3d_nodes(), procs, args.seed);

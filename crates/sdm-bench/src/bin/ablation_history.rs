@@ -10,7 +10,7 @@ use sdm_bench::{aggregate, fresh_world, print_header, HarnessArgs};
 use sdm_mpi::World;
 
 fn main() {
-    let args = HarnessArgs::parse(std::env::args().skip(1));
+    let args = HarnessArgs::from_env();
     let cfg = args.machine_config();
     print_header(
         "Ablation A1: history validity across process counts",

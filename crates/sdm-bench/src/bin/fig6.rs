@@ -16,7 +16,7 @@ use sdm_core::OrgLevel;
 use sdm_mpi::World;
 
 fn main() {
-    let args = HarnessArgs::parse(std::env::args().skip(1));
+    let args = HarnessArgs::from_env();
     let cfg = args.machine_config();
     let procs = args.procs.unwrap_or(64);
     let w = Fun3dWorkload::new(args.fun3d_nodes(), procs, args.seed);

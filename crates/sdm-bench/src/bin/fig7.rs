@@ -14,7 +14,7 @@ use sdm_core::OrgLevel;
 use sdm_mpi::World;
 
 fn main() {
-    let args = HarnessArgs::parse(std::env::args().skip(1));
+    let args = HarnessArgs::from_env();
     let cfg = args.machine_config();
     let proc_counts = match args.procs {
         Some(p) => vec![p],

@@ -12,7 +12,7 @@ use sdm_core::OrgLevel;
 use sdm_mpi::World;
 
 fn main() {
-    let args = HarnessArgs::parse(std::env::args().skip(1));
+    let args = HarnessArgs::from_env();
     let cfg = args.machine_config();
     print_header(
         "Ablation A2: per-process buffer size vs write bandwidth",

@@ -17,7 +17,7 @@ use sdm_mpi::World;
 use sdm_pfs::Pfs;
 
 fn main() {
-    let args = HarnessArgs::parse(std::env::args().skip(1));
+    let args = HarnessArgs::from_env();
     let procs = args.procs.unwrap_or(16);
     let w = Fun3dWorkload::new(args.fun3d_nodes() / 4, procs, args.seed);
     let base = args.machine_config();

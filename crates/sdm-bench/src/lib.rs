@@ -12,6 +12,20 @@ use sdm_metadb::Database;
 use sdm_pfs::Pfs;
 use sdm_sim::MachineConfig;
 
+/// The flags every figure, ablation and sweep bin accepts.
+pub const USAGE: &str =
+    "[--scale S] [--procs N] [--machine origin2000|high-open-cost|test-tiny] [--seed N]";
+
+/// The machine preset named `name`, if there is one.
+fn preset(name: &str) -> Option<MachineConfig> {
+    match name {
+        "origin2000" => Some(MachineConfig::origin2000()),
+        "high-open-cost" => Some(MachineConfig::high_open_cost()),
+        "test-tiny" => Some(MachineConfig::test_tiny()),
+        _ => None,
+    }
+}
+
 /// Common harness arguments (parsed from `--key value` pairs).
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
@@ -19,7 +33,8 @@ pub struct HarnessArgs {
     pub scale: f64,
     /// Process count override (paper defaults per figure otherwise).
     pub procs: Option<usize>,
-    /// Machine preset: "origin2000" (default) or "high-open-cost".
+    /// Machine preset: "origin2000" (default), "high-open-cost" or
+    /// "test-tiny".
     pub machine: String,
     /// RNG seed.
     pub seed: u64,
@@ -37,48 +52,61 @@ impl Default for HarnessArgs {
 }
 
 impl HarnessArgs {
-    /// Parse from `std::env::args`-style strings.
-    pub fn parse(args: impl Iterator<Item = String>) -> Self {
+    /// Parse from `std::env::args`-style strings (program name
+    /// skipped). Rejects an unknown flag, a missing or unparsable value,
+    /// a `--scale` that is not a positive finite number, `--procs 0`
+    /// and an unknown machine name, so a typo never runs the default
+    /// experiment instead.
+    pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut out = Self::default();
-        let argv: Vec<String> = args.collect();
-        let mut i = 0;
-        while i < argv.len() {
-            match argv[i].as_str() {
+        while let Some(flag) = args.next() {
+            if !matches!(
+                flag.as_str(),
+                "--scale" | "--procs" | "--machine" | "--seed"
+            ) {
+                return Err(format!("unknown argument `{flag}`"));
+            }
+            let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            let bad = || format!("{flag} cannot use `{value}`");
+            match flag.as_str() {
                 "--scale" => {
-                    out.scale = argv
-                        .get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(out.scale);
-                    i += 2;
+                    out.scale = value
+                        .parse()
+                        .ok()
+                        .filter(|s: &f64| s.is_finite() && *s > 0.0)
+                        .ok_or_else(bad)?;
                 }
                 "--procs" => {
-                    out.procs = argv.get(i + 1).and_then(|v| v.parse().ok());
-                    i += 2;
+                    out.procs = Some(value.parse().ok().filter(|&p| p > 0).ok_or_else(bad)?);
                 }
                 "--machine" => {
-                    out.machine = argv.get(i + 1).cloned().unwrap_or(out.machine.clone());
-                    i += 2;
+                    if preset(&value).is_none() {
+                        return Err(bad());
+                    }
+                    out.machine = value;
                 }
-                "--seed" => {
-                    out.seed = argv
-                        .get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or(out.seed);
-                    i += 2;
-                }
-                _ => i += 1,
+                _ => out.seed = value.parse().map_err(|_| bad())?,
             }
         }
-        out
+        Ok(out)
     }
 
-    /// Resolve the machine preset.
+    /// Parse the process arguments. On a bad one, print the error and
+    /// the usage line to stderr and exit with status 2.
+    pub fn from_env() -> Self {
+        let mut argv = std::env::args();
+        let bin = argv.next().unwrap_or_default();
+        Self::parse(argv).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            eprintln!("usage: {bin} {USAGE}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Resolve the machine preset ([`HarnessArgs::parse`] admits only
+    /// known names; anything else resolves to `origin2000`).
     pub fn machine_config(&self) -> MachineConfig {
-        match self.machine.as_str() {
-            "high-open-cost" => MachineConfig::high_open_cost(),
-            "test-tiny" => MachineConfig::test_tiny(),
-            _ => MachineConfig::origin2000(),
-        }
+        preset(&self.machine).unwrap_or_else(MachineConfig::origin2000)
     }
 
     /// Paper-scale FUN3D node count times `scale`.
@@ -93,7 +121,7 @@ impl HarnessArgs {
 }
 
 /// Fresh (pfs, metadata store) pair on a machine config. The store is
-/// the default stack: a write-through cache over prepared-statement SQL.
+/// the default stack: a per-timestep batching cache over typed SQL.
 pub fn fresh_world(cfg: &MachineConfig) -> (Arc<Pfs>, SharedStore) {
     (
         Pfs::new(cfg.clone()),
@@ -139,7 +167,7 @@ mod tests {
 
     #[test]
     fn parse_defaults_and_overrides() {
-        let a = HarnessArgs::parse(std::iter::empty());
+        let a = HarnessArgs::parse(std::iter::empty()).unwrap();
         assert_eq!(a.procs, None);
         assert!((a.scale - 1.0 / 32.0).abs() < 1e-12);
         let b = HarnessArgs::parse(
@@ -155,12 +183,38 @@ mod tests {
             ]
             .iter()
             .map(|s| s.to_string()),
-        );
+        )
+        .unwrap();
         assert_eq!(b.scale, 0.5);
         assert_eq!(b.procs, Some(16));
         assert_eq!(b.machine, "high-open-cost");
         assert_eq!(b.seed, 9);
         assert!(b.machine_config().io.open_cost > 0.1);
+    }
+
+    #[test]
+    fn parse_rejects_what_it_cannot_use() {
+        let parse = |argv: &[&str]| HarnessArgs::parse(argv.iter().map(|s| s.to_string()));
+        for argv in [
+            &["--scal", "0.5"][..],
+            &["0.5"],
+            &["--procs"],
+            &["--scale", "0,125"],
+            &["--scale", "0"],
+            &["--scale", "-0.5"],
+            &["--scale", "inf"],
+            &["--scale", "NaN"],
+            &["--procs", "0"],
+            &["--procs", "many"],
+            &["--machine", "origin3000"],
+            &["--seed", "x"],
+        ] {
+            assert!(parse(argv).is_err(), "accepted {argv:?}");
+        }
+        assert_eq!(
+            parse(&["--machine", "test-tiny"]).unwrap().machine,
+            "test-tiny"
+        );
     }
 
     #[test]

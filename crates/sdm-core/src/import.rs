@@ -138,7 +138,7 @@ impl Sdm {
         let mut file_ordered = vec![T::default(); map.len()];
         f.read_all(comm, 0, &mut file_ordered)?;
         comm.counters().incr("sdm.imports");
-        view.to_user_order_nondefault(&file_ordered)
+        view.to_user_order(&file_ordered)
     }
 
     /// `SDM_release_importlist`: drop import descriptors and close the
@@ -158,25 +158,5 @@ impl Sdm {
         }
         self.group_at_mut(h)?.imports.clear();
         Ok(())
-    }
-}
-
-impl crate::view::DataView {
-    /// `to_user_order` without the `Default` bound (uses clone-from-permutation).
-    pub(crate) fn to_user_order_nondefault<T: Copy>(
-        &self,
-        file_ordered: &[T],
-    ) -> SdmResult<Vec<T>> {
-        if file_ordered.len() != self.perm.len() {
-            return Err(SdmError::Usage("length mismatch in to_user_order".into()));
-        }
-        if file_ordered.is_empty() {
-            return Ok(Vec::new());
-        }
-        let mut out = vec![file_ordered[0]; file_ordered.len()];
-        for (k, &p) in self.perm.iter().enumerate() {
-            out[p as usize] = file_ordered[k];
-        }
-        Ok(out)
     }
 }

@@ -51,12 +51,11 @@ relation! {
         /// Run time: minute.
         pub min: i64 => Min,
     }
-    // Both run_table indexes are ordered so the two hot aggregates
-    // become index-edge peeks: `MAX(runid)` reads the last key of
-    // `(runid)`, and "latest run of this application" reads the last
-    // key of the `(application, runid)` bucket for that application —
-    // neither visits a row.
-    ordered {
+    // The two hot aggregates are index-edge peeks: `MAX(runid)` reads
+    // the last key of `(runid)`, and "latest run of this application"
+    // reads the last key of the `(application, runid)` bucket for that
+    // application — neither visits a row.
+    indexes {
         "run_table_runid" on (runid),
         "run_table_app_runid" on (application, runid),
     }
@@ -81,7 +80,6 @@ relation! {
         /// Global element count.
         pub global_size: i64 => GlobalSize,
     }
-    indexes { "access_pattern_runid" on runid }
 }
 
 relation! {
@@ -101,14 +99,12 @@ relation! {
         pub file_name: String => FileName,
     }
     // The hot `(runid, dataset, timestep)` point lookup pins both
-    // composite key columns, so it resolves to one exact bucket of the
-    // ordered index; timestep-window queries (`runid = ? AND timestep
-    // BETWEEN ? AND ?`) walk the same index as an equality-prefix +
-    // range probe, and per-run top-k-by-timestep streams it backwards
-    // with no sort. The hash timestep index keeps the transaction
-    // section's DELETE/UPDATE-by-timestep probes O(1).
-    indexes { "execution_timestep" on timestep }
-    ordered { "execution_runid_timestep" on (runid, timestep) }
+    // composite key columns, so it resolves to one exact bucket;
+    // timestep-window queries (`runid = ? AND timestep BETWEEN ? AND ?`)
+    // walk the same index as an equality-prefix + range probe, per-run
+    // top-k-by-timestep streams it backwards with no sort, and
+    // `execution_history` merge-joins off its `runid` lead.
+    indexes { "execution_runid_timestep" on (runid, timestep) }
 }
 
 relation! {
@@ -130,7 +126,6 @@ relation! {
         /// What the file holds (e.g. `INDEX`).
         pub file_content: String => FileContent,
     }
-    indexes { "import_runid" on runid }
 }
 
 relation! {
@@ -147,9 +142,9 @@ relation! {
         pub registered_file_name: String => RegisteredFileName,
     }
     // Registry lookups key on (problem_size, num_procs): the composite
-    // ordered index answers the exact pair as a point probe and a
+    // index answers the exact pair as a point probe and a
     // problem-size-only query as a prefix walk.
-    ordered { "index_table_psize_procs" on (problem_size, num_procs) }
+    indexes { "index_table_psize_procs" on (problem_size, num_procs) }
 }
 
 relation! {
@@ -173,7 +168,7 @@ relation! {
         /// Byte length of the block.
         pub byte_len: i64 => ByteLen,
     }
-    ordered { "index_history_psize_procs" on (problem_size, num_procs) }
+    indexes { "index_history_psize_procs" on (problem_size, num_procs) }
 }
 
 /// The six tables of the paper's Figure 4, in creation order. Schema
@@ -247,23 +242,23 @@ mod tests {
     #[test]
     fn hot_probe_shapes_have_ordered_composites() {
         // (runid, timestep) lookups and timestep windows ride one
-        // ordered composite on execution_table.
+        // composite on execution_table.
         assert!(ExecutionRow::TABLE
             .indexes
             .iter()
-            .any(|ix| ix.ordered && ix.columns == ["runid", "timestep"]));
+            .any(|ix| ix.columns == ["runid", "timestep"]));
         // MAX(runid) and latest-run-of-application are index-edge peeks.
         assert!(RunRow::TABLE
             .indexes
             .iter()
-            .any(|ix| ix.ordered && ix.columns == ["runid"]));
+            .any(|ix| ix.columns == ["runid"]));
         assert!(RunRow::TABLE
             .indexes
             .iter()
-            .any(|ix| ix.ordered && ix.columns == ["application", "runid"]));
+            .any(|ix| ix.columns == ["application", "runid"]));
         assert!(IndexHistoryRow::TABLE
             .indexes
             .iter()
-            .any(|ix| ix.ordered && ix.columns == ["problem_size", "num_procs"]));
+            .any(|ix| ix.columns == ["problem_size", "num_procs"]));
     }
 }

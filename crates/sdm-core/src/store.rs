@@ -159,10 +159,10 @@ pub trait MetadataStore: Send + Sync {
     /// timestep, file_offset, file_name)` recorded for any of its runs,
     /// run-then-timestep ordered — the paper's cross-table reporting
     /// query (`run_table ⋈ execution_table ON runid`). Both tables
-    /// carry a runid-led ordered index, so the executor serves this as
-    /// a merge join over the two index streams: no per-statement hash
-    /// table, no full scan ([`sdm_metadb::DbStats::join_merge_joins`]
-    /// ticks, `join_hash_builds` does not).
+    /// carry a runid-led index, so the executor serves this as a merge
+    /// join over the two index streams: no full scan
+    /// ([`sdm_metadb::DbStats::join_merge_joins`] ticks, `full_scans`
+    /// does not).
     fn execution_history(&self, application: &str) -> DbResult<Vec<(i64, i64, i64, String)>> {
         let stmt =
             sdm_metadb::stmt_once!(Query::<RunRow>::filter(RunCol::Application.eq(param(0)))
@@ -258,15 +258,13 @@ pub trait MetadataStore: Send + Sync {
     fn run(&self, stmt: &Stmt, params: &[Value]) -> DbResult<ResultSet>;
 
     /// Run arbitrary SQL text through the store: a veneer that parses
-    /// the text into a typed [`Stmt`] per call (through the database's
-    /// plan cache, so the text traffic shows up in `DbStats::sql_texts`
-    /// and `parse_hits`/`parse_misses`) and hands it to
-    /// [`MetadataStore::run`].
+    /// the text into a typed [`Stmt`] per call ([`Database::parse`], so
+    /// the text traffic shows up in `DbStats::parse_misses`) and hands
+    /// it to [`MetadataStore::run`].
     #[deprecated(note = "build a typed `sdm_metadb::stmt::Stmt` and call `run`; \
                 SQL text is re-parsed on every `exec` call")]
     fn exec(&self, sql: &str, params: &[Value]) -> DbResult<ResultSet> {
-        let ps = self.database().prepare(sql)?;
-        self.run(&ps.as_stmt(), params)
+        self.run(&self.database().parse(sql)?, params)
     }
 
     /// Push any buffered writes down to the backing database. A no-op
@@ -390,8 +388,8 @@ impl Hot {
             )
             .select(&BLOCK_COLUMNS)
             .compile(),
-            // The whole key of the ordered (problem_size, num_procs)
-            // index: one range probe returns every rank's row.
+            // The whole key of the (problem_size, num_procs) index: one
+            // probe returns every rank's row.
             Hot::LookupBlocks => Query::<IndexHistoryRow>::filter(
                 IndexHistoryCol::ProblemSize
                     .eq(param(0))
@@ -1096,9 +1094,9 @@ mod tests {
         assert_eq!(hist[0], (1, 0, 0, "f1.dat".to_string()));
         assert_eq!(hist[5], (3, 2, 200, "f3.dat".to_string()));
         // The eq-join is served by a merge over the two runid-led
-        // ordered indexes — never by a per-statement hash build.
+        // indexes — never by a full scan.
         assert_eq!(after.join_merge_joins - before.join_merge_joins, 1);
-        assert_eq!(after.join_hash_builds, before.join_hash_builds);
+        assert_eq!(after.full_scans, before.full_scans);
         assert_eq!(after.ast_eval_fallbacks, before.ast_eval_fallbacks);
     }
 
@@ -1305,11 +1303,9 @@ mod tests {
             s.lookup_execution(1, "p", ts).unwrap();
         }
         let stats = s.database().stats();
-        // Typed statements are compiled ASTs: nothing is ever lexed,
-        // parsed, or even looked up by SQL text.
-        assert_eq!(stats.parse_misses, 0);
-        assert_eq!(stats.parse_hits, 0);
-        assert_eq!(stats.sql_texts, 0, "no SQL text entered the engine");
+        // Typed statements are compiled ASTs: nothing is ever lexed or
+        // parsed.
+        assert_eq!(stats.parse_misses, 0, "no SQL text entered the engine");
         assert_eq!(stats.ast_eval_fallbacks, 0, "no predicate walked its AST");
     }
 
@@ -1407,8 +1403,7 @@ mod tests {
             .unwrap();
         assert_eq!(rs.scalar(), Some(&Value::Int(7)));
         let stats = s.database().stats();
-        assert_eq!(stats.sql_texts, 1, "veneer text must be counted");
-        assert_eq!(stats.parse_misses, 1);
+        assert_eq!(stats.parse_misses, 1, "veneer text must be counted");
         assert!(s.exec("SELEKT nope", &[]).is_err());
     }
 

@@ -127,10 +127,9 @@ impl Catalog {
                 table,
                 index,
                 columns,
-                ordered,
             } => {
                 let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
-                self.get_mut(&table)?.create_index(&index, &cols, ordered)?;
+                self.get_mut(&table)?.create_index(&index, &cols)?;
             }
             Replay::DropIndex { table, index } => {
                 self.get_mut(&table)?.drop_index(&index)?;

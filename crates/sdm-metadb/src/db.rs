@@ -1,8 +1,5 @@
 //! The embedded database connection.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
 use parking_lot::{Mutex, RwLock};
 
 use crate::catalog::Catalog;
@@ -10,7 +7,7 @@ use crate::error::{DbError, DbResult};
 use crate::eval::PlanCell;
 use crate::exec::{execute_mutation, execute_read, DbStats, Outcome};
 use crate::sql::ast::Statement;
-use crate::sql::parse;
+use crate::stmt::Stmt;
 use crate::table::Row;
 use crate::undo::UndoLog;
 use crate::value::Value;
@@ -55,102 +52,13 @@ impl ResultSet {
     }
 }
 
-/// A statement parsed once and executable many times with fresh
-/// parameters — the embedded analogue of `mysql_stmt_prepare`.
-///
-/// Obtained from [`Database::prepare`]; execute with
-/// [`PreparedStatement::execute`] or [`Database::exec_prepared`]. The
-/// parsed AST is shared (`Arc`), so cloning a prepared statement and
-/// caching it across calls is free.
-#[derive(Debug, Clone)]
-pub struct PreparedStatement {
-    sql: Arc<str>,
-    stmt: Arc<Statement>,
-    /// Compiled-expression plan cache, shared with every clone and with
-    /// `as_stmt` views, so the programs survive across executions.
-    cell: Arc<PlanCell>,
-}
-
-impl PreparedStatement {
-    /// The SQL text this statement was prepared from.
-    pub fn sql(&self) -> &str {
-        &self.sql
-    }
-
-    /// The parsed statement.
-    pub fn statement(&self) -> &Statement {
-        &self.stmt
-    }
-
-    /// Execute against `db` with positional parameters.
-    pub fn execute(&self, db: &Database, params: &[Value]) -> DbResult<ResultSet> {
-        db.exec_prepared(self, params)
-    }
-
-    /// View as a typed [`crate::stmt::Stmt`], sharing the parsed AST.
-    /// Text veneers use this so their per-call parses flow through the
-    /// plan cache and are visible in [`DbStats::sql_texts`].
-    pub fn as_stmt(&self) -> crate::stmt::Stmt {
-        crate::stmt::Stmt::from_shared(Arc::clone(&self.stmt), Arc::clone(&self.cell))
-    }
-}
-
-/// Capacity of the per-connection statement cache. SDM's whole metadata
-/// path uses a few dozen distinct statements; 256 leaves room for
-/// layered schemas (containers, reports) without unbounded growth.
-const PLAN_CACHE_CAPACITY: usize = 256;
-
-/// LRU cache of parsed statements keyed by SQL text. The key is also
-/// held as a shared `Arc<str>` so cache hits hand out the text without
-/// re-allocating it.
-#[derive(Debug, Default)]
-struct PlanCache {
-    #[allow(clippy::type_complexity)]
-    entries: HashMap<String, (Arc<str>, Arc<Statement>, Arc<PlanCell>, u64)>,
-    tick: u64,
-}
-
-impl PlanCache {
-    fn get(&mut self, sql: &str) -> Option<(Arc<str>, Arc<Statement>, Arc<PlanCell>)> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.get_mut(sql).map(|(text, stmt, cell, used)| {
-            *used = tick;
-            (Arc::clone(text), Arc::clone(stmt), Arc::clone(cell))
-        })
-    }
-
-    fn insert(&mut self, sql: String, stmt: Arc<Statement>) -> Arc<PlanCell> {
-        self.tick += 1;
-        if self.entries.len() >= PLAN_CACHE_CAPACITY {
-            // Evict the least-recently-used entry. A linear scan is fine:
-            // eviction is rare (the working set is far below capacity) and
-            // the map is small by construction.
-            if let Some(victim) = self
-                .entries
-                .iter()
-                .min_by_key(|(_, (_, _, _, used))| *used)
-                .map(|(k, _)| k.clone())
-            {
-                self.entries.remove(&victim);
-            }
-        }
-        let text: Arc<str> = Arc::from(sql.as_str());
-        let cell = Arc::new(PlanCell::new());
-        self.entries
-            .insert(sql, (text, stmt, Arc::clone(&cell), self.tick));
-        cell
-    }
-}
-
 /// An embedded SQL database ("the MySQL connection" of the paper),
 /// thread-safe: SDM ranks share one `Database` behind an `Arc`.
 ///
-/// Statements are parsed once and cached by SQL text (an LRU of parsed
-/// ASTs), so the hot metadata path — the same dozen INSERT/SELECT shapes
-/// issued every timestep — never re-lexes SQL after warmup;
-/// [`Database::stats`] exposes the hit/miss counts along with scan
-/// strategy and row-volume counters.
+/// Everything executes a typed [`Stmt`]: the hot metadata path builds
+/// its statements once and replays them, and SQL text is parsed into a
+/// `Stmt` per call ([`Database::parse`]). [`Database::stats`] exposes
+/// the parse count along with scan-strategy and row-volume counters.
 ///
 /// Transactions (`BEGIN` / `COMMIT` / `ROLLBACK`) keep a row-level
 /// **undo log** under a global table lock: one transaction may be open
@@ -182,10 +90,9 @@ impl PlanCache {
 /// 4. `wal_buf` — rank [`LOCK_RANK_WAL_BUF`] — the WAL's in-memory
 ///    record buffer, taken briefly to append encoded frames or to let
 ///    the leader drain them.
-/// 5. `stats` / `plans` — rank [`LOCK_RANK_LEAF`] — leaf mutexes, taken
-///    alone and briefly (never nested with each other); statement
-///    execution records into a local `DbStats` and merges after
-///    releasing the catalog lock.
+/// 5. `stats` — rank [`LOCK_RANK_LEAF`] — the leaf mutex, taken alone
+///    and briefly; statement execution records into a local `DbStats`
+///    and merges after releasing the catalog lock.
 ///
 /// The ladder is machine-checked twice over:
 ///
@@ -205,7 +112,6 @@ pub struct Database {
     /// blocked writers and `begin_nested` park here instead of spinning.
     tx_freed: parking_lot::Condvar,
     stats: Mutex<DbStats>,
-    plans: Mutex<PlanCache>,
     /// The write-ahead log — `Some` for durable databases
     /// ([`Database::open`]), `None` for purely in-memory ones
     /// ([`Database::new`]).
@@ -223,9 +129,9 @@ pub const LOCK_RANK_CATALOG: u32 = sdm_ranks::CATALOG;
 pub const LOCK_RANK_WAL_SYNC: u32 = sdm_ranks::WAL_SYNC;
 /// Runtime rank of the WAL's record-buffer mutex.
 pub const LOCK_RANK_WAL_BUF: u32 = sdm_ranks::WAL_BUF;
-/// Runtime rank shared by the `stats` and `plans` leaf mutexes. They
-/// share one rank on purpose: leaves are taken alone, so nesting one
-/// under the other trips the checker just like re-entering a lock.
+/// Runtime rank of the `stats` leaf mutex (bottom of the ladder). A
+/// leaf is taken alone, so nesting another leaf-ranked lock under it
+/// trips the checker just like re-entering a lock.
 pub const LOCK_RANK_LEAF: u32 = sdm_ranks::LEAF;
 
 impl Default for Database {
@@ -235,7 +141,6 @@ impl Default for Database {
             tx: Mutex::new(None).with_rank(LOCK_RANK_TX),
             tx_freed: parking_lot::Condvar::new(),
             stats: Mutex::new(DbStats::default()).with_rank(LOCK_RANK_LEAF),
-            plans: Mutex::new(PlanCache::default()).with_rank(LOCK_RANK_LEAF),
             wal: None,
         }
     }
@@ -303,7 +208,6 @@ impl Database {
             tx: Mutex::new(None).with_rank(LOCK_RANK_TX),
             tx_freed: parking_lot::Condvar::new(),
             stats: Mutex::new(DbStats::default()).with_rank(LOCK_RANK_LEAF),
-            plans: Mutex::new(PlanCache::default()).with_rank(LOCK_RANK_LEAF),
             wal: Some(wal),
         })
     }
@@ -369,52 +273,25 @@ impl Database {
         Ok(last_tx)
     }
 
-    /// Parse `sql` into a reusable [`PreparedStatement`].
-    ///
-    /// Results are cached by SQL text: preparing the same text again
-    /// (from any thread) returns the shared parsed AST and counts as a
-    /// `parse_hits` in [`Database::stats`] instead of re-parsing.
-    pub fn prepare(&self, sql: &str) -> DbResult<PreparedStatement> {
-        self.stats.lock().sql_texts += 1;
-        // Bind the cache probe to a local first: leaf mutexes share one
-        // rank, so the `plans` guard (an `if let` scrutinee temporary
-        // would live through the body) must drop before `stats` locks.
-        let cached = self.plans.lock().get(sql);
-        if let Some((text, stmt, cell)) = cached {
-            self.stats.lock().parse_hits += 1;
-            return Ok(PreparedStatement {
-                sql: text,
-                stmt,
-                cell,
-            });
-        }
-        let stmt = Arc::new(parse(sql)?);
+    /// Parse SQL text into the typed [`Stmt`] that
+    /// [`Database::exec_stmt`] runs, counting it in
+    /// [`DbStats::parse_misses`].
+    pub fn parse(&self, sql: &str) -> DbResult<Stmt> {
+        let stmt = Stmt::parse(sql)?;
         self.stats.lock().parse_misses += 1;
-        let cell = self.plans.lock().insert(sql.to_string(), Arc::clone(&stmt));
-        Ok(PreparedStatement {
-            sql: Arc::from(sql),
-            stmt,
-            cell,
-        })
+        Ok(stmt)
     }
 
-    /// Execute a prepared statement with positional `?` parameters.
-    pub fn exec_prepared(&self, ps: &PreparedStatement, params: &[Value]) -> DbResult<ResultSet> {
-        self.run_statement(&ps.stmt, params, &ps.cell)
-    }
-
-    /// Parse (through the statement cache) and execute one statement
-    /// with positional `?` parameters.
+    /// Parse and execute one statement with positional `?` parameters.
     pub fn exec(&self, sql: &str, params: &[Value]) -> DbResult<ResultSet> {
-        let ps = self.prepare(sql)?;
-        self.run_statement(&ps.stmt, params, &ps.cell)
+        self.exec_stmt(&self.parse(sql)?, params)
     }
 
-    /// Execute a typed [`crate::stmt::Stmt`] with positional `?`
-    /// parameters. This is the text-free execution path: no lexing, no
-    /// plan-cache lookup, no SQL string — the compiled statement *is*
-    /// the plan ([`DbStats::sql_texts`] does not move).
-    pub fn exec_stmt(&self, stmt: &crate::stmt::Stmt, params: &[Value]) -> DbResult<ResultSet> {
+    /// Execute a typed [`Stmt`] with positional `?` parameters. This is
+    /// the text-free execution path: no lexing, no SQL string — the
+    /// compiled statement *is* the plan ([`DbStats::parse_misses`] does
+    /// not move).
+    pub fn exec_stmt(&self, stmt: &Stmt, params: &[Value]) -> DbResult<ResultSet> {
         self.run_statement(stmt.ast(), params, stmt.plan_cell())
     }
 
@@ -714,18 +591,18 @@ impl Database {
             TxTicket::Inherited => f(),
             TxTicket::Owned => match f() {
                 Ok(v) => {
-                    self.exec_stmt(&crate::stmt::Stmt::commit(), &[])?;
+                    self.exec_stmt(&Stmt::commit(), &[])?;
                     Ok(v)
                 }
                 Err(e) => {
-                    let _ = self.exec_stmt(&crate::stmt::Stmt::rollback(), &[]);
+                    let _ = self.exec_stmt(&Stmt::rollback(), &[]);
                     Err(e)
                 }
             },
         }
     }
 
-    /// Statement-cache and scan-strategy counters since the last
+    /// Parse, scan-strategy and durability counters since the last
     /// [`Database::reset_stats`].
     pub fn stats(&self) -> DbStats {
         *self.stats.lock()
@@ -983,7 +860,8 @@ mod tests {
         db.exec("CREATE INDEX tk ON t (k)", &[]).unwrap();
         db.reset_stats();
         db.exec("SELECT * FROM t WHERE k = 5", &[]).unwrap();
-        db.exec("SELECT * FROM t WHERE k > 5", &[]).unwrap();
+        // No index answers `k + 0`, so this one scans.
+        db.exec("SELECT * FROM t WHERE k + 0 > 5", &[]).unwrap();
         let s = db.stats();
         assert_eq!((s.index_scans, s.full_scans), (1, 1));
         // The index probe touched one row; the fallback scanned all 20.
@@ -991,42 +869,8 @@ mod tests {
         assert_eq!(s.rows_returned, 15);
     }
 
-    // ---- prepared statements ----
-
     #[test]
-    fn prepared_statement_reuses_parse() {
-        let db = Database::new();
-        db.exec("CREATE TABLE t (k INT, v TEXT)", &[]).unwrap();
-        db.reset_stats();
-        let ins = db.prepare("INSERT INTO t VALUES (?, ?)").unwrap();
-        for i in 0..10 {
-            ins.execute(&db, &[Value::Int(i), Value::from("x")])
-                .unwrap();
-        }
-        let s = db.stats();
-        assert_eq!(s.parse_misses, 1, "one parse for ten executions");
-        // Executing a prepared statement never re-parses (hits stay 0:
-        // only `prepare`/`exec` consult the cache).
-        let sel = db.prepare("SELECT COUNT(*) FROM t WHERE k >= ?").unwrap();
-        let rs = sel.execute(&db, &[Value::Int(5)]).unwrap();
-        assert_eq!(rs.scalar(), Some(&Value::Int(5)));
-    }
-
-    #[test]
-    fn exec_reuses_cached_plans() {
-        let db = Database::new();
-        db.exec("CREATE TABLE t (k INT)", &[]).unwrap();
-        db.reset_stats();
-        for i in 0..5 {
-            db.exec("INSERT INTO t VALUES (?)", &[Value::Int(i)])
-                .unwrap();
-        }
-        let s = db.stats();
-        assert_eq!((s.parse_misses, s.parse_hits), (1, 4));
-    }
-
-    #[test]
-    fn prepared_equals_exec_results() {
+    fn text_parses_once_per_call_and_matches_its_typed_twin() {
         let db = Database::new();
         db.exec("CREATE TABLE t (k INT, v TEXT)", &[]).unwrap();
         for i in 0..10 {
@@ -1036,47 +880,19 @@ mod tests {
             )
             .unwrap();
         }
+        db.reset_stats();
         let sql = "SELECT COUNT(*) FROM t WHERE k = ?";
-        let ps = db.prepare(sql).unwrap();
+        let typed = db.parse(sql).unwrap();
         for probe in 0..4 {
             let a = db.exec(sql, &[Value::Int(probe)]).unwrap();
-            let b = ps.execute(&db, &[Value::Int(probe)]).unwrap();
+            let b = db.exec_stmt(&typed, &[Value::Int(probe)]).unwrap();
             assert_eq!(a, b);
         }
-    }
-
-    #[test]
-    fn prepared_transactions_work() {
-        let db = Database::new();
-        db.exec("CREATE TABLE t (a INT)", &[]).unwrap();
-        let begin = db.prepare("BEGIN").unwrap();
-        let rollback = db.prepare("ROLLBACK").unwrap();
-        begin.execute(&db, &[]).unwrap();
-        db.exec("INSERT INTO t VALUES (1)", &[]).unwrap();
-        rollback.execute(&db, &[]).unwrap();
-        assert!(db.exec("SELECT * FROM t", &[]).unwrap().is_empty());
-    }
-
-    #[test]
-    fn plan_cache_evicts_at_capacity() {
-        let db = Database::new();
-        db.exec("CREATE TABLE t (a INT)", &[]).unwrap();
-        // Distinct SQL texts beyond capacity: must not grow unboundedly
-        // and must still parse correctly afterwards.
-        for i in 0..(super::PLAN_CACHE_CAPACITY + 50) {
-            db.exec(&format!("SELECT a FROM t WHERE a = {i}"), &[])
-                .unwrap();
-        }
-        db.reset_stats();
-        db.exec("SELECT a FROM t WHERE a = 1", &[]).unwrap(); // evicted long ago
-        let s = db.stats();
-        assert_eq!(s.parse_misses, 1);
-    }
-
-    #[test]
-    fn prepare_rejects_bad_sql() {
-        let db = Database::new();
-        assert!(db.prepare("SELEKT nope").is_err());
+        // One parse for `typed`, one per text call; the typed runs
+        // parse nothing.
+        assert_eq!(db.stats().parse_misses, 5);
+        assert!(matches!(db.parse("SELEKT nope"), Err(DbError::Parse(_))));
+        assert_eq!(db.stats().parse_misses, 5);
     }
 
     // ---- durability ----

@@ -5,7 +5,7 @@
 //! predicate. Walking the AST per row means a tree traversal with a
 //! `Value` clone per node and a column-name hash lookup per `Expr::Col` —
 //! on the hottest loop in the crate. [`compile`] lowers an expression
-//! once, at prepare time, into a [`Program`]: a `Vec<Op>` in post-order
+//! once, on first execution, into a [`Program`]: a `Vec<Op>` in post-order
 //! with column references resolved to row **slots**, constants interned
 //! into a side table, and the SQL three-valued `AND`/`OR` short-circuits
 //! expressed as conditional jumps. [`Program::eval_truthy`] then runs the
@@ -793,7 +793,7 @@ impl CompiledPlan {
 }
 
 /// One statement's cached [`CompiledPlan`], keyed by schema
-/// fingerprint. Lives on `Stmt`/`PreparedStatement`, shared by clones,
+/// fingerprint. Lives on `Stmt`, shared by clones,
 /// and revalidated on every execution: tables can only change shape by
 /// being dropped and recreated (there is no `ALTER TABLE`), which
 /// changes the fingerprint and invalidates the cached slots.

@@ -11,7 +11,7 @@ use crate::schema::{Column, Schema};
 use crate::sql::ast::{AggFunc, BinOp, Expr, Join, OrderBy, SelExpr, SelectItem, Statement};
 use crate::table::{Row, Table};
 use crate::undo::{UndoLog, UndoRecord};
-use crate::value::{IndexKey, OrdKey, Value};
+use crate::value::{OrdKey, Value};
 use crate::wal::record::WalAppender;
 
 /// Result of executing a statement.
@@ -41,20 +41,20 @@ pub struct DbStats {
     /// SELECT plans that probed an index with a full equality key
     /// (includes MIN/MAX first/last-key peeks).
     pub plan_point_probes: u64,
-    /// SELECT plans that probed an ordered index with an equality
-    /// prefix plus a range (or open prefix) on the next key column.
+    /// SELECT plans that probed an index with an equality prefix plus a
+    /// range (or open prefix) on the next key column.
     pub plan_range_probes: u64,
-    /// SELECT plans that streamed an ordered index in key order to
-    /// satisfy ORDER BY (stopping at LIMIT) instead of sorting.
+    /// SELECT plans that streamed an index in key order to satisfy
+    /// ORDER BY (stopping at LIMIT) instead of sorting.
     pub plan_ordered_scans: u64,
     /// ORDER BY clauses that materialized rows and sorted them.
     pub order_sorts: u64,
-    /// ORDER BY clauses satisfied by an ordered index's key order —
-    /// the sort that never ran.
+    /// ORDER BY clauses satisfied by an index's key order — the sort
+    /// that never ran.
     pub sorts_avoided: u64,
-    /// Statement preparations served from the parsed-plan cache.
-    pub parse_hits: u64,
-    /// Statement preparations that had to lex + parse the SQL text.
+    /// SQL texts lexed and parsed (`Database::parse`, and so every
+    /// `Database::exec`). Typed statements run through
+    /// `Database::exec_stmt` never move this counter.
     pub parse_misses: u64,
     /// Source rows visited by SELECTs (index candidates for probes,
     /// whole tables for scans, both sides for joins).
@@ -65,12 +65,6 @@ pub struct DbStats {
     /// layers (`CachedStore`) assert on this: a scoped timestep must
     /// land all its execution inserts in exactly one transaction.
     pub transactions: u64,
-    /// Statements that entered the engine as SQL **text**
-    /// (`Database::prepare` / `Database::exec`), whether or not the
-    /// parse was served from the plan cache. Typed statements executed
-    /// through `Database::exec_stmt` never move this counter — the
-    /// bench asserts it stays flat on the warmed typed hot path.
-    pub sql_texts: u64,
     /// Row images replayed by `ROLLBACK`s. Transactions log row-level
     /// undo records instead of snapshotting the catalog, so after a
     /// rollback this counter equals the rows the transaction *touched*
@@ -88,11 +82,8 @@ pub struct DbStats {
     /// Index probes issued by index-nested-loop joins (one per
     /// non-NULL outer join key).
     pub join_index_probes: u64,
-    /// Merge joins streamed off two ordered indexes in key order.
+    /// Merge joins streamed off two indexes in key order.
     pub join_merge_joins: u64,
-    /// Joins that fell back to building a hash table over one side —
-    /// the bench asserts this stays 0 on the indexed join workload.
-    pub join_hash_builds: u64,
     /// Redo records appended to the write-ahead log (durable databases
     /// only; always 0 for in-memory ones).
     pub wal_appends: u64,
@@ -121,18 +112,15 @@ impl DbStats {
             plan_ordered_scans,
             order_sorts,
             sorts_avoided,
-            parse_hits,
             parse_misses,
             rows_scanned,
             rows_returned,
             transactions,
-            sql_texts,
             tx_rows_undone,
             exprs_compiled,
             ast_eval_fallbacks,
             join_index_probes,
             join_merge_joins,
-            join_hash_builds,
             wal_appends,
             wal_fsyncs,
             group_commit_batched,
@@ -145,18 +133,15 @@ impl DbStats {
         self.plan_ordered_scans += plan_ordered_scans;
         self.order_sorts += order_sorts;
         self.sorts_avoided += sorts_avoided;
-        self.parse_hits += parse_hits;
         self.parse_misses += parse_misses;
         self.rows_scanned += rows_scanned;
         self.rows_returned += rows_returned;
         self.transactions += transactions;
-        self.sql_texts += sql_texts;
         self.tx_rows_undone += tx_rows_undone;
         self.exprs_compiled += exprs_compiled;
         self.ast_eval_fallbacks += ast_eval_fallbacks;
         self.join_index_probes += join_index_probes;
         self.join_merge_joins += join_merge_joins;
-        self.join_hash_builds += join_hash_builds;
         self.wal_appends += wal_appends;
         self.wal_fsyncs += wal_fsyncs;
         self.group_commit_batched += group_commit_batched;
@@ -486,10 +471,9 @@ impl Candidates<'_> {
 /// How the chosen plan restricted the candidates, for `DbStats`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum PlanKind {
-    /// Full-key equality probe (hash bucket or ordered point lookup).
+    /// Full-key equality probe.
     Point,
-    /// Equality-prefix + range (or open prefix) walk of an ordered
-    /// index.
+    /// Equality-prefix + range (or open prefix) walk of an index.
     Range,
 }
 
@@ -550,9 +534,6 @@ fn plan_candidates<'c>(
                 }
             }
             continue;
-        }
-        if !def.ordered {
-            continue; // hash indexes answer full-key equality only
         }
         // Range (or open prefix) walk on the first unpinned column.
         let (lo, hi) = bounds
@@ -637,13 +618,12 @@ fn pure_eq_conjuncts<'a>(
     }
 }
 
-/// Try to answer every aggregate item by peeking at an ordered index
-/// edge (MIN/MAX) or the table length (unfiltered COUNT(*)), without
+/// Try to answer every aggregate item by peeking at an index edge (MIN/MAX) or the table length (unfiltered COUNT(*)), without
 /// visiting any rows. All-or-nothing: if any item can't be peeked the
 /// whole query falls back to the streaming pass, so the recorded plan
 /// stats describe the real access path.
 ///
-/// A MIN(c)/MAX(c) peek needs an ordered index whose columns are
+/// A MIN(c)/MAX(c) peek needs an index whose columns are
 /// exactly the equality-pinned conjunct columns followed by `c` — the
 /// pinned prefix covers *all but the last* key column, so every row
 /// that is SQL-equal on `c` lands in one bucket and the bucket's first
@@ -676,8 +656,7 @@ fn peek_aggregates(
             (AggFunc::Min | AggFunc::Max, Some(c)) => {
                 let agg_col = &rel.schema.columns[*c].name;
                 let (i, def) = t.indexes().iter().enumerate().find(|(_, d)| {
-                    d.ordered
-                        && d.columns.len() == conjuncts.len() + 1
+                    d.columns.len() == conjuncts.len() + 1
                         && d.columns
                             .last()
                             .is_some_and(|l| l.eq_ignore_ascii_case(agg_col))
@@ -715,7 +694,7 @@ fn peek_aggregates(
 /// `SELECT <aggregates only> FROM t [WHERE ...]`: one streaming pass over
 /// borrowed rows (index-probed when possible). This is the `next_runid`
 /// fast path — `SELECT MAX(runid)` touches each candidate row once and
-/// clones nothing; when an ordered index covers the aggregate it touches
+/// clones nothing; when an index covers the aggregate it touches
 /// **no** rows and peeks the index edge instead.
 #[allow(clippy::too_many_arguments)]
 fn exec_simple_aggregates(
@@ -805,34 +784,6 @@ fn exec_simple_aggregates(
         columns: names,
         rows: rows_out,
     })
-}
-
-/// Execute a parsed statement against the catalog.
-///
-/// Convenience wrapper around [`execute_with_stats`] discarding the
-/// scan counters.
-// analyze:allow(undo-coverage: deliberately transaction-free entry point; the Database handle owns undo threading)
-pub fn execute(catalog: &mut Catalog, stmt: &Statement, params: &[Value]) -> DbResult<Outcome> {
-    let mut stats = DbStats::default();
-    execute_with_stats(catalog, stmt, params, &mut stats)
-}
-
-/// Execute a parsed statement, recording scan strategy in `stats`.
-///
-/// `BEGIN`/`COMMIT`/`ROLLBACK` are connection-level and rejected here;
-/// the `Database` handle intercepts them before reaching the executor.
-/// No transaction is in scope, so mutations log no undo.
-// analyze:allow(undo-coverage: deliberately transaction-free entry point; the Database handle owns undo threading)
-pub fn execute_with_stats(
-    catalog: &mut Catalog,
-    stmt: &Statement,
-    params: &[Value],
-    stats: &mut DbStats,
-) -> DbResult<Outcome> {
-    if let Statement::Select { .. } = stmt {
-        return execute_read(catalog, stmt, params, stats, None);
-    }
-    execute_mutation(catalog, stmt, params, stats, None, None, None)
 }
 
 /// Execute a read-only statement against a **shared** catalog borrow.
@@ -942,7 +893,6 @@ pub(crate) fn execute_mutation(
             name,
             table,
             columns,
-            ordered,
         } => {
             let cols: Vec<&str> = columns.iter().map(String::as_str).collect();
             let t = catalog.get_mut(table)?;
@@ -951,17 +901,16 @@ pub(crate) fn execute_mutation(
             // invalid requests fall through to the canonical error.
             let will_create = !columns.is_empty()
                 && columns.iter().all(|c| t.schema.index_of(c).is_ok())
-                && (*ordered || columns.len() == 1)
                 && !t
                     .indexes()
                     .iter()
                     .any(|i| i.name.eq_ignore_ascii_case(name));
             if will_create {
                 if let Some(wal) = wal {
-                    wal.create_index(table, name, columns, *ordered);
+                    wal.create_index(table, name, columns);
                 }
             }
-            t.create_index(name, &cols, *ordered)?;
+            t.create_index(name, &cols)?;
             if let Some(undo) = undo {
                 undo.push(UndoRecord::CreateIndex {
                     table: table.clone(),
@@ -1287,7 +1236,7 @@ fn exec_select(
     }
 
     // ---- Source relation ----
-    // Set when an ordered index already delivered the rows in ORDER BY
+    // Set when an index already delivered the rows in ORDER BY
     // order (and honored LIMIT): the sort below is skipped.
     let mut ordered_by_index = false;
     type Source = (Vec<(String, String)>, Vec<Row>, Arc<CompiledPlan>);
@@ -1305,7 +1254,7 @@ fn exec_select(
                 .as_ref()
                 .is_some_and(|is| is.iter().any(|i| matches!(i.expr, SelExpr::Agg { .. })));
             // Index-backed ORDER BY: stream rows straight out of an
-            // ordered index when one delivers the requested order, and
+            // index when one delivers the requested order, and
             // either a LIMIT makes early exit pay or no probe plan
             // beats walking keys in order anyway.
             let streamed = if !distinct
@@ -1414,9 +1363,8 @@ fn exec_select(
                 },
             );
             // Candidate pairs by the cheapest strategy the indexes
-            // allow, canonicalized to (left, right) position order —
-            // the order the original hash join emitted — so the
-            // strategy choice is invisible in the result.
+            // allow, canonicalized to (left, right) position order, so
+            // the strategy choice is invisible in the result.
             let mut pairs = join_pairs(left, right, lcol, rcol, stats);
             pairs.sort_unstable();
             let prog = compiled.filter.as_ref();
@@ -1424,10 +1372,10 @@ fn exec_select(
             for (lp, rp) in pairs {
                 let l = &left.rows()[lp];
                 let r = &right.rows()[rp];
-                // Re-verify under SQL equality: every strategy's
-                // candidates group by canonicalized keys (hash buckets,
-                // ordered-key runs), which collide across numeric types
-                // after rounding and group NaNs that are never equal.
+                // Re-verify under SQL equality: index strategies group
+                // candidates by canonicalized keys, which collide across
+                // numeric types after rounding and group NaNs that are
+                // never equal; the unindexed fallback pairs everything.
                 if l[lcol].sql_eq(&r[rcol]) != Some(true) {
                     continue;
                 }
@@ -1471,17 +1419,14 @@ fn exec_select(
             .map(|g| rel.col_index(g))
             .collect::<DbResult<_>>()?;
         // Group rows by typed key vectors, preserving first-seen order.
-        let mut order: Vec<Vec<IndexKey<'static>>> = Vec::new();
-        let mut groups: HashMap<Vec<IndexKey<'static>>, Vec<Row>> = HashMap::new();
+        let mut order: Vec<Vec<OrdKey>> = Vec::new();
+        let mut groups: HashMap<Vec<OrdKey>, Vec<Row>> = HashMap::new();
         if gidx.is_empty() {
             order.push(Vec::new());
             groups.insert(Vec::new(), std::mem::take(&mut rows));
         } else {
             for row in rows.drain(..) {
-                let key: Vec<IndexKey<'static>> = gidx
-                    .iter()
-                    .map(|&i| row[i].index_key().into_owned())
-                    .collect();
+                let key: Vec<OrdKey> = gidx.iter().map(|&i| row[i].ord_key()).collect();
                 if !groups.contains_key(&key) {
                     order.push(key.clone());
                 }
@@ -1580,12 +1525,12 @@ fn lower_having(p: &mut CompiledPlan, having: &Option<Expr>, items: &Option<Vec<
 
 /// Candidate row pairs of an eq-join, picked by index availability:
 ///
-/// 1. **merge join** when both sides have an ordered index *led* by
-///    their join column — stream both key orders once, cross-producting
-///    runs of equal keys;
+/// 1. **merge join** when both sides have an index *led* by their join
+///    column — stream both key orders once, cross-producting runs of
+///    equal keys;
 /// 2. **index-nested-loop** probing the right side's index per left row
 ///    (or, failing that, the left side's per right row);
-/// 3. the **hash build** over the right side as the last resort.
+/// 3. with no index on either side, **every pair** of non-NULL keys.
 ///
 /// Every strategy yields a superset of the SQL-equal pairs (keys are
 /// canonicalized, so numeric types collide after rounding and NaNs
@@ -1601,16 +1546,14 @@ fn join_pairs(
 ) -> Vec<(usize, usize)> {
     let lix = left.join_index(&left.schema.columns[lcol].name);
     let rix = right.join_index(&right.schema.columns[rcol].name);
-    if let (Some((li, true)), Some((ri, true))) = (lix, rix) {
-        if let (Some(lg), Some(rg)) = (left.ordered_groups(li), right.ordered_groups(ri)) {
-            stats.index_scans += 1;
-            stats.join_merge_joins += 1;
-            return merge_pairs(lg, rg);
-        }
+    if let (Some(li), Some(ri)) = (lix, rix) {
+        stats.index_scans += 1;
+        stats.join_merge_joins += 1;
+        return merge_pairs(left.ordered_groups(li), right.ordered_groups(ri));
     }
     let mut pairs = Vec::new();
     let mut buf = Vec::new();
-    if let Some((ri, _)) = rix {
+    if let Some(ri) = rix {
         stats.index_scans += 1;
         for (lp, l) in left.rows().iter().enumerate() {
             if l[lcol].is_null() {
@@ -1622,7 +1565,7 @@ fn join_pairs(
         }
         return pairs;
     }
-    if let Some((li, _)) = lix {
+    if let Some(li) = lix {
         stats.index_scans += 1;
         for (rp, r) in right.rows().iter().enumerate() {
             if r[rcol].is_null() {
@@ -1634,22 +1577,15 @@ fn join_pairs(
         }
         return pairs;
     }
-    // Hash join over borrowed typed keys — no string formatted per row.
     stats.full_scans += 1;
-    stats.join_hash_builds += 1;
-    let mut rmap: HashMap<IndexKey<'_>, Vec<usize>> = HashMap::new();
-    for (i, r) in right.rows().iter().enumerate() {
-        if !r[rcol].is_null() {
-            rmap.entry(r[rcol].index_key()).or_default().push(i);
-        }
-    }
-    for (lp, l) in left.rows().iter().enumerate() {
-        if l[lcol].is_null() {
-            continue;
-        }
-        if let Some(ris) = rmap.get(&l[lcol].index_key()) {
-            pairs.extend(ris.iter().map(|&rp| (lp, rp)));
-        }
+    let keyed = |t: &Table, c: usize| -> Vec<usize> {
+        (0..t.len())
+            .filter(|&p| !t.rows()[p][c].is_null())
+            .collect()
+    };
+    let rps = keyed(right, rcol);
+    for lp in keyed(left, lcol) {
+        pairs.extend(rps.iter().map(|&rp| (lp, rp)));
     }
     pairs
 }
@@ -1701,8 +1637,8 @@ fn merge_pairs<'a>(
     pairs
 }
 
-/// Stream the source rows of a single-table SELECT out of an ordered
-/// index that already delivers the ORDER BY order, honoring LIMIT as an
+/// Stream the source rows of a single-table SELECT out of an index
+/// that already delivers the ORDER BY order, honoring LIMIT as an
 /// early exit. Returns `None` when no index qualifies.
 ///
 /// An index qualifies when its key columns are exactly an
@@ -1740,9 +1676,6 @@ fn stream_ordered_rows(
         return Ok(None); // empty result; the probe plan reports it
     }
     for (i, def) in t.indexes().iter().enumerate() {
-        if !def.ordered {
-            continue;
-        }
         let prefix: Vec<&Value> = def
             .columns
             .iter()
@@ -1766,9 +1699,7 @@ fn stream_ordered_rows(
             .iter()
             .find(|b| b.col.eq_ignore_ascii_case(&def.columns[e]))
             .map_or((None, None), |b| (b.lo.as_ref(), b.hi.as_ref()));
-        let Some(iter) = t.stream_ordered(i, &prefix, lo, hi, desc) else {
-            continue;
-        };
+        let iter = t.stream_ordered(i, &prefix, lo, hi, desc);
         stats.index_scans += 1;
         stats.plan_ordered_scans += 1;
         stats.sorts_avoided += 1;
@@ -1797,8 +1728,8 @@ fn stream_ordered_rows(
 /// first `k` under the ordering, then sort only those — `ORDER BY ...
 /// LIMIT k` stops paying for a full sort of the table.
 ///
-/// NULLs sort first ascending (last descending), matching the ordered
-/// indexes' key order, and ties are resolved by input position in both
+/// NULLs sort first ascending (last descending), matching the indexes'
+/// key order, and ties are resolved by input position in both
 /// the full and the top-k variants, so a sorted result is byte-for-byte
 /// the one an index-backed ordered stream produces.
 fn sort_rows(
@@ -1857,13 +1788,7 @@ fn finish(
 ) -> DbResult<Outcome> {
     if distinct {
         let mut seen = std::collections::HashSet::new();
-        rows.retain(|r| {
-            seen.insert(
-                r.iter()
-                    .map(|v| v.index_key().into_owned())
-                    .collect::<Vec<IndexKey<'static>>>(),
-            )
-        });
+        rows.retain(|r| seen.insert(r.iter().map(Value::ord_key).collect::<Vec<OrdKey>>()));
     }
     if let Some(l) = limit {
         rows.truncate(l);
@@ -1880,8 +1805,31 @@ mod tests {
     use super::*;
     use crate::sql::parse;
 
+    /// Dispatch `stmt` the way `Database` does, with no transaction in
+    /// scope (so mutations log no undo).
+    fn execute(
+        catalog: &mut Catalog,
+        stmt: &Statement,
+        params: &[Value],
+        stats: &mut DbStats,
+    ) -> DbResult<Outcome> {
+        match stmt {
+            Statement::Select { .. } => execute_read(catalog, stmt, params, stats, None),
+            _ => execute_mutation(catalog, stmt, params, stats, None, None, None),
+        }
+    }
+
     fn run(catalog: &mut Catalog, sql: &str, params: &[Value]) -> Outcome {
-        execute(catalog, &parse(sql).unwrap(), params).unwrap()
+        try_run(catalog, sql, params).unwrap()
+    }
+
+    fn try_run(catalog: &mut Catalog, sql: &str, params: &[Value]) -> DbResult<Outcome> {
+        execute(
+            catalog,
+            &parse(sql).unwrap(),
+            params,
+            &mut DbStats::default(),
+        )
     }
 
     fn rows_of(o: Outcome) -> Vec<Row> {
@@ -1999,18 +1947,14 @@ mod tests {
     #[test]
     fn missing_param_errors() {
         let mut c = setup();
-        let err = execute(&mut c, &parse("SELECT * FROM t WHERE id = ?").unwrap(), &[]);
+        let err = try_run(&mut c, "SELECT * FROM t WHERE id = ?", &[]);
         assert!(matches!(err, Err(DbError::Arity(_))));
     }
 
     #[test]
     fn type_error_on_bad_insert() {
         let mut c = setup();
-        let err = execute(
-            &mut c,
-            &parse("INSERT INTO t VALUES ('not an int', 0.0, 'x')").unwrap(),
-            &[],
-        );
+        let err = try_run(&mut c, "INSERT INTO t VALUES ('not an int', 0.0, 'x')", &[]);
         assert!(matches!(err, Err(DbError::Type(_))));
     }
 
@@ -2114,7 +2058,7 @@ mod tests {
     #[test]
     fn bare_column_outside_group_by_rejected() {
         let mut c = setup();
-        let err = execute(&mut c, &parse("SELECT name, COUNT(*) FROM t").unwrap(), &[]);
+        let err = try_run(&mut c, "SELECT name, COUNT(*) FROM t", &[]);
         assert!(matches!(err, Err(DbError::Parse(_))));
     }
 
@@ -2195,9 +2139,9 @@ mod tests {
     #[test]
     fn ambiguous_unqualified_column_rejected() {
         let mut c = join_setup();
-        let err = execute(
+        let err = try_run(
             &mut c,
-            &parse("SELECT runid FROM runs JOIN execs ON runs.runid = execs.runid").unwrap(),
+            "SELECT runid FROM runs JOIN execs ON runs.runid = execs.runid",
             &[],
         );
         assert!(matches!(err, Err(DbError::NoSuchColumn(m)) if m.contains("ambiguous")));
@@ -2236,7 +2180,7 @@ mod tests {
         }
         run(&mut c, "CREATE INDEX hk ON h (k)", &[]);
         let mut stats = DbStats::default();
-        let out = execute_with_stats(
+        let out = execute(
             &mut c,
             &parse("SELECT COUNT(*) FROM h WHERE k = ?").unwrap(),
             &[Value::Int(3)],
@@ -2249,10 +2193,10 @@ mod tests {
             stats.rows_scanned, 5,
             "probe visits only the candidate bucket"
         );
-        // Non-equality predicates fall back to a scan.
-        let out = execute_with_stats(
+        // A predicate no index can answer falls back to a scan.
+        let out = execute(
             &mut c,
-            &parse("SELECT COUNT(*) FROM h WHERE k > 3").unwrap(),
+            &parse("SELECT COUNT(*) FROM h WHERE k + 0 > 3").unwrap(),
             &[],
             &mut stats,
         )
@@ -2285,7 +2229,7 @@ mod tests {
             run(&mut c, "INSERT INTO r VALUES (?)", &[Value::Int(i)]);
         }
         let mut stats = DbStats::default();
-        let out = execute_with_stats(
+        let out = execute(
             &mut c,
             &parse("SELECT MAX(runid) FROM r").unwrap(),
             &[],
@@ -2316,7 +2260,7 @@ mod tests {
         }
         run(&mut c, "CREATE INDEX tk ON t (k)", &[]);
         let mut stats = DbStats::default();
-        let out = execute_with_stats(
+        let out = execute(
             &mut c,
             &parse("SELECT COUNT(*), MIN(v), MAX(v) FROM t WHERE k = ?").unwrap(),
             &[Value::Int(1)],
@@ -2385,14 +2329,14 @@ mod tests {
     fn tx_statements_rejected_at_executor() {
         let mut c = Catalog::new();
         assert!(matches!(
-            execute(&mut c, &Statement::Begin, &[]),
+            execute(&mut c, &Statement::Begin, &[], &mut DbStats::default()),
             Err(DbError::Tx(_))
         ));
     }
 
-    // ---- range planner / ordered indexes ----
+    // ---- range planner / composite indexes ----
 
-    /// 4 runs × 25 timesteps with an ordered `(runid, ts)` composite.
+    /// 4 runs × 25 timesteps with a `(runid, ts)` composite index.
     fn exec_like() -> Catalog {
         let mut c = Catalog::new();
         run(&mut c, "CREATE TABLE e (runid INT, ts INT, off INT)", &[]);
@@ -2409,7 +2353,7 @@ mod tests {
                 );
             }
         }
-        run(&mut c, "CREATE ORDERED INDEX e_rt ON e (runid, ts)", &[]);
+        run(&mut c, "CREATE INDEX e_rt ON e (runid, ts)", &[]);
         c
     }
 
@@ -2417,7 +2361,7 @@ mod tests {
     fn range_probe_walks_ordered_index() {
         let mut c = exec_like();
         let mut stats = DbStats::default();
-        let out = execute_with_stats(
+        let out = execute(
             &mut c,
             &parse("SELECT off FROM e WHERE runid = ? AND ts >= ? AND ts <= ?").unwrap(),
             &[Value::Int(2), Value::Int(10), Value::Int(13)],
@@ -2443,7 +2387,7 @@ mod tests {
         let mut stats = DbStats::default();
         // Strict bounds are widened for the probe; re-verification and
         // tightest-bound merging still yield exactly (5, 8].
-        let out = execute_with_stats(
+        let out = execute(
             &mut c,
             &parse("SELECT ts FROM e WHERE runid = 1 AND ts > 2 AND ts > 5 AND ts <= 8").unwrap(),
             &[],
@@ -2461,7 +2405,7 @@ mod tests {
     fn full_key_equality_is_a_point_probe() {
         let mut c = exec_like();
         let mut stats = DbStats::default();
-        let out = execute_with_stats(
+        let out = execute(
             &mut c,
             &parse("SELECT off FROM e WHERE ts = ? AND runid = ?").unwrap(),
             &[Value::Int(7), Value::Int(3)],
@@ -2481,7 +2425,7 @@ mod tests {
     fn null_bound_short_circuits_to_empty() {
         let mut c = exec_like();
         let mut stats = DbStats::default();
-        let out = execute_with_stats(
+        let out = execute(
             &mut c,
             &parse("SELECT ts FROM e WHERE runid = 1 AND ts < ?").unwrap(),
             &[Value::Null],
@@ -2496,7 +2440,7 @@ mod tests {
     fn order_by_limit_streams_off_ordered_index() {
         let mut c = exec_like();
         let mut stats = DbStats::default();
-        let out = execute_with_stats(
+        let out = execute(
             &mut c,
             &parse("SELECT ts FROM e WHERE runid = ? ORDER BY ts DESC LIMIT 3").unwrap(),
             &[Value::Int(1)],
@@ -2522,7 +2466,7 @@ mod tests {
         );
         assert_eq!(stats.rows_scanned, 3, "LIMIT stops the walk");
         // A range bound on the order column clips the stream too.
-        let out = execute_with_stats(
+        let out = execute(
             &mut c,
             &parse("SELECT ts FROM e WHERE runid = 1 AND ts >= 20 ORDER BY ts LIMIT 2").unwrap(),
             &[],
@@ -2538,7 +2482,7 @@ mod tests {
 
     #[test]
     fn streamed_order_matches_sorted_order() {
-        // Same query with and without the ordered index: identical rows
+        // Same query with and without the index: identical rows
         // in identical order, including scan-order ties.
         let build = |indexed: bool| {
             let mut c = Catalog::new();
@@ -2551,7 +2495,7 @@ mod tests {
                 );
             }
             if indexed {
-                run(&mut c, "CREATE ORDERED INDEX sk ON s (k)", &[]);
+                run(&mut c, "CREATE INDEX sk ON s (k)", &[]);
             }
             c
         };
@@ -2561,10 +2505,8 @@ mod tests {
             "SELECT tag FROM s ORDER BY k",
         ] {
             let mut stats = DbStats::default();
-            let a = rows_of(
-                execute_with_stats(&mut build(true), &parse(sql).unwrap(), &[], &mut stats)
-                    .unwrap(),
-            );
+            let a =
+                rows_of(execute(&mut build(true), &parse(sql).unwrap(), &[], &mut stats).unwrap());
             assert_eq!(stats.sorts_avoided, 1, "indexed run streams: {sql}");
             let b = rows_of(run(&mut build(false), sql, &[]));
             assert_eq!(a, b, "stream/sort divergence for: {sql}");
@@ -2581,7 +2523,7 @@ mod tests {
             &[],
         );
         let mut stats = DbStats::default();
-        let out = execute_with_stats(
+        let out = execute(
             &mut c,
             &parse("SELECT MIN(ts), MAX(ts) FROM e WHERE runid = ?").unwrap(),
             &[Value::Int(1)],
@@ -2598,9 +2540,9 @@ mod tests {
         let out = run(&mut c, "SELECT MAX(ts) FROM e WHERE runid = 9", &[]);
         assert_eq!(rows_of(out), vec![vec![Value::Null]]);
         // Unfiltered MAX peeks the index tail (run_table's AllocMax).
-        run(&mut c, "CREATE ORDERED INDEX e_ts ON e (ts)", &[]);
+        run(&mut c, "CREATE INDEX e_ts ON e (ts)", &[]);
         let mut stats = DbStats::default();
-        let out = execute_with_stats(
+        let out = execute(
             &mut c,
             &parse("SELECT MAX(ts) FROM e").unwrap(),
             &[],
@@ -2616,7 +2558,7 @@ mod tests {
         let mut c = exec_like();
         let mut stats = DbStats::default();
         // SUM can't peek, so the whole item list takes the generic pass.
-        let out = execute_with_stats(
+        let out = execute(
             &mut c,
             &parse("SELECT MAX(ts), SUM(off) FROM e WHERE runid = 0").unwrap(),
             &[],
@@ -2631,7 +2573,7 @@ mod tests {
     fn prefix_probe_without_range_bounds_scans_the_prefix() {
         let mut c = exec_like();
         let mut stats = DbStats::default();
-        let out = execute_with_stats(
+        let out = execute(
             &mut c,
             &parse("SELECT COUNT(off) FROM e WHERE runid = ?").unwrap(),
             &[Value::Int(2)],

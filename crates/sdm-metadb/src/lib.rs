@@ -6,8 +6,9 @@
 //! placeholders) against six small tables; this crate provides that
 //! surface — plus the reporting features the bench harnesses lean on:
 //! aggregates (COUNT/SUM/AVG/MIN/MAX), GROUP BY + HAVING, DISTINCT,
-//! single-column INNER JOIN, secondary hash indexes (CREATE INDEX) with
-//! automatic equality-probe planning and incremental maintenance, and
+//! single-column INNER JOIN, ordered secondary indexes (CREATE INDEX,
+//! one or more columns) with cost-based point/range/stream planning and
+//! incremental maintenance, and
 //! undo-log transactions (BEGIN/COMMIT/ROLLBACK cost O(rows touched),
 //! never O(database)) — as an in-process engine:
 //!
@@ -16,15 +17,18 @@
 //! * [`sql`] — lexer, AST, recursive-descent parser for the SQL subset.
 //! * [`exec`] — statement execution (shared-borrow reads, undo-logging
 //!   mutations) with index-backed join strategies (merge and
-//!   index-nested-loop over ordered indexes, hash join as fallback).
+//!   index-nested-loop; every non-NULL pair when neither side is
+//!   indexed).
 //! * [`eval`] — compiled expression evaluation: predicates lowered once
 //!   into flat instruction lists (column slots, interned constants,
 //!   short-circuit jumps) and run per row against a register file with
 //!   zero allocation; the AST walk survives only as the fallback.
 //! * [`undo`] — per-transaction row-level undo logs (`ROLLBACK` replays
 //!   them in reverse).
-//! * [`Database`] — the embedded connection: `exec(sql, params)` for
-//!   SQL text, `exec_stmt(stmt, params)` for typed statements.
+//! * [`Database`] — the embedded connection: `exec_stmt(stmt, params)`
+//!   runs a typed statement; SQL text enters only through
+//!   `parse(sql)`, which lowers it to the same [`stmt::Stmt`]
+//!   (`exec(sql, params)` is parse-then-`exec_stmt`).
 //! * [`stmt`] — the **typed statement layer**: tables described once by
 //!   [`stmt::Relation`] descriptors (the [`relation!`] macro), DDL
 //!   generated from them, and queries built fluently
@@ -55,12 +59,12 @@ pub mod undo;
 pub mod value;
 pub mod wal;
 
-pub use db::{Database, PreparedStatement, ResultSet, TxTicket};
+pub use db::{Database, ResultSet, TxTicket};
 pub use error::{DbError, DbResult};
 pub use exec::DbStats;
 pub use schema::{ColType, Column, Schema};
 pub use stmt::{Relation, Stmt, TypedColumn};
 pub use table::IndexDef;
-pub use value::{IndexKey, Value};
+pub use value::Value;
 pub use wal::storage::{FileStorage, MemHandle, MemPersisted, MemStorage, WalFaults, WalStorage};
 pub use wal::RecoveryInfo;

@@ -176,17 +176,14 @@ pub enum Statement {
         /// Table name.
         name: String,
     },
-    /// CREATE \[ORDERED\] INDEX name ON table (c1, c2, ...).
+    /// CREATE INDEX name ON table (c1, c2, ...).
     CreateIndex {
         /// Index name (unique within its table).
         name: String,
         /// Indexed table.
         table: String,
-        /// Indexed columns, outermost key first. Plain (hash) indexes
-        /// take exactly one; ORDERED indexes take one or more.
+        /// Indexed columns, outermost key first.
         columns: Vec<String>,
-        /// Ordered (`BTreeMap`, range-capable) vs hash (equality-only).
-        ordered: bool,
     },
     /// DROP INDEX name ON table (MySQL 3.23 spelling).
     DropIndex {

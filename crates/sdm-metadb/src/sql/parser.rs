@@ -94,10 +94,7 @@ impl Parser {
     fn statement(&mut self) -> DbResult<Statement> {
         if self.accept_kw("CREATE") {
             if self.accept_kw("INDEX") {
-                self.create_index(false)
-            } else if self.accept_kw("ORDERED") {
-                self.expect_kw("INDEX")?;
-                self.create_index(true)
+                self.create_index()
             } else {
                 self.create_table()
             }
@@ -197,7 +194,7 @@ impl Parser {
         })
     }
 
-    fn create_index(&mut self, ordered: bool) -> DbResult<Statement> {
+    fn create_index(&mut self) -> DbResult<Statement> {
         let name = self.ident()?;
         self.expect_kw("ON")?;
         let table = self.ident()?;
@@ -212,7 +209,6 @@ impl Parser {
             name,
             table,
             columns,
-            ordered,
         })
     }
 
@@ -743,17 +739,15 @@ mod tests {
                 name: "idx_ds".into(),
                 table: "execution_table".into(),
                 columns: vec!["dataset".into()],
-                ordered: false,
             }
         );
-        let s = parse("CREATE ORDERED INDEX idx_rt ON execution_table (runid, timestep)").unwrap();
+        let s = parse("CREATE INDEX idx_rt ON execution_table (runid, timestep)").unwrap();
         assert_eq!(
             s,
             Statement::CreateIndex {
                 name: "idx_rt".into(),
                 table: "execution_table".into(),
                 columns: vec!["runid".into(), "timestep".into()],
-                ordered: true,
             }
         );
         let s = parse("DROP INDEX idx_ds ON execution_table").unwrap();

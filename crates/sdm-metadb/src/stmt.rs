@@ -19,7 +19,7 @@
 //!         /// Display name.
 //!         pub name: String => Name,
 //!     }
-//!     indexes { "pets_id" on id }
+//!     indexes { "pets_id" on (id) }
 //! }
 //!
 //! let db = Database::new();
@@ -43,10 +43,10 @@
 //! an `Arc`, so holders (`OnceLock` slots, statics via
 //! [`stmt_once!`](crate::stmt_once)) replay it with zero SQL-text
 //! formatting, hashing, or parsing on the hot path —
-//! [`crate::DbStats::sql_texts`] stays flat while typed statements run.
-//! [`Stmt::parse`] and [`Stmt::to_sql`] bridge to the stringly world for
-//! deprecated veneers, debugging, and benchmarks that model parse-per-
-//! call engines.
+//! [`crate::DbStats::parse_misses`] stays flat while typed statements
+//! run. SQL text enters only by parsing into a `Stmt`
+//! ([`crate::Database::parse`], [`Stmt::parse`]); [`Stmt::to_sql`]
+//! renders one back for debugging.
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -76,12 +76,8 @@ pub struct ColDesc {
 pub struct IndexSpec {
     /// Index name, unique within the table.
     pub name: &'static str,
-    /// Indexed columns, outermost key first. Hash indexes take exactly
-    /// one; ordered indexes take one or more.
+    /// Indexed columns, outermost key first.
     pub columns: &'static [&'static str],
-    /// Ordered (`BTreeMap`-backed, range/prefix-capable) vs hash
-    /// (equality-only).
-    pub ordered: bool,
 }
 
 /// Static descriptor of a metadata table: the single source of truth
@@ -116,7 +112,7 @@ impl TableDesc {
         })
     }
 
-    /// One `CREATE [ORDERED] INDEX` statement per declared index.
+    /// One `CREATE INDEX` statement per declared index.
     pub fn create_indexes(&self) -> Vec<Stmt> {
         self.indexes
             .iter()
@@ -125,7 +121,6 @@ impl TableDesc {
                     name: ix.name.to_string(),
                     table: self.name.to_string(),
                     columns: ix.columns.iter().map(|c| c.to_string()).collect(),
-                    ordered: ix.ordered,
                 })
             })
             .collect()
@@ -255,7 +250,7 @@ pub trait TypedColumn<R: Relation>: Copy {
     }
 
     /// `lo <= column AND column <= hi` — the closed range the planner
-    /// turns into one ordered-index walk when the column is indexed.
+    /// turns into one index walk when the column is indexed.
     fn between(self, lo: impl Into<Operand>, hi: impl Into<Operand>) -> Filter<R> {
         self.ge(lo).and(self.le(hi))
     }
@@ -414,7 +409,7 @@ impl<R: Relation> Filter<R> {
 ///
 /// Execute with [`crate::Database::exec_stmt`] or through
 /// `MetadataStore::run` in the layers above. Unlike a SQL string, a
-/// `Stmt` needs no lexing, hashing, or plan-cache lookup per call, and
+/// `Stmt` needs no lexing or parsing per call, and
 /// after the first execution its predicates run as compiled programs —
 /// no AST walk per row.
 #[derive(Debug, Clone)]
@@ -427,13 +422,7 @@ pub struct Stmt {
 impl Stmt {
     /// Wrap an AST statement.
     pub fn from_ast(ast: Statement) -> Self {
-        Self::from_shared(Arc::new(ast), Arc::new(PlanCell::new()))
-    }
-
-    /// Wrap an already-shared AST (a plan-cache hit hands these out,
-    /// together with the cached compiled-program slot).
-    pub(crate) fn from_shared(ast: Arc<Statement>, cell: Arc<PlanCell>) -> Self {
-        let table = match &*ast {
+        let table = match &ast {
             Statement::CreateTable { name, .. }
             | Statement::DropTable { name }
             | Statement::Insert { table: name, .. }
@@ -444,7 +433,11 @@ impl Stmt {
             | Statement::DropIndex { table: name, .. } => Some(Arc::from(name.as_str())),
             Statement::Begin | Statement::Commit | Statement::Rollback => None,
         };
-        Stmt { ast, table, cell }
+        Stmt {
+            ast: Arc::new(ast),
+            table,
+            cell: Arc::new(PlanCell::new()),
+        }
     }
 
     /// The compiled-program slot the executor lowers this statement's
@@ -454,9 +447,9 @@ impl Stmt {
         &self.cell
     }
 
-    /// Parse SQL text into a typed statement — the bridge the
-    /// deprecated stringly veneers stand on. Typed call sites never
-    /// need this.
+    /// Parse SQL text into a typed statement. [`crate::Database::parse`]
+    /// does the same and counts the parse; typed call sites never need
+    /// either.
     pub fn parse(sql: &str) -> DbResult<Stmt> {
         Ok(Stmt::from_ast(parse(sql)?))
     }
@@ -602,7 +595,7 @@ impl<R: Relation> Query<R> {
     }
 
     /// The composite-index probe shape: `prefix_col = key AND lo <=
-    /// range_col <= hi`. With an ordered index on `(prefix_col,
+    /// range_col <= hi`. With an index on `(prefix_col,
     /// range_col, …)` this compiles to one equality-prefix + range walk
     /// instead of a scan.
     pub fn prefix_range(
@@ -1067,13 +1060,8 @@ fn render_statement(stmt: &Statement) -> String {
             name,
             table,
             columns,
-            ordered,
         } => {
-            s.push_str(if *ordered {
-                "CREATE ORDERED INDEX "
-            } else {
-                "CREATE INDEX "
-            });
+            s.push_str("CREATE INDEX ");
             s.push_str(name);
             s.push_str(" ON ");
             s.push_str(table);
@@ -1300,9 +1288,8 @@ fn render_value(v: &Value, s: &mut String) {
 /// Column SQL names are the field names; DDL is generated from the
 /// descriptor, never hand-written.
 ///
-/// `indexes { ... }` declares single-column hash indexes (equality
-/// probes); `ordered { ... }` declares ordered indexes over one or more
-/// columns (range, prefix, MIN/MAX-peek, and ORDER BY streaming):
+/// `indexes { ... }` declares secondary indexes over one or more columns
+/// (point, range, prefix, MIN/MAX-peek, and ORDER BY streaming):
 ///
 /// ```
 /// sdm_metadb::relation! {
@@ -1313,15 +1300,12 @@ fn render_value(v: &Value, s: &mut String) {
 ///         /// Beat sequence number.
 ///         pub seq: i64 => Seq,
 ///     }
-///     indexes { "beats_host" on host }
-///     ordered { "beats_host_seq" on (host, seq) }
+///     indexes { "beats_host" on (host), "beats_host_seq" on (host, seq) }
 /// }
 ///
 /// use sdm_metadb::stmt::Relation;
 /// assert_eq!(BeatRow::TABLE.indexes[0].columns, ["host"]);
-/// assert!(!BeatRow::TABLE.indexes[0].ordered);
 /// assert_eq!(BeatRow::TABLE.indexes[1].columns, ["host", "seq"]);
-/// assert!(BeatRow::TABLE.indexes[1].ordered);
 /// ```
 #[macro_export]
 macro_rules! relation {
@@ -1330,8 +1314,7 @@ macro_rules! relation {
         pub struct $name:ident in $table:literal as $colenum:ident {
             $( $(#[$fmeta:meta])* pub $field:ident : $fty:ty => $variant:ident ),+ $(,)?
         }
-        $( indexes { $( $iname:literal on $icol:ident ),+ $(,)? } )?
-        $( ordered { $( $oname:literal on ( $($ocol:ident),+ $(,)? ) ),+ $(,)? } )?
+        $( indexes { $( $iname:literal on ( $($icol:ident),+ $(,)? ) ),+ $(,)? } )?
     ) => {
         $(#[$smeta])*
         #[derive(Debug, Clone, PartialEq)]
@@ -1360,13 +1343,7 @@ macro_rules! relation {
                 indexes: &[
                     $($( $crate::stmt::IndexSpec {
                         name: $iname,
-                        columns: &[stringify!($icol)],
-                        ordered: false,
-                    }, )+)?
-                    $($( $crate::stmt::IndexSpec {
-                        name: $oname,
-                        columns: &[$( stringify!($ocol) ),+],
-                        ordered: true,
+                        columns: &[$( stringify!($icol) ),+],
                     }, )+)?
                 ],
             };
@@ -1454,8 +1431,7 @@ mod tests {
             /// Label.
             pub label: String => Label,
         }
-        indexes { "t_k" on k }
-        ordered { "t_kv" on (k, v) }
+        indexes { "t_k" on (k), "t_kv" on (k, v) }
     }
 
     fn db_with_rows() -> Database {
@@ -1519,7 +1495,6 @@ mod tests {
         let stats = db.stats();
         assert_eq!((stats.index_scans, stats.full_scans), (1, 0));
         // Typed execution never touches SQL text.
-        assert_eq!(stats.sql_texts, 0);
         assert_eq!(stats.parse_misses, 0);
     }
 
@@ -1672,7 +1647,7 @@ mod tests {
         let stmts = TRow::TABLE.create_indexes();
         let texts: Vec<String> = stmts.iter().map(Stmt::to_sql).collect();
         assert_eq!(texts[0], "CREATE INDEX t_k ON t (k)");
-        assert_eq!(texts[1], "CREATE ORDERED INDEX t_kv ON t (k, v)");
+        assert_eq!(texts[1], "CREATE INDEX t_kv ON t (k, v)");
         for (stmt, text) in stmts.iter().zip(&texts) {
             assert_eq!(Stmt::parse(text).unwrap().ast(), stmt.ast());
         }
@@ -1701,7 +1676,7 @@ mod tests {
         assert_eq!(
             (stats.plan_range_probes, stats.full_scans),
             (1, 0),
-            "between rides the (k, v) ordered index"
+            "between rides the (k, v) index"
         );
         // The rendered text re-executes to the same rows.
         let reparsed = Stmt::parse(&q.to_sql()).unwrap();

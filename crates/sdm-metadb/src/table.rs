@@ -1,184 +1,36 @@
 //! Row storage and secondary indexes.
 //!
-//! Two index shapes share one maintenance discipline:
-//!
-//! * **hash** indexes (`IndexMap`) — single-column, equality-only
-//!   buckets keyed by [`IndexKey`];
-//! * **ordered** indexes (`OrdIndex`) — `BTreeMap`-backed, one or more
-//!   columns, keyed by composite [`OrdKey`] vectors whose total order
-//!   agrees with [`Value::sql_cmp`]. These answer point probes,
-//!   half-open and closed range probes, prefix ranges, key-ordered
-//!   streams (index-backed ORDER BY), and first/last-key peeks
-//!   (MIN/MAX).
+//! Every secondary index (`OrdIndex`) is `BTreeMap`-backed over one or
+//! more columns, keyed by composite [`OrdKey`] vectors whose total order
+//! agrees with [`Value::sql_cmp`]. It answers point probes, half-open
+//! and closed range probes, prefix ranges, key-ordered streams
+//! (index-backed ORDER BY, merge joins), and first/last-key peeks
+//! (MIN/MAX).
 //!
 //! Every probe returns *candidates*: rows whose keys match under the
 //! canonical key encoding. Callers re-verify candidates against the
 //! real predicate, which is what keeps NULL, NaN, and cross-type rows
 //! correct when a key range sweeps them up.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::ops::Bound;
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::{DbError, DbResult};
 use crate::schema::Schema;
-use crate::value::{IndexKey, OrdKey, Value};
+use crate::value::{OrdKey, Value};
 
 /// A row: one value per schema column.
 pub type Row = Vec<Value>;
 
-/// A secondary-index definition
-/// (`CREATE [ORDERED] INDEX name ON t (c1, c2, ...)`).
+/// A secondary-index definition (`CREATE INDEX name ON t (c1, c2, ...)`).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IndexDef {
     /// Index name, unique within the table.
     pub name: String,
     /// Indexed column names, outermost key first.
     pub columns: Vec<String>,
-    /// Ordered (`BTreeMap`, range-capable) vs hash (equality-only).
-    pub ordered: bool,
-}
-
-/// One maintained secondary index: the resolved column position plus the
-/// hash map from canonical key to **ascending** row positions.
-///
-/// The maps are maintained *incrementally*: INSERT appends the new
-/// position to its bucket, DELETE drops removed positions and shifts the
-/// survivors, UPDATE moves a position between buckets only when the
-/// indexed cell actually changed. Nothing ever rebuilds a whole map on
-/// the read path, and [`Table::index_lookup`] takes `&self` — probes run
-/// under a shared lock. Buckets stay in ascending row order so an index
-/// probe returns rows in the same order a full scan would.
-///
-/// NULL cells are never indexed (`NULL = x` is unknown, so an equality
-/// probe can never return them).
-#[derive(Debug, Clone, Default, PartialEq)]
-struct IndexMap {
-    col: usize,
-    /// Buckets for numeric keys (canonical `f64` bits).
-    num: HashMap<u64, Vec<usize>>,
-    /// Buckets for text keys; probed through `Borrow<str>`, so a text
-    /// probe never clones the probe string.
-    text: HashMap<String, Vec<usize>>,
-}
-
-impl IndexMap {
-    /// Build from scratch over `rows` (index creation and snapshot
-    /// load — never the mutation path).
-    fn build(col: usize, rows: &[Row]) -> Self {
-        let mut m = IndexMap {
-            col,
-            ..IndexMap::default()
-        };
-        for (pos, row) in rows.iter().enumerate() {
-            m.note_append(pos, row);
-        }
-        m
-    }
-
-    /// Borrowed bucket for a probe value (`None` for NULL and misses).
-    fn bucket(&self, key: &IndexKey<'_>) -> Option<&Vec<usize>> {
-        match key {
-            IndexKey::Null => None,
-            IndexKey::Num(b) => self.num.get(b),
-            IndexKey::Text(s) => self.text.get(s.as_ref()),
-        }
-    }
-
-    /// Remove `pos` from the bucket of `key`, dropping the bucket when
-    /// it empties.
-    fn remove_entry(&mut self, key: IndexKey<'_>, pos: usize) {
-        let bucket = match &key {
-            IndexKey::Null => return,
-            IndexKey::Num(b) => self.num.get_mut(b),
-            IndexKey::Text(s) => self.text.get_mut(s.as_ref()),
-        };
-        let Some(bucket) = bucket else { return };
-        if let Ok(at) = bucket.binary_search(&pos) {
-            bucket.remove(at);
-        }
-        if bucket.is_empty() {
-            match key {
-                IndexKey::Null => {}
-                IndexKey::Num(b) => {
-                    self.num.remove(&b);
-                }
-                IndexKey::Text(s) => {
-                    self.text.remove(s.as_ref());
-                }
-            }
-        }
-    }
-
-    /// Insert `pos` into the bucket of `key` at its sorted position
-    /// (buckets stay ascending so probes return rows in scan order).
-    fn insert_entry(&mut self, key: IndexKey<'_>, pos: usize) {
-        let bucket = match key {
-            IndexKey::Null => return,
-            IndexKey::Num(b) => self.num.entry(b).or_default(),
-            IndexKey::Text(s) => self.text.entry(s.into_owned()).or_default(),
-        };
-        let at = bucket.partition_point(|&q| q < pos);
-        bucket.insert(at, pos);
-    }
-
-    /// All buckets, for position-shift passes.
-    fn buckets_mut(&mut self) -> impl Iterator<Item = &mut Vec<usize>> {
-        self.num.values_mut().chain(self.text.values_mut())
-    }
-
-    /// Record `row` appended at `pos` (which exceeds every indexed
-    /// position, so pushing keeps the bucket ascending).
-    fn note_append(&mut self, pos: usize, row: &Row) {
-        let v = &row[self.col];
-        match v.index_key() {
-            IndexKey::Null => {}
-            IndexKey::Num(b) => self.num.entry(b).or_default().push(pos),
-            IndexKey::Text(s) => self.text.entry(s.into_owned()).or_default().push(pos),
-        }
-    }
-
-    /// Forget the entry for `row` at `pos` (undo of an append; `pos` is
-    /// the largest indexed position, sitting at its bucket's tail).
-    fn forget_tail(&mut self, pos: usize, row: &Row) {
-        self.remove_entry(row[self.col].index_key(), pos);
-    }
-
-    /// Drop `deleted` (ascending row positions) from every bucket and
-    /// shift the surviving positions down past them. One pass per
-    /// bucket entry — O(index entries + deleted), never a rebuild.
-    fn note_delete(&mut self, deleted: &[usize]) {
-        for bucket in self.buckets_mut() {
-            shift_down(bucket, deleted);
-        }
-        self.num.retain(|_, b| !b.is_empty());
-        self.text.retain(|_, b| !b.is_empty());
-    }
-
-    /// Undo of [`IndexMap::note_delete`]: shift survivors back up past
-    /// the re-inserted ascending `positions`, then index the restored
-    /// rows. The two-pointer walk relies on buckets and `positions`
-    /// both being ascending.
-    fn note_insert_at(&mut self, entries: &[(usize, Row)]) {
-        for bucket in self.buckets_mut() {
-            shift_up(bucket, entries);
-        }
-        for (pos, row) in entries {
-            self.insert_entry(row[self.col].index_key(), *pos);
-        }
-    }
-
-    /// Move `pos` between buckets when an UPDATE changed the indexed
-    /// cell. No-op when old and new key agree.
-    fn note_update(&mut self, pos: usize, old: &Value, new: &Value) {
-        let (old_key, new_key) = (old.index_key(), new.index_key());
-        if old_key == new_key {
-            return;
-        }
-        self.remove_entry(old_key, pos);
-        self.insert_entry(new_key, pos);
-    }
 }
 
 /// Drop `deleted` positions from an ascending bucket and shift the
@@ -214,20 +66,24 @@ fn shift_up(bucket: &mut [usize], entries: &[(usize, Row)]) {
     }
 }
 
-/// An ordered secondary index: resolved column positions plus a
-/// `BTreeMap` from composite [`OrdKey`] to **ascending** row positions.
+/// A secondary index: resolved column positions plus a `BTreeMap` from
+/// composite [`OrdKey`] to **ascending** row positions.
 ///
-/// Unlike [`IndexMap`], *every* row is indexed — including rows whose
-/// key columns are NULL ([`OrdKey::Null`] sorts first). A prefix probe
+/// The map is maintained *incrementally*: INSERT appends the new
+/// position to its bucket, DELETE drops removed positions and shifts the
+/// survivors, UPDATE moves a position between buckets only when the
+/// indexed cells actually changed. Nothing rebuilds a whole map on the
+/// read path, and probes take `&self`, so they run under a shared lock.
+/// Buckets stay in ascending row order so a probe returns rows in the
+/// order a full scan would.
+///
+/// *Every* row is indexed — including rows whose key columns are NULL
+/// ([`OrdKey::Null`] sorts first). A prefix probe
 /// for `(runid = 5)` on a `(runid, timestep)` index must see rows whose
 /// `timestep` is NULL, or the index would hide rows a full scan finds.
 /// Equality and range probes never *produce* NULL bounds (the planner
 /// answers those with an empty set), so NULL-keyed rows only surface
 /// through prefix/unbounded scans, where re-verification decides.
-///
-/// Maintenance mirrors the hash index exactly: same incremental
-/// patches, same ascending-bucket invariant, same rebuild on snapshot
-/// load.
 #[derive(Debug, Clone, PartialEq)]
 struct OrdIndex {
     cols: Vec<usize>,
@@ -359,73 +215,9 @@ impl OrdIndex {
     }
 }
 
-/// A maintained secondary index of either shape, dispatching the shared
-/// incremental-maintenance protocol.
-#[derive(Debug, Clone, PartialEq)]
-enum IndexStore {
-    Hash(IndexMap),
-    Ordered(OrdIndex),
-}
-
-impl IndexStore {
-    fn note_append(&mut self, pos: usize, row: &Row) {
-        match self {
-            IndexStore::Hash(m) => m.note_append(pos, row),
-            IndexStore::Ordered(o) => o.note_append(pos, row),
-        }
-    }
-
-    fn forget_tail(&mut self, pos: usize, row: &Row) {
-        match self {
-            IndexStore::Hash(m) => m.forget_tail(pos, row),
-            IndexStore::Ordered(o) => o.forget_tail(pos, row),
-        }
-    }
-
-    fn note_delete(&mut self, deleted: &[usize]) {
-        match self {
-            IndexStore::Hash(m) => m.note_delete(deleted),
-            IndexStore::Ordered(o) => o.note_delete(deleted),
-        }
-    }
-
-    fn note_insert_at(&mut self, entries: &[(usize, Row)]) {
-        match self {
-            IndexStore::Hash(m) => m.note_insert_at(entries),
-            IndexStore::Ordered(o) => o.note_insert_at(entries),
-        }
-    }
-
-    fn note_update(&mut self, pos: usize, old: &Row, new: &Row) {
-        match self {
-            IndexStore::Hash(m) => m.note_update(pos, &old[m.col], &new[m.col]),
-            IndexStore::Ordered(o) => o.note_update(pos, old, new),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            IndexStore::Hash(m) => {
-                m.num.clear();
-                m.text.clear();
-            }
-            IndexStore::Ordered(o) => o.map.clear(),
-        }
-    }
-
-    /// Number of distinct keys — the cardinality statistic the planner
-    /// divides row counts by. O(1).
-    fn distinct_keys(&self) -> usize {
-        match self {
-            IndexStore::Hash(m) => m.num.len() + m.text.len(),
-            IndexStore::Ordered(o) => o.map.len(),
-        }
-    }
-}
-
 /// A heap table: schema plus rows in insertion order, with optional
-/// secondary indexes (hash or ordered) maintained incrementally
-/// (`maps` parallels `indexes`).
+/// secondary indexes maintained incrementally (`maps` parallels
+/// `indexes`).
 ///
 /// The maps are skipped by serde; the catalog rebuilds them on snapshot
 /// load, before a loaded table serves its first probe.
@@ -439,7 +231,7 @@ pub struct Table {
     #[serde(default)]
     indexes: Vec<IndexDef>,
     #[serde(skip)]
-    maps: Vec<IndexStore>,
+    maps: Vec<OrdIndex>,
 }
 
 /// Empty candidate list for probes that miss (a borrowed `&[]`).
@@ -566,7 +358,7 @@ impl Table {
     /// caller keeps the rows for undo).
     pub fn clear(&mut self) -> Vec<Row> {
         for m in &mut self.maps {
-            m.clear();
+            m.map.clear();
         }
         std::mem::take(&mut self.rows)
     }
@@ -587,23 +379,16 @@ impl Table {
         old_rows
     }
 
-    /// Declare a secondary index; its map is built once here (O(rows))
-    /// and patched incrementally from then on. Hash indexes take
-    /// exactly one column; ordered indexes take one or more. Errors if
-    /// a column is unknown or the name is taken.
-    pub fn create_index(&mut self, name: &str, columns: &[&str], ordered: bool) -> DbResult<()> {
+    /// Declare a secondary index over one or more columns; its map is
+    /// built once here (O(rows)) and patched incrementally from then on.
+    /// Errors if a column is unknown or the name is taken.
+    pub fn create_index(&mut self, name: &str, columns: &[&str]) -> DbResult<()> {
         let cols = columns
             .iter()
             .map(|c| self.schema.index_of(c))
             .collect::<DbResult<Vec<usize>>>()?;
         if cols.is_empty() {
             return Err(DbError::Arity(format!("index {name} names no columns")));
-        }
-        if !ordered && cols.len() != 1 {
-            return Err(DbError::Arity(format!(
-                "hash index {name} must name exactly one column; \
-                 declare it ORDERED for a composite key"
-            )));
         }
         if self
             .indexes
@@ -615,13 +400,8 @@ impl Table {
         self.indexes.push(IndexDef {
             name: name.to_string(),
             columns: columns.iter().map(|c| c.to_string()).collect(),
-            ordered,
         });
-        self.maps.push(if ordered {
-            IndexStore::Ordered(OrdIndex::build(cols, &self.rows))
-        } else {
-            IndexStore::Hash(IndexMap::build(cols[0], &self.rows))
-        });
+        self.maps.push(OrdIndex::build(cols, &self.rows));
         Ok(())
     }
 
@@ -657,7 +437,7 @@ impl Table {
     /// Distinct-key count of index `i` — the per-index cardinality
     /// statistic (`rows / distinct` estimates bucket size). O(1).
     pub fn index_distinct_keys(&self, i: usize) -> usize {
-        self.maps[i].distinct_keys()
+        self.maps[i].map.len()
     }
 
     /// Equality probe through a *single-column* index on `column`:
@@ -671,53 +451,32 @@ impl Table {
             .indexes
             .iter()
             .position(|ix| ix.columns.len() == 1 && ix.columns[0].eq_ignore_ascii_case(column))?;
-        Some(match &self.maps[i] {
-            IndexStore::Hash(m) => m.bucket(&value.index_key()).map_or(NO_ROWS, Vec::as_slice),
-            IndexStore::Ordered(o) => {
-                if value.is_null() {
-                    NO_ROWS // NULL = x is unknown; never a point match
-                } else {
-                    o.map
-                        .get(&vec![value.ord_key()])
-                        .map_or(NO_ROWS, Vec::as_slice)
-                }
-            }
-        })
-    }
-
-    /// The index best placed to drive an eq-join on `column`: an
-    /// *ordered* index led by `column` when one exists (its key order
-    /// makes it merge-joinable), else a hash index on exactly `column`.
-    /// Returns `(index position, ordered)`.
-    pub fn join_index(&self, column: &str) -> Option<(usize, bool)> {
-        let mut hash = None;
-        for (i, def) in self.indexes.iter().enumerate() {
-            if !def.columns[0].eq_ignore_ascii_case(column) {
-                continue;
-            }
-            if def.ordered {
-                return Some((i, true));
-            }
-            if hash.is_none() {
-                hash = Some((i, false));
-            }
+        if value.is_null() {
+            return Some(NO_ROWS); // NULL = x is unknown; never a point match
         }
-        hash
+        Some(
+            self.maps[i]
+                .map
+                .get(&vec![value.ord_key()])
+                .map_or(NO_ROWS, Vec::as_slice),
+        )
     }
 
-    /// Key-ordered `(leading key component, bucket)` pairs of ordered
-    /// index `i` — the merge-join streaming surface. A composite index
-    /// splits one leading key across many adjacent groups (one per
-    /// distinct tail combination), so consumers gather *runs* of equal
-    /// leading keys. `None` when index `i` is a hash index.
-    pub fn ordered_groups(
-        &self,
-        i: usize,
-    ) -> Option<impl Iterator<Item = (&OrdKey, &[usize])> + '_> {
-        let IndexStore::Ordered(o) = &self.maps[i] else {
-            return None;
-        };
-        Some(o.map.iter().map(|(k, b)| (&k[0], b.as_slice())))
+    /// The position of the first index led by `column` — the index that
+    /// drives an eq-join on `column` (its key order makes it
+    /// merge-joinable).
+    pub fn join_index(&self, column: &str) -> Option<usize> {
+        self.indexes
+            .iter()
+            .position(|def| def.columns[0].eq_ignore_ascii_case(column))
+    }
+
+    /// Key-ordered `(leading key component, bucket)` pairs of index `i`
+    /// — the merge-join streaming surface. A composite index splits one
+    /// leading key across many adjacent groups (one per distinct tail
+    /// combination), so consumers gather *runs* of equal leading keys.
+    pub fn ordered_groups(&self, i: usize) -> impl Iterator<Item = (&OrdKey, &[usize])> + '_ {
+        self.maps[i].map.iter().map(|(k, b)| (&k[0], b.as_slice()))
     }
 
     /// Equality probe on the *leading* key column of index `i`,
@@ -731,56 +490,39 @@ impl Table {
         if value.is_null() {
             return;
         }
-        match &self.maps[i] {
-            IndexStore::Hash(m) => {
-                if let Some(b) = m.bucket(&value.index_key()) {
-                    buf.extend_from_slice(b);
-                }
-            }
-            IndexStore::Ordered(o) => {
-                let key = value.ord_key();
-                for (_, b) in o.scan(&[], Some(&key), Some(&key)) {
-                    buf.extend_from_slice(b);
-                }
-                // Buckets stream in key order; positions ascend within
-                // each bucket but not across the tail keys of a
-                // composite index, so restore global scan order.
-                buf.sort_unstable();
-            }
+        let key = value.ord_key();
+        for (_, b) in self.maps[i].scan(&[], Some(&key), Some(&key)) {
+            buf.extend_from_slice(b);
         }
+        // Buckets stream in key order; positions ascend within each
+        // bucket but not across the tail keys of a composite index, so
+        // restore global scan order.
+        buf.sort_unstable();
     }
 
     /// Full-key equality probe through index `i`: borrowed ascending
     /// positions for the composite key `vals` (one value per index
     /// column). `None` when the arity doesn't match the index.
     pub fn probe_point(&self, i: usize, vals: &[&Value]) -> Option<&[usize]> {
-        match &self.maps[i] {
-            IndexStore::Hash(m) => {
-                let [v] = vals else { return None };
-                Some(m.bucket(&v.index_key()).map_or(NO_ROWS, Vec::as_slice))
-            }
-            IndexStore::Ordered(o) => {
-                if vals.len() != o.cols.len() {
-                    return None;
-                }
-                if vals.iter().any(|v| v.is_null()) {
-                    return Some(NO_ROWS); // NULL = x matches nothing
-                }
-                let key: Vec<OrdKey> = vals.iter().map(|v| v.ord_key()).collect();
-                Some(o.map.get(&key).map_or(NO_ROWS, Vec::as_slice))
-            }
+        let o = &self.maps[i];
+        if vals.len() != o.cols.len() {
+            return None;
         }
+        if vals.iter().any(|v| v.is_null()) {
+            return Some(NO_ROWS); // NULL = x matches nothing
+        }
+        let key: Vec<OrdKey> = vals.iter().map(|v| v.ord_key()).collect();
+        Some(o.map.get(&key).map_or(NO_ROWS, Vec::as_slice))
     }
 
-    /// Range probe through ordered index `i`: positions of rows whose
+    /// Range probe through index `i`: positions of rows whose
     /// leading `prefix.len()` key columns equal `prefix` and whose next
     /// key column lies in `[lo, hi]` (inclusive; either side may be
     /// open — callers widen strict bounds and re-verify). Returns
     /// **ascending** positions, i.e. scan order. Collection aborts and
     /// returns `None` once more than `abort_at` candidates accumulate —
     /// the cost-based planner passes the best plan found so far.
-    /// Also `None` when index `i` is not ordered or the prefix is too
-    /// long.
+    /// Also `None` when the prefix is too long.
     pub fn probe_range(
         &self,
         i: usize,
@@ -789,9 +531,7 @@ impl Table {
         hi: Option<&Value>,
         abort_at: usize,
     ) -> Option<Vec<usize>> {
-        let IndexStore::Ordered(o) = &self.maps[i] else {
-            return None;
-        };
+        let o = &self.maps[i];
         if prefix.len() >= o.cols.len() && (lo.is_some() || hi.is_some()) {
             return None;
         }
@@ -808,7 +548,7 @@ impl Table {
         Some(out)
     }
 
-    /// Key-ordered position stream through ordered index `i`: rows
+    /// Key-ordered position stream through index `i`: rows
     /// whose leading key columns equal `prefix`, with the next key
     /// column optionally bounded to `[lo, hi]`, in ascending
     /// (`desc = false`) or descending key order. Ties (equal keys)
@@ -822,21 +562,18 @@ impl Table {
         lo: Option<&Value>,
         hi: Option<&Value>,
         desc: bool,
-    ) -> Option<Box<dyn Iterator<Item = usize> + '_>> {
-        let IndexStore::Ordered(o) = &self.maps[i] else {
-            return None;
-        };
+    ) -> Box<dyn Iterator<Item = usize> + '_> {
         let pkeys: Vec<OrdKey> = prefix.iter().map(|v| v.ord_key()).collect();
         let (lok, hik) = (lo.map(Value::ord_key), hi.map(Value::ord_key));
-        let range = o.scan(&pkeys, lok.as_ref(), hik.as_ref());
-        Some(if desc {
+        let range = self.maps[i].scan(&pkeys, lok.as_ref(), hik.as_ref());
+        if desc {
             Box::new(range.rev().flat_map(|(_, b)| b.iter().copied()))
         } else {
             Box::new(range.flat_map(|(_, b)| b.iter().copied()))
-        })
+        }
     }
 
-    /// First/last-key peek through ordered index `i`: the position of a
+    /// First/last-key peek through index `i`: the position of a
     /// row holding the MIN (`max = false`) or MAX (`max = true`) of the
     /// index's *last* key column among rows whose leading columns equal
     /// `prefix`. Only defined when `prefix` covers all but the last
@@ -850,9 +587,7 @@ impl Table {
     /// `None` means the peek doesn't apply; inner `None` means no
     /// qualifying row (the aggregate is NULL).
     pub fn peek_edge(&self, i: usize, prefix: &[&Value], max: bool) -> Option<Option<usize>> {
-        let IndexStore::Ordered(o) = &self.maps[i] else {
-            return None;
-        };
+        let o = &self.maps[i];
         if prefix.len() + 1 != o.cols.len() {
             return None;
         }
@@ -902,11 +637,7 @@ impl Table {
                             .expect("index column validated at creation")
                     })
                     .collect();
-                if def.ordered {
-                    IndexStore::Ordered(OrdIndex::build(cols, &self.rows))
-                } else {
-                    IndexStore::Hash(IndexMap::build(cols[0], &self.rows))
-                }
+                OrdIndex::build(cols, &self.rows)
             })
             .collect();
     }
@@ -915,16 +646,9 @@ impl Table {
     /// rebuild (same buckets, same ascending positions).
     #[cfg(test)]
     fn maps_match_rebuild(&self) -> bool {
-        self.maps.iter().all(|m| match m {
-            IndexStore::Hash(h) => {
-                let fresh = IndexMap::build(h.col, &self.rows);
-                h.num == fresh.num && h.text == fresh.text
-            }
-            IndexStore::Ordered(o) => {
-                let fresh = OrdIndex::build(o.cols.clone(), &self.rows);
-                o.map == fresh.map
-            }
-        })
+        self.maps
+            .iter()
+            .all(|o| o.map == OrdIndex::build(o.cols.clone(), &self.rows).map)
     }
 }
 
@@ -984,7 +708,7 @@ mod tests {
         for i in 0..10 {
             t.insert(vec![Value::Int(i % 3), Value::from("x")]).unwrap();
         }
-        t.create_index("ik", &["k"], false).unwrap();
+        t.create_index("ik", &["k"]).unwrap();
         let hits = t.index_lookup("k", &Value::Int(1)).unwrap();
         assert_eq!(hits, &[1, 4, 7]);
         // Unindexed column: no index answer.
@@ -994,22 +718,10 @@ mod tests {
     }
 
     #[test]
-    fn ordered_single_column_lookup_matches_hash() {
-        let mut t = table();
-        for i in 0..10 {
-            t.insert(vec![Value::Int(i % 3), Value::from("x")]).unwrap();
-        }
-        t.create_index("ok", &["k"], true).unwrap();
-        assert_eq!(t.index_lookup("k", &Value::Int(1)).unwrap(), &[1, 4, 7]);
-        assert_eq!(t.index_lookup("k", &Value::Int(99)), Some(NO_ROWS));
-        assert!(t.index_lookup("k", &Value::Null).unwrap().is_empty());
-    }
-
-    #[test]
     fn index_tracks_mutations() {
         let mut t = table();
         t.insert(vec![Value::Int(7), Value::from("a")]).unwrap();
-        t.create_index("ik", &["k"], false).unwrap();
+        t.create_index("ik", &["k"]).unwrap();
         assert_eq!(t.index_lookup("k", &Value::Int(7)).unwrap().len(), 1);
         t.insert(vec![Value::Int(7), Value::from("b")]).unwrap();
         assert_eq!(t.index_lookup("k", &Value::Int(7)).unwrap().len(), 2);
@@ -1022,7 +734,7 @@ mod tests {
     fn index_cross_type_numeric_probe() {
         let mut t = table();
         t.insert(vec![Value::Int(2), Value::from("a")]).unwrap();
-        t.create_index("ik", &["k"], false).unwrap();
+        t.create_index("ik", &["k"]).unwrap();
         // SQL: 2 = 2.0, so a Double probe must find the Int row.
         assert_eq!(t.index_lookup("k", &Value::Double(2.0)).unwrap(), &[0]);
     }
@@ -1031,37 +743,29 @@ mod tests {
     fn null_probe_returns_nothing() {
         let mut t = table();
         t.insert(vec![Value::Null, Value::from("a")]).unwrap();
-        t.create_index("ik", &["k"], false).unwrap();
+        t.create_index("ik", &["k"]).unwrap();
         assert!(t.index_lookup("k", &Value::Null).unwrap().is_empty());
     }
 
     #[test]
     fn duplicate_index_name_rejected() {
         let mut t = table();
-        t.create_index("i", &["k"], false).unwrap();
+        t.create_index("i", &["k"]).unwrap();
         assert!(matches!(
-            t.create_index("i", &["v"], false),
+            t.create_index("i", &["v"]),
             Err(DbError::IndexExists(_))
         ));
         assert!(matches!(
-            t.create_index("j", &["nope"], false),
+            t.create_index("j", &["nope"]),
             Err(DbError::NoSuchColumn(_))
         ));
-        // Hash indexes are single-column; composites must be ordered.
-        assert!(matches!(
-            t.create_index("j", &["k", "v"], false),
-            Err(DbError::Arity(_))
-        ));
-        assert!(matches!(
-            t.create_index("j", &[], true),
-            Err(DbError::Arity(_))
-        ));
+        assert!(matches!(t.create_index("j", &[]), Err(DbError::Arity(_))));
     }
 
     #[test]
     fn drop_index_removes() {
         let mut t = table();
-        t.create_index("i", &["k"], false).unwrap();
+        t.create_index("i", &["k"]).unwrap();
         t.drop_index("i").unwrap();
         assert!(t.index_lookup("k", &Value::Int(0)).is_none());
         assert!(matches!(t.drop_index("i"), Err(DbError::NoSuchIndex(_))));
@@ -1071,13 +775,12 @@ mod tests {
     fn incremental_maintenance_matches_rebuild() {
         // A deterministic mixed workload: inserts, point updates,
         // range deletes, undo of each — after every step the patched
-        // maps must equal a from-scratch rebuild. An ordered composite
-        // index rides along with the two hash indexes so both shapes
-        // face the same workload.
+        // maps must equal a from-scratch rebuild. A composite index
+        // rides along with the two single-column ones.
         let mut t = table();
-        t.create_index("ik", &["k"], false).unwrap();
-        t.create_index("iv", &["v"], false).unwrap();
-        t.create_index("okv", &["k", "v"], true).unwrap();
+        t.create_index("ik", &["k"]).unwrap();
+        t.create_index("iv", &["v"]).unwrap();
+        t.create_index("okv", &["k", "v"]).unwrap();
         for i in 0..40 {
             let v = if i % 5 == 0 {
                 Value::Null
@@ -1126,8 +829,8 @@ mod tests {
         for i in 0..6 {
             t.insert(vec![Value::Int(i % 2), Value::from("x")]).unwrap();
         }
-        t.create_index("ik", &["k"], false).unwrap();
-        t.create_index("okv", &["k", "v"], true).unwrap();
+        t.create_index("ik", &["k"]).unwrap();
+        t.create_index("okv", &["k", "v"]).unwrap();
         t.maps.clear(); // simulate a deserialized table
         t.rebuild_indexes();
         assert_eq!(t.index_lookup("k", &Value::Int(0)).unwrap(), &[0, 2, 4]);
@@ -1149,17 +852,15 @@ mod tests {
         );
         t.insert(vec![Value::Double(-0.0)]).unwrap();
         t.insert(vec![Value::Double(0.0)]).unwrap();
-        t.create_index("id", &["d"], false).unwrap();
-        t.create_index("od", &["d"], true).unwrap();
+        t.create_index("od", &["d"]).unwrap();
         // SQL: -0.0 = 0.0, so either probe must return both rows.
         assert_eq!(t.index_lookup("d", &Value::Double(0.0)).unwrap(), &[0, 1]);
         assert_eq!(t.index_lookup("d", &Value::Double(-0.0)).unwrap(), &[0, 1]);
         assert_eq!(t.index_lookup("d", &Value::Int(0)).unwrap(), &[0, 1]);
-        // The ordered index collapses them into one key as well.
-        assert_eq!(t.probe_point(1, &[&Value::Int(0)]).unwrap(), &[0, 1]);
+        assert_eq!(t.probe_point(0, &[&Value::Int(0)]).unwrap(), &[0, 1]);
         assert_eq!(
             t.probe_range(
-                1,
+                0,
                 &[],
                 Some(&Value::Double(-0.0)),
                 Some(&Value::Int(0)),
@@ -1190,7 +891,7 @@ mod tests {
                 t.insert(vec![Value::Int(run), Value::Int(ts)]).unwrap();
             }
         }
-        t.create_index("o_run_ts", &["runid", "ts"], true).unwrap();
+        t.create_index("o_run_ts", &["runid", "ts"]).unwrap();
         t
     }
 
@@ -1252,26 +953,19 @@ mod tests {
         // A duplicate key: ties must stream in ascending position.
         t.insert(vec![Value::Int(1), Value::Int(5)]).unwrap();
         let one = Value::Int(1);
-        let asc: Vec<usize> = t
-            .stream_ordered(0, &[&one], None, None, false)
-            .unwrap()
-            .collect();
+        let asc: Vec<usize> = t.stream_ordered(0, &[&one], None, None, false).collect();
         let ts_of = |p: usize| t.rows()[p][1].as_i64().unwrap();
         assert!(asc
             .windows(2)
             .all(|w| { ts_of(w[0]) < ts_of(w[1]) || (ts_of(w[0]) == ts_of(w[1]) && w[0] < w[1]) }));
         assert_eq!(asc.len(), 13);
-        let desc: Vec<usize> = t
-            .stream_ordered(0, &[&one], None, None, true)
-            .unwrap()
-            .collect();
+        let desc: Vec<usize> = t.stream_ordered(0, &[&one], None, None, true).collect();
         assert!(desc
             .windows(2)
             .all(|w| { ts_of(w[0]) > ts_of(w[1]) || (ts_of(w[0]) == ts_of(w[1]) && w[0] < w[1]) }));
         // Bounded stream honors the range.
         let bounded: Vec<usize> = t
             .stream_ordered(0, &[&one], Some(&Value::Int(4)), Some(&Value::Int(6)), true)
-            .unwrap()
             .collect();
         assert!(bounded.iter().all(|&p| (4..=6).contains(&ts_of(p))));
     }
@@ -1323,7 +1017,7 @@ mod tests {
         t.insert(vec![Value::Double(f64::NAN)]).unwrap();
         t.insert(vec![Value::Double(2.5)]).unwrap();
         t.insert(vec![Value::Double(-1.0)]).unwrap();
-        t.create_index("od", &["d"], true).unwrap();
+        t.create_index("od", &["d"]).unwrap();
         let min = t.peek_edge(0, &[], false).unwrap().unwrap();
         assert_eq!(t.rows()[min][0], Value::Double(-1.0));
         let max = t.peek_edge(0, &[], true).unwrap().unwrap();
@@ -1343,7 +1037,7 @@ mod tests {
             t.insert(vec![Value::Int(i as i64), Value::from(*name)])
                 .unwrap();
         }
-        t.create_index("ov", &["v"], true).unwrap();
+        t.create_index("ov", &["v"]).unwrap();
         let hits = t
             .probe_range(
                 0,

@@ -156,7 +156,7 @@ impl UndoLog {
                         .get_mut(&table)
                         // analyze:allow(unwrap: reverse replay re-instates any table dropped after this record was logged)
                         .expect("undo: index's table exists")
-                        .create_index(&def.name, &cols, def.ordered)
+                        .create_index(&def.name, &cols)
                         // analyze:allow(unwrap: the dropped index's def was captured verbatim, so re-creating it cannot conflict)
                         .expect("undo: dropped index re-creates");
                 }

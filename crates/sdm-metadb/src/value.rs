@@ -1,6 +1,5 @@
 //! Values and dynamic typing.
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -81,38 +80,26 @@ impl Value {
         self.sql_cmp(other).map(|o| o == Ordering::Equal)
     }
 
-    /// Canonical hash key under SQL equality: `Int(2)` and `Double(2.0)`
-    /// produce the same key (they are `=` in SQL), text keys by content
-    /// **without allocating**, and NULL gets a sentinel that equality
-    /// lookups never probe (`NULL = NULL` is unknown).
+    /// Owned, totally-ordered key under SQL equality — the `BTreeMap`
+    /// key of the secondary indexes, and the key of merge joins,
+    /// GROUP BY and DISTINCT.
     ///
-    /// Numeric keys canonicalize through `f64`:
+    /// SQL-equal values share a key. Numeric keys canonicalize through
+    /// `f64`:
     ///
-    /// * `-0.0` keys identically to `0.0` — they are `=` in SQL, so an
-    ///   indexed probe for one must find rows storing the other;
-    /// * every NaN bit pattern shares one bucket. NaN rows are therefore
-    ///   *indexed*, but an equality probe never returns them: index users
-    ///   re-verify candidates against the real predicate, and
-    ///   `NaN = NaN` evaluates to unknown under [`Value::sql_cmp`];
+    /// * `Int(2)` and `Double(2.0)` key identically;
+    /// * `-0.0` keys as `0.0` — they are `=` in SQL, so an indexed probe
+    ///   for one must find rows storing the other;
+    /// * every NaN payload shares one key. NaN rows are therefore
+    ///   *indexed*, but an equality probe never returns them: index
+    ///   users re-verify candidates against the real predicate, and
+    ///   `NaN = NaN` is unknown under [`Value::sql_cmp`];
     /// * two huge integers (beyond 2^53) that collide after `f64`
-    ///   rounding share a bucket — consistent with [`Value::sql_eq`],
+    ///   rounding share a key — consistent with [`Value::sql_eq`],
     ///   which compares all numerics through `f64`.
-    pub fn index_key(&self) -> IndexKey<'_> {
-        match self {
-            Value::Null => IndexKey::Null,
-            Value::Int(i) => IndexKey::num(*i as f64),
-            Value::Double(d) => IndexKey::num(*d),
-            Value::Text(s) => IndexKey::Text(Cow::Borrowed(s)),
-        }
-    }
-
-    /// Owned, totally-ordered key — the `BTreeMap` key of the ordered
-    /// secondary indexes.
     ///
-    /// Shares [`Value::index_key`]'s canonicalization (`-0.0` keys as
-    /// `0.0`, all NaN payloads collapse, integers via their `f64`
-    /// value), and additionally sorts consistently with
-    /// [`Value::sql_cmp`] wherever `sql_cmp` is defined:
+    /// Keys also sort consistently with [`Value::sql_cmp`] wherever
+    /// `sql_cmp` is defined:
     ///
     /// * numerics order by `f64` value via an order-preserving bit
     ///   transform (sign-magnitude flip), so `Int` and `Double` keys
@@ -151,14 +138,14 @@ pub enum OrdKey {
 }
 
 impl OrdKey {
-    /// Canonicalize as [`IndexKey::num`] does, then make the bit
+    /// Canonicalize (see [`Value::ord_key`]), then make the bit
     /// pattern order-preserving: for `a < b` as floats,
     /// `enc(a) < enc(b)` as unsigned integers.
     fn num(d: f64) -> OrdKey {
         let canonical = if d == 0.0 {
-            0.0f64
+            0.0f64 // collapse -0.0: SQL says -0.0 = 0.0
         } else if d.is_nan() {
-            f64::NAN
+            f64::NAN // collapse NaN payloads into one key
         } else {
             d
         };
@@ -191,50 +178,6 @@ impl OrdKey {
                 t.push('\0');
                 OrdKey::Text(t)
             }
-        }
-    }
-}
-
-/// A typed hash key under SQL equality — the probe/build key of the
-/// secondary index maps, hash joins, GROUP BY, and DISTINCT.
-///
-/// Borrowed by construction: [`Value::index_key`] hands out a key that
-/// references the value's text in place, so probing an index or building
-/// a join table formats and allocates nothing per row. Keys stored in
-/// maps that outlive the source rows (GROUP BY groups, DISTINCT sets)
-/// are detached with [`IndexKey::into_owned`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum IndexKey<'a> {
-    /// NULL sentinel. Present so group/distinct keys can carry NULLs;
-    /// equality probes never look it up.
-    Null,
-    /// Canonical `f64` bits: `-0.0` normalized to `0.0`, all NaNs
-    /// collapsed to one pattern, integers via their `f64` value.
-    Num(u64),
-    /// Text by content.
-    Text(Cow<'a, str>),
-}
-
-impl IndexKey<'_> {
-    /// Canonical numeric key (see [`Value::index_key`] for the rules).
-    fn num(d: f64) -> Self {
-        let canonical = if d == 0.0 {
-            0.0f64 // collapse -0.0: SQL says -0.0 = 0.0
-        } else if d.is_nan() {
-            f64::NAN // collapse NaN payloads into one bucket
-        } else {
-            d
-        };
-        IndexKey::Num(canonical.to_bits())
-    }
-
-    /// Detach from the borrowed value (for keys stored in long-lived
-    /// maps).
-    pub fn into_owned(self) -> IndexKey<'static> {
-        match self {
-            IndexKey::Null => IndexKey::Null,
-            IndexKey::Num(b) => IndexKey::Num(b),
-            IndexKey::Text(s) => IndexKey::Text(Cow::Owned(s.into_owned())),
         }
     }
 }
@@ -330,49 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn index_key_canonicalizes_sql_equal_values() {
-        // Int and Double that are SQL-equal share a key.
-        assert_eq!(Value::Int(2).index_key(), Value::Double(2.0).index_key());
-        // -0.0 = 0.0 in SQL: one bucket, or indexed probes would miss
-        // rows a full scan finds.
-        assert_eq!(
-            Value::Double(-0.0).index_key(),
-            Value::Double(0.0).index_key()
-        );
-        assert_eq!(Value::Int(0).index_key(), Value::Double(-0.0).index_key());
-        // All NaN payloads share a bucket (re-verification rejects them).
-        let quiet = f64::NAN;
-        let payload = f64::from_bits(quiet.to_bits() | 1);
-        assert!(payload.is_nan() && payload.to_bits() != quiet.to_bits());
-        assert_eq!(
-            Value::Double(quiet).index_key(),
-            Value::Double(payload).index_key()
-        );
-        // Text keys borrow; content decides equality.
-        assert_eq!(Value::from("ab").index_key(), Value::from("ab").index_key());
-        assert_ne!(Value::from("ab").index_key(), Value::from("ba").index_key());
-        // Huge integers beyond 2^53 may collide after f64 rounding —
-        // consistently with sql_eq, which also compares through f64.
-        let (a, b) = (Value::Int(1 << 53), Value::Int((1 << 53) + 1));
-        assert_eq!(a.index_key(), b.index_key());
-        assert_eq!(a.sql_eq(&b), Some(true));
-    }
-
-    #[test]
-    fn index_key_owned_equals_borrowed() {
-        let v = Value::from("hello");
-        let borrowed = v.index_key();
-        let owned = v.index_key().into_owned();
-        assert_eq!(borrowed, owned);
-        use std::collections::HashMap;
-        let mut map: HashMap<IndexKey<'static>, i32> = HashMap::new();
-        map.insert(owned, 7);
-        // Covariance: a map keyed by 'static keys answers borrowed probes.
-        let shorter: &HashMap<IndexKey<'_>, i32> = &map;
-        assert_eq!(shorter.get(&borrowed), Some(&7));
-    }
-
-    #[test]
     fn ord_key_orders_like_sql_cmp() {
         // Every comparable pair orders identically under sql_cmp and
         // ord_key — including negatives, where raw f64 bits would not.
@@ -407,15 +307,30 @@ mod tests {
 
     #[test]
     fn ord_key_canonicalizes_like_index_key() {
+        // Int and Double that are SQL-equal share a key.
         assert_eq!(Value::Int(2).ord_key(), Value::Double(2.0).ord_key());
+        // -0.0 = 0.0 in SQL: one key, or indexed probes would miss rows
+        // a full scan finds.
         assert_eq!(Value::Double(-0.0).ord_key(), Value::Double(0.0).ord_key());
-        let payload = f64::from_bits(f64::NAN.to_bits() | 1);
+        assert_eq!(Value::Int(0).ord_key(), Value::Double(-0.0).ord_key());
+        // All NaN payloads share a key (re-verification rejects them).
+        let quiet = f64::NAN;
+        let payload = f64::from_bits(quiet.to_bits() | 1);
+        assert!(payload.is_nan() && payload.to_bits() != quiet.to_bits());
         assert_eq!(
             Value::Double(payload).ord_key(),
-            Value::Double(f64::NAN).ord_key()
+            Value::Double(quiet).ord_key()
         );
         assert!(Value::Double(payload).ord_key().is_nan());
         assert!(!Value::Int(7).ord_key().is_nan());
+        // Text content decides equality.
+        assert_eq!(Value::from("ab").ord_key(), Value::from("ab").ord_key());
+        assert_ne!(Value::from("ab").ord_key(), Value::from("ba").ord_key());
+        // Huge integers beyond 2^53 may collide after f64 rounding —
+        // consistently with sql_eq, which also compares through f64.
+        let (a, b) = (Value::Int(1 << 53), Value::Int((1 << 53) + 1));
+        assert_eq!(a.ord_key(), b.ord_key());
+        assert_eq!(a.sql_eq(&b), Some(true));
     }
 
     #[test]

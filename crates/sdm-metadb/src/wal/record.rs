@@ -200,13 +200,7 @@ impl WalAppender {
     }
 
     /// CREATE INDEX `index` on `table`.
-    pub(crate) fn create_index(
-        &mut self,
-        table: &str,
-        index: &str,
-        columns: &[String],
-        ordered: bool,
-    ) {
+    pub(crate) fn create_index(&mut self, table: &str, index: &str, columns: &[String]) {
         let at = self.begin(KIND_CREATE_INDEX);
         put_str(&mut self.buf, table);
         put_str(&mut self.buf, index);
@@ -214,7 +208,6 @@ impl WalAppender {
         for c in columns {
             put_str(&mut self.buf, c);
         }
-        self.buf.push(u8::from(ordered));
         self.finish(at);
     }
 
@@ -326,8 +319,6 @@ pub enum Replay {
         index: String,
         /// Indexed columns, in key order.
         columns: Vec<String>,
-        /// Ordered (BTree) or hash index.
-        ordered: bool,
     },
     /// Drop `index` from `table`.
     DropIndex {
@@ -450,12 +441,10 @@ fn decode_payload(payload: &[u8]) -> Option<Frame> {
             for _ in 0..n {
                 columns.push(cur.string()?);
             }
-            let ordered = cur.u8()? != 0;
             Replay::CreateIndex {
                 table,
                 index,
                 columns,
-                ordered,
             }
         }
         KIND_DROP_INDEX => Replay::DropIndex {
@@ -577,7 +566,7 @@ mod tests {
         w.update_rows("t", &[(0, vec![Value::Int(9), Value::Null])]);
         w.delete_rows("t", &[1, 3, 7]);
         w.clear_table("t");
-        w.create_index("t", "ta", &["a".into(), "b".into()], true);
+        w.create_index("t", "ta", &["a".into(), "b".into()]);
         w.drop_index("t", "ta");
         w.drop_table("t");
         w.commit();

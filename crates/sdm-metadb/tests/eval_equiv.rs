@@ -5,9 +5,9 @@
 //!   signed zero, integers beyond 2^53, `i64::MIN`) must evaluate
 //!   identically through the compiled instruction-list program and the
 //!   AST walker — same value bits, same truthiness, same errors;
-//! * the three join strategies (merge over two ordered indexes,
-//!   index-nested-loop probes, hash fallback) must return identical
-//!   result sets in identical order for the same data.
+//! * the three join strategies (merge over two indexes,
+//!   index-nested-loop probes, every pair when nothing is indexed) must
+//!   return identical result sets in identical order for the same data.
 //!
 //! The AST walker (`eval_ast`) is called here on purpose: it is the
 //! equivalence oracle the compiled path is checked against.
@@ -173,8 +173,8 @@ proptest! {
 // ------------------------------------------------------------------ joins
 
 /// Three databases with identical data whose index layouts force the
-/// three join strategies: both sides runid-led ordered (merge), inner
-/// side only (index-nested-loop), no useful index (hash fallback).
+/// three join strategies: both sides indexed on the join key (merge),
+/// inner side only (index-nested-loop), no index (every pair).
 fn join_dbs(rows_l: &[(Option<i64>, i64)], rows_r: &[(Option<i64>, i64)]) -> [Database; 3] {
     let dbs = [Database::new(), Database::new(), Database::new()];
     for db in &dbs {
@@ -191,24 +191,18 @@ fn join_dbs(rows_l: &[(Option<i64>, i64)], rows_r: &[(Option<i64>, i64)]) -> [Da
                 .unwrap();
         }
     }
-    // Merge: both sides ordered on the join key.
-    dbs[0]
-        .exec("CREATE ORDERED INDEX l_k ON l (k)", &[])
-        .unwrap();
-    dbs[0]
-        .exec("CREATE ORDERED INDEX r_k ON r (k)", &[])
-        .unwrap();
+    // Merge: both sides indexed on the join key.
+    dbs[0].exec("CREATE INDEX l_k ON l (k)", &[]).unwrap();
+    dbs[0].exec("CREATE INDEX r_k ON r (k)", &[]).unwrap();
     // INL: only the inner (right) side is indexed.
-    dbs[1]
-        .exec("CREATE ORDERED INDEX r_k ON r (k, w)", &[])
-        .unwrap();
+    dbs[1].exec("CREATE INDEX r_k ON r (k, w)", &[]).unwrap();
     dbs
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Merge, index-nested-loop, and hash joins must be observationally
+    /// Merge, index-nested-loop, and every-pair joins must be observationally
     /// identical: same columns, same rows, same row order — including
     /// NULL join keys (matched by no strategy) and duplicate keys
     /// (cross-producted by all of them).
@@ -235,19 +229,23 @@ proptest! {
         };
         let merge = dbs[0].exec(sql, &[]).unwrap();
         let inl = dbs[1].exec(sql, &[]).unwrap();
-        let hash = dbs[2].exec(sql, &[]).unwrap();
+        let pairs = dbs[2].exec(sql, &[]).unwrap();
         prop_assert_eq!(&merge, &inl, "merge != index-nested-loop for {}", sql);
-        prop_assert_eq!(&merge, &hash, "merge != hash for {}", sql);
+        prop_assert_eq!(&merge, &pairs, "merge != every-pair for {}", sql);
 
         // Each layout exercised the strategy it was built to force.
-        let (sm, si, sh) = (dbs[0].stats(), dbs[1].stats(), dbs[2].stats());
+        let (sm, si, sp) = (dbs[0].stats(), dbs[1].stats(), dbs[2].stats());
         prop_assert!(sm.join_merge_joins >= 1, "merge layout never merge-joined");
-        prop_assert_eq!(sm.join_hash_builds, 0);
+        prop_assert_eq!(sm.join_index_probes, 0);
         // One probe per non-NULL outer (left) row.
         if rows_l.iter().any(|(k, _)| k.is_some()) {
             prop_assert!(si.join_index_probes >= 1, "INL layout never probed");
         }
-        prop_assert_eq!(si.join_hash_builds, 0);
-        prop_assert!(sh.join_hash_builds >= 1, "unindexed layout never hash-joined");
+        prop_assert_eq!(si.join_merge_joins, 0);
+        prop_assert_eq!(
+            (sp.join_merge_joins, sp.join_index_probes),
+            (0, 0),
+            "unindexed layout used an index strategy"
+        );
     }
 }

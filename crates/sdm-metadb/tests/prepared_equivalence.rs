@@ -1,16 +1,16 @@
-//! Property tests for the prepared-statement path and the index
-//! planner: for generated data and query shapes,
-//! `exec(sql, params)` and `prepare(sql).execute(params)` must return
-//! identical result sets, and a query against an indexed table must
-//! agree row-for-row with the same query scanning an unindexed copy.
+//! Property tests for the text path and the index planner: for
+//! generated data and query shapes, `exec(sql, params)` and
+//! `exec_stmt(&parse(sql), params)` must return identical result sets,
+//! and a query against an indexed table must agree row-for-row with the
+//! same query scanning an unindexed copy.
 
 use proptest::prelude::*;
 use sdm_metadb::{Database, Value};
 
-/// Build twin tables with identical rows: `ti` carries hash indexes on
-/// both columns plus ordered indexes (a `(k, v)` composite and a
-/// single-column `v`) so every planner shape — point probe, range walk,
-/// prefix walk, ordered stream — competes against `tn`'s scans.
+/// Build twin tables with identical rows: `ti` carries an index on each
+/// column plus a `(k, v)` composite, so every planner shape — point
+/// probe, range walk, prefix walk, ordered stream — competes against
+/// `tn`'s scans.
 fn twin_db(rows: &[(i64, i64)]) -> Database {
     let db = Database::new();
     db.exec("CREATE TABLE ti (k INT, v INT)", &[]).unwrap();
@@ -29,10 +29,7 @@ fn twin_db(rows: &[(i64, i64)]) -> Database {
     }
     db.exec("CREATE INDEX ti_k ON ti (k)", &[]).unwrap();
     db.exec("CREATE INDEX ti_v ON ti (v)", &[]).unwrap();
-    db.exec("CREATE ORDERED INDEX ti_kv ON ti (k, v)", &[])
-        .unwrap();
-    db.exec("CREATE ORDERED INDEX ti_vo ON ti (v)", &[])
-        .unwrap();
+    db.exec("CREATE INDEX ti_kv ON ti (k, v)", &[]).unwrap();
     db
 }
 
@@ -86,13 +83,14 @@ proptest! {
         let sql_indexed = shape.replace("{T}", "ti");
         let sql_scan = shape.replace("{T}", "tn");
 
-        // exec vs prepared on the indexed table.
+        // Text vs its parsed `Stmt` on the indexed table.
         let via_exec = db.exec(&sql_indexed, &params).unwrap();
-        let ps = db.prepare(&sql_indexed).unwrap();
-        let via_prepared = ps.execute(&db, &params).unwrap();
-        prop_assert_eq!(&via_exec, &via_prepared, "exec != prepared for {}", sql_indexed);
-        // Preparing again and re-executing stays stable.
-        let again = db.prepare(&sql_indexed).unwrap().execute(&db, &params).unwrap();
+        let stmt = db.parse(&sql_indexed).unwrap();
+        let via_stmt = db.exec_stmt(&stmt, &params).unwrap();
+        prop_assert_eq!(&via_exec, &via_stmt, "exec != exec_stmt for {}", sql_indexed);
+        // Re-executing the same `Stmt` (compiled plan now warm) stays
+        // stable.
+        let again = db.exec_stmt(&stmt, &params).unwrap();
         prop_assert_eq!(&via_exec, &again);
 
         // Indexed vs unindexed execution returns identical rows.
@@ -101,13 +99,6 @@ proptest! {
             &via_exec.rows, &via_scan.rows,
             "indexed and scanned rows differ for {}", shape
         );
-
-        // Same statement texts never re-parse.
-        db.reset_stats();
-        db.exec(&sql_indexed, &params).unwrap();
-        db.exec(&sql_scan, &params).unwrap();
-        let stats = db.stats();
-        prop_assert_eq!(stats.parse_misses, 0, "warm statements re-parsed");
     }
 
     #[test]
@@ -116,17 +107,17 @@ proptest! {
         pivot in 0i64..8,
     ) {
         let db = twin_db(&rows);
-        // Mutate both tables identically through prepared statements.
-        let up_i = db.prepare("UPDATE ti SET v = v + 100 WHERE k = ?").unwrap();
-        let up_n = db.prepare("UPDATE tn SET v = v + 100 WHERE k = ?").unwrap();
-        let a = up_i.execute(&db, &[Value::Int(pivot)]).unwrap();
-        let b = up_n.execute(&db, &[Value::Int(pivot)]).unwrap();
+        // Mutate both tables identically through parsed statements.
+        let up_i = db.parse("UPDATE ti SET v = v + 100 WHERE k = ?").unwrap();
+        let up_n = db.parse("UPDATE tn SET v = v + 100 WHERE k = ?").unwrap();
+        let a = db.exec_stmt(&up_i, &[Value::Int(pivot)]).unwrap();
+        let b = db.exec_stmt(&up_n, &[Value::Int(pivot)]).unwrap();
         prop_assert_eq!(a.affected, b.affected);
 
-        let del_i = db.prepare("DELETE FROM ti WHERE v >= 100 AND k = ?").unwrap();
-        let del_n = db.prepare("DELETE FROM tn WHERE v >= 100 AND k = ?").unwrap();
-        let a = del_i.execute(&db, &[Value::Int(pivot)]).unwrap();
-        let b = del_n.execute(&db, &[Value::Int(pivot)]).unwrap();
+        let del_i = db.parse("DELETE FROM ti WHERE v >= 100 AND k = ?").unwrap();
+        let del_n = db.parse("DELETE FROM tn WHERE v >= 100 AND k = ?").unwrap();
+        let a = db.exec_stmt(&del_i, &[Value::Int(pivot)]).unwrap();
+        let b = db.exec_stmt(&del_n, &[Value::Int(pivot)]).unwrap();
         prop_assert_eq!(a.affected, b.affected);
 
         // After updates + deletes, the indexed table still answers
@@ -180,16 +171,13 @@ fn edge_twin_db(rows: &[(Value, Value)]) -> Database {
     }
     db.exec("CREATE INDEX ei_i ON ei (i)", &[]).unwrap();
     db.exec("CREATE INDEX ei_d ON ei (d)", &[]).unwrap();
-    db.exec("CREATE ORDERED INDEX ei_id ON ei (i, d)", &[])
-        .unwrap();
-    db.exec("CREATE ORDERED INDEX ei_do ON ei (d)", &[])
-        .unwrap();
+    db.exec("CREATE INDEX ei_id ON ei (i, d)", &[]).unwrap();
     db
 }
 
 /// Edge-case templates; every `?` consumes one generated probe value.
 /// The range shapes aim signed-zero, NULL, and beyond-2^53 values at
-/// the ordered indexes' key-encoding boundaries — including NULL range
+/// the indexes' key-encoding boundaries — including NULL range
 /// bounds (match nothing) and ±0.0 at a range endpoint (one key).
 const EDGE_TEMPLATES: [&str; 10] = [
     "SELECT i, d FROM {T} WHERE i = ?",
@@ -228,12 +216,10 @@ proptest! {
         let sql_scan = shape.replace("{T}", "en");
 
         let via_exec = db.exec(&sql_indexed, &params).unwrap();
-        let via_prepared = db
-            .prepare(&sql_indexed)
-            .unwrap()
-            .execute(&db, &params)
+        let via_stmt = db
+            .exec_stmt(&db.parse(&sql_indexed).unwrap(), &params)
             .unwrap();
-        prop_assert_eq!(&via_exec, &via_prepared, "exec != prepared for {}", sql_indexed);
+        prop_assert_eq!(&via_exec, &via_stmt, "exec != exec_stmt for {}", sql_indexed);
 
         let via_scan = db.exec(&sql_scan, &params).unwrap();
         prop_assert_eq!(

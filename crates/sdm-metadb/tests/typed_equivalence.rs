@@ -18,8 +18,7 @@ sdm_metadb::relation! {
         /// Value.
         pub v: i64 => V,
     }
-    indexes { "ti_k" on k, "ti_v" on v }
-    ordered { "ti_kv" on (k, v), "ti_vo" on (v) }
+    indexes { "ti_k" on (k), "ti_v" on (v), "ti_kv" on (k, v) }
 }
 
 sdm_metadb::relation! {
@@ -196,7 +195,7 @@ proptest! {
         let typed_i = build_typed(shape, TiCol::K, TiCol::V);
         db.reset_stats();
         let via_typed = db.exec_stmt(&typed_i, &params).unwrap();
-        prop_assert_eq!(db.stats().sql_texts, 0, "typed path touched SQL text");
+        prop_assert_eq!(db.stats().parse_misses, 0, "typed path touched SQL text");
 
         // The same shape as raw SQL text through the parse path.
         let sql = build_sql(shape, "ti");
@@ -245,7 +244,7 @@ proptest! {
         let params = [Value::Int(key), Value::Int(lo), Value::Int(hi)];
         db.reset_stats();
         let a = db.exec_stmt(&q_i, &params).unwrap();
-        prop_assert_eq!(db.stats().sql_texts, 0, "typed path touched SQL text");
+        prop_assert_eq!(db.stats().parse_misses, 0, "typed path touched SQL text");
         prop_assert_eq!(
             db.stats().full_scans, 0,
             "prefix_range must ride the (k, v) composite (probe or stream)"
@@ -255,8 +254,8 @@ proptest! {
         let c = db.exec_stmt(&Stmt::parse(&q_i.to_sql()).unwrap(), &params).unwrap();
         prop_assert_eq!(&a.rows, &c.rows, "prefix_range to_sql round-trip diverged");
 
-        // Standalone between + top-k: streamed off the ordered `v`
-        // index on one side, partial-sorted on the other.
+        // Standalone between + top-k: streamed off the `v` index on one
+        // side, partial-sorted on the other.
         let q_i = Query::<TiRow>::filter(TiCol::V.between(param(0), param(1)))
             .order_by_desc(TiCol::V)
             .limit(3)
@@ -327,8 +326,7 @@ sdm_metadb::relation! {
         /// Integer payload.
         pub n: i64 => N,
     }
-    indexes { "td_d" on d, "td_n" on n }
-    ordered { "td_dn" on (d, n) }
+    indexes { "td_d" on (d), "td_n" on (n), "td_dn" on (d, n) }
 }
 
 sdm_metadb::relation! {
@@ -365,7 +363,7 @@ proptest! {
 
     /// Typed statements over NULL-heavy, signed-zero, huge-integer rows
     /// return identical rows through the indexed twin, the unindexed
-    /// twin, and the `to_sql()` re-parse — so the `IndexKey` encoding
+    /// twin, and the `to_sql()` re-parse — so the `OrdKey` encoding
     /// can never make an indexed plan disagree with a scan.
     #[test]
     fn typed_key_encoding_edges_agree(
@@ -423,7 +421,7 @@ proptest! {
         for (typed_i, typed_n, params) in &shapes {
             db.reset_stats();
             let via_indexed = db.exec_stmt(typed_i, params).unwrap();
-            prop_assert_eq!(db.stats().sql_texts, 0, "typed path touched SQL text");
+            prop_assert_eq!(db.stats().parse_misses, 0, "typed path touched SQL text");
             let via_scan = db.exec_stmt(typed_n, params).unwrap();
             prop_assert_eq!(&via_indexed.rows, &via_scan.rows,
                 "indexed != scan for probe {:?}", params);

@@ -22,9 +22,9 @@ pub const CATALOG: u32 = 20;
 pub const WAL_SYNC: u32 = 24;
 /// Rank of the WAL record-buffer mutex.
 pub const WAL_BUF: u32 = 26;
-/// Rank shared by the leaf mutexes (`stats`, `plans`). Leaves are taken
-/// alone and never nested, which sharing one rank enforces: an
-/// equal-rank acquisition trips the checker like a re-entry would.
+/// Rank of the leaf mutexes (`stats`). Leaves are taken alone and never
+/// nested, which sharing one rank enforces: an equal-rank acquisition
+/// trips the checker like a re-entry would.
 pub const LEAF: u32 = 30;
 
 /// Every named rank, lowest (outermost) first.

@@ -76,8 +76,8 @@ fn main() {
     assert_eq!(rs.len(), 3);
     let stats = db.stats();
     println!(
-        "engine: {} SQL texts seen, {} parses; scans: {} indexed / {} full",
-        stats.sql_texts, stats.parse_misses, stats.index_scans, stats.full_scans
+        "engine: {} SQL texts parsed; scans: {} indexed / {} full",
+        stats.parse_misses, stats.index_scans, stats.full_scans
     );
 
     // History registry: key by (problem_size, nprocs).
