@@ -8,7 +8,7 @@
 //! nothing changes; every entry keeps its terminal site plus the first
 //! call hop it arrived through, so a finding can print the full
 //! **witness chain** (`Database::run_statement → execute_mutation →
-//! eval::row_value → unreachable!(…)`). Entries are only ever inserted,
+//! WalAppender::finish → crc32 → CRC_TABLE[…]`). Entries are only ever inserted,
 //! never replaced, so the hop links form a DAG and the propagation is a
 //! monotone fixed point — recursion converges because the maps are
 //! bounded by the finite site set.
@@ -44,9 +44,10 @@ use crate::report::Finding;
 use crate::scopes::Model;
 
 /// Files whose plain indexing is exempt from `panic-under-guard`: the
-/// slot-resolved engine core, where row/register indexes are derived
-/// from schema arity at plan time and covered by the equivalence
-/// proptests. `.unwrap()`/macros in these files still count.
+/// engine core, where row indexes come from resolving names against the
+/// schema (or from index buckets maintained with the rows) and are
+/// covered by the equivalence proptests. `.unwrap()`/macros in these
+/// files still count.
 pub const INDEX_EXEMPT: &[&str] = &[
     "crates/sdm-metadb/src/eval.rs",
     "crates/sdm-metadb/src/exec.rs",

@@ -12,9 +12,6 @@
 //!   `sdm-metadb`; higher layers build typed `Stmt` values.
 //! * **`unwrap`** — no `.unwrap()` / `.expect("…")` in non-test library
 //!   code on the `sdm-metadb`/`sdm-core` hot paths.
-//! * **`compiled-eval`** — no direct AST-walk evaluation
-//!   (`eval_ast(…)`) outside `sdm-metadb/src/eval.rs` and test code;
-//!   hot-path expressions run as compiled instruction-list programs.
 //! * **`wal-ordering`** — no direct filesystem writes in `sdm-metadb`
 //!   outside `wal/`.
 //!
@@ -244,7 +241,7 @@ mod tests {
         assert_eq!(r.allows.len(), 1);
         assert!(r.allows[0].used);
         assert_eq!(r.allows[0].rule, "unwrap");
-        assert_eq!(r.rules_checked.len(), 9);
+        assert_eq!(r.rules_checked.len(), 8);
     }
 
     #[test]

@@ -18,7 +18,6 @@ pub const RULES: &[&str] = &[
     "sql-layering",
     "unwrap",
     "undo-coverage",
-    "compiled-eval",
     "wal-ordering",
     "held-io",
     "panic-under-guard",
@@ -174,52 +173,6 @@ pub fn undo_coverage(path: &str, model: &Model) -> Vec<Finding> {
     findings
 }
 
-// -------------------------------------------------------------- compiled-eval
-
-/// Rule `compiled-eval`: no direct AST-walk evaluation (`eval_ast(…)`)
-/// outside `sdm-metadb/src/eval.rs` and test code. Expressions on the
-/// hot path must run as compiled instruction-list programs through
-/// `row_truthy`/`row_value`, which fall back to the walker only when
-/// compilation itself declined; a direct `eval_ast` call site is the
-/// interpreted tree traversal creeping back in. A caller that needs the
-/// walker anyway justifies itself with `// analyze:allow(compiled-eval: …)`.
-pub fn compiled_eval(path: &str, model: &Model) -> Vec<Finding> {
-    // eval.rs owns the walker; integration-test trees exercise it as
-    // the equivalence oracle (the proptest suite's whole point).
-    if path.ends_with("sdm-metadb/src/eval.rs")
-        || path.starts_with("tests/")
-        || path.contains("/tests/")
-    {
-        return Vec::new();
-    }
-    let mut findings = Vec::new();
-    let toks = &model.tokens;
-    for i in 0..toks.len() {
-        let Tok::Ident(w) = &toks[i].tok else {
-            continue;
-        };
-        if w != "eval_ast" || !matches!(toks.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('('))) {
-            continue;
-        }
-        if model.is_test_token(i) {
-            continue;
-        }
-        let line = toks[i].line;
-        findings.push(Finding {
-            rule: "compiled-eval".into(),
-            file: path.to_string(),
-            line,
-            snippet: model.snippet(line),
-            message: "direct AST-walk evaluation (`eval_ast(…)`) outside eval.rs; go through the \
-                      compiled program path (`row_truthy`/`row_value`), or justify with \
-                      `// analyze:allow(compiled-eval: why the walker is wanted here)`"
-                .into(),
-            chain: Vec::new(),
-        });
-    }
-    findings
-}
-
 // --------------------------------------------------------------- wal-ordering
 
 /// Where `sdm-metadb` *is* allowed to touch the filesystem directly: the
@@ -304,7 +257,6 @@ pub fn intra(path: &str, model: &Model) -> Vec<Finding> {
     all.extend(sql_layering(path, model));
     all.extend(unwrap_rule(path, model));
     all.extend(undo_coverage(path, model));
-    all.extend(compiled_eval(path, model));
     all.extend(wal_ordering(path, model));
     all
 }
@@ -363,25 +315,6 @@ mod tests {
     fn allow_without_reason_does_not_suppress() {
         let src = "fn f() {\n  // analyze:allow(unwrap)\n  x.unwrap();\n}";
         assert_eq!(findings("crates/sdm-metadb/src/foo.rs", src).len(), 1);
-    }
-
-    #[test]
-    fn eval_ast_call_flagged_outside_eval_rs() {
-        let src = "fn f() { let v = eval_ast(e, res, row, params); }";
-        assert_eq!(findings("crates/sdm-metadb/src/exec.rs", src).len(), 1);
-        assert!(findings("crates/sdm-metadb/src/eval.rs", src).is_empty());
-    }
-
-    #[test]
-    fn eval_ast_in_tests_or_allowed_is_not_flagged() {
-        let test_src = "#[cfg(test)] mod tests { fn t() { eval_ast(e, r, w, p); } }";
-        assert!(findings("crates/sdm-metadb/src/exec.rs", test_src).is_empty());
-        let allowed = "fn f() {\n  // analyze:allow(compiled-eval: compilation declined)\n  \
-                       eval_ast(e, r, w, p);\n}";
-        assert!(findings("crates/sdm-metadb/src/exec.rs", allowed).is_empty());
-        // Mentions in comments and the definition itself don't count.
-        let comment = "fn f() {} // eval_ast(…) is the fallback";
-        assert!(findings("crates/sdm-metadb/src/exec.rs", comment).is_empty());
     }
 
     #[test]

@@ -4,7 +4,6 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::catalog::Catalog;
 use crate::error::{DbError, DbResult};
-use crate::eval::PlanCell;
 use crate::exec::{execute_mutation, execute_read, DbStats, Outcome};
 use crate::sql::ast::Statement;
 use crate::stmt::Stmt;
@@ -288,19 +287,15 @@ impl Database {
     }
 
     /// Execute a typed [`Stmt`] with positional `?` parameters. This is
-    /// the text-free execution path: no lexing, no SQL string — the
-    /// compiled statement *is* the plan ([`DbStats::parse_misses`] does
-    /// not move).
+    /// the text-free execution path: no lexing, no SQL string
+    /// ([`DbStats::parse_misses`] does not move). The executor plans
+    /// index use per execution and evaluates the statement's
+    /// expressions by walking its AST.
     pub fn exec_stmt(&self, stmt: &Stmt, params: &[Value]) -> DbResult<ResultSet> {
-        self.run_statement(stmt.ast(), params, stmt.plan_cell())
+        self.run_statement(stmt.ast(), params)
     }
 
-    fn run_statement(
-        &self,
-        stmt: &Statement,
-        params: &[Value],
-        cell: &PlanCell,
-    ) -> DbResult<ResultSet> {
+    fn run_statement(&self, stmt: &Statement, params: &[Value]) -> DbResult<ResultSet> {
         match stmt {
             Statement::Begin => {
                 let mut tx = self.tx.lock();
@@ -421,15 +416,7 @@ impl Database {
                     .map(|state| &mut state.undo);
                 let mut catalog = self.catalog.write();
                 let mut local = DbStats::default();
-                let result = execute_mutation(
-                    &mut catalog,
-                    stmt,
-                    params,
-                    &mut local,
-                    undo,
-                    wal_app.as_mut(),
-                    Some(cell),
-                );
+                let result = execute_mutation(&mut catalog, stmt, params, undo, wal_app.as_mut());
                 drop(catalog);
                 // Hand the captured frames to the shared log while the
                 // clearance guard still excludes other writers, so
@@ -487,7 +474,7 @@ impl Database {
                 // and merged after the lock drops.
                 let catalog = self.catalog.read();
                 let mut local = DbStats::default();
-                let result = execute_read(&catalog, stmt, params, &mut local, Some(cell));
+                let result = execute_read(&catalog, stmt, params, &mut local);
                 drop(catalog);
                 self.stats.lock().merge(&local);
                 Self::outcome_to_set(result)
@@ -893,6 +880,71 @@ mod tests {
         assert_eq!(db.stats().parse_misses, 5);
         assert!(matches!(db.parse("SELEKT nope"), Err(DbError::Parse(_))));
         assert_eq!(db.stats().parse_misses, 5);
+    }
+
+    #[test]
+    fn deeply_nested_sql_is_a_parse_error_not_a_stack_overflow() {
+        use crate::sql::parser::MAX_EXPR_DEPTH;
+        let db = Database::new();
+        db.exec("CREATE TABLE t (a INT)", &[]).unwrap();
+        db.exec("INSERT INTO t VALUES (1)", &[]).unwrap();
+        let n = 100_000;
+        let hostile = [
+            format!("{}1{}", "(".repeat(n), ")".repeat(n)),
+            format!("{}1", "NOT ".repeat(n)),
+            format!("{}1", "- ".repeat(n)),
+            vec!["a"; n].join(" + "),
+            vec!["a = 1"; n].join(" OR "),
+        ];
+        for where_ in &hostile {
+            let sql = format!("SELECT a FROM t WHERE {where_}");
+            assert!(
+                matches!(db.exec(&sql, &[]), Err(DbError::Parse(_))),
+                "{}…",
+                &where_[..16]
+            );
+        }
+        // Just inside the cap, the same shapes parse and evaluate.
+        let d = MAX_EXPR_DEPTH - 1;
+        let fine = [
+            format!("{}a = 1{}", "(".repeat(d), ")".repeat(d)),
+            format!("{}a = 1", "NOT NOT ".repeat(d / 2 - 1)),
+            format!("{}a = 1", "- - ".repeat(d / 2 - 1)),
+            format!("{} = 1", vec!["a"; d / 2].join(" * ")),
+            vec!["a = 1"; d / 2].join(" OR "),
+        ];
+        for where_ in &fine {
+            let rs = db.exec(&format!("SELECT a FROM t WHERE {where_}"), &[]);
+            assert_eq!(rs.unwrap().rows, vec![vec![Value::Int(1)]], "{where_}");
+        }
+    }
+
+    #[test]
+    fn unknown_column_over_an_empty_table_is_not_an_error() {
+        // Column names resolve per evaluated row, so no row means no
+        // error — the same answer with or without an index to probe.
+        let db = Database::new();
+        db.exec("CREATE TABLE t (a INT)", &[]).unwrap();
+        for sql in [
+            "SELECT a FROM t WHERE nope = 1",
+            "SELECT COUNT(*) FROM t WHERE nope = 1",
+            "UPDATE t SET a = nope WHERE nope = 1",
+            "DELETE FROM t WHERE nope = 1",
+        ] {
+            assert!(db.exec(sql, &[]).is_ok(), "{sql}");
+        }
+        db.exec("INSERT INTO t VALUES (1)", &[]).unwrap();
+        for sql in [
+            "SELECT a FROM t WHERE nope = 1",
+            "SELECT COUNT(*) FROM t WHERE nope = 1",
+            "UPDATE t SET a = nope",
+            "DELETE FROM t WHERE nope = 1",
+        ] {
+            assert!(
+                matches!(db.exec(sql, &[]), Err(DbError::NoSuchColumn(_))),
+                "{sql}"
+            );
+        }
     }
 
     // ---- durability ----

@@ -2,11 +2,10 @@
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use crate::catalog::Catalog;
 use crate::error::{DbError, DbResult};
-use crate::eval::{self, row_truthy, row_value, CompiledPlan, PlanCell, Program};
+use crate::eval::{eval_ast, truthy};
 use crate::schema::{Column, Schema};
 use crate::sql::ast::{AggFunc, BinOp, Expr, Join, OrderBy, SelExpr, SelectItem, Statement};
 use crate::table::{Row, Table};
@@ -70,14 +69,13 @@ pub struct DbStats {
     /// rollback this counter equals the rows the transaction *touched*
     /// — the bench asserts it is independent of table size.
     pub tx_rows_undone: u64,
-    /// Expression programs lowered to instruction lists (cache misses
-    /// only: a plan served from a statement's `PlanCell` recompiles
-    /// nothing and moves no counter).
+    /// Always 0. Expressions are evaluated by one AST walk
+    /// ([`crate::eval::eval_ast`]) and nothing is compiled; the field
+    /// stays because the end-to-end benchmark constructs it.
     pub exprs_compiled: u64,
-    /// Statement executions that row-verified at least one expression by
-    /// walking the AST (compilation failed or the statement handle has
-    /// no plan cell). Counted once per execution, not per row — the
-    /// bench asserts it stays 0 on the warmed hot path.
+    /// Always 0: the AST walk is the only evaluator, so there is no
+    /// fallback to count. The field stays because the end-to-end
+    /// benchmark reports it.
     pub ast_eval_fallbacks: u64,
     /// Index probes issued by index-nested-loop joins (one per
     /// non-NULL outer join key).
@@ -225,48 +223,10 @@ impl Resolve for NamedRel {
     }
 }
 
-/// Schema fingerprint of the tables a statement's compiled slots were
-/// resolved against: table names plus column names, in order. Tables
-/// only change shape by drop + recreate, so a matching fingerprint
-/// means every cached slot still indexes the same column.
-fn schema_fingerprint(parts: &[(&str, &Schema)]) -> u64 {
-    eval::fingerprint(parts.iter().flat_map(|(name, schema)| {
-        std::iter::once(*name).chain(schema.columns.iter().map(|c| c.name.as_str()))
-    }))
-}
-
-/// Fetch the statement's [`CompiledPlan`] from its `PlanCell` (validated
-/// by fingerprint), compiling and caching on miss. Executions without a
-/// cell (raw `execute` calls) still compile — the programs pay for
-/// themselves after a handful of rows — but cache nothing.
-fn plan_for(
-    cell: Option<&PlanCell>,
-    fingerprint: u64,
-    stats: &mut DbStats,
-    build: impl FnOnce(&mut CompiledPlan),
-) -> Arc<CompiledPlan> {
-    if let Some(cell) = cell {
-        if let Some(plan) = cell.lookup(fingerprint) {
-            if plan.fallback {
-                stats.ast_eval_fallbacks += 1;
-            }
-            return plan;
-        }
-    }
-    let mut plan = CompiledPlan {
-        fingerprint,
-        ..CompiledPlan::default()
-    };
-    build(&mut plan);
-    stats.exprs_compiled += u64::from(plan.compiled);
-    if plan.fallback {
-        stats.ast_eval_fallbacks += 1;
-    }
-    let plan = Arc::new(plan);
-    if let Some(cell) = cell {
-        cell.store(&plan);
-    }
-    plan
+/// Whether predicate `pred` is SQL-true for `row`: NULL (unknown) and
+/// false both reject the row.
+fn holds(pred: &Expr, res: &impl Resolve, row: &Row, params: &[Value]) -> DbResult<bool> {
+    Ok(truthy(&eval_ast(pred, res, row, params)?) == Some(true))
 }
 
 /// Compute one aggregate over the given column values.
@@ -436,15 +396,12 @@ fn collect_bounds<'a>(
                 }
             };
             match op {
-                BinOp::Eq => {
-                    if b.eq.is_none() {
-                        b.eq = Some(val);
-                    }
-                }
+                BinOp::Eq if b.eq.is_none() => b.eq = Some(val),
                 BinOp::Gt | BinOp::Ge => tighter(&mut b.lo, val, true),
                 BinOp::Lt | BinOp::Le => tighter(&mut b.hi, val, false),
-                // analyze:allow(panic-under-guard: the enclosing arm matches only comparison ops)
-                _ => unreachable!(),
+                // A repeated equality keeps the first pin; the arm's
+                // guard admits no other operator.
+                _ => {}
             }
         }
         _ => {}
@@ -696,7 +653,6 @@ fn peek_aggregates(
 /// fast path — `SELECT MAX(runid)` touches each candidate row once and
 /// clones nothing; when an index covers the aggregate it touches
 /// **no** rows and peeks the index edge instead.
-#[allow(clippy::too_many_arguments)]
 fn exec_simple_aggregates(
     catalog: &Catalog,
     params: &[Value],
@@ -705,7 +661,6 @@ fn exec_simple_aggregates(
     table: &str,
     filter: &Option<Expr>,
     limit: Option<usize>,
-    cell: Option<&PlanCell>,
 ) -> DbResult<Outcome> {
     let t = catalog.get(table)?;
     let rel = TableRel {
@@ -732,16 +687,6 @@ fn exec_simple_aggregates(
             rows: rows_out,
         });
     }
-    // Compile only once the edge peek has passed: a peek-served
-    // aggregate never row-verifies, so it needs no programs.
-    let compiled = plan_for(
-        cell,
-        schema_fingerprint(&[(table, &t.schema)]),
-        stats,
-        |p| {
-            p.filter = p.lower(filter.as_ref(), &rel);
-        },
-    );
     let plan = plan_candidates(t, &rel, filter, params);
     let candidates = note_plan(&plan, stats);
     let rows = t.rows();
@@ -750,11 +695,10 @@ fn exec_simple_aggregates(
         None => rows.iter().collect(),
     };
     stats.rows_scanned += visited.len() as u64;
-    let prog = compiled.filter.as_ref();
     let mut matching: Vec<&Row> = Vec::with_capacity(visited.len());
     for row in visited {
         if let Some(f) = filter {
-            if row_truthy(prog, f, &rel, row, params)? != Some(true) {
+            if !holds(f, &rel, row, params)? {
                 continue;
             }
         }
@@ -792,16 +736,11 @@ fn exec_simple_aggregates(
 /// SELECTs — index probes included, since the maps are maintained
 /// incrementally rather than rebuilt on first probe — never need `&mut`,
 /// so concurrent readers proceed in parallel.
-///
-/// `cell` is the statement handle's compiled-plan cache; `None` (ad-hoc
-/// execution) still compiles the statement's expressions, it just
-/// cannot reuse them across executions.
 pub fn execute_read(
     catalog: &Catalog,
     stmt: &Statement,
     params: &[Value],
     stats: &mut DbStats,
-    cell: Option<&PlanCell>,
 ) -> DbResult<Outcome> {
     match stmt {
         Statement::Select {
@@ -816,7 +755,7 @@ pub fn execute_read(
             limit,
         } => exec_select(
             catalog, params, stats, *distinct, items, table, join, filter, group_by, having,
-            order_by, *limit, cell,
+            order_by, *limit,
         ),
         _ => Err(DbError::Tx(
             "execute_read only accepts SELECT statements".into(),
@@ -839,10 +778,8 @@ pub(crate) fn execute_mutation(
     catalog: &mut Catalog,
     stmt: &Statement,
     params: &[Value],
-    stats: &mut DbStats,
     undo: Option<&mut UndoLog>,
     wal: Option<&mut WalAppender>,
-    cell: Option<&PlanCell>,
 ) -> DbResult<Outcome> {
     match stmt {
         Statement::CreateTable {
@@ -949,32 +886,15 @@ pub(crate) fn execute_mutation(
             let empty_schema = Schema::new(vec![])?;
             let empty_row: Row = vec![];
             // Evaluate expressions first (no column refs allowed in
-            // VALUES — any `Expr::Col` fails compilation, and the AST
-            // fallback raises the same per-row error as before).
+            // VALUES: an `Expr::Col` resolves against an empty schema
+            // and fails with `NoSuchColumn`).
             let t = catalog.get(table)?;
             let schema = &t.schema;
-            let plan = plan_for(cell, schema_fingerprint(&[(table, schema)]), stats, |p| {
-                let values: Vec<Vec<Option<Program>>> = rows
-                    .iter()
-                    .map(|exprs| {
-                        exprs
-                            .iter()
-                            .map(|e| p.lower(Some(e), &empty_schema))
-                            .collect()
-                    })
-                    .collect();
-                p.values = values;
-            });
             let mut prepared: Vec<Row> = Vec::with_capacity(rows.len());
-            for (ri, row_exprs) in rows.iter().enumerate() {
-                let progs = plan.values.get(ri);
+            for row_exprs in rows {
                 let vals: Vec<Value> = row_exprs
                     .iter()
-                    .enumerate()
-                    .map(|(ei, e)| {
-                        let prog = progs.and_then(|ps| ps.get(ei)).and_then(Option::as_ref);
-                        row_value(prog, e, &empty_schema, &empty_row, params)
-                    })
+                    .map(|e| eval_ast(e, &empty_schema, &empty_row, params))
                     .collect::<DbResult<_>>()?;
                 let full = match columns {
                     None => vals,
@@ -1054,32 +974,21 @@ pub(crate) fn execute_mutation(
                 .iter()
                 .map(|(c, e)| Ok((schema.index_of(c)?, e)))
                 .collect::<DbResult<_>>()?;
-            // UPDATE expressions resolve against the plain schema (no
-            // qualified names), so the programs compile the same way.
-            let compiled = plan_for(cell, schema_fingerprint(&[(table, schema)]), stats, |p| {
-                p.filter = p.lower(filter.as_ref(), schema);
-                let sets: Vec<Option<Program>> = set_idx
-                    .iter()
-                    .map(|&(_, e)| p.lower(Some(e), schema))
-                    .collect();
-                p.sets = sets;
-            });
             let plan = plan_candidates(t, &rel, filter, params);
             let candidates = plan.as_ref().map(|(c, _)| c.as_slice());
             let rows = t.rows();
             let mut updates: Vec<(usize, Row)> = Vec::new();
             let mut visit = |pos: usize, row: &Row| -> DbResult<()> {
                 if let Some(f) = filter {
-                    if row_truthy(compiled.filter.as_ref(), f, schema, row, params)? != Some(true) {
+                    if !holds(f, schema, row, params)? {
                         return Ok(());
                     }
                 }
                 // Evaluate against the pre-update row (snapshot
                 // semantics: `SET a = b, b = a` swaps).
                 let mut new_row = row.clone();
-                for (k, &(i, e)) in set_idx.iter().enumerate() {
-                    let prog = compiled.sets.get(k).and_then(Option::as_ref);
-                    let v = row_value(prog, e, schema, row, params)?;
+                for &(i, e) in &set_idx {
+                    let v = eval_ast(e, schema, row, params)?;
                     let col = &schema.columns[i];
                     if !col.ctype.admits(&v) {
                         return Err(DbError::Type(format!(
@@ -1153,15 +1062,11 @@ pub(crate) fn execute_mutation(
                 schema: &t.schema,
             };
             let schema = &t.schema;
-            let compiled = plan_for(cell, schema_fingerprint(&[(table, schema)]), stats, |p| {
-                p.filter = p.lower(Some(f), schema);
-            });
             let plan = plan_candidates(t, &rel, filter, params);
             let candidates = plan.as_ref().map(|(c, _)| c.as_slice());
             let rows = t.rows();
             let hit = |p: usize| -> DbResult<Option<usize>> {
-                let prog = compiled.filter.as_ref();
-                Ok((row_truthy(prog, f, schema, &rows[p], params)? == Some(true)).then_some(p))
+                Ok(holds(f, schema, &rows[p], params)?.then_some(p))
             };
             let positions: Vec<usize> = match candidates {
                 Some(pos) => pos
@@ -1189,8 +1094,9 @@ pub(crate) fn execute_mutation(
             }
             Ok(Outcome::Affected(n))
         }
-        // analyze:allow(panic-under-guard: run_statement routes SELECT to execute_read first)
-        Statement::Select { .. } => unreachable!("dispatched to execute_read"),
+        Statement::Select { .. } => Err(DbError::Tx(
+            "execute_mutation does not run SELECT statements".into(),
+        )),
         Statement::Begin | Statement::Commit | Statement::Rollback => Err(DbError::Tx(
             "transactions are managed by the Database connection, not the executor".into(),
         )),
@@ -1214,7 +1120,6 @@ fn exec_select(
     having: &Option<Expr>,
     order_by: &[OrderBy],
     limit: Option<usize>,
-    cell: Option<&PlanCell>,
 ) -> DbResult<Outcome> {
     // ---- Streaming aggregate fast path ----
     // Plain aggregates over one table (`SELECT MAX(runid) FROM
@@ -1228,9 +1133,7 @@ fn exec_select(
                     .iter()
                     .all(|it| matches!(it.expr, SelExpr::Agg { .. }))
             {
-                return exec_simple_aggregates(
-                    catalog, params, stats, items, table, filter, limit, cell,
-                );
+                return exec_simple_aggregates(catalog, params, stats, items, table, filter, limit);
             }
         }
     }
@@ -1239,16 +1142,11 @@ fn exec_select(
     // Set when an index already delivered the rows in ORDER BY
     // order (and honored LIMIT): the sort below is skipped.
     let mut ordered_by_index = false;
-    type Source = (Vec<(String, String)>, Vec<Row>, Arc<CompiledPlan>);
-    let (rel_cols, mut rows, compiled): Source = match join {
+    let (rel_cols, mut rows): (Vec<(String, String)>, Vec<Row>) = match join {
         None => {
             let t = catalog.get(table)?;
             let schema = &t.schema;
             let rel = TableRel { table, schema };
-            let compiled = plan_for(cell, schema_fingerprint(&[(table, schema)]), stats, |p| {
-                p.filter = p.lower(filter.as_ref(), &rel);
-                lower_having(p, having, items);
-            });
             let plan = plan_candidates(t, &rel, filter, params);
             let has_agg_items = items
                 .as_ref()
@@ -1264,8 +1162,7 @@ fn exec_select(
                 && order_by.iter().all(|o| o.desc == order_by[0].desc)
                 && (limit.is_some() || plan.is_none())
             {
-                let prog = compiled.filter.as_ref();
-                stream_ordered_rows(t, &rel, filter, prog, params, order_by, limit, stats)?
+                stream_ordered_rows(t, &rel, filter, params, order_by, limit, stats)?
             } else {
                 None
             };
@@ -1277,14 +1174,13 @@ fn exec_select(
                 None => {
                     let candidates = note_plan(&plan, stats);
                     let mut out = Vec::new();
-                    let prog = compiled.filter.as_ref();
                     match candidates {
                         Some(pos) => {
                             stats.rows_scanned += pos.len() as u64;
                             for &p in pos {
                                 let row = &t.rows()[p];
                                 if let Some(f) = filter {
-                                    if row_truthy(prog, f, &rel, row, params)? != Some(true) {
+                                    if !holds(f, &rel, row, params)? {
                                         continue;
                                     }
                                 }
@@ -1295,7 +1191,7 @@ fn exec_select(
                             stats.rows_scanned += t.len() as u64;
                             for row in t.rows() {
                                 if let Some(f) = filter {
-                                    if row_truthy(prog, f, &rel, row, params)? != Some(true) {
+                                    if !holds(f, &rel, row, params)? {
                                         continue;
                                     }
                                 }
@@ -1311,7 +1207,7 @@ fn exec_select(
                 .iter()
                 .map(|c| (format!("{table}.{}", c.name), c.name.clone()))
                 .collect();
-            (cols, out, compiled)
+            (cols, out)
         }
         Some(j) => {
             let left = catalog.get(table)?;
@@ -1353,21 +1249,11 @@ fn exec_select(
                     }
                 },
             };
-            let compiled = plan_for(
-                cell,
-                schema_fingerprint(&[(table, lschema), (&j.table, rschema)]),
-                stats,
-                |p| {
-                    p.filter = p.lower(filter.as_ref(), &rel);
-                    lower_having(p, having, items);
-                },
-            );
             // Candidate pairs by the cheapest strategy the indexes
             // allow, canonicalized to (left, right) position order, so
             // the strategy choice is invisible in the result.
             let mut pairs = join_pairs(left, right, lcol, rcol, stats);
             pairs.sort_unstable();
-            let prog = compiled.filter.as_ref();
             let mut out = Vec::with_capacity(pairs.len());
             for (lp, rp) in pairs {
                 let l = &left.rows()[lp];
@@ -1382,13 +1268,13 @@ fn exec_select(
                 let mut combined = l.clone();
                 combined.extend(r.iter().cloned());
                 if let Some(f) = filter {
-                    if row_truthy(prog, f, &rel, &combined, params)? != Some(true) {
+                    if !holds(f, &rel, &combined, params)? {
                         continue;
                     }
                 }
                 out.push(combined);
             }
-            (cols, out, compiled)
+            (cols, out)
         }
     };
     let rel = JoinRel {
@@ -1463,10 +1349,9 @@ fn exec_select(
             names: names.clone(),
         };
         if let Some(h) = having {
-            let prog = compiled.having.as_ref();
             let mut kept = Vec::with_capacity(out_rows.len());
             for r in out_rows {
-                if row_truthy(prog, h, &out_rel, &r, params)? == Some(true) {
+                if holds(h, &out_rel, &r, params)? {
                     kept.push(r);
                 }
             }
@@ -1508,18 +1393,6 @@ fn exec_select(
             }
         };
         finish(names, rows, distinct, limit, stats)
-    }
-}
-
-/// Lower a HAVING clause against the aggregate output columns. HAVING
-/// without explicit items (`SELECT *`) is a statement error before any
-/// row is evaluated, so it compiles nothing.
-fn lower_having(p: &mut CompiledPlan, having: &Option<Expr>, items: &Option<Vec<SelectItem>>) {
-    if let (Some(h), Some(items)) = (having, items) {
-        let out_rel = NamedRel {
-            names: items.iter().map(SelectItem::output_name).collect(),
-        };
-        p.having = p.lower(Some(h), &out_rel);
     }
 }
 
@@ -1649,12 +1522,10 @@ fn merge_pairs<'a>(
 /// in scan order just as the position-stable sort would emit them.
 /// Range bounds on the first ORDER BY column clip the walk; the full
 /// predicate is still re-verified per row.
-#[allow(clippy::too_many_arguments)]
 fn stream_ordered_rows(
     t: &crate::table::Table,
     rel: &TableRel<'_>,
     filter: &Option<Expr>,
-    prog: Option<&Program>,
     params: &[Value],
     order_by: &[OrderBy],
     limit: Option<usize>,
@@ -1709,7 +1580,7 @@ fn stream_ordered_rows(
             stats.rows_scanned += 1;
             let row = &rows[p];
             if let Some(f) = filter {
-                if row_truthy(prog, f, rel, row, params)? != Some(true) {
+                if !holds(f, rel, row, params)? {
                     continue;
                 }
             }
@@ -1814,8 +1685,8 @@ mod tests {
         stats: &mut DbStats,
     ) -> DbResult<Outcome> {
         match stmt {
-            Statement::Select { .. } => execute_read(catalog, stmt, params, stats, None),
-            _ => execute_mutation(catalog, stmt, params, stats, None, None, None),
+            Statement::Select { .. } => execute_read(catalog, stmt, params, stats),
+            _ => execute_mutation(catalog, stmt, params, None, None),
         }
     }
 

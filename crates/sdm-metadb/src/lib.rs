@@ -19,10 +19,9 @@
 //!   mutations) with index-backed join strategies (merge and
 //!   index-nested-loop; every non-NULL pair when neither side is
 //!   indexed).
-//! * [`eval`] — compiled expression evaluation: predicates lowered once
-//!   into flat instruction lists (column slots, interned constants,
-//!   short-circuit jumps) and run per row against a register file with
-//!   zero allocation; the AST walk survives only as the fallback.
+//! * [`eval`] — expression evaluation: one walk over the AST per row,
+//!   with SQL three-valued logic and errors (never panics) for bad
+//!   columns, types and parameters.
 //! * [`undo`] — per-transaction row-level undo logs (`ROLLBACK` replays
 //!   them in reverse).
 //! * [`Database`] — the embedded connection: `exec_stmt(stmt, params)`

@@ -6,6 +6,13 @@ use crate::sql::ast::{AggFunc, BinOp, Expr, Join, OrderBy, SelExpr, SelectItem, 
 use crate::sql::lexer::{lex, Token};
 use crate::value::Value;
 
+/// Deepest expression the parser accepts, counting nested constructs
+/// (parentheses, `NOT`, unary minus) and operator chains alike. It
+/// bounds the parser's own recursion, the evaluator's (`eval_ast`
+/// recurses once per tree level) and the AST's recursive drop, so
+/// hostile text is a [`DbError::Parse`] instead of a stack overflow.
+pub const MAX_EXPR_DEPTH: usize = 128;
+
 /// Parse one SQL statement (a trailing `;` is allowed).
 pub fn parse(input: &str) -> DbResult<Statement> {
     let tokens = lex(input)?;
@@ -13,6 +20,7 @@ pub fn parse(input: &str) -> DbResult<Statement> {
         tokens,
         pos: 0,
         params: 0,
+        nesting: 0,
     };
     let stmt = p.statement()?;
     p.eat_optional_semi();
@@ -29,9 +37,56 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     params: usize,
+    /// Expression constructs currently open on the parser's call stack.
+    nesting: usize,
+}
+
+/// Levels of `e`: 1 for a leaf. Recurses at most one level past
+/// [`MAX_EXPR_DEPTH`], because [`bounded`] has checked every subtree.
+fn depth(e: &Expr) -> usize {
+    match e {
+        Expr::Lit(_) | Expr::Col(_) | Expr::Param(_) => 1,
+        Expr::Neg(e) | Expr::Not(e) | Expr::IsNull { expr: e, .. } => 1 + depth(e),
+        Expr::Binary { lhs, rhs, .. } => 1 + depth(lhs).max(depth(rhs)),
+    }
+}
+
+/// `e`, unless it is deeper than [`MAX_EXPR_DEPTH`]. Every node the
+/// parser builds passes through here, so no deeper tree is ever built.
+fn bounded(e: Expr) -> DbResult<Expr> {
+    if depth(&e) > MAX_EXPR_DEPTH {
+        return Err(too_deep());
+    }
+    Ok(e)
+}
+
+fn too_deep() -> DbError {
+    DbError::Parse(format!(
+        "expression nested deeper than {MAX_EXPR_DEPTH} levels"
+    ))
+}
+
+fn binary(op: BinOp, lhs: Expr, rhs: Expr) -> DbResult<Expr> {
+    bounded(Expr::Binary {
+        op,
+        lhs: Box::new(lhs),
+        rhs: Box::new(rhs),
+    })
 }
 
 impl Parser {
+    /// Run `f` one expression level deeper, refusing to descend past
+    /// [`MAX_EXPR_DEPTH`] open constructs.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> DbResult<T>) -> DbResult<T> {
+        if self.nesting >= MAX_EXPR_DEPTH {
+            return Err(too_deep());
+        }
+        self.nesting += 1;
+        let out = f(self);
+        self.nesting -= 1;
+        out
+    }
+
     fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos)
     }
@@ -423,11 +478,7 @@ impl Parser {
         let mut lhs = self.and_expr()?;
         while self.accept_kw("OR") {
             let rhs = self.and_expr()?;
-            lhs = Expr::Binary {
-                op: BinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = binary(BinOp::Or, lhs, rhs)?;
         }
         Ok(lhs)
     }
@@ -436,18 +487,15 @@ impl Parser {
         let mut lhs = self.not_expr()?;
         while self.accept_kw("AND") {
             let rhs = self.not_expr()?;
-            lhs = Expr::Binary {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = binary(BinOp::And, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
     fn not_expr(&mut self) -> DbResult<Expr> {
         if self.accept_kw("NOT") {
-            Ok(Expr::Not(Box::new(self.not_expr()?)))
+            let inner = self.nested(Self::not_expr)?;
+            bounded(Expr::Not(Box::new(inner)))
         } else {
             self.cmp_expr()
         }
@@ -459,7 +507,7 @@ impl Parser {
         if self.accept_kw("IS") {
             let negated = self.accept_kw("NOT");
             self.expect_kw("NULL")?;
-            return Ok(Expr::IsNull {
+            return bounded(Expr::IsNull {
                 expr: Box::new(lhs),
                 negated,
             });
@@ -475,11 +523,7 @@ impl Parser {
         };
         self.pos += 1;
         let rhs = self.add_expr()?;
-        Ok(Expr::Binary {
-            op,
-            lhs: Box::new(lhs),
-            rhs: Box::new(rhs),
-        })
+        binary(op, lhs, rhs)
     }
 
     fn add_expr(&mut self) -> DbResult<Expr> {
@@ -492,11 +536,7 @@ impl Parser {
             };
             self.pos += 1;
             let rhs = self.mul_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = binary(op, lhs, rhs)?;
         }
     }
 
@@ -510,18 +550,15 @@ impl Parser {
             };
             self.pos += 1;
             let rhs = self.unary_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = binary(op, lhs, rhs)?;
         }
     }
 
     fn unary_expr(&mut self) -> DbResult<Expr> {
         if matches!(self.peek(), Some(Token::Minus)) {
             self.pos += 1;
-            return Ok(Expr::Neg(Box::new(self.unary_expr()?)));
+            let inner = self.nested(Self::unary_expr)?;
+            return bounded(Expr::Neg(Box::new(inner)));
         }
         self.atom()
     }
@@ -537,7 +574,7 @@ impl Parser {
                 Ok(Expr::Param(idx))
             }
             Token::LParen => {
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect(&Token::RParen)?;
                 Ok(e)
             }

@@ -52,7 +52,6 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use crate::error::DbResult;
-use crate::eval::PlanCell;
 use crate::schema::ColType;
 use crate::sql::ast::{AggFunc, BinOp, Expr, Join, OrderBy, SelExpr, SelectItem, Statement};
 use crate::sql::parse;
@@ -404,19 +403,16 @@ impl<R: Relation> Filter<R> {
 // ---------------------------------------------------------------------
 
 /// A compiled typed statement: the executable AST (shared, so cloning
-/// and caching are free) plus the relation it touches and the slot the
-/// executor caches its lowered instruction-list programs in.
+/// and caching are free) plus the relation it touches.
 ///
 /// Execute with [`crate::Database::exec_stmt`] or through
 /// `MetadataStore::run` in the layers above. Unlike a SQL string, a
-/// `Stmt` needs no lexing or parsing per call, and
-/// after the first execution its predicates run as compiled programs —
-/// no AST walk per row.
+/// `Stmt` needs no lexing or parsing per call; the executor evaluates
+/// its expressions by walking this AST ([`crate::eval::eval_ast`]).
 #[derive(Debug, Clone)]
 pub struct Stmt {
     ast: Arc<Statement>,
     table: Option<Arc<str>>,
-    cell: Arc<PlanCell>,
 }
 
 impl Stmt {
@@ -436,15 +432,7 @@ impl Stmt {
         Stmt {
             ast: Arc::new(ast),
             table,
-            cell: Arc::new(PlanCell::new()),
         }
-    }
-
-    /// The compiled-program slot the executor lowers this statement's
-    /// expressions into on first execution. Clones share the slot, so a
-    /// `stmt_once!` static compiles its predicates exactly once.
-    pub(crate) fn plan_cell(&self) -> &PlanCell {
-        &self.cell
     }
 
     /// Parse SQL text into a typed statement. [`crate::Database::parse`]

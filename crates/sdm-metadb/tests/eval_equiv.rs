@@ -1,26 +1,22 @@
-//! Property tests for the compiled expression path and the join
-//! planner:
+//! Property tests for the expression evaluator and the join planner:
 //!
 //! * random expression trees over adversarial values (NULL, NaN,
-//!   signed zero, integers beyond 2^53, `i64::MIN`) must evaluate
-//!   identically through the compiled instruction-list program and the
-//!   AST walker — same value bits, same truthiness, same errors;
+//!   signed zero, integers beyond 2^53, `i64::MIN`) evaluate without
+//!   panicking: every tree yields a value or a `DbError`, and
+//!   logical, comparison and NULL-test nodes yield `0`, `1` or NULL;
 //! * the three join strategies (merge over two indexes,
 //!   index-nested-loop probes, every pair when nothing is indexed) must
 //!   return identical result sets in identical order for the same data.
-//!
-//! The AST walker (`eval_ast`) is called here on purpose: it is the
-//! equivalence oracle the compiled path is checked against.
 
 use proptest::prelude::*;
-use sdm_metadb::eval::{compile, eval_ast, truthy};
+use sdm_metadb::eval::eval_ast;
 use sdm_metadb::sql::ast::{BinOp, Expr};
-use sdm_metadb::{ColType, Column, Database, DbResult, Schema, Value};
+use sdm_metadb::{ColType, Column, Database, Schema, Value};
 
 // ------------------------------------------------------------ expressions
 
-/// Adversarial literal pool: every value class the compiler's constant
-/// interning, NULL propagation, and numeric promotion must preserve.
+/// Adversarial literal pool: every value class NULL propagation,
+/// numeric promotion and the comparisons must handle.
 fn lit_pool() -> Vec<Value> {
     vec![
         Value::Null,
@@ -106,42 +102,16 @@ fn test_schema() -> Schema {
     .unwrap()
 }
 
-/// Bit-exact value equality: NaN equals NaN, `-0.0` differs from
-/// `0.0`. Plain `PartialEq` would miss both.
-fn same_value(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Double(x), Value::Double(y)) => x.to_bits() == y.to_bits(),
-        _ => a == b,
-    }
-}
-
-fn same_result<T, F: Fn(&T, &T) -> bool>(
-    a: &DbResult<T>,
-    b: &DbResult<T>,
-    eq: F,
-) -> Result<(), String>
-where
-    T: std::fmt::Debug,
-{
-    match (a, b) {
-        (Ok(x), Ok(y)) if eq(x, y) => Ok(()),
-        (Err(x), Err(y)) if format!("{x:?}") == format!("{y:?}") => Ok(()),
-        _ => Err(format!("compiled {a:?} != ast {b:?}")),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The tentpole invariant: for any expression the compiler accepts,
-    /// the instruction-list program and the AST walk agree on the exact
-    /// value (bit-for-bit), the SQL truthiness, and any error — over
-    /// rows drawn from the same adversarial pool.
+    /// Any expression tree over any row and parameters evaluates to a
+    /// value or an error, never a panic.
     #[test]
-    fn compiled_program_matches_ast_walk(
+    fn random_expression_trees_evaluate_without_panicking(
         seed in proptest::collection::vec(0u8..255, 1..48),
         row_picks in proptest::collection::vec(0usize..16, 4),
-        param_picks in proptest::collection::vec(0usize..16, 2),
+        param_picks in proptest::collection::vec(0usize..16, 0..3),
     ) {
         let pool = lit_pool();
         let schema = test_schema();
@@ -149,23 +119,18 @@ proptest! {
         let row: Vec<Value> = row_picks.iter().map(|&i| pool[i].clone()).collect();
         let params: Vec<Value> = param_picks.iter().map(|&i| pool[i].clone()).collect();
 
-        // Compilation may decline (register-depth cap); the executor
-        // then walks the AST for every row, so there is nothing to
-        // compare — but with depth 5 it must not decline.
-        let prog = compile(&expr, &schema);
-        prop_assert!(prog.is_some(), "depth-5 tree failed to compile: {expr:?}");
-        let prog = prog.unwrap();
-
-        let compiled_v = prog.eval_value(&row, &params);
-        let ast_v = eval_ast(&expr, &schema, &row, &params);
-        if let Err(m) = same_result(&compiled_v, &ast_v, same_value) {
-            prop_assert!(false, "value mismatch for {expr:?}: {m}");
-        }
-
-        let compiled_t = prog.eval_truthy(&row, &params);
-        let ast_t = eval_ast(&expr, &schema, &row, &params).map(|v| truthy(&v));
-        if let Err(m) = same_result(&compiled_t, &ast_t, |a, b| a == b) {
-            prop_assert!(false, "truthiness mismatch for {expr:?}: {m}");
+        // Logical, comparison and NULL-test nodes yield a verdict:
+        // 0, 1 or (except IS NULL) NULL, whatever their operands were.
+        if let Ok(v) = &eval_ast(&expr, &schema, &row, &params) {
+            let verdict = matches!(v, Value::Int(0 | 1));
+            match &expr {
+                Expr::IsNull { .. } => prop_assert!(verdict, "{expr:?} -> {v:?}"),
+                Expr::Not(_) => prop_assert!(verdict || v.is_null(), "{expr:?} -> {v:?}"),
+                Expr::Binary { op, .. } if !matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div) => {
+                    prop_assert!(verdict || v.is_null(), "{expr:?} -> {v:?}")
+                }
+                _ => {}
+            }
         }
     }
 }

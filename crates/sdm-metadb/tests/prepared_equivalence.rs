@@ -88,8 +88,7 @@ proptest! {
         let stmt = db.parse(&sql_indexed).unwrap();
         let via_stmt = db.exec_stmt(&stmt, &params).unwrap();
         prop_assert_eq!(&via_exec, &via_stmt, "exec != exec_stmt for {}", sql_indexed);
-        // Re-executing the same `Stmt` (compiled plan now warm) stays
-        // stable.
+        // Re-executing the same `Stmt` stays stable.
         let again = db.exec_stmt(&stmt, &params).unwrap();
         prop_assert_eq!(&via_exec, &again);
 

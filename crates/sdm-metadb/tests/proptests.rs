@@ -1,5 +1,6 @@
 //! Property tests: INSERT/SELECT round-trips for arbitrary values;
-//! WHERE filters match an in-memory reference; ORDER BY sorts stably.
+//! WHERE filters match an in-memory reference; ORDER BY sorts stably;
+//! parsing hostile text returns `Ok` or `Err` and never panics.
 
 use proptest::prelude::*;
 use sdm_metadb::{Database, Value};
@@ -85,5 +86,48 @@ proptest! {
         prop_assert_eq!(rs.affected, below);
         let rs = db.exec("SELECT k FROM t", &[]).unwrap();
         prop_assert_eq!(rs.len(), keys.len() - below);
+    }
+}
+
+/// One spelling of every token the lexer produces and every keyword the
+/// parser accepts, plus malformed fragments: an unterminated string, a
+/// lone `!`, a non-ASCII letter, a comment opener, an out-of-range
+/// integer. Separated by single spaces.
+const TOKENS: &str = "SELECT INSERT INTO VALUES UPDATE SET DELETE FROM WHERE CREATE DROP \
+    TABLE INDEX ON IF NOT EXISTS INT DOUBLE TEXT VARCHAR AND OR IS NULL ORDER GROUP BY ASC \
+    DESC LIMIT HAVING DISTINCT INNER JOIN AS COUNT SUM AVG MIN MAX BEGIN START TRANSACTION \
+    COMMIT ROLLBACK t a t.a 0 42 1.5e3 'x' '' 'it''s' ? ( ) , * = != <> < <= > >= + - / ; \
+    'open ! \u{e9} -- 99999999999999999999";
+
+/// Prefixes the random token tails are appended to; `""` leaves the
+/// whole statement random.
+const HEADS: &[&str] = &[
+    "",
+    "SELECT a FROM t WHERE",
+    "SELECT",
+    "INSERT INTO t VALUES (",
+    "UPDATE t SET a =",
+    "CREATE TABLE t (",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn parsing_arbitrary_bytes_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..200)) {
+        let db = Database::new();
+        let _ = db.parse(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn parsing_random_token_sequences_never_panics(
+        head in 0usize..HEADS.len(),
+        picks in proptest::collection::vec(any::<usize>(), 0..48),
+    ) {
+        let db = Database::new();
+        let tokens: Vec<&str> = TOKENS.split(' ').collect();
+        let tail: Vec<&str> = picks.iter().map(|&i| tokens[i % tokens.len()]).collect();
+        let sql = format!("{} {}", HEADS[head], tail.join(" "));
+        let _ = db.parse(&sql);
     }
 }
