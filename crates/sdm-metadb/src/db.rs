@@ -630,6 +630,19 @@ mod tests {
     }
 
     #[test]
+    fn non_ascii_text_literal_is_stored_as_written() {
+        let db = Database::new();
+        db.exec("CREATE TABLE t (s TEXT, n INT)", &[]).unwrap();
+        db.exec("INSERT INTO t VALUES ('é日', 1)", &[]).unwrap();
+        let rs = db
+            .exec("SELECT n FROM t WHERE s = ?", &[Value::Text("é日".into())])
+            .unwrap();
+        assert_eq!(rs.scalar(), Some(&Value::Int(1)));
+        let rs = db.exec("SELECT s FROM t WHERE s = 'é日'", &[]).unwrap();
+        assert_eq!(rs.scalar(), Some(&Value::Text("é日".into())));
+    }
+
+    #[test]
     fn concurrent_access_is_safe() {
         use std::sync::Arc;
         let db = Arc::new(Database::new());

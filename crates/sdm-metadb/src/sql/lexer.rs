@@ -132,23 +132,21 @@ pub fn lex(input: &str) -> DbResult<Vec<Token>> {
                 }
             }
             '\'' => {
+                // Quotes are ASCII, so the text between two of them is
+                // whole UTF-8: copy it as `&str` slices, not byte by byte.
                 let mut s = String::new();
                 i += 1;
                 loop {
-                    if i >= bytes.len() {
+                    let Some(q) = input[i..].find('\'') else {
                         return Err(DbError::Lex("unterminated string literal".into()));
-                    }
-                    if bytes[i] == b'\'' {
-                        if i + 1 < bytes.len() && bytes[i + 1] == b'\'' {
-                            s.push('\'');
-                            i += 2;
-                        } else {
-                            i += 1;
-                            break;
-                        }
-                    } else {
-                        s.push(bytes[i] as char);
+                    };
+                    s.push_str(&input[i..i + q]);
+                    i += q + 1;
+                    if bytes.get(i) == Some(&b'\'') {
+                        s.push('\'');
                         i += 1;
+                    } else {
+                        break;
                     }
                 }
                 out.push(Token::Str(s));
@@ -234,6 +232,13 @@ mod tests {
     fn lex_string_with_escape() {
         let toks = lex("'it''s'").unwrap();
         assert_eq!(toks, vec![Token::Str("it's".into())]);
+    }
+
+    #[test]
+    fn lex_string_keeps_non_ascii_text() {
+        assert_eq!(lex("'é日'").unwrap(), vec![Token::Str("é日".into())]);
+        assert_eq!(lex("'''ü'''").unwrap(), vec![Token::Str("'ü'".into())]);
+        assert!(matches!(lex("'日"), Err(DbError::Lex(_))));
     }
 
     #[test]

@@ -146,7 +146,7 @@ impl Pfs {
         let data = files
             .get(name)
             .ok_or_else(|| PfsError::NotFound(name.to_string()))?;
-        let real = data.bytes.read().len() as u64;
+        let real = data.image.read().len();
         Ok(self.faults.visible_len(name, real))
     }
 
@@ -194,18 +194,7 @@ impl Pfs {
         if file.is_closed() {
             return Err(PfsError::Closed(file.name().to_string()));
         }
-        {
-            let mut bytes = file.data.bytes.write();
-            let off = offset as usize;
-            // A hole before `offset` reads back as zeros; what lands past
-            // the end is appended, not zero-filled and then overwritten.
-            if bytes.len() < off {
-                bytes.resize(off, 0);
-            }
-            let inside = (bytes.len() - off).min(data.len());
-            bytes[off..off + inside].copy_from_slice(&data[..inside]);
-            bytes.extend_from_slice(&data[inside..]);
-        }
+        file.data.image.write().write(offset, data);
         self.counters.add("pfs.write_bytes", data.len() as u64);
         self.counters.incr("pfs.write_ops");
         let arrival = now + self.config.io.client_copy(data.len());
@@ -242,15 +231,11 @@ impl Pfs {
             return Err(PfsError::Closed(file.name().to_string()));
         }
         let n = {
-            let bytes = file.data.bytes.read();
-            let visible = self.faults.visible_len(file.name(), bytes.len() as u64);
-            if offset >= visible {
-                0
-            } else {
-                let n = ((visible - offset) as usize).min(buf.len());
-                buf[..n].copy_from_slice(&bytes[offset as usize..offset as usize + n]);
-                n
-            }
+            let image = file.data.image.read();
+            let visible = self.faults.visible_len(file.name(), image.len());
+            let n = visible.saturating_sub(offset).min(buf.len() as u64) as usize;
+            image.read(offset, &mut buf[..n]);
+            n
         };
         if n > 0 && self.faults.corrupts(file.name(), offset) {
             buf[0] = !buf[0];
@@ -331,6 +316,19 @@ mod tests {
         assert_eq!(n, 4);
         assert_eq!(buf, [0, 0, 0, 0]);
         assert_eq!(f.len(), 101);
+    }
+
+    #[test]
+    fn far_write_leaves_a_hole_that_costs_nothing() {
+        let fs = fs();
+        let (f, t) = fs.open_or_create("far.dat", 0.0).unwrap();
+        fs.write_at(&f, 1 << 40, b"x", t).unwrap();
+        assert_eq!(fs.file_len("far.dat").unwrap(), (1 << 40) + 1);
+        let mut buf = [1u8; 8];
+        let (n, _) = fs.read_at(&f, (1 << 40) - 7, &mut buf, 0.0).unwrap();
+        assert_eq!((n, buf), (8, [0, 0, 0, 0, 0, 0, 0, b'x']));
+        let (n, _) = fs.read_at(&f, 12345, &mut buf, 0.0).unwrap();
+        assert_eq!((n, buf), (8, [0; 8]));
     }
 
     #[test]

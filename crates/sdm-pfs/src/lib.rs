@@ -17,6 +17,15 @@
 //!
 //! Every operation takes the caller's current virtual time and returns the
 //! completion time; the caller syncs its [`sdm_sim::VClock`] to that.
+//!
+//! Each file's bytes live in host memory as a sparse image of 64 KiB
+//! extents, the way XFS stores files as extents: an extent is only as
+//! long as the highest byte written in it, and a hole reads back as
+//! zeros and takes no memory, so a write far past the end of a file
+//! costs what it writes. The image is host storage, not model: no charge
+//! depends on it.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod error;
 pub mod faults;

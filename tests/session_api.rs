@@ -15,6 +15,8 @@
 //! * A store error on rank 0 — at group build, commit or read — and an
 //!   open the file system refuses fail every rank, with no rank left
 //!   waiting.
+//! * A write at the far end of a 1 TiB dataset commits and reads back:
+//!   the hole before it costs nothing.
 
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
@@ -628,4 +630,40 @@ fn a_level_1_commit_returns_one_close_and_one_round_trip_after_the_drain() {
         );
         sdm.finalize(c).unwrap();
     });
+}
+
+// ---------------------------------------------------------------------
+// A far write leaves a hole, not a terabyte of zeros
+// ---------------------------------------------------------------------
+
+/// Two ranks each write one element at the end of a Level-1 dataset of
+/// 2^37 `f64`s (1 TiB, inside the `i64` limit `GroupBuilder` enforces).
+/// The step commits, both values read back, and the file is 2^40 bytes
+/// long: the file system stores what was written, not the hole before it.
+#[test]
+fn a_write_at_the_end_of_a_1_tib_dataset_commits_and_reads_back() {
+    const N: u64 = 1 << 37;
+    let pfs = Pfs::new(MachineConfig::test_tiny());
+    let store = sdm::core::CachedStore::shared(&Arc::new(Database::new()));
+    let back = World::run(2, MachineConfig::test_tiny(), |c| {
+        let level1 = SdmConfig {
+            org: OrgLevel::Level1,
+            ..SdmConfig::default()
+        };
+        let mut sdm = Sdm::initialize_with(c, &pfs, &store, "far", level1).unwrap();
+        let g = sdm.group(c).dataset::<f64>("x", N).build().unwrap();
+        let h = g.handle::<f64>("x").unwrap();
+        let mine = [N - 2 + c.rank() as u64];
+        sdm.set_view(c, h, &mine).unwrap();
+        let mut step = sdm.timestep(c, 0);
+        step.write(h, &[mine[0] as f64]).unwrap();
+        step.commit().unwrap();
+        let mut back = [0.0];
+        sdm.read_handle(c, h, 0, &mut back).unwrap();
+        sdm.finalize(c).unwrap();
+        back[0]
+    });
+    assert_eq!(back, vec![(N - 2) as f64, (N - 1) as f64]);
+    let file = OrgLevel::Level1.file_name("far", 0, "x", 0);
+    assert_eq!(pfs.file_len(&file).unwrap(), 1 << 40);
 }
