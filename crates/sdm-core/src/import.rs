@@ -6,6 +6,9 @@
 //! by explicit file offsets and lengths (the application knows the
 //! `uns3d.msh` layout) and go through collective MPI-IO.
 
+use std::collections::hash_map::Entry;
+use std::sync::Arc;
+
 use sdm_mpi::io::MpiFile;
 use sdm_mpi::pod::{as_bytes_mut, Pod};
 use sdm_mpi::Comm;
@@ -51,13 +54,25 @@ impl Sdm {
             .ok_or_else(|| SdmError::NoSuchDataset(format!("import {name}")))
     }
 
-    fn open_import(&mut self, comm: &mut Comm, h: GroupHandle, file: &str) -> SdmResult<()> {
-        let key = format!("import:{file}");
-        if !self.group_at(h)?.open_files.contains_key(&key) {
-            let f = MpiFile::open_collective(comm, &self.pfs, file, false)?;
-            self.group_at_mut(h)?.open_files.insert(key, f);
-        }
-        Ok(())
+    /// This group's handle on the import file `file`, opened
+    /// collectively first unless the group holds it open already.
+    fn open_import(
+        &mut self,
+        comm: &mut Comm,
+        h: GroupHandle,
+        file: &str,
+    ) -> SdmResult<&mut MpiFile> {
+        let pfs = Arc::clone(&self.pfs);
+        Ok(
+            match self
+                .group_at_mut(h)?
+                .open_files
+                .entry(format!("import:{file}"))
+            {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => e.insert(MpiFile::open_collective(comm, &pfs, file, false)?),
+            },
+        )
     }
 
     /// `SDM_import` (contiguous): "the total domain (file length) is
@@ -85,13 +100,7 @@ impl Sdm {
         let chunk = total_elems.div_ceil(size);
         let lo = (comm.rank() as u64 * chunk).min(total_elems);
         let hi = ((comm.rank() as u64 + 1) * chunk).min(total_elems);
-        self.open_import(comm, h, &desc.file_name)?;
-        let g = self.group_at_mut(h)?;
-        let f = g
-            .open_files
-            .get_mut(&format!("import:{}", desc.file_name))
-            // analyze:allow(unwrap: open_import inserted this key and the map is untouched since)
-            .expect("cached");
+        let f = self.open_import(comm, h, &desc.file_name)?;
         let mut out = vec![T::default(); (hi - lo) as usize];
         let segs = if hi > lo {
             vec![(file_offset + lo * esize, (hi - lo) * esize)]
@@ -127,18 +136,12 @@ impl Sdm {
             )));
         }
         let view = DataView::compile(map, total_elems, ty)?;
-        self.open_import(comm, h, &desc.file_name)?;
-        let g = self.group_at_mut(h)?;
-        let f = g
-            .open_files
-            .get_mut(&format!("import:{}", desc.file_name))
-            // analyze:allow(unwrap: open_import inserted this key and the map is untouched since)
-            .expect("cached");
+        let f = self.open_import(comm, h, &desc.file_name)?;
         f.set_view(comm, file_offset, view.ftype.clone())?;
         let mut file_ordered = vec![T::default(); map.len()];
         f.read_all(comm, 0, &mut file_ordered)?;
         comm.counters().incr("sdm.imports");
-        view.to_user_order(&file_ordered)
+        view.to_user_order_owned(file_ordered)
     }
 
     /// `SDM_release_importlist`: drop import descriptors and close the

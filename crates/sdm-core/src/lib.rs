@@ -36,6 +36,8 @@
 //!   alone calls the store, through one collective helper that charges
 //!   each round trip once and broadcasts the answer.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod dataset;
 pub mod error;
 pub mod history;

@@ -12,6 +12,7 @@
 //! `Sdm::metadata_call`: it runs the store calls, alone charges their
 //! round trips at the `meta` server, and broadcasts what it learnt.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -447,22 +448,29 @@ impl Sdm {
         Ok(())
     }
 
-    /// Open `file_name` collectively unless this group holds it open
-    /// already; `create` for a write, never for a read.
+    /// This group's handle on `file_name`, opened collectively first
+    /// unless the group holds it open already; `create` for a write,
+    /// never for a read.
     pub(crate) fn open_cached(
         &mut self,
         comm: &mut Comm,
         h: GroupHandle,
         file_name: &str,
         create: bool,
-    ) -> SdmResult<()> {
-        if !self.group_at(h)?.open_files.contains_key(file_name) {
-            let f = MpiFile::open_collective(comm, &self.pfs, file_name, create)?;
-            self.group_at_mut(h)?
+    ) -> SdmResult<&mut MpiFile> {
+        let pfs = Arc::clone(&self.pfs);
+        Ok(
+            match self
+                .group_at_mut(h)?
                 .open_files
-                .insert(file_name.to_string(), f);
-        }
-        Ok(())
+                .entry(file_name.to_string())
+            {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => {
+                    e.insert(MpiFile::open_collective(comm, &pfs, file_name, create)?)
+                }
+            },
+        )
     }
 
     /// Collectively read back a dataset written in this run through a
@@ -541,9 +549,9 @@ impl Sdm {
         let file_name = hit.name;
         // A file the row names but the file system lacks is `NotFound`
         // on every rank, and nothing is created in its place.
-        self.open_cached(comm, s.group_handle(), &file_name, false)?;
-        let ftype = {
-            let view = self.slot_view(s)?;
+        // The length check waits until every rank is past the
+        // collective open.
+        let ftype = self.slot_view(s).and_then(|view| {
             if view.len() != out.len() {
                 return Err(SdmError::Usage(format!(
                     "output buffer has {} elements but the view selects {}",
@@ -551,28 +559,21 @@ impl Sdm {
                     view.len()
                 )));
             }
-            view.ftype.clone()
-        };
+            Ok(view.ftype.clone())
+        });
+        let f = self.open_cached(comm, s.group_handle(), &file_name, false)?;
+        f.set_view(comm, base as u64, ftype?)?;
         let mut file_ordered = vec![T::default(); out.len()];
-        {
-            let g = self.group_at_mut(s.group_handle())?;
-            // analyze:allow(unwrap: open_cached inserted this key and the map is untouched since)
-            let f = g.open_files.get_mut(&file_name).expect("cached above");
-            f.set_view(comm, base as u64, ftype)?;
-            f.read_all(comm, 0, &mut file_ordered)?;
-        }
-        // analyze:allow(unwrap: slot_view succeeded a few lines up and no slot was dropped since)
-        let view = self.slot_view(s).expect("checked above");
-        let user = view.to_user_order(&file_ordered)?;
-        out.copy_from_slice(&user);
+        f.read_all(comm, 0, &mut file_ordered)?;
+        self.slot_view(s)?.to_user_order_into(&file_ordered, out)?;
         if self.cfg.org.opens_per_timestep() {
-            let f = self
+            if let Some(f) = self
                 .group_at_mut(s.group_handle())?
                 .open_files
                 .remove(&file_name)
-                // analyze:allow(unwrap: open_cached inserted this key and the map is untouched since)
-                .expect("cached above");
-            f.close(comm);
+            {
+                f.close(comm);
+            }
         }
         comm.counters().incr("sdm.reads");
         Ok(())

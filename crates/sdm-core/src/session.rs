@@ -396,11 +396,8 @@ impl<'a> TimestepScope<'a> {
         let burst = (|| {
             for w in &staged {
                 let (file_name, base) = sdm.alloc_region(w.slot, timestep)?;
-                sdm.open_cached(comm, w.slot.group_handle(), &file_name, true)?;
                 let ftype = sdm.slot_view(w.slot)?.ftype.clone();
-                let g = sdm.group_at_mut(w.slot.group_handle())?;
-                // analyze:allow(unwrap: open_cached inserted this key and the map is untouched since)
-                let f = g.open_files.get_mut(&file_name).expect("cached above");
+                let f = sdm.open_cached(comm, w.slot.group_handle(), &file_name, true)?;
                 f.set_view(comm, base, ftype)?;
                 f.write_all_begin(comm, 0, &w.bytes)?;
                 written.push((w.slot, file_name, base));

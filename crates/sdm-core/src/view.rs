@@ -1,12 +1,19 @@
 //! Map-array data views.
 //!
 //! `SDM_data_view` hands SDM a *map array*: for each local element, its
-//! global index in the file. The file view must be monotone, so the map
-//! is sorted; the resulting permutation is remembered and applied to the
-//! user's buffer on writes (and inverted on reads), keeping the user's
-//! local element order intact while the file sees globally ordered data.
+//! global index in the file. A file view must be monotone, so SDM keeps
+//! the map's indices in ascending order — sorting them unless the map is
+//! ascending already — and remembers the permutation, applying it to the
+//! user's buffer on writes (and inverting it on reads). The user's local
+//! element order stays intact while the file sees globally ordered data.
+//!
+//! [`DataView::compile`] lowers the ascending indices straight to byte
+//! segments in one pass, coalescing neighbours as it goes: there is no
+//! datatype tree to build and flatten. A map that is already strictly
+//! ascending — what a partition's owned-element list is — skips the
+//! sort, and its permutations are plain copies.
 
-use sdm_mpi::datatype::{Datatype, Flattened};
+use sdm_mpi::datatype::Flattened;
 
 use crate::error::{SdmError, SdmResult};
 use crate::types::SdmType;
@@ -24,23 +31,39 @@ pub struct DataView {
     pub ftype: Flattened,
     /// Element size in bytes.
     pub elem_size: u64,
+    /// The map was strictly ascending: `perm` is `0..n`, and every
+    /// permutation is a copy.
+    identity: bool,
 }
 
 impl DataView {
     /// Compile a map array. `global_len` is the dataset's global element
-    /// count (for bounds checks); duplicate indices are rejected.
+    /// count (for bounds checks); duplicate indices are rejected, and so
+    /// is a `global_len` whose byte size overflows a file offset.
     pub fn compile(map: &[u64], global_len: u64, ty: SdmType) -> SdmResult<Self> {
-        let mut idx: Vec<u32> = (0..map.len() as u32).collect();
-        idx.sort_unstable_by_key(|&k| map[k as usize]);
-        let sorted_map: Vec<u64> = idx.iter().map(|&k| map[k as usize]).collect();
-        for w in sorted_map.windows(2) {
-            if w[0] == w[1] {
+        let esize = ty.size();
+        // Every index is below `global_len`, so this also bounds every
+        // segment's offset and end.
+        let extent = global_len.checked_mul(esize).ok_or_else(|| {
+            SdmError::Usage(format!(
+                "a {global_len}-element array of {esize}-byte elements overflows the file offset"
+            ))
+        })?;
+        let identity = map.windows(2).all(|w| w[0] < w[1]);
+        let (sorted_map, perm) = if identity {
+            (map.to_vec(), (0..map.len() as u32).collect())
+        } else {
+            let mut idx: Vec<u32> = (0..map.len() as u32).collect();
+            idx.sort_unstable_by_key(|&k| map[k as usize]);
+            let sorted_map: Vec<u64> = idx.iter().map(|&k| map[k as usize]).collect();
+            if let Some(w) = sorted_map.windows(2).find(|w| w[0] == w[1]) {
                 return Err(SdmError::Usage(format!(
                     "duplicate global index {} in map array",
                     w[0]
                 )));
             }
-        }
+            (sorted_map, idx)
+        };
         if let Some(&last) = sorted_map.last() {
             if last >= global_len {
                 return Err(SdmError::Usage(format!(
@@ -48,21 +71,25 @@ impl DataView {
                 )));
             }
         }
-        let elem = match ty {
-            SdmType::Double => Datatype::double(),
-            SdmType::Int32 => Datatype::int32(),
-            SdmType::Int64 => Datatype::int64(),
+        let mut segments: Vec<(u64, u64)> = Vec::new();
+        for &g in &sorted_map {
+            let off = g * esize;
+            match segments.last_mut() {
+                Some((start, len)) if *start + *len == off => *len += esize,
+                _ => segments.push((off, esize)),
+            }
+        }
+        let ftype = Flattened {
+            segments,
+            extent,
+            size: sorted_map.len() as u64 * esize,
         };
-        let dtype = Datatype::resized(
-            global_len * ty.size(),
-            Datatype::indexed_block(1, sorted_map.clone(), elem),
-        );
-        let ftype = dtype.flatten()?;
         Ok(Self {
             sorted_map,
-            perm: idx,
+            perm,
             ftype,
-            elem_size: ty.size(),
+            elem_size: esize,
+            identity,
         })
     }
 
@@ -76,14 +103,21 @@ impl DataView {
         self.sorted_map.is_empty()
     }
 
-    /// Reorder a user buffer (local order) into file order.
-    pub fn to_file_order<T: Copy>(&self, user: &[T]) -> SdmResult<Vec<T>> {
-        if user.len() != self.perm.len() {
+    fn check_len(&self, what: &str, len: usize) -> SdmResult<()> {
+        if len != self.perm.len() {
             return Err(SdmError::Usage(format!(
-                "buffer has {} elements but view selects {}",
-                user.len(),
+                "{what} has {len} elements but view selects {}",
                 self.perm.len()
             )));
+        }
+        Ok(())
+    }
+
+    /// Reorder a user buffer (local order) into file order.
+    pub fn to_file_order<T: Copy>(&self, user: &[T]) -> SdmResult<Vec<T>> {
+        self.check_len("buffer", user.len())?;
+        if self.identity {
+            return Ok(user.to_vec());
         }
         Ok(self.perm.iter().map(|&k| user[k as usize]).collect())
     }
@@ -92,16 +126,13 @@ impl DataView {
     /// buffer: one allocation and one pass, for callers (the timestep
     /// scope) that stage the result as raw bytes anyway.
     pub fn to_file_order_bytes<T: sdm_mpi::pod::Pod>(&self, user: &[T]) -> SdmResult<Vec<u8>> {
-        if user.len() != self.perm.len() {
-            return Err(SdmError::Usage(format!(
-                "buffer has {} elements but view selects {}",
-                user.len(),
-                self.perm.len()
-            )));
+        self.check_len("buffer", user.len())?;
+        let src = sdm_mpi::pod::as_bytes(user);
+        if self.identity {
+            return Ok(src.to_vec());
         }
         let esize = std::mem::size_of::<T>();
-        let src = sdm_mpi::pod::as_bytes(user);
-        let mut out = vec![0u8; std::mem::size_of_val(user)];
+        let mut out = vec![0u8; src.len()];
         for (k, &p) in self.perm.iter().enumerate() {
             let s = p as usize * esize;
             out[k * esize..(k + 1) * esize].copy_from_slice(&src[s..s + esize]);
@@ -111,24 +142,207 @@ impl DataView {
 
     /// Scatter file-ordered data back into the user's local order.
     pub fn to_user_order<T: Copy + Default>(&self, file_ordered: &[T]) -> SdmResult<Vec<T>> {
-        if file_ordered.len() != self.perm.len() {
-            return Err(SdmError::Usage(format!(
-                "file buffer has {} elements but view selects {}",
-                file_ordered.len(),
-                self.perm.len()
-            )));
-        }
         let mut out = vec![T::default(); file_ordered.len()];
-        for (k, &p) in self.perm.iter().enumerate() {
-            out[p as usize] = file_ordered[k];
-        }
+        self.to_user_order_into(file_ordered, &mut out)?;
         Ok(out)
+    }
+
+    /// [`DataView::to_user_order`] into the caller's buffer, which must
+    /// be as long as the view; on an error `out` is untouched.
+    pub fn to_user_order_into<T: Copy>(&self, file_ordered: &[T], out: &mut [T]) -> SdmResult<()> {
+        self.check_len("file buffer", file_ordered.len())?;
+        self.check_len("output buffer", out.len())?;
+        if self.identity {
+            out.copy_from_slice(file_ordered);
+        } else {
+            for (&x, &p) in file_ordered.iter().zip(&self.perm) {
+                out[p as usize] = x;
+            }
+        }
+        Ok(())
+    }
+
+    /// [`DataView::to_user_order`] taking the file-ordered buffer by
+    /// value: an identity view hands it back as it is.
+    pub(crate) fn to_user_order_owned<T: Copy + Default>(
+        &self,
+        file_ordered: Vec<T>,
+    ) -> SdmResult<Vec<T>> {
+        if self.identity {
+            self.check_len("file buffer", file_ordered.len())?;
+            return Ok(file_ordered);
+        }
+        self.to_user_order(&file_ordered)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+    use sdm_mpi::datatype::Datatype;
+
     use super::*;
+
+    /// The datatype path `compile` replaced, kept as its oracle: sort,
+    /// reject duplicates and out-of-range indices, then flatten a
+    /// `resized(indexed_block(1, sorted, elem))` filetype.
+    fn oracle(map: &[u64], global_len: u64, ty: SdmType) -> SdmResult<DataView> {
+        let mut perm: Vec<u32> = (0..map.len() as u32).collect();
+        perm.sort_unstable_by_key(|&k| map[k as usize]);
+        let sorted_map: Vec<u64> = perm.iter().map(|&k| map[k as usize]).collect();
+        if let Some(w) = sorted_map.windows(2).find(|w| w[0] == w[1]) {
+            return Err(SdmError::Usage(format!("duplicate {}", w[0])));
+        }
+        if sorted_map.last().is_some_and(|&last| last >= global_len) {
+            return Err(SdmError::Usage("out of range".into()));
+        }
+        let elem = match ty {
+            SdmType::Double => Datatype::double(),
+            SdmType::Int32 => Datatype::int32(),
+            SdmType::Int64 => Datatype::int64(),
+        };
+        let ftype = Datatype::resized(
+            global_len * ty.size(),
+            Datatype::indexed_block(1, sorted_map.clone(), elem),
+        )
+        .flatten()?;
+        Ok(DataView {
+            sorted_map,
+            perm,
+            ftype,
+            elem_size: ty.size(),
+            identity: false,
+        })
+    }
+
+    /// `compile` and the oracle agree on the view or on the error kind,
+    /// and both views' permutations are the gather and scatter by `perm`.
+    fn check_against_oracle(map: &[u64], global_len: u64, ty: SdmType) -> Result<(), String> {
+        let (v, o) = match (
+            DataView::compile(map, global_len, ty),
+            oracle(map, global_len, ty),
+        ) {
+            (Ok(v), Ok(o)) => (v, o),
+            (Err(SdmError::Usage(_)), Err(SdmError::Usage(_))) => return Ok(()),
+            (got, want) => {
+                return Err(format!(
+                    "map {map:?}: compile gave {got:?}, the oracle {want:?}"
+                ))
+            }
+        };
+        prop_assert_eq!(&v.ftype, &o.ftype);
+        prop_assert_eq!(&v.sorted_map, &o.sorted_map);
+        prop_assert_eq!(&v.perm, &o.perm);
+        prop_assert_eq!(v.elem_size, o.elem_size);
+        prop_assert_eq!(v.identity, map.windows(2).all(|w| w[0] < w[1]));
+        let user: Vec<u64> = map.iter().map(|&g| g * 3 + 1).collect();
+        let gathered: Vec<u64> = v.perm.iter().map(|&k| user[k as usize]).collect();
+        let mut scattered = vec![0u64; user.len()];
+        for (k, &p) in v.perm.iter().enumerate() {
+            scattered[p as usize] = user[k];
+        }
+        for view in [&v, &o] {
+            prop_assert_eq!(&view.to_file_order(&user).unwrap(), &gathered);
+            prop_assert_eq!(
+                view.to_file_order_bytes(&user).unwrap(),
+                sdm_mpi::pod::as_bytes(&gathered)
+            );
+            prop_assert_eq!(&view.to_user_order(&user).unwrap(), &scattered);
+            prop_assert_eq!(&view.to_user_order_owned(user.clone()).unwrap(), &scattered);
+        }
+        Ok(())
+    }
+
+    const TYPES: [SdmType; 3] = [SdmType::Double, SdmType::Int32, SdmType::Int64];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Ascending and shuffled maps of every element type, with runs
+        /// that end at the array's last element (`tail == 0`), and maps
+        /// with a duplicate or an out-of-range index.
+        #[test]
+        fn compile_matches_the_datatype_oracle(
+            picks in proptest::collection::btree_set(0u64..300, 0..240),
+            tail in 0u64..3,
+            shuffled in any::<bool>(),
+            mut seed in any::<u64>(),
+            fault in 0u8..5,
+            ty in 0usize..3,
+        ) {
+            let mut map: Vec<u64> = picks.into_iter().collect();
+            let global_len = map.last().map_or(1, |&g| g + 1) + tail;
+            match (fault, map.first()) {
+                (1, Some(&g)) => map.push(g),
+                (2, _) => map.push(global_len + tail),
+                _ => {}
+            }
+            if shuffled {
+                for i in (1..map.len()).rev() {
+                    seed = seed
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    map.swap(i, (seed >> 33) as usize % (i + 1));
+                }
+            }
+            check_against_oracle(&map, global_len, TYPES[ty])?;
+        }
+    }
+
+    #[test]
+    fn empty_and_one_element_maps_match_the_oracle() {
+        for ty in TYPES {
+            for (map, global_len) in [(&[][..], 0), (&[][..], 4), (&[0][..], 1), (&[3][..], 4)] {
+                check_against_oracle(map, global_len, ty).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn ascending_map_is_the_identity() {
+        let v = DataView::compile(&[2, 3, 7], 8, SdmType::Double).unwrap();
+        assert!(v.identity);
+        assert_eq!(v.perm, vec![0, 1, 2]);
+        assert_eq!(v.ftype.segments, vec![(16, 16), (56, 8)]);
+        assert_eq!(
+            v.to_file_order(&[1.0, 2.0, 3.0]).unwrap(),
+            vec![1.0, 2.0, 3.0]
+        );
+        let mut out = [0.0; 3];
+        v.to_user_order_into(&[1.0, 2.0, 3.0], &mut out).unwrap();
+        assert_eq!(out, [1.0, 2.0, 3.0]);
+        assert!(
+            !DataView::compile(&[3, 2], 8, SdmType::Double)
+                .unwrap()
+                .identity
+        );
+    }
+
+    #[test]
+    fn byte_size_overflow_rejected() {
+        assert!(matches!(
+            DataView::compile(&[0, 3], u64::MAX / 4, SdmType::Double),
+            Err(SdmError::Usage(_))
+        ));
+        assert!(matches!(
+            DataView::compile(&[], u64::MAX / 2, SdmType::Int32),
+            Err(SdmError::Usage(_))
+        ));
+        // The largest array whose byte size still fits.
+        let v = DataView::compile(&[0, 3], u64::MAX / 8, SdmType::Double).unwrap();
+        assert_eq!(v.ftype.extent, u64::MAX / 8 * 8);
+    }
+
+    #[test]
+    fn user_order_into_leaves_out_untouched_on_a_length_error() {
+        let v = DataView::compile(&[1, 0], 2, SdmType::Double).unwrap();
+        let mut out = [9.0; 2];
+        assert!(v.to_user_order_into(&[1.0], &mut out).is_err());
+        assert!(v.to_user_order_into(&[1.0, 2.0], &mut out[..1]).is_err());
+        assert_eq!(out, [9.0; 2]);
+        v.to_user_order_into(&[1.0, 2.0], &mut out).unwrap();
+        assert_eq!(out, [2.0, 1.0]);
+    }
 
     #[test]
     fn sorted_map_and_permutation() {

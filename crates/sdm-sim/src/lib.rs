@@ -20,6 +20,8 @@
 //! Data movement in the workspace is always real (bytes are copied and can
 //! be read back and verified); only *time* is virtual.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod config;
 pub mod cost;
 pub mod rng;

@@ -2,8 +2,8 @@
 //!
 //! * Property: `DataView::compile`'s permutation round-trips — writing
 //!   through the permutation and reading back through its inverse is
-//!   the identity, for arbitrary (unique, in-range, shuffled) map
-//!   arrays.
+//!   the identity, for arbitrary (unique, in-range, ascending or
+//!   shuffled) map arrays.
 //! * `TimestepScope` writes produce exactly the expected files and
 //!   bytes at all three file-organization levels, computed from the
 //!   written values and each level's naming/append rule; a step pays
@@ -26,7 +26,7 @@ use proptest::prelude::*;
 use sdm::core::schema::ExecutionRow;
 use sdm::core::store::{HistoryBlock, MetadataStore, RunRecord, SharedStore};
 use sdm::core::view::DataView;
-use sdm::core::{OrgLevel, Sdm, SdmConfig, SdmError, SdmResult, SdmType};
+use sdm::core::{ImportDesc, OrgLevel, Sdm, SdmConfig, SdmError, SdmResult, SdmType};
 use sdm::metadb::stmt::{Query, Stmt};
 use sdm::metadb::{Database, DbError, DbResult, ResultSet, Value};
 use sdm::mpi::{Comm, MpiError, World};
@@ -37,8 +37,9 @@ use sdm::sim::MachineConfig;
 // DataView permutation round-trip (proptest)
 // ---------------------------------------------------------------------
 
-/// Deterministic Fisher-Yates so the generated map arrays are shuffled
-/// (the interesting case), not sorted as `btree_set` yields them.
+/// Deterministic Fisher-Yates, so a generated map array is shuffled
+/// rather than ascending as `btree_set` yields it (the two cases take
+/// different paths through `DataView::compile`).
 fn shuffle(xs: &mut [u64], mut seed: u64) {
     for i in (1..xs.len()).rev() {
         seed = seed
@@ -56,9 +57,12 @@ proptest! {
     fn view_permutation_round_trips(
         picks in proptest::collection::btree_set(0u64..400, 0..48),
         seed in 0u64..10_000,
+        shuffled in any::<bool>(),
     ) {
         let mut map: Vec<u64> = picks.into_iter().collect();
-        shuffle(&mut map, seed);
+        if shuffled {
+            shuffle(&mut map, seed);
+        }
         let v = DataView::compile(&map, 400, SdmType::Double).unwrap();
 
         // The compiled permutation is a bijection over the local
@@ -504,15 +508,18 @@ fn one_step(c: &mut Comm, pfs: &Arc<Pfs>, store: &SharedStore) -> SdmResult<()> 
     sdm.finalize(c)
 }
 
-/// Run [`one_step`] on three ranks over `pfs` and `store`, failing the
-/// test (`what` names the fault) if the world has not returned within
-/// 20 s.
-fn run_with_watchdog(what: String, pfs: Arc<Pfs>, store: SharedStore) -> Vec<SdmResult<()>> {
+/// Run `rank` on `nprocs` ranks, failing the test (`what` names the
+/// fault) if the world has not returned within 20 s.
+fn run_with_watchdog<T: Send + 'static>(
+    what: String,
+    nprocs: usize,
+    rank: impl Fn(&mut Comm) -> T + Send + Sync + 'static,
+) -> Vec<T> {
     let (tx, rx) = mpsc::channel();
     // Not joined on a timeout: a hung world never returns, and the
     // test reports the hang instead of waiting with it.
     let world = std::thread::spawn(move || {
-        let out = World::run(3, MachineConfig::test_tiny(), |c| one_step(c, &pfs, &store));
+        let out = World::run(nprocs, MachineConfig::test_tiny(), rank);
         let _ = tx.send(out);
     });
     match rx.recv_timeout(Duration::from_secs(20)) {
@@ -538,12 +545,14 @@ fn a_store_error_on_rank_0_fails_every_rank_without_a_hang() {
         Refuses::LookupExecution,
     ] {
         let pfs = Pfs::new(MachineConfig::test_tiny());
-        let store = Arc::new(RecordingStore::new(
+        let store: SharedStore = Arc::new(RecordingStore::new(
             &Arc::new(Database::new()),
             &pfs,
             Some(call),
         ));
-        let out = run_with_watchdog(format!("{call:?} refused"), pfs, store);
+        let out = run_with_watchdog(format!("{call:?} refused"), 3, move |c| {
+            one_step(c, &pfs, &store)
+        });
         let message = match &out[0] {
             Err(e @ SdmError::Db(_)) => e.to_string(),
             other => panic!("{call:?} refused: rank 0 returned {other:?}"),
@@ -569,10 +578,36 @@ fn a_refused_collective_open_fails_every_rank_without_a_hang() {
         FaultPlan::none().fail_open(file.clone()),
     );
     let store = sdm::core::SqlStore::shared(&Arc::new(Database::new()));
-    let out = run_with_watchdog(format!("opening {file} refused"), pfs, store);
+    let out = run_with_watchdog(format!("opening {file} refused"), 3, move |c| {
+        one_step(c, &pfs, &store)
+    });
     for (rank, got) in out.iter().enumerate() {
         assert!(
             matches!(got, Err(SdmError::Mpi(MpiError::Pfs(PfsError::OpenFailed(n)))) if *n == file),
+            "rank {rank} returned {got:?}"
+        );
+    }
+}
+
+/// A map-array import whose element count overflows the byte offsets
+/// is refused with `Usage` on every rank before the collective open, so
+/// no rank waits for another and the ranks still finalize together.
+#[test]
+fn an_import_whose_byte_size_overflows_fails_every_rank_without_a_hang() {
+    let pfs = Pfs::new(MachineConfig::test_tiny());
+    let store = sdm::core::SqlStore::shared(&Arc::new(Database::new()));
+    let out = run_with_watchdog("an overflowing import".into(), 2, move |c| {
+        let mut sdm = Sdm::initialize(c, &pfs, &store, "overflow")?;
+        let h = sdm.group(c).dataset::<f64>("d", 4).build()?.group();
+        sdm.make_importlist(c, h, vec![ImportDesc::data("x", "x.dat")])?;
+        let map = [c.rank() as u64, 3];
+        let got = sdm.import_view::<f64>(c, h, "x", 0, &map, u64::MAX / 4);
+        sdm.finalize(c)?;
+        got
+    });
+    for (rank, got) in out.iter().enumerate() {
+        assert!(
+            matches!(got, Err(SdmError::Usage(_))),
             "rank {rank} returned {got:?}"
         );
     }
