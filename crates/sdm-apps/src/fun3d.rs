@@ -376,9 +376,8 @@ mod tests {
     fn small_world(n: usize, opts: Fun3dOptions) -> (Vec<Fun3dResult>, Arc<Pfs>, SharedStore) {
         let w = Fun3dWorkload::new(150, n, 7);
         let pfs = Pfs::new(MachineConfig::test_tiny());
-        let db = Arc::new(sdm_metadb::Database::new());
-        let store = sdm_core::CachedStore::shared(&db);
-        w.stage(&pfs);
+        let store = sdm_core::store::in_memory();
+        w.stage(&pfs).unwrap();
         let out = World::run(n, MachineConfig::test_tiny(), {
             let (pfs, store, w, opts) = (
                 Arc::clone(&pfs),
@@ -439,9 +438,8 @@ mod tests {
         let n = 3;
         let w = Fun3dWorkload::new(150, n, 7);
         let pfs = Pfs::new(MachineConfig::test_tiny());
-        let db = Arc::new(sdm_metadb::Database::new());
-        let store = sdm_core::CachedStore::shared(&db);
-        w.stage(&pfs);
+        let store = sdm_core::store::in_memory();
+        w.stage(&pfs).unwrap();
         // First run registers.
         let first = World::run(n, MachineConfig::test_tiny(), {
             let (pfs, store, w) = (Arc::clone(&pfs), Arc::clone(&store), w.clone());
@@ -459,7 +457,7 @@ mod tests {
         let second = World::run(n, MachineConfig::test_tiny(), {
             let (pfs, store, w) = (
                 Arc::clone(&pfs),
-                sdm_core::CachedStore::shared(&db),
+                sdm_core::CachedStore::shared(store.database()),
                 w.clone(),
             );
             move |c| {

@@ -12,6 +12,8 @@
 //!   compares against: rank-0 read + broadcast import with a two-pass
 //!   count-then-read edge scan, and token-serialized writes.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod fun3d;
 pub mod original;
 pub mod report;

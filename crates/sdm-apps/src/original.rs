@@ -194,7 +194,7 @@ mod tests {
         let n = 3;
         let w = Fun3dWorkload::new(150, n, 7);
         let pfs = Pfs::new(MachineConfig::test_tiny());
-        w.stage(&pfs);
+        w.stage(&pfs).unwrap();
         let out = World::run(n, MachineConfig::test_tiny(), {
             let (pfs, w) = (Arc::clone(&pfs), w.clone());
             move |c| fun3d_original_import(c, &pfs, &w).unwrap().1
@@ -219,7 +219,7 @@ mod tests {
         let w = Fun3dWorkload::new(60_000, n, 3);
         let cfg = MachineConfig::origin2000();
         let pfs = Pfs::new(cfg.clone());
-        w.stage(&pfs);
+        w.stage(&pfs).unwrap();
         let orig = World::run(n, cfg.clone(), {
             let (pfs, w) = (Arc::clone(&pfs), w.clone());
             move |c| fun3d_original_import(c, &pfs, &w).unwrap().0.get("import")
@@ -228,8 +228,8 @@ mod tests {
         .fold(0.0f64, f64::max);
 
         let pfs2 = Pfs::new(cfg.clone());
-        let store = sdm_core::CachedStore::shared(&Arc::new(sdm_metadb::Database::new()));
-        w.stage(&pfs2);
+        let store = sdm_core::store::in_memory();
+        w.stage(&pfs2).unwrap();
         let sdm = World::run(n, cfg, {
             let (pfs2, store, w) = (Arc::clone(&pfs2), Arc::clone(&store), w.clone());
             move |c| {

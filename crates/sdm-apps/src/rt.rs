@@ -173,7 +173,7 @@ mod tests {
     fn run(org: OrgLevel, n: usize) -> (Arc<Pfs>, Vec<PhaseReport>) {
         let w = RtWorkload::new(300, n, 5);
         let pfs = Pfs::new(MachineConfig::test_tiny());
-        let store = sdm_core::CachedStore::shared(&Arc::new(sdm_metadb::Database::new()));
+        let store = sdm_core::store::in_memory();
         let out = World::run(n, MachineConfig::test_tiny(), {
             let (pfs, store, w) = (Arc::clone(&pfs), Arc::clone(&store), w.clone());
             move |c| run_sdm(c, &pfs, &store, &w, org).unwrap()
@@ -244,7 +244,7 @@ mod tests {
         let w = RtWorkload::new(20_000, n, 5);
         let cfg = MachineConfig::origin2000();
         let pfs = Pfs::new(cfg.clone());
-        let store = sdm_core::CachedStore::shared(&Arc::new(sdm_metadb::Database::new()));
+        let store = sdm_core::store::in_memory();
         let sdm_t = World::run(n, cfg.clone(), {
             let (pfs, store, w) = (Arc::clone(&pfs), Arc::clone(&store), w.clone());
             move |c| {

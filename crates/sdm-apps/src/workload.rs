@@ -5,7 +5,7 @@ use std::sync::Arc;
 use sdm_mesh::gen::{rt_interface_mesh, tet_box};
 use sdm_mesh::{CsrGraph, Uns3dLayout, UnstructuredMesh};
 use sdm_partition::{partition, Method, PartitionVector};
-use sdm_pfs::Pfs;
+use sdm_pfs::{Pfs, PfsResult};
 
 /// The FUN3D benchmark workload.
 ///
@@ -61,13 +61,12 @@ impl Fun3dWorkload {
 
     /// Stage the mesh file into the PFS (untimed test-fixture setup; the
     /// paper's mesh pre-existed on disk).
-    pub fn stage(&self, pfs: &Arc<Pfs>) {
+    pub fn stage(&self, pfs: &Arc<Pfs>) -> PfsResult<()> {
         let img = self.layout.build_image(&self.mesh);
-        let (f, _) = pfs
-            .open_or_create(&self.mesh_file, 0.0)
-            .expect("stage mesh file");
-        pfs.write_at(&f, 0, &img, 0.0).expect("stage mesh bytes");
+        let (f, _) = pfs.open_or_create(&self.mesh_file, 0.0)?;
+        pfs.write_at(&f, 0, &img, 0.0)?;
         pfs.reset_timing();
+        Ok(())
     }
 }
 
@@ -153,7 +152,7 @@ mod tests {
     fn staging_writes_mesh_file() {
         let w = Fun3dWorkload::new(200, 2, 3);
         let pfs = Pfs::new(MachineConfig::test_tiny());
-        w.stage(&pfs);
+        w.stage(&pfs).unwrap();
         assert_eq!(pfs.file_len("uns3d.msh").unwrap(), w.layout.file_len());
         // Staging must not pollute the timing counters.
         assert_eq!(pfs.counters().get("pfs.write_bytes"), 0);

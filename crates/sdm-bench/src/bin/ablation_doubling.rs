@@ -9,8 +9,7 @@ use std::sync::Arc;
 use sdm_apps::original::fun3d_original_import;
 use sdm_apps::Fun3dWorkload;
 use sdm_bench::{aggregate, print_header, HarnessArgs};
-use sdm_core::{CachedStore, Sdm, SdmConfig};
-use sdm_metadb::Database;
+use sdm_core::{store, Sdm, SdmConfig};
 use sdm_mpi::World;
 use sdm_pfs::Pfs;
 
@@ -28,7 +27,7 @@ fn main() {
     // Two-pass baseline: take the original import's index-distribution
     // phase (it scans the broadcast edge list twice).
     let pfs = Pfs::new(cfg.clone());
-    w.stage(&pfs);
+    w.stage(&pfs).unwrap();
     let orig = aggregate(World::run(procs, cfg.clone(), {
         let (pfs, w) = (Arc::clone(&pfs), w.clone());
         move |c| fun3d_original_import(c, &pfs, &w).unwrap().0
@@ -36,8 +35,8 @@ fn main() {
 
     // Single-pass: SDM's ring distribution with the doubling buffer.
     let pfs = Pfs::new(cfg.clone());
-    let store = CachedStore::shared(&Arc::new(Database::new()));
-    w.stage(&pfs);
+    let store = store::in_memory();
+    w.stage(&pfs).unwrap();
     let sdm = aggregate(World::run(procs, cfg.clone(), {
         let (pfs, store, w) = (Arc::clone(&pfs), Arc::clone(&store), w.clone());
         move |c| {

@@ -21,7 +21,7 @@ fn main() {
 
     // Register a history at p=8.
     let w8 = Fun3dWorkload::new(args.fun3d_nodes() / 4, 8, args.seed);
-    w8.stage(&pfs);
+    w8.stage(&pfs).unwrap();
     let rep = aggregate(World::run(8, cfg.clone(), {
         let (pfs, store, w) = (Arc::clone(&pfs), Arc::clone(&store), w8.clone());
         move |c| {

@@ -40,7 +40,7 @@ fn main() {
 
     // --- Original ---
     let (pfs, _db) = fresh_world(&cfg);
-    w.stage(&pfs);
+    w.stage(&pfs).unwrap();
     let reports = World::run(procs, cfg.clone(), {
         let (pfs, w) = (Arc::clone(&pfs), w.clone());
         move |c| fun3d_original_import(c, &pfs, &w).unwrap().0
@@ -49,7 +49,7 @@ fn main() {
 
     // --- SDM without history ---
     let (pfs, store) = fresh_world(&cfg);
-    w.stage(&pfs);
+    w.stage(&pfs).unwrap();
     let no_hist: PhaseReport = aggregate(World::run(procs, cfg.clone(), {
         let (pfs, store, w) = (Arc::clone(&pfs), Arc::clone(&store), w.clone());
         move |c| {

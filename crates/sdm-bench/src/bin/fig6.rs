@@ -33,7 +33,7 @@ fn main() {
     let mut read_bw = Vec::new();
     for org in OrgLevel::all() {
         let (pfs, store) = fresh_world(&cfg);
-        w.stage(&pfs);
+        w.stage(&pfs).unwrap();
         let rep = aggregate(World::run(procs, cfg.clone(), {
             let (pfs, store, w) = (Arc::clone(&pfs), Arc::clone(&store), w.clone());
             move |c| {

@@ -10,9 +10,8 @@ use std::sync::Arc;
 use sdm_apps::fun3d::{run_sdm, Fun3dOptions};
 use sdm_apps::Fun3dWorkload;
 use sdm_bench::{aggregate, print_header, HarnessArgs};
-use sdm_core::CachedStore;
+use sdm_core::store;
 use sdm_core::OrgLevel;
-use sdm_metadb::Database;
 use sdm_mpi::World;
 use sdm_pfs::Pfs;
 
@@ -40,8 +39,8 @@ fn main() {
         let mut bws = Vec::new();
         for org in [OrgLevel::Level1, OrgLevel::Level3] {
             let pfs = Pfs::new(cfg.clone());
-            let store = CachedStore::shared(&Arc::new(Database::new()));
-            w.stage(&pfs);
+            let store = store::in_memory();
+            w.stage(&pfs).unwrap();
             let rep = aggregate(World::run(procs, cfg.clone(), {
                 let (pfs, store, w) = (Arc::clone(&pfs), Arc::clone(&store), w.clone());
                 move |c| {

@@ -7,8 +7,7 @@
 use std::sync::Arc;
 
 use sdm_apps::PhaseReport;
-use sdm_core::{CachedStore, SharedStore};
-use sdm_metadb::Database;
+use sdm_core::{store, SharedStore};
 use sdm_pfs::Pfs;
 use sdm_sim::MachineConfig;
 
@@ -123,10 +122,7 @@ impl HarnessArgs {
 /// Fresh (pfs, metadata store) pair on a machine config. The store is
 /// the default stack: a per-timestep batching cache over typed SQL.
 pub fn fresh_world(cfg: &MachineConfig) -> (Arc<Pfs>, SharedStore) {
-    (
-        Pfs::new(cfg.clone()),
-        CachedStore::shared(&Arc::new(Database::new())),
-    )
+    (Pfs::new(cfg.clone()), store::in_memory())
 }
 
 /// Aggregate per-rank reports to the figure's bar values (max over ranks).

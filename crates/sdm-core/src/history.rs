@@ -266,7 +266,7 @@ impl Sdm {
             let t = self.pfs.delete(&name, comm.now())?;
             comm.sync_to(t);
         }
-        let my_off = comm.exscan_sum(&[my_len])[0];
+        let my_off = comm.exscan_sum(&[my_len])?[0];
 
         let file = MpiFile::open_collective(comm, &self.pfs, &name, true)?;
         // "the partitioned edges are asynchronously written"
@@ -414,7 +414,7 @@ impl Sdm {
         })();
 
         let ok_here = attempt.is_ok() as u8;
-        let all_ok = comm.allreduce_min(&[ok_here])[0] == 1;
+        let all_ok = comm.allreduce_min(&[ok_here])?[0] == 1;
         if !all_ok {
             // Drop the poisoned registration so later runs go fresh
             // immediately ("fall back to the fresh distribution").

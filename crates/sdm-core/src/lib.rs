@@ -32,9 +32,11 @@
 //! * [`store`] — the [`store::MetadataStore`] trait over those
 //!   relations: [`store::SqlStore`] (typed statements compiled once —
 //!   the warmed hot path formats zero SQL text) and
-//!   [`store::CachedStore`] (per-timestep transaction batching). Rank 0
-//!   alone calls the store, through one collective helper that charges
-//!   each round trip once and broadcasts the answer.
+//!   [`store::CachedStore`] (per-timestep transaction batching), built
+//!   as one stack by [`store::in_memory`], [`store::open_durable`] and
+//!   [`store::logged_in_memory`]. Rank 0 alone calls the store, through
+//!   one collective helper that charges each round trip once and
+//!   broadcasts the answer.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -59,6 +61,6 @@ pub use partition_api::PartitionedIndex;
 pub use sdm::{GroupHandle, Sdm, SdmConfig};
 pub use session::{DatasetHandle, DatasetSlot, GroupBuilder, GroupRegistration, TimestepScope};
 pub use store::{
-    ensure_table, CachedStore, HistoryBlock, MetadataStore, RunRecord, SharedStore, SqlStore,
+    CachedStore, HistoryBlock, MetadataStore, RunRecord, SharedStore, SqlStore, StoreStats,
 };
 pub use types::{SdmElem, SdmType};

@@ -506,8 +506,6 @@ impl Sdm {
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use std::sync::Arc;
-
     use proptest::prelude::*;
     use sdm_mpi::World;
     use sdm_pfs::Pfs;
@@ -702,7 +700,7 @@ pub(crate) mod tests {
     /// across the world.
     fn ring_pass(p: usize, n: usize, cfg: &MachineConfig) -> (Vec<f64>, u64) {
         let pfs = Pfs::new(cfg.clone());
-        let store = crate::CachedStore::shared(&Arc::new(sdm_metadb::Database::new()));
+        let store = crate::store::in_memory();
         // 2n nodes dealt round-robin; edge k of every chunk joins nodes k
         // and k + n, both of rank k % p when p divides n.
         let pv: Vec<u32> = (0..2 * n).map(|node| (node % p) as u32).collect();

@@ -19,38 +19,22 @@
 //! Rank 0 alone calls the store (`Sdm::metadata_call`) and broadcasts
 //! what it learnt, so there is nothing for other ranks to cache.
 //!
-//! Future backends (sharded, remote, persistent) implement the same
-//! trait; `Sdm`, the container layers, and the application harnesses
-//! never name a concrete store — and because statements arrive as typed
-//! values naming their relation, a `ShardedStore` is a pure routing
-//! function over them.
+//! [`in_memory`], [`open_durable`] and [`logged_in_memory`] build the
+//! default stack (a [`CachedStore`] over a [`SqlStore`]); callers that
+//! only need a store never name the database engine. Every store reports
+//! its durability counters as [`StoreStats`].
 
+use std::path::Path;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use sdm_metadb::stmt::{param, Delete, Insert, Query, Relation, Stmt, TableDesc, TypedColumn};
-use sdm_metadb::{Database, DbError, DbResult, ResultSet, TxTicket, Value};
+use sdm_metadb::stmt::{param, Delete, Insert, Query, Relation, Stmt, TypedColumn};
+use sdm_metadb::{Database, DbError, DbResult, MemStorage, ResultSet, TxTicket, Value};
 
 use crate::schema::{
     AccessPatternRow, ExecutionCol, ExecutionRow, ImportRow, IndexCol, IndexHistoryCol,
     IndexHistoryRow, IndexRow, RunCol, RunRow, FIGURE4_TABLES,
 };
-
-/// Create a relation's table and secondary indexes through a store,
-/// entirely from its descriptor (no DDL strings). Idempotent: the table
-/// is `IF NOT EXISTS` and already-present indexes are ignored. Layered
-/// schemas call this with their own descriptors so their DDL rides the
-/// same machinery.
-pub fn ensure_table(store: &dyn MetadataStore, desc: &TableDesc) -> DbResult<()> {
-    store.run(&desc.create_table(), &[])?;
-    for ix in desc.create_indexes() {
-        match store.run(&ix, &[]) {
-            Ok(_) | Err(DbError::IndexExists(_)) => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
 
 /// One `run_table` row.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,6 +74,61 @@ pub struct HistoryBlock {
 
 /// A shared, thread-safe metadata store handle.
 pub type SharedStore = Arc<dyn MetadataStore>;
+
+/// The counts any durable metadata store keeps: transactions committed
+/// and what making them durable cost in log records, syncs and bytes.
+/// The simulated cost model charges none of them; they are host-side
+/// bookkeeping. An in-memory store logs nothing, so only `transactions`
+/// moves there.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreStats {
+    /// Committed `BEGIN`…`COMMIT` transactions (one per batched
+    /// timestep, one per run-id reservation).
+    pub transactions: u64,
+    /// Redo records appended to the log.
+    pub log_appends: u64,
+    /// Log syncs issued.
+    pub log_syncs: u64,
+    /// Bytes appended to the log since the store opened. Unlike the
+    /// other counts, [`MetadataStore::reset_stats`] leaves this one: it
+    /// measures the log itself, not a window of traffic.
+    pub log_bytes: u64,
+    /// Commits made durable by another transaction's sync (group commit).
+    pub group_commit_batched: u64,
+}
+
+/// The default stack over a fresh in-memory database: a [`CachedStore`]
+/// over a [`SqlStore`]. Its tables are created by the first
+/// [`MetadataStore::ensure_schema`], which `Sdm::initialize` calls.
+pub fn in_memory() -> SharedStore {
+    CachedStore::shared(&Arc::new(Database::new()))
+}
+
+/// The default stack over a **durable** database at `dir`: the database
+/// recovers its state from the newest snapshot plus log replay, and
+/// every later committed transaction survives a crash (see
+/// `sdm_metadb::Database::open`). Buffered writes become durable when
+/// their batch transaction commits; [`MetadataStore::flush`] and
+/// [`MetadataStore::checkpoint`] force that on demand. The schema is
+/// ensured as part of opening, so the handle is ready for traffic.
+pub fn open_durable(dir: impl AsRef<Path>) -> DbResult<SharedStore> {
+    cached_with_schema(Database::open(dir)?)
+}
+
+/// The durable stack of [`open_durable`] with its log kept in memory:
+/// every commit is logged and synced before it returns, so
+/// [`MetadataStore::stats`] counts the log's records, syncs and bytes,
+/// but no file is written. The schema is ensured as part of opening.
+pub fn logged_in_memory() -> DbResult<SharedStore> {
+    let (log, _) = MemStorage::new();
+    cached_with_schema(Database::open_with_storage(Box::new(log))?)
+}
+
+fn cached_with_schema(db: Database) -> DbResult<SharedStore> {
+    let sql = SqlStore::new(Arc::new(db));
+    sql.ensure_schema()?;
+    Ok(Arc::new(CachedStore::new(Arc::new(sql))))
+}
 
 /// Typed access to SDM's metadata tables.
 ///
@@ -250,11 +289,11 @@ pub trait MetadataStore: Send + Sync {
     /// Remove a registered history (e.g. after detecting corruption).
     fn delete_index_registry(&self, problem_size: i64, num_procs: i64) -> DbResult<()>;
 
-    /// Run a typed statement through the store. Layered metadata
-    /// schemas and bench report queries use this instead of holding a
-    /// raw database handle, so their statements share the same
-    /// caching/batching machinery, and future backends can route them
-    /// by [`Stmt::table`] instead of parsing SQL text.
+    /// Run a typed statement through the store (a [`CachedStore`] lands
+    /// its batch first when the statement reaches the buffered
+    /// relation). Nothing on SDM's path calls it: it stays, with `exec`
+    /// and `database`, because the end-to-end benchmark's delegating
+    /// store forwards all three.
     fn run(&self, stmt: &Stmt, params: &[Value]) -> DbResult<ResultSet>;
 
     /// Run arbitrary SQL text through the store: a veneer that parses
@@ -279,6 +318,27 @@ pub trait MetadataStore: Send + Sync {
     fn checkpoint(&self) -> DbResult<u64> {
         self.flush()?;
         self.database().checkpoint()
+    }
+
+    /// The store's durability counters ([`StoreStats`]). Wrappers that
+    /// delegate [`MetadataStore::database`] report their inner store's
+    /// numbers without implementing this.
+    fn stats(&self) -> StoreStats {
+        let db = self.database();
+        let s = db.stats();
+        StoreStats {
+            transactions: s.transactions,
+            log_appends: s.wal_appends,
+            log_syncs: s.wal_fsyncs,
+            log_bytes: db.wal_appended_bytes(),
+            group_commit_batched: s.group_commit_batched,
+        }
+    }
+
+    /// Zero the counters [`MetadataStore::stats`] reports (all but
+    /// `log_bytes`).
+    fn reset_stats(&self) {
+        self.database().reset_stats();
     }
 
     /// The backing embedded database (persistence snapshots, stats).
@@ -430,22 +490,6 @@ impl SqlStore {
         }
     }
 
-    /// Convenience: a [`SharedStore`] over `db`.
-    pub fn shared(db: &Arc<Database>) -> SharedStore {
-        Arc::new(SqlStore::new(Arc::clone(db)))
-    }
-
-    /// Open (or create) a **durable** store at `dir`: the database
-    /// recovers its state from the newest snapshot plus write-ahead-log
-    /// replay, and every later committed transaction survives a crash
-    /// (see `sdm_metadb::Database::open`). The schema is ensured as part
-    /// of opening, so the handle is ready for traffic.
-    pub fn open_durable(dir: impl AsRef<std::path::Path>) -> DbResult<SharedStore> {
-        let store = SqlStore::new(Arc::new(Database::open(dir)?));
-        store.ensure_schema()?;
-        Ok(Arc::new(store))
-    }
-
     /// Execute a hot statement through its once-compiled plan.
     fn run_hot(&self, which: Hot, params: &[Value]) -> DbResult<ResultSet> {
         let stmt = self.plans[which as usize].get_or_init(|| which.compile());
@@ -455,8 +499,16 @@ impl SqlStore {
 
 impl MetadataStore for SqlStore {
     fn ensure_schema(&self) -> DbResult<()> {
+        // Every table and index comes from its descriptor: `IF NOT
+        // EXISTS` tables, and indexes already present are skipped.
         for desc in FIGURE4_TABLES {
-            ensure_table(self, desc)?;
+            self.db.exec_stmt(&desc.create_table(), &[])?;
+            for ix in desc.create_indexes() {
+                match self.db.exec_stmt(&ix, &[]) {
+                    Ok(_) | Err(DbError::IndexExists(_)) => {}
+                    Err(e) => return Err(e),
+                }
+            }
         }
         Ok(())
     }
@@ -771,21 +823,10 @@ impl CachedStore {
         }
     }
 
-    /// Convenience: a cached [`SharedStore`] over a [`SqlStore`] on `db`
-    /// — the default store stack.
+    /// The default stack over an existing database handle, for callers
+    /// that hold two stores over one database (a later attach).
     pub fn shared(db: &Arc<Database>) -> SharedStore {
-        Arc::new(CachedStore::new(SqlStore::shared(db)))
-    }
-
-    /// The default durable stack: a cache over a [`SqlStore`] on a
-    /// database opened (with crash recovery) at `dir`. Buffered writes
-    /// become durable when their batch transaction commits — [`flush`]
-    /// or [`checkpoint`] force that down on demand.
-    ///
-    /// [`flush`]: MetadataStore::flush
-    /// [`checkpoint`]: MetadataStore::checkpoint
-    pub fn open_durable(dir: impl AsRef<std::path::Path>) -> DbResult<SharedStore> {
-        Ok(Arc::new(CachedStore::new(SqlStore::open_durable(dir)?)))
+        Arc::new(CachedStore::new(Arc::new(SqlStore::new(Arc::clone(db)))))
     }
 
     /// Detach the pending batch so it can be written without holding
@@ -1142,9 +1183,7 @@ mod tests {
     #[test]
     fn concurrent_runid_allocation_never_duplicates() {
         use std::collections::HashSet;
-        let db = Arc::new(Database::new());
-        let store = SqlStore::shared(&db);
-        store.ensure_schema().unwrap();
+        let store: SharedStore = Arc::new(sql_store());
         let ids = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
                 .map(|_| {
@@ -1501,9 +1540,7 @@ mod tests {
         // CachedStore's per-timestep flush opens a transaction on rank
         // 0; reader ranks doing indexed lookups must not serialize
         // behind it (SELECTs take the shared catalog lock).
-        let db = Arc::new(Database::new());
-        let store = SqlStore::shared(&db);
-        store.ensure_schema().unwrap();
+        let store: SharedStore = Arc::new(sql_store());
         for ts in 0..50 {
             store.record_execution(1, "p", ts, ts * 64, "f").unwrap();
         }
@@ -1555,13 +1592,13 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let runid;
         {
-            let s = SqlStore::open_durable(dir.path()).unwrap();
+            let s = open_durable(dir.path()).unwrap();
             runid = s.allocate_runid("fun3d").unwrap();
             s.record_run(&run_rec(runid, "fun3d")).unwrap();
             s.record_execution(runid, "pressure", 0, 512, "f1.dat")
                 .unwrap();
         }
-        let s = SqlStore::open_durable(dir.path()).unwrap();
+        let s = open_durable(dir.path()).unwrap();
         // ensure_schema already ran inside open_durable and is
         // idempotent over the recovered catalog.
         assert_eq!(s.latest_runid_for_app("fun3d").unwrap(), Some(runid));
@@ -1576,7 +1613,7 @@ mod tests {
         let dir = tempfile::tempdir().unwrap();
         let runid;
         {
-            let s = CachedStore::open_durable(dir.path()).unwrap();
+            let s = open_durable(dir.path()).unwrap();
             s.ensure_schema().unwrap();
             runid = s.allocate_runid("rt").unwrap();
             s.record_run(&run_rec(runid, "rt")).unwrap();
@@ -1587,7 +1624,7 @@ mod tests {
             let covered = s.checkpoint().unwrap();
             assert!(covered > 0, "checkpoint covers the flushed commits");
         }
-        let s = CachedStore::open_durable(dir.path()).unwrap();
+        let s = open_durable(dir.path()).unwrap();
         s.ensure_schema().unwrap();
         assert_eq!(
             s.lookup_execution(runid, "p", 0).unwrap(),
@@ -1601,6 +1638,39 @@ mod tests {
         // log replay.
         let info = s.database().recovery_info().unwrap();
         assert!(info.snapshot_last_tx > 0, "reopen used the snapshot");
+    }
+
+    #[test]
+    fn stats_count_log_traffic_and_reset_keeps_the_log_size() {
+        let s = logged_in_memory().unwrap();
+        s.reset_stats();
+        let before = s.stats().log_bytes;
+        assert!(before > 0, "the schema's DDL is in the log");
+        s.allocate_runid("rt").unwrap();
+        let one = s.stats();
+        assert_eq!((one.transactions, one.log_syncs), (1, 1));
+        assert_eq!(one.group_commit_batched, 0);
+        assert!(one.log_appends >= 1 && one.log_bytes > before);
+        s.reset_stats();
+        assert_eq!(
+            s.stats(),
+            StoreStats {
+                log_bytes: one.log_bytes,
+                ..StoreStats::default()
+            }
+        );
+
+        // An in-memory store commits but logs nothing.
+        let m = in_memory();
+        m.ensure_schema().unwrap();
+        m.allocate_runid("rt").unwrap();
+        assert_eq!(
+            m.stats(),
+            StoreStats {
+                transactions: 1,
+                ..StoreStats::default()
+            }
+        );
     }
 
     #[test]

@@ -119,20 +119,6 @@ impl Uns3dLayout {
         debug_assert_eq!(img.len() as u64, self.file_len());
         img
     }
-
-    /// Parse `edge1`/`edge2` back out of a file image.
-    pub fn read_edges(&self, image: &[u8]) -> (Vec<i32>, Vec<i32>) {
-        let n = self.total_edges as usize;
-        let read_i32 =
-            |bytes: &[u8], at: usize| i32::from_ne_bytes(bytes[at..at + 4].try_into().unwrap());
-        let mut e1 = Vec::with_capacity(n);
-        let mut e2 = Vec::with_capacity(n);
-        for i in 0..n {
-            e1.push(read_i32(image, self.edge1_offset() as usize + i * 4));
-            e2.push(read_i32(image, self.edge2_offset() as usize + i * 4));
-        }
-        (e1, e2)
-    }
 }
 
 #[cfg(test)]
@@ -176,10 +162,17 @@ mod tests {
         };
         let img = l.build_image(&m);
         assert_eq!(img.len() as u64, l.file_len());
-        let (e1, e2) = l.read_edges(&img);
+        let decode = |at: u64| -> Vec<i32> {
+            img[at as usize..][..l.total_edges as usize * 4]
+                .as_chunks::<4>()
+                .0
+                .iter()
+                .map(|b| i32::from_ne_bytes(*b))
+                .collect()
+        };
         let (want1, want2) = m.indirection_arrays();
-        assert_eq!(e1, want1);
-        assert_eq!(e2, want2);
+        assert_eq!(decode(l.edge1_offset()), want1);
+        assert_eq!(decode(l.edge2_offset()), want2);
     }
 
     #[test]

@@ -17,6 +17,8 @@
 //!   `edge2` (i32 each), then edge data arrays (f64), then node data
 //!   arrays (f64), exactly the offsets Figure 3 of the paper computes.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod csr;
 pub mod format;
 pub mod gen;

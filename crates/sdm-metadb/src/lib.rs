@@ -4,11 +4,11 @@
 //! application metadata. SDM issues embedded SQL (CREATE TABLE / INSERT /
 //! SELECT / UPDATE / DELETE with WHERE, ORDER BY, LIMIT and `?`
 //! placeholders) against six small tables; this crate provides that
-//! surface — plus the reporting features the bench harnesses lean on:
-//! aggregates (COUNT/SUM/AVG/MIN/MAX), GROUP BY + HAVING, DISTINCT,
-//! single-column INNER JOIN, ordered secondary indexes (CREATE INDEX,
-//! one or more columns) with cost-based point/range/stream planning and
-//! incremental maintenance, and
+//! surface — plus aggregates (COUNT/SUM/AVG/MIN/MAX), GROUP BY +
+//! HAVING and DISTINCT (the last two reached only by tests and the
+//! `metadb_tour` example), single-column INNER JOIN, ordered secondary
+//! indexes (CREATE INDEX, one or more columns) with cost-based
+//! point/range/stream planning and incremental maintenance, and
 //! undo-log transactions (BEGIN/COMMIT/ROLLBACK cost O(rows touched),
 //! never O(database)) — as an in-process engine:
 //!

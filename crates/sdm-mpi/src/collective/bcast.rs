@@ -15,25 +15,17 @@ impl Comm {
             return Ok(data.to_vec());
         }
         let vrank = (rank + size - root) % size;
-        let mut payload: Option<Vec<u8>> = if rank == root {
-            Some(data.to_vec())
+        // Receive phase: the lowest set bit of a non-root names its
+        // parent; the root's mask starts above every rank.
+        let (buf, mut mask) = if vrank == 0 {
+            (data.to_vec(), size.next_power_of_two())
         } else {
-            None
+            let mask = 1usize << vrank.trailing_zeros();
+            let parent = ((vrank & !mask) + root) % size;
+            (self.recv_bytes(parent, tags::BCAST)?, mask)
         };
-
-        // Receive phase: find the set bit that names our parent.
-        let mut mask = 1usize;
-        while mask < size {
-            if vrank & mask != 0 {
-                let parent = ((vrank & !mask) + root) % size;
-                payload = Some(self.recv_bytes(parent, tags::BCAST)?);
-                break;
-            }
-            mask <<= 1;
-        }
         // Send phase: forward to children under decreasing masks.
         mask >>= 1;
-        let buf = payload.expect("bcast payload must be set by receive phase or root");
         while mask > 0 {
             if vrank + mask < size {
                 let child = ((vrank + mask) + root) % size;

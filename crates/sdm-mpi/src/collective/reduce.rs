@@ -54,21 +54,18 @@ impl Comm {
     }
 
     /// Elementwise sum across all ranks.
-    pub fn allreduce_sum<T: NumPod>(&mut self, local: &[T]) -> Vec<T> {
+    pub fn allreduce_sum<T: NumPod>(&mut self, local: &[T]) -> MpiResult<Vec<T>> {
         self.allreduce_with(local, |a, b| a.add(b))
-            .expect("allreduce_sum failed")
     }
 
     /// Elementwise max across all ranks.
-    pub fn allreduce_max<T: NumPod>(&mut self, local: &[T]) -> Vec<T> {
+    pub fn allreduce_max<T: NumPod>(&mut self, local: &[T]) -> MpiResult<Vec<T>> {
         self.allreduce_with(local, |a, b| if b > a { b } else { a })
-            .expect("allreduce_max failed")
     }
 
     /// Elementwise min across all ranks.
-    pub fn allreduce_min<T: NumPod>(&mut self, local: &[T]) -> Vec<T> {
+    pub fn allreduce_min<T: NumPod>(&mut self, local: &[T]) -> MpiResult<Vec<T>> {
         self.allreduce_with(local, |a, b| if b < a { b } else { a })
-            .expect("allreduce_min failed")
     }
 }
 
@@ -105,7 +102,7 @@ mod tests {
     #[test]
     fn allreduce_sum_everywhere() {
         let out = World::run(7, MachineConfig::test_tiny(), |c| {
-            c.allreduce_sum(&[1u32, c.rank() as u32])
+            c.allreduce_sum(&[1u32, c.rank() as u32]).unwrap()
         });
         for v in out {
             assert_eq!(v, vec![7, 21]);
@@ -116,7 +113,10 @@ mod tests {
     fn allreduce_min_max_f64() {
         let out = World::run(4, MachineConfig::test_tiny(), |c| {
             let x = c.rank() as f64 * 1.5 - 2.0;
-            (c.allreduce_min(&[x])[0], c.allreduce_max(&[x])[0])
+            (
+                c.allreduce_min(&[x]).unwrap()[0],
+                c.allreduce_max(&[x]).unwrap()[0],
+            )
         });
         for (lo, hi) in out {
             assert_eq!(lo, -2.0);
@@ -126,7 +126,9 @@ mod tests {
 
     #[test]
     fn single_rank_identity() {
-        let out = World::run(1, MachineConfig::test_tiny(), |c| c.allreduce_sum(&[5u8]));
+        let out = World::run(1, MachineConfig::test_tiny(), |c| {
+            c.allreduce_sum(&[5u8]).unwrap()
+        });
         assert_eq!(out[0], vec![5]);
     }
 }

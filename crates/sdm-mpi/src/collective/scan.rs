@@ -39,9 +39,8 @@ impl Comm {
     }
 
     /// Exclusive prefix sum.
-    pub fn exscan_sum<T: NumPod>(&mut self, local: &[T]) -> Vec<T> {
+    pub fn exscan_sum<T: NumPod>(&mut self, local: &[T]) -> MpiResult<Vec<T>> {
         self.exscan_with(local, T::zero(), |a, b| a.add(b))
-            .expect("exscan_sum failed")
     }
 }
 
@@ -54,7 +53,7 @@ mod tests {
     fn exscan_sum_offsets() {
         let out = World::run(4, MachineConfig::test_tiny(), |c| {
             // Rank r contributes r+1 "bytes".
-            c.exscan_sum(&[(c.rank() + 1) as u64])[0]
+            c.exscan_sum(&[(c.rank() + 1) as u64]).unwrap()[0]
         });
         assert_eq!(out, vec![0, 1, 3, 6]);
     }
@@ -62,7 +61,7 @@ mod tests {
     #[test]
     fn exscan_elementwise() {
         let out = World::run(3, MachineConfig::test_tiny(), |c| {
-            c.exscan_sum(&[c.rank() as u32, 10])
+            c.exscan_sum(&[c.rank() as u32, 10]).unwrap()
         });
         assert_eq!(out[0], vec![0, 0]);
         assert_eq!(out[1], vec![0, 10]);
@@ -71,7 +70,9 @@ mod tests {
 
     #[test]
     fn exscan_single_rank_is_identity() {
-        let out = World::run(1, MachineConfig::test_tiny(), |c| c.exscan_sum(&[9u8]));
+        let out = World::run(1, MachineConfig::test_tiny(), |c| {
+            c.exscan_sum(&[9u8]).unwrap()
+        });
         assert_eq!(out[0], vec![0]);
     }
 

@@ -83,7 +83,7 @@ pub(crate) struct Shared {
 ///
 /// let sums = World::run(4, MachineConfig::test_tiny(), |comm| {
 ///     let me = comm.rank() as u64;
-///     comm.allreduce_sum(&[me])[0]
+///     comm.allreduce_sum(&[me]).unwrap()[0]
 /// });
 /// assert_eq!(sums, vec![6, 6, 6, 6]);
 /// ```
@@ -112,7 +112,6 @@ impl World {
             rxs.push(rx);
         }
         let f = &f;
-        let mut results: Vec<Option<T>> = (0..n).map(|_| None).collect();
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(n);
             for (rank, rx) in rxs.into_iter().enumerate() {
@@ -135,17 +134,11 @@ impl World {
             // Drop our copies of the senders so rank recv() can observe
             // disconnection once all peers are done.
             drop(txs);
-            for (rank, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(v) => results[rank] = Some(v),
-                    Err(p) => std::panic::resume_unwind(p),
-                }
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("rank produced no result"))
-            .collect()
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
     }
 }
 

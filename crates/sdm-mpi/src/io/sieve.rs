@@ -41,6 +41,18 @@ fn density(segs: &[(u64, u64)]) -> f64 {
     }
 }
 
+/// The covering extent `[lo, hi)` of a group worth sieving: more than one
+/// segment, dense enough for the hints; `None` sends the group through
+/// one access per segment.
+fn sieve_extent(group: &[(u64, u64)], hints: &Hints) -> Option<(u64, u64)> {
+    match group {
+        [first, .., last] if density(group) >= hints.sieve_min_density => {
+            Some((first.0, last.0 + last.1))
+        }
+        _ => None,
+    }
+}
+
 /// Noncontiguous read of `segs` (absolute file segments, in order) into
 /// the contiguous `buf` (which must be exactly as long as the summed
 /// segment lengths). Returns the completion time.
@@ -61,10 +73,8 @@ pub fn sieved_read(
     for range in group_by_extent(segs, hints.sieve_buffer_size as u64) {
         let group = &segs[range];
         let useful: usize = group.iter().map(|&(_, l)| l as usize).sum();
-        if group.len() > 1 && density(group) >= hints.sieve_min_density {
+        if let Some((lo, hi)) = sieve_extent(group, hints) {
             // Sieve: one large read of the covering extent.
-            let lo = group[0].0;
-            let hi = group.last().unwrap().0 + group.last().unwrap().1;
             let mut staging = vec![0u8; (hi - lo) as usize];
             t = pfs.read_exact_at(file, lo, &mut staging, t)?;
             for &(off, len) in group {
@@ -108,9 +118,7 @@ pub fn sieved_write(
     let mut cursor = 0usize;
     for range in group_by_extent(segs, hints.sieve_buffer_size as u64) {
         let group = &segs[range];
-        if group.len() > 1 && density(group) >= hints.sieve_min_density {
-            let lo = group[0].0;
-            let hi = group.last().unwrap().0 + group.last().unwrap().1;
+        if let Some((lo, hi)) = sieve_extent(group, hints) {
             let mut staging = vec![0u8; (hi - lo) as usize];
             // Read-modify-write: fetch existing bytes for the holes (the
             // file may be shorter than the extent; short reads are fine —

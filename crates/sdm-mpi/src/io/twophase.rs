@@ -284,12 +284,14 @@ fn decode_header(bytes: &[u8]) -> MpiResult<(Vec<Piece>, usize)> {
     if bytes.is_empty() {
         return Ok((Vec::new(), 0));
     }
-    let word = |b: &[u8]| u64::from_ne_bytes(b.try_into().expect("8-byte chunk"));
     let short = |expected: usize| MpiError::LengthMismatch {
         expected,
         got: bytes.len(),
     };
-    let count = bytes.get(..8).map(word).ok_or_else(|| short(8))?;
+    let count = bytes
+        .first_chunk()
+        .map(|w| u64::from_ne_bytes(*w))
+        .ok_or_else(|| short(8))?;
     let end = usize::try_from(count)
         .ok()
         .and_then(|n| n.checked_mul(16))
@@ -297,11 +299,12 @@ fn decode_header(bytes: &[u8]) -> MpiResult<(Vec<Piece>, usize)> {
     let body = end
         .and_then(|end| bytes.get(8..end))
         .ok_or_else(|| short(end.unwrap_or(usize::MAX)))?;
-    let pieces = body
-        .chunks_exact(16)
-        .map(|c| Piece {
-            off: word(&c[..8]),
-            len: word(&c[8..]),
+    let (words, _) = body.as_chunks::<8>();
+    let pieces = words
+        .chunks_exact(2)
+        .map(|w| Piece {
+            off: u64::from_ne_bytes(w[0]),
+            len: u64::from_ne_bytes(w[1]),
             pos: 0,
         })
         .collect();
@@ -510,28 +513,34 @@ impl MpiFile {
     }
 
     /// Global byte range of all ranks' requests; `None` if all are empty.
-    fn global_range(&self, comm: &mut Comm, segs: &[(u64, u64)]) -> Option<(u64, u64)> {
+    fn global_range(&self, comm: &mut Comm, segs: &[(u64, u64)]) -> MpiResult<Option<(u64, u64)>> {
         let lo = segs.first().map_or(u64::MAX, |&(o, _)| o);
         let hi = segs.last().map_or(0, |&(o, l)| o + l);
         // One reduction for both ends: the minimum of `MAX - hi` is the
         // maximum of `hi`.
-        let ends = comm.allreduce_min(&[lo, u64::MAX - hi]);
+        let ends = comm.allreduce_min(&[lo, u64::MAX - hi])?;
         let (gmin, gmax) = (ends[0], u64::MAX - ends[1]);
-        (gmin < gmax).then_some((gmin, gmax))
+        Ok((gmin < gmax).then_some((gmin, gmax)))
     }
 
     /// Agree on the schedule of one collective, a read's with the window
     /// sizes `shrinking`; `None` if no rank requests anything.
-    fn schedule(&self, comm: &mut Comm, segs: &[(u64, u64)], shrinking: bool) -> Option<Schedule> {
-        let range = self.global_range(comm, segs)?;
+    fn schedule(
+        &self,
+        comm: &mut Comm,
+        segs: &[(u64, u64)],
+        shrinking: bool,
+    ) -> MpiResult<Option<Schedule>> {
         let cfg = self.pfs().config();
-        Some(Schedule::new(
-            range,
-            self.hints().aggregators(comm.size()),
-            (cfg.stripe_size * cfg.io_servers) as u64,
-            self.hints().cb_buffer_size as u64,
-            shrinking,
-        ))
+        Ok(self.global_range(comm, segs)?.map(|range| {
+            Schedule::new(
+                range,
+                self.hints().aggregators(comm.size()),
+                (cfg.stripe_size * cfg.io_servers) as u64,
+                self.hints().cb_buffer_size as u64,
+                shrinking,
+            )
+        }))
     }
 
     /// The collective write up to its closing barrier, which every rank
@@ -547,7 +556,7 @@ impl MpiFile {
             segs.iter().map(|&(_, l)| l).sum::<u64>() as usize,
             data.len()
         );
-        let Some(sched) = self.schedule(comm, segs, false) else {
+        let Some(sched) = self.schedule(comm, segs, false)? else {
             comm.barrier();
             return Ok(());
         };
@@ -678,7 +687,7 @@ impl MpiFile {
         );
         // Reads are not deferred and need both halves.
         self.sync(comm);
-        let Some(sched) = self.schedule(comm, segs, true) else {
+        let Some(sched) = self.schedule(comm, segs, true)? else {
             comm.barrier();
             return Ok(());
         };
@@ -1103,9 +1112,9 @@ mod tests {
             let nbytes = segs.iter().map(|&(_, l)| l as usize).sum();
             let data = vec![c.rank() as u8 + 1; nbytes];
             c.barrier();
-            c.allreduce_min(&[0u64, 0]);
+            c.allreduce_min(&[0u64, 0]).unwrap();
             let t0 = c.now();
-            c.allreduce_min(&[0u64, 0]);
+            c.allreduce_min(&[0u64, 0]).unwrap();
             let reduction = c.now() - t0;
             c.barrier();
             let t0 = c.now();

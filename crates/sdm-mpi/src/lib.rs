@@ -24,6 +24,8 @@
 //! matching is by `(source, tag)` and collectives never use wildcard
 //! sources, so virtual clocks evolve identically across runs.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod collective;
 pub mod comm;
 pub mod datatype;

@@ -60,7 +60,7 @@ proptest! {
         let expect: i64 = values.iter().sum();
         let out = World::run(n, MachineConfig::test_tiny(), {
             let values = values.clone();
-            move |c| c.allreduce_sum(&[values[c.rank()]])[0]
+            move |c| c.allreduce_sum(&[values[c.rank()]]).unwrap()[0]
         });
         for v in out {
             prop_assert_eq!(v, expect);
@@ -72,7 +72,7 @@ proptest! {
         let n = values.len();
         let out = World::run(n, MachineConfig::test_tiny(), {
             let values = values.clone();
-            move |c| c.exscan_sum(&[values[c.rank()]])[0]
+            move |c| c.exscan_sum(&[values[c.rank()]]).unwrap()[0]
         });
         let mut acc = 0;
         for (r, v) in out.into_iter().enumerate() {

@@ -13,6 +13,8 @@
 //! * [`metrics`] — edge cut and load imbalance, the two quantities any
 //!   partitioning claim is judged by.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod block;
 pub mod metrics;
 pub mod multilevel;
@@ -56,6 +58,11 @@ pub fn partition(
     match method {
         Method::Multilevel => multilevel::kway::partition_kway(graph, nparts, seed),
         Method::Rcb => {
+            #[expect(
+                clippy::expect_used,
+                reason = "`partition`'s infallible signature is pinned by the benchmark; \
+                          RCB without coordinates is a caller bug"
+            )]
             let coords = coords.expect("RCB requires coordinates");
             rcb::partition_rcb(coords, nparts)
         }

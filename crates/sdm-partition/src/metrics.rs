@@ -25,7 +25,7 @@ pub fn imbalance(vector: &PartitionVector, nparts: usize) -> f64 {
         return 1.0;
     }
     let sizes = part_sizes(vector, nparts);
-    let max = *sizes.iter().max().unwrap() as f64;
+    let max = sizes.iter().max().copied().unwrap_or(0) as f64;
     let ideal = vector.len() as f64 / nparts as f64;
     max / ideal
 }

@@ -90,7 +90,8 @@ pub fn greedy_growing(g: &WGraph, nparts: usize, seed: u64) -> Vec<u32> {
         let best = (0..nparts)
             .filter(|&p| conn[p] > 0 && part_weight[p] < target)
             .max_by_key(|&p| (conn[p], std::cmp::Reverse(p)))
-            .unwrap_or_else(|| (0..nparts).min_by_key(|&p| part_weight[p]).unwrap());
+            .or_else(|| (0..nparts).min_by_key(|&p| part_weight[p]))
+            .unwrap_or(0);
         part[v] = best as u32;
         part_weight[best] += g.vwgt[v];
     }

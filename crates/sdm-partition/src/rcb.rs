@@ -4,6 +4,8 @@
 //! median along the widest coordinate axis, allocating parts
 //! proportionally (handles non-power-of-two part counts).
 
+use std::cmp::Ordering;
+
 use crate::vector::PartitionVector;
 
 /// Partition by recursive coordinate bisection over `coords`.
@@ -39,9 +41,14 @@ fn bisect(
             hi[a] = hi[a].max(coords[i as usize][a]);
         }
     }
+    // An incomparable pair (a NaN coordinate) ties instead of panicking.
     let axis = (0..3)
-        .max_by(|&a, &b| (hi[a] - lo[a]).partial_cmp(&(hi[b] - lo[b])).unwrap())
-        .unwrap();
+        .max_by(|&a, &b| {
+            (hi[a] - lo[a])
+                .partial_cmp(&(hi[b] - lo[b]))
+                .unwrap_or(Ordering::Equal)
+        })
+        .unwrap_or(0);
 
     // Split proportionally: left gets floor(nparts/2) parts' worth.
     let left_parts = nparts / 2;
@@ -51,7 +58,7 @@ fn bisect(
     ids.sort_unstable_by(|&a, &b| {
         coords[a as usize][axis]
             .partial_cmp(&coords[b as usize][axis])
-            .unwrap()
+            .unwrap_or(Ordering::Equal)
             .then(a.cmp(&b))
     });
     let (left, right) = ids.split_at_mut(split);

@@ -10,7 +10,6 @@ use std::sync::Arc;
 
 use sdm::apps::fun3d::{run_sdm, Fun3dOptions};
 use sdm::apps::{Fun3dWorkload, PhaseReport};
-use sdm::metadb::Database;
 use sdm::mpi::World;
 use sdm::pfs::Pfs;
 use sdm::sim::MachineConfig;
@@ -30,8 +29,8 @@ fn main() {
     );
 
     let pfs = Pfs::new(cfg.clone());
-    let store = sdm::core::CachedStore::shared(&Arc::new(Database::new()));
-    w.stage(&pfs);
+    let store = sdm::core::store::in_memory();
+    w.stage(&pfs).unwrap();
 
     // First run: fresh distribution, register a history file.
     let first = World::run(nprocs, cfg.clone(), {

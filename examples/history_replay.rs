@@ -6,8 +6,7 @@
 
 use std::sync::Arc;
 
-use sdm::core::{Sdm, SdmConfig};
-use sdm::metadb::Database;
+use sdm::core::{Sdm, SdmConfig, SharedStore};
 use sdm::mpi::World;
 use sdm::partition::partition_block;
 use sdm::pfs::Pfs;
@@ -30,9 +29,9 @@ fn edges(n: usize) -> (Vec<i32>, Vec<i32>) {
     (e1, e2)
 }
 
-fn run(nprocs: usize, pfs: &Arc<Pfs>, db: &Arc<Database>, label: &str) -> bool {
-    // Fresh store per run: each "job" re-attaches to the shared database.
-    let store = sdm::core::CachedStore::shared(db);
+fn run(nprocs: usize, pfs: &Arc<Pfs>, store: &SharedStore, label: &str) -> bool {
+    // Every "job" talks to the one metadata store, as later jobs talk to
+    // one database server.
     let n = 600usize;
     let (e1, e2) = edges(n);
     let pv = partition_block(n, nprocs);
@@ -40,7 +39,7 @@ fn run(nprocs: usize, pfs: &Arc<Pfs>, db: &Arc<Database>, label: &str) -> bool {
     let hits = World::run(nprocs, MachineConfig::origin2000(), {
         let (pfs, store, pv, e1, e2) = (
             Arc::clone(pfs),
-            Arc::clone(&store),
+            Arc::clone(store),
             pv.clone(),
             e1.clone(),
             e2.clone(),
@@ -72,20 +71,26 @@ fn run(nprocs: usize, pfs: &Arc<Pfs>, db: &Arc<Database>, label: &str) -> bool {
 fn main() {
     let cfg = MachineConfig::origin2000();
     let pfs = Pfs::new(cfg);
-    let db = Arc::new(Database::new());
+    let store = sdm::core::store::in_memory();
 
-    assert!(!run(4, &pfs, &db, "run 1 @ 4 procs"), "first run must miss");
-    assert!(run(4, &pfs, &db, "run 2 @ 4 procs"), "second run must hit");
     assert!(
-        !run(2, &pfs, &db, "run 3 @ 2 procs"),
+        !run(4, &pfs, &store, "run 1 @ 4 procs"),
+        "first run must miss"
+    );
+    assert!(
+        run(4, &pfs, &store, "run 2 @ 4 procs"),
+        "second run must hit"
+    );
+    assert!(
+        !run(2, &pfs, &store, "run 3 @ 2 procs"),
         "different proc count must miss"
     );
     assert!(
-        run(2, &pfs, &db, "run 4 @ 2 procs"),
+        run(2, &pfs, &store, "run 4 @ 2 procs"),
         "now both counts are pre-created"
     );
     assert!(
-        run(4, &pfs, &db, "run 5 @ 4 procs"),
+        run(4, &pfs, &store, "run 5 @ 4 procs"),
         "4-proc history still valid"
     );
 
@@ -96,11 +101,11 @@ fn main() {
     pfs.write_at(&f, 20, &[0xFFu8; 8], 0.0).unwrap();
     println!("(corrupted {name})");
     assert!(
-        !run(4, &pfs, &db, "run 6 @ 4 procs after corruption"),
+        !run(4, &pfs, &store, "run 6 @ 4 procs after corruption"),
         "corruption must force fresh"
     );
     assert!(
-        run(4, &pfs, &db, "run 7 @ 4 procs"),
+        run(4, &pfs, &store, "run 7 @ 4 procs"),
         "re-registered after fallback"
     );
     println!("OK");

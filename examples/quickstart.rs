@@ -20,10 +20,7 @@
 
 use std::sync::Arc;
 
-use sdm::core::schema::ExecutionRow;
 use sdm::core::Sdm;
-use sdm::metadb::stmt::Query;
-use sdm::metadb::Database;
 use sdm::mpi::World;
 use sdm::pfs::Pfs;
 use sdm::sim::MachineConfig;
@@ -33,8 +30,7 @@ fn main() {
     let global_size = 1000u64;
     let cfg = MachineConfig::origin2000();
     let pfs = Pfs::new(cfg.clone());
-    let db = Arc::new(Database::new());
-    let store = sdm::core::CachedStore::shared(&db);
+    let store = sdm::core::store::in_memory();
 
     let reports = World::run(nprocs, cfg, {
         let (pfs, store) = (Arc::clone(&pfs), Arc::clone(&store));
@@ -90,10 +86,7 @@ fn main() {
     println!("files created: {:?}", pfs.list());
     println!(
         "metadata rows: {:?}",
-        db.exec_stmt(&Query::<ExecutionRow>::all().compile(), &[])
-            .unwrap()
-            .rows
-            .len()
+        store.execution_history("quickstart").unwrap().len()
     );
     println!("OK");
 }

@@ -9,7 +9,6 @@ use std::sync::Arc;
 use sdm::apps::rt::{run_original, run_sdm};
 use sdm::apps::{PhaseReport, RtWorkload};
 use sdm::core::OrgLevel;
-use sdm::metadb::Database;
 use sdm::mpi::World;
 use sdm::pfs::Pfs;
 use sdm::sim::MachineConfig;
@@ -41,7 +40,7 @@ fn main() {
     // SDM under each level.
     for org in OrgLevel::all() {
         let pfs = Pfs::new(cfg.clone());
-        let store = sdm::core::CachedStore::shared(&Arc::new(Database::new()));
+        let store = sdm::core::store::in_memory();
         let rep = PhaseReport::reduce_max(&World::run(nprocs, cfg.clone(), {
             let (pfs, store, w) = (Arc::clone(&pfs), Arc::clone(&store), w.clone());
             move |c| run_sdm(c, &pfs, &store, &w, org).unwrap()

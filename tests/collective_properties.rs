@@ -57,7 +57,7 @@ proptest! {
             let vals = vals.clone();
             move |c| {
                 let mine = [vals[c.rank() % 5], vals[(c.rank() + 1) % 5]];
-                c.allreduce_sum(&mine)
+                c.allreduce_sum(&mine).unwrap()
             }
         });
         let mut want_sum = [0i64; 2];

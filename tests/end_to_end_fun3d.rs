@@ -8,10 +8,7 @@ use std::sync::Arc;
 
 use sdm::apps::fun3d::{edge_sweep_reference, run_sdm, Fun3dOptions, RESULT_DATASETS};
 use sdm::apps::Fun3dWorkload;
-use sdm::core::schema::{ExecutionCol, ExecutionRow};
-use sdm::core::OrgLevel;
-use sdm::metadb::stmt::{param, Query, TypedColumn};
-use sdm::metadb::Database;
+use sdm::core::{store, OrgLevel};
 use sdm::mpi::pod::as_bytes_mut;
 use sdm::mpi::World;
 use sdm::pfs::Pfs;
@@ -20,9 +17,8 @@ use sdm::sim::MachineConfig;
 fn run_and_verify(nprocs: usize, org: OrgLevel) {
     let w = Fun3dWorkload::new(220, nprocs, 13);
     let pfs = Pfs::new(MachineConfig::test_tiny());
-    let db = Arc::new(Database::new());
-    let store = sdm::core::CachedStore::shared(&db);
-    w.stage(&pfs);
+    let store = store::in_memory();
+    w.stage(&pfs).unwrap();
     let out = World::run(nprocs, MachineConfig::test_tiny(), {
         let (pfs, store, w) = (Arc::clone(&pfs), Arc::clone(&store), w.clone());
         move |c| {
@@ -45,27 +41,19 @@ fn run_and_verify(nprocs: usize, org: OrgLevel) {
     // every dataset and timestep.
     let (e1, e2) = w.mesh.indirection_arrays();
     let n = w.mesh.num_nodes();
+    let runid = store.latest_runid_for_app("fun3d").unwrap().unwrap();
     for t in 0..w.timesteps {
         let want = edge_sweep_reference(&e1, &e2, n, t);
         for ds in RESULT_DATASETS {
             let name = org.file_name("fun3d", 0, ds, t as i64);
             let (f, _) = pfs.open(&name, 0.0).unwrap();
             // Level 2/3 append: find the offset from the metadata table.
-            let rs = db
-                .exec_stmt(
-                    &Query::<ExecutionRow>::filter(
-                        ExecutionCol::Dataset
-                            .eq(param(0))
-                            .and(ExecutionCol::Timestep.eq(param(1))),
-                    )
-                    .select(&[ExecutionCol::FileOffset])
-                    .compile(),
-                    &[ds.into(), (t as i64).into()],
-                )
+            let (offset, _) = store
+                .lookup_execution(runid, ds, t as i64)
+                .unwrap()
                 .unwrap();
-            let offset = rs.scalar().and_then(sdm::metadb::Value::as_i64).unwrap() as u64;
             let mut vals = vec![0.0f64; n];
-            pfs.read_exact_at(&f, offset, as_bytes_mut(&mut vals), 0.0)
+            pfs.read_exact_at(&f, offset as u64, as_bytes_mut(&mut vals), 0.0)
                 .unwrap();
             for (node, (&got, &exp)) in vals.iter().zip(&want).enumerate() {
                 assert!(
@@ -108,9 +96,8 @@ fn file_counts_match_levels() {
     ] {
         let w = Fun3dWorkload::new(200, 2, 5);
         let pfs = Pfs::new(MachineConfig::test_tiny());
-        let db = Arc::new(Database::new());
-        let store = sdm::core::CachedStore::shared(&db);
-        w.stage(&pfs);
+        let store = store::in_memory();
+        w.stage(&pfs).unwrap();
         World::run(2, MachineConfig::test_tiny(), {
             let (pfs, store, w) = (Arc::clone(&pfs), Arc::clone(&store), w.clone());
             move |c| {

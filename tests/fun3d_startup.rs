@@ -25,7 +25,7 @@ impl Site {
     fn new(nprocs: usize) -> Self {
         let w = Fun3dWorkload::new(200, nprocs, 5);
         let pfs = Pfs::new(MachineConfig::test_tiny());
-        w.stage(&pfs);
+        w.stage(&pfs).unwrap();
         Site {
             nprocs,
             w,

@@ -17,7 +17,7 @@ fn world() -> (Fun3dWorkload, Arc<Pfs>, Arc<Database>) {
     let w = Fun3dWorkload::new(220, 3, 21);
     let pfs = Pfs::new(MachineConfig::test_tiny());
     let db = Arc::new(Database::new());
-    w.stage(&pfs);
+    w.stage(&pfs).unwrap();
     (w, pfs, db)
 }
 
@@ -115,7 +115,7 @@ fn a_block_is_under_eight_bytes_per_local_edge() {
     let w = Fun3dWorkload::new(220, 4, 21);
     let pfs = Pfs::new(MachineConfig::test_tiny());
     let db = Arc::new(Database::new());
-    w.stage(&pfs);
+    w.stage(&pfs).unwrap();
     run(&w, &pfs, &db, 4, REGISTER);
     let rows = block_rows(&w, &db, 4);
     assert_eq!(rows.len(), 4);

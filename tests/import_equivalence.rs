@@ -10,7 +10,6 @@ use sdm::apps::original::fun3d_original_import;
 use sdm::apps::Fun3dWorkload;
 use sdm::core::{Sdm, SdmConfig};
 use sdm::mesh::Uns3dLayout;
-use sdm::metadb::Database;
 use sdm::mpi::World;
 use sdm::partition::{partition_block, partition_random};
 use sdm::pfs::Pfs;
@@ -18,8 +17,8 @@ use sdm::sim::MachineConfig;
 
 fn sdm_partitions(w: &Fun3dWorkload, nprocs: usize) -> Vec<sdm::core::PartitionedIndex> {
     let pfs = Pfs::new(MachineConfig::test_tiny());
-    let store = sdm::core::CachedStore::shared(&Arc::new(Database::new()));
-    w.stage(&pfs);
+    let store = sdm::core::store::in_memory();
+    w.stage(&pfs).unwrap();
     World::run(nprocs, MachineConfig::test_tiny(), {
         let (pfs, store, w) = (Arc::clone(&pfs), Arc::clone(&store), w.clone());
         move |c| {
@@ -55,7 +54,7 @@ fn sdm_partitions(w: &Fun3dWorkload, nprocs: usize) -> Vec<sdm::core::Partitione
 
 fn original_partitions(w: &Fun3dWorkload, nprocs: usize) -> Vec<sdm::core::PartitionedIndex> {
     let pfs = Pfs::new(MachineConfig::test_tiny());
-    w.stage(&pfs);
+    w.stage(&pfs).unwrap();
     World::run(nprocs, MachineConfig::test_tiny(), {
         let (pfs, w) = (Arc::clone(&pfs), w.clone());
         move |c| fun3d_original_import(c, &pfs, &w).unwrap().1
@@ -79,8 +78,8 @@ fn imported_edge_data_matches_layout_values() {
     let nprocs = 3;
     let w = Fun3dWorkload::new(200, nprocs, 17);
     let pfs = Pfs::new(MachineConfig::test_tiny());
-    let store = sdm::core::CachedStore::shared(&Arc::new(Database::new()));
-    w.stage(&pfs);
+    let store = sdm::core::store::in_memory();
+    w.stage(&pfs).unwrap();
     let ok = World::run(nprocs, MachineConfig::test_tiny(), {
         let (pfs, store, w) = (Arc::clone(&pfs), Arc::clone(&store), w.clone());
         move |c| {
@@ -161,8 +160,8 @@ proptest! {
         let (e1, e2) = w.mesh.indirection_arrays();
         // Distributed run with the random vector.
         let pfs = Pfs::new(MachineConfig::test_tiny());
-        let store = sdm::core::CachedStore::shared(&Arc::new(Database::new()));
-        w.stage(&pfs);
+        let store = sdm::core::store::in_memory();
+        w.stage(&pfs).unwrap();
         let out = World::run(nprocs, MachineConfig::test_tiny(), {
             let (pfs, store, w, pv) = (Arc::clone(&pfs), Arc::clone(&store), w.clone(), pv.clone());
             move |c| {

@@ -6,23 +6,20 @@ use std::sync::Arc;
 
 use sdm::apps::rt::{node_value, run_sdm as rt_run, tri_value};
 use sdm::apps::RtWorkload;
-use sdm::core::schema::{ExecutionCol, ExecutionRow};
-use sdm::core::{OrgLevel, Sdm, SdmConfig};
-use sdm::metadb::stmt::{param, Query, Stmt, TypedColumn};
-use sdm::metadb::{Database, Value};
+use sdm::core::{store, OrgLevel, Sdm, SdmConfig, SharedStore};
 use sdm::mpi::World;
 use sdm::pfs::Pfs;
 use sdm::sim::MachineConfig;
 
-/// Typed: the execution rows of a (dataset, timestep), compiled once.
-fn lookup_ds_ts() -> Stmt {
-    Query::<ExecutionRow>::filter(
-        ExecutionCol::Dataset
-            .eq(param(0))
-            .and(ExecutionCol::Timestep.eq(param(1))),
-    )
-    .select(&[ExecutionCol::FileOffset, ExecutionCol::FileName])
-    .compile()
+/// Where the latest run of `app` wrote (dataset, timestep), as the
+/// `execution_table` records it.
+fn landed(store: &SharedStore, app: &str, dataset: &str, timestep: i64) -> (u64, String) {
+    let runid = store.latest_runid_for_app(app).unwrap().unwrap();
+    let (offset, file) = store
+        .lookup_execution(runid, dataset, timestep)
+        .unwrap()
+        .unwrap();
+    (offset as u64, file)
 }
 
 #[test]
@@ -32,8 +29,7 @@ fn execution_table_offsets_are_authoritative() {
     let nprocs = 2;
     let global = 64u64;
     let pfs = Pfs::new(MachineConfig::test_tiny());
-    let db = Arc::new(Database::new());
-    let store = sdm::core::CachedStore::shared(&db);
+    let store = store::in_memory();
     World::run(nprocs, MachineConfig::test_tiny(), {
         let (pfs, store) = (Arc::clone(&pfs), Arc::clone(&store));
         move |c| {
@@ -64,32 +60,16 @@ fn execution_table_offsets_are_authoritative() {
         }
     });
 
-    // 6 execution rows, all in one file, offsets strictly increasing.
-    let rs = db
-        .exec_stmt(
-            &Query::<ExecutionRow>::all()
-                .select(&[
-                    ExecutionCol::Dataset,
-                    ExecutionCol::Timestep,
-                    ExecutionCol::FileOffset,
-                    ExecutionCol::FileName,
-                ])
-                .order_by(ExecutionCol::FileOffset)
-                .compile(),
-            &[],
-        )
-        .unwrap();
-    assert_eq!(rs.len(), 6);
-    let file = rs.rows[0][3].as_str().unwrap().to_string();
-    assert!(
-        rs.rows.iter().all(|r| r[3].as_str() == Some(&file)),
-        "level 3: one file"
-    );
+    // 6 execution rows, all in one file.
+    assert_eq!(store.execution_history("mt").unwrap().len(), 6);
+    let (_, file) = landed(&store, "mt", "a", 0);
     let (f, _) = pfs.open(&file, 0.0).unwrap();
-    for row in &rs.rows {
-        let ds = row[0].as_str().unwrap();
-        let t = row[1].as_i64().unwrap();
-        let off = row[2].as_i64().unwrap() as u64;
+    for (ds, t) in ["a", "b"]
+        .into_iter()
+        .flat_map(|ds| (0..3i64).map(move |t| (ds, t)))
+    {
+        let (off, in_file) = landed(&store, "mt", ds, t);
+        assert_eq!(in_file, file, "level 3: one file");
         let mut vals = vec![0.0f64; global as usize];
         pfs.read_exact_at(&f, off, sdm::mpi::pod::as_bytes_mut(&mut vals), 0.0)
             .unwrap();
@@ -111,8 +91,7 @@ fn rt_bytes_identical_across_levels() {
     let mut images: Vec<Vec<u8>> = Vec::new();
     for org in OrgLevel::all() {
         let pfs = Pfs::new(MachineConfig::test_tiny());
-        let db = Arc::new(Database::new());
-        let store = sdm::core::CachedStore::shared(&db);
+        let store = store::in_memory();
         World::run(nprocs, MachineConfig::test_tiny(), {
             let (pfs, store, w) = (Arc::clone(&pfs), Arc::clone(&store), w.clone());
             move |c| {
@@ -120,12 +99,8 @@ fn rt_bytes_identical_across_levels() {
             }
         });
         // Reconstruct the node dataset at step 4 via the metadata.
-        let rs = db
-            .exec_stmt(&lookup_ds_ts(), &[Value::from("node_data"), Value::Int(4)])
-            .unwrap();
-        let off = rs.rows[0][0].as_i64().unwrap() as u64;
-        let name = rs.rows[0][1].as_str().unwrap();
-        let (f, _) = pfs.open(name, 0.0).unwrap();
+        let (off, name) = landed(&store, "rt", "node_data", 4);
+        let (f, _) = pfs.open(&name, 0.0).unwrap();
         let mut img = vec![0u8; w.mesh.num_nodes() * 8];
         pfs.read_exact_at(&f, off, &mut img, 0.0).unwrap();
         images.push(img);
@@ -139,8 +114,7 @@ fn rt_values_match_generators() {
     let nprocs = 2;
     let w = RtWorkload::new(200, nprocs, 3);
     let pfs = Pfs::new(MachineConfig::test_tiny());
-    let db = Arc::new(Database::new());
-    let store = sdm::core::CachedStore::shared(&db);
+    let store = store::in_memory();
     World::run(nprocs, MachineConfig::test_tiny(), {
         let (pfs, store, w) = (Arc::clone(&pfs), Arc::clone(&store), w.clone());
         move |c| {
@@ -156,11 +130,8 @@ fn rt_values_match_generators() {
             ("tri_data", w.mesh.num_cells(), tri_value),
         ];
         for (ds, n, value) in cases {
-            let rs = db
-                .exec_stmt(&lookup_ds_ts(), &[Value::from(ds), Value::Int(t as i64)])
-                .unwrap();
-            let off = rs.rows[0][0].as_i64().unwrap() as u64;
-            let (f, _) = pfs.open(rs.rows[0][1].as_str().unwrap(), 0.0).unwrap();
+            let (off, name) = landed(&store, "rt", ds, t as i64);
+            let (f, _) = pfs.open(&name, 0.0).unwrap();
             let mut vals = vec![0.0f64; n];
             pfs.read_exact_at(&f, off, sdm::mpi::pod::as_bytes_mut(&mut vals), 0.0)
                 .unwrap();

@@ -7,10 +7,7 @@
 //! the metadata service: `pfs.opens` and `pfs.closes` are one per file at
 //! every file organization and process count.
 
-use std::sync::Arc;
-
-use sdm::core::{CachedStore, ImportDesc, OrgLevel, PartitionedIndex, Sdm, SdmConfig};
-use sdm::metadb::Database;
+use sdm::core::{store, ImportDesc, OrgLevel, PartitionedIndex, Sdm, SdmConfig};
 use sdm::mpi::{Comm, World};
 use sdm::pfs::Pfs;
 use sdm::sim::MachineConfig;
@@ -36,7 +33,7 @@ fn metadata_round_trips_do_not_grow_with_the_process_count() {
     const GLOBAL: u64 = 24;
     for nprocs in [1, 3, 8] {
         let pfs = Pfs::new(MachineConfig::test_tiny());
-        let store = CachedStore::shared(&Arc::new(Database::new()));
+        let store = store::in_memory();
         let trips = |c: &Comm| {
             (
                 pfs.counters().get("pfs.metadata_ops"),
@@ -111,7 +108,7 @@ fn a_file_is_opened_and_closed_once_whatever_the_process_count() {
     for org in OrgLevel::all() {
         for nprocs in [1, 3, 8] {
             let pfs = Pfs::new(MachineConfig::test_tiny());
-            let store = CachedStore::shared(&Arc::new(Database::new()));
+            let store = store::in_memory();
             let files_touched = |_: &Comm| opens_closes(&pfs);
             let per_step = World::run(nprocs, MachineConfig::test_tiny(), |c| {
                 let cfg = SdmConfig {

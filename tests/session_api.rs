@@ -17,18 +17,21 @@
 //!   waiting.
 //! * A write at the far end of a 1 TiB dataset commits and reads back:
 //!   the hole before it costs nothing.
+//! * Over a logged store, each commit is one transaction and one log
+//!   sync, and `StoreStats` reads the same through a wrapper store and
+//!   through the stack built by hand.
 
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use sdm::core::schema::ExecutionRow;
-use sdm::core::store::{HistoryBlock, MetadataStore, RunRecord, SharedStore};
+use sdm::core::store::{self, HistoryBlock, MetadataStore, RunRecord, SharedStore, StoreStats};
 use sdm::core::view::DataView;
-use sdm::core::{ImportDesc, OrgLevel, Sdm, SdmConfig, SdmError, SdmResult, SdmType};
-use sdm::metadb::stmt::{Query, Stmt};
-use sdm::metadb::{Database, DbError, DbResult, ResultSet, Value};
+use sdm::core::SqlStore;
+use sdm::core::{CachedStore, ImportDesc, OrgLevel, Sdm, SdmConfig, SdmError, SdmResult, SdmType};
+use sdm::metadb::stmt::Stmt;
+use sdm::metadb::{Database, DbError, DbResult, MemStorage, ResultSet, Value};
 use sdm::mpi::{Comm, MpiError, World};
 use sdm::pfs::{FaultPlan, Pfs, PfsError};
 use sdm::sim::MachineConfig;
@@ -98,14 +101,13 @@ fn value(ds: usize, g: u64, t: i64) -> f64 {
     (ds as f64 + 1.0) * 1000.0 + g as f64 + t as f64 * 0.5
 }
 
-/// Run the workload and return the backing Pfs + Database and the
+/// Run the workload and return the backing Pfs, the store and the
 /// metadata syncs the steps paid. Each step writes every dataset
 /// through one scope, or — with `scope_per_dataset` — through one scope
 /// per dataset.
-fn run(org: OrgLevel, nprocs: usize, scope_per_dataset: bool) -> (Arc<Pfs>, Arc<Database>, u64) {
+fn run(org: OrgLevel, nprocs: usize, scope_per_dataset: bool) -> (Arc<Pfs>, SharedStore, u64) {
     let pfs = Pfs::new(MachineConfig::test_tiny());
-    let db = Arc::new(Database::new());
-    let store = sdm::core::CachedStore::shared(&db);
+    let store = store::in_memory();
     let syncs = World::run(nprocs, MachineConfig::test_tiny(), {
         let (pfs, store) = (Arc::clone(&pfs), Arc::clone(&store));
         move |c| {
@@ -151,7 +153,7 @@ fn run(org: OrgLevel, nprocs: usize, scope_per_dataset: bool) -> (Arc<Pfs>, Arc<
             syncs
         }
     });
-    (pfs, db, syncs[0])
+    (pfs, store, syncs[0])
 }
 
 fn file_bytes(pfs: &Arc<Pfs>, name: &str) -> Vec<u8> {
@@ -233,7 +235,7 @@ fn scoped_timestep_pays_one_sync_and_one_transaction() {
         "one scope per dataset syncs once per dataset write"
     );
     // One scope per step: exactly one metadata sync per timestep...
-    let (_, db, scoped_syncs) = run(OrgLevel::Level2, nprocs, false);
+    let (_, store, scoped_syncs) = run(OrgLevel::Level2, nprocs, false);
     assert_eq!(
         scoped_syncs, STEPS as u64,
         "scoped path must sync exactly once per timestep"
@@ -241,17 +243,14 @@ fn scoped_timestep_pays_one_sync_and_one_transaction() {
     // ...and exactly one store transaction per timestep: STEPS scope
     // commits plus the one `allocate_runid` reservation at initialize.
     assert_eq!(
-        db.stats().transactions,
+        store.stats().transactions,
         1 + STEPS as u64,
         "each scope commit is one BEGIN..COMMIT"
     );
     // ...and one execution row per (dataset, timestep).
-    let rs = db
-        .exec_stmt(&Query::<ExecutionRow>::all().count().compile(), &[])
-        .unwrap();
     assert_eq!(
-        rs.scalar().and_then(sdm::metadb::Value::as_i64),
-        Some(DATASETS.len() as i64 * STEPS)
+        store.execution_history("eqv").unwrap().len(),
+        DATASETS.len() * STEPS as usize
     );
 }
 
@@ -278,9 +277,9 @@ struct RecordingStore {
 }
 
 impl RecordingStore {
-    fn new(db: &Arc<Database>, pfs: &Arc<Pfs>, refuses: Option<Refuses>) -> Self {
+    fn new(inner: SharedStore, pfs: &Arc<Pfs>, refuses: Option<Refuses>) -> Self {
         RecordingStore {
-            inner: sdm::core::SqlStore::shared(db),
+            inner,
             pfs: Arc::clone(pfs),
             seen: Default::default(),
             refuses,
@@ -427,8 +426,7 @@ fn commit_drains_the_data_before_it_records_any_row() {
     for org in [OrgLevel::Level1, OrgLevel::Level3] {
         let nprocs = 2;
         let pfs = Pfs::new(MachineConfig::origin2000());
-        let db = Arc::new(Database::new());
-        let recording = Arc::new(RecordingStore::new(&db, &pfs, None));
+        let recording = Arc::new(RecordingStore::new(store::in_memory(), &pfs, None));
         let store: SharedStore = recording.clone();
         let issued_by_step = World::run(nprocs, MachineConfig::origin2000(), {
             let (pfs, store) = (Arc::clone(&pfs), Arc::clone(&store));
@@ -545,11 +543,8 @@ fn a_store_error_on_rank_0_fails_every_rank_without_a_hang() {
         Refuses::LookupExecution,
     ] {
         let pfs = Pfs::new(MachineConfig::test_tiny());
-        let store: SharedStore = Arc::new(RecordingStore::new(
-            &Arc::new(Database::new()),
-            &pfs,
-            Some(call),
-        ));
+        let store: SharedStore =
+            Arc::new(RecordingStore::new(store::in_memory(), &pfs, Some(call)));
         let out = run_with_watchdog(format!("{call:?} refused"), 3, move |c| {
             one_step(c, &pfs, &store)
         });
@@ -577,7 +572,7 @@ fn a_refused_collective_open_fails_every_rank_without_a_hang() {
         MachineConfig::test_tiny(),
         FaultPlan::none().fail_open(file.clone()),
     );
-    let store = sdm::core::SqlStore::shared(&Arc::new(Database::new()));
+    let store = store::in_memory();
     let out = run_with_watchdog(format!("opening {file} refused"), 3, move |c| {
         one_step(c, &pfs, &store)
     });
@@ -595,7 +590,7 @@ fn a_refused_collective_open_fails_every_rank_without_a_hang() {
 #[test]
 fn an_import_whose_byte_size_overflows_fails_every_rank_without_a_hang() {
     let pfs = Pfs::new(MachineConfig::test_tiny());
-    let store = sdm::core::SqlStore::shared(&Arc::new(Database::new()));
+    let store = store::in_memory();
     let out = run_with_watchdog("an overflowing import".into(), 2, move |c| {
         let mut sdm = Sdm::initialize(c, &pfs, &store, "overflow")?;
         let h = sdm.group(c).dataset::<f64>("d", 4).build()?.group();
@@ -629,7 +624,7 @@ fn a_level_1_commit_returns_one_close_and_one_round_trip_after_the_drain() {
         + cfg.io.metadata_cost
         + 4.0 * (cfg.network.latency + cfg.network.overhead);
     let pfs = Pfs::new(cfg.clone());
-    let store = sdm::core::CachedStore::shared(&Arc::new(Database::new()));
+    let store = sdm::core::store::in_memory();
     World::run(2, cfg, |c| {
         let level1 = SdmConfig {
             org: OrgLevel::Level1,
@@ -679,7 +674,7 @@ fn a_level_1_commit_returns_one_close_and_one_round_trip_after_the_drain() {
 fn a_write_at_the_end_of_a_1_tib_dataset_commits_and_reads_back() {
     const N: u64 = 1 << 37;
     let pfs = Pfs::new(MachineConfig::test_tiny());
-    let store = sdm::core::CachedStore::shared(&Arc::new(Database::new()));
+    let store = sdm::core::store::in_memory();
     let back = World::run(2, MachineConfig::test_tiny(), |c| {
         let level1 = SdmConfig {
             org: OrgLevel::Level1,
@@ -701,4 +696,80 @@ fn a_write_at_the_end_of_a_1_tib_dataset_commits_and_reads_back() {
     assert_eq!(back, vec![(N - 2) as f64, (N - 1) as f64]);
     let file = OrgLevel::Level1.file_name("far", 0, "x", 0);
     assert_eq!(pfs.file_len(&file).unwrap(), 1 << 40);
+}
+
+// ---------------------------------------------------------------------
+// StoreStats over a logged store
+// ---------------------------------------------------------------------
+
+/// Initialize, build 8 datasets and commit 3 timesteps on 2 ranks. Rank
+/// 0 alone calls the store, so the stats it reads after initialize and
+/// after each commit are exact.
+fn stats_per_commit(store: &SharedStore) -> Vec<StoreStats> {
+    let pfs = Pfs::new(MachineConfig::test_tiny());
+    let per_rank = World::run(2, MachineConfig::test_tiny(), |c| {
+        let mut sdm = Sdm::initialize(c, &pfs, store, "stats").unwrap();
+        let names: Vec<String> = (0..8).map(|d| format!("d{d}")).collect();
+        let mut b = sdm.group(c);
+        for name in &names {
+            b = b.dataset::<f64>(name.as_str(), GLOBAL);
+        }
+        let g = b.build().unwrap();
+        let mine: Vec<u64> = (c.rank() as u64..GLOBAL).step_by(c.size()).collect();
+        let handles: Vec<_> = names.iter().map(|n| g.handle::<f64>(n).unwrap()).collect();
+        for &h in &handles {
+            sdm.set_view(c, h, &mine).unwrap();
+        }
+        let mut seen = vec![store.stats()];
+        for t in 0..3 {
+            let mut step = sdm.timestep(c, t);
+            for (d, &h) in handles.iter().enumerate() {
+                let vals: Vec<f64> = mine.iter().map(|&g| value(d, g, t)).collect();
+                step.write(h, &vals).unwrap();
+            }
+            step.commit().unwrap();
+            seen.push(store.stats());
+        }
+        sdm.finalize(c).unwrap();
+        seen
+    });
+    per_rank.into_iter().next().unwrap()
+}
+
+/// What the benchmark's logged workload reads. Each timestep commit is
+/// one transaction and one log sync, none batched by group commit; the
+/// `logged_in_memory` stack reports exactly what the stack built by hand
+/// over a `MemStorage` log reports, and its `log_bytes` is the log that
+/// storage holds; a wrapper that does not implement `stats` reports its
+/// inner store's numbers.
+#[test]
+fn a_logged_store_counts_one_transaction_and_one_sync_per_commit() {
+    let logged = stats_per_commit(&store::logged_in_memory().unwrap());
+    for (t, w) in logged.windows(2).enumerate() {
+        assert_eq!(w[1].transactions - w[0].transactions, 1, "commit {t}");
+        assert_eq!(w[1].log_syncs - w[0].log_syncs, 1, "commit {t}");
+        assert!(w[1].log_bytes > w[0].log_bytes, "commit {t} logged nothing");
+    }
+    assert!(logged.iter().all(|s| s.group_commit_batched == 0));
+
+    let (log, handle) = MemStorage::new();
+    let db = Arc::new(Database::open_with_storage(Box::new(log)).unwrap());
+    let sql = SqlStore::new(Arc::clone(&db));
+    sql.ensure_schema().unwrap();
+    let by_hand: SharedStore = Arc::new(CachedStore::new(Arc::new(sql)));
+    let by_hand_stats = stats_per_commit(&by_hand);
+    assert_eq!(by_hand_stats, logged);
+    drop((by_hand, db));
+    let persisted = handle.persisted();
+    let log_bytes = persisted.segments.iter().map(Vec::len).sum::<usize>()
+        + persisted.snapshot.map_or(0, |s| s.len());
+    assert_eq!(logged.last().unwrap().log_bytes, log_bytes as u64);
+
+    let pfs = Pfs::new(MachineConfig::test_tiny());
+    let wrapped: SharedStore = Arc::new(RecordingStore::new(
+        store::logged_in_memory().unwrap(),
+        &pfs,
+        None,
+    ));
+    assert_eq!(stats_per_commit(&wrapped), logged);
 }
