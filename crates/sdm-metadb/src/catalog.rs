@@ -63,12 +63,13 @@ impl Catalog {
         self.tables.insert(Self::key(name), table);
     }
 
-    /// Rebuild every table's index maps from its rows (snapshot load:
-    /// serde persists index *definitions* but not the maps).
-    pub(crate) fn rebuild_indexes(&mut self) {
-        for table in self.tables.values_mut() {
-            table.rebuild_indexes();
-        }
+    /// Check every table and rebuild its index maps from its rows
+    /// (snapshot load: serde persists index *definitions* but not the
+    /// maps).
+    pub(crate) fn rebuild_indexes(&mut self) -> DbResult<()> {
+        self.tables
+            .values_mut()
+            .try_for_each(Table::rebuild_indexes)
     }
 
     /// Shared table access.
@@ -109,10 +110,27 @@ impl Catalog {
                 }
             }
             Replay::Update { table, news } => {
-                self.get_mut(&table)?.apply_updates(news);
+                let t = self.get_mut(&table)?;
+                let news = news
+                    .into_iter()
+                    .map(|(pos, row)| {
+                        if pos >= t.len() {
+                            return Err(corrupt(format!("update of row {pos} past the end")));
+                        }
+                        Ok((pos, t.schema.check_row(row)?))
+                    })
+                    .collect::<DbResult<_>>()?;
+                t.apply_updates(news);
             }
             Replay::Delete { table, positions } => {
-                self.get_mut(&table)?.delete_at(&positions);
+                let t = self.get_mut(&table)?;
+                let ascending = positions.windows(2).all(|w| w[0] < w[1]);
+                if !ascending || positions.last().is_some_and(|&p| p >= t.len()) {
+                    return Err(corrupt(
+                        "delete positions not ascending inside the table".into(),
+                    ));
+                }
+                t.delete_at(&positions);
             }
             Replay::Clear { table } => {
                 self.get_mut(&table)?.clear();
@@ -142,10 +160,16 @@ impl Catalog {
     }
 }
 
+/// The error for a checksum-valid log record that cannot be replayed.
+fn corrupt(what: String) -> DbError {
+    DbError::Persist(format!("corrupt log record: {what}"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::schema::{ColType, Column};
+    use crate::value::Value;
 
     fn schema() -> Schema {
         Schema::new(vec![Column {
@@ -182,5 +206,48 @@ mod tests {
         c.create_table("zeta", schema(), false).unwrap();
         c.create_table("alpha", schema(), false).unwrap();
         assert_eq!(c.table_names(), vec!["alpha", "zeta"]);
+    }
+
+    /// A table `t` holding the rows 1 and 2, with an index on `a`.
+    fn two_rows() -> Catalog {
+        let mut c = Catalog::new();
+        c.create_table("t", schema(), false).unwrap();
+        let t = c.get_mut("t").unwrap();
+        t.create_index("ta", &["a"]).unwrap();
+        t.insert(vec![Value::Int(1)]).unwrap();
+        t.insert(vec![Value::Int(2)]).unwrap();
+        c
+    }
+
+    // Checksum-valid but hostile log records, whose positions replay
+    // used to index without a check.
+    #[test]
+    fn log_update_past_the_end_of_a_table_is_an_error() {
+        let mut c = two_rows();
+        let news = vec![(2, vec![Value::Int(9)])];
+        let rec = Replay::Update {
+            table: "t".into(),
+            news,
+        };
+        assert!(matches!(c.apply_redo(rec), Err(DbError::Persist(_))));
+        let rec = Replay::Update {
+            table: "t".into(),
+            news: vec![(0, vec![])],
+        };
+        assert!(matches!(c.apply_redo(rec), Err(DbError::Arity(_))));
+        assert_eq!(c.get("t").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn log_delete_of_unsorted_positions_is_an_error() {
+        for positions in [vec![1, 0], vec![0, 0], vec![2]] {
+            let mut c = two_rows();
+            let rec = Replay::Delete {
+                table: "t".into(),
+                positions,
+            };
+            assert!(matches!(c.apply_redo(rec), Err(DbError::Persist(_))));
+            assert_eq!(c.get("t").unwrap().len(), 2);
+        }
     }
 }

@@ -84,6 +84,16 @@ impl Schema {
 
     /// Validate and coerce a full row for insertion.
     pub fn check_row(&self, row: Vec<Value>) -> DbResult<Vec<Value>> {
+        self.validate(&row)?;
+        Ok(row
+            .into_iter()
+            .zip(&self.columns)
+            .map(|(v, c)| c.ctype.coerce(v))
+            .collect())
+    }
+
+    /// Check a row's arity and that every column admits its value.
+    pub(crate) fn validate(&self, row: &[Value]) -> DbResult<()> {
         if row.len() != self.columns.len() {
             return Err(DbError::Arity(format!(
                 "expected {} values, got {}",
@@ -91,21 +101,19 @@ impl Schema {
                 row.len()
             )));
         }
-        row.into_iter()
+        match row
+            .iter()
             .zip(&self.columns)
-            .map(|(v, c)| {
-                if c.ctype.admits(&v) {
-                    Ok(c.ctype.coerce(v))
-                } else {
-                    Err(DbError::Type(format!(
-                        "column {} ({:?}) cannot store {}",
-                        c.name,
-                        c.ctype,
-                        v.type_name()
-                    )))
-                }
-            })
-            .collect()
+            .find(|(v, c)| !c.ctype.admits(v))
+        {
+            Some((v, c)) => Err(DbError::Type(format!(
+                "column {} ({:?}) cannot store {}",
+                c.name,
+                c.ctype,
+                v.type_name()
+            ))),
+            None => Ok(()),
+        }
     }
 }
 

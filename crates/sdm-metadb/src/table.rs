@@ -620,26 +620,33 @@ impl Table {
         Some(None)
     }
 
-    /// Rebuild every index map from the rows (snapshot load: serde
-    /// skips the maps).
-    pub(crate) fn rebuild_indexes(&mut self) {
+    /// Check every row against the schema and every index against the
+    /// columns, then rebuild every index map from the rows (snapshot
+    /// load: serde skips the maps, and a snapshot read from storage is
+    /// not trusted).
+    pub(crate) fn rebuild_indexes(&mut self) -> DbResult<()> {
+        for row in &self.rows {
+            self.schema.validate(row)?;
+        }
         self.maps = self
             .indexes
             .iter()
             .map(|def| {
-                let cols: Vec<usize> = def
+                if def.columns.is_empty() {
+                    return Err(DbError::Arity(format!(
+                        "index {} names no columns",
+                        def.name
+                    )));
+                }
+                let cols = def
                     .columns
                     .iter()
-                    .map(|c| {
-                        self.schema
-                            .index_of(c)
-                            // analyze:allow(unwrap: create_index validated every column name against the schema)
-                            .expect("index column validated at creation")
-                    })
-                    .collect();
-                OrdIndex::build(cols, &self.rows)
+                    .map(|c| self.schema.index_of(c))
+                    .collect::<DbResult<Vec<usize>>>()?;
+                Ok(OrdIndex::build(cols, &self.rows))
             })
-            .collect();
+            .collect::<DbResult<_>>()?;
+        Ok(())
     }
 
     /// Test/debug invariant: every patched map equals a from-scratch
@@ -832,7 +839,7 @@ mod tests {
         t.create_index("ik", &["k"]).unwrap();
         t.create_index("okv", &["k", "v"]).unwrap();
         t.maps.clear(); // simulate a deserialized table
-        t.rebuild_indexes();
+        t.rebuild_indexes().unwrap();
         assert_eq!(t.index_lookup("k", &Value::Int(0)).unwrap(), &[0, 2, 4]);
         assert_eq!(
             t.probe_point(1, &[&Value::Int(1), &Value::from("x")])
@@ -1024,7 +1031,7 @@ mod tests {
         assert_eq!(t.rows()[max][0], Value::Double(2.5));
         // Only NULL and NaN left: both peeks report "no qualifying row".
         let mut t2 = t.clone();
-        t2.rebuild_indexes();
+        t2.rebuild_indexes().unwrap();
         t2.delete_where(|r| matches!(r[0], Value::Double(d) if d.is_finite()));
         assert_eq!(t2.peek_edge(0, &[], false), Some(None));
         assert_eq!(t2.peek_edge(0, &[], true), Some(None));

@@ -318,7 +318,7 @@ fn decode_snapshot(bytes: &[u8]) -> DbResult<(Catalog, u64)> {
         .map_err(|_| DbError::Persist("snapshot header is not a transaction id".into()))?;
     let mut catalog: Catalog = serde_json::from_str(json)
         .map_err(|e| DbError::Persist(format!("snapshot decode: {e}")))?;
-    catalog.rebuild_indexes();
+    catalog.rebuild_indexes()?;
     Ok((catalog, last_tx))
 }
 

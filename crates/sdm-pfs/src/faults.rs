@@ -5,16 +5,15 @@
 
 use std::collections::HashSet;
 
-use parking_lot::Mutex;
-
 /// Declarative fault plan installed on a [`crate::Pfs`].
 #[derive(Debug, Default)]
 pub struct FaultPlan {
     /// Opens of these exact file names fail with `PfsError::OpenFailed`.
     fail_open: HashSet<String>,
     /// Reads of these files are truncated to this many bytes from offset 0
-    /// (simulates a torn/partial history file).
-    truncate_read: Mutex<Vec<(String, u64)>>,
+    /// (simulates a torn/partial history file). Built before the plan is
+    /// installed and never changed after, so it needs no lock.
+    truncate_read: Vec<(String, u64)>,
     /// Files whose first byte is flipped on read (checksum tests).
     corrupt_first_byte: HashSet<String>,
 }
@@ -32,8 +31,8 @@ impl FaultPlan {
     }
 
     /// Make `name` appear truncated to `len` bytes.
-    pub fn truncate(self, name: impl Into<String>, len: u64) -> Self {
-        self.truncate_read.lock().push((name.into(), len));
+    pub fn truncate(mut self, name: impl Into<String>, len: u64) -> Self {
+        self.truncate_read.push((name.into(), len));
         self
     }
 
@@ -51,7 +50,6 @@ impl FaultPlan {
     /// Effective visible length of `name` given a real length.
     pub fn visible_len(&self, name: &str, real: u64) -> u64 {
         self.truncate_read
-            .lock()
             .iter()
             .filter(|(n, _)| n == name)
             .map(|&(_, l)| l)

@@ -146,7 +146,7 @@ impl Pfs {
         let data = files
             .get(name)
             .ok_or_else(|| PfsError::NotFound(name.to_string()))?;
-        let real = data.image.read().len();
+        let real = data.image.len();
         Ok(self.faults.visible_len(name, real))
     }
 
@@ -194,7 +194,7 @@ impl Pfs {
         if file.is_closed() {
             return Err(PfsError::Closed(file.name().to_string()));
         }
-        file.data.image.write().write(offset, data);
+        file.data.image.write(offset, data);
         self.counters.add("pfs.write_bytes", data.len() as u64);
         self.counters.incr("pfs.write_ops");
         let arrival = now + self.config.io.client_copy(data.len());
@@ -230,13 +230,10 @@ impl Pfs {
         if file.is_closed() {
             return Err(PfsError::Closed(file.name().to_string()));
         }
-        let n = {
-            let image = file.data.image.read();
-            let visible = self.faults.visible_len(file.name(), image.len());
-            let n = visible.saturating_sub(offset).min(buf.len() as u64) as usize;
-            image.read(offset, &mut buf[..n]);
-            n
-        };
+        let image = &file.data.image;
+        let visible = self.faults.visible_len(file.name(), image.len());
+        let n = visible.saturating_sub(offset).min(buf.len() as u64) as usize;
+        image.read(offset, &mut buf[..n]);
         if n > 0 && self.faults.corrupts(file.name(), offset) {
             buf[0] = !buf[0];
         }

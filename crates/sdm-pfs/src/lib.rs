@@ -22,8 +22,12 @@
 //! extents, the way XFS stores files as extents: an extent is only as
 //! long as the highest byte written in it, and a hole reads back as
 //! zeros and takes no memory, so a write far past the end of a file
-//! costs what it writes. The image is host storage, not model: no charge
-//! depends on it.
+//! costs what it writes. Each extent has its own lock, so writers to
+//! disjoint ranges of one file (the two-phase aggregators) copy at the
+//! same time; `file`'s module docs give the lock discipline. The image
+//! is host storage, not model: no charge or counter depends on it or on
+//! its locks. The fault plan is fixed when the file system is built and
+//! read without a lock.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 

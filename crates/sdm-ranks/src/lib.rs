@@ -13,6 +13,8 @@
 //! `sdm_metadb::Database`. Ranks are sparse on purpose — gaps leave room
 //! for ROADMAP item 3's per-table locks without renumbering.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 /// Rank of the transaction slot mutex (top of the ladder, taken first).
 pub const TX: u32 = 10;
 /// Rank of the catalog `RwLock` (middle of the ladder).

@@ -29,6 +29,8 @@
 //! statically (rule `ladder`) — this module is the dynamic half of that
 //! contract.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::PoisonError;
@@ -157,18 +159,24 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.inner
-            .as_ref()
-            .expect("guard present outside Condvar::wait")
+        present(self.inner.as_deref())
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.inner
-            .as_mut()
-            .expect("guard present outside Condvar::wait")
+        present(self.inner.as_deref_mut())
     }
+}
+
+/// The content of a [`MutexGuard`]'s slot, which is `Some` at all times
+/// outside [`Condvar::wait`].
+#[expect(
+    clippy::expect_used,
+    reason = "the slot is empty only inside Condvar::wait, which refills it before returning"
+)]
+fn present<G>(slot: Option<G>) -> G {
+    slot.expect("guard present outside Condvar::wait")
 }
 
 /// A readers-writer lock that never poisons.
@@ -289,10 +297,7 @@ impl Condvar {
     /// Atomically release the guard's lock and wait for a notification;
     /// the lock is re-acquired before returning.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard
-            .inner
-            .take()
-            .expect("guard present outside Condvar::wait");
+        let inner = present(guard.inner.take());
         guard.inner = Some(self.0.wait(inner).unwrap_or_else(PoisonError::into_inner));
     }
 

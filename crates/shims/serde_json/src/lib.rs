@@ -93,9 +93,16 @@ pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
 
 // ---- parsing ----
 
+/// How deeply arrays and objects may nest (`serde_json`'s own limit):
+/// the parser recurses once per level, so hostile input must not choose
+/// the stack depth.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     at: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -129,55 +136,71 @@ impl<'a> Parser<'a> {
             Some(b't') => self.keyword("true", Json::Bool(true)),
             Some(b'f') => self.keyword("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b'[') => {
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
                 self.at += 1;
-                let mut arr = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.at += 1;
-                    return Ok(Json::Arr(arr));
-                }
-                loop {
-                    arr.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.at += 1,
-                        Some(b']') => {
-                            self.at += 1;
-                            return Ok(Json::Arr(arr));
-                        }
-                        _ => return Err(self.err("expected `,` or `]`")),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.at += 1;
-                let mut obj = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.at += 1;
-                    return Ok(Json::Obj(obj));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let val = self.parse_value()?;
-                    obj.push((key, val));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.at += 1,
-                        Some(b'}') => {
-                            self.at += 1;
-                            return Ok(Json::Obj(obj));
-                        }
-                        _ => return Err(self.err("expected `,` or `}`")),
-                    }
-                }
+                let v = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                v
             }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => Err(self.err("expected a JSON value")),
+        }
+    }
+
+    /// The rest of an array, after its `[`.
+    fn parse_array(&mut self) -> Result<Json> {
+        let mut arr = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.at += 1;
+            return Ok(Json::Arr(arr));
+        }
+        loop {
+            arr.push(self.parse_value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.at += 1,
+                Some(b']') => {
+                    self.at += 1;
+                    return Ok(Json::Arr(arr));
+                }
+                _ => return Err(self.err("expected `,` or `]`")),
+            }
+        }
+    }
+
+    /// The rest of an object, after its `{`.
+    fn parse_object(&mut self) -> Result<Json> {
+        let mut obj = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.at += 1;
+            return Ok(Json::Obj(obj));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let val = self.parse_value()?;
+            obj.push((key, val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.at += 1,
+                Some(b'}') => {
+                    self.at += 1;
+                    return Ok(Json::Obj(obj));
+                }
+                _ => return Err(self.err("expected `,` or `}`")),
+            }
         }
     }
 
@@ -232,10 +255,10 @@ impl<'a> Parser<'a> {
                     self.at += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 char.
-                    let rest = std::str::from_utf8(&self.bytes[self.at..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
+                    // Consume one char (the input is a `str`).
+                    let c = (self.text.get(self.at..))
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
                     out.push(c);
                     self.at += c.len_utf8();
                 }
@@ -278,8 +301,10 @@ impl<'a> Parser<'a> {
 /// Parse JSON text into the [`Json`] tree.
 pub fn parse(s: &str) -> Result<Json> {
     let mut p = Parser {
+        text: s,
         bytes: s.as_bytes(),
         at: 0,
+        depth: 0,
     };
     let v = p.parse_value()?;
     p.skip_ws();
@@ -330,6 +355,14 @@ mod tests {
     fn rejects_garbage() {
         assert!(from_str::<Vec<u32>>("{ not json").is_err());
         assert!(from_str::<Vec<u32>>("[1,2] trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_not_a_stack_overflow() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(parse(&deep(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&"[{\"a\":".repeat(1 << 20)).is_err());
     }
 
     #[test]
