@@ -11,7 +11,7 @@
 //! * **`sql-layering`** — no raw SQL string literals above
 //!   `sdm-metadb`; higher layers build typed `Stmt` values.
 //! * **`unwrap`** — no `.unwrap()` / `.expect("…")` in non-test library
-//!   code on the `sdm-metadb`/`sdm-core` hot paths.
+//!   code in `sdm-metadb`.
 //! * **`wal-ordering`** — no direct filesystem writes in `sdm-metadb`
 //!   outside `wal/`.
 //!

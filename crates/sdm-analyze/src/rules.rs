@@ -85,17 +85,18 @@ pub fn sql_layering(path: &str, model: &Model) -> Vec<Finding> {
 
 // --------------------------------------------------------------------- unwrap
 
-/// The hot-path library trees where a stray panic takes down the whole
-/// metadata service rather than one request.
-const UNWRAP_SCOPE: &[&str] = &["crates/sdm-metadb/src/", "crates/sdm-core/src/"];
+/// The library tree where a stray panic takes down the whole metadata
+/// service rather than one request. `sdm-core`, `sdm-pfs` and `sdm-sim`
+/// deny `clippy::unwrap_used` and `expect_used` instead.
+const UNWRAP_SCOPE: &str = "crates/sdm-metadb/src/";
 
 /// Rule `unwrap`: `.unwrap()` / `.expect("…")` in non-test library code
-/// on the `sdm-metadb` + `sdm-core` hot paths. `expect` is only flagged
-/// when its first argument is a string literal — `Parser::expect(&Token)`
-/// is a grammar method, not a panic. Invariants that are genuinely
-/// unreachable stay, justified, behind `// analyze:allow(unwrap: …)`.
+/// in `sdm-metadb`. `expect` is only flagged when its first argument is
+/// a string literal — `Parser::expect(&Token)` is a grammar method, not a
+/// panic. Invariants that are genuinely unreachable stay, justified,
+/// behind `// analyze:allow(unwrap: …)`.
 pub fn unwrap_rule(path: &str, model: &Model) -> Vec<Finding> {
-    if !UNWRAP_SCOPE.iter().any(|p| path.starts_with(p)) {
+    if !path.starts_with(UNWRAP_SCOPE) {
         return Vec::new();
     }
     let mut findings = Vec::new();
@@ -288,6 +289,7 @@ mod tests {
         let src = "fn f() { x.unwrap(); y.expect(\"m\"); }";
         assert_eq!(findings("crates/sdm-metadb/src/foo.rs", src).len(), 2);
         assert!(findings("crates/sdm-mesh/src/foo.rs", src).is_empty());
+        assert!(findings("crates/sdm-core/src/foo.rs", src).is_empty());
     }
 
     #[test]

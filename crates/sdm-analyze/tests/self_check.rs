@@ -69,13 +69,13 @@ fn sql_layering_good_typed_stmt_passes() {
 #[test]
 fn unwrap_bad_library_code_is_flagged() {
     let src = "pub fn f(v: Option<u32>) -> u32 { v.unwrap() }";
-    assert_eq!(rules_hit("crates/sdm-core/src/sdm.rs", src), ["unwrap"]);
+    assert_eq!(rules_hit("crates/sdm-metadb/src/db.rs", src), ["unwrap"]);
 }
 
 #[test]
 fn unwrap_good_test_code_passes() {
     let src = "#[cfg(test)]\nmod tests {\n#[test]\nfn t() { Some(1).unwrap(); }\n}";
-    assert!(rules_hit("crates/sdm-core/src/sdm.rs", src).is_empty());
+    assert!(rules_hit("crates/sdm-metadb/src/db.rs", src).is_empty());
 }
 
 // -------------------------------------------------------- undo-coverage

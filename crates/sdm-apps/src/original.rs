@@ -50,9 +50,9 @@ pub fn fun3d_original_import(
     let e1 = comm.bcast(0, &e1)?;
     let e2 = comm.bcast(0, &e2)?;
 
-    // The eight data arrays, also rank-0 read + broadcast.
-    let mut edge_arrays: Vec<Vec<f64>> = Vec::new();
-    let mut node_arrays: Vec<Vec<f64>> = Vec::new();
+    // The eight data arrays, also rank-0 read + broadcast. The
+    // broadcasts carry the charges; no rank reads the copies it receives,
+    // so each is dropped at once.
     {
         let f = if comm.rank() == 0 {
             Some(MpiFile::open_independent(comm, pfs, &w.mesh_file, false)?)
@@ -67,7 +67,7 @@ pub fn fun3d_original_import(
             } else {
                 vec![]
             };
-            edge_arrays.push(comm.bcast(0, &buf)?);
+            comm.bcast(0, &buf)?;
         }
         for k in 0..w.layout.n_node_arrays {
             let buf = if let Some(f) = &f {
@@ -77,7 +77,7 @@ pub fn fun3d_original_import(
             } else {
                 vec![]
             };
-            node_arrays.push(comm.bcast(0, &buf)?);
+            comm.bcast(0, &buf)?;
         }
         if let Some(f) = f {
             f.close_independent(comm);

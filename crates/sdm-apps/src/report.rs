@@ -2,8 +2,6 @@
 
 use std::collections::BTreeMap;
 
-use sdm_mpi::Comm;
-
 /// Named phase durations (virtual seconds, max over ranks) plus counters.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseReport {
@@ -75,13 +73,6 @@ impl PhaseReport {
         }
         out
     }
-}
-
-/// Time a closure in virtual seconds on this rank.
-pub fn timed<T>(comm: &mut Comm, f: impl FnOnce(&mut Comm) -> T) -> (T, f64) {
-    let t0 = comm.now();
-    let v = f(comm);
-    (v, comm.now() - t0)
 }
 
 #[cfg(test)]

@@ -9,10 +9,11 @@ use sdm_mpi::datatype::Datatype;
 use sdm_mpi::io::{Hints, MpiFile};
 use sdm_mpi::World;
 use sdm_pfs::Pfs;
+use sdm_sim::MachineConfig;
 
 fn main() {
     let args = HarnessArgs::from_env();
-    let cfg = args.machine_config();
+    let cfg = MachineConfig::origin2000();
     let procs = args.procs.unwrap_or(16);
     let elems_per_rank = ((args.fun3d_nodes() / procs).max(256)) & !1;
     print_header(

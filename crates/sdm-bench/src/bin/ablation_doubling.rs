@@ -7,15 +7,16 @@
 use std::sync::Arc;
 
 use sdm_apps::original::fun3d_original_import;
-use sdm_apps::Fun3dWorkload;
-use sdm_bench::{aggregate, print_header, HarnessArgs};
+use sdm_apps::{Fun3dWorkload, PhaseReport};
+use sdm_bench::{print_header, HarnessArgs};
 use sdm_core::{store, Sdm, SdmConfig};
 use sdm_mpi::World;
 use sdm_pfs::Pfs;
+use sdm_sim::MachineConfig;
 
 fn main() {
     let args = HarnessArgs::from_env();
-    let cfg = args.machine_config();
+    let cfg = MachineConfig::origin2000();
     let procs = args.procs.unwrap_or(16);
     let w = Fun3dWorkload::new(args.fun3d_nodes(), procs, args.seed);
     print_header(
@@ -28,7 +29,7 @@ fn main() {
     // phase (it scans the broadcast edge list twice).
     let pfs = Pfs::new(cfg.clone());
     w.stage(&pfs).unwrap();
-    let orig = aggregate(World::run(procs, cfg.clone(), {
+    let orig = PhaseReport::reduce_max(&World::run(procs, cfg.clone(), {
         let (pfs, w) = (Arc::clone(&pfs), w.clone());
         move |c| fun3d_original_import(c, &pfs, &w).unwrap().0
     }));
@@ -37,10 +38,10 @@ fn main() {
     let pfs = Pfs::new(cfg.clone());
     let store = store::in_memory();
     w.stage(&pfs).unwrap();
-    let sdm = aggregate(World::run(procs, cfg.clone(), {
+    let sdm = PhaseReport::reduce_max(&World::run(procs, cfg.clone(), {
         let (pfs, store, w) = (Arc::clone(&pfs), Arc::clone(&store), w.clone());
         move |c| {
-            let mut report = sdm_apps::PhaseReport::new();
+            let mut report = PhaseReport::new();
             let mut s = Sdm::initialize_with(c, &pfs, &store, "a3", SdmConfig::default()).unwrap();
             let h = s
                 .group(c)

@@ -5,13 +5,14 @@
 use std::sync::Arc;
 
 use sdm_apps::fun3d::{run_sdm, Fun3dOptions};
-use sdm_apps::Fun3dWorkload;
-use sdm_bench::{aggregate, fresh_world, print_header, HarnessArgs};
+use sdm_apps::{Fun3dWorkload, PhaseReport};
+use sdm_bench::{fresh_world, print_header, HarnessArgs};
 use sdm_mpi::World;
+use sdm_sim::MachineConfig;
 
 fn main() {
     let args = HarnessArgs::from_env();
-    let cfg = args.machine_config();
+    let cfg = MachineConfig::origin2000();
     print_header(
         "Ablation A1: history validity across process counts",
         &cfg,
@@ -22,7 +23,7 @@ fn main() {
     // Register a history at p=8.
     let w8 = Fun3dWorkload::new(args.fun3d_nodes() / 4, 8, args.seed);
     w8.stage(&pfs).unwrap();
-    let rep = aggregate(World::run(8, cfg.clone(), {
+    let rep = PhaseReport::reduce_max(&World::run(8, cfg.clone(), {
         let (pfs, store, w) = (Arc::clone(&pfs), Arc::clone(&store), w8.clone());
         move |c| {
             let opts = Fun3dOptions {

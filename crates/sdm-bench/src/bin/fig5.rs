@@ -11,19 +11,20 @@
 //! read and its `import` shrunk by the skipped edge arrays.
 //!
 //! Usage: `cargo run --release -p sdm-bench --bin fig5 [--scale F]
-//! [--procs N] [--machine origin2000|high-open-cost] [--seed S]`
+//! [--procs N] [--seed S]`
 
 use std::sync::Arc;
 
 use sdm_apps::fun3d::{run_sdm, Fun3dOptions};
 use sdm_apps::original::fun3d_original_import;
 use sdm_apps::{Fun3dWorkload, PhaseReport};
-use sdm_bench::{aggregate, fresh_world, print_header, print_time_row, HarnessArgs};
+use sdm_bench::{fresh_world, print_header, print_time_row, HarnessArgs};
 use sdm_mpi::World;
+use sdm_sim::MachineConfig;
 
 fn main() {
     let args = HarnessArgs::from_env();
-    let cfg = args.machine_config();
+    let cfg = MachineConfig::origin2000();
     let procs = args.procs.unwrap_or(64);
     let w = Fun3dWorkload::new(args.fun3d_nodes(), procs, args.seed);
 
@@ -45,12 +46,12 @@ fn main() {
         let (pfs, w) = (Arc::clone(&pfs), w.clone());
         move |c| fun3d_original_import(c, &pfs, &w).unwrap().0
     });
-    let orig = aggregate(reports);
+    let orig = PhaseReport::reduce_max(&reports);
 
     // --- SDM without history ---
     let (pfs, store) = fresh_world(&cfg);
     w.stage(&pfs).unwrap();
-    let no_hist: PhaseReport = aggregate(World::run(procs, cfg.clone(), {
+    let no_hist = PhaseReport::reduce_max(&World::run(procs, cfg.clone(), {
         let (pfs, store, w) = (Arc::clone(&pfs), Arc::clone(&store), w.clone());
         move |c| {
             let opts = Fun3dOptions {
@@ -77,7 +78,8 @@ fn main() {
         results.iter().all(|r| r.history_hit),
         "history must hit on the second run"
     );
-    let with_hist = aggregate(results.into_iter().map(|r| r.report).collect());
+    let with_hist =
+        PhaseReport::reduce_max(&results.into_iter().map(|r| r.report).collect::<Vec<_>>());
 
     println!();
     for (label, r) in [

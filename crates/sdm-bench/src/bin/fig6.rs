@@ -5,19 +5,20 @@
 //! pays one open and one close per file at any process count.
 //!
 //! Usage: `cargo run --release -p sdm-bench --bin fig6 [--scale F]
-//! [--procs N] [--machine origin2000|high-open-cost]`
+//! [--procs N] [--seed S]`
 
 use std::sync::Arc;
 
 use sdm_apps::fun3d::{run_sdm, Fun3dOptions};
-use sdm_apps::Fun3dWorkload;
-use sdm_bench::{aggregate, fresh_world, print_bw_row, print_header, HarnessArgs};
+use sdm_apps::{Fun3dWorkload, PhaseReport};
+use sdm_bench::{fresh_world, print_bw_row, print_header, HarnessArgs};
 use sdm_core::OrgLevel;
 use sdm_mpi::World;
+use sdm_sim::MachineConfig;
 
 fn main() {
     let args = HarnessArgs::from_env();
-    let cfg = args.machine_config();
+    let cfg = MachineConfig::origin2000();
     let procs = args.procs.unwrap_or(64);
     let w = Fun3dWorkload::new(args.fun3d_nodes(), procs, args.seed);
     let total_mb = (w.checkpoint_bytes() * w.timesteps as u64) as f64 / 1e6;
@@ -34,7 +35,7 @@ fn main() {
     for org in OrgLevel::all() {
         let (pfs, store) = fresh_world(&cfg);
         w.stage(&pfs).unwrap();
-        let rep = aggregate(World::run(procs, cfg.clone(), {
+        let rep = PhaseReport::reduce_max(&World::run(procs, cfg.clone(), {
             let (pfs, store, w) = (Arc::clone(&pfs), Arc::clone(&store), w.clone());
             move |c| {
                 let opts = Fun3dOptions {
@@ -66,7 +67,7 @@ fn main() {
         read_bw[2] / read_bw[0]
     );
     // Paper shape: level 3 >= level 2 >= level 1 (small gaps at low open
-    // cost; see --machine high-open-cost for when it matters). Below 1/16
+    // cost; `sweep_opencost` shows when it matters). Below 1/16
     // scale a file's one open and one close are small next to where a
     // level's regions fall on the stripes, which moves a write by up to
     // 2 % either way: there two levels within 2 % tie. From 1/16 up the

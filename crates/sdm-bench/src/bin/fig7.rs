@@ -8,14 +8,15 @@
 use std::sync::Arc;
 
 use sdm_apps::rt::{run_original, run_sdm};
-use sdm_apps::RtWorkload;
-use sdm_bench::{aggregate, fresh_world, print_bw_row, print_header, HarnessArgs};
+use sdm_apps::{PhaseReport, RtWorkload};
+use sdm_bench::{fresh_world, print_bw_row, print_header, HarnessArgs};
 use sdm_core::OrgLevel;
 use sdm_mpi::World;
+use sdm_sim::MachineConfig;
 
 fn main() {
     let args = HarnessArgs::from_env();
-    let cfg = args.machine_config();
+    let cfg = MachineConfig::origin2000();
     let proc_counts = match args.procs {
         Some(p) => vec![p],
         None => vec![32, 64],
@@ -39,7 +40,7 @@ fn main() {
 
         // Original (serialized writes).
         let (pfs, _db) = fresh_world(&cfg);
-        let orig = aggregate(World::run(procs, cfg.clone(), {
+        let orig = PhaseReport::reduce_max(&World::run(procs, cfg.clone(), {
             let (pfs, w) = (Arc::clone(&pfs), w.clone());
             move |c| run_original(c, &pfs, &w).unwrap()
         }));
@@ -53,7 +54,7 @@ fn main() {
             ("Level 2/3", OrgLevel::Level2),
         ] {
             let (pfs, store) = fresh_world(&cfg);
-            let rep = aggregate(World::run(procs, cfg.clone(), {
+            let rep = PhaseReport::reduce_max(&World::run(procs, cfg.clone(), {
                 let (pfs, store, w) = (Arc::clone(&pfs), Arc::clone(&store), w.clone());
                 move |c| run_sdm(c, &pfs, &store, &w, org).unwrap()
             }));

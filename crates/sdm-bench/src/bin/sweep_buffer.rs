@@ -6,14 +6,15 @@
 use std::sync::Arc;
 
 use sdm_apps::rt::run_sdm;
-use sdm_apps::RtWorkload;
-use sdm_bench::{aggregate, fresh_world, print_header, HarnessArgs};
+use sdm_apps::{PhaseReport, RtWorkload};
+use sdm_bench::{fresh_world, print_header, HarnessArgs};
 use sdm_core::OrgLevel;
 use sdm_mpi::World;
+use sdm_sim::MachineConfig;
 
 fn main() {
     let args = HarnessArgs::from_env();
-    let cfg = args.machine_config();
+    let cfg = MachineConfig::origin2000();
     print_header(
         "Ablation A2: per-process buffer size vs write bandwidth",
         &cfg,
@@ -26,7 +27,7 @@ fn main() {
         let w = RtWorkload::new(args.rt_nodes(), procs, args.seed);
         let per_proc = w.step_bytes() as f64 / procs as f64 / 1e6;
         let (pfs, store) = fresh_world(&cfg);
-        let rep = aggregate(World::run(procs, cfg.clone(), {
+        let rep = PhaseReport::reduce_max(&World::run(procs, cfg.clone(), {
             let (pfs, store, w) = (Arc::clone(&pfs), Arc::clone(&store), w.clone());
             move |c| run_sdm(c, &pfs, &store, &w, OrgLevel::Level2).unwrap()
         }));

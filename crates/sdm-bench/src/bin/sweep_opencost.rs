@@ -8,18 +8,19 @@
 use std::sync::Arc;
 
 use sdm_apps::fun3d::{run_sdm, Fun3dOptions};
-use sdm_apps::Fun3dWorkload;
-use sdm_bench::{aggregate, print_header, HarnessArgs};
+use sdm_apps::{Fun3dWorkload, PhaseReport};
+use sdm_bench::{print_header, HarnessArgs};
 use sdm_core::store;
 use sdm_core::OrgLevel;
 use sdm_mpi::World;
 use sdm_pfs::Pfs;
+use sdm_sim::MachineConfig;
 
 fn main() {
     let args = HarnessArgs::from_env();
     let procs = args.procs.unwrap_or(16);
     let w = Fun3dWorkload::new(args.fun3d_nodes() / 4, procs, args.seed);
-    let base = args.machine_config();
+    let base = MachineConfig::origin2000();
     print_header(
         "Ablation A5: open-cost sensitivity of Level 1 vs 3",
         &base,
@@ -41,7 +42,7 @@ fn main() {
             let pfs = Pfs::new(cfg.clone());
             let store = store::in_memory();
             w.stage(&pfs).unwrap();
-            let rep = aggregate(World::run(procs, cfg.clone(), {
+            let rep = PhaseReport::reduce_max(&World::run(procs, cfg.clone(), {
                 let (pfs, store, w) = (Arc::clone(&pfs), Arc::clone(&store), w.clone());
                 move |c| {
                     let opts = Fun3dOptions {

@@ -2,28 +2,16 @@
 //!
 //! Each `src/bin/figN.rs` binary regenerates one figure of the paper's
 //! evaluation; this library holds the common plumbing: argument parsing,
-//! world setup, report aggregation, and table printing.
+//! world setup and table printing.
 
 use std::sync::Arc;
 
-use sdm_apps::PhaseReport;
 use sdm_core::{store, SharedStore};
 use sdm_pfs::Pfs;
 use sdm_sim::MachineConfig;
 
 /// The flags every figure, ablation and sweep bin accepts.
-pub const USAGE: &str =
-    "[--scale S] [--procs N] [--machine origin2000|high-open-cost|test-tiny] [--seed N]";
-
-/// The machine preset named `name`, if there is one.
-fn preset(name: &str) -> Option<MachineConfig> {
-    match name {
-        "origin2000" => Some(MachineConfig::origin2000()),
-        "high-open-cost" => Some(MachineConfig::high_open_cost()),
-        "test-tiny" => Some(MachineConfig::test_tiny()),
-        _ => None,
-    }
-}
+pub const USAGE: &str = "[--scale S] [--procs N] [--seed N]";
 
 /// Common harness arguments (parsed from `--key value` pairs).
 #[derive(Debug, Clone)]
@@ -32,9 +20,6 @@ pub struct HarnessArgs {
     pub scale: f64,
     /// Process count override (paper defaults per figure otherwise).
     pub procs: Option<usize>,
-    /// Machine preset: "origin2000" (default), "high-open-cost" or
-    /// "test-tiny".
-    pub machine: String,
     /// RNG seed.
     pub seed: u64,
 }
@@ -44,7 +29,6 @@ impl Default for HarnessArgs {
         Self {
             scale: 1.0 / 32.0,
             procs: None,
-            machine: "origin2000".into(),
             seed: 20010220,
         }
     }
@@ -53,16 +37,12 @@ impl Default for HarnessArgs {
 impl HarnessArgs {
     /// Parse from `std::env::args`-style strings (program name
     /// skipped). Rejects an unknown flag, a missing or unparsable value,
-    /// a `--scale` that is not a positive finite number, `--procs 0`
-    /// and an unknown machine name, so a typo never runs the default
-    /// experiment instead.
+    /// a `--scale` that is not a positive finite number and `--procs 0`,
+    /// so a typo never runs the default experiment instead.
     pub fn parse(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
         let mut out = Self::default();
         while let Some(flag) = args.next() {
-            if !matches!(
-                flag.as_str(),
-                "--scale" | "--procs" | "--machine" | "--seed"
-            ) {
+            if !matches!(flag.as_str(), "--scale" | "--procs" | "--seed") {
                 return Err(format!("unknown argument `{flag}`"));
             }
             let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
@@ -77,12 +57,6 @@ impl HarnessArgs {
                 }
                 "--procs" => {
                     out.procs = Some(value.parse().ok().filter(|&p| p > 0).ok_or_else(bad)?);
-                }
-                "--machine" => {
-                    if preset(&value).is_none() {
-                        return Err(bad());
-                    }
-                    out.machine = value;
                 }
                 _ => out.seed = value.parse().map_err(|_| bad())?,
             }
@@ -102,12 +76,6 @@ impl HarnessArgs {
         })
     }
 
-    /// Resolve the machine preset ([`HarnessArgs::parse`] admits only
-    /// known names; anything else resolves to `origin2000`).
-    pub fn machine_config(&self) -> MachineConfig {
-        preset(&self.machine).unwrap_or_else(MachineConfig::origin2000)
-    }
-
     /// Paper-scale FUN3D node count times `scale`.
     pub fn fun3d_nodes(&self) -> usize {
         ((2_200_000.0 * self.scale) as usize).max(200)
@@ -123,11 +91,6 @@ impl HarnessArgs {
 /// the default stack: a per-timestep batching cache over typed SQL.
 pub fn fresh_world(cfg: &MachineConfig) -> (Arc<Pfs>, SharedStore) {
     (Pfs::new(cfg.clone()), store::in_memory())
-}
-
-/// Aggregate per-rank reports to the figure's bar values (max over ranks).
-pub fn aggregate(reports: Vec<PhaseReport>) -> PhaseReport {
-    PhaseReport::reduce_max(&reports)
 }
 
 /// Print a figure table header.
@@ -167,25 +130,14 @@ mod tests {
         assert_eq!(a.procs, None);
         assert!((a.scale - 1.0 / 32.0).abs() < 1e-12);
         let b = HarnessArgs::parse(
-            [
-                "--scale",
-                "0.5",
-                "--procs",
-                "16",
-                "--machine",
-                "high-open-cost",
-                "--seed",
-                "9",
-            ]
-            .iter()
-            .map(|s| s.to_string()),
+            ["--scale", "0.5", "--procs", "16", "--seed", "9"]
+                .iter()
+                .map(|s| s.to_string()),
         )
         .unwrap();
         assert_eq!(b.scale, 0.5);
         assert_eq!(b.procs, Some(16));
-        assert_eq!(b.machine, "high-open-cost");
         assert_eq!(b.seed, 9);
-        assert!(b.machine_config().io.open_cost > 0.1);
     }
 
     #[test]
@@ -202,15 +154,11 @@ mod tests {
             &["--scale", "NaN"],
             &["--procs", "0"],
             &["--procs", "many"],
-            &["--machine", "origin3000"],
+            &["--machine", "origin2000"],
             &["--seed", "x"],
         ] {
             assert!(parse(argv).is_err(), "accepted {argv:?}");
         }
-        assert_eq!(
-            parse(&["--machine", "test-tiny"]).unwrap().machine,
-            "test-tiny"
-        );
     }
 
     #[test]

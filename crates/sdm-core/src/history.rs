@@ -37,7 +37,7 @@ use sdm_mpi::Comm;
 
 use crate::error::{SdmError, SdmResult};
 use crate::partition_api::PartitionedIndex;
-use crate::sdm::{MetaReply, Sdm};
+use crate::sdm::{MetaReply, Sdm, DIMENSION};
 use crate::store::{HistoryBlock, MetadataStore};
 
 const MAGIC: u64 = 0x5344_4D48_4953_5432; // "SDMHIST2"
@@ -287,12 +287,7 @@ impl Sdm {
             ],
         )?;
         self.metadata_call(comm, |store| {
-            store.record_index_registry(
-                problem_size as i64,
-                nprocs as i64,
-                self.cfg.dimension,
-                &name,
-            )?;
+            store.record_index_registry(problem_size as i64, nprocs as i64, DIMENSION, &name)?;
             for (rank, m) in metas.iter().flatten().enumerate() {
                 store.record_history_block(
                     problem_size as i64,

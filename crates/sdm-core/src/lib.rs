@@ -44,7 +44,6 @@ pub mod dataset;
 pub mod error;
 pub mod history;
 pub mod import;
-pub mod memory;
 pub mod org;
 pub mod partition_api;
 pub mod schema;

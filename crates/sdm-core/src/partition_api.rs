@@ -33,7 +33,6 @@ use sdm_mpi::pod::as_bytes;
 use sdm_mpi::Comm;
 
 use crate::error::{SdmError, SdmResult};
-use crate::memory::DoublingBuf;
 use crate::sdm::{GroupHandle, Sdm};
 
 /// `slot_owned` entry of a ghost slot. Also the table's "not local" mark
@@ -315,11 +314,15 @@ fn ne_i32s(bytes: &[u8]) -> impl ExactSizeIterator<Item = i32> + '_ {
         .map(|c| i32::from_ne_bytes([c[0], c[1], c[2], c[3]]))
 }
 
-/// The edges a rank keeps while the chunks pass: doubling buffers filled
-/// in a single pass (the paper's realloc trick — no counting pre-pass).
+/// Initial capacity, in edges, of each list a rank keeps in the ring.
+const KEPT_INITIAL_CAPACITY: usize = 1024;
+
+/// The edges a rank keeps while the chunks pass, filled in a single pass:
+/// the paper's realloc trick, with no counting pre-pass. A `Vec` doubles
+/// its allocation when full, as the paper's buffers do.
 struct Kept {
-    ids: DoublingBuf<u64>,
-    nodes: DoublingBuf<(u32, u32)>,
+    ids: Vec<u64>,
+    nodes: Vec<(u32, u32)>,
 }
 
 impl Sdm {
@@ -404,8 +407,8 @@ impl Sdm {
         let right = (comm.rank() + 1) % p;
         let left = (comm.rank() + p - 1) % p;
         let mut kept = Kept {
-            ids: DoublingBuf::with_initial_capacity(self.cfg.initial_buf_capacity),
-            nodes: DoublingBuf::with_initial_capacity(self.cfg.initial_buf_capacity),
+            ids: Vec::with_capacity(KEPT_INITIAL_CAPACITY),
+            nodes: Vec::with_capacity(KEPT_INITIAL_CAPACITY),
         };
 
         // "the edges in each process are moved to the next process
@@ -429,12 +432,10 @@ impl Sdm {
         }
 
         // Sort my edges by global id (ring arrival order is rotated).
-        let kept_ids = kept.ids.into_vec();
-        let kept_nodes = kept.nodes.into_vec();
-        let mut order: Vec<u32> = (0..kept_ids.len() as u32).collect();
-        order.sort_unstable_by_key(|&k| kept_ids[k as usize]);
-        let edge_ids: Vec<u64> = order.iter().map(|&k| kept_ids[k as usize]).collect();
-        let edge_nodes: Vec<(u32, u32)> = order.iter().map(|&k| kept_nodes[k as usize]).collect();
+        let mut order: Vec<u32> = (0..kept.ids.len() as u32).collect();
+        order.sort_unstable_by_key(|&k| kept.ids[k as usize]);
+        let edge_ids: Vec<u64> = order.iter().map(|&k| kept.ids[k as usize]).collect();
+        let edge_nodes: Vec<(u32, u32)> = order.iter().map(|&k| kept.nodes[k as usize]).collect();
 
         // Owned and ghost nodes and the local numbering; the pass over
         // the partitioning vector is `partition_table`'s.

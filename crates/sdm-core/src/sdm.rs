@@ -38,25 +38,20 @@ pub struct SdmConfig {
     /// (one pass). The original FUN3D import pays this twice per edge
     /// (count pass + read pass); SDM pays it once.
     pub per_edge_scan_cost: f64,
-    /// Initial capacity of the doubling receive buffers.
-    pub initial_buf_capacity: usize,
-    /// Date recorded in `run_table` (year, month, day).
-    pub run_date: (i64, i64, i64),
-    /// Time recorded in `run_table` (hour, minute).
-    pub run_time: (i64, i64),
-    /// Spatial dimension recorded in the metadata.
-    pub dimension: i64,
 }
+
+/// Date recorded in `run_table` (year, month, day): the paper's arXiv date.
+const RUN_DATE: (i64, i64, i64) = (2001, 2, 20);
+/// Time recorded in `run_table` (hour, minute).
+const RUN_TIME: (i64, i64) = (12, 0);
+/// Spatial dimension recorded in `run_table` and `index_table`.
+pub(crate) const DIMENSION: i64 = 3;
 
 impl Default for SdmConfig {
     fn default() -> Self {
         Self {
             org: OrgLevel::Level2,
             per_edge_scan_cost: 100e-9,
-            initial_buf_capacity: 1024,
-            run_date: (2001, 2, 20), // the paper's arXiv date
-            run_time: (12, 0),
-            dimension: 3,
         }
     }
 }
@@ -382,11 +377,11 @@ impl Sdm {
                 store.record_run(&RunRecord {
                     runid: self.runid,
                     application: self.app.clone(),
-                    dimension: self.cfg.dimension,
+                    dimension: DIMENSION,
                     problem_size: datasets[0].global_size as i64,
                     num_timesteps: 0,
-                    date: self.cfg.run_date,
-                    time: self.cfg.run_time,
+                    date: RUN_DATE,
+                    time: RUN_TIME,
                 })?;
             }
             for d in &datasets {

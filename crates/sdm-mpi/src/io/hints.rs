@@ -21,9 +21,6 @@ pub struct Hints {
     /// cycle and double up to that (see `twophase`), so this also bounds
     /// how far a collective's requests grow.
     pub cb_buffer_size: usize,
-    /// Maximum covering-extent size for independent data sieving
-    /// (`ind_rd_buffer_size`/`ind_wr_buffer_size` folded into one knob).
-    pub sieve_buffer_size: usize,
     /// Minimum useful-byte fraction of a sieved extent; below this the
     /// runtime reads segments individually instead.
     pub sieve_min_density: f64,
@@ -34,7 +31,6 @@ impl Default for Hints {
         Self {
             cb_nodes: None,
             cb_buffer_size: 16 << 20, // ROMIO default: 16 MB
-            sieve_buffer_size: 4 << 20,
             sieve_min_density: 0.25,
         }
     }

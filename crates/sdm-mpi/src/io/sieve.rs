@@ -13,6 +13,10 @@ use sdm_sim::Seconds;
 
 use crate::io::hints::Hints;
 
+/// Largest covering extent one sieved access reads or writes: ROMIO's
+/// `ind_rd_buffer_size` and `ind_wr_buffer_size`, folded into one.
+const SIEVE_BUFFER_SIZE: u64 = 4 << 20;
+
 /// Group consecutive segments so each group's covering extent fits the
 /// sieve buffer. Returns index ranges into `segs`.
 fn group_by_extent(segs: &[(u64, u64)], max_extent: u64) -> Vec<std::ops::Range<usize>> {
@@ -70,7 +74,7 @@ pub fn sieved_read(
     );
     let mut t = now;
     let mut cursor = 0usize;
-    for range in group_by_extent(segs, hints.sieve_buffer_size as u64) {
+    for range in group_by_extent(segs, SIEVE_BUFFER_SIZE) {
         let group = &segs[range];
         let useful: usize = group.iter().map(|&(_, l)| l as usize).sum();
         if let Some((lo, hi)) = sieve_extent(group, hints) {
@@ -116,7 +120,7 @@ pub fn sieved_write(
     );
     let mut t = now;
     let mut cursor = 0usize;
-    for range in group_by_extent(segs, hints.sieve_buffer_size as u64) {
+    for range in group_by_extent(segs, SIEVE_BUFFER_SIZE) {
         let group = &segs[range];
         if let Some((lo, hi)) = sieve_extent(group, hints) {
             let mut staging = vec![0u8; (hi - lo) as usize];

@@ -369,7 +369,7 @@ mod tests {
 
     #[test]
     fn lookup_shares_the_image_and_costs_nothing() {
-        let fs = Pfs::new(MachineConfig::high_open_cost());
+        let fs = Pfs::new(MachineConfig::origin2000());
         assert!(matches!(fs.lookup("l.dat"), Err(PfsError::NotFound(_))));
         let (f, t) = fs.open_or_create("l.dat", 0.0).unwrap();
         let g = fs.lookup("l.dat").unwrap();
@@ -551,7 +551,7 @@ mod tests {
 
     #[test]
     fn serialized_opens_queue_at_metadata_service() {
-        let cfg = MachineConfig::high_open_cost();
+        let cfg = MachineConfig::origin2000();
         let open_cost = cfg.io.open_cost;
         let fs = Pfs::new(cfg);
         let (_, t1) = fs.open_or_create("f1", 0.0).unwrap();

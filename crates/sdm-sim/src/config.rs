@@ -77,19 +77,6 @@ impl MachineConfig {
         )
     }
 
-    /// Variant with expensive open/view operations. Used by the A5
-    /// ablation to show when the Level 1/2/3 distinction matters — the
-    /// paper: "if a file system has high file-open and file-close costs
-    /// ... SDM can generate a very small number of files".
-    pub fn high_open_cost() -> Self {
-        let mut c = Self::origin2000();
-        c.name = "high-open-cost".into();
-        c.io.open_cost = 0.5;
-        c.io.close_cost = 0.25;
-        c.io.view_cost = 0.1;
-        c
-    }
-
     /// Tiny, fast config for unit tests: negligible latencies so tests
     /// exercise data paths without accumulating meaningful virtual time.
     pub fn test_tiny() -> Self {
@@ -141,14 +128,6 @@ mod tests {
         );
         assert_eq!(c.io_servers, 10, "paper: 10 Fibre Channel controllers");
         assert!(c.io.open_cost < 10e-3, "paper: low open cost on XFS");
-    }
-
-    #[test]
-    fn high_open_cost_is_higher() {
-        assert!(
-            MachineConfig::high_open_cost().io.open_cost
-                > MachineConfig::origin2000().io.open_cost * 100.0
-        );
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! Integration: the FUN3D start-up path at the `Sdm` level — the ring,
 //! the history replay and the sequential reference hand back the same
-//! `PartitionedIndex` (numbering included), and a replay talks to the
-//! database twice whatever the process count.
+//! `PartitionedIndex` (numbering included), a replay talks to the
+//! database twice whatever the process count, and the run and registry
+//! rows carry SDM's fixed date, time and dimension.
 
 use std::sync::Arc;
 
 use sdm::apps::Fun3dWorkload;
-use sdm::core::schema::{IndexHistoryCol, IndexHistoryRow};
+use sdm::core::schema::{IndexCol, IndexHistoryCol, IndexHistoryRow, IndexRow, RunCol, RunRow};
 use sdm::core::{CachedStore, ImportDesc, MetadataStore, PartitionedIndex, Sdm, SdmConfig};
-use sdm::metadb::stmt::{Delete, TypedColumn};
-use sdm::metadb::Database;
+use sdm::metadb::stmt::{Delete, Query, TypedColumn};
+use sdm::metadb::{Database, Value};
 use sdm::mpi::{Comm, World};
 use sdm::pfs::Pfs;
 use sdm::sim::MachineConfig;
@@ -151,4 +152,39 @@ fn one_missing_block_row_sends_every_rank_to_the_fresh_path() {
     let key = (site.w.mesh.num_edges() as i64, 3);
     assert_eq!(store.lookup_index_registry(key.0, key.1).unwrap(), None);
     assert_eq!(store.lookup_history_blocks(key.0, key.1).unwrap(), []);
+}
+
+#[test]
+fn run_and_registry_rows_record_the_fixed_date_time_and_dimension() {
+    let site = Site::new(2);
+    site.distribute_and_register();
+    let run = site
+        .db
+        .exec_stmt(
+            &Query::<RunRow>::filter(RunCol::Application.eq("startup"))
+                .select(&[
+                    RunCol::Dimension,
+                    RunCol::Year,
+                    RunCol::Month,
+                    RunCol::Day,
+                    RunCol::Hour,
+                    RunCol::Min,
+                ])
+                .compile(),
+            &[],
+        )
+        .unwrap();
+    let ints = |xs: &[i64]| xs.iter().map(|&x| Value::Int(x)).collect::<Vec<_>>();
+    // Three dimensions, on the paper's arXiv date at noon.
+    assert_eq!(run.rows, vec![ints(&[3, 2001, 2, 20, 12, 0])]);
+    let registry = site
+        .db
+        .exec_stmt(
+            &Query::<IndexRow>::all()
+                .select(&[IndexCol::Dimension])
+                .compile(),
+            &[],
+        )
+        .unwrap();
+    assert_eq!(registry.rows, vec![ints(&[3])]);
 }
