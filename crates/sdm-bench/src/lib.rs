@@ -4,6 +4,8 @@
 //! evaluation; this library holds the common plumbing: argument parsing,
 //! world setup and table printing.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::sync::Arc;
 
 use sdm_core::{store, SharedStore};

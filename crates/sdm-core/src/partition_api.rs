@@ -27,6 +27,16 @@
 //! endianness, 8 bytes per edge. A rank sends a chunk on *before* it
 //! scans it and scans the received bytes where they lie, so the transfer
 //! to the next rank runs under the scan.
+//!
+//! **Id order.** A chunk's kept edges come out of its scan in ascending
+//! id, so a rank's kept edges are one ascending run per chunk. After the
+//! ring the runs are ordered by their chunks' start ids (a sort of p
+//! items) and appended in that order: no comparison sort of the edges.
+//! Before that every rank checks, on the full list of p chunks it has
+//! seen, that their id ranges are disjoint, so overlapping chunks are
+//! the same `Usage` error on every rank.
+
+use std::ops::Range;
 
 use sdm_mpi::envelope::tags;
 use sdm_mpi::pod::as_bytes;
@@ -323,6 +333,37 @@ const KEPT_INITIAL_CAPACITY: usize = 1024;
 struct Kept {
     ids: Vec<u64>,
     nodes: Vec<(u32, u32)>,
+    /// Per chunk scanned, in arrival order: its edge ids and the
+    /// positions of its kept edges in `ids` and `nodes`.
+    runs: Vec<(Range<u64>, Range<usize>)>,
+}
+
+impl Kept {
+    /// Put the kept edges in ascending id. Each chunk's kept edges ascend
+    /// already, so ordering the chunks by start id (p items) and
+    /// appending their runs in that order sorts them all. `Usage` when
+    /// two chunks' id ranges overlap: every chunk passes every rank, so
+    /// every rank finds the same overlap and returns the same error.
+    fn order_by_id(&mut self) -> SdmResult<()> {
+        let mut runs = std::mem::take(&mut self.runs);
+        runs.retain(|(ids, _)| !ids.is_empty());
+        runs.sort_unstable_by_key(|(ids, _)| (ids.start, ids.end));
+        if let Some(w) = runs.windows(2).find(|w| w[0].0.end > w[1].0.start) {
+            return Err(SdmError::Usage(format!(
+                "ring chunks of edge ids {:?} and {:?} overlap",
+                w[0].0, w[1].0
+            )));
+        }
+        let mut ids = Vec::with_capacity(self.ids.len());
+        let mut nodes = Vec::with_capacity(self.nodes.len());
+        for (_, kept) in runs {
+            ids.extend_from_slice(&self.ids[kept.clone()]);
+            nodes.extend_from_slice(&self.nodes[kept]);
+        }
+        self.ids = ids;
+        self.nodes = nodes;
+        Ok(())
+    }
 }
 
 impl Sdm {
@@ -358,6 +399,7 @@ impl Sdm {
     ) -> SdmResult<()> {
         let me = comm.rank() as u32;
         let n = edges.len();
+        let first = kept.ids.len();
         for (id, (a, b)) in (start_id..).zip(edges) {
             // A negative endpoint wraps far out of range.
             let owners = (
@@ -375,6 +417,9 @@ impl Sdm {
                 kept.nodes.push((a as u32, b as u32));
             }
         }
+        // The caller checked that `start_id + n` fits.
+        kept.runs
+            .push((start_id..start_id + n as u64, first..kept.ids.len()));
         comm.compute(n as f64 * self.cfg.per_edge_scan_cost);
         Ok(())
     }
@@ -409,6 +454,7 @@ impl Sdm {
         let mut kept = Kept {
             ids: Vec::with_capacity(KEPT_INITIAL_CAPACITY),
             nodes: Vec::with_capacity(KEPT_INITIAL_CAPACITY),
+            runs: Vec::with_capacity(p),
         };
 
         // "the edges in each process are moved to the next process
@@ -431,19 +477,15 @@ impl Sdm {
             self.scan_chunk(comm, partitioning_vector, chunk_start, passing, &mut kept)?;
         }
 
-        // Sort my edges by global id (ring arrival order is rotated).
-        let mut order: Vec<u32> = (0..kept.ids.len() as u32).collect();
-        order.sort_unstable_by_key(|&k| kept.ids[k as usize]);
-        let edge_ids: Vec<u64> = order.iter().map(|&k| kept.ids[k as usize]).collect();
-        let edge_nodes: Vec<(u32, u32)> = order.iter().map(|&k| kept.nodes[k as usize]).collect();
+        kept.order_by_id()?;
 
         // Owned and ghost nodes and the local numbering; the pass over
         // the partitioning vector is `partition_table`'s.
         let pi = PartitionedIndex::from_edges(
             partitioning_vector,
             comm.rank() as u32,
-            edge_ids,
-            edge_nodes,
+            kept.ids,
+            kept.nodes,
         )?;
         comm.compute(self.partition_table_cost(partitioning_vector));
         comm.counters().incr("sdm.index_distributions");
@@ -507,6 +549,9 @@ impl Sdm {
 
 #[cfg(test)]
 pub(crate) mod tests {
+    use std::sync::mpsc::{self, RecvTimeoutError};
+    use std::time::Duration;
+
     use proptest::prelude::*;
     use sdm_mpi::World;
     use sdm_pfs::Pfs;
@@ -724,6 +769,103 @@ pub(crate) mod tests {
         let sent = out[0].1;
         assert!(out.iter().all(|o| o.1 == sent));
         (out.into_iter().map(|o| o.0).collect(), sent)
+    }
+
+    /// Run the ring on one rank per entry of `chunks`: rank r passes the
+    /// edges `chunks[r].1` of `e1`/`e2` with first id `chunks[r].0`.
+    /// Under a 20 s watchdog, not joined on a timeout: a rank left
+    /// waiting fails the test instead of hanging it.
+    fn ring_with_watchdog(
+        pv: Vec<u32>,
+        e1: Vec<i32>,
+        e2: Vec<i32>,
+        chunks: Vec<(u64, Range<usize>)>,
+    ) -> Vec<SdmResult<PartitionedIndex>> {
+        let (tx, rx) = mpsc::channel();
+        let world = std::thread::spawn(move || {
+            let cfg = MachineConfig::test_tiny();
+            let pfs = Pfs::new(cfg.clone());
+            let store = crate::store::in_memory();
+            let out = World::run(chunks.len(), cfg, |c| {
+                let sdm = Sdm::initialize_with(c, &pfs, &store, "ring", SdmConfig::default())?;
+                let (start, ref mine) = chunks[c.rank()];
+                let (e1, e2) = (&e1[mine.clone()], &e2[mine.clone()]);
+                sdm.partition_index_fresh(c, &pv, start, e1, e2)
+            });
+            let _ = tx.send(out);
+        });
+        match rx.recv_timeout(Duration::from_secs(20)) {
+            Ok(out) => out,
+            Err(RecvTimeoutError::Timeout) => panic!("ranks still waiting after 20 s"),
+            Err(RecvTimeoutError::Disconnected) => match world.join() {
+                Err(panic) => std::panic::resume_unwind(panic),
+                Ok(()) => unreachable!("the world thread sends before it ends"),
+            },
+        }
+    }
+
+    /// Chunks of uneven length, and empty chunks where there are fewer
+    /// edges than ranks, in rank order and reversed (rank r importing
+    /// the chunk of rank p - 1 - r), and every edge on rank 0: every
+    /// rank's ring result is the sequential reference.
+    #[test]
+    fn ring_matches_the_reference_with_uneven_and_empty_chunks() {
+        for p in 1..=8usize {
+            for total in [5 * p + 3, p - 1] {
+                let nodes = 3 * p + 2;
+                let pv: Vec<u32> = (0..nodes).map(|n| ((n * 7 + n / 3) % p) as u32).collect();
+                let e1: Vec<i32> = (0..total).map(|k| ((k * 5 + 1) % nodes) as i32).collect();
+                let e2: Vec<i32> = (0..total).map(|k| ((k * 11 + 4) % nodes) as i32).collect();
+                let block: Vec<_> = (0..p)
+                    .map(|r| {
+                        let range = r * total / p..(r + 1) * total / p;
+                        (range.start as u64, range)
+                    })
+                    .collect();
+                let reversed = block.iter().rev().cloned().collect();
+                // An empty chunk's start id is arbitrary: here it lies
+                // inside rank 0's range, which is no overlap.
+                let on_rank_0 = (0..p)
+                    .map(|r| if r == 0 { (0, 0..total) } else { (1, 0..0) })
+                    .collect();
+                for (layout, chunks) in [
+                    ("block", block),
+                    ("reversed", reversed),
+                    ("rank 0", on_rank_0),
+                ] {
+                    let out = ring_with_watchdog(pv.clone(), e1.clone(), e2.clone(), chunks);
+                    for (rank, pi) in out.into_iter().enumerate() {
+                        let want = Sdm::partition_index_reference(&pv, &e1, &e2, rank as u32);
+                        assert_eq!(
+                            pi.unwrap(),
+                            want,
+                            "p={p} total={total} {layout} rank {rank}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Rank 2 passes rank 1's start id: every rank, not only those that
+    /// keep an edge of both chunks, returns the same `Usage` error, and
+    /// none is left waiting.
+    #[test]
+    fn overlapping_chunks_fail_every_rank_alike() {
+        let pv = vec![0u32, 1, 2, 0, 1, 2];
+        let e1: Vec<i32> = vec![0, 1, 2, 3, 4, 5, 0, 1, 2];
+        let e2: Vec<i32> = vec![3, 4, 5, 0, 1, 2, 1, 2, 0];
+        let chunks = vec![(0, 0..3), (3, 3..6), (3, 6..9)];
+        let out = ring_with_watchdog(pv, e1, e2, chunks);
+        let errors: Vec<String> = out
+            .into_iter()
+            .map(|r| match r {
+                Err(SdmError::Usage(m)) => m,
+                other => panic!("expected a Usage error, got {other:?}"),
+            })
+            .collect();
+        assert!(errors.iter().all(|m| *m == errors[0]), "{errors:?}");
+        assert!(errors[0].contains("overlap"), "{}", errors[0]);
     }
 
     #[test]

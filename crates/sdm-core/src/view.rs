@@ -8,10 +8,13 @@
 //! element order stays intact while the file sees globally ordered data.
 //!
 //! [`DataView::compile`] lowers the ascending indices straight to byte
-//! segments in one pass, coalescing neighbours as it goes: there is no
-//! datatype tree to build and flatten. A map that is already strictly
-//! ascending — what a partition's owned-element list is — skips the
-//! sort, and its permutations are plain copies.
+//! segments, one per run of consecutive indices: there is no datatype
+//! tree to build and flatten. It finds each run's end by galloping, so
+//! past one O(n) check that the map ascends, the segments cost
+//! O(runs · log run length) probes rather than a visit to every element.
+//! A map that is already strictly ascending — what a partition's
+//! owned-element list is — skips the sort, and its permutations are
+//! plain copies.
 
 use sdm_mpi::datatype::Flattened;
 
@@ -71,16 +74,8 @@ impl DataView {
                 )));
             }
         }
-        let mut segments: Vec<(u64, u64)> = Vec::new();
-        for &g in &sorted_map {
-            let off = g * esize;
-            match segments.last_mut() {
-                Some((start, len)) if *start + *len == off => *len += esize,
-                _ => segments.push((off, esize)),
-            }
-        }
         let ftype = Flattened {
-            segments,
+            segments: run_segments(&sorted_map, esize),
             extent,
             size: sorted_map.len() as u64 * esize,
         };
@@ -176,6 +171,42 @@ impl DataView {
     }
 }
 
+/// The byte segments of strictly ascending indices: one per run of
+/// consecutive indices, found by galloping. In a strictly ascending list
+/// `sorted[j] - sorted[i] >= j - i`, with equality exactly while the run
+/// from `i` continues, so doubling steps find a probe past the run's end
+/// and a binary search between the last two probes finds the end itself:
+/// O(log run length) probes per run (Bentley and Yao, "An almost optimal
+/// algorithm for unbounded searching", IPL 1976).
+fn run_segments(sorted: &[u64], esize: u64) -> Vec<(u64, u64)> {
+    let mut segments = Vec::new();
+    let mut i = 0;
+    while let Some(&first) = sorted.get(i) {
+        let in_run = |j: usize| sorted[j] - first == (j - i) as u64;
+        // `last` is in the run; `past` is out of it or out of the list.
+        let (mut last, mut step) = (i, 1);
+        let mut past = loop {
+            let probe = last + step;
+            if probe >= sorted.len() || !in_run(probe) {
+                break probe.min(sorted.len());
+            }
+            last = probe;
+            step *= 2;
+        };
+        while past - last > 1 {
+            let mid = last + (past - last) / 2;
+            if in_run(mid) {
+                last = mid;
+            } else {
+                past = mid;
+            }
+        }
+        segments.push((first * esize, (last + 1 - i) as u64 * esize));
+        i = last + 1;
+    }
+    segments
+}
+
 #[cfg(test)]
 mod tests {
     use proptest::prelude::*;
@@ -255,6 +286,40 @@ mod tests {
 
     const TYPES: [SdmType; 3] = [SdmType::Double, SdmType::Int32, SdmType::Int64];
 
+    /// The per-element coalescing loop `run_segments` replaced, kept as its
+    /// oracle: visit every index, growing the last segment or starting
+    /// one.
+    fn coalesce_each(sorted: &[u64], esize: u64) -> Vec<(u64, u64)> {
+        let mut segments: Vec<(u64, u64)> = Vec::new();
+        for &g in sorted {
+            let off = g * esize;
+            match segments.last_mut() {
+                Some((start, len)) if *start + *len == off => *len += esize,
+                _ => segments.push((off, esize)),
+            }
+        }
+        segments
+    }
+
+    /// Shuffle in place with a 64-bit LCG.
+    fn shuffle(map: &mut [u64], mut seed: u64) {
+        for i in (1..map.len()).rev() {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            map.swap(i, (seed >> 33) as usize % (i + 1));
+        }
+    }
+
+    /// A run length in 1..=2048: uniform, or one off a power of two.
+    fn run_len() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            1u64..2049,
+            (0u32..12, 0u64..3)
+                .prop_map(|(k, d)| ((1u64 << k) + d).saturating_sub(1).clamp(1, 2048)),
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -266,7 +331,7 @@ mod tests {
             picks in proptest::collection::btree_set(0u64..300, 0..240),
             tail in 0u64..3,
             shuffled in any::<bool>(),
-            mut seed in any::<u64>(),
+            seed in any::<u64>(),
             fault in 0u8..5,
             ty in 0usize..3,
         ) {
@@ -278,14 +343,49 @@ mod tests {
                 _ => {}
             }
             if shuffled {
-                for i in (1..map.len()).rev() {
-                    seed = seed
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    map.swap(i, (seed >> 33) as usize % (i + 1));
-                }
+                shuffle(&mut map, seed);
             }
             check_against_oracle(&map, global_len, TYPES[ty])?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Maps made of runs of consecutive indices, separated by gaps of
+        /// 1..=64, starting at index 0 or not and ending at the array's
+        /// last element or not: galloping finds one segment per run, the
+        /// segments the per-element loop builds, for every element type
+        /// and for the map ascending and shuffled.
+        #[test]
+        fn galloping_finds_every_run(
+            runs in proptest::collection::vec((run_len(), 1u64..65), 1..12),
+            from_zero in any::<bool>(),
+            to_end in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut map = Vec::new();
+            let mut next = 0;
+            for (k, &(len, gap)) in runs.iter().enumerate() {
+                if k > 0 || !from_zero {
+                    next += gap;
+                }
+                map.extend(next..next + len);
+                next += len;
+            }
+            let global_len = if to_end { next } else { next + runs[0].1 };
+            for ty in TYPES {
+                let want = coalesce_each(&map, ty.size());
+                prop_assert_eq!(want.len(), runs.len());
+                for shuffled in [false, true] {
+                    let mut user = map.clone();
+                    if shuffled {
+                        shuffle(&mut user, seed);
+                    }
+                    let v = DataView::compile(&user, global_len, ty).unwrap();
+                    prop_assert_eq!(&v.ftype.segments, &want);
+                }
+            }
         }
     }
 

@@ -3,6 +3,8 @@
 //! iterator: the map/collect pipelines written against rayon compile and
 //! run unchanged, without the thread pool.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 /// Rayon-compatible prelude.
 pub mod prelude {
     /// `IntoParallelIterator` mapped onto plain [`IntoIterator`].
