@@ -99,11 +99,12 @@ pub enum EventKind {
     },
     /// A call.
     Call(CallEv),
-    /// A potential panic site: `.unwrap()`, `.expect("…")`, a panicking
-    /// macro, or slice/map indexing.
+    /// A potential panic site: a panicking macro or slice/map indexing.
+    /// `.unwrap()` and `.expect(…)` are plain calls here: clippy's
+    /// `unwrap_used` and `expect_used` check them.
     Panic {
-        /// Human-readable site description (`.unwrap()`,
-        /// `unreachable!(…)`, `indexing (`buf[…]`)`).
+        /// Human-readable site description (`unreachable!(…)`,
+        /// `indexing (`buf[…]`)`).
         what: String,
         /// Whether this is a plain indexing expression (exemptable per
         /// file: the slot-resolved engine core indexes by construction).
@@ -407,35 +408,18 @@ pub fn walk_body(toks: &[Token], start: usize, end: usize, sink: &mut dyn FnMut(
                             Some(Tok::Punct('.' | ')' | ']'))
                         );
                     let close = matching_paren(toks, i + 1, end);
-                    // `.unwrap()` / `.expect("…")` are panic sites, not
-                    // calls worth edges.
-                    let is_unwrap = method && obj == "unwrap" && close == i + 2;
-                    let is_expect = method
-                        && obj == "expect"
-                        && matches!(toks.get(i + 2).map(|t| &t.tok), Some(Tok::Str(_)));
-                    if is_unwrap || is_expect {
-                        sink(Event {
-                            line: toks[i].line,
-                            held: snapshot(&guards),
-                            kind: EventKind::Panic {
-                                what: format!(".{obj}(…)"),
-                                index: false,
-                            },
-                        });
-                    } else {
-                        sink(Event {
-                            line: toks[i].line,
-                            held: snapshot(&guards),
-                            kind: EventKind::Call(CallEv {
-                                name: obj.clone(),
-                                qual,
-                                method,
-                                recv_self,
-                                arg_acquires: arg_acquisitions(toks, i + 1, close),
-                                callees: Vec::new(),
-                            }),
-                        });
-                    }
+                    sink(Event {
+                        line: toks[i].line,
+                        held: snapshot(&guards),
+                        kind: EventKind::Call(CallEv {
+                            name: obj.clone(),
+                            qual,
+                            method,
+                            recv_self,
+                            arg_acquires: arg_acquisitions(toks, i + 1, close),
+                            callees: Vec::new(),
+                        }),
+                    });
                 }
             }
             _ => {}
@@ -997,7 +981,7 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_and_macros_are_panic_events() {
+    fn macros_and_indexing_are_panic_events() {
         let (_m, cg) = graph(&[(
             "crates/a/src/db.rs",
             "fn f() { x.unwrap(); y.expect(\"m\"); unreachable!(\"arm\"); buf[0]; }",
@@ -1011,14 +995,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(
-            panics,
-            vec![
-                ".unwrap(…)",
-                ".expect(…)",
-                "unreachable!(…)",
-                "indexing (`buf[…]`)"
-            ]
-        );
+        // `.unwrap()` and `.expect("…")` are calls, left to clippy.
+        assert_eq!(panics, vec!["unreachable!(…)", "indexing (`buf[…]`)"]);
     }
 }

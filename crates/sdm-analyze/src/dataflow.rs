@@ -26,16 +26,17 @@
 //! * **path-sensitive `undo-coverage`** — a `&mut Catalog` fn reachable
 //!   from an exec entry point without `Option<&mut UndoLog>` in its own
 //!   signature (the undo thread broke somewhere along the chain);
-//! * **`panic-under-guard`** — a panic site (`.unwrap()`,
-//!   `.expect("…")`, panicking macros, indexing) reachable while the
-//!   `catalog` write guard is held: the panic unwinds mid-mutation and
-//!   leaves a torn catalog for every later reader.
+//! * **`panic-under-guard`** — a panic site (a panicking macro or
+//!   indexing) reachable while the `catalog` write guard is held: the
+//!   panic unwinds mid-mutation and leaves a torn catalog for every
+//!   later reader. `.unwrap()` and `.expect(…)` are clippy's
+//!   `unwrap_used` / `expect_used`, which `sdm-metadb` denies.
 //!
 //! Suppressions compose with the dataflow at the **terminal site**: a
-//! `// analyze:allow(panic-under-guard: …)` (or `unwrap`) on the line
-//! that panics removes the site from every summary, so one justified
-//! terminal quiets every caller — and that exclusion counts as the
-//! directive being *used* for the `unused-allow` rule.
+//! `// analyze:allow(panic-under-guard: …)` on the line that panics
+//! removes the site from every summary, so one justified terminal
+//! quiets every caller — and that exclusion counts as the directive
+//! being *used* for the `unused-allow` rule.
 
 use std::collections::{BTreeMap, HashSet};
 
@@ -46,7 +47,7 @@ use crate::scopes::Model;
 /// Files whose plain indexing is exempt from `panic-under-guard`: the
 /// engine core, where row indexes come from resolving names against the
 /// schema (or from index buckets maintained with the rows) and are
-/// covered by the equivalence proptests. `.unwrap()`/macros in these
+/// covered by the equivalence proptests. Panicking macros in these
 /// files still count.
 pub const INDEX_EXEMPT: &[&str] = &[
     "crates/sdm-metadb/src/eval.rs",
@@ -59,7 +60,7 @@ pub const INDEX_EXEMPT: &[&str] = &[
 #[derive(Debug, Clone)]
 pub struct EffectSrc {
     /// Terminal site description (`catalog.write()`, `fs::write(…)`,
-    /// `.unwrap(…)`).
+    /// `unreachable!(…)`).
     pub what: String,
     /// File index of the terminal site.
     pub file: usize,
@@ -204,10 +205,6 @@ pub fn summarize(
                         allow_use.mark(f.file, model, "panic-under-guard", ev.line);
                         continue;
                     }
-                    if model.allowed("unwrap", ev.line) {
-                        allow_use.mark(f.file, model, "unwrap", ev.line);
-                        continue;
-                    }
                     sums[fi]
                         .panics
                         .entry((f.file, ev.line))
@@ -343,12 +340,7 @@ fn render_chain(
 }
 
 /// Run the interprocedural rules, returning pre-suppression findings.
-pub fn check(
-    cg: &Callgraph,
-    files: &[(String, Model)],
-    sums: &[Summary],
-    allow_use: &mut AllowUse,
-) -> Vec<Finding> {
+pub fn check(cg: &Callgraph, files: &[(String, Model)], sums: &[Summary]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut seen: HashSet<String> = HashSet::new();
 
@@ -385,10 +377,6 @@ pub fn check(
                         continue;
                     }
                     if *index && INDEX_EXEMPT.contains(&path.as_str()) {
-                        continue;
-                    }
-                    if model.allowed("unwrap", ev.line) {
-                        allow_use.mark(f.file, model, "unwrap", ev.line);
                         continue;
                     }
                     findings.push(Finding {
@@ -635,7 +623,7 @@ mod tests {
         let cg = Callgraph::build(&models);
         let mut used = AllowUse::new(&models);
         let sums = summarize(&cg, &models, &mut used);
-        let findings = check(&cg, &models, &sums, &mut used);
+        let findings = check(&cg, &models, &sums);
         (findings, sums, cg)
     }
 
@@ -709,7 +697,7 @@ mod tests {
         let src = "impl Db {\n\
                    fn w(&self) { let c = self.catalog.write(); self.help(); drop(c); }\n\
                    fn r(&self) { let c = self.catalog.read(); self.help(); drop(c); }\n\
-                   fn help(&self) { v.unwrap(); }\n\
+                   fn help(&self) { v[0]; }\n\
                    }";
         let (findings, _s, _cg) = analyze(&[("crates/sdm-sim/src/grid.rs", src)]);
         let f: Vec<_> = findings
@@ -727,13 +715,13 @@ mod tests {
                    fn w(&self) { let c = self.catalog.write(); self.help(); drop(c); }\n\
                    fn help(&self) {\n\
                    // analyze:allow(panic-under-guard: slot bounds-checked by the planner)\n\
-                   v.unwrap(); }\n\
+                   v[slot]; }\n\
                    }";
         let models = vec![("crates/sdm-sim/src/grid.rs".to_string(), Model::build(src))];
         let cg = Callgraph::build(&models);
         let mut used = AllowUse::new(&models);
         let sums = summarize(&cg, &models, &mut used);
-        let findings = check(&cg, &models, &sums, &mut used);
+        let findings = check(&cg, &models, &sums);
         assert!(
             findings.iter().all(|f| f.rule != "panic-under-guard"),
             "{findings:?}"

@@ -431,11 +431,11 @@ mod tests {
 
     #[test]
     fn allow_directives_need_rule_and_reason() {
-        let l = lex("// analyze:allow(unwrap: slot checked above)\n\
-             // analyze:allow(unwrap)\n\
+        let l = lex("// analyze:allow(held-io: slot checked above)\n\
+             // analyze:allow(held-io)\n\
              /* analyze:allow(ladder: fixture) */");
         assert_eq!(l.allows.len(), 2);
-        assert_eq!(l.allows[0].rule, "unwrap");
+        assert_eq!(l.allows[0].rule, "held-io");
         assert_eq!(l.allows[0].line, 1);
         assert_eq!(l.allows[1].rule, "ladder");
         assert_eq!(l.allows[1].line, 3);
@@ -450,10 +450,10 @@ mod tests {
 
     #[test]
     fn doc_comments_are_not_mined_for_allows() {
-        let l = lex("/// justified behind `// analyze:allow(unwrap: why)`\n\
+        let l = lex("/// justified behind `// analyze:allow(held-io: why)`\n\
              //! see analyze:allow(ladder: reasons) for details\n\
-             /** analyze:allow(unwrap: prose) */\n\
-             // analyze:allow(unwrap: the real one)");
+             /** analyze:allow(held-io: prose) */\n\
+             // analyze:allow(held-io: the real one)");
         assert_eq!(l.allows.len(), 1);
         assert_eq!(l.allows[0].line, 4);
         assert_eq!(l.allows[0].reason, "the real one");

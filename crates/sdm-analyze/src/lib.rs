@@ -1,19 +1,19 @@
 //! `sdm-analyze`: the workspace invariant checker.
 //!
 //! A hermetic static-analysis pass over the SDM workspace that enforces
-//! the invariants the compiler cannot see. Per-file rules:
+//! the invariants the compiler cannot see. What clippy can check with
+//! type information is clippy's: `unwrap_used` / `expect_used`, and
+//! `disallowed-methods` for SQL text above `sdm-metadb` (root
+//! `clippy.toml`) and for direct filesystem writes inside it outside
+//! `wal/` (`crates/sdm-metadb/clippy.toml`). Per-file rules:
 //!
 //! * **`ladder`** — the lock-acquisition order documented on
 //!   `Database` (`tx` → `catalog` → `wal_sync` → `wal_buf` → leaf
 //!   mutexes, ranks from `sdm-ranks`), checked per function body with a
 //!   guard-scope model (let bindings, statement temporaries, `if
 //!   let`/`match` scrutinee temporaries, early `drop`s).
-//! * **`sql-layering`** — no raw SQL string literals above
-//!   `sdm-metadb`; higher layers build typed `Stmt` values.
-//! * **`unwrap`** — no `.unwrap()` / `.expect("…")` in non-test library
-//!   code in `sdm-metadb`.
-//! * **`wal-ordering`** — no direct filesystem writes in `sdm-metadb`
-//!   outside `wal/`.
+//! * **`undo-coverage`** — executor fns taking `&mut Catalog` must
+//!   thread `Option<&mut UndoLog>`.
 //!
 //! Interprocedural rules (built on [`callgraph`] + [`dataflow`], each
 //! finding carrying a witness chain):
@@ -23,9 +23,9 @@
 //! * **`held-io`** — blocking I/O reachable while the catalog or a leaf
 //!   lock is held (the WAL group-commit leader path is the sanctioned
 //!   exception).
-//! * **`undo-coverage`** — intra: executor fns taking `&mut Catalog`
-//!   must thread `Option<&mut UndoLog>`; inter: any such fn reachable
-//!   from an exec entry point without undo threaded the whole way.
+//! * **`undo-coverage`** (cross-function) — any fn taking
+//!   `&mut Catalog` reachable from an exec entry point without undo
+//!   threaded the whole way.
 //! * **`panic-under-guard`** — a panic site reachable while the
 //!   `catalog` write guard is held.
 //! * **`unused-allow`** — a suppression directive that suppressed
@@ -34,9 +34,10 @@
 //! Findings can be suppressed, with a mandatory justification, by
 //! `// analyze:allow(rule-id: reason)` on the same or preceding line;
 //! for the interprocedural rules the directive goes on the *terminal*
-//! site and quiets every caller. The binary writes `ANALYZE.json` (and
-//! optionally SARIF) and exits nonzero when findings survive; CI runs
-//! it in the lint job.
+//! site and quiets every caller. The binary writes `ANALYZE.json` and
+//! exits nonzero when findings survive; CI runs it in the lint job.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod callgraph;
 pub mod dataflow;
@@ -70,7 +71,7 @@ pub fn analyze_sources(files: &[(String, String)]) -> Report {
     let cg = callgraph::Callgraph::build(&models);
     let mut allow_use = dataflow::AllowUse::new(&models);
     let sums = dataflow::summarize(&cg, &models, &mut allow_use);
-    findings.extend(dataflow::check(&cg, &models, &sums, &mut allow_use));
+    findings.extend(dataflow::check(&cg, &models, &sums));
 
     // Suppression pass, tracking which directives earned their keep.
     // (The intra and inter halves of each rule are disjoint by
@@ -206,42 +207,51 @@ fn rel_path(root: &Path, path: &Path) -> String {
 mod tests {
     use super::*;
 
+    /// An executor fn that mutates the catalog without threading undo.
+    const UNDO_BREAK: &str = "fn mutate(c: &mut Catalog) {}";
+
     #[test]
     fn analyze_file_runs_all_rules() {
-        let (findings, _) = analyze_file("crates/sdm-metadb/src/foo.rs", "fn f() { x.unwrap(); }");
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, "unwrap");
+        let src = "impl Db {\n\
+                   fn f(&self) { let s = self.stats.lock(); let c = self.catalog.write(); }\n\
+                   }\n\
+                   fn mutate(c: &mut Catalog) {}";
+        let (findings, _) = analyze_file("crates/sdm-metadb/src/exec.rs", src);
+        let rules: Vec<&str> = findings.iter().map(|f| f.rule.as_str()).collect();
+        assert_eq!(rules, ["ladder", "undo-coverage"]);
     }
 
     #[test]
     fn unused_allow_is_flagged_and_used_allow_is_not() {
-        let stale = "fn f() {\n  // analyze:allow(unwrap: nothing here unwraps)\n  let x = 1;\n}";
-        let (findings, _) = analyze_file("crates/sdm-metadb/src/foo.rs", stale);
+        let stale =
+            "fn f() {\n  // analyze:allow(undo-coverage: nothing here mutates)\n  let x = 1;\n}";
+        let (findings, _) = analyze_file("crates/sdm-metadb/src/exec.rs", stale);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert_eq!(findings[0].rule, "unused-allow");
         assert_eq!(findings[0].line, 2);
 
-        let used = "fn f() {\n  // analyze:allow(unwrap: checked above)\n  x.unwrap();\n}";
-        let (findings, suppressed) = analyze_file("crates/sdm-metadb/src/foo.rs", used);
+        let used = format!("// analyze:allow(undo-coverage: DDL, undone by DROP)\n{UNDO_BREAK}");
+        let (findings, suppressed) = analyze_file("crates/sdm-metadb/src/exec.rs", &used);
         assert!(findings.is_empty(), "{findings:?}");
         assert_eq!(suppressed, 1);
     }
 
     #[test]
     fn unused_allow_skips_test_code() {
-        let src = "#[cfg(test)] mod tests {\n  // analyze:allow(unwrap: fixture)\n  fn t() {}\n}";
-        let (findings, _) = analyze_file("crates/sdm-metadb/src/foo.rs", src);
+        let src =
+            "#[cfg(test)] mod tests {\n  // analyze:allow(undo-coverage: fixture)\n  fn t() {}\n}";
+        let (findings, _) = analyze_file("crates/sdm-metadb/src/exec.rs", src);
         assert!(findings.is_empty(), "{findings:?}");
     }
 
     #[test]
     fn report_carries_allow_sites() {
-        let src = "fn f() {\n  // analyze:allow(unwrap: checked)\n  x.unwrap();\n}";
-        let r = analyze_sources(&[("crates/sdm-metadb/src/foo.rs".into(), src.into())]);
+        let src = format!("// analyze:allow(undo-coverage: checked)\n{UNDO_BREAK}");
+        let r = analyze_sources(&[("crates/sdm-metadb/src/exec.rs".into(), src)]);
         assert_eq!(r.allows.len(), 1);
         assert!(r.allows[0].used);
-        assert_eq!(r.allows[0].rule, "unwrap");
-        assert_eq!(r.rules_checked.len(), 8);
+        assert_eq!(r.allows[0].rule, "undo-coverage");
+        assert_eq!(r.rules_checked.len(), 5);
     }
 
     #[test]

@@ -1,15 +1,16 @@
 //! CLI for the workspace invariant checker.
 //!
 //! ```text
-//! sdm-analyze [--root DIR] [--json FILE] [--sarif FILE]
+//! sdm-analyze [--root DIR] [--json FILE]
 //! ```
 //!
 //! Analyzes the workspace at `--root` (default: current directory),
 //! writes the machine-readable report to `--json` (default:
-//! `<root>/ANALYZE.json`) and optionally a SARIF 2.1.0 log to
-//! `--sarif`, prints each finding (with its witness chain for
-//! interprocedural findings) plus a one-line summary, and exits nonzero
-//! when findings survive suppression.
+//! `<root>/ANALYZE.json`), prints each finding (with its witness chain
+//! for interprocedural findings) plus a one-line summary, and exits
+//! nonzero when findings survive suppression.
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -17,7 +18,6 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let mut root = PathBuf::from(".");
     let mut json: Option<PathBuf> = None;
-    let mut sarif: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -28,10 +28,6 @@ fn main() -> ExitCode {
             "--json" => match args.next() {
                 Some(v) => json = Some(PathBuf::from(v)),
                 None => return usage("--json needs a file path"),
-            },
-            "--sarif" => match args.next() {
-                Some(v) => sarif = Some(PathBuf::from(v)),
-                None => return usage("--sarif needs a file path"),
             },
             other => return usage(&format!("unknown argument `{other}`")),
         }
@@ -53,12 +49,6 @@ fn main() -> ExitCode {
         eprintln!("sdm-analyze: cannot write {}: {e}", json.display());
         return ExitCode::from(2);
     }
-    if let Some(sarif) = &sarif {
-        if let Err(e) = std::fs::write(sarif, report.to_sarif()) {
-            eprintln!("sdm-analyze: cannot write {}: {e}", sarif.display());
-            return ExitCode::from(2);
-        }
-    }
 
     for f in &report.findings {
         println!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
@@ -78,6 +68,6 @@ fn main() -> ExitCode {
 
 fn usage(err: &str) -> ExitCode {
     eprintln!("sdm-analyze: {err}");
-    eprintln!("usage: sdm-analyze [--root DIR] [--json FILE] [--sarif FILE]");
+    eprintln!("usage: sdm-analyze [--root DIR] [--json FILE]");
     ExitCode::from(2)
 }

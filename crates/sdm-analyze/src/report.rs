@@ -1,9 +1,8 @@
-//! Findings and the machine-readable reports (`ANALYZE.json`, SARIF).
+//! Findings and the machine-readable report, `ANALYZE.json`.
 //!
-//! The JSON writers are hand-rolled (the analyzer depends on nothing
-//! outside the workspace); the `ANALYZE.json` schema is flat and stable
-//! so CI can archive and diff it, and [`Report::to_sarif`] emits a
-//! minimal SARIF 2.1.0 log for code-scanning UIs.
+//! The JSON writer is hand-rolled (the analyzer depends on nothing
+//! outside the workspace); the schema is flat and stable so CI can
+//! archive and diff it.
 
 use std::fmt::Write as _;
 
@@ -125,50 +124,6 @@ impl Report {
         out
     }
 
-    /// Serialize to a minimal SARIF 2.1.0 log (one run, one rule entry
-    /// per checked rule, one result per finding; witness chains ride in
-    /// the result message).
-    pub fn to_sarif(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"version\": \"2.1.0\",\n");
-        out.push_str("  \"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\",\n");
-        out.push_str("  \"runs\": [{\n");
-        out.push_str("    \"tool\": {\"driver\": {\"name\": \"sdm-analyze\", \"rules\": [");
-        for (i, r) in self.rules_checked.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{{\"id\": {}}}", json_string(r));
-        }
-        out.push_str("]}},\n");
-        out.push_str("    \"results\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            out.push_str(if i > 0 { ",\n      " } else { "\n      " });
-            let mut text = f.message.clone();
-            if !f.chain.is_empty() {
-                text.push_str(" [witness: ");
-                text.push_str(&f.chain.join(" → "));
-                text.push(']');
-            }
-            let _ = write!(
-                out,
-                "{{\"ruleId\": {}, \"level\": \"error\", \"message\": {{\"text\": {}}}, \
-                 \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": \
-                 {{\"uri\": {}}}, \"region\": {{\"startLine\": {}}}}}}}]}}",
-                json_string(&f.rule),
-                json_string(&text),
-                json_string(&f.file),
-                f.line
-            );
-        }
-        if !self.findings.is_empty() {
-            out.push_str("\n    ");
-        }
-        out.push_str("]\n  }]\n}\n");
-        out
-    }
-
     /// The one-line human summary CI prints.
     pub fn summary(&self) -> String {
         format!(
@@ -219,17 +174,17 @@ mod tests {
             allows: vec![AllowSite {
                 file: "a.rs".into(),
                 line: 2,
-                rule: "unwrap".into(),
+                rule: "panic-under-guard".into(),
                 reason: "checked above".into(),
                 used: true,
             }],
             findings: vec![Finding {
-                rule: "unwrap".into(),
+                rule: "panic-under-guard".into(),
                 file: "a.rs".into(),
                 line: 3,
-                snippet: "x.unwrap();".into(),
+                snippet: "self.help();".into(),
                 message: "no".into(),
-                chain: vec!["f (a.rs:3)".into(), ".unwrap(…) (a.rs:9)".into()],
+                chain: vec!["f (a.rs:3)".into(), "unreachable!(…) (a.rs:9)".into()],
             }],
         }
     }
@@ -249,7 +204,7 @@ mod tests {
         assert!(j.contains("\"rules_checked\": [\"ladder\"]"));
         assert!(j.contains("\"line\": 3"));
         assert!(j.contains("\"used\": true"));
-        assert!(j.contains("\"chain\": [\"f (a.rs:3)\", \".unwrap(…) (a.rs:9)\"]"));
+        assert!(j.contains("\"chain\": [\"f (a.rs:3)\", \"unreachable!(…) (a.rs:9)\"]"));
         assert_eq!(
             r.summary(),
             "analyzed_files=2 analyzed_fns=7 call_edges=11 rules_checked=1 suppressed=1 \
@@ -270,15 +225,5 @@ mod tests {
         };
         assert!(r.to_json().contains("\"findings\": []"));
         assert!(r.to_json().contains("\"allows\": []"));
-    }
-
-    #[test]
-    fn sarif_carries_rule_location_and_witness() {
-        let s = sample().to_sarif();
-        assert!(s.contains("\"version\": \"2.1.0\""));
-        assert!(s.contains("\"name\": \"sdm-analyze\""));
-        assert!(s.contains("\"ruleId\": \"unwrap\""));
-        assert!(s.contains("\"startLine\": 3"));
-        assert!(s.contains("witness: f (a.rs:3) → .unwrap(…) (a.rs:9)"));
     }
 }

@@ -60,11 +60,6 @@ impl Model {
         }
     }
 
-    /// Whether token index `i` lies in test code.
-    pub fn is_test_token(&self, i: usize) -> bool {
-        self.test_spans.iter().any(|&(s, e)| s <= i && i < e)
-    }
-
     /// The trimmed source line `line` (1-based), for finding snippets.
     pub fn snippet(&self, line: u32) -> String {
         self.lines
@@ -406,11 +401,9 @@ mod tests {
         assert!(by_name("helper").is_test);
         assert!(by_name("t").is_test);
         assert!(!by_name("lib2").is_test);
-        // Tokens inside the module are test tokens; outside not.
-        let helper = by_name("helper");
-        assert!(m.is_test_token(helper.body.unwrap().0));
-        let lib2 = by_name("lib2");
-        assert!(!m.is_test_token(lib2.body.unwrap().0));
+        // Lines inside the module are test lines; outside not.
+        assert!(m.is_test_line(by_name("helper").line));
+        assert!(!m.is_test_line(by_name("lib2").line));
     }
 
     #[test]
@@ -418,7 +411,7 @@ mod tests {
         let m = Model::build("#[test]\nfn t() { boom(); }\nfn lib() {}");
         assert!(m.fns[0].is_test);
         assert!(!m.fns[1].is_test);
-        assert!(m.is_test_token(m.fns[0].body.unwrap().0 + 1));
+        assert!(m.is_test_line(m.fns[0].line));
     }
 
     #[test]
@@ -429,10 +422,10 @@ mod tests {
 
     #[test]
     fn allow_applies_same_and_next_line() {
-        let m = Model::build("// analyze:allow(unwrap: fine)\nlet x = y.unwrap();\n");
-        assert!(m.allowed("unwrap", 1));
-        assert!(m.allowed("unwrap", 2));
-        assert!(!m.allowed("unwrap", 3));
+        let m = Model::build("// analyze:allow(held-io: fine)\nlet x = fs::read(p);\n");
+        assert!(m.allowed("held-io", 1));
+        assert!(m.allowed("held-io", 2));
+        assert!(!m.allowed("held-io", 3));
         assert!(!m.allowed("ladder", 2));
     }
 

@@ -47,37 +47,6 @@ fn ladder_good_downward_with_drop_passes() {
     assert!(rules_hit("crates/sdm-metadb/src/db.rs", src).is_empty());
 }
 
-// ---------------------------------------------------------- sql-layering
-
-#[test]
-fn sql_layering_bad_literal_is_flagged() {
-    let src = "fn q() -> &'static str { \"SELECT id FROM runs\" }";
-    assert_eq!(
-        rules_hit("crates/sdm-core/src/history.rs", src),
-        ["sql-layering"]
-    );
-}
-
-#[test]
-fn sql_layering_good_typed_stmt_passes() {
-    let src = "fn q() { let s = Stmt::select(\"runs\").column(\"id\"); }";
-    assert!(rules_hit("crates/sdm-core/src/history.rs", src).is_empty());
-}
-
-// --------------------------------------------------------------- unwrap
-
-#[test]
-fn unwrap_bad_library_code_is_flagged() {
-    let src = "pub fn f(v: Option<u32>) -> u32 { v.unwrap() }";
-    assert_eq!(rules_hit("crates/sdm-metadb/src/db.rs", src), ["unwrap"]);
-}
-
-#[test]
-fn unwrap_good_test_code_passes() {
-    let src = "#[cfg(test)]\nmod tests {\n#[test]\nfn t() { Some(1).unwrap(); }\n}";
-    assert!(rules_hit("crates/sdm-metadb/src/db.rs", src).is_empty());
-}
-
 // -------------------------------------------------------- undo-coverage
 
 #[test]
@@ -94,23 +63,6 @@ fn undo_coverage_good_signature_passes() {
     let src =
         "pub fn apply(catalog: &mut Catalog, stmt: &Statement, undo: Option<&mut UndoLog>) {}";
     assert!(rules_hit("crates/sdm-metadb/src/exec.rs", src).is_empty());
-}
-
-// --------------------------------------------------------- wal-ordering
-
-#[test]
-fn wal_ordering_bad_direct_write_is_flagged() {
-    let src = "pub fn spill(p: &Path, bytes: &[u8]) { std::fs::write(p, bytes).ok(); }";
-    assert_eq!(
-        rules_hit("crates/sdm-metadb/src/table.rs", src),
-        ["wal-ordering"]
-    );
-}
-
-#[test]
-fn wal_ordering_good_in_wal_passes() {
-    let src = "pub fn spill(p: &Path, bytes: &[u8]) { std::fs::write(p, bytes).ok(); }";
-    assert!(rules_hit("crates/sdm-metadb/src/wal/storage.rs", src).is_empty());
 }
 
 // ----------------------------------------------- ladder (cross-function)
@@ -282,9 +234,10 @@ fn unused_allow_bad_stale_directive_is_flagged() {
 
 #[test]
 fn unused_allow_good_earning_directive_passes() {
-    let src = "pub fn f(v: Option<u32>) -> u32 {\n\
-               // analyze:allow(unwrap: validated by caller)\n\
-               v.unwrap()\n\
+    let src = "pub fn f(&self) {\n\
+               let s = self.stats.lock();\n\
+               // analyze:allow(ladder: fixture for suppression mechanics)\n\
+               let c = self.catalog.write();\n\
                }";
     assert!(rules_hit("crates/sdm-core/src/sdm.rs", src).is_empty());
 }
@@ -303,8 +256,14 @@ fn workspace_analyzes_clean() {
     assert!(report.analyzed_files > 100, "walk found the workspace");
     assert!(report.analyzed_fns > 500, "call graph covers the workspace");
     assert!(report.call_edges > 1000, "call sites resolved");
-    assert_eq!(report.rules_checked.len(), 8);
-    assert!(report.suppressed > 0, "justified allows are in effect");
+    assert_eq!(report.rules_checked.len(), 5);
+    // The same ceilings as CI's lint job; they may only go down.
+    assert_eq!(report.suppressed, 0, "a per-file finding is suppressed");
+    assert!(
+        report.allows.len() <= 5,
+        "{} `analyze:allow`s exceed the ceiling of 5",
+        report.allows.len()
+    );
     assert!(
         report
             .allows

@@ -302,6 +302,10 @@ pub trait MetadataStore: Send + Sync {
     /// it to [`MetadataStore::run`].
     #[deprecated(note = "build a typed `sdm_metadb::stmt::Stmt` and call `run`; \
                 SQL text is re-parsed on every `exec` call")]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the deprecated text veneer exists to exercise SQL text above the engine"
+    )]
     fn exec(&self, sql: &str, params: &[Value]) -> DbResult<ResultSet> {
         self.run(&self.database().parse(sql)?, params)
     }
@@ -1467,6 +1471,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "SQL text is the shortest way to write this join; the test is about flush gating"
+    )]
     fn run_flushes_when_a_join_reaches_the_buffered_relation() {
         // A SELECT whose FROM table is elsewhere but whose JOIN side is
         // execution_table must still see buffered rows: flush gating

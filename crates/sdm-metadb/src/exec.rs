@@ -369,8 +369,8 @@ fn collect_bounds<'a>(
                 return; // must resolve in this table
             }
             let plain = col.rsplit('.').next().unwrap_or(col);
-            let b = match out.iter_mut().find(|b| b.col.eq_ignore_ascii_case(plain)) {
-                Some(b) => b,
+            let i = match out.iter().position(|b| b.col.eq_ignore_ascii_case(plain)) {
+                Some(i) => i,
                 None => {
                     out.push(ColBounds {
                         col: plain,
@@ -378,10 +378,10 @@ fn collect_bounds<'a>(
                         lo: None,
                         hi: None,
                     });
-                    // analyze:allow(unwrap: the push on the preceding line guarantees a last element)
-                    out.last_mut().expect("just pushed")
+                    out.len() - 1
                 }
             };
+            let b = &mut out[i];
             // Tightest comparable bound wins; ties and incomparable
             // pairs keep the first seen (re-verification covers the
             // rest of the predicate).
@@ -628,10 +628,8 @@ fn peek_aggregates(
                             .iter()
                             .find(|(cc, _)| cc.eq_ignore_ascii_case(dc))
                             .map(|(_, v)| v)
-                            // analyze:allow(unwrap: the prefix-match loop above only admits defs whose leading columns all appear in conjuncts)
-                            .expect("prefix columns matched above")
                     })
-                    .collect();
+                    .collect::<Option<_>>()?;
                 let pos = t.peek_edge(i, &prefix, matches!(func, AggFunc::Max))?;
                 peeks += 1;
                 pos.map_or(Value::Null, |p| rows[p][*c].clone())
@@ -869,11 +867,11 @@ pub(crate) fn execute_mutation(
                 }
             }
             t.drop_index(name)?;
-            if let Some(undo) = undo {
+            // `drop_index` succeeded, so `def` is the index it dropped.
+            if let (Some(undo), Some(def)) = (undo, def) {
                 undo.push(UndoRecord::DropIndex {
                     table: table.clone(),
-                    // analyze:allow(unwrap: drop_index validated an index of this name exists, and def was captured under the same name)
-                    def: def.expect("drop_index succeeded, so the def existed"),
+                    def,
                 });
             }
             Ok(Outcome::Affected(0))

@@ -45,6 +45,8 @@
 //! (run registration, offset tracking, import descriptions, index-history
 //! lookups) goes through SQL here, as in the paper.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod catalog;
 pub mod db;
 pub mod error;

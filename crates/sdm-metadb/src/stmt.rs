@@ -1349,8 +1349,11 @@ macro_rules! relation {
                 let mut cells = row.iter();
                 Ok(Self {
                     $( $field: <$fty as $crate::stmt::ColValue>::from_value(
-                        // analyze:allow(unwrap: row arity was checked against the field count just above)
-                        cells.next().expect("arity checked above"),
+                        cells.next().ok_or_else(|| $crate::DbError::Arity(format!(
+                            "{} ran out of columns at `{}`",
+                            stringify!($name),
+                            stringify!($field)
+                        )))?,
                     ), )+
                 })
             }

@@ -136,8 +136,7 @@ impl OrdIndex {
             None if prefix.is_empty() => Bound::Unbounded,
             None => {
                 let mut e = prefix.to_vec();
-                // analyze:allow(unwrap: the empty-prefix case was peeled off by the arm above)
-                let last = e.pop().expect("nonempty prefix").successor();
+                let last = e.pop()?.successor();
                 e.push(last);
                 Bound::Excluded(e)
             }
@@ -328,9 +327,8 @@ impl Table {
         let mut old = std::mem::take(&mut self.rows).into_iter();
         let mut entries = entries.into_iter().peekable();
         loop {
-            if entries.peek().is_some_and(|(p, _)| *p == merged.len()) {
-                // analyze:allow(unwrap: peek returned Some on the line above)
-                merged.push(entries.next().expect("peeked").1);
+            if let Some((_, row)) = entries.next_if(|(p, _)| *p == merged.len()) {
+                merged.push(row);
             } else if let Some(row) = old.next() {
                 merged.push(row);
             } else if let Some((_, row)) = entries.next() {

@@ -13,6 +13,7 @@
 //! `mem::replace`, not a clone.
 
 use crate::catalog::Catalog;
+use crate::error::DbResult;
 use crate::table::{IndexDef, Row, Table};
 
 /// One reversible effect of a mutation statement.
@@ -110,58 +111,51 @@ impl UndoLog {
             match rec {
                 UndoRecord::Append { table, n } => {
                     rows_undone += n as u64;
-                    catalog
-                        .get_mut(&table)
-                        // analyze:allow(unwrap: reverse replay re-instates any table dropped after this record was logged)
-                        .expect("undo: appended-into table exists")
+                    replayed(catalog.get_mut(&table), "undo: appended-into table exists")
                         .undo_append(n);
                 }
                 UndoRecord::Delete { table, removed } => {
                     rows_undone += removed.len() as u64;
-                    catalog
-                        .get_mut(&table)
-                        // analyze:allow(unwrap: reverse replay re-instates any table dropped after this record was logged)
-                        .expect("undo: deleted-from table exists")
+                    replayed(catalog.get_mut(&table), "undo: deleted-from table exists")
                         .insert_at(removed);
                 }
                 UndoRecord::Update { table, old } => {
                     rows_undone += old.len() as u64;
-                    catalog
-                        .get_mut(&table)
-                        // analyze:allow(unwrap: reverse replay re-instates any table dropped after this record was logged)
-                        .expect("undo: updated table exists")
+                    replayed(catalog.get_mut(&table), "undo: updated table exists")
                         .apply_updates(old);
                 }
                 UndoRecord::CreateTable { name } => {
-                    catalog
-                        .drop_table(&name)
-                        // analyze:allow(unwrap: the logged CREATE TABLE succeeded and reverse replay undid later drops)
-                        .expect("undo: created table exists");
+                    replayed(catalog.drop_table(&name), "undo: created table exists");
                 }
                 UndoRecord::DropTable { name, table } => {
                     catalog.put_table(&name, *table);
                 }
                 UndoRecord::CreateIndex { table, index } => {
-                    catalog
-                        .get_mut(&table)
-                        // analyze:allow(unwrap: reverse replay re-instates any table dropped after this record was logged)
-                        .expect("undo: indexed table exists")
-                        .drop_index(&index)
-                        // analyze:allow(unwrap: the logged CREATE INDEX succeeded and reverse replay undid later drops)
-                        .expect("undo: created index exists");
+                    let t = replayed(catalog.get_mut(&table), "undo: indexed table exists");
+                    replayed(t.drop_index(&index), "undo: created index exists");
                 }
                 UndoRecord::DropIndex { table, def } => {
                     let cols: Vec<&str> = def.columns.iter().map(String::as_str).collect();
-                    catalog
-                        .get_mut(&table)
-                        // analyze:allow(unwrap: reverse replay re-instates any table dropped after this record was logged)
-                        .expect("undo: index's table exists")
-                        .create_index(&def.name, &cols)
-                        // analyze:allow(unwrap: the dropped index's def was captured verbatim, so re-creating it cannot conflict)
-                        .expect("undo: dropped index re-creates");
+                    let t = replayed(catalog.get_mut(&table), "undo: index's table exists");
+                    replayed(
+                        t.create_index(&def.name, &cols),
+                        "undo: dropped index re-creates",
+                    );
                 }
             }
         }
         rows_undone
     }
+}
+
+/// The result of one undo step, which cannot fail: reverse replay
+/// re-instates every table and index a record names before that record
+/// is undone, and a dropped index's def was captured verbatim.
+#[expect(
+    clippy::expect_used,
+    reason = "reverse replay re-instates any table or index dropped after a record was logged, \
+              so every undo step finds what it names"
+)]
+fn replayed<T>(step: DbResult<T>, what: &str) -> T {
+    step.expect(what)
 }

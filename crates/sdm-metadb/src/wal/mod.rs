@@ -36,6 +36,15 @@
 //! the catalog lock and the leaf mutexes — a committer appends under
 //! the transaction guard and syncs after releasing it, so the fsync is
 //! never inside any other lock's critical section.
+//!
+//! This module is the only place in the crate that writes to the
+//! filesystem directly; `crates/sdm-metadb/clippy.toml` bans those
+//! calls everywhere else.
+
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the WAL is the durability layer: its storage backends are where durable writes happen"
+)]
 
 pub mod record;
 pub mod storage;

@@ -17,7 +17,8 @@
 //!   through it and recover from every byte prefix of what "survived".
 //!
 //! Every durability-bearing filesystem call in `sdm-metadb` lives in
-//! this file — machine-checked by `sdm-analyze` rule `wal-ordering`.
+//! this file; clippy's `disallowed-methods`
+//! (`crates/sdm-metadb/clippy.toml`) bans them outside `wal/`.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -137,16 +138,16 @@ impl FileStorage {
 impl WalStorage for FileStorage {
     fn append(&mut self, bytes: &[u8]) -> DbResult<()> {
         let path = Self::segment_path(&self.dir, self.seq);
-        if self.file.is_none() {
-            let f = OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .map_err(|e| io_err("open wal segment", &path, e))?;
-            self.file = Some(f);
-        }
-        // analyze:allow(unwrap: the branch above just filled the slot)
-        let f = self.file.as_mut().expect("segment file open");
+        let f = match &mut self.file {
+            Some(f) => f,
+            slot @ None => slot.insert(
+                OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&path)
+                    .map_err(|e| io_err("open wal segment", &path, e))?,
+            ),
+        };
         f.write_all(bytes)
             .map_err(|e| io_err("append wal segment", &path, e))
     }

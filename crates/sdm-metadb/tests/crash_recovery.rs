@@ -467,6 +467,10 @@ fn file_backend_reopens_and_discards_a_physically_torn_tail() {
     segs.sort();
     let newest = segs.last().expect("a non-empty wal segment exists");
     let len = newest.metadata().unwrap().len();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test tears a WAL segment on disk, as a crash mid-write would"
+    )]
     let f = std::fs::OpenOptions::new()
         .write(true)
         .open(newest)

@@ -2,6 +2,8 @@
 //! `parking_lot` shim). Only `crossbeam::channel`'s unbounded MPSC
 //! surface is provided, backed by `std::sync::mpsc`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 /// Multi-producer channels.
 pub mod channel {
     /// Error returned by [`Sender::send`] when the receiver is gone;

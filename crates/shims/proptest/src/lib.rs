@@ -9,6 +9,7 @@
 //! deterministic per-test RNG (seeded by the test name), so runs are
 //! reproducible; there is no shrinking.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 // The `proptest!` doc example necessarily shows `#[test]` inside the
 // macro input; those functions are compiled (not run) by the doctest.
 #![allow(clippy::test_attr_in_doctest)]
@@ -273,7 +274,10 @@ pub mod strategy {
         let rep = rep.strip_prefix('{').unwrap_or_else(|| unsupported());
         let rep = rep.strip_suffix('}').unwrap_or_else(|| unsupported());
         let (lo, hi) = match rep.split_once(',') {
-            Some((a, b)) => (a.trim().parse().unwrap(), b.trim().parse().unwrap()),
+            Some((a, b)) => (
+                a.trim().parse().unwrap_or_else(|_| unsupported()),
+                b.trim().parse().unwrap_or_else(|_| unsupported()),
+            ),
             None => {
                 let n: usize = rep.trim().parse().unwrap_or_else(|_| unsupported());
                 (n, n)

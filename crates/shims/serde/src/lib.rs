@@ -8,6 +8,8 @@
 //! macros (re-exported from `serde_derive`) understand the attribute
 //! subset the workspace uses: `#[serde(skip)]` and `#[serde(default)]`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::{BTreeMap, HashMap};
 
 pub use serde_derive::{Deserialize, Serialize};

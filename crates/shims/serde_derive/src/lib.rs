@@ -12,6 +12,8 @@
 //! * non-generic enums with unit and tuple variants, encoded in serde's
 //!   externally-tagged form (`"Variant"` / `{"Variant": ...}`).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 struct Field {
@@ -246,8 +248,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
         "impl ::serde::Serialize for {name} {{\n\
          fn to_json(&self) -> ::serde::Json {{\n{body}\n}}\n}}\n"
     );
-    out.parse()
-        .expect("serde shim derive: generated Serialize impl must parse")
+    emit(out)
 }
 
 /// `#[derive(Deserialize)]`.
@@ -334,6 +335,16 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
          fn from_json(v: &::serde::Json) -> ::core::result::Result<{name}, ::serde::Error> {{\n\
          {body}\n}}\n}}\n"
     );
-    out.parse()
-        .expect("serde shim derive: generated Deserialize impl must parse")
+    emit(out)
+}
+
+/// The generated impl as tokens.
+#[expect(
+    clippy::expect_used,
+    reason = "a derive has no error channel, and the impl is built from the input's own \
+              identifiers: text that does not parse is a bug in this shim"
+)]
+fn emit(code: String) -> TokenStream {
+    code.parse()
+        .expect("serde shim derive: generated impl must parse")
 }

@@ -2,6 +2,8 @@
 //! `parking_lot` shim): prints and parses the `serde` shim's [`Json`]
 //! tree as JSON text.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use serde::{Deserialize, Json, Serialize};
 
 /// Serialization/parse error.

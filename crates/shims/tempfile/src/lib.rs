@@ -2,6 +2,8 @@
 //! `parking_lot` shim). Provides `tempdir()`: a uniquely named directory
 //! under the system temp dir, removed recursively on drop.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -99,6 +99,10 @@ fn main() {
     drop(store);
     drop(db);
     let db2 = Database::open(dir.path()).unwrap();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the tour shows raw SQL at the embedded-engine level"
+    )]
     let n = db2
         .exec("SELECT * FROM execution_table", &[])
         .unwrap()

@@ -2,6 +2,11 @@
 //! aggregates, GROUP BY, DISTINCT, joins, index probes, and transactions
 //! agree with naive in-memory references on arbitrary data.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "these properties are stated in SQL text: the parser is part of what they test"
+)]
+
 use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
