@@ -36,6 +36,12 @@
 //! for the interprocedural rules the directive goes on the *terminal*
 //! site and quiets every caller. The binary writes `ANALYZE.json` and
 //! exits nonzero when findings survive; CI runs it in the lint job.
+//!
+//! `Database` is now one `Mutex<Engine>` and has none of the five
+//! ranked lock fields above, so over the workspace the `ladder`,
+//! `held-io` and `panic-under-guard` rules find no acquisition to
+//! follow. The crate and `sdm-ranks` are to be deleted in a change of
+//! their own (ROADMAP item 16).
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 

@@ -19,7 +19,7 @@
 //! .order_by_desc(ExecutionCol::Timestep)
 //! .limit(8)
 //! .compile();
-//! assert_eq!(stmt.table(), Some("execution_table"));
+//! assert_eq!(stmt.table(), "execution_table");
 //! ```
 
 use sdm_metadb::relation;

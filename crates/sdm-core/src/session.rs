@@ -429,7 +429,7 @@ impl<'a> TimestepScope<'a> {
                 Ok::<_, SdmError>(())
             });
             // `CachedStore` lands the buffered batch in one
-            // BEGIN…COMMIT; unbuffered stores already wrote row by row.
+            // transaction; unbuffered stores already wrote row by row.
             // After a failed row too (best effort), so the rows buffered
             // so far cannot leak into a later step's transaction.
             let flushed = store.flush();

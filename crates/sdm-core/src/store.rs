@@ -29,7 +29,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use sdm_metadb::stmt::{param, Delete, Insert, Query, Relation, Stmt, TypedColumn};
-use sdm_metadb::{Database, DbError, DbResult, MemStorage, ResultSet, TxTicket, Value};
+use sdm_metadb::{Database, DbError, DbResult, MemStorage, ResultSet, Value};
 
 use crate::schema::{
     AccessPatternRow, ExecutionCol, ExecutionRow, ImportRow, IndexCol, IndexHistoryCol,
@@ -82,8 +82,8 @@ pub type SharedStore = Arc<dyn MetadataStore>;
 /// moves there.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Committed `BEGIN`…`COMMIT` transactions (one per batched
-    /// timestep, one per run-id reservation).
+    /// Committed transactions (one per batched timestep, one per run-id
+    /// reservation).
     pub transactions: u64,
     /// Redo records appended to the log.
     pub log_appends: u64,
@@ -93,7 +93,9 @@ pub struct StoreStats {
     /// other counts, [`MetadataStore::reset_stats`] leaves this one: it
     /// measures the log itself, not a window of traffic.
     pub log_bytes: u64,
-    /// Commits made durable by another transaction's sync (group commit).
+    /// Always 0: the database serialises commits, so none is made durable
+    /// by another's sync. The field stays because the end-to-end
+    /// benchmark reports it.
     pub group_commit_batched: u64,
 }
 
@@ -494,10 +496,14 @@ impl SqlStore {
         }
     }
 
+    /// A hot statement's once-compiled plan.
+    fn plan(&self, which: Hot) -> &Stmt {
+        self.plans[which as usize].get_or_init(|| which.compile())
+    }
+
     /// Execute a hot statement through its once-compiled plan.
     fn run_hot(&self, which: Hot, params: &[Value]) -> DbResult<ResultSet> {
-        let stmt = self.plans[which as usize].get_or_init(|| which.compile());
-        self.db.exec_stmt(stmt, params)
+        self.db.exec_stmt(self.plan(which), params)
     }
 }
 
@@ -518,25 +524,21 @@ impl MetadataStore for SqlStore {
     }
 
     fn allocate_runid(&self, application: &str) -> DbResult<i64> {
-        // BEGIN ... COMMIT brackets the read-modify-write so interleaved
-        // initializers serialize instead of both computing max+1 from
-        // the same state (writes from other threads wait at the
-        // database's table lock while the transaction is open). The
-        // bracket is cheap by construction: a transaction is an undo
-        // log of the rows it touches — opening one never clones the
-        // catalog, and this one logs exactly the single reservation
-        // row. The reservation row is what makes the new id visible to
-        // the next allocator — but it is *anonymous* (NULL application)
-        // until `record_run` completes it, so a crashed or failed
-        // initialize can never hijack `latest_runid_for_app`
-        // re-attachment.
+        // One transaction holds the database's lock across the
+        // read-modify-write, so interleaved initializers serialize
+        // instead of both computing max+1 from the same state. It logs
+        // exactly the single reservation row. The reservation row is
+        // what makes the new id visible to the next allocator — but it
+        // is *anonymous* (NULL application) until `record_run` completes
+        // it, so a crashed or failed initialize can never hijack
+        // `latest_runid_for_app` re-attachment.
         let _ = application;
-        self.db.with_owned_tx(|| {
-            let rs = self.run_hot(Hot::AllocMax, &[])?;
+        self.db.transaction(|tx| {
+            let rs = tx.exec_stmt(self.plan(Hot::AllocMax), &[])?;
             let next = rs.scalar().and_then(Value::as_i64).unwrap_or(0) + 1;
             let mut reservation = vec![Value::Int(next), Value::Null];
             reservation.resize(RunRow::TABLE.arity(), Value::Int(0));
-            self.run_hot(Hot::InsertRun, &reservation)?;
+            tx.exec_stmt(self.plan(Hot::InsertRun), &reservation)?;
             Ok(next)
         })
     }
@@ -808,14 +810,16 @@ struct CacheState {
 ///
 /// All ranks of a run hold one `CachedStore`, and rank 0 alone calls it
 /// (`Sdm::metadata_call`). Buffered `execution_table` inserts are
-/// flushed in one `BEGIN`/`COMMIT` transaction whenever the (runid,
-/// timestep) key advances, on [`MetadataStore::flush`], and on drop —
+/// flushed in one database transaction whenever the (runid, timestep)
+/// key advances, on [`MetadataStore::flush`], and on drop —
 /// turning N-datasets-per-timestep metadata traffic into one round trip
 /// per timestep. Reads go to the inner store; one that can see the
 /// buffered relation lands the batch first.
 pub struct CachedStore {
     inner: SharedStore,
     state: Mutex<CacheState>,
+    /// The `execution_table` insert a flushed batch runs per row.
+    insert: Stmt,
 }
 
 impl CachedStore {
@@ -824,6 +828,7 @@ impl CachedStore {
         CachedStore {
             inner,
             state: Mutex::new(CacheState::default()),
+            insert: Insert::<ExecutionRow>::prepared(),
         }
     }
 
@@ -833,59 +838,46 @@ impl CachedStore {
         Arc::new(CachedStore::new(Arc::new(SqlStore::new(Arc::clone(db)))))
     }
 
-    /// Detach the pending batch so it can be written without holding
-    /// the cache mutex (database calls may block on the table lock of a
-    /// transaction whose owner needs this mutex — never nest them).
+    /// Detach the pending batch so it is written without holding the
+    /// cache mutex.
     fn take_pending(state: &mut CacheState) -> Vec<PendingExec> {
         state.pending_key = None;
         std::mem::take(&mut state.pending)
     }
 
-    /// Write a detached batch inside one transaction. Called WITHOUT the
-    /// cache mutex held. When the calling thread already has a
-    /// transaction open (the statement escape hatch lets callers bracket
-    /// their own work), the batch joins it instead of deadlocking on a
-    /// second `BEGIN`; its fate then follows the caller's
-    /// COMMIT/ROLLBACK.
+    /// Write a detached batch in one transaction of the inner store's
+    /// database. Called WITHOUT the cache mutex held.
     fn write_batch(&self, batch: Vec<PendingExec>) -> DbResult<()> {
         if batch.is_empty() {
             return Ok(());
         }
-        let db = self.inner.database();
-        let ticket = db.begin_nested();
-        let mut written = 0;
-        let attempt = (|| {
+        // Set just before the closure returns `Ok`: from then on every
+        // row is applied, and an error can only be the commit's failed
+        // sync, which leaves the rows in memory — writing them again
+        // would insert them twice.
+        let mut applied = false;
+        let written = self.inner.database().transaction(|tx| {
             for p in &batch {
-                self.inner.record_execution(
-                    p.runid,
-                    &p.dataset,
-                    p.timestep,
-                    p.file_offset,
-                    &p.file_name,
+                tx.exec_stmt(
+                    &self.insert,
+                    &[
+                        Value::Int(p.runid),
+                        Value::from(p.dataset.as_str()),
+                        Value::Int(p.timestep),
+                        Value::Int(p.file_offset),
+                        Value::from(p.file_name.as_str()),
+                    ],
                 )?;
-                written += 1;
             }
+            applied = true;
             Ok(())
-        })();
-        match (attempt, ticket) {
-            (Ok(()), TxTicket::Owned) => db.exec_stmt(&Stmt::commit(), &[]).map(|_| ()),
-            (Ok(()), TxTicket::Inherited) => Ok(()),
-            (Err(e), TxTicket::Owned) => {
-                let _ = db.exec_stmt(&Stmt::rollback(), &[]);
-                // Nothing landed: requeue the whole batch for a later
-                // retry.
-                self.requeue(batch);
-                Err(e)
-            }
-            (Err(e), TxTicket::Inherited) => {
-                // Inside a caller-owned transaction there is no safe
-                // rollback of our own writes: the first `written` rows
-                // belong to the caller's transaction now. Requeue only
-                // the rest so a retry cannot duplicate them.
-                self.requeue(batch.into_iter().skip(written).collect());
-                Err(e)
-            }
+        });
+        if written.is_err() && !applied {
+            // Rolled back, so nothing landed: requeue the whole batch
+            // for a later retry.
+            self.requeue(batch);
         }
+        written
     }
 
     /// Put unwritten rows back at the head of the pending queue.
@@ -1064,14 +1056,10 @@ impl MetadataStore for CachedStore {
 
     fn run(&self, stmt: &Stmt, params: &[Value]) -> DbResult<ResultSet> {
         // Only statements that touch the relation with buffered rows —
-        // as FROM table, join side, or mutation target — or whose target
-        // is unknown force the pending batch down first. Statements over
-        // other relations pass straight through. Never flush ahead of a
-        // ROLLBACK: the batch would join the very transaction being
-        // discarded and be lost — it stays queued for the next flush
-        // instead.
-        let rollback = matches!(stmt.ast(), sdm_metadb::sql::ast::Statement::Rollback);
-        if !rollback && (stmt.table().is_none() || stmt.references(ExecutionRow::TABLE.name)) {
+        // as FROM table, join side, or mutation target — force the
+        // pending batch down first. Statements over other relations pass
+        // straight through.
+        if stmt.references(ExecutionRow::TABLE.name) {
             self.flush()?;
         }
         self.inner.run(stmt, params)
@@ -1090,6 +1078,7 @@ impl MetadataStore for CachedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdm_metadb::WalFaults;
 
     fn sql_store() -> SqlStore {
         let store = SqlStore::new(Arc::new(Database::new()));
@@ -1449,28 +1438,6 @@ mod tests {
     }
 
     #[test]
-    fn rollback_does_not_swallow_buffered_rows() {
-        // Rows buffered while a caller transaction is open must not be
-        // flushed into that transaction by the ROLLBACK statement
-        // itself — they would be silently discarded from the database.
-        let s = cached_store();
-        s.run(&Stmt::begin(), &[]).unwrap();
-        s.record_execution(1, "p", 0, 7, "f").unwrap(); // buffered
-        s.run(&Stmt::rollback(), &[]).unwrap();
-        assert_eq!(db_exec_rows(s.database()), 0);
-        s.flush().unwrap();
-        assert_eq!(
-            db_exec_rows(s.database()),
-            1,
-            "the buffered row must survive the rollback and land on the next flush"
-        );
-        assert_eq!(
-            s.lookup_execution(1, "p", 0).unwrap(),
-            Some((7, "f".into()))
-        );
-    }
-
-    #[test]
     #[expect(
         clippy::disallowed_methods,
         reason = "SQL text is the shortest way to write this join; the test is about flush gating"
@@ -1487,89 +1454,11 @@ mod tests {
              INNER JOIN execution_table ON run_table.runid = execution_table.runid",
         )
         .unwrap();
-        assert_eq!(join.table(), Some("run_table"));
+        assert_eq!(join.table(), "run_table");
         assert!(join.references("execution_table"));
         let rs = s.run(&join, &[]).unwrap();
         assert_eq!(rs.len(), 1, "buffered execution row must be visible");
         assert_eq!(rs.rows[0][1], Value::Int(7));
-    }
-
-    #[test]
-    fn flush_inside_caller_transaction_joins_it() {
-        // The statement escape hatch lets a caller bracket its own work;
-        // a timestep advance mid-transaction must join that transaction
-        // instead of deadlocking on a second BEGIN.
-        let s = cached_store();
-        s.run(&Stmt::begin(), &[]).unwrap();
-        s.record_execution(1, "p", 0, 0, "f").unwrap();
-        s.record_execution(1, "p", 1, 64, "f").unwrap(); // timestep advance → flush
-        s.flush().unwrap();
-        s.run(&Stmt::commit(), &[]).unwrap();
-        assert_eq!(
-            s.lookup_execution(1, "p", 0).unwrap(),
-            Some((0, "f".into()))
-        );
-        assert_eq!(
-            s.lookup_execution(1, "p", 1).unwrap(),
-            Some((64, "f".into()))
-        );
-        // Same for runid allocation inside a caller transaction.
-        s.run(&Stmt::begin(), &[]).unwrap();
-        let id = s.allocate_runid("nested").unwrap();
-        s.run(&Stmt::commit(), &[]).unwrap();
-        assert!(id >= 1);
-    }
-
-    #[test]
-    fn store_transaction_rollback_is_o_of_batch_not_table() {
-        // The store's transaction bracket rides the engine's undo log:
-        // rolling back a k-row batch undoes k row images, regardless of
-        // how many rows the table already holds.
-        let s = sql_store();
-        for ts in 0..500 {
-            s.record_execution(1, "seed", ts, ts * 64, "f").unwrap();
-        }
-        s.database().reset_stats();
-        s.run(&Stmt::begin(), &[]).unwrap();
-        for ts in 0..8 {
-            s.record_execution(2, "tx", ts, ts * 64, "g").unwrap();
-        }
-        s.run(&Stmt::rollback(), &[]).unwrap();
-        let stats = s.database().stats();
-        assert_eq!(stats.tx_rows_undone, 8, "undo tracks the batch size");
-        assert_eq!(s.lookup_execution(2, "tx", 0).unwrap(), None);
-        // The seeded rows survived untouched and still probe through
-        // the index.
-        assert!(s.lookup_execution(1, "seed", 250).unwrap().is_some());
-    }
-
-    #[test]
-    fn readers_keep_probing_while_a_batch_transaction_is_open() {
-        // CachedStore's per-timestep flush opens a transaction on rank
-        // 0; reader ranks doing indexed lookups must not serialize
-        // behind it (SELECTs take the shared catalog lock).
-        let store: SharedStore = Arc::new(sql_store());
-        for ts in 0..50 {
-            store.record_execution(1, "p", ts, ts * 64, "f").unwrap();
-        }
-        store.run(&Stmt::begin(), &[]).unwrap();
-        store.record_execution(1, "p", 50, 50 * 64, "f").unwrap();
-        let readers: Vec<_> = (0..4)
-            .map(|r| {
-                let store = Arc::clone(&store);
-                std::thread::spawn(move || {
-                    for ts in 0..50 {
-                        let hit = store.lookup_execution(1, "p", (ts + r) % 50).unwrap();
-                        assert!(hit.is_some());
-                    }
-                })
-            })
-            .collect();
-        for h in readers {
-            h.join().unwrap(); // completes while the tx is still open
-        }
-        store.run(&Stmt::commit(), &[]).unwrap();
-        assert!(store.lookup_execution(1, "p", 50).unwrap().is_some());
     }
 
     #[test]
@@ -1582,6 +1471,58 @@ mod tests {
         s.record_run(&run_rec(good, "viz")).unwrap();
         let _abandoned = s.allocate_runid("viz").unwrap();
         assert_eq!(s.latest_runid_for_app("viz").unwrap(), Some(good));
+    }
+
+    /// The `(runid, dataset, timestep)` key of every `execution_table`
+    /// row, in table order.
+    fn exec_keys(db: &Database) -> Vec<Vec<Value>> {
+        let keys = Query::<ExecutionRow>::all()
+            .select(&[
+                ExecutionCol::Runid,
+                ExecutionCol::Dataset,
+                ExecutionCol::Timestep,
+            ])
+            .compile();
+        db.exec_stmt(&keys, &[]).unwrap().rows
+    }
+
+    #[test]
+    fn a_rolled_back_batch_is_requeued_and_lands_once() {
+        let db = Arc::new(Database::new());
+        let s = CachedStore::shared(&db);
+        s.ensure_schema().unwrap();
+        s.record_execution(1, "p", 0, 0, "f").unwrap();
+        s.record_execution(1, "q", 0, 64, "f").unwrap();
+        // Without its table the batch's first insert fails, and its
+        // transaction rolls back.
+        let drop = sdm_metadb::sql::Statement::DropTable {
+            name: ExecutionRow::TABLE.name.into(),
+        };
+        db.exec_stmt(&Stmt::from_ast(drop), &[]).unwrap();
+        assert!(matches!(s.flush(), Err(DbError::NoSuchTable(_))));
+        s.ensure_schema().unwrap();
+        s.flush().unwrap();
+        assert_eq!(exec_keys(&db).len(), 2, "the requeued batch landed once");
+    }
+
+    #[test]
+    fn a_batch_whose_commit_fails_to_sync_is_not_written_again() {
+        let (log, h) = MemStorage::new();
+        let db = Arc::new(Database::open_with_storage(Box::new(log)).unwrap());
+        let s = CachedStore::shared(&db);
+        s.ensure_schema().unwrap();
+        s.record_execution(1, "p", 0, 0, "f").unwrap();
+        s.record_execution(1, "q", 0, 64, "f").unwrap();
+        // Everything so far is durable; from here every fsync fails.
+        h.set_faults(WalFaults::none().fail_sync_after(db.stats().wal_fsyncs));
+        assert!(s.flush().is_err(), "the batch's commit could not sync");
+        // The rows are applied in memory, undurable; a retry has nothing
+        // left to write and must not insert them again.
+        let retry = s.flush();
+        let keys = exec_keys(&db);
+        assert_eq!(keys.len(), 2, "a key was inserted twice: {keys:?}");
+        assert_ne!(keys[0], keys[1]);
+        retry.unwrap();
     }
 
     #[test]

@@ -25,9 +25,15 @@ pub enum DbError {
     IndexExists(String),
     /// Unknown index.
     NoSuchIndex(String),
-    /// Transaction misuse (BEGIN inside a transaction, COMMIT/ROLLBACK
-    /// without one).
+    /// A statement handed to the wrong executor path (a SELECT to the
+    /// mutation path, or the reverse). Also what a
+    /// [`crate::Database::transaction`] closure may return to roll back
+    /// when nothing else went wrong.
     Tx(String),
+    /// A panic while the database's lock was held left the engine's
+    /// state unknown (a statement or a transaction stopped halfway):
+    /// every later statement and transaction returns this error.
+    Poisoned,
 }
 
 impl fmt::Display for DbError {
@@ -44,6 +50,7 @@ impl fmt::Display for DbError {
             DbError::IndexExists(i) => write!(f, "index already exists: {i}"),
             DbError::NoSuchIndex(i) => write!(f, "no such index: {i}"),
             DbError::Tx(m) => write!(f, "transaction error: {m}"),
+            DbError::Poisoned => write!(f, "database poisoned by a panic under its lock"),
         }
     }
 }

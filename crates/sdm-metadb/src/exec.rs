@@ -60,11 +60,12 @@ pub struct DbStats {
     pub rows_scanned: u64,
     /// Rows returned by SELECTs after filtering/aggregation/limit.
     pub rows_returned: u64,
-    /// Successfully committed `BEGIN`…`COMMIT` transactions. Batching
-    /// layers (`CachedStore`) assert on this: a scoped timestep must
-    /// land all its execution inserts in exactly one transaction.
+    /// Successfully committed `Database::transaction`s (autocommitted
+    /// statements are not counted). Batching layers (`CachedStore`)
+    /// assert on this: a scoped timestep must land all its execution
+    /// inserts in exactly one transaction.
     pub transactions: u64,
-    /// Row images replayed by `ROLLBACK`s. Transactions log row-level
+    /// Row images replayed by rollbacks. Transactions log row-level
     /// undo records instead of snapshotting the catalog, so after a
     /// rollback this counter equals the rows the transaction *touched*
     /// — the bench asserts it is independent of table size.
@@ -85,66 +86,14 @@ pub struct DbStats {
     /// Redo records appended to the write-ahead log (durable databases
     /// only; always 0 for in-memory ones).
     pub wal_appends: u64,
-    /// WAL fsyncs issued — by group-commit leaders, so under concurrent
-    /// commit load this grows slower than `transactions`.
+    /// WAL fsyncs issued: one per commit that logged anything.
     pub wal_fsyncs: u64,
-    /// Commits made durable by *another* transaction's fsync: the group
-    /// commit wins (each leader's flush counts its batch size minus
-    /// one).
+    /// Always 0: one lock serialises commits, so no commit is made
+    /// durable by another's fsync. The field stays because the
+    /// end-to-end benchmark reports it.
     pub group_commit_batched: u64,
     /// Checkpoints taken (snapshot installed + log truncated).
     pub checkpoints: u64,
-}
-
-impl DbStats {
-    /// Accumulate `other` into `self` field-wise. Statement execution
-    /// records into a local `DbStats` and merges once at the end, so
-    /// concurrent readers never serialize on the shared stats mutex
-    /// mid-query.
-    pub fn merge(&mut self, other: &DbStats) {
-        let DbStats {
-            full_scans,
-            index_scans,
-            plan_point_probes,
-            plan_range_probes,
-            plan_ordered_scans,
-            order_sorts,
-            sorts_avoided,
-            parse_misses,
-            rows_scanned,
-            rows_returned,
-            transactions,
-            tx_rows_undone,
-            exprs_compiled,
-            ast_eval_fallbacks,
-            join_index_probes,
-            join_merge_joins,
-            wal_appends,
-            wal_fsyncs,
-            group_commit_batched,
-            checkpoints,
-        } = other;
-        self.full_scans += full_scans;
-        self.index_scans += index_scans;
-        self.plan_point_probes += plan_point_probes;
-        self.plan_range_probes += plan_range_probes;
-        self.plan_ordered_scans += plan_ordered_scans;
-        self.order_sorts += order_sorts;
-        self.sorts_avoided += sorts_avoided;
-        self.parse_misses += parse_misses;
-        self.rows_scanned += rows_scanned;
-        self.rows_returned += rows_returned;
-        self.transactions += transactions;
-        self.tx_rows_undone += tx_rows_undone;
-        self.exprs_compiled += exprs_compiled;
-        self.ast_eval_fallbacks += ast_eval_fallbacks;
-        self.join_index_probes += join_index_probes;
-        self.join_merge_joins += join_merge_joins;
-        self.wal_appends += wal_appends;
-        self.wal_fsyncs += wal_fsyncs;
-        self.group_commit_batched += group_commit_batched;
-        self.checkpoints += checkpoints;
-    }
 }
 
 /// Column-name resolution context for expression evaluation.
@@ -728,12 +677,9 @@ fn exec_simple_aggregates(
     })
 }
 
-/// Execute a read-only statement against a **shared** catalog borrow.
-///
-/// This is the path the `Database` drives under `catalog.read()`:
+/// Execute a read-only statement against a **shared** catalog borrow:
 /// SELECTs — index probes included, since the maps are maintained
-/// incrementally rather than rebuilt on first probe — never need `&mut`,
-/// so concurrent readers proceed in parallel.
+/// incrementally rather than rebuilt on first probe — never need `&mut`.
 pub fn execute_read(
     catalog: &Catalog,
     stmt: &Statement,
@@ -762,7 +708,7 @@ pub fn execute_read(
 }
 
 /// Execute a mutating statement, appending row-level records to `undo`
-/// when the owning transaction's log is supplied. Undo images are
+/// (an autocommit passes a log it then throws away). Undo images are
 /// captured by move (displaced rows, dropped tables) — a transaction
 /// touching k rows logs O(k) work regardless of table size.
 ///
@@ -770,13 +716,13 @@ pub fn execute_read(
 /// redo record (post-images, mirroring the undo pre-images) into the
 /// appender **before** it applies, and only for mutations that will
 /// actually apply — every site pre-validates so the log never carries a
-/// record whose mutation then failed. The `Database` hands the filled
-/// buffer to the shared log under the transaction guard.
+/// record whose mutation then failed. The `Database` writes the filled
+/// buffer to the log when the transaction commits.
 pub(crate) fn execute_mutation(
     catalog: &mut Catalog,
     stmt: &Statement,
     params: &[Value],
-    undo: Option<&mut UndoLog>,
+    undo: &mut UndoLog,
     wal: Option<&mut WalAppender>,
 ) -> DbResult<Outcome> {
     match stmt {
@@ -803,9 +749,7 @@ pub(crate) fn execute_mutation(
             }
             let created = catalog.create_table(name, schema, *if_not_exists)?;
             if created {
-                if let Some(undo) = undo {
-                    undo.push(UndoRecord::CreateTable { name: name.clone() });
-                }
+                undo.push(UndoRecord::CreateTable { name: name.clone() });
             }
             Ok(Outcome::Affected(0))
         }
@@ -816,12 +760,10 @@ pub(crate) fn execute_mutation(
                 }
             }
             let dropped = catalog.remove_table(name)?;
-            if let Some(undo) = undo {
-                undo.push(UndoRecord::DropTable {
-                    name: name.clone(),
-                    table: Box::new(dropped),
-                });
-            }
+            undo.push(UndoRecord::DropTable {
+                name: name.clone(),
+                table: Box::new(dropped),
+            });
             Ok(Outcome::Affected(0))
         }
         Statement::CreateIndex {
@@ -846,12 +788,10 @@ pub(crate) fn execute_mutation(
                 }
             }
             t.create_index(name, &cols)?;
-            if let Some(undo) = undo {
-                undo.push(UndoRecord::CreateIndex {
-                    table: table.clone(),
-                    index: name.clone(),
-                });
-            }
+            undo.push(UndoRecord::CreateIndex {
+                table: table.clone(),
+                index: name.clone(),
+            });
             Ok(Outcome::Affected(0))
         }
         Statement::DropIndex { name, table } => {
@@ -868,7 +808,7 @@ pub(crate) fn execute_mutation(
             }
             t.drop_index(name)?;
             // `drop_index` succeeded, so `def` is the index it dropped.
-            if let (Some(undo), Some(def)) = (undo, def) {
+            if let Some(def) = def {
                 undo.push(UndoRecord::DropIndex {
                     table: table.clone(),
                     def,
@@ -942,12 +882,10 @@ pub(crate) fn execute_mutation(
             // Log however many rows landed, even on a mid-batch type
             // error, so a rollback removes exactly them.
             if appended > 0 {
-                if let Some(undo) = undo {
-                    undo.push(UndoRecord::Append {
-                        table: table.clone(),
-                        n: appended,
-                    });
-                }
+                undo.push(UndoRecord::Append {
+                    table: table.clone(),
+                    n: appended,
+                });
             }
             match first_err {
                 Some(e) => Err(e),
@@ -1023,12 +961,10 @@ pub(crate) fn execute_mutation(
             }
             let old = catalog.get_mut(table)?.apply_updates(updates);
             if n > 0 {
-                if let Some(undo) = undo {
-                    undo.push(UndoRecord::Update {
-                        table: table.clone(),
-                        old,
-                    });
-                }
+                undo.push(UndoRecord::Update {
+                    table: table.clone(),
+                    old,
+                });
             }
             Ok(Outcome::Affected(n))
         }
@@ -1045,12 +981,10 @@ pub(crate) fn execute_mutation(
                 let removed = t.clear();
                 let n = removed.len();
                 if n > 0 {
-                    if let Some(undo) = undo {
-                        undo.push(UndoRecord::Delete {
-                            table: table.clone(),
-                            removed: removed.into_iter().enumerate().collect(),
-                        });
-                    }
+                    undo.push(UndoRecord::Delete {
+                        table: table.clone(),
+                        removed: removed.into_iter().enumerate().collect(),
+                    });
                 }
                 return Ok(Outcome::Affected(n));
             };
@@ -1083,20 +1017,15 @@ pub(crate) fn execute_mutation(
             let removed = catalog.get_mut(table)?.delete_at(&positions);
             let n = removed.len();
             if n > 0 {
-                if let Some(undo) = undo {
-                    undo.push(UndoRecord::Delete {
-                        table: table.clone(),
-                        removed: positions.into_iter().zip(removed).collect(),
-                    });
-                }
+                undo.push(UndoRecord::Delete {
+                    table: table.clone(),
+                    removed: positions.into_iter().zip(removed).collect(),
+                });
             }
             Ok(Outcome::Affected(n))
         }
         Statement::Select { .. } => Err(DbError::Tx(
             "execute_mutation does not run SELECT statements".into(),
-        )),
-        Statement::Begin | Statement::Commit | Statement::Rollback => Err(DbError::Tx(
-            "transactions are managed by the Database connection, not the executor".into(),
         )),
     }
 }
@@ -1674,8 +1603,8 @@ mod tests {
     use super::*;
     use crate::sql::parse;
 
-    /// Dispatch `stmt` the way `Database` does, with no transaction in
-    /// scope (so mutations log no undo).
+    /// Dispatch `stmt` the way `Database` does for an autocommit (the
+    /// undo log is thrown away).
     fn execute(
         catalog: &mut Catalog,
         stmt: &Statement,
@@ -1684,7 +1613,7 @@ mod tests {
     ) -> DbResult<Outcome> {
         match stmt {
             Statement::Select { .. } => execute_read(catalog, stmt, params, stats),
-            _ => execute_mutation(catalog, stmt, params, None, None),
+            _ => execute_mutation(catalog, stmt, params, &mut UndoLog::default(), None),
         }
     }
 
@@ -2192,15 +2121,6 @@ mod tests {
             &[],
         ));
         assert_eq!(rows, vec![vec![Value::Int(1)], vec![Value::Int(2)]]);
-    }
-
-    #[test]
-    fn tx_statements_rejected_at_executor() {
-        let mut c = Catalog::new();
-        assert!(matches!(
-            execute(&mut c, &Statement::Begin, &[], &mut DbStats::default()),
-            Err(DbError::Tx(_))
-        ));
     }
 
     // ---- range planner / composite indexes ----

@@ -9,8 +9,9 @@
 //! `metadb_tour` example), single-column INNER JOIN, ordered secondary
 //! indexes (CREATE INDEX, one or more columns) with cost-based
 //! point/range/stream planning and incremental maintenance, and
-//! undo-log transactions (BEGIN/COMMIT/ROLLBACK cost O(rows touched),
-//! never O(database)) — as an in-process engine:
+//! undo-log transactions (`Database::transaction` closures, whose
+//! commit or rollback costs O(rows touched), never O(database)) — as
+//! an in-process engine:
 //!
 //! * [`value::Value`] / [`schema::Schema`] — the type system (INT,
 //!   DOUBLE, TEXT + NULL).
@@ -22,12 +23,14 @@
 //! * [`eval`] — expression evaluation: one walk over the AST per row,
 //!   with SQL three-valued logic and errors (never panics) for bad
 //!   columns, types and parameters.
-//! * [`undo`] — per-transaction row-level undo logs (`ROLLBACK` replays
-//!   them in reverse).
-//! * [`Database`] — the embedded connection: `exec_stmt(stmt, params)`
-//!   runs a typed statement; SQL text enters only through
-//!   `parse(sql)`, which lowers it to the same [`stmt::Stmt`]
-//!   (`exec(sql, params)` is parse-then-`exec_stmt`).
+//! * [`undo`] — per-transaction row-level undo logs (a rollback
+//!   replays them in reverse).
+//! * [`Database`] — the embedded connection: one lock over the catalog,
+//!   the log and the counters. `exec_stmt(stmt, params)` runs a typed
+//!   statement as its own transaction, `transaction(|tx| …)` runs
+//!   several as one; SQL text enters only through `parse(sql)`, which
+//!   lowers it to the same [`stmt::Stmt`] (`exec(sql, params)` is
+//!   parse-then-`exec_stmt`).
 //! * [`stmt`] — the **typed statement layer**: tables described once by
 //!   [`stmt::Relation`] descriptors (the [`relation!`] macro), DDL
 //!   generated from them, and queries built fluently
@@ -35,8 +38,9 @@
 //!   [`stmt::Delete`]) into compiled [`stmt::Stmt`] values that execute
 //!   with zero SQL-text formatting or parsing.
 //! * [`wal`] — **durability**, so metadata survives "runs" the way a
-//!   MySQL server's tables did: a write-ahead log with group commit,
-//!   checkpoint snapshots (the one on-disk format), and crash recovery
+//!   MySQL server's tables did: a write-ahead log with one append and
+//!   one fsync per commit, checkpoint snapshots (the one on-disk
+//!   format), and crash recovery
 //!   ([`Database::open`] replays the log to exactly the last committed
 //!   transaction), behind a [`wal::storage::WalStorage`] trait with
 //!   fsync'd-file and fault-injectable in-memory backends.
@@ -60,7 +64,7 @@ pub mod undo;
 pub mod value;
 pub mod wal;
 
-pub use db::{Database, ResultSet, TxTicket};
+pub use db::{Database, ResultSet, Transaction};
 pub use error::{DbError, DbResult};
 pub use exec::DbStats;
 pub use schema::{ColType, Column, Schema};

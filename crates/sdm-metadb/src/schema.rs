@@ -59,11 +59,12 @@ impl Schema {
     /// Build a schema; column names must be unique (case-insensitive).
     pub fn new(columns: Vec<Column>) -> DbResult<Self> {
         for (i, c) in columns.iter().enumerate() {
-            // analyze:allow(panic-under-guard: `i < columns.len()`, so the slice start is in bounds)
-            for d in &columns[i + 1..] {
-                if c.name.eq_ignore_ascii_case(&d.name) {
-                    return Err(DbError::Parse(format!("duplicate column {}", c.name)));
-                }
+            let later = columns.iter().skip(i + 1);
+            if later
+                .into_iter()
+                .any(|d| c.name.eq_ignore_ascii_case(&d.name))
+            {
+                return Err(DbError::Parse(format!("duplicate column {}", c.name)));
             }
         }
         Ok(Self { columns })

@@ -238,10 +238,4 @@ pub enum Statement {
         /// WHERE predicate.
         filter: Option<Expr>,
     },
-    /// BEGIN / START TRANSACTION.
-    Begin,
-    /// COMMIT.
-    Commit,
-    /// ROLLBACK.
-    Rollback,
 }

@@ -5,9 +5,10 @@
 //! VALUES`, `SELECT [DISTINCT] ... FROM ... [JOIN ... ON] [WHERE]
 //! [GROUP BY] [HAVING] [ORDER BY] [LIMIT]` with aggregates
 //! (COUNT/SUM/AVG/MIN/MAX), `UPDATE ... SET ... [WHERE]`, `DELETE FROM
-//! ... [WHERE]`, `BEGIN`/`COMMIT`/`ROLLBACK`, with `?` positional
-//! parameters, arithmetic, comparisons, `AND`/`OR`/`NOT`,
-//! `IS [NOT] NULL`, and qualified `table.column` references.
+//! ... [WHERE]`, with `?` positional parameters, arithmetic,
+//! comparisons, `AND`/`OR`/`NOT`, `IS [NOT] NULL`, and qualified
+//! `table.column` references. Transactions are not SQL statements but
+//! `Database::transaction` closures.
 
 pub mod ast;
 pub mod lexer;

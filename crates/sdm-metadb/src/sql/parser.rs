@@ -176,15 +176,6 @@ impl Parser {
             let table = self.ident()?;
             let filter = self.opt_where()?;
             Ok(Statement::Delete { table, filter })
-        } else if self.accept_kw("BEGIN") {
-            Ok(Statement::Begin)
-        } else if self.accept_kw("START") {
-            self.expect_kw("TRANSACTION")?;
-            Ok(Statement::Begin)
-        } else if self.accept_kw("COMMIT") {
-            Ok(Statement::Commit)
-        } else if self.accept_kw("ROLLBACK") {
-            Ok(Statement::Rollback)
         } else {
             Err(DbError::Parse(format!(
                 "unknown statement start: {:?}",
@@ -798,11 +789,11 @@ mod tests {
     }
 
     #[test]
-    fn parse_transactions() {
-        assert_eq!(parse("BEGIN").unwrap(), Statement::Begin);
-        assert_eq!(parse("START TRANSACTION").unwrap(), Statement::Begin);
-        assert_eq!(parse("COMMIT;").unwrap(), Statement::Commit);
-        assert_eq!(parse("ROLLBACK").unwrap(), Statement::Rollback);
+    fn transaction_control_is_not_sql() {
+        // Transactions are `Database::transaction` closures.
+        for sql in ["BEGIN", "START TRANSACTION", "COMMIT;", "ROLLBACK"] {
+            assert!(matches!(parse(sql), Err(DbError::Parse(_))), "{sql}");
+        }
     }
 
     #[test]

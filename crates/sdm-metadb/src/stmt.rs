@@ -412,7 +412,7 @@ impl<R: Relation> Filter<R> {
 #[derive(Debug, Clone)]
 pub struct Stmt {
     ast: Arc<Statement>,
-    table: Option<Arc<str>>,
+    table: Arc<str>,
 }
 
 impl Stmt {
@@ -426,8 +426,7 @@ impl Stmt {
             | Statement::Update { table: name, .. }
             | Statement::Delete { table: name, .. }
             | Statement::CreateIndex { table: name, .. }
-            | Statement::DropIndex { table: name, .. } => Some(Arc::from(name.as_str())),
-            Statement::Begin | Statement::Commit | Statement::Rollback => None,
+            | Statement::DropIndex { table: name, .. } => Arc::from(name.as_str()),
         };
         Stmt {
             ast: Arc::new(ast),
@@ -442,35 +441,19 @@ impl Stmt {
         Ok(Stmt::from_ast(parse(sql)?))
     }
 
-    /// `BEGIN`.
-    pub fn begin() -> Stmt {
-        Stmt::from_ast(Statement::Begin)
-    }
-
-    /// `COMMIT`.
-    pub fn commit() -> Stmt {
-        Stmt::from_ast(Statement::Commit)
-    }
-
-    /// `ROLLBACK`.
-    pub fn rollback() -> Stmt {
-        Stmt::from_ast(Statement::Rollback)
-    }
-
-    /// The table this statement touches (`None` for transaction
-    /// control). This is the routing/caching key a sharded or caching
-    /// store dispatches on. A `SELECT` with a join names its `FROM`
-    /// table here; use [`Stmt::references`] to also cover the joined
-    /// side.
-    pub fn table(&self) -> Option<&str> {
-        self.table.as_deref()
+    /// The table this statement touches. This is the routing/caching
+    /// key a sharded or caching store dispatches on. A `SELECT` with a
+    /// join names its `FROM` table here; use [`Stmt::references`] to
+    /// also cover the joined side.
+    pub fn table(&self) -> &str {
+        &self.table
     }
 
     /// Whether this statement reads or writes `table`, including as the
     /// joined side of a `SELECT … INNER JOIN`. Caching layers gate
     /// their flushes on this, not on [`Stmt::table`] alone.
     pub fn references(&self, table: &str) -> bool {
-        if self.table().is_some_and(|t| t.eq_ignore_ascii_case(table)) {
+        if self.table.eq_ignore_ascii_case(table) {
             return true;
         }
         matches!(
@@ -482,10 +465,7 @@ impl Stmt {
     /// Whether executing this statement may change table contents or
     /// schema.
     pub fn is_mutation(&self) -> bool {
-        !matches!(
-            &*self.ast,
-            Statement::Select { .. } | Statement::Begin | Statement::Commit | Statement::Rollback
-        )
+        !matches!(&*self.ast, Statement::Select { .. })
     }
 
     /// The executable AST.
@@ -1181,9 +1161,6 @@ fn render_statement(stmt: &Statement) -> String {
                 render_expr(f, &mut s);
             }
         }
-        Statement::Begin => s.push_str("BEGIN"),
-        Statement::Commit => s.push_str("COMMIT"),
-        Statement::Rollback => s.push_str("ROLLBACK"),
     }
     s
 }
@@ -1566,10 +1543,9 @@ mod tests {
     #[test]
     fn stmt_metadata_is_exposed() {
         let q = Query::<TRow>::all().compile();
-        assert_eq!(q.table(), Some("t"));
+        assert_eq!(q.table(), "t");
         assert!(!q.is_mutation());
         assert!(Insert::<TRow>::prepared().is_mutation());
-        assert_eq!(Stmt::begin().table(), None);
         let cloned = q.clone();
         assert!(Arc::ptr_eq(&q.ast, &cloned.ast), "cloning shares the AST");
     }
@@ -1581,9 +1557,8 @@ mod tests {
         assert!(q.references("T"), "case-insensitive like the catalog");
         assert!(!q.references("other"));
         let join = Stmt::parse("SELECT t.k FROM other INNER JOIN t ON other.k = t.k").unwrap();
-        assert_eq!(join.table(), Some("other"));
+        assert_eq!(join.table(), "other");
         assert!(join.references("t"), "joined table is referenced");
-        assert!(!Stmt::commit().references("t"));
     }
 
     #[test]

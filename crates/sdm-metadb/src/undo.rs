@@ -1,12 +1,13 @@
 //! Per-transaction undo logging.
 //!
-//! A transaction no longer snapshots the catalog at `BEGIN`. Instead,
-//! every mutation executed while the owning thread's transaction is open
-//! appends a row-level undo record; `COMMIT` discards the log and
-//! `ROLLBACK` replays it in reverse. Transaction cost is therefore
-//! proportional to the rows the transaction *touched*, never to the
-//! database's size — a `BEGIN`/`COMMIT` around one insert into a
-//! million-row catalog logs exactly one record.
+//! A transaction never snapshots the catalog. Instead, every mutation
+//! executed inside a `Database::transaction` closure appends a
+//! row-level undo record; a commit discards the log and a rollback
+//! replays it in reverse. Transaction cost is therefore proportional to
+//! the rows the transaction *touched*, never to the database's size — a
+//! transaction of one insert into a million-row catalog logs exactly
+//! one record. An autocommitted statement logs into a log it throws
+//! away.
 //!
 //! Undo records own the displaced data (old row images, dropped tables),
 //! captured by move on the mutation path — logging an UPDATE's undo is a
@@ -77,8 +78,8 @@ pub struct UndoLog {
 }
 
 impl UndoLog {
-    /// Append one record (called by the executor under the catalog
-    /// write lock).
+    /// Append one record (called by the executor under the database's
+    /// lock).
     pub(crate) fn push(&mut self, rec: UndoRecord) {
         self.records.push(rec);
     }

@@ -1,4 +1,4 @@
-//! Durability: write-ahead log, group commit, checkpoint, recovery.
+//! Durability: write-ahead log, checkpoint, recovery.
 //!
 //! The paper's metadata lived in a MySQL server precisely so it
 //! survived across runs; this module gives the embedded reproduction
@@ -7,16 +7,14 @@
 //!
 //! * **Append before apply.** Every mutation encodes its redo record
 //!   ([`record::WalAppender`], post-images mirroring the undo log's
-//!   pre-images) *before* the catalog changes, and the frames reach the
-//!   shared log buffer while the transaction guard is held — frames of
-//!   different transactions never interleave.
-//! * **Group commit.** A committing thread calls `Wal::sync_to` after
-//!   releasing the transaction slot. The first thread in becomes the
-//!   *leader*: it drains the buffer and fsyncs once while later
-//!   committers queue on the sync lock; when they get it, the leader's
-//!   fsync usually already covers their LSN and they return without
-//!   touching storage. One fsync, many commits.
-//! * **Checkpoint.** [`crate::Database::checkpoint`] quiesces, writes
+//!   pre-images) *before* the catalog changes. A transaction's frames
+//!   collect in its own appender; a rolled-back transaction's never
+//!   reach the log.
+//! * **Commit.** A committing transaction's frames plus its COMMIT
+//!   frame go to storage in one append and one fsync. The [`Wal`] is a
+//!   plain struct owned by the database's one lock, so commits never
+//!   interleave and nothing else waits on a sync but the caller.
+//! * **Checkpoint.** [`crate::Database::checkpoint`] writes
 //!   `"<last_tx>\n<catalog JSON>"` via atomic temp+fsync+rename, and
 //!   only *then* deletes sealed segments — a crash anywhere in between
 //!   leaves a recoverable (snapshot, log) pair.
@@ -31,12 +29,6 @@
 //! durability for anything after it would be a lie. Subsequent commits
 //! error; the in-memory state stays intact for inspection.
 //!
-//! Lock placement: `wal_sync` (rank [`crate::db::LOCK_RANK_WAL_SYNC`])
-//! then `wal_buf` (rank [`crate::db::LOCK_RANK_WAL_BUF`]) sit between
-//! the catalog lock and the leaf mutexes — a committer appends under
-//! the transaction guard and syncs after releasing it, so the fsync is
-//! never inside any other lock's critical section.
-//!
 //! This module is the only place in the crate that writes to the
 //! filesystem directly; `crates/sdm-metadb/clippy.toml` bans those
 //! calls everywhere else.
@@ -49,12 +41,7 @@
 pub mod record;
 pub mod storage;
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
-
 use crate::catalog::Catalog;
-use crate::db::{LOCK_RANK_WAL_BUF, LOCK_RANK_WAL_SYNC};
 use crate::error::{DbError, DbResult};
 use record::Replay;
 use storage::WalStorage;
@@ -78,38 +65,18 @@ pub struct RecoveryInfo {
     pub last_committed_tx: u64,
 }
 
-/// The un-synced tail of the log: everything appended but not yet
-/// drained to storage.
-#[derive(Debug, Default)]
-struct WalBuf {
-    buf: Vec<u8>,
-    /// LSN = total bytes appended since open; `next_lsn` is the LSN the
-    /// next appended byte will get.
-    next_lsn: u64,
-    /// Commit frames sitting in `buf` — the group-commit batch size.
-    pending_commits: u64,
-}
-
-/// The storage side, serialized by the `wal_sync` mutex: the leader of
-/// a group commit holds it across append+fsync.
-#[derive(Debug)]
-struct SyncTail {
-    storage: Box<dyn WalStorage>,
-    /// Everything at LSN < `durable_lsn` has been fsync'd.
-    durable_lsn: u64,
-    /// A sync failed: durability can no longer be promised (see module
-    /// docs); every later commit errors.
-    poisoned: bool,
-}
-
-/// The write-ahead log: record buffer, group-commit writer, and the
-/// recovery bookkeeping from open.
+/// The write-ahead log: the storage it commits to and the recovery
+/// bookkeeping from open.
 #[derive(Debug)]
 pub struct Wal {
-    wal_sync: Mutex<SyncTail>,
-    wal_buf: Mutex<WalBuf>,
-    next_txid: AtomicU64,
-    last_committed: AtomicU64,
+    storage: Box<dyn WalStorage>,
+    /// Bytes the commits since open handed to storage.
+    appended: u64,
+    next_txid: u64,
+    last_committed: u64,
+    /// A sync failed: durability can no longer be promised (see module
+    /// docs); every later commit and checkpoint errors.
+    poisoned: bool,
     recovery: RecoveryInfo,
 }
 
@@ -176,15 +143,11 @@ impl Wal {
             info.discarded_records += pending.len() as u64;
         }
         let wal = Self {
-            wal_sync: Mutex::new(SyncTail {
-                storage,
-                durable_lsn: 0,
-                poisoned: false,
-            })
-            .with_rank(LOCK_RANK_WAL_SYNC),
-            wal_buf: Mutex::new(WalBuf::default()).with_rank(LOCK_RANK_WAL_BUF),
-            next_txid: AtomicU64::new(max_txid + 1),
-            last_committed: AtomicU64::new(info.last_committed_tx),
+            storage,
+            appended: 0,
+            next_txid: max_txid + 1,
+            last_committed: info.last_committed_tx,
+            poisoned: false,
             recovery: info,
         };
         Ok((wal, catalog))
@@ -197,112 +160,63 @@ impl Wal {
 
     /// Allocate the next transaction id (monotonic across reopens:
     /// recovery seeds the counter past every id seen in the log).
-    pub(crate) fn begin_tx(&self) -> u64 {
-        self.next_txid.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Highest transaction id whose COMMIT was appended.
-    pub(crate) fn note_committed(&self, txid: u64) {
-        self.last_committed.fetch_max(txid, Ordering::Relaxed);
+    pub(crate) fn begin_tx(&mut self) -> u64 {
+        let txid = self.next_txid;
+        self.next_txid += 1;
+        txid
     }
 
     /// Highest committed transaction id (recovered or since appended).
     pub(crate) fn last_committed(&self) -> u64 {
-        self.last_committed.load(Ordering::Relaxed)
+        self.last_committed
     }
 
-    /// Total bytes appended since open (bench bookkeeping).
+    /// Total bytes the commits since open handed to storage (bench
+    /// bookkeeping).
     pub(crate) fn appended_bytes(&self) -> u64 {
-        self.wal_buf.lock().next_lsn
+        self.appended
     }
 
-    /// Append encoded frames to the log buffer, returning the LSN a
-    /// subsequent `Wal::sync_to` must reach to make them durable.
-    /// `commits` is how many COMMIT frames `bytes` carries (the
-    /// group-commit batch accounting).
-    pub(crate) fn append_bytes(&self, bytes: &[u8], commits: u64) -> u64 {
-        let mut buf = self.wal_buf.lock();
-        buf.buf.extend_from_slice(bytes);
-        buf.next_lsn += bytes.len() as u64;
-        buf.pending_commits += commits;
-        buf.next_lsn
+    fn check_poisoned(&self, what: &str) -> DbResult<()> {
+        if self.poisoned {
+            return Err(DbError::Persist(format!(
+                "wal poisoned by an earlier sync failure; {what}"
+            )));
+        }
+        Ok(())
     }
 
-    /// Drain the buffer to storage and fsync once, under an already
-    /// held sync lock. Returns `(fsyncs, commits batched)` — batched is
-    /// the number of commits beyond the first that this single fsync
-    /// made durable.
-    fn flush_pending(&self, tail: &mut SyncTail) -> DbResult<(u64, u64)> {
-        let (bytes, upto, commits) = {
-            let mut buf = self.wal_buf.lock();
-            if buf.next_lsn == tail.durable_lsn {
-                return Ok((0, 0));
-            }
-            (
-                std::mem::take(&mut buf.buf),
-                buf.next_lsn,
-                std::mem::replace(&mut buf.pending_commits, 0),
-            )
-        };
-        if let Err(e) = tail
+    /// Commit transaction `txid`: append its encoded frames (ending in
+    /// its COMMIT frame) to storage and fsync once. A failure poisons
+    /// the log.
+    pub(crate) fn commit(&mut self, txid: u64, frames: &[u8]) -> DbResult<()> {
+        self.check_poisoned("commits are no longer durable")?;
+        self.appended += frames.len() as u64;
+        self.last_committed = self.last_committed.max(txid);
+        let synced = self
             .storage
-            .append(&bytes)
-            .and_then(|()| tail.storage.sync())
-        {
-            tail.poisoned = true;
-            return Err(e);
+            .append(frames)
+            .and_then(|()| self.storage.sync());
+        if synced.is_err() {
+            self.poisoned = true;
         }
-        tail.durable_lsn = upto;
-        Ok((1, commits.saturating_sub(1)))
+        synced
     }
 
-    /// Make everything up to `lsn` durable — the group-commit entry
-    /// point. The first committer in becomes the leader and fsyncs for
-    /// everyone queued behind it; a follower whose LSN the leader
-    /// already covered returns `(0, 0)` without touching storage.
-    pub(crate) fn sync_to(&self, lsn: u64) -> DbResult<(u64, u64)> {
-        let mut tail = self.wal_sync.lock();
-        let mut fsyncs = 0;
-        let mut batched = 0;
-        while tail.durable_lsn < lsn {
-            if tail.poisoned {
-                return Err(DbError::Persist(
-                    "wal poisoned by an earlier sync failure; commits are no longer durable".into(),
-                ));
-            }
-            let (f, b) = self.flush_pending(&mut tail)?;
-            fsyncs += f;
-            batched += b;
-        }
-        Ok((fsyncs, batched))
-    }
-
-    /// Seal the current segment and start a fresh one (checkpoint step:
-    /// called at a quiesce point, under the transaction guard).
-    pub(crate) fn rotate(&self) -> DbResult<()> {
-        let mut tail = self.wal_sync.lock();
-        if tail.poisoned {
-            return Err(DbError::Persist(
-                "wal poisoned by an earlier sync failure; checkpoint aborted".into(),
-            ));
-        }
-        self.flush_pending(&mut tail)?;
-        tail.storage.rotate()
+    /// Seal the current segment and start a fresh one (checkpoint step).
+    pub(crate) fn rotate(&mut self) -> DbResult<()> {
+        self.check_poisoned("checkpoint aborted")?;
+        self.storage.rotate()
     }
 
     /// Install a checkpoint snapshot, then — only on success — delete
     /// the sealed segments it covers. A failed install leaves every
     /// segment in place: recovery still has the old snapshot plus the
     /// full log, so nothing committed is lost.
-    pub(crate) fn install_snapshot(&self, doc: &[u8]) -> DbResult<()> {
-        let mut tail = self.wal_sync.lock();
-        if tail.poisoned {
-            return Err(DbError::Persist(
-                "wal poisoned by an earlier sync failure; checkpoint aborted".into(),
-            ));
-        }
-        tail.storage.install_snapshot(doc)?;
-        tail.storage.drop_sealed()
+    pub(crate) fn install_snapshot(&mut self, doc: &[u8]) -> DbResult<()> {
+        self.check_poisoned("checkpoint aborted")?;
+        self.storage.install_snapshot(doc)?;
+        self.storage.drop_sealed()
     }
 }
 
@@ -361,7 +275,7 @@ mod tests {
     #[test]
     fn open_empty_storage_is_a_fresh_database() {
         let (storage, _h) = MemStorage::new();
-        let (wal, catalog) = Wal::open(Box::new(storage)).unwrap();
+        let (mut wal, catalog) = Wal::open(Box::new(storage)).unwrap();
         assert!(catalog.table_names().is_empty());
         assert_eq!(wal.recovery_info(), RecoveryInfo::default());
         assert_eq!(wal.begin_tx(), 1);
@@ -371,14 +285,12 @@ mod tests {
     #[test]
     fn committed_transactions_replay_and_txids_stay_monotonic() {
         let (storage, h) = MemStorage::new();
-        let (wal, _catalog) = Wal::open(Box::new(storage)).unwrap();
+        let (mut wal, _catalog) = Wal::open(Box::new(storage)).unwrap();
         let t1 = wal.begin_tx();
-        let lsn = wal.append_bytes(&tx_bytes(t1, 7), 1);
-        wal.note_committed(t1);
-        wal.sync_to(lsn).unwrap();
+        wal.commit(t1, &tx_bytes(t1, 7)).unwrap();
 
         let (storage, _h2) = MemStorage::from_persisted(h.persisted());
-        let (wal2, catalog) = Wal::open(Box::new(storage)).unwrap();
+        let (mut wal2, catalog) = Wal::open(Box::new(storage)).unwrap();
         assert_eq!(catalog.get("t").unwrap().rows(), &[vec![Value::Int(7)]]);
         let info = wal2.recovery_info();
         assert_eq!(info.replayed_txs, 1);
@@ -390,16 +302,15 @@ mod tests {
     #[test]
     fn uncommitted_tail_is_discarded_not_applied() {
         let (storage, h) = MemStorage::new();
-        let (wal, _catalog) = Wal::open(Box::new(storage)).unwrap();
+        let (mut wal, _catalog) = Wal::open(Box::new(storage)).unwrap();
         let t1 = wal.begin_tx();
-        wal.append_bytes(&tx_bytes(t1, 7), 1);
         // Transaction 2 never commits: its frames reach the log but no
         // terminator does.
         let t2 = wal.begin_tx();
         let mut w = WalAppender::new(t2);
         w.append_rows("t", &[vec![Value::Int(99)]]);
-        let lsn = wal.append_bytes(&w.into_buf(), 0);
-        wal.sync_to(lsn).unwrap();
+        wal.commit(t1, &[tx_bytes(t1, 7), w.into_buf()].concat())
+            .unwrap();
 
         let (storage, _h2) = MemStorage::from_persisted(h.persisted());
         let (wal2, catalog) = Wal::open(Box::new(storage)).unwrap();
@@ -410,15 +321,14 @@ mod tests {
     #[test]
     fn aborted_transactions_never_resurrect() {
         let (storage, h) = MemStorage::new();
-        let (wal, _catalog) = Wal::open(Box::new(storage)).unwrap();
+        let (mut wal, _catalog) = Wal::open(Box::new(storage)).unwrap();
         let t1 = wal.begin_tx();
-        wal.append_bytes(&tx_bytes(t1, 7), 1);
+        wal.commit(t1, &tx_bytes(t1, 7)).unwrap();
         let t2 = wal.begin_tx();
         let mut w = WalAppender::new(t2);
         w.append_rows("t", &[vec![Value::Int(99)]]);
         w.abort();
-        let lsn = wal.append_bytes(&w.into_buf(), 0);
-        wal.sync_to(lsn).unwrap();
+        wal.commit(t2, &w.into_buf()).unwrap();
 
         let (storage, _h2) = MemStorage::from_persisted(h.persisted());
         let (_wal2, catalog) = Wal::open(Box::new(storage)).unwrap();
@@ -426,33 +336,32 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_accounting_is_deterministic() {
-        // Three commits buffered before anyone syncs: the leader's one
-        // fsync covers all three — 1 fsync, 2 batched.
-        let (storage, _h) = MemStorage::new();
-        let (wal, _catalog) = Wal::open(Box::new(storage)).unwrap();
-        let mut last = 0;
+    fn each_commit_is_one_append_and_one_sync() {
+        let (storage, h) = MemStorage::new();
+        let (mut wal, _catalog) = Wal::open(Box::new(storage)).unwrap();
+        let mut bytes = 0;
         for v in 0..3 {
             let txid = wal.begin_tx();
-            last = wal.append_bytes(&tx_bytes(txid, v), 1);
+            let frames = tx_bytes(txid, v);
+            bytes += frames.len() as u64;
+            wal.commit(txid, &frames).unwrap();
+            // The commit reached storage before `commit` returned.
+            assert_eq!(h.log_len(), bytes);
         }
-        assert_eq!(wal.sync_to(last).unwrap(), (1, 2));
-        // Already durable: a follower arriving late does nothing.
-        assert_eq!(wal.sync_to(last).unwrap(), (0, 0));
+        assert_eq!(wal.appended_bytes(), bytes);
+        assert_eq!(wal.last_committed(), 3);
     }
 
     #[test]
     fn sync_failure_poisons_the_wal() {
         let (storage, _h) = MemStorage::with_faults(WalFaults::none().fail_sync_after(0));
-        let (wal, _catalog) = Wal::open(Box::new(storage)).unwrap();
+        let (mut wal, _catalog) = Wal::open(Box::new(storage)).unwrap();
         let txid = wal.begin_tx();
-        let lsn = wal.append_bytes(&tx_bytes(txid, 1), 1);
-        assert!(wal.sync_to(lsn).is_err());
+        assert!(wal.commit(txid, &tx_bytes(txid, 1)).is_err());
         // Every later durability request fails too — no silent recovery
         // after a lost fsync.
         let txid = wal.begin_tx();
-        let lsn = wal.append_bytes(&tx_bytes(txid, 2), 1);
-        assert!(wal.sync_to(lsn).is_err());
+        assert!(wal.commit(txid, &tx_bytes(txid, 2)).is_err());
         assert!(wal.rotate().is_err());
         assert!(wal.install_snapshot(b"0\n{}").is_err());
     }
@@ -460,20 +369,18 @@ mod tests {
     #[test]
     fn snapshot_round_trip_and_replay_gating() {
         let (storage, h) = MemStorage::new();
-        let (wal, _catalog) = Wal::open(Box::new(storage)).unwrap();
+        let (mut wal, _catalog) = Wal::open(Box::new(storage)).unwrap();
         let t1 = wal.begin_tx();
-        let lsn = wal.append_bytes(&tx_bytes(t1, 7), 1);
-        wal.sync_to(lsn).unwrap();
+        wal.commit(t1, &tx_bytes(t1, 7)).unwrap();
 
         // Checkpoint: snapshot covering t1, then a post-snapshot tx.
         let (storage, h2) = MemStorage::from_persisted(h.persisted());
-        let (wal2, catalog) = Wal::open(Box::new(storage)).unwrap();
+        let (mut wal2, catalog) = Wal::open(Box::new(storage)).unwrap();
         wal2.rotate().unwrap();
         wal2.install_snapshot(&encode_snapshot(t1, &catalog).unwrap())
             .unwrap();
         let t2 = wal2.begin_tx();
-        let lsn = wal2.append_bytes(&tx_bytes(t2, 8), 1);
-        wal2.sync_to(lsn).unwrap();
+        wal2.commit(t2, &tx_bytes(t2, 8)).unwrap();
 
         let (storage, _h3) = MemStorage::from_persisted(h2.persisted());
         let (wal3, catalog) = Wal::open(Box::new(storage)).unwrap();
@@ -490,15 +397,14 @@ mod tests {
     #[test]
     fn torn_snapshot_install_keeps_old_snapshot_and_segments() {
         let (storage, h) = MemStorage::new();
-        let (wal, _catalog) = Wal::open(Box::new(storage)).unwrap();
+        let (mut wal, _catalog) = Wal::open(Box::new(storage)).unwrap();
         let t1 = wal.begin_tx();
-        let lsn = wal.append_bytes(&tx_bytes(t1, 7), 1);
-        wal.sync_to(lsn).unwrap();
+        wal.commit(t1, &tx_bytes(t1, 7)).unwrap();
 
         // Reopen, then checkpoint into a storage whose snapshot install
         // crashes before the rename.
         let (storage, h2) = MemStorage::from_persisted(h.persisted());
-        let (wal2, catalog2) = Wal::open(Box::new(storage)).unwrap();
+        let (mut wal2, catalog2) = Wal::open(Box::new(storage)).unwrap();
         wal2.rotate().unwrap();
         h2.set_faults(WalFaults::none().torn_snapshot());
         let doc = encode_snapshot(t1, &catalog2).unwrap();

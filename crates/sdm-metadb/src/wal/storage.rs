@@ -1,8 +1,8 @@
 //! WAL storage backends: real fsync'd files and a fault-injectable
 //! in-memory twin.
 //!
-//! The [`WalStorage`] trait is the narrow waist between the group-commit
-//! writer and the bytes' resting place: append to the open segment,
+//! The [`WalStorage`] trait is the narrow waist between the log writer
+//! and the bytes' resting place: append to the open segment,
 //! `sync` it durable, `rotate` to a fresh segment at a checkpoint, and
 //! install/read the snapshot atomically. Two backends implement it:
 //!
@@ -30,7 +30,7 @@ use parking_lot::Mutex;
 use crate::error::{DbError, DbResult};
 
 /// Where WAL bytes rest. Methods take `&mut self`: the caller (the
-/// group-commit writer) serializes access behind its sync lock.
+/// log writer) serializes access behind the database's lock.
 pub trait WalStorage: Send + std::fmt::Debug {
     /// Append `bytes` to the open segment (no durability implied).
     fn append(&mut self, bytes: &[u8]) -> DbResult<()>;

@@ -33,9 +33,9 @@ enum Op {
     Delete(i64),
     /// Autocommit `DELETE FROM t` (logs a CLEAR record).
     Clear,
-    /// `BEGIN; INSERT…; COMMIT` — all rows or none.
+    /// One transaction of inserts that commits — all rows or none.
     TxCommit(Vec<(i64, i64)>),
-    /// `BEGIN; INSERT…; ROLLBACK` — must never resurrect.
+    /// One transaction of inserts that rolls back — must never resurrect.
     TxRollback(Vec<(i64, i64)>),
     /// `CREATE INDEX tk ON t (k)` / `DROP INDEX tk ON t` (idempotence
     /// errors ignored: an invalid DDL statement logs nothing).
@@ -81,24 +81,31 @@ fn apply(db: &Database, op: &Op) -> DbResult<()> {
             db.exec("DELETE FROM t", &[])?;
         }
         Op::TxCommit(rows) => {
-            db.exec("BEGIN", &[])?;
-            for (k, v) in rows {
-                db.exec(
-                    "INSERT INTO t VALUES (?, ?)",
-                    &[Value::Int(*k), Value::Int(*v)],
-                )?;
-            }
-            db.exec("COMMIT", &[])?;
+            db.transaction(|tx| {
+                for (k, v) in rows {
+                    tx.exec(
+                        "INSERT INTO t VALUES (?, ?)",
+                        &[Value::Int(*k), Value::Int(*v)],
+                    )?;
+                }
+                Ok(())
+            })?;
         }
         Op::TxRollback(rows) => {
-            db.exec("BEGIN", &[])?;
-            for (k, v) in rows {
-                db.exec(
-                    "INSERT INTO t VALUES (?, ?)",
-                    &[Value::Int(*k), Value::Int(*v)],
-                )?;
+            let rollback = DbError::Tx("roll back".into());
+            let rolled = db.transaction(|tx| {
+                for (k, v) in rows {
+                    tx.exec(
+                        "INSERT INTO t VALUES (?, ?)",
+                        &[Value::Int(*k), Value::Int(*v)],
+                    )?;
+                }
+                Err(rollback.clone())
+            });
+            match rolled {
+                Err(e) if e == rollback => {}
+                other => other?,
             }
-            db.exec("ROLLBACK", &[])?;
         }
         Op::CreateIndex => ddl(db.exec("CREATE INDEX tk ON t (k)", &[]))?,
         Op::DropIndex => ddl(db.exec("DROP INDEX tk ON t", &[]))?,

@@ -95,8 +95,7 @@ proptest! {
 /// integer. Separated by single spaces.
 const TOKENS: &str = "SELECT INSERT INTO VALUES UPDATE SET DELETE FROM WHERE CREATE DROP \
     TABLE INDEX ON IF NOT EXISTS INT DOUBLE TEXT VARCHAR AND OR IS NULL ORDER GROUP BY ASC \
-    DESC LIMIT HAVING DISTINCT INNER JOIN AS COUNT SUM AVG MIN MAX BEGIN START TRANSACTION \
-    COMMIT ROLLBACK t a t.a 0 42 1.5e3 'x' '' 'it''s' ? ( ) , * = != <> < <= > >= + - / ; \
+    DESC LIMIT HAVING DISTINCT INNER JOIN AS COUNT SUM AVG MIN MAX t a t.a 0 42 1.5e3 'x' '' 'it''s' ? ( ) , * = != <> < <= > >= + - / ; \
     'open ! \u{e9} -- 99999999999999999999";
 
 /// Prefixes the random token tails are appended to; `""` leaves the

@@ -10,7 +10,7 @@
 use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
-use sdm::metadb::{Database, Value};
+use sdm::metadb::{Database, DbError, Value};
 
 fn db_with_rows(rows: &[(i64, i64)]) -> Database {
     let db = Database::new();
@@ -100,12 +100,15 @@ proptest! {
     ) {
         let db = db_with_rows(&initial);
         let before = db.exec("SELECT k, v FROM t ORDER BY k, v", &[]).unwrap();
-        db.exec("BEGIN", &[]).unwrap();
-        for &(k, v) in &batch {
-            db.exec("INSERT INTO t VALUES (?, ?)", &[Value::Int(k), Value::Int(v)]).unwrap();
-        }
-        db.exec("DELETE FROM t WHERE v < ?", &[Value::Int(del_below)]).unwrap();
-        db.exec("ROLLBACK", &[]).unwrap();
+        let rollback = DbError::Tx("roll back".into());
+        let rolled = db.transaction(|tx| {
+            for &(k, v) in &batch {
+                tx.exec("INSERT INTO t VALUES (?, ?)", &[Value::Int(k), Value::Int(v)])?;
+            }
+            tx.exec("DELETE FROM t WHERE v < ?", &[Value::Int(del_below)])?;
+            Err::<(), _>(rollback.clone())
+        });
+        prop_assert_eq!(rolled, Err(rollback));
         let after = db.exec("SELECT k, v FROM t ORDER BY k, v", &[]).unwrap();
         prop_assert_eq!(before.rows, after.rows);
     }
