@@ -84,19 +84,6 @@ impl UndoLog {
         self.records.push(rec);
     }
 
-    /// Number of row images currently logged (diagnostics/tests).
-    pub fn rows_logged(&self) -> u64 {
-        self.records
-            .iter()
-            .map(|r| match r {
-                UndoRecord::Append { n, .. } => *n as u64,
-                UndoRecord::Delete { removed, .. } => removed.len() as u64,
-                UndoRecord::Update { old, .. } => old.len() as u64,
-                _ => 0,
-            })
-            .sum()
-    }
-
     /// Replay the log in reverse against `catalog`, restoring the
     /// pre-transaction state exactly. Returns the number of row images
     /// applied (the `tx_rows_undone` stat) — proportional to the rows

@@ -1,11 +1,11 @@
 //! Graph contraction.
 
-use std::collections::HashMap;
-
 use crate::multilevel::wgraph::WGraph;
 
 /// Contract matched pairs into coarse nodes. Returns the coarse graph and
-/// the projection map `cmap[fine] = coarse`.
+/// the projection map `cmap[fine] = coarse`. Each coarse row lists its
+/// neighbours in ascending order, each once, with the summed weight of
+/// the fine edges between the two coarse nodes.
 pub fn contract(g: &WGraph, mate: &[u32]) -> (WGraph, Vec<u32>) {
     let n = g.n();
     let mut cmap = vec![u32::MAX; n];
@@ -21,60 +21,40 @@ pub fn contract(g: &WGraph, mate: &[u32]) -> (WGraph, Vec<u32>) {
     }
     let ncn = nc as usize;
 
+    // Coarse rows in id order (a pair's lower fine node handed out its
+    // id). `slot[cu]` is cu's index in `row` while one row is gathered.
+    let (mut xadj, mut adjncy, mut adjwgt) = (vec![0], Vec::new(), Vec::new());
     let mut vwgt = vec![0u64; ncn];
+    let mut slot = vec![u32::MAX; ncn];
+    let mut row: Vec<(u32, u64)> = Vec::new();
     for v in 0..n {
-        vwgt[cmap[v] as usize] += g.vwgt[v];
-        // Matched partners share a coarse id; add each fine node once.
-        if mate[v] as usize != v && (mate[v] as usize) < v {
-            // already counted when we visited the partner — undo double add
-            // (handled by the guard below instead)
+        let m = mate[v] as usize;
+        if m < v {
+            continue; // gathered with the partner's row
         }
-    }
-    // The loop above double-counts nothing: each fine v adds its own
-    // weight exactly once.
-
-    // Accumulate coarse edges.
-    let mut edges: HashMap<(u32, u32), u64> = HashMap::new();
-    for v in 0..n {
         let cv = cmap[v];
-        for e in g.nbr_range(v) {
-            let u = g.adjncy[e] as usize;
-            let cu = cmap[u];
-            if cu == cv {
-                continue; // interior (contracted) edge
-            }
-            if cv < cu {
-                *edges.entry((cv, cu)).or_insert(0) += g.adjwgt[e];
+        for w in std::iter::once(v).chain((m != v).then_some(m)) {
+            vwgt[cv as usize] += g.vwgt[w];
+            for e in g.nbr_range(w) {
+                let cu = cmap[g.adjncy[e] as usize];
+                if cu == cv {
+                    continue; // interior (contracted) edge
+                }
+                if slot[cu as usize] == u32::MAX {
+                    slot[cu as usize] = row.len() as u32;
+                    row.push((cu, 0));
+                }
+                row[slot[cu as usize] as usize].1 += g.adjwgt[e];
             }
         }
-    }
-    // edges counted once per direction of the fine edge with cv < cu;
-    // each undirected fine edge appears in adjncy twice (v->u and u->v),
-    // but only the direction with cv < cu accumulates, so each fine edge
-    // contributes its weight exactly once.
-
-    let mut sorted: Vec<((u32, u32), u64)> = edges.into_iter().collect();
-    sorted.sort_unstable_by_key(|&(k, _)| k);
-
-    let mut deg = vec![0usize; ncn];
-    for &((a, b), _) in &sorted {
-        deg[a as usize] += 1;
-        deg[b as usize] += 1;
-    }
-    let mut xadj = vec![0usize; ncn + 1];
-    for v in 0..ncn {
-        xadj[v + 1] = xadj[v] + deg[v];
-    }
-    let mut adjncy = vec![0u32; xadj[ncn]];
-    let mut adjwgt = vec![0u64; xadj[ncn]];
-    let mut fill = xadj.clone();
-    for &((a, b), w) in &sorted {
-        adjncy[fill[a as usize]] = b;
-        adjwgt[fill[a as usize]] = w;
-        fill[a as usize] += 1;
-        adjncy[fill[b as usize]] = a;
-        adjwgt[fill[b as usize]] = w;
-        fill[b as usize] += 1;
+        row.sort_unstable_by_key(|&(cu, _)| cu);
+        for &(cu, w) in &row {
+            slot[cu as usize] = u32::MAX;
+            adjncy.push(cu);
+            adjwgt.push(w);
+        }
+        row.clear();
+        xadj.push(adjncy.len());
     }
     (
         WGraph {

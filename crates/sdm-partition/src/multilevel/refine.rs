@@ -1,7 +1,6 @@
 //! Boundary FM refinement (k-way, with move sequences and rollback).
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use crate::multilevel::wgraph::WGraph;
 
@@ -31,6 +30,13 @@ impl Default for RefineParams {
 /// part may exceed the balance cap by one vertex of slack; prefixes are
 /// ranked feasible-first, so the kept state respects the cap whenever
 /// the initial state did.
+///
+/// A pass stops when no candidate move is left, or as soon as the best
+/// prefix is feasible and the cut on edges whose endpoints have both
+/// moved this pass reaches that prefix's cut: those edges cannot change
+/// again, so no later prefix can cut less, and running on would keep
+/// the same prefix. Refinement ends after `passes` passes, or after a
+/// pass that keeps no move.
 pub fn refine(g: &WGraph, part: &mut [u32], nparts: usize, params: RefineParams) {
     let n = g.n();
     if n == 0 || nparts < 2 {
@@ -42,117 +48,78 @@ pub fn refine(g: &WGraph, part: &mut [u32], nparts: usize, params: RefineParams)
     let target = total.div_ceil(nparts as u64);
     let max_weight = (((total as f64 / nparts as f64) * params.max_imbalance) as u64).max(target);
     let slack = g.vwgt.iter().copied().max().unwrap_or(0);
+    let over_cap = |w: u64| usize::from(w > max_weight);
 
     let mut part_weight = vec![0u64; nparts];
     for v in 0..n {
         part_weight[part[v] as usize] += g.vwgt[v];
     }
     let mut cut = g.cut(part) as i64;
-
-    // Per-vertex entry versions for lazy heap invalidation.
-    let mut version = vec![0u64; n];
-    let mut conn = vec![0i64; nparts];
+    let mut conn = Conn {
+        w: vec![0; nparts],
+        parts: Vec::new(),
+    };
 
     for _ in 0..params.passes {
         let mut moved = vec![false; n];
-        // Heap of candidate moves: (gain, vertex, entry version).
-        let mut heap: BinaryHeap<(i64, Reverse<usize>, u64)> = BinaryHeap::new();
-
-        // Best available gain of v over adjacent foreign parts, ignoring
-        // weight limits (rechecked at pop time).
-        fn best_gain(g: &WGraph, part: &[u32], conn: &mut [i64], v: usize) -> Option<i64> {
-            let home = part[v] as usize;
-            let mut touched: Vec<usize> = Vec::with_capacity(8);
-            for e in g.nbr_range(v) {
-                let p = part[g.adjncy[e] as usize] as usize;
-                if conn[p] == 0 {
-                    touched.push(p);
-                }
-                conn[p] += g.adjwgt[e] as i64;
-            }
-            let internal = conn[home];
-            let mut best: Option<i64> = None;
-            for &p in &touched {
-                if p != home {
-                    let gain = conn[p] - internal;
-                    if best.is_none_or(|b| gain > b) {
-                        best = Some(gain);
-                    }
-                }
-            }
-            for &p in &touched {
-                conn[p] = 0;
-            }
-            best
-        }
-
-        for (v, &ver) in version.iter().enumerate().take(n) {
-            if let Some(gain) = best_gain(g, part, &mut conn, v) {
-                heap.push((gain, Reverse(v), ver));
-            }
+        let mut heap = GainHeap::new(n);
+        for v in 0..n {
+            heap.set(v, conn.best_gain(g, part, v));
         }
 
         // Build the move sequence.
-        let feasible = |pw: &[u64]| pw.iter().all(|&w| w <= max_weight);
-        let initial_feasible = feasible(&part_weight);
+        let mut over: usize = part_weight.iter().map(|&w| over_cap(w)).sum();
+        let initial_feasible = over == 0;
         let mut history: Vec<(usize, u32)> = Vec::new(); // (vertex, old part)
                                                          // Best prefix key: feasibility (or the input was already
                                                          // infeasible), then lower cut. Ties keep the earlier prefix.
         let mut best_prefix = 0usize;
         let mut best_key = (initial_feasible, -cut);
+        // Cut weight on edges whose endpoints have both moved.
+        let mut locked_cut = 0i64;
 
-        while let Some((_, Reverse(v), stamp)) = heap.pop() {
-            if stamp != version[v] || moved[v] {
-                continue;
-            }
+        while let Some(v) = heap.pop() {
             // Recompute the best target for v under current weights.
             let home = part[v] as usize;
-            let mut touched: Vec<usize> = Vec::with_capacity(8);
-            for e in g.nbr_range(v) {
-                let p = part[g.adjncy[e] as usize] as usize;
-                if conn[p] == 0 {
-                    touched.push(p);
-                }
-                conn[p] += g.adjwgt[e] as i64;
-            }
-            let internal = conn[home];
+            conn.tally(g, part, v);
             let mut best: Option<(i64, u64, usize)> = None; // (gain, lighter-first, part)
-            for &p in &touched {
+            for &p in &conn.parts {
                 if p == home || part_weight[p] + g.vwgt[v] > max_weight + slack {
                     continue;
                 }
-                let gain = conn[p] - internal;
+                let gain = conn.w[p] - conn.w[home];
                 let cand = (gain, u64::MAX - part_weight[p], p);
                 if best.is_none_or(|b| (cand.0, cand.1) > (b.0, b.1)) {
                     best = Some(cand);
                 }
-            }
-            for &p in &touched {
-                conn[p] = 0;
             }
             let Some((gain, _, to)) = best else { continue };
             // Apply the move.
             moved[v] = true;
             history.push((v, part[v]));
             part[v] = to as u32;
+            over -= over_cap(part_weight[home]) + over_cap(part_weight[to]);
             part_weight[home] -= g.vwgt[v];
             part_weight[to] += g.vwgt[v];
+            over += over_cap(part_weight[home]) + over_cap(part_weight[to]);
             cut -= gain;
-            let key = (feasible(&part_weight) || !initial_feasible, -cut);
+            let key = (over == 0 || !initial_feasible, -cut);
             if key > best_key {
                 best_key = key;
                 best_prefix = history.len();
             }
-            // Refresh candidates around v.
-            version[v] += 1;
+            // Refresh candidates around v; its edges to moved vertices
+            // are now locked.
             for e in g.nbr_range(v) {
                 let u = g.adjncy[e] as usize;
                 if !moved[u] {
-                    version[u] += 1;
-                    if let Some(gain) = best_gain(g, part, &mut conn, u) {
-                        heap.push((gain, Reverse(u), version[u]));
-                    }
+                    heap.set(u, conn.best_gain(g, part, u));
+                } else if part[u] as usize != to {
+                    locked_cut += g.adjwgt[e] as i64;
                 }
+            }
+            if best_key.0 && locked_cut >= -best_key.1 {
+                break;
             }
         }
 
@@ -163,9 +130,113 @@ pub fn refine(g: &WGraph, part: &mut [u32], nparts: usize, params: RefineParams)
             part_weight[old as usize] += g.vwgt[v];
             part[v] = old;
         }
-        cut = g.cut(part) as i64;
+        cut = -best_key.1;
+        debug_assert_eq!(cut, g.cut(part) as i64);
         if best_prefix == 0 {
             break; // the pass kept nothing: converged
+        }
+    }
+}
+
+/// One vertex's edge weight into each part it reaches (`w`, zero
+/// elsewhere) and the list of those parts, reused from vertex to vertex.
+struct Conn {
+    w: Vec<i64>,
+    parts: Vec<usize>,
+}
+
+impl Conn {
+    fn tally(&mut self, g: &WGraph, part: &[u32], v: usize) {
+        for p in self.parts.drain(..) {
+            self.w[p] = 0;
+        }
+        for e in g.nbr_range(v) {
+            let p = part[g.adjncy[e] as usize] as usize;
+            if self.w[p] == 0 {
+                self.parts.push(p);
+            }
+            self.w[p] += g.adjwgt[e] as i64;
+        }
+    }
+
+    /// Best available gain of v over adjacent foreign parts, ignoring
+    /// weight limits (rechecked at pop time).
+    fn best_gain(&mut self, g: &WGraph, part: &[u32], v: usize) -> Option<i64> {
+        self.tally(g, part, v);
+        let home = part[v] as usize;
+        let foreign = self.parts.iter().filter(|&&p| p != home);
+        foreign.map(|&p| self.w[p] - self.w[home]).max()
+    }
+}
+
+/// Candidate moves in a binary max-heap ordered by `(gain, Reverse(v))`,
+/// one entry per vertex at most. `pos[v]` is v's slot, so a gain changes
+/// or leaves in place instead of leaving a stale entry behind.
+struct GainHeap {
+    heap: Vec<(i64, Reverse<u32>)>,
+    pos: Vec<u32>,
+}
+
+const ABSENT: u32 = u32::MAX;
+
+impl GainHeap {
+    fn new(n: usize) -> Self {
+        let (heap, pos) = (Vec::with_capacity(n), vec![ABSENT; n]);
+        Self { heap, pos }
+    }
+
+    /// Give v the gain `gain`, or take v out on `None`.
+    fn set(&mut self, v: usize, gain: Option<i64>) {
+        match (gain, self.pos[v]) {
+            (None, ABSENT) => {}
+            (None, i) => {
+                let (i, last) = (i as usize, self.heap.len() - 1);
+                self.swap(i, last);
+                self.pos[v] = ABSENT;
+                self.heap.pop();
+                if i < last {
+                    self.sift(i);
+                }
+            }
+            (Some(gain), ABSENT) => {
+                self.heap.push((gain, Reverse(v as u32)));
+                self.sift(self.heap.len() - 1);
+            }
+            (Some(gain), i) => {
+                self.heap[i as usize].0 = gain;
+                self.sift(i as usize);
+            }
+        }
+    }
+
+    /// Remove the vertex with the greatest `(gain, Reverse(v))`.
+    fn pop(&mut self) -> Option<usize> {
+        let v = self.heap.first()?.1 .0 as usize;
+        self.set(v, None);
+        Some(v)
+    }
+
+    fn swap(&mut self, a: usize, b: usize) {
+        self.heap.swap(a, b);
+        self.pos[self.heap[a].1 .0 as usize] = a as u32;
+        self.pos[self.heap[b].1 .0 as usize] = b as u32;
+    }
+
+    /// Move the entry at slot `i` up or down to where its key belongs.
+    fn sift(&mut self, mut i: usize) {
+        self.pos[self.heap[i].1 .0 as usize] = i as u32;
+        while i > 0 && self.heap[i] > self.heap[(i - 1) / 2] {
+            self.swap(i, (i - 1) / 2);
+            i = (i - 1) / 2;
+        }
+        loop {
+            let kids = (2 * i + 1..self.heap.len()).take(2);
+            let top = kids
+                .max_by_key(|&c| self.heap[c])
+                .filter(|&c| self.heap[c] > self.heap[i]);
+            let Some(c) = top else { return };
+            self.swap(i, c);
+            i = c;
         }
     }
 }
@@ -174,7 +245,32 @@ pub fn refine(g: &WGraph, part: &mut [u32], nparts: usize, params: RefineParams)
 mod tests {
     use super::*;
     use crate::metrics::imbalance;
+    use proptest::prelude::*;
     use sdm_mesh::CsrGraph;
+
+    proptest! {
+        /// Every pop is the greatest live `(gain, Reverse(v))` a scan finds:
+        /// refinement's move order, and so its output, rests on it.
+        #[test]
+        fn gain_heap_pops_the_scanned_max(
+            ops in proptest::collection::vec((0usize..24, -8i64..8, 0u8..4), 0..300),
+        ) {
+            let (mut heap, mut live) = (GainHeap::new(24), [None; 24]);
+            for (v, gain, op) in ops {
+                if op == 0 {
+                    let want = (0..24).max_by_key(|&u| (live[u], Reverse(u)));
+                    let want = want.filter(|&u| live[u].is_some());
+                    prop_assert_eq!(heap.pop(), want);
+                    if let Some(u) = want {
+                        live[u] = None;
+                    }
+                } else {
+                    live[v] = (op >= 2).then_some(gain);
+                    heap.set(v, live[v]);
+                }
+            }
+        }
+    }
 
     fn wg(n: usize, edges: &[(u32, u32)]) -> WGraph {
         WGraph::from_csr(&CsrGraph::from_edges(n, edges))

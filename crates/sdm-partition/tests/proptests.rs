@@ -1,9 +1,14 @@
 //! Property tests: every partitioner yields valid, total assignments;
-//! multilevel respects its balance bound; refinement never worsens cut.
+//! multilevel respects its balance bound; refinement never worsens cut;
+//! contraction yields ascending rows with merged weights.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use sdm_mesh::gen::tet_box;
 use sdm_mesh::CsrGraph;
+use sdm_partition::multilevel::coarsen::contract;
+use sdm_partition::multilevel::matching::heavy_edge_matching;
 use sdm_partition::multilevel::wgraph::WGraph;
 use sdm_partition::{edge_cut, imbalance, partition, Method};
 
@@ -62,5 +67,37 @@ proptest! {
         refine(&wg, &mut part, k, RefineParams::default());
         prop_assert!(wg.cut(&part) <= before);
         prop_assert!(part.iter().all(|&p| (p as usize) < k));
+    }
+
+    /// Refinement's tie-breaks follow row order, so coarse rows must be
+    /// ascending; two levels, so the second contracts merged weights.
+    #[test]
+    fn contract_rows_are_ascending_and_merged(
+        n in 2usize..40,
+        raw in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..120),
+        seed in any::<u64>(),
+    ) {
+        let edges: Vec<(u32, u32)> = raw.iter().map(|&(a, b)| (a % n as u32, b % n as u32)).collect();
+        let mut g = WGraph::from_csr(&CsrGraph::from_edges(n, &edges));
+        for level in 0..2 {
+            let (cg, cmap) = contract(&g, &heavy_edge_matching(&g, seed ^ level));
+            let (mut want_rows, mut want_vwgt) = (BTreeMap::new(), vec![0u64; cg.n()]);
+            for v in 0..g.n() {
+                want_vwgt[cmap[v] as usize] += g.vwgt[v];
+                for e in g.nbr_range(v) {
+                    let (a, b) = (cmap[v], cmap[g.adjncy[e] as usize]);
+                    if a != b {
+                        *want_rows.entry((a, b)).or_insert(0u64) += g.adjwgt[e];
+                    }
+                }
+            }
+            let rows: Vec<_> = (0..cg.n())
+                .flat_map(|c| cg.nbr_range(c).map(move |e| (c, e)))
+                .map(|(c, e)| ((c as u32, cg.adjncy[e]), cg.adjwgt[e]))
+                .collect();
+            prop_assert_eq!(rows, want_rows.into_iter().collect::<Vec<_>>());
+            prop_assert_eq!(&cg.vwgt, &want_vwgt);
+            g = cg;
+        }
     }
 }
