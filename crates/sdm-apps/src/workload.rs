@@ -45,8 +45,9 @@ impl Fun3dWorkload {
         }
     }
 
-    /// Total bytes the import phase moves (the paper's ~807 MB at full
-    /// scale).
+    /// Total bytes the import phase moves: 591,515,600 at scale 1
+    /// (2,197,000 nodes), not the paper's 807 MB, because `tet_box` gives
+    /// 5.93 edges per node where the paper's mesh has 8.2.
     pub fn import_bytes(&self) -> u64 {
         self.layout.file_len()
     }
@@ -135,6 +136,12 @@ mod tests {
             (650.0..950.0).contains(&gb),
             "paper-scale import = {gb} MB, expected ~807"
         );
+        // The generator's mesh at scale 1 is sparser: a 130³ grid with
+        // 13,030,290 edges imports 591,515,600 bytes.
+        let dims = sdm_mesh::gen::tet::dims_for_nodes(2_200_000);
+        assert_eq!(dims, (130, 130, 130));
+        let scale1 = Uns3dLayout::fun3d(13_030_290, 2_197_000);
+        assert_eq!(scale1.file_len(), 591_515_600);
     }
 
     #[test]

@@ -4,8 +4,11 @@
 //! tetrahedra with orientation alternating by cube parity so shared faces
 //! agree. Node coordinates are jittered deterministically so the mesh is
 //! genuinely irregular geometrically (and so coordinate-based partitioners
-//! like RCB have real work to do). Edge counts scale like the FUN3D mesh:
-//! roughly 7 edges per node, vs the paper's 18M edges / 2.2M nodes ≈ 8.2.
+//! like RCB have real work to do). An `n × n × n` grid has
+//! 3n²(n − 1) lattice edges and 3n(n − 1)² face diagonals: 5.86 edges per
+//! node at the benchmark's 274,625 nodes and 5.93 at scale 1 (2,197,000
+//! nodes, 13,030,290 edges), against the paper's 18M edges / 2.2M nodes
+//! ≈ 8.2.
 
 use rayon::prelude::*;
 use sdm_sim::rng::SplitMix64;
@@ -131,9 +134,11 @@ mod tests {
 
     #[test]
     fn edge_to_node_ratio_matches_fun3d_scale() {
-        // Paper: 18M edges / 2.2M nodes ~ 8.2 edges per node. Our 5-tet
-        // box decomposition gives ~7 for interior-dominated meshes.
+        // Paper: 18M edges / 2.2M nodes ~ 8.2 edges per node. The 5-tet
+        // box decomposition gives 3n²(n - 1) + 3n(n - 1)² edges: 5.27 per
+        // node here, 5.86 at the benchmark's 65³ and 5.93 at 130³.
         let m = tet_box(12, 12, 12, 0.1, 1);
+        assert_eq!(m.num_edges(), 3 * 144 * 11 + 3 * 12 * 121);
         let ratio = m.num_edges() as f64 / m.num_nodes() as f64;
         assert!(
             (5.0..9.0).contains(&ratio),

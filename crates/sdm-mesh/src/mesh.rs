@@ -72,6 +72,10 @@ impl UnstructuredMesh {
     }
 
     /// Extract unique sorted edges from cell connectivity.
+    ///
+    /// Each `(lo, hi)` pair's higher end goes into a bucket under its
+    /// lower end (a counting pass, then a scatter), so only the short
+    /// buckets are sorted, and the result is allocated to its exact size.
     pub fn edges_from_cells(kind: CellKind, cells: &[u32]) -> Vec<(u32, u32)> {
         let arity = kind.arity();
         assert_eq!(
@@ -79,16 +83,28 @@ impl UnstructuredMesh {
             0,
             "cell array length must be a multiple of arity"
         );
-        let pattern = kind.edge_pattern();
-        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(cells.len() / arity * pattern.len());
-        for cell in cells.chunks_exact(arity) {
-            for &(i, j) in pattern {
-                let (a, b) = (cell[i], cell[j]);
-                edges.push(if a < b { (a, b) } else { (b, a) });
-            }
+        let n = cells.iter().max().map_or(0, |&v| v as usize + 1);
+        let mut start = vec![0usize; n + 1];
+        for_each_pair(kind, cells, |lo, _| start[lo + 1] += 1);
+        for v in 0..n {
+            start[v + 1] += start[v];
         }
-        edges.sort_unstable();
-        edges.dedup();
+        let (mut fill, mut hi) = (start.clone(), vec![0u32; start[n]]);
+        for_each_pair(kind, cells, |lo, h| {
+            hi[fill[lo]] = h;
+            fill[lo] += 1;
+        });
+        let mut len = 0;
+        for v in 0..n {
+            let bucket = &mut hi[start[v]..start[v + 1]];
+            bucket.sort_unstable();
+            len += bucket.chunk_by(|a, b| a == b).count();
+        }
+        let mut edges = Vec::with_capacity(len);
+        for v in 0..n {
+            let runs = hi[start[v]..start[v + 1]].chunk_by(|a, b| a == b);
+            edges.extend(runs.map(|run| (v as u32, run[0])));
+        }
         edges
     }
 
@@ -126,6 +142,15 @@ impl UnstructuredMesh {
             return Err(format!("cell references node {bad} out of range"));
         }
         Ok(())
+    }
+}
+
+/// Call `f(lo, hi)` for each edge of each cell, `lo <= hi`.
+fn for_each_pair(kind: CellKind, cells: &[u32], mut f: impl FnMut(usize, u32)) {
+    for c in cells.chunks_exact(kind.arity()) {
+        for &(i, j) in kind.edge_pattern() {
+            f(c[i].min(c[j]) as usize, c[i].max(c[j]));
+        }
     }
 }
 

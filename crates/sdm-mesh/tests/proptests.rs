@@ -1,5 +1,6 @@
 //! Property tests: mesh invariants across generator parameters, edge
-//! extraction against a reference, and format offsets.
+//! extraction against a reference and against one global sort, and
+//! format offsets.
 
 use proptest::prelude::*;
 use sdm_mesh::gen::{rt_interface_mesh, tet_box, tri_rect};
@@ -79,6 +80,35 @@ proptest! {
         for k in 0..e1.len() {
             prop_assert!(e1[k] < e2[k], "edge {} not normalized", k);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Bucketed extraction returns what one sort and dedup of every
+    /// cell's pairs returns, in a vector sized to it. Ids come from a
+    /// small range, so cells share edges and some repeat a node.
+    #[test]
+    fn edges_from_cells_matches_one_global_sort(
+        tets in any::<bool>(),
+        ids in 1u32..40,
+        raw in proptest::collection::vec(any::<u32>(), 0..400),
+    ) {
+        let kind = if tets { CellKind::Tetrahedron } else { CellKind::Triangle };
+        let whole = raw.len() - raw.len() % kind.arity();
+        let cells: Vec<u32> = raw[..whole].iter().map(|&x| x % ids).collect();
+        let mut want = Vec::new();
+        for cell in cells.chunks_exact(kind.arity()) {
+            for &(i, j) in kind.edge_pattern() {
+                want.push((cell[i].min(cell[j]), cell[i].max(cell[j])));
+            }
+        }
+        want.sort_unstable();
+        want.dedup();
+        let got = UnstructuredMesh::edges_from_cells(kind, &cells);
+        prop_assert_eq!(got.capacity(), got.len());
+        prop_assert_eq!(got, want);
     }
 }
 

@@ -146,16 +146,21 @@ struct Conn {
 }
 
 impl Conn {
+    /// A self-loop is skipped: it is never cut, so it is in no gain.
     fn tally(&mut self, g: &WGraph, part: &[u32], v: usize) {
         for p in self.parts.drain(..) {
             self.w[p] = 0;
         }
-        for e in g.nbr_range(v) {
-            let p = part[g.adjncy[e] as usize] as usize;
+        let row = g.nbr_range(v);
+        for (&u, &w) in g.adjncy[row.clone()].iter().zip(&g.adjwgt[row]) {
+            if u as usize == v {
+                continue;
+            }
+            let p = part[u as usize] as usize;
             if self.w[p] == 0 {
                 self.parts.push(p);
             }
-            self.w[p] += g.adjwgt[e] as i64;
+            self.w[p] += w as i64;
         }
     }
 
@@ -274,6 +279,23 @@ mod tests {
 
     fn wg(n: usize, edges: &[(u32, u32)]) -> WGraph {
         WGraph::from_csr(&CsrGraph::from_edges(n, edges))
+    }
+
+    #[test]
+    fn self_loops_stay_out_of_the_tracked_cut() {
+        // A path of 8 split alternately, with self-loops on four of its
+        // vertices: no self-loop is ever cut, so the cut refine tracks
+        // must equal `g.cut` (its debug assertion checks it).
+        let mut edges: Vec<(u32, u32)> = (0..7).map(|i| (i, i + 1)).collect();
+        edges.extend([(1, 1), (2, 2), (3, 3), (4, 4)]);
+        let g = wg(8, &edges);
+        let mut part = vec![0u32, 1, 0, 1, 0, 1, 0, 1];
+        let params = RefineParams {
+            max_imbalance: 1.0,
+            passes: 8,
+        };
+        refine(&g, &mut part, 2, params);
+        assert!(g.cut(&part) <= 2, "refined cut {}", g.cut(&part));
     }
 
     #[test]
