@@ -5,55 +5,33 @@
 //! type information is clippy's: `unwrap_used` / `expect_used`, and
 //! `disallowed-methods` for SQL text above `sdm-metadb` (root
 //! `clippy.toml`) and for direct filesystem writes inside it outside
-//! `wal/` (`crates/sdm-metadb/clippy.toml`). Per-file rules:
+//! `wal/` (`crates/sdm-metadb/clippy.toml`). Two rules are left:
 //!
-//! * **`ladder`** — the lock-acquisition order documented on
-//!   `Database` (`tx` → `catalog` → `wal_sync` → `wal_buf` → leaf
-//!   mutexes, ranks from `sdm-ranks`), checked per function body with a
-//!   guard-scope model (let bindings, statement temporaries, `if
-//!   let`/`match` scrutinee temporaries, early `drop`s).
 //! * **`undo-coverage`** — executor fns taking `&mut Catalog` must
-//!   thread `Option<&mut UndoLog>`.
-//!
-//! Interprocedural rules (built on [`callgraph`] + [`dataflow`], each
-//! finding carrying a witness chain):
-//!
-//! * **`ladder`** (cross-function) — a call whose callee transitively
-//!   acquires a rank not strictly below everything held at the call.
-//! * **`held-io`** — blocking I/O reachable while the catalog or a leaf
-//!   lock is held (the WAL group-commit leader path is the sanctioned
-//!   exception).
-//! * **`undo-coverage`** (cross-function) — any fn taking
-//!   `&mut Catalog` reachable from an exec entry point without undo
-//!   threaded the whole way.
-//! * **`panic-under-guard`** — a panic site reachable while the
-//!   `catalog` write guard is held.
+//!   thread an `UndoLog`.
 //! * **`unused-allow`** — a suppression directive that suppressed
 //!   nothing this run.
 //!
 //! Findings can be suppressed, with a mandatory justification, by
-//! `// analyze:allow(rule-id: reason)` on the same or preceding line;
-//! for the interprocedural rules the directive goes on the *terminal*
-//! site and quiets every caller. The binary writes `ANALYZE.json` and
-//! exits nonzero when findings survive; CI runs it in the lint job.
+//! `// analyze:allow(rule-id: reason)` on the same or preceding line.
+//! The binary writes `ANALYZE.json` and exits nonzero when findings
+//! survive; CI runs it in the lint job.
 //!
-//! `Database` is now one `Mutex<Engine>` and has none of the five
-//! ranked lock fields above, so over the workspace the `ladder`,
-//! `held-io` and `panic-under-guard` rules find no acquisition to
-//! follow. The crate and `sdm-ranks` are to be deleted in a change of
-//! their own (ROADMAP item 16).
+//! The lock rules (`ladder`, `held-io`, `panic-under-guard`), the call
+//! graph and effect summaries they ran on, and the `sdm-ranks` rank
+//! registry are gone: `Database` is one `Mutex<Engine>` and has no
+//! ranked lock left to follow. `undo-coverage`'s guarantee is also
+//! held behaviourally, by the rollback property in
+//! `sdm-metadb/tests/crash_recovery.rs`; deleting this crate is the
+//! last step of ROADMAP item 16.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-pub mod callgraph;
-pub mod dataflow;
-pub mod ladder;
 pub mod lexer;
 pub mod report;
 pub mod rules;
 pub mod scopes;
 
-use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -61,53 +39,33 @@ use report::{AllowSite, Finding, Report};
 use scopes::Model;
 
 /// Analyze a set of sources given as `(repo-relative path, text)`
-/// pairs: the full pipeline — intraprocedural rules, call graph, effect
-/// summaries, interprocedural rules, suppression, unused-allow.
+/// pairs: every rule, then suppression, then unused-allow.
 pub fn analyze_sources(files: &[(String, String)]) -> Report {
-    let models: Vec<(String, Model)> = files
-        .iter()
-        .map(|(p, s)| (p.clone(), Model::build(s)))
-        .collect();
-
     let mut findings: Vec<Finding> = Vec::new();
-    for (path, model) in &models {
-        findings.extend(rules::intra(path, model));
-    }
-
-    let cg = callgraph::Callgraph::build(&models);
-    let mut allow_use = dataflow::AllowUse::new(&models);
-    let sums = dataflow::summarize(&cg, &models, &mut allow_use);
-    findings.extend(dataflow::check(&cg, &models, &sums));
-
-    // Suppression pass, tracking which directives earned their keep.
-    // (The intra and inter halves of each rule are disjoint by
-    // construction — e.g. the BFS `undo-coverage` pass skips exec.rs,
-    // which the per-signature rule owns — so no dedup is needed.)
-    let index_of: HashMap<&str, usize> = models
-        .iter()
-        .enumerate()
-        .map(|(i, (p, _))| (p.as_str(), i))
-        .collect();
-    let mut suppressed = 0usize;
-    findings.retain(|f| {
-        let fi = index_of[f.file.as_str()];
-        let model = &models[fi].1;
-        if model.allowed(&f.rule, f.line) {
-            allow_use.mark(fi, model, &f.rule, f.line);
-            suppressed += 1;
-            false
-        } else {
-            true
-        }
-    });
-
-    // Unused suppressions. Directives in test code are exempt (the
-    // rules skip test code, so they can never be "used"), and a stale
-    // directive can itself be suppressed while it is being cleaned up.
     let mut allows: Vec<AllowSite> = Vec::new();
-    for (fi, (path, model)) in models.iter().enumerate() {
-        for (ai, a) in model.allows.iter().enumerate() {
-            let used = allow_use.is_used(fi, ai);
+    let mut suppressed = 0usize;
+    let mut analyzed_fns = 0usize;
+    for (path, source) in files {
+        let model = Model::build(source);
+        analyzed_fns += model.fns.iter().filter(|f| !f.is_test).count();
+
+        // Suppression pass, tracking which directives earned their keep.
+        let mut used = vec![false; model.allows.len()];
+        for f in rules::check(path, &model) {
+            if model.allowed(&f.rule, f.line) {
+                for (u, a) in used.iter_mut().zip(&model.allows) {
+                    *u |= a.rule == f.rule && (a.line == f.line || a.line + 1 == f.line);
+                }
+                suppressed += 1;
+            } else {
+                findings.push(f);
+            }
+        }
+
+        // Unused suppressions. Directives in test code are exempt (the
+        // rules skip test code, so they can never be "used"), and a stale
+        // directive can itself be suppressed while it is being cleaned up.
+        for (a, used) in model.allows.iter().zip(used) {
             allows.push(AllowSite {
                 file: path.clone(),
                 line: a.line,
@@ -132,16 +90,14 @@ pub fn analyze_sources(files: &[(String, String)]) -> Report {
                      directive (or fix its rule id / move it to the offending line)",
                     a.rule
                 ),
-                chain: Vec::new(),
             });
         }
     }
 
     findings.sort_by(|a, b| (&a.file, a.line, &a.rule).cmp(&(&b.file, b.line, &b.rule)));
     Report {
-        analyzed_files: models.len(),
-        analyzed_fns: cg.analyzed_fns(),
-        call_edges: cg.call_edges,
+        analyzed_files: files.len(),
+        analyzed_fns,
         rules_checked: rules::RULES.iter().map(|r| r.to_string()).collect(),
         suppressed,
         allows,
@@ -151,7 +107,6 @@ pub fn analyze_sources(files: &[(String, String)]) -> Report {
 
 /// Analyze one file's source under its repo-relative path (forward
 /// slashes). Returns surviving findings and the suppressed count.
-/// Interprocedural rules see only this file's call graph.
 pub fn analyze_file(rel_path: &str, source: &str) -> (Vec<Finding>, usize) {
     let r = analyze_sources(&[(rel_path.to_string(), source.to_string())]);
     (r.findings, r.suppressed)
@@ -161,8 +116,7 @@ pub fn analyze_file(rel_path: &str, source: &str) -> (Vec<Finding>, usize) {
 ///
 /// Walks `crates/`, `src/`, `tests/`, and `examples/`, skipping
 /// `target/` and dot-directories. Files are visited in sorted path
-/// order so the report (and the call-graph indices behind the witness
-/// chains) is deterministic.
+/// order so the report is deterministic.
 pub fn analyze_root(root: &Path) -> std::io::Result<Report> {
     let mut paths = Vec::new();
     for top in ["crates", "src", "tests", "examples"] {
@@ -218,13 +172,12 @@ mod tests {
 
     #[test]
     fn analyze_file_runs_all_rules() {
-        let src = "impl Db {\n\
-                   fn f(&self) { let s = self.stats.lock(); let c = self.catalog.write(); }\n\
-                   }\n\
+        let src = "// analyze:allow(undo-coverage: nothing below mutates)\n\
+                   fn f(&self) {}\n\
                    fn mutate(c: &mut Catalog) {}";
         let (findings, _) = analyze_file("crates/sdm-metadb/src/exec.rs", src);
         let rules: Vec<&str> = findings.iter().map(|f| f.rule.as_str()).collect();
-        assert_eq!(rules, ["ladder", "undo-coverage"]);
+        assert_eq!(rules, ["unused-allow", "undo-coverage"]);
     }
 
     #[test]
@@ -257,7 +210,7 @@ mod tests {
         assert_eq!(r.allows.len(), 1);
         assert!(r.allows[0].used);
         assert_eq!(r.allows[0].rule, "undo-coverage");
-        assert_eq!(r.rules_checked.len(), 5);
+        assert_eq!(r.rules_checked.len(), 2);
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //!
 //! Analyzes the workspace at `--root` (default: current directory),
 //! writes the machine-readable report to `--json` (default:
-//! `<root>/ANALYZE.json`), prints each finding (with its witness chain
-//! for interprocedural findings) plus a one-line summary, and exits
-//! nonzero when findings survive suppression.
+//! `<root>/ANALYZE.json`), prints each finding plus a one-line summary,
+//! and exits nonzero when findings survive suppression.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -53,9 +52,6 @@ fn main() -> ExitCode {
     for f in &report.findings {
         println!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
         println!("    {}", f.snippet);
-        if !f.chain.is_empty() {
-            println!("    witness: {}", f.chain.join(" → "));
-        }
     }
     println!("{}", report.summary());
 

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 /// One rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id (`ladder`, `held-io`, `panic-under-guard`, …).
+    /// Rule id (`undo-coverage` or `unused-allow`).
     pub rule: String,
     /// Repo-relative path, forward slashes.
     pub file: String,
@@ -19,11 +19,6 @@ pub struct Finding {
     pub snippet: String,
     /// What is wrong and what to do about it.
     pub message: String,
-    /// Witness chain for interprocedural findings: each element is one
-    /// hop (`Database::run_statement (crates/…/db.rs:545)`) ending at
-    /// the terminal effect (`catalog.write() [catalog(20)] (…)`).
-    /// Empty for findings proven inside one body.
-    pub chain: Vec<String>,
 }
 
 /// One `// analyze:allow(rule: reason)` directive found in the source.
@@ -47,11 +42,8 @@ pub struct AllowSite {
 pub struct Report {
     /// Number of `.rs` files scanned.
     pub analyzed_files: usize,
-    /// Number of non-test functions in the call graph.
+    /// Number of non-test functions scanned.
     pub analyzed_fns: usize,
-    /// Number of resolved call edges (ambiguous calls count every
-    /// candidate).
-    pub call_edges: usize,
     /// Rule ids that ran.
     pub rules_checked: Vec<String>,
     /// Findings suppressed by `analyze:allow` directives.
@@ -69,7 +61,6 @@ impl Report {
         out.push_str("{\n");
         let _ = writeln!(out, "  \"analyzed_files\": {},", self.analyzed_files);
         let _ = writeln!(out, "  \"analyzed_fns\": {},", self.analyzed_fns);
-        let _ = writeln!(out, "  \"call_edges\": {},", self.call_edges);
         out.push_str("  \"rules_checked\": [");
         for (i, r) in self.rules_checked.iter().enumerate() {
             if i > 0 {
@@ -101,21 +92,13 @@ impl Report {
             out.push_str(if i > 0 { ",\n    " } else { "\n    " });
             let _ = write!(
                 out,
-                "{{\"rule\": {}, \"file\": {}, \"line\": {}, \"snippet\": {}, \"message\": {}",
+                "{{\"rule\": {}, \"file\": {}, \"line\": {}, \"snippet\": {}, \"message\": {}}}",
                 json_string(&f.rule),
                 json_string(&f.file),
                 f.line,
                 json_string(&f.snippet),
                 json_string(&f.message)
             );
-            out.push_str(", \"chain\": [");
-            for (j, hop) in f.chain.iter().enumerate() {
-                if j > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&json_string(hop));
-            }
-            out.push_str("]}");
         }
         if !self.findings.is_empty() {
             out.push_str("\n  ");
@@ -127,11 +110,9 @@ impl Report {
     /// The one-line human summary CI prints.
     pub fn summary(&self) -> String {
         format!(
-            "analyzed_files={} analyzed_fns={} call_edges={} rules_checked={} suppressed={} \
-             findings={}",
+            "analyzed_files={} analyzed_fns={} rules_checked={} suppressed={} findings={}",
             self.analyzed_files,
             self.analyzed_fns,
-            self.call_edges,
             self.rules_checked.len(),
             self.suppressed,
             self.findings.len()
@@ -168,23 +149,21 @@ mod tests {
         Report {
             analyzed_files: 2,
             analyzed_fns: 7,
-            call_edges: 11,
-            rules_checked: vec!["ladder".into()],
+            rules_checked: vec!["undo-coverage".into()],
             suppressed: 1,
             allows: vec![AllowSite {
                 file: "a.rs".into(),
                 line: 2,
-                rule: "panic-under-guard".into(),
+                rule: "undo-coverage".into(),
                 reason: "checked above".into(),
                 used: true,
             }],
             findings: vec![Finding {
-                rule: "panic-under-guard".into(),
+                rule: "undo-coverage".into(),
                 file: "a.rs".into(),
                 line: 3,
-                snippet: "self.help();".into(),
+                snippet: "fn mutate(c: &mut Catalog) {}".into(),
                 message: "no".into(),
-                chain: vec!["f (a.rs:3)".into(), "unreachable!(…) (a.rs:9)".into()],
             }],
         }
     }
@@ -200,15 +179,13 @@ mod tests {
         let j = r.to_json();
         assert!(j.contains("\"analyzed_files\": 2"));
         assert!(j.contains("\"analyzed_fns\": 7"));
-        assert!(j.contains("\"call_edges\": 11"));
-        assert!(j.contains("\"rules_checked\": [\"ladder\"]"));
+        assert!(j.contains("\"rules_checked\": [\"undo-coverage\"]"));
         assert!(j.contains("\"line\": 3"));
         assert!(j.contains("\"used\": true"));
-        assert!(j.contains("\"chain\": [\"f (a.rs:3)\", \"unreachable!(…) (a.rs:9)\"]"));
+        assert!(j.contains("\"snippet\": \"fn mutate(c: &mut Catalog) {}\", \"message\": \"no\"}"));
         assert_eq!(
             r.summary(),
-            "analyzed_files=2 analyzed_fns=7 call_edges=11 rules_checked=1 suppressed=1 \
-             findings=1"
+            "analyzed_files=2 analyzed_fns=7 rules_checked=1 suppressed=1 findings=1"
         );
     }
 
@@ -217,7 +194,6 @@ mod tests {
         let r = Report {
             analyzed_files: 0,
             analyzed_fns: 0,
-            call_edges: 0,
             rules_checked: vec![],
             suppressed: 0,
             allows: vec![],

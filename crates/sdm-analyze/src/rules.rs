@@ -1,5 +1,5 @@
 //! Per-file architecture rules: the rule registry and undo-log
-//! coverage (the lock ladder lives in [`crate::ladder`]).
+//! coverage.
 //!
 //! Each rule is scoped by repo-relative path (forward slashes). Rule ids
 //! are the ones `analyze:allow(id: reason)` suppresses and DESIGN.md
@@ -11,22 +11,15 @@ use crate::lexer::Tok;
 use crate::report::Finding;
 use crate::scopes::Model;
 
-/// Rule ids, in the order they are reported. The last three are the
-/// interprocedural / whole-workspace rules run by `analyze_sources`
-/// (`crate::dataflow` and the unused-suppression pass), listed here so
-/// the registry is the single source of truth for `rules_checked`.
-pub const RULES: &[&str] = &[
-    "ladder",
-    "undo-coverage",
-    "held-io",
-    "panic-under-guard",
-    "unused-allow",
-];
+/// Rule ids, in the order they are reported. `unused-allow` is the
+/// suppression pass of `analyze_sources`, listed here so the registry
+/// is the single source of truth for `rules_checked`.
+pub const RULES: &[&str] = &["undo-coverage", "unused-allow"];
 
 // -------------------------------------------------------------- undo-coverage
 
 /// Rule `undo-coverage`: every non-test function in the executor that
-/// takes `&mut Catalog` must also thread `Option<&mut UndoLog>` — a
+/// takes `&mut Catalog` must also thread an `UndoLog` — a
 /// mutation path that cannot log undo is a mutation a transaction
 /// cannot roll back.
 pub fn undo_coverage(path: &str, model: &Model) -> Vec<Finding> {
@@ -54,27 +47,21 @@ pub fn undo_coverage(path: &str, model: &Model) -> Vec<Finding> {
                 line: f.line,
                 snippet: model.snippet(f.line),
                 message: format!(
-                    "`{}` takes `&mut Catalog` without threading `Option<&mut UndoLog>`: its \
+                    "`{}` takes `&mut Catalog` without threading an `UndoLog`: its \
                      mutations cannot be rolled back by an open transaction",
                     f.name
                 ),
-                chain: Vec::new(),
             });
         }
     }
     findings
 }
 
-/// Run every intraprocedural rule over one file, **pre-suppression**.
-/// `analyze_sources` merges these with the interprocedural findings,
-/// dedups, and only then applies the `analyze:allow` pass — suppression
-/// has to happen after the merge so every directive's usage can be
-/// tracked for `unused-allow`.
-pub fn intra(path: &str, model: &Model) -> Vec<Finding> {
-    let mut all = Vec::new();
-    all.extend(crate::ladder::check(path, model));
-    all.extend(undo_coverage(path, model));
-    all
+/// Run every rule over one file, **pre-suppression**:
+/// `analyze_sources` applies the `analyze:allow` pass afterwards, so
+/// every directive's usage can be tracked for `unused-allow`.
+pub fn check(path: &str, model: &Model) -> Vec<Finding> {
+    undo_coverage(path, model)
 }
 
 #[cfg(test)]

@@ -16,7 +16,9 @@
 //!   physically truncated segment.
 
 use proptest::prelude::*;
-use sdm_metadb::{Database, DbError, DbResult, MemPersisted, MemStorage, Value, WalFaults};
+use sdm_metadb::{
+    Database, DbError, DbResult, MemPersisted, MemStorage, ResultSet, Value, WalFaults,
+};
 
 // ---------------------------------------------------------------- workload
 
@@ -35,8 +37,10 @@ enum Op {
     Clear,
     /// One transaction of inserts that commits — all rows or none.
     TxCommit(Vec<(i64, i64)>),
-    /// One transaction of inserts that rolls back — must never resurrect.
-    TxRollback(Vec<(i64, i64)>),
+    /// One transaction of non-transactional ops, each through
+    /// `tx.exec`, that rolls back: it must leave the rows and the index
+    /// as they were, and never resurrect.
+    TxRollback(Vec<Op>),
     /// `CREATE INDEX tk ON t (k)` / `DROP INDEX tk ON t` (idempotence
     /// errors ignored: an invalid DDL statement logs nothing).
     CreateIndex,
@@ -52,34 +56,7 @@ enum Op {
 /// *other* error (a failed fsync above all) propagates: the op did not
 /// durably happen.
 fn apply(db: &Database, op: &Op) -> DbResult<()> {
-    // Wrong-state DDL is a no-op, not a failure.
-    let ddl = |r: DbResult<sdm_metadb::ResultSet>| match r {
-        Ok(_)
-        | Err(DbError::IndexExists(_))
-        | Err(DbError::NoSuchIndex(_))
-        | Err(DbError::TableExists(_))
-        | Err(DbError::NoSuchTable(_)) => Ok(()),
-        Err(e) => Err(e),
-    };
     match op {
-        Op::Insert(k, v) => {
-            db.exec(
-                "INSERT INTO t VALUES (?, ?)",
-                &[Value::Int(*k), Value::Int(*v)],
-            )?;
-        }
-        Op::Update(k, v) => {
-            db.exec(
-                "UPDATE t SET v = ? WHERE k = ?",
-                &[Value::Int(*v), Value::Int(*k)],
-            )?;
-        }
-        Op::Delete(k) => {
-            db.exec("DELETE FROM t WHERE k = ?", &[Value::Int(*k)])?;
-        }
-        Op::Clear => {
-            db.exec("DELETE FROM t", &[])?;
-        }
         Op::TxCommit(rows) => {
             db.transaction(|tx| {
                 for (k, v) in rows {
@@ -91,14 +68,12 @@ fn apply(db: &Database, op: &Op) -> DbResult<()> {
                 Ok(())
             })?;
         }
-        Op::TxRollback(rows) => {
+        Op::TxRollback(ops) => {
+            let before = state(db);
             let rollback = DbError::Tx("roll back".into());
             let rolled = db.transaction(|tx| {
-                for (k, v) in rows {
-                    tx.exec(
-                        "INSERT INTO t VALUES (?, ?)",
-                        &[Value::Int(*k), Value::Int(*v)],
-                    )?;
+                for op in ops {
+                    run(op, |sql, params| tx.exec(sql, params))?;
                 }
                 Err(rollback.clone())
             });
@@ -106,19 +81,60 @@ fn apply(db: &Database, op: &Op) -> DbResult<()> {
                 Err(e) if e == rollback => {}
                 other => other?,
             }
+            assert_eq!(
+                state(db),
+                before,
+                "rolling back {ops:?} changed the rows or the index"
+            );
         }
-        Op::CreateIndex => ddl(db.exec("CREATE INDEX tk ON t (k)", &[]))?,
-        Op::DropIndex => ddl(db.exec("DROP INDEX tk ON t", &[]))?,
-        Op::CreateTable2 => ddl(db.exec("CREATE TABLE u (a INT)", &[]))?,
-        Op::DropTable2 => ddl(db.exec("DROP TABLE u", &[]))?,
+        op => run(op, |sql, params| db.exec(sql, params))?,
+    }
+    Ok(())
+}
+
+/// Run one non-transactional op through `exec`: `Database::exec` for
+/// autocommit, `Transaction::exec` inside a transaction.
+fn run(op: &Op, mut exec: impl FnMut(&str, &[Value]) -> DbResult<ResultSet>) -> DbResult<()> {
+    // Wrong-state DDL is a no-op, not a failure.
+    let ddl = |r: DbResult<ResultSet>| match r {
+        Ok(_)
+        | Err(DbError::IndexExists(_))
+        | Err(DbError::NoSuchIndex(_))
+        | Err(DbError::TableExists(_))
+        | Err(DbError::NoSuchTable(_)) => Ok(()),
+        Err(e) => Err(e),
+    };
+    match op {
+        Op::Insert(k, v) => {
+            exec(
+                "INSERT INTO t VALUES (?, ?)",
+                &[Value::Int(*k), Value::Int(*v)],
+            )?;
+        }
+        Op::Update(k, v) => {
+            exec(
+                "UPDATE t SET v = ? WHERE k = ?",
+                &[Value::Int(*v), Value::Int(*k)],
+            )?;
+        }
+        Op::Delete(k) => {
+            exec("DELETE FROM t WHERE k = ?", &[Value::Int(*k)])?;
+        }
+        Op::Clear => {
+            exec("DELETE FROM t", &[])?;
+        }
+        Op::CreateIndex => ddl(exec("CREATE INDEX tk ON t (k)", &[]))?,
+        Op::DropIndex => ddl(exec("DROP INDEX tk ON t", &[]))?,
+        Op::CreateTable2 => ddl(exec("CREATE TABLE u (a INT)", &[]))?,
+        Op::DropTable2 => ddl(exec("DROP TABLE u", &[]))?,
+        Op::TxCommit(_) | Op::TxRollback(_) => unreachable!("{op:?} is a transaction"),
     }
     Ok(())
 }
 
 /// Observable database state: the ordered rows of `t` and `u`, `None`
-/// when the table does not exist. Index presence is exercised through
-/// replay (CREATE/DROP INDEX records) but equality is judged on rows.
-type State = (Option<Vec<Vec<Value>>>, Option<Vec<Vec<Value>>>);
+/// when the table does not exist, and whether index `tk` exists.
+type State = (Option<Vec<Vec<Value>>>, Option<Vec<Vec<Value>>>, bool);
 
 fn dump(db: &Database, table: &str) -> Option<Vec<Vec<Value>>> {
     let sql = match table {
@@ -129,7 +145,15 @@ fn dump(db: &Database, table: &str) -> Option<Vec<Vec<Value>>> {
 }
 
 fn state(db: &Database) -> State {
-    (dump(db, "t"), dump(db, "u"))
+    (dump(db, "t"), dump(db, "u"), indexed(db))
+}
+
+/// Whether index `tk` exists: a point lookup on `t.k` is answered by an
+/// index probe exactly when it does.
+fn indexed(db: &Database) -> bool {
+    let probes = db.stats().index_scans;
+    db.exec("SELECT v FROM t WHERE k = 0", &[])
+        .is_ok_and(|_| db.stats().index_scans > probes)
 }
 
 /// Reopen a database from a snapshot plus a (possibly cut) log.
@@ -183,7 +207,16 @@ fn scripted_workload_survives_a_cut_at_every_byte() {
         Op::CreateIndex,
         Op::TxCommit(vec![(3, 30), (4, 40)]),
         Op::Update(2, 21),
-        Op::TxRollback(vec![(9, 90)]),
+        Op::TxRollback(vec![
+            Op::Insert(9, 90),
+            Op::Update(2, 99),
+            Op::Delete(3),
+            Op::DropIndex,
+            Op::CreateTable2,
+            Op::Clear,
+            Op::CreateIndex,
+            Op::DropTable2,
+        ]),
         Op::Delete(1),
         Op::CreateTable2,
         Op::DropIndex,
@@ -211,7 +244,7 @@ fn rolled_back_rows_never_resurrect_at_any_cut() {
     let marker = 777;
     let ops = vec![
         Op::Insert(1, 10),
-        Op::TxRollback(vec![(marker, marker)]),
+        Op::TxRollback(vec![Op::Insert(marker, marker)]),
         Op::Insert(2, 20),
     ];
     let (log, _) = run_workload(&ops);
@@ -233,7 +266,7 @@ fn rolled_back_rows_never_resurrect_at_any_cut() {
 fn txids_stay_monotonic_across_reopen() {
     let ops = vec![
         Op::Insert(1, 1),
-        Op::TxRollback(vec![(2, 2)]),
+        Op::TxRollback(vec![Op::Insert(2, 2)]),
         Op::Insert(3, 3),
     ];
     let (log, oracle) = run_workload(&ops);
@@ -249,29 +282,32 @@ fn txids_stay_monotonic_across_reopen() {
 
 // ------------------------------------------------------ random workloads
 
+/// One non-transactional op: what autocommit runs, and what a rolled-back
+/// transaction carries.
+fn arb_stmt() -> impl Strategy<Value = Op> {
+    (0u8..8, 0i64..8, 0i64..100).prop_map(|(sel, k, v)| match sel {
+        0 | 1 => Op::Insert(k, v),
+        2 => Op::Update(k, v),
+        3 => Op::Delete(k),
+        4 => Op::Clear,
+        5 => Op::CreateIndex,
+        6 => Op::DropIndex,
+        _ if k % 2 == 0 => Op::CreateTable2,
+        _ => Op::DropTable2,
+    })
+}
+
 fn arb_op() -> impl Strategy<Value = Op> {
     (
         0u8..10,
-        0i64..8,
-        0i64..100,
+        arb_stmt(),
         proptest::collection::vec((0i64..8, 0i64..100), 1..4),
+        proptest::collection::vec(arb_stmt(), 1..6),
     )
-        .prop_map(|(sel, k, v, rows)| match sel {
-            0 | 1 => Op::Insert(k, v),
-            2 => Op::Update(k, v),
-            3 => Op::Delete(k),
-            4 => Op::Clear,
-            5 => Op::TxCommit(rows),
-            6 => Op::TxRollback(rows),
-            7 => Op::CreateIndex,
-            8 => Op::DropIndex,
-            _ => {
-                if k % 2 == 0 {
-                    Op::CreateTable2
-                } else {
-                    Op::DropTable2
-                }
-            }
+        .prop_map(|(sel, stmt, rows, stmts)| match sel {
+            0 => Op::TxCommit(rows),
+            1 => Op::TxRollback(stmts),
+            _ => stmt,
         })
 }
 
@@ -358,7 +394,7 @@ proptest! {
         if let Some(exp) = last_ok {
             prop_assert_eq!(state(&db2), exp, "acknowledged commit lost");
         } else {
-            prop_assert_eq!(state(&db2), (None, None));
+            prop_assert_eq!(state(&db2), (None, None, false));
         }
     }
 

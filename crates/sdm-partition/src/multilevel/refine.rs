@@ -31,11 +31,14 @@ impl Default for RefineParams {
 /// ranked feasible-first, so the kept state respects the cap whenever
 /// the initial state did.
 ///
-/// A pass stops when no candidate move is left, or as soon as the best
-/// prefix is feasible and the cut on edges whose endpoints have both
-/// moved this pass reaches that prefix's cut: those edges cannot change
-/// again, so no later prefix can cut less, and running on would keep
-/// the same prefix. Refinement ends after `passes` passes, or after a
+/// A pass stops when no candidate move is left, or as soon as the cut on
+/// edges whose endpoints have both moved this pass reaches the best
+/// prefix's cut: those edges cannot change again, so no later prefix can
+/// cut less, and running on would keep the same prefix. The best prefix
+/// is feasible whenever this is checked, which is only after a move: a
+/// pass that starts feasible keeps a feasible best prefix, and one that
+/// starts infeasible ranks every prefix as feasible, so its first move
+/// becomes the best. Refinement ends after `passes` passes, or after a
 /// pass that keeps no move.
 pub fn refine(g: &WGraph, part: &mut [u32], nparts: usize, params: RefineParams) {
     let n = g.n();
@@ -70,9 +73,10 @@ pub fn refine(g: &WGraph, part: &mut [u32], nparts: usize, params: RefineParams)
         // Build the move sequence.
         let mut over: usize = part_weight.iter().map(|&w| over_cap(w)).sum();
         let initial_feasible = over == 0;
-        let mut history: Vec<(usize, u32)> = Vec::new(); // (vertex, old part)
-                                                         // Best prefix key: feasibility (or the input was already
-                                                         // infeasible), then lower cut. Ties keep the earlier prefix.
+        // The moves made this pass, as (vertex, old part).
+        let mut history: Vec<(usize, u32)> = Vec::new();
+        // Best prefix key: feasibility (or the input was already
+        // infeasible), then lower cut. Ties keep the earlier prefix.
         let mut best_prefix = 0usize;
         let mut best_key = (initial_feasible, -cut);
         // Cut weight on edges whose endpoints have both moved.
@@ -118,7 +122,7 @@ pub fn refine(g: &WGraph, part: &mut [u32], nparts: usize, params: RefineParams)
                     locked_cut += g.adjwgt[e] as i64;
                 }
             }
-            if best_key.0 && locked_cut >= -best_key.1 {
+            if locked_cut >= -best_key.1 {
                 break;
             }
         }
