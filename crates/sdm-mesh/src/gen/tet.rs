@@ -10,7 +10,6 @@
 //! nodes, 13,030,290 edges), against the paper's 18M edges / 2.2M nodes
 //! ≈ 8.2.
 
-use rayon::prelude::*;
 use sdm_sim::rng::SplitMix64;
 
 use crate::mesh::{CellKind, UnstructuredMesh};
@@ -50,7 +49,6 @@ pub fn tet_box(nx: usize, ny: usize, nz: usize, jitter: f64, seed: u64) -> Unstr
     // Coordinates with deterministic jitter (boundary nodes stay put so
     // the domain remains a box).
     let coords: Vec<[f64; 3]> = (0..nn)
-        .into_par_iter()
         .map(|i| {
             let x = i % nx;
             let y = (i / nx) % ny;

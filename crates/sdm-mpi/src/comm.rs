@@ -1,8 +1,8 @@
 //! SPMD world launch and the per-rank communicator.
 
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use sdm_sim::stats::Counters;
 use sdm_sim::{MachineConfig, Seconds, VClock};
@@ -107,7 +107,7 @@ impl World {
         let mut txs = Vec::with_capacity(n);
         let mut rxs = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded::<Envelope>();
+            let (tx, rx) = channel::<Envelope>();
             txs.push(tx);
             rxs.push(rx);
         }

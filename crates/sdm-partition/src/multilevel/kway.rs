@@ -50,6 +50,7 @@ pub fn partition_kway(graph: &CsrGraph, nparts: usize, seed: u64) -> PartitionVe
         RefineParams {
             max_imbalance: 1.03,
             passes: 8,
+            ..RefineParams::default()
         },
     );
 
@@ -66,6 +67,7 @@ pub fn partition_kway(graph: &CsrGraph, nparts: usize, seed: u64) -> PartitionVe
             RefineParams {
                 max_imbalance: 1.05,
                 passes: 4,
+                ..RefineParams::default()
             },
         );
         part = fine_part;

@@ -11,6 +11,8 @@ pub struct RefineParams {
     pub max_imbalance: f64,
     /// Number of improvement passes.
     pub passes: usize,
+    /// Feasible moves a pass may make without a better prefix.
+    pub max_stall: usize,
 }
 
 impl Default for RefineParams {
@@ -18,6 +20,7 @@ impl Default for RefineParams {
         Self {
             max_imbalance: 1.05,
             passes: 4,
+            max_stall: 10_000,
         }
     }
 }
@@ -38,8 +41,13 @@ impl Default for RefineParams {
 /// is feasible whenever this is checked, which is only after a move: a
 /// pass that starts feasible keeps a feasible best prefix, and one that
 /// starts infeasible ranks every prefix as feasible, so its first move
-/// becomes the best. Refinement ends after `passes` passes, or after a
-/// pass that keeps no move.
+/// becomes the best. A pass also stops once `max_stall` moves that leave
+/// every part within its cap have been made since the best prefix last
+/// improved (Fiduccia and Mattheyses' bound on non-improving moves). A move that leaves a part
+/// over its cap does not count: a pass that starts infeasible first
+/// sheds weight, and cutting that short changes the balance it returns.
+/// Refinement ends after `passes` passes, or after a pass that keeps no
+/// move.
 pub fn refine(g: &WGraph, part: &mut [u32], nparts: usize, params: RefineParams) {
     let n = g.n();
     if n == 0 || nparts < 2 {
@@ -81,6 +89,8 @@ pub fn refine(g: &WGraph, part: &mut [u32], nparts: usize, params: RefineParams)
         let mut best_key = (initial_feasible, -cut);
         // Cut weight on edges whose endpoints have both moved.
         let mut locked_cut = 0i64;
+        // Feasible moves since the best prefix last improved.
+        let mut stall = 0usize;
 
         while let Some(v) = heap.pop() {
             // Recompute the best target for v under current weights.
@@ -111,6 +121,9 @@ pub fn refine(g: &WGraph, part: &mut [u32], nparts: usize, params: RefineParams)
             if key > best_key {
                 best_key = key;
                 best_prefix = history.len();
+                stall = 0;
+            } else if over == 0 {
+                stall += 1;
             }
             // Refresh candidates around v; its edges to moved vertices
             // are now locked.
@@ -122,7 +135,7 @@ pub fn refine(g: &WGraph, part: &mut [u32], nparts: usize, params: RefineParams)
                     locked_cut += g.adjwgt[e] as i64;
                 }
             }
-            if locked_cut >= -best_key.1 {
+            if locked_cut >= -best_key.1 || stall >= params.max_stall {
                 break;
             }
         }
@@ -297,6 +310,7 @@ mod tests {
         let params = RefineParams {
             max_imbalance: 1.0,
             passes: 8,
+            ..RefineParams::default()
         };
         refine(&g, &mut part, 2, params);
         assert!(g.cut(&part) <= 2, "refined cut {}", g.cut(&part));
@@ -318,6 +332,7 @@ mod tests {
             RefineParams {
                 max_imbalance: 1.0,
                 passes: 8,
+                ..RefineParams::default()
             },
         );
         let cut = g.cut(&part);
@@ -339,6 +354,7 @@ mod tests {
             RefineParams {
                 max_imbalance: 1.15,
                 passes: 4,
+                ..RefineParams::default()
             },
         );
         let sizes = crate::vector::part_sizes(&part, 2);
@@ -384,6 +400,7 @@ mod tests {
             RefineParams {
                 max_imbalance: 1.1,
                 passes: 10,
+                ..RefineParams::default()
             },
         );
         let sizes = crate::vector::part_sizes(&part, 2);
@@ -411,6 +428,7 @@ mod tests {
             RefineParams {
                 max_imbalance: 1.05,
                 passes: 6,
+                ..RefineParams::default()
             },
         );
         let total = g.total_weight();

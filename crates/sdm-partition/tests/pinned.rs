@@ -46,7 +46,8 @@ fn small_meshes_partition_as_pinned() {
     assert_eq!(hash(&rt, 2, 20010220), 0x3b6368c782733945);
 }
 
-/// The meshes, part counts and seed the end-to-end benchmark partitions.
+/// The meshes, part counts and seed the end-to-end benchmark partitions,
+/// and three more cases that other stall rules in `refine` changed.
 #[test]
 #[ignore = "benchmark-sized meshes: run in release with --ignored"]
 fn benchmark_meshes_partition_as_pinned() {
@@ -63,4 +64,10 @@ fn benchmark_meshes_partition_as_pinned() {
     assert_eq!(hash(&fun3d, 4, seed), 0xb1998de1be9dbd21);
     assert_eq!(hash(&fun3d, 64, seed), 0xdb831ea9fc573857);
     assert_eq!(hash(&rt, 2, seed), 0xd6e2616e7b508ca9);
+    // Where a tighter stall limit or one that counts infeasible moves
+    // changed the vector: fun3d at p = 3, and `fig7`'s partitions, whose
+    // passes start over the cap.
+    assert_eq!(hash(&fun3d, 3, seed), 0x7e4d0e5b736ce4bb);
+    assert_eq!(hash(&rt, 32, seed), 0x27f75c8dc2308c0b);
+    assert_eq!(hash(&rt, 64, seed), 0x01906718c56f4f1c);
 }

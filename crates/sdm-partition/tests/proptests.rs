@@ -1,6 +1,6 @@
 //! Property tests: every partitioner yields valid, total assignments;
 //! multilevel respects its balance bound; refinement never worsens cut
-//! and returns what a plain FM with no heap and no early exit returns;
+//! and returns what a plain FM with no heap and no locked-cut exit returns;
 //! contraction yields ascending rows with merged weights.
 
 use std::cmp::Reverse;
@@ -108,8 +108,9 @@ proptest! {
 /// scans the unmoved, unparked vertices for the greatest
 /// `(gain, Reverse(v))`, the gain ignoring caps; a vertex with no legal
 /// target is parked until a neighbour moves. Each pass runs to the end,
-/// then rolls back to its best prefix: feasible first, then lower cut,
-/// ties to the earlier.
+/// or until `max_stall` moves that leave every part within its cap have
+/// been made since the best prefix last improved, then rolls back to its
+/// best prefix: feasible first, then lower cut, ties to the earlier.
 fn reference_refine(g: &WGraph, part: &mut [u32], k: usize, params: RefineParams) {
     let (n, total) = (g.n(), g.total_weight());
     let cap =
@@ -138,7 +139,8 @@ fn reference_refine(g: &WGraph, part: &mut [u32], k: usize, params: RefineParams
         let initial_feasible = feasible(part);
         let (mut moved, mut parked, mut history) = (vec![false; n], vec![false; n], vec![]);
         let mut best = ((initial_feasible, -(g.cut(part) as i64)), 0);
-        loop {
+        let mut stall = 0;
+        while stall < params.max_stall {
             let free = (0..n).filter(|&v| !moved[v] && !parked[v]);
             let pick = free.filter_map(|v| Some((gains(part, v).map(|c| c.0).max()?, Reverse(v))));
             let Some((_, Reverse(v))) = pick.max() else {
@@ -158,7 +160,9 @@ fn reference_refine(g: &WGraph, part: &mut [u32], k: usize, params: RefineParams
                 .for_each(|e| parked[g.adjncy[e] as usize] = false);
             let key = (feasible(part) || !initial_feasible, -(g.cut(part) as i64));
             if key > best.0 {
-                best = (key, history.len());
+                (best, stall) = ((key, history.len()), 0);
+            } else if feasible(part) {
+                stall += 1;
             }
         }
         for &(v, old) in history[best.1..].iter().rev() {
@@ -175,7 +179,8 @@ proptest! {
 
     /// `refine`'s heap and early exit change how fast it runs, never what
     /// it returns: it matches the reference FM from random starts on
-    /// random simple graphs with symmetric weights.
+    /// random simple graphs with symmetric weights, with stall limits
+    /// small enough to fire on them and none.
     #[test]
     fn refine_matches_reference_fm(
         n in 2usize..60,
@@ -183,6 +188,7 @@ proptest! {
         vwgt in proptest::collection::vec(1u64..6, 60),
         start in proptest::collection::vec(any::<u32>(), 60),
         (k, passes, imbalance_pct, salt) in (2usize..9, 1usize..7, 100u32..140, any::<u64>()),
+        max_stall in prop_oneof![1usize..13, Just(usize::MAX)],
     ) {
         let mut edges: Vec<(u32, u32)> = raw.iter().map(|&(a, b)| (a % n as u32, b % n as u32))
             .filter(|&(a, b)| a != b).map(|(a, b)| (a.min(b), a.max(b))).collect();
@@ -200,7 +206,8 @@ proptest! {
             }
         }
         g.vwgt = vwgt[..n].to_vec();
-        let params = RefineParams { max_imbalance: imbalance_pct as f64 / 100.0, passes };
+        let max_imbalance = imbalance_pct as f64 / 100.0;
+        let params = RefineParams { max_imbalance, passes, max_stall };
         let mut want: Vec<u32> = start[..n].iter().map(|&p| p % k as u32).collect();
         let mut got = want.clone();
         reference_refine(&g, &mut want, k, params);
