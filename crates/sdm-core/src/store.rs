@@ -25,9 +25,8 @@
 //! its durability counters as [`StoreStats`].
 
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
-use parking_lot::Mutex;
 use sdm_metadb::stmt::{param, Delete, Insert, Query, Relation, Stmt, TypedColumn};
 use sdm_metadb::{Database, DbError, DbResult, MemStorage, ResultSet, Value};
 
@@ -885,7 +884,7 @@ impl CachedStore {
         if batch.is_empty() {
             return;
         }
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         batch.append(&mut state.pending);
         state.pending = batch;
         // The queue may now span timesteps; the next flush writes it as
@@ -895,7 +894,8 @@ impl CachedStore {
 
     /// Take and write everything currently pending.
     fn flush_pending(&self) -> DbResult<()> {
-        let batch = Self::take_pending(&mut self.state.lock());
+        let batch =
+            Self::take_pending(&mut self.state.lock().unwrap_or_else(PoisonError::into_inner));
         self.write_batch(batch)
     }
 }
@@ -955,7 +955,7 @@ impl MetadataStore for CachedStore {
         file_name: &str,
     ) -> DbResult<()> {
         let closed_batch = {
-            let mut state = self.state.lock();
+            let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
             // A new (runid, timestep) closes the previous batch.
             let closed = if state.pending_key.is_some_and(|k| k != (runid, timestep)) {
                 Self::take_pending(&mut state)

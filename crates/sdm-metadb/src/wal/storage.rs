@@ -23,9 +23,7 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::error::{DbError, DbResult};
 
@@ -290,6 +288,11 @@ pub struct MemHandle {
     inner: Arc<Mutex<MemInner>>,
 }
 
+/// The shared state, locked (a poisoned lock's state is used as it is).
+fn locked(inner: &Mutex<MemInner>) -> MutexGuard<'_, MemInner> {
+    inner.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 impl MemStorage {
     /// An empty storage with no faults.
     pub fn new() -> (Self, MemHandle) {
@@ -332,7 +335,7 @@ impl MemHandle {
     /// Photograph the persisted state (snapshot + segments) as recovery
     /// would find it after a crash right now.
     pub fn persisted(&self) -> MemPersisted {
-        let inner = self.inner.lock();
+        let inner = locked(&self.inner);
         let mut segments = inner.sealed.clone();
         if !inner.current.is_empty() {
             segments.push(inner.current.clone());
@@ -345,20 +348,20 @@ impl MemHandle {
 
     /// Total bytes in the log right now (cut-point bookkeeping).
     pub fn log_len(&self) -> u64 {
-        let inner = self.inner.lock();
+        let inner = locked(&self.inner);
         inner.sealed.iter().map(|s| s.len() as u64).sum::<u64>() + inner.current.len() as u64
     }
 
     /// Swap the fault plan — lets a test set up cleanly and only then
     /// arm the fault.
     pub fn set_faults(&self, faults: WalFaults) {
-        self.inner.lock().faults = faults;
+        locked(&self.inner).faults = faults;
     }
 }
 
 impl WalStorage for MemStorage {
     fn append(&mut self, bytes: &[u8]) -> DbResult<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = locked(&self.inner);
         if inner.crashed {
             return Err(DbError::Persist("wal storage crashed (injected)".into()));
         }
@@ -382,7 +385,7 @@ impl WalStorage for MemStorage {
     }
 
     fn sync(&mut self) -> DbResult<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = locked(&self.inner);
         if inner.crashed {
             return Err(DbError::Persist("wal storage crashed (injected)".into()));
         }
@@ -397,7 +400,7 @@ impl WalStorage for MemStorage {
     }
 
     fn rotate(&mut self) -> DbResult<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = locked(&self.inner);
         if inner.crashed {
             return Err(DbError::Persist("wal storage crashed (injected)".into()));
         }
@@ -411,7 +414,7 @@ impl WalStorage for MemStorage {
     }
 
     fn drop_sealed(&mut self) -> DbResult<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = locked(&self.inner);
         if inner.crashed {
             return Err(DbError::Persist("wal storage crashed (injected)".into()));
         }
@@ -420,7 +423,7 @@ impl WalStorage for MemStorage {
     }
 
     fn read_segments(&self) -> DbResult<Vec<Vec<u8>>> {
-        let inner = self.inner.lock();
+        let inner = locked(&self.inner);
         let mut segments = inner.sealed.clone();
         if !inner.current.is_empty() {
             segments.push(inner.current.clone());
@@ -429,11 +432,11 @@ impl WalStorage for MemStorage {
     }
 
     fn read_snapshot(&self) -> DbResult<Option<Vec<u8>>> {
-        Ok(self.inner.lock().snapshot.clone())
+        Ok(locked(&self.inner).snapshot.clone())
     }
 
     fn install_snapshot(&mut self, bytes: &[u8]) -> DbResult<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = locked(&self.inner);
         if inner.crashed {
             return Err(DbError::Persist("wal storage crashed (injected)".into()));
         }

@@ -1,9 +1,8 @@
 //! SPMD world launch and the per-rank communicator.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
-use parking_lot::{Condvar, Mutex};
 use sdm_sim::stats::Counters;
 use sdm_sim::{MachineConfig, Seconds, VClock};
 
@@ -46,7 +45,7 @@ impl MaxBarrier {
     /// Enter with value `x`; returns the max over all participants of
     /// this generation.
     fn rendezvous_max(&self, x: f64) -> f64 {
-        let mut s = self.state.lock();
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let gen = s.generation;
         s.acc = s.acc.max(x);
         s.count += 1;
@@ -60,7 +59,7 @@ impl MaxBarrier {
             result
         } else {
             while s.generation == gen {
-                self.cv.wait(&mut s);
+                s = self.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
             }
             s.results[(gen % 2) as usize]
         }

@@ -29,9 +29,7 @@
 use std::collections::BTreeMap;
 use std::ops::{Range, RangeInclusive};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// Bytes per extent of a file image. Host storage, not model: it is
 /// independent of the stripe size, and it sits below glibc's default
@@ -69,13 +67,14 @@ impl Image {
             let want = (keys.end() - keys.start() + 1) as usize;
             let mut extents = self.present(keys.clone());
             if extents.len() < want {
-                let mut map = self.extents.write();
+                let mut map = self.extents.write().unwrap_or_else(PoisonError::into_inner);
                 extents = keys
                     .map(|k| (k, Arc::clone(map.entry(k).or_default())))
                     .collect();
             }
             for ((_, at, range), (_, extent)) in pieces(offset, data.len()).zip(extents) {
-                fill(&mut extent.write(), at, &data[range]);
+                let mut extent = extent.write().unwrap_or_else(PoisonError::into_inner);
+                fill(&mut extent, at, &data[range]);
             }
         }
         self.len
@@ -93,7 +92,7 @@ impl Image {
             let out = &mut buf[range];
             let k = match stored.next_if(|(k, _)| *k == key) {
                 Some((_, extent)) => {
-                    let extent = extent.read();
+                    let extent = extent.read().unwrap_or_else(PoisonError::into_inner);
                     let bytes = extent.get(at..).unwrap_or(&[]);
                     let k = bytes.len().min(out.len());
                     out[..k].copy_from_slice(&bytes[..k]);
@@ -108,15 +107,15 @@ impl Image {
     /// Handles on the extents among `keys` that exist, in key order,
     /// cloned under the map's read guard.
     fn present(&self, keys: RangeInclusive<u64>) -> Vec<(u64, Extent)> {
-        let map = self.extents.read();
+        let map = self.extents.read().unwrap_or_else(PoisonError::into_inner);
         map.range(keys).map(|(&k, e)| (k, Arc::clone(e))).collect()
     }
 
     /// Heap bytes the extents hold (their capacities).
     #[cfg(test)]
     pub(crate) fn capacity(&self) -> usize {
-        let map = self.extents.read();
-        map.values().map(|e| e.read().capacity()).sum()
+        let map = self.extents.read().unwrap();
+        map.values().map(|e| e.read().unwrap().capacity()).sum()
     }
 }
 
@@ -268,7 +267,7 @@ mod tests {
         let image = Image::default();
         image.write(1 << 40, b"x");
         assert_eq!(image.len(), (1 << 40) + 1);
-        assert_eq!(image.extents.read().len(), 1);
+        assert_eq!(image.extents.read().unwrap().len(), 1);
         assert!(image.capacity() <= EXTENT);
     }
 
@@ -278,7 +277,9 @@ mod tests {
         for i in 0..EXTENT / 1000 + 1 {
             image.write((i * 1000) as u64, &[1u8; 1000]);
         }
-        let extents = image.extents.read();
-        assert!(extents.values().all(|e| e.read().capacity() <= EXTENT));
+        let extents = image.extents.read().unwrap();
+        assert!(extents
+            .values()
+            .all(|e| e.read().unwrap().capacity() <= EXTENT));
     }
 }

@@ -1,9 +1,8 @@
 //! The parallel file system: namespace, data path, and timing.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use parking_lot::RwLock;
 use sdm_sim::stats::Counters;
 use sdm_sim::{MachineConfig, Seconds};
 
@@ -69,7 +68,7 @@ impl Pfs {
             return Err(PfsError::OpenFailed(name.to_string()));
         }
         let data = {
-            let mut files = self.files.write();
+            let mut files = self.files_mut();
             Arc::clone(
                 files
                     .entry(name.to_string())
@@ -98,8 +97,7 @@ impl Pfs {
     /// per open, by the process that opened it. `NotFound` if absent.
     pub fn lookup(&self, name: &str) -> PfsResult<PfsFile> {
         let data = self
-            .files
-            .read()
+            .files()
             .get(name)
             .cloned()
             .ok_or_else(|| PfsError::NotFound(name.to_string()))?;
@@ -136,13 +134,13 @@ impl Pfs {
 
     /// Whether `name` exists.
     pub fn exists(&self, name: &str) -> bool {
-        self.files.read().contains_key(name)
+        self.files().contains_key(name)
     }
 
     /// Visible length of `name` (respects fault-plan truncation), or
     /// `NotFound`.
     pub fn file_len(&self, name: &str) -> PfsResult<u64> {
-        let files = self.files.read();
+        let files = self.files();
         let data = files
             .get(name)
             .ok_or_else(|| PfsError::NotFound(name.to_string()))?;
@@ -152,7 +150,7 @@ impl Pfs {
 
     /// Remove `name` from the namespace. Existing handles keep their image.
     pub fn delete(&self, name: &str, now: Seconds) -> PfsResult<Seconds> {
-        let removed = self.files.write().remove(name);
+        let removed = self.files_mut().remove(name);
         if removed.is_none() {
             return Err(PfsError::NotFound(name.to_string()));
         }
@@ -162,7 +160,7 @@ impl Pfs {
 
     /// All file names, sorted.
     pub fn list(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.files.read().keys().cloned().collect();
+        let mut names: Vec<String> = self.files().keys().cloned().collect();
         names.sort();
         names
     }
@@ -280,7 +278,17 @@ impl Pfs {
 
     /// Drop every file. The namespace becomes empty.
     pub fn clear(&self) {
-        self.files.write().clear();
+        self.files_mut().clear();
+    }
+
+    /// The namespace, read-locked (a poisoned lock's map is used as it is).
+    fn files(&self) -> RwLockReadGuard<'_, HashMap<String, Arc<FileData>>> {
+        self.files.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The namespace, write-locked.
+    fn files_mut(&self) -> RwLockWriteGuard<'_, HashMap<String, Arc<FileData>>> {
+        self.files.write().unwrap_or_else(PoisonError::into_inner)
     }
 }
 

@@ -1,6 +1,7 @@
 //! I/O servers with FIFO virtual-time queues.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use sdm_sim::Seconds;
 
 /// One I/O server (a controller+disk group on the Origin2000).
@@ -24,7 +25,7 @@ impl IoServer {
     /// returns its completion time.
     pub fn submit(&self, arrival: Seconds, service: Seconds) -> Seconds {
         debug_assert!(service >= 0.0);
-        let mut busy = self.busy_until.lock();
+        let mut busy = self.busy();
         let start = busy.max(arrival);
         let done = start + service;
         *busy = done;
@@ -33,12 +34,19 @@ impl IoServer {
 
     /// Earliest time a new request could start service.
     pub fn busy_until(&self) -> Seconds {
-        *self.busy_until.lock()
+        *self.busy()
     }
 
     /// Reset the queue to idle (bench repetitions).
     pub fn reset(&self) {
-        *self.busy_until.lock() = 0.0;
+        *self.busy() = 0.0;
+    }
+
+    /// The queue's end, locked (a poisoned lock's value is used as it is).
+    fn busy(&self) -> MutexGuard<'_, Seconds> {
+        self.busy_until
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 }
 

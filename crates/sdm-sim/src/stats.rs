@@ -5,9 +5,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A registry of named monotonically increasing counters, shareable across
 /// rank threads.
@@ -22,11 +20,21 @@ impl Counters {
         Self::default()
     }
 
+    /// The registry, read-locked (a poisoned lock's map is used as it is).
+    fn map(&self) -> RwLockReadGuard<'_, BTreeMap<String, Arc<AtomicU64>>> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The registry, write-locked.
+    fn map_mut(&self) -> RwLockWriteGuard<'_, BTreeMap<String, Arc<AtomicU64>>> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn handle(&self, name: &str) -> Arc<AtomicU64> {
-        if let Some(c) = self.inner.read().get(name) {
+        if let Some(c) = self.map().get(name) {
             return Arc::clone(c);
         }
-        let mut w = self.inner.write();
+        let mut w = self.map_mut();
         Arc::clone(
             w.entry(name.to_string())
                 .or_insert_with(|| Arc::new(AtomicU64::new(0))),
@@ -45,16 +53,14 @@ impl Counters {
 
     /// Current value of `name` (zero if never touched).
     pub fn get(&self, name: &str) -> u64 {
-        self.inner
-            .read()
+        self.map()
             .get(name)
             .map_or(0, |c| c.load(Ordering::Relaxed))
     }
 
     /// Snapshot of all counters, sorted by name.
     pub fn snapshot(&self) -> BTreeMap<String, u64> {
-        self.inner
-            .read()
+        self.map()
             .iter()
             .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
             .collect()
@@ -62,7 +68,7 @@ impl Counters {
 
     /// Reset every counter to zero (bench repetitions).
     pub fn reset(&self) {
-        for c in self.inner.read().values() {
+        for c in self.map().values() {
             c.store(0, Ordering::Relaxed);
         }
     }

@@ -1,5 +1,5 @@
-//! In-tree stand-in for the `proptest` crate (see the note in the
-//! `parking_lot` shim).
+//! In-tree stand-in for the `proptest` crate (see DESIGN.md, "Hermetic
+//! build").
 //!
 //! Implements the subset the workspace's property tests use: the
 //! `proptest!` macro, `prop_assert!`/`prop_assert_eq!`, `any::<T>()`,

@@ -1,5 +1,5 @@
-//! In-tree stand-in for the `serde` crate (see the note in the
-//! `parking_lot` shim).
+//! In-tree stand-in for the `serde` crate (see DESIGN.md, "Hermetic
+//! build").
 //!
 //! Instead of serde's visitor-based data model, this shim serializes
 //! through one concrete tree, [`Json`]: `Serialize` renders a value into

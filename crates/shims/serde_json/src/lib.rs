@@ -1,6 +1,6 @@
-//! In-tree stand-in for the `serde_json` crate (see the note in the
-//! `parking_lot` shim): prints and parses the `serde` shim's [`Json`]
-//! tree as JSON text.
+//! In-tree stand-in for the `serde_json` crate (see DESIGN.md, "Hermetic
+//! build"): prints and parses the `serde` shim's [`Json`] tree as JSON
+//! text.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 

@@ -1,6 +1,6 @@
-//! In-tree stand-in for the `tempfile` crate (see the note in the
-//! `parking_lot` shim). Provides `tempdir()`: a uniquely named directory
-//! under the system temp dir, removed recursively on drop.
+//! In-tree stand-in for the `tempfile` crate (see DESIGN.md, "Hermetic
+//! build"). Provides `tempdir()`: a uniquely named directory under the
+//! system temp dir, removed recursively on drop.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
