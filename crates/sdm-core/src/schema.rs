@@ -54,7 +54,8 @@ relation! {
     // The two hot aggregates are index-edge peeks: `MAX(runid)` reads
     // the last key of `(runid)`, and "latest run of this application"
     // reads the last key of the `(application, runid)` bucket for that
-    // application — neither visits a row.
+    // application — neither visits a row. `execution_history` reads an
+    // application's run ids off the same `(application, runid)` index.
     indexes {
         "run_table_runid" on (runid),
         "run_table_app_runid" on (application, runid),
@@ -103,7 +104,7 @@ relation! {
     // timestep-window queries (`runid = ? AND timestep BETWEEN ? AND ?`)
     // walk the same index as an equality-prefix + range probe, per-run
     // top-k-by-timestep streams it backwards with no sort, and
-    // `execution_history` merge-joins off its `runid` lead.
+    // `execution_history` reads each run's rows off its `runid` prefix.
     indexes { "execution_runid_timestep" on (runid, timestep) }
 }
 

@@ -197,38 +197,47 @@ pub trait MetadataStore: Send + Sync {
 
     /// The full write history of an application: every `(runid,
     /// timestep, file_offset, file_name)` recorded for any of its runs,
-    /// run-then-timestep ordered — the paper's cross-table reporting
-    /// query (`run_table ⋈ execution_table ON runid`). Both tables
-    /// carry a runid-led index, so the executor serves this as a merge
-    /// join over the two index streams: no full scan
-    /// ([`sdm_metadb::DbStats::join_merge_joins`] ticks, `full_scans`
-    /// does not).
+    /// ordered by runid, then timestep, then record order — the paper's
+    /// `run_table ⋈ execution_table ON runid`, as two index reads: the
+    /// application's run ids off `run_table`'s `(application, runid)`
+    /// index, then each run's rows off `execution_table`'s `(runid,
+    /// timestep)` index. Neither read scans a whole table.
     fn execution_history(&self, application: &str) -> DbResult<Vec<(i64, i64, i64, String)>> {
-        let stmt =
+        let runs =
             sdm_metadb::stmt_once!(Query::<RunRow>::filter(RunCol::Application.eq(param(0)))
-                .join_on::<ExecutionRow>(RunCol::Runid, ExecutionCol::Runid)
-                .select_right(&[
-                    ExecutionCol::Runid,
-                    ExecutionCol::Timestep,
-                    ExecutionCol::FileOffset,
-                    ExecutionCol::FileName,
-                ])
-                .order_by_right(ExecutionCol::Runid)
-                .order_by_right(ExecutionCol::Timestep)
+                .select(&[RunCol::Runid])
+                .order_by(RunCol::Runid)
                 .compile());
-        let rs = self.run(stmt, &[Value::from(application)])?;
-        Ok(rs
+        let steps = sdm_metadb::stmt_once!(Query::<ExecutionRow>::filter(
+            ExecutionCol::Runid.eq(param(0))
+        )
+        .select(&[
+            ExecutionCol::Timestep,
+            ExecutionCol::FileOffset,
+            ExecutionCol::FileName,
+        ])
+        .order_by(ExecutionCol::Timestep)
+        .compile());
+        let mut runids: Vec<i64> = self
+            .run(runs, &[Value::from(application)])?
             .rows
-            .into_iter()
-            .map(|r| {
+            .iter()
+            .map(|r| r[0].as_i64().unwrap_or(0))
+            .collect();
+        runids.dedup();
+        let mut history = Vec::new();
+        for runid in runids {
+            let rs = self.run(steps, &[Value::Int(runid)])?;
+            history.extend(rs.rows.into_iter().map(|r| {
                 (
+                    runid,
                     r[0].as_i64().unwrap_or(0),
                     r[1].as_i64().unwrap_or(0),
-                    r[2].as_i64().unwrap_or(0),
-                    r[3].as_str().unwrap_or_default().to_string(),
+                    r[2].as_str().unwrap_or_default().to_string(),
                 )
-            })
-            .collect())
+            }));
+        }
+        Ok(history)
     }
 
     /// Record an imported array's metadata (`SDM_make_importlist`).
@@ -1055,11 +1064,10 @@ impl MetadataStore for CachedStore {
     }
 
     fn run(&self, stmt: &Stmt, params: &[Value]) -> DbResult<ResultSet> {
-        // Only statements that touch the relation with buffered rows —
-        // as FROM table, join side, or mutation target — force the
+        // Only statements over the relation with buffered rows force the
         // pending batch down first. Statements over other relations pass
         // straight through.
-        if stmt.references(ExecutionRow::TABLE.name) {
+        if stmt.table().eq_ignore_ascii_case(ExecutionRow::TABLE.name) {
             self.flush()?;
         }
         self.inner.run(stmt, params)
@@ -1106,7 +1114,7 @@ mod tests {
     }
 
     #[test]
-    fn execution_history_merge_joins_off_the_runid_indexes() {
+    fn execution_history_reads_the_runid_indexes() {
         let s = sql_store();
         s.record_run(&run_rec(1, "fun3d")).unwrap();
         s.record_run(&run_rec(2, "rt")).unwrap();
@@ -1127,10 +1135,80 @@ mod tests {
         assert_eq!(hist.len(), 6);
         assert_eq!(hist[0], (1, 0, 0, "f1.dat".to_string()));
         assert_eq!(hist[5], (3, 2, 200, "f3.dat".to_string()));
-        // The eq-join is served by a merge over the two runid-led
-        // indexes — never by a full scan.
-        assert_eq!(after.join_merge_joins - before.join_merge_joins, 1);
+        // One read of run_table's (application, runid) index and one
+        // of execution_table's (runid, timestep) index per run — never
+        // a full scan.
+        assert_eq!(after.index_scans - before.index_scans, 3);
         assert_eq!(after.full_scans, before.full_scans);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `execution_history(app)` equals a fold over what was recorded:
+        /// the rows of runs whose `run_table` row names `app` (the last
+        /// `record_run` of a runid wins; abandoned reservations name no
+        /// application), ordered by (runid, timestep, record order).
+        /// Runs are recorded out of runid order, some never execute,
+        /// executions of different runs interleave, a timestep carries
+        /// several datasets, and the last batch is still buffered in the
+        /// `CachedStore` when the first history is asked for.
+        #[test]
+        fn execution_history_is_the_recorded_rows_of_the_app(
+            ops in proptest::collection::vec(
+                (0u8..4, 0i64..8, 0usize..3, 0i64..4, 0i64..1000),
+                0..40,
+            ),
+            first in 0usize..3,
+        ) {
+            const APPS: [&str; 3] = ["a", "b", "c"];
+            const DATASETS: [&str; 3] = ["p", "q", "r"];
+            let s = cached_store();
+            let mut app_of: std::collections::HashMap<i64, Option<&str>> =
+                std::collections::HashMap::new();
+            let mut runids: Vec<i64> = Vec::new();
+            let mut recorded: Vec<(i64, i64, i64, String)> = Vec::new();
+            for (kind, slot, x, timestep, offset) in ops {
+                match kind {
+                    0 => {
+                        let runid = 1 + slot;
+                        s.record_run(&run_rec(runid, APPS[x])).unwrap();
+                        app_of.insert(runid, Some(APPS[x]));
+                        runids.push(runid);
+                    }
+                    1 => {
+                        let runid = s.allocate_runid(APPS[x]).unwrap();
+                        app_of.insert(runid, None);
+                        if slot % 2 == 0 {
+                            s.record_run(&run_rec(runid, APPS[x])).unwrap();
+                            app_of.insert(runid, Some(APPS[x]));
+                        }
+                        runids.push(runid);
+                    }
+                    _ => {
+                        // A known run, or one no `run_table` row names.
+                        let runid = match runids.len() {
+                            0 => 100 + slot,
+                            n => runids[slot as usize % n],
+                        };
+                        let file = format!("f{runid}.{timestep}");
+                        s.record_execution(runid, DATASETS[x], timestep, offset, &file)
+                            .unwrap();
+                        recorded.push((runid, timestep, offset, file));
+                    }
+                }
+            }
+            for k in 0..APPS.len() {
+                let app = APPS[(first + k) % APPS.len()];
+                let mut want: Vec<(i64, i64, i64, String)> = recorded
+                    .iter()
+                    .filter(|r| app_of.get(&r.0) == Some(&Some(app)))
+                    .cloned()
+                    .collect();
+                want.sort_by_key(|r| (r.0, r.1)); // stable: ties keep record order
+                proptest::prop_assert_eq!(s.execution_history(app).unwrap(), want, "app {}", app);
+            }
+        }
     }
 
     #[test]
@@ -1435,30 +1513,6 @@ mod tests {
         let stats = s.database().stats();
         assert_eq!(stats.parse_misses, 1, "veneer text must be counted");
         assert!(s.exec("SELEKT nope", &[]).is_err());
-    }
-
-    #[test]
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "SQL text is the shortest way to write this join; the test is about flush gating"
-    )]
-    fn run_flushes_when_a_join_reaches_the_buffered_relation() {
-        // A SELECT whose FROM table is elsewhere but whose JOIN side is
-        // execution_table must still see buffered rows: flush gating
-        // goes by Stmt::references, not the primary table alone.
-        let s = cached_store();
-        s.record_run(&run_rec(5, "app")).unwrap();
-        s.record_execution(5, "p", 0, 7, "f").unwrap();
-        let join = Stmt::parse(
-            "SELECT run_table.runid, execution_table.file_offset FROM run_table \
-             INNER JOIN execution_table ON run_table.runid = execution_table.runid",
-        )
-        .unwrap();
-        assert_eq!(join.table(), "run_table");
-        assert!(join.references("execution_table"));
-        let rs = s.run(&join, &[]).unwrap();
-        assert_eq!(rs.len(), 1, "buffered execution row must be visible");
-        assert_eq!(rs.rows[0][1], Value::Int(7));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Expression evaluation: one tree walk over the `Expr` AST.
 //!
-//! [`eval_ast`] evaluates every WHERE, join, HAVING, SET and VALUES
-//! expression the executor meets, one row at a time, resolving each
-//! column reference through a [`Resolve`] context (a table schema, a
-//! join's combined columns, or an aggregate's output names). Errors are
+//! [`eval_ast`] evaluates every WHERE, SET and VALUES expression the
+//! executor meets, one row at a time, resolving each column reference
+//! through a [`Resolve`] context (a table's schema, with or without its
+//! name for qualified `table.col` references). Errors are
 //! raised lazily, per evaluated row, and returned as `DbError`s rather
 //! than panics: an unknown column over an empty table is not an error,
 //! because no row is ever evaluated, and a short-circuited `AND`/`OR`

@@ -3,23 +3,20 @@
 //! Stands in for the MySQL 3.23 server the paper used for SDM's
 //! application metadata. SDM issues embedded SQL (CREATE TABLE / INSERT /
 //! SELECT / UPDATE / DELETE with WHERE, ORDER BY, LIMIT and `?`
-//! placeholders) against six small tables; this crate provides that
-//! surface — plus aggregates (COUNT/SUM/AVG/MIN/MAX), GROUP BY +
-//! HAVING and DISTINCT (the last two reached only by tests and the
-//! `metadb_tour` example), single-column INNER JOIN, ordered secondary
-//! indexes (CREATE INDEX, one or more columns) with cost-based
-//! point/range/stream planning and incremental maintenance, and
-//! undo-log transactions (`Database::transaction` closures, whose
-//! commit or rollback costs O(rows touched), never O(database)) — as
-//! an in-process engine:
+//! placeholders) against six small tables, one table per statement;
+//! this crate provides that surface — a `SELECT` reads one table and
+//! lists either columns or aggregates (COUNT/SUM/AVG/MIN/MAX, one output
+//! row) — plus ordered secondary indexes (CREATE INDEX, one or more
+//! columns) with cost-based point/range/stream planning and incremental
+//! maintenance, and undo-log transactions (`Database::transaction`
+//! closures, whose commit or rollback costs O(rows touched), never
+//! O(database)) — as an in-process engine:
 //!
 //! * [`value::Value`] / [`schema::Schema`] — the type system (INT,
 //!   DOUBLE, TEXT + NULL).
 //! * [`sql`] — lexer, AST, recursive-descent parser for the SQL subset.
 //! * [`exec`] — statement execution (shared-borrow reads, undo-logging
-//!   mutations) with index-backed join strategies (merge and
-//!   index-nested-loop; every non-NULL pair when neither side is
-//!   indexed).
+//!   mutations).
 //! * [`eval`] — expression evaluation: one walk over the AST per row,
 //!   with SQL three-valued logic and errors (never panics) for bad
 //!   columns, types and parameters.

@@ -3,7 +3,7 @@
 use crate::schema::ColType;
 use crate::value::Value;
 
-/// Expressions appearing in WHERE, HAVING, SET, and VALUES clauses.
+/// Expressions appearing in WHERE, SET, and VALUES clauses.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Literal value.
@@ -138,18 +138,6 @@ impl SelectItem {
     }
 }
 
-/// An `INNER JOIN other ON left = right` clause (single-column
-/// equi-join, the only join shape SDM's metadata queries need).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Join {
-    /// The joined (right) table.
-    pub table: String,
-    /// Left side of the ON equality (column, possibly qualified).
-    pub on_left: String,
-    /// Right side of the ON equality.
-    pub on_right: String,
-}
-
 /// ORDER BY key.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrderBy {
@@ -203,20 +191,12 @@ pub enum Statement {
     },
     /// SELECT.
     Select {
-        /// DISTINCT present.
-        distinct: bool,
         /// Projected items, or `None` for `*`.
         items: Option<Vec<SelectItem>>,
         /// Source table.
         table: String,
-        /// Optional single INNER JOIN.
-        join: Option<Join>,
         /// WHERE predicate.
         filter: Option<Expr>,
-        /// GROUP BY columns.
-        group_by: Vec<String>,
-        /// HAVING predicate (references output names).
-        having: Option<Expr>,
         /// ORDER BY keys.
         order_by: Vec<OrderBy>,
         /// LIMIT.

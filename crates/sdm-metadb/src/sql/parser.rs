@@ -2,7 +2,7 @@
 
 use crate::error::{DbError, DbResult};
 use crate::schema::ColType;
-use crate::sql::ast::{AggFunc, BinOp, Expr, Join, OrderBy, SelExpr, SelectItem, Statement};
+use crate::sql::ast::{AggFunc, BinOp, Expr, OrderBy, SelExpr, SelectItem, Statement};
 use crate::sql::lexer::{lex, Token};
 use crate::value::Value;
 
@@ -344,7 +344,6 @@ impl Parser {
     }
 
     fn select(&mut self) -> DbResult<Statement> {
-        let distinct = self.accept_kw("DISTINCT");
         let items = if matches!(self.peek(), Some(Token::Star)) {
             self.pos += 1;
             None
@@ -358,29 +357,7 @@ impl Parser {
         };
         self.expect_kw("FROM")?;
         let table = self.ident()?;
-        let join = if self.accept_kw("INNER") {
-            self.expect_kw("JOIN")?;
-            Some(self.join_clause()?)
-        } else if self.accept_kw("JOIN") {
-            Some(self.join_clause()?)
-        } else {
-            None
-        };
         let filter = self.opt_where()?;
-        let mut group_by = Vec::new();
-        if self.accept_kw("GROUP") {
-            self.expect_kw("BY")?;
-            group_by.push(self.ident()?);
-            while matches!(self.peek(), Some(Token::Comma)) {
-                self.pos += 1;
-                group_by.push(self.ident()?);
-            }
-        }
-        let having = if self.accept_kw("HAVING") {
-            Some(self.expr()?)
-        } else {
-            None
-        };
         let mut order_by = Vec::new();
         if self.accept_kw("ORDER") {
             self.expect_kw("BY")?;
@@ -409,28 +386,11 @@ impl Parser {
             None
         };
         Ok(Statement::Select {
-            distinct,
             items,
             table,
-            join,
             filter,
-            group_by,
-            having,
             order_by,
             limit,
-        })
-    }
-
-    fn join_clause(&mut self) -> DbResult<Join> {
-        let table = self.ident()?;
-        self.expect_kw("ON")?;
-        let on_left = self.ident()?;
-        self.expect(&Token::Eq)?;
-        let on_right = self.ident()?;
-        Ok(Join {
-            table,
-            on_left,
-            on_right,
         })
     }
 
@@ -682,12 +642,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_select_distinct() {
-        let s = parse("SELECT DISTINCT a FROM t").unwrap();
-        assert!(matches!(s, Statement::Select { distinct: true, .. }));
-    }
-
-    #[test]
     fn parse_aggregates() {
         let s = parse("SELECT COUNT(*), SUM(v) AS total, MAX(v) FROM t").unwrap();
         match &s {
@@ -719,43 +673,30 @@ mod tests {
         );
     }
 
+    /// `sql` is not in the grammar: SELECT reads one table, with no
+    /// DISTINCT, JOIN, GROUP BY or HAVING.
+    fn rejected(sql: &str) {
+        assert!(matches!(parse(sql), Err(DbError::Parse(_))), "{sql}");
+    }
+
+    #[test]
+    fn parse_select_distinct() {
+        rejected("SELECT DISTINCT a FROM t");
+    }
+
     #[test]
     fn parse_group_by_having() {
-        let s = parse(
-            "SELECT dataset, COUNT(*) AS n FROM execution_table GROUP BY dataset HAVING n > 1",
-        )
-        .unwrap();
-        match s {
-            Statement::Select {
-                group_by, having, ..
-            } => {
-                assert_eq!(group_by, vec!["dataset".to_string()]);
-                assert!(having.is_some());
-            }
-            other => panic!("wrong: {other:?}"),
-        }
+        rejected("SELECT dataset, COUNT(*) AS n FROM execution_table GROUP BY dataset");
+        rejected("SELECT COUNT(*) AS n FROM execution_table HAVING n > 1");
     }
 
     #[test]
     fn parse_join() {
-        let s = parse(
+        rejected(
             "SELECT run_table.runid FROM run_table \
              INNER JOIN execution_table ON run_table.runid = execution_table.runid",
-        )
-        .unwrap();
-        match s {
-            Statement::Select { join: Some(j), .. } => {
-                assert_eq!(j.table, "execution_table");
-                assert_eq!(j.on_left, "run_table.runid");
-                assert_eq!(j.on_right, "execution_table.runid");
-            }
-            other => panic!("wrong: {other:?}"),
-        }
-        // Bare JOIN means INNER JOIN.
-        assert!(matches!(
-            parse("SELECT * FROM a JOIN b ON a.x = b.y").unwrap(),
-            Statement::Select { join: Some(_), .. }
-        ));
+        );
+        rejected("SELECT * FROM a JOIN b ON a.x = b.y");
     }
 
     #[test]

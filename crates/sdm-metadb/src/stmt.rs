@@ -53,7 +53,7 @@ use std::sync::Arc;
 
 use crate::error::DbResult;
 use crate::schema::ColType;
-use crate::sql::ast::{AggFunc, BinOp, Expr, Join, OrderBy, SelExpr, SelectItem, Statement};
+use crate::sql::ast::{AggFunc, BinOp, Expr, OrderBy, SelExpr, SelectItem, Statement};
 use crate::sql::parse;
 use crate::value::Value;
 
@@ -441,25 +441,10 @@ impl Stmt {
         Ok(Stmt::from_ast(parse(sql)?))
     }
 
-    /// The table this statement touches. This is the routing/caching
-    /// key a sharded or caching store dispatches on. A `SELECT` with a
-    /// join names its `FROM` table here; use [`Stmt::references`] to
-    /// also cover the joined side.
+    /// The one table this statement reads or writes. This is the
+    /// routing/caching key a sharded or caching store dispatches on.
     pub fn table(&self) -> &str {
         &self.table
-    }
-
-    /// Whether this statement reads or writes `table`, including as the
-    /// joined side of a `SELECT … INNER JOIN`. Caching layers gate
-    /// their flushes on this, not on [`Stmt::table`] alone.
-    pub fn references(&self, table: &str) -> bool {
-        if self.table.eq_ignore_ascii_case(table) {
-            return true;
-        }
-        matches!(
-            &*self.ast,
-            Statement::Select { join: Some(j), .. } if j.table.eq_ignore_ascii_case(table)
-        )
     }
 
     /// Whether executing this statement may change table contents or
@@ -531,7 +516,6 @@ enum Proj {
 #[derive(Debug, Clone)]
 pub struct Query<R> {
     proj: Proj,
-    distinct: bool,
     filter: Option<Expr>,
     order: Vec<OrderBy>,
     limit: Option<usize>,
@@ -549,7 +533,6 @@ impl<R: Relation> Query<R> {
     pub fn all() -> Self {
         Query {
             proj: Proj::All,
-            distinct: false,
             filter: None,
             order: Vec::new(),
             limit: None,
@@ -613,12 +596,6 @@ impl<R: Relation> Query<R> {
         self
     }
 
-    /// `SELECT DISTINCT`.
-    pub fn distinct(mut self) -> Self {
-        self.distinct = true;
-        self
-    }
-
     /// Ascending `ORDER BY` key (appends to any existing keys).
     pub fn order_by(mut self, col: impl TypedColumn<R>) -> Self {
         self.order.push(OrderBy {
@@ -664,184 +641,9 @@ impl<R: Relation> Query<R> {
             }]),
         };
         Stmt::from_ast(Statement::Select {
-            distinct: self.distinct,
             items,
             table: R::TABLE.name.to_string(),
-            join: None,
             filter: self.filter,
-            group_by: Vec::new(),
-            having: None,
-            order_by: self.order,
-            limit: self.limit,
-        })
-    }
-}
-
-impl<R: Relation> Query<R> {
-    /// `… INNER JOIN S ON left = right`: lift this single-table query
-    /// into a typed two-table join. The receiver's filter carries over
-    /// (its columns qualified with `R`'s table name), as does a
-    /// column projection set with [`Query::select`]; aggregates do not
-    /// join. The executor serves the equality with a merge join or
-    /// index-nested-loop probes when the join columns are indexed.
-    pub fn join_on<S: Relation>(
-        self,
-        left: impl TypedColumn<R>,
-        right: impl TypedColumn<S>,
-    ) -> JoinQuery<R, S> {
-        let items = match self.proj {
-            Proj::Cols(cols) => cols
-                .into_iter()
-                .map(|c| qualified_item(R::TABLE.name, c))
-                .collect(),
-            Proj::All | Proj::Agg(..) => Vec::new(),
-        };
-        JoinQuery {
-            items,
-            filter: self.filter.map(|e| qualify(R::TABLE.name, e)),
-            order: self
-                .order
-                .into_iter()
-                .map(|o| qualify_order(R::TABLE.name, o))
-                .collect(),
-            limit: self.limit,
-            on_left: format!("{}.{}", R::TABLE.name, left.name()),
-            on_right: format!("{}.{}", S::TABLE.name, right.name()),
-            _rs: PhantomData,
-        }
-    }
-}
-
-/// Qualify every unqualified column reference in `e` with `table` —
-/// sound because a `Filter<R>` can only name `R`'s columns.
-fn qualify(table: &str, e: Expr) -> Expr {
-    match e {
-        Expr::Col(c) if !c.contains('.') => Expr::Col(format!("{table}.{c}")),
-        Expr::Binary { op, lhs, rhs } => Expr::Binary {
-            op,
-            lhs: Box::new(qualify(table, *lhs)),
-            rhs: Box::new(qualify(table, *rhs)),
-        },
-        Expr::Not(inner) => Expr::Not(Box::new(qualify(table, *inner))),
-        Expr::Neg(inner) => Expr::Neg(Box::new(qualify(table, *inner))),
-        Expr::IsNull { expr, negated } => Expr::IsNull {
-            expr: Box::new(qualify(table, *expr)),
-            negated,
-        },
-        other => other,
-    }
-}
-
-fn qualify_order(table: &str, mut o: OrderBy) -> OrderBy {
-    if !o.column.contains('.') {
-        o.column = format!("{table}.{}", o.column);
-    }
-    o
-}
-
-fn qualified_item(table: &str, col: &str) -> SelectItem {
-    SelectItem {
-        expr: SelExpr::Col(format!("{table}.{col}")),
-        alias: None,
-    }
-}
-
-/// Typed two-table `SELECT … INNER JOIN` over relations `R` (left) and
-/// `S` (right), built from [`Query::join_on`]. All columns are
-/// qualified with their owning table's name at build time, so filters
-/// stay unambiguous even when both relations share column names (the
-/// join key itself usually does).
-#[derive(Debug, Clone)]
-pub struct JoinQuery<R, S> {
-    items: Vec<SelectItem>,
-    filter: Option<Expr>,
-    order: Vec<OrderBy>,
-    limit: Option<usize>,
-    on_left: String,
-    on_right: String,
-    _rs: PhantomData<(R, S)>,
-}
-
-impl<R: Relation, S: Relation> JoinQuery<R, S> {
-    /// Project columns of the left relation (appended in call order).
-    pub fn select_left<C: TypedColumn<R>>(mut self, cols: &[C]) -> Self {
-        self.items
-            .extend(cols.iter().map(|c| qualified_item(R::TABLE.name, c.name())));
-        self
-    }
-
-    /// Project columns of the right relation (appended in call order).
-    pub fn select_right<C: TypedColumn<S>>(mut self, cols: &[C]) -> Self {
-        self.items
-            .extend(cols.iter().map(|c| qualified_item(S::TABLE.name, c.name())));
-        self
-    }
-
-    /// AND a predicate over the left relation onto the `WHERE` clause.
-    pub fn and_left(self, pred: Filter<R>) -> Self {
-        self.and_expr(qualify(R::TABLE.name, pred.expr))
-    }
-
-    /// AND a predicate over the right relation onto the `WHERE` clause.
-    pub fn and_right(self, pred: Filter<S>) -> Self {
-        self.and_expr(qualify(S::TABLE.name, pred.expr))
-    }
-
-    fn and_expr(mut self, expr: Expr) -> Self {
-        self.filter = Some(match self.filter.take() {
-            None => expr,
-            Some(prev) => Expr::Binary {
-                op: BinOp::And,
-                lhs: Box::new(prev),
-                rhs: Box::new(expr),
-            },
-        });
-        self
-    }
-
-    /// Ascending `ORDER BY` key on the left relation.
-    pub fn order_by_left(mut self, col: impl TypedColumn<R>) -> Self {
-        self.order.push(OrderBy {
-            column: format!("{}.{}", R::TABLE.name, col.name()),
-            desc: false,
-        });
-        self
-    }
-
-    /// Ascending `ORDER BY` key on the right relation.
-    pub fn order_by_right(mut self, col: impl TypedColumn<S>) -> Self {
-        self.order.push(OrderBy {
-            column: format!("{}.{}", S::TABLE.name, col.name()),
-            desc: false,
-        });
-        self
-    }
-
-    /// `LIMIT k`.
-    pub fn limit(mut self, k: usize) -> Self {
-        self.limit = Some(k);
-        self
-    }
-
-    /// Compile into an executable [`Stmt`].
-    pub fn compile(self) -> Stmt {
-        let items = if self.items.is_empty() {
-            None
-        } else {
-            Some(self.items)
-        };
-        Stmt::from_ast(Statement::Select {
-            distinct: false,
-            items,
-            table: R::TABLE.name.to_string(),
-            join: Some(Join {
-                table: S::TABLE.name.to_string(),
-                on_left: self.on_left,
-                on_right: self.on_right,
-            }),
-            filter: self.filter,
-            group_by: Vec::new(),
-            having: None,
             order_by: self.order,
             limit: self.limit,
         })
@@ -1071,20 +873,13 @@ fn render_statement(stmt: &Statement) -> String {
             }
         }
         Statement::Select {
-            distinct,
             items,
             table,
-            join,
             filter,
-            group_by,
-            having,
             order_by,
             limit,
         } => {
             s.push_str("SELECT ");
-            if *distinct {
-                s.push_str("DISTINCT ");
-            }
             match items {
                 None => s.push('*'),
                 Some(items) => {
@@ -1110,25 +905,9 @@ fn render_statement(stmt: &Statement) -> String {
             }
             s.push_str(" FROM ");
             s.push_str(table);
-            if let Some(j) = join {
-                s.push_str(" INNER JOIN ");
-                s.push_str(&j.table);
-                s.push_str(" ON ");
-                s.push_str(&j.on_left);
-                s.push_str(" = ");
-                s.push_str(&j.on_right);
-            }
             if let Some(f) = filter {
                 s.push_str(" WHERE ");
                 render_expr(f, &mut s);
-            }
-            if !group_by.is_empty() {
-                s.push_str(" GROUP BY ");
-                s.push_str(&group_by.join(", "));
-            }
-            if let Some(h) = having {
-                s.push_str(" HAVING ");
-                render_expr(h, &mut s);
             }
             render_order_limit(order_by, *limit, &mut s);
         }
@@ -1489,17 +1268,6 @@ mod tests {
             .unwrap();
         assert_eq!(rs.columns, vec!["label", "v"]);
         assert_eq!(rs.rows[0][0].as_str(), Some("r0"));
-        let rs = db
-            .exec_stmt(
-                &Query::<TRow>::all()
-                    .distinct()
-                    .select(&[TCol::K])
-                    .order_by(TCol::K)
-                    .compile(),
-                &[],
-            )
-            .unwrap();
-        assert_eq!(rs.len(), 3);
     }
 
     #[test]
@@ -1548,17 +1316,6 @@ mod tests {
         assert!(Insert::<TRow>::prepared().is_mutation());
         let cloned = q.clone();
         assert!(Arc::ptr_eq(&q.ast, &cloned.ast), "cloning shares the AST");
-    }
-
-    #[test]
-    fn references_covers_join_sides() {
-        let q = Query::<TRow>::all().compile();
-        assert!(q.references("t"));
-        assert!(q.references("T"), "case-insensitive like the catalog");
-        assert!(!q.references("other"));
-        let join = Stmt::parse("SELECT t.k FROM other INNER JOIN t ON other.k = t.k").unwrap();
-        assert_eq!(join.table(), "other");
-        assert!(join.references("t"), "joined table is referenced");
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! more columns, keyed by composite [`OrdKey`] vectors whose total order
 //! agrees with [`Value::sql_cmp`]. It answers point probes, half-open
 //! and closed range probes, prefix ranges, key-ordered streams
-//! (index-backed ORDER BY, merge joins), and first/last-key peeks
-//! (MIN/MAX).
+//! (index-backed ORDER BY), and first/last-key peeks (MIN/MAX).
 //!
 //! Every probe returns *candidates*: rows whose keys match under the
 //! canonical key encoding. Callers re-verify candidates against the
@@ -340,18 +339,6 @@ impl Table {
         self.rows = merged;
     }
 
-    /// Delete rows matching `pred`; returns how many were removed.
-    /// A predicate that matches nothing performs no index work at all.
-    pub fn delete_where(&mut self, mut pred: impl FnMut(&Row) -> bool) -> usize {
-        let positions: Vec<usize> = self
-            .rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| pred(r).then_some(i))
-            .collect();
-        self.delete_at(&positions).len()
-    }
-
     /// Remove every row, returning them (DELETE without WHERE; the
     /// caller keeps the rows for undo).
     pub fn clear(&mut self) -> Vec<Row> {
@@ -424,78 +411,10 @@ impl Table {
         &self.indexes
     }
 
-    /// Whether some index can probe `column` (it is an index's leading
-    /// key column).
-    pub fn has_index_on(&self, column: &str) -> bool {
-        self.indexes
-            .iter()
-            .any(|i| i.columns[0].eq_ignore_ascii_case(column))
-    }
-
     /// Distinct-key count of index `i` — the per-index cardinality
     /// statistic (`rows / distinct` estimates bucket size). O(1).
     pub fn index_distinct_keys(&self, i: usize) -> usize {
         self.maps[i].map.len()
-    }
-
-    /// Equality probe through a *single-column* index on `column`:
-    /// **borrowed** ascending positions of rows whose column ≈ `value`
-    /// (candidates share a key under SQL equality; callers re-verify
-    /// with the real predicate). `None` if no single-column index
-    /// covers `column`; NULL probes return no rows. Takes `&self` — the
-    /// whole SELECT pipeline runs under a shared catalog lock.
-    pub fn index_lookup(&self, column: &str, value: &Value) -> Option<&[usize]> {
-        let i = self
-            .indexes
-            .iter()
-            .position(|ix| ix.columns.len() == 1 && ix.columns[0].eq_ignore_ascii_case(column))?;
-        if value.is_null() {
-            return Some(NO_ROWS); // NULL = x is unknown; never a point match
-        }
-        Some(
-            self.maps[i]
-                .map
-                .get(&vec![value.ord_key()])
-                .map_or(NO_ROWS, Vec::as_slice),
-        )
-    }
-
-    /// The position of the first index led by `column` — the index that
-    /// drives an eq-join on `column` (its key order makes it
-    /// merge-joinable).
-    pub fn join_index(&self, column: &str) -> Option<usize> {
-        self.indexes
-            .iter()
-            .position(|def| def.columns[0].eq_ignore_ascii_case(column))
-    }
-
-    /// Key-ordered `(leading key component, bucket)` pairs of index `i`
-    /// — the merge-join streaming surface. A composite index splits one
-    /// leading key across many adjacent groups (one per distinct tail
-    /// combination), so consumers gather *runs* of equal leading keys.
-    pub fn ordered_groups(&self, i: usize) -> impl Iterator<Item = (&OrdKey, &[usize])> + '_ {
-        self.maps[i].map.iter().map(|(k, b)| (&k[0], b.as_slice()))
-    }
-
-    /// Equality probe on the *leading* key column of index `i`,
-    /// appending the ascending candidate positions into `buf` (cleared
-    /// first; reusable across probes, so a nested-loop join allocates
-    /// nothing per outer row once warm). Candidates share a
-    /// canonicalized key — callers re-verify under SQL equality. NULL
-    /// probes match nothing.
-    pub fn probe_leading(&self, i: usize, value: &Value, buf: &mut Vec<usize>) {
-        buf.clear();
-        if value.is_null() {
-            return;
-        }
-        let key = value.ord_key();
-        for (_, b) in self.maps[i].scan(&[], Some(&key), Some(&key)) {
-            buf.extend_from_slice(b);
-        }
-        // Buckets stream in key order; positions ascend within each
-        // bucket but not across the tail keys of a composite index, so
-        // restore global scan order.
-        buf.sort_unstable();
     }
 
     /// Full-key equality probe through index `i`: borrowed ascending
@@ -702,9 +621,10 @@ mod tests {
         for i in 0..5 {
             t.insert(vec![Value::Int(i), Value::from("x")]).unwrap();
         }
-        let n = t.delete_where(|r| r[0].as_i64().unwrap() % 2 == 0);
-        assert_eq!(n, 3);
+        let removed = t.delete_at(&[0, 2, 4]);
+        assert_eq!(removed.len(), 3);
         assert_eq!(t.len(), 2);
+        assert_eq!(t.rows()[1][0], Value::Int(3));
     }
 
     #[test]
@@ -714,12 +634,13 @@ mod tests {
             t.insert(vec![Value::Int(i % 3), Value::from("x")]).unwrap();
         }
         t.create_index("ik", &["k"]).unwrap();
-        let hits = t.index_lookup("k", &Value::Int(1)).unwrap();
-        assert_eq!(hits, &[1, 4, 7]);
-        // Unindexed column: no index answer.
-        assert!(t.index_lookup("v", &Value::from("x")).is_none());
+        assert_eq!(t.probe_point(0, &[&Value::Int(1)]).unwrap(), &[1, 4, 7]);
+        // Wrong key arity: no index answer.
+        assert!(t
+            .probe_point(0, &[&Value::Int(1), &Value::from("x")])
+            .is_none());
         // Probe miss: empty borrowed slice, not None.
-        assert_eq!(t.index_lookup("k", &Value::Int(99)), Some(NO_ROWS));
+        assert_eq!(t.probe_point(0, &[&Value::Int(99)]), Some(NO_ROWS));
     }
 
     #[test]
@@ -727,11 +648,12 @@ mod tests {
         let mut t = table();
         t.insert(vec![Value::Int(7), Value::from("a")]).unwrap();
         t.create_index("ik", &["k"]).unwrap();
-        assert_eq!(t.index_lookup("k", &Value::Int(7)).unwrap().len(), 1);
+        let seven = |t: &Table| t.probe_point(0, &[&Value::Int(7)]).unwrap().len();
+        assert_eq!(seven(&t), 1);
         t.insert(vec![Value::Int(7), Value::from("b")]).unwrap();
-        assert_eq!(t.index_lookup("k", &Value::Int(7)).unwrap().len(), 2);
-        t.delete_where(|r| r[1].as_str() == Some("a"));
-        assert_eq!(t.index_lookup("k", &Value::Int(7)).unwrap().len(), 1);
+        assert_eq!(seven(&t), 2);
+        t.delete_at(&[0]);
+        assert_eq!(t.probe_point(0, &[&Value::Int(7)]).unwrap(), &[0]);
         assert!(t.maps_match_rebuild());
     }
 
@@ -741,7 +663,7 @@ mod tests {
         t.insert(vec![Value::Int(2), Value::from("a")]).unwrap();
         t.create_index("ik", &["k"]).unwrap();
         // SQL: 2 = 2.0, so a Double probe must find the Int row.
-        assert_eq!(t.index_lookup("k", &Value::Double(2.0)).unwrap(), &[0]);
+        assert_eq!(t.probe_point(0, &[&Value::Double(2.0)]).unwrap(), &[0]);
     }
 
     #[test]
@@ -749,7 +671,7 @@ mod tests {
         let mut t = table();
         t.insert(vec![Value::Null, Value::from("a")]).unwrap();
         t.create_index("ik", &["k"]).unwrap();
-        assert!(t.index_lookup("k", &Value::Null).unwrap().is_empty());
+        assert!(t.probe_point(0, &[&Value::Null]).unwrap().is_empty());
     }
 
     #[test]
@@ -772,7 +694,7 @@ mod tests {
         let mut t = table();
         t.create_index("i", &["k"]).unwrap();
         t.drop_index("i").unwrap();
-        assert!(t.index_lookup("k", &Value::Int(0)).is_none());
+        assert!(t.indexes().is_empty());
         assert!(matches!(t.drop_index("i"), Err(DbError::NoSuchIndex(_))));
     }
 
@@ -838,7 +760,7 @@ mod tests {
         t.create_index("okv", &["k", "v"]).unwrap();
         t.maps.clear(); // simulate a deserialized table
         t.rebuild_indexes().unwrap();
-        assert_eq!(t.index_lookup("k", &Value::Int(0)).unwrap(), &[0, 2, 4]);
+        assert_eq!(t.probe_point(0, &[&Value::Int(0)]).unwrap(), &[0, 2, 4]);
         assert_eq!(
             t.probe_point(1, &[&Value::Int(1), &Value::from("x")])
                 .unwrap(),
@@ -859,10 +781,9 @@ mod tests {
         t.insert(vec![Value::Double(0.0)]).unwrap();
         t.create_index("od", &["d"]).unwrap();
         // SQL: -0.0 = 0.0, so either probe must return both rows.
-        assert_eq!(t.index_lookup("d", &Value::Double(0.0)).unwrap(), &[0, 1]);
-        assert_eq!(t.index_lookup("d", &Value::Double(-0.0)).unwrap(), &[0, 1]);
-        assert_eq!(t.index_lookup("d", &Value::Int(0)).unwrap(), &[0, 1]);
-        assert_eq!(t.probe_point(0, &[&Value::Int(0)]).unwrap(), &[0, 1]);
+        for probe in [Value::Double(0.0), Value::Double(-0.0), Value::Int(0)] {
+            assert_eq!(t.probe_point(0, &[&probe]).unwrap(), &[0, 1]);
+        }
         assert_eq!(
             t.probe_range(
                 0,
@@ -1030,7 +951,7 @@ mod tests {
         // Only NULL and NaN left: both peeks report "no qualifying row".
         let mut t2 = t.clone();
         t2.rebuild_indexes().unwrap();
-        t2.delete_where(|r| matches!(r[0], Value::Double(d) if d.is_finite()));
+        t2.delete_at(&[2, 3]); // the two finite rows
         assert_eq!(t2.peek_edge(0, &[], false), Some(None));
         assert_eq!(t2.peek_edge(0, &[], true), Some(None));
     }

@@ -81,8 +81,7 @@ impl Value {
     }
 
     /// Owned, totally-ordered key under SQL equality — the `BTreeMap`
-    /// key of the secondary indexes, and the key of merge joins,
-    /// GROUP BY and DISTINCT.
+    /// key of the secondary indexes.
     ///
     /// SQL-equal values share a key. Numeric keys canonicalize through
     /// `f64`:

@@ -297,7 +297,11 @@ fn arb_stmt() -> impl Strategy<Value = Op> {
     })
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
+/// One workload step: usually one op. One step in ten commits `CREATE
+/// TABLE u` and then rolls back a transaction that starts by dropping
+/// it, so a rolled-back `DROP TABLE` is common: a `DropTable2` drawn by
+/// `arb_stmt` alone rarely finds `u` there.
+fn arb_step() -> impl Strategy<Value = Vec<Op>> {
     (
         0u8..10,
         arb_stmt(),
@@ -305,10 +309,19 @@ fn arb_op() -> impl Strategy<Value = Op> {
         proptest::collection::vec(arb_stmt(), 1..6),
     )
         .prop_map(|(sel, stmt, rows, stmts)| match sel {
-            0 => Op::TxCommit(rows),
-            1 => Op::TxRollback(stmts),
-            _ => stmt,
+            0 => vec![Op::TxCommit(rows)],
+            1 => vec![Op::TxRollback(stmts)],
+            2 => vec![
+                Op::CreateTable2,
+                Op::TxRollback([vec![Op::DropTable2], stmts].concat()),
+            ],
+            _ => vec![stmt],
         })
+}
+
+/// A workload of `steps` steps.
+fn arb_workload(steps: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec(arb_step(), steps).prop_map(|s| s.concat())
 }
 
 proptest! {
@@ -320,7 +333,7 @@ proptest! {
     /// resurrected uncommitted one, at any crash point.
     #[test]
     fn recovered_state_is_last_committed_at_every_cut(
-        ops in proptest::collection::vec(arb_op(), 1..10),
+        ops in arb_workload(1..10),
     ) {
         let (log, oracle) = run_workload(&ops);
         for cut in 0..=log.len() {
@@ -338,7 +351,7 @@ proptest! {
     /// corruption, landing on the last boundary before it.
     #[test]
     fn torn_write_corruption_recovers_to_a_prior_boundary(
-        ops in proptest::collection::vec(arb_op(), 1..8),
+        ops in arb_workload(1..8),
         poke in 0usize..4096,
         flip in 1u8..255,
     ) {
@@ -370,7 +383,7 @@ proptest! {
     /// recover to the state after the last *successful* op.
     #[test]
     fn live_crash_after_n_bytes_keeps_every_acknowledged_commit(
-        ops in proptest::collection::vec(arb_op(), 1..10),
+        ops in arb_workload(1..10),
         budget in 1u64..2000,
     ) {
         let (storage, h) =
@@ -403,8 +416,8 @@ proptest! {
     /// the checkpointed state, and replays exactly the committed suffix.
     #[test]
     fn checkpoint_then_cuts_replay_exactly_the_committed_suffix(
-        pre in proptest::collection::vec(arb_op(), 1..6),
-        post in proptest::collection::vec(arb_op(), 1..6),
+        pre in arb_workload(1..6),
+        post in arb_workload(1..6),
     ) {
         let (storage, h) = MemStorage::new();
         let db = Database::open_with_storage(Box::new(storage)).unwrap();

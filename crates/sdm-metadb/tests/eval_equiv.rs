@@ -1,17 +1,13 @@
-//! Property tests for the expression evaluator and the join planner:
-//!
-//! * random expression trees over adversarial values (NULL, NaN,
-//!   signed zero, integers beyond 2^53, `i64::MIN`) evaluate without
-//!   panicking: every tree yields a value or a `DbError`, and
-//!   logical, comparison and NULL-test nodes yield `0`, `1` or NULL;
-//! * the three join strategies (merge over two indexes,
-//!   index-nested-loop probes, every pair when nothing is indexed) must
-//!   return identical result sets in identical order for the same data.
+//! Property tests for the expression evaluator: random expression
+//! trees over adversarial values (NULL, NaN, signed zero, integers
+//! beyond 2^53, `i64::MIN`) evaluate without panicking: every tree
+//! yields a value or a `DbError`, and logical, comparison and NULL-test
+//! nodes yield `0`, `1` or NULL.
 
 use proptest::prelude::*;
 use sdm_metadb::eval::eval_ast;
 use sdm_metadb::sql::ast::{BinOp, Expr};
-use sdm_metadb::{ColType, Column, Database, Schema, Value};
+use sdm_metadb::{ColType, Column, Schema, Value};
 
 // ------------------------------------------------------------ expressions
 
@@ -132,85 +128,5 @@ proptest! {
                 _ => {}
             }
         }
-    }
-}
-
-// ------------------------------------------------------------------ joins
-
-/// Three databases with identical data whose index layouts force the
-/// three join strategies: both sides indexed on the join key (merge),
-/// inner side only (index-nested-loop), no index (every pair).
-fn join_dbs(rows_l: &[(Option<i64>, i64)], rows_r: &[(Option<i64>, i64)]) -> [Database; 3] {
-    let dbs = [Database::new(), Database::new(), Database::new()];
-    for db in &dbs {
-        db.exec("CREATE TABLE l (k INT, v INT)", &[]).unwrap();
-        db.exec("CREATE TABLE r (k INT, w INT)", &[]).unwrap();
-        for &(k, v) in rows_l {
-            let kv = k.map_or(Value::Null, Value::Int);
-            db.exec("INSERT INTO l VALUES (?, ?)", &[kv, Value::Int(v)])
-                .unwrap();
-        }
-        for &(k, w) in rows_r {
-            let kv = k.map_or(Value::Null, Value::Int);
-            db.exec("INSERT INTO r VALUES (?, ?)", &[kv, Value::Int(w)])
-                .unwrap();
-        }
-    }
-    // Merge: both sides indexed on the join key.
-    dbs[0].exec("CREATE INDEX l_k ON l (k)", &[]).unwrap();
-    dbs[0].exec("CREATE INDEX r_k ON r (k)", &[]).unwrap();
-    // INL: only the inner (right) side is indexed.
-    dbs[1].exec("CREATE INDEX r_k ON r (k, w)", &[]).unwrap();
-    dbs
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Merge, index-nested-loop, and every-pair joins must be observationally
-    /// identical: same columns, same rows, same row order — including
-    /// NULL join keys (matched by no strategy) and duplicate keys
-    /// (cross-producted by all of them).
-    #[test]
-    fn join_strategies_agree_on_rows_and_order(
-        rows_l in proptest::collection::vec((0i64..6, -3i64..3), 0..24),
-        rows_r in proptest::collection::vec((0i64..6, -3i64..3), 0..24),
-        null_every in 2usize..5,
-        filtered in 0usize..2,
-    ) {
-        // Every `null_every`-th key becomes NULL: joins must skip it.
-        let mk = |rows: &[(i64, i64)]| -> Vec<(Option<i64>, i64)> {
-            rows.iter()
-                .enumerate()
-                .map(|(i, &(k, v))| ((i % null_every != 0).then_some(k), v))
-                .collect()
-        };
-        let (rows_l, rows_r) = (mk(&rows_l), mk(&rows_r));
-        let dbs = join_dbs(&rows_l, &rows_r);
-        let sql = if filtered == 0 {
-            "SELECT * FROM l INNER JOIN r ON l.k = r.k"
-        } else {
-            "SELECT * FROM l INNER JOIN r ON l.k = r.k WHERE l.v <= r.w AND l.k > 1"
-        };
-        let merge = dbs[0].exec(sql, &[]).unwrap();
-        let inl = dbs[1].exec(sql, &[]).unwrap();
-        let pairs = dbs[2].exec(sql, &[]).unwrap();
-        prop_assert_eq!(&merge, &inl, "merge != index-nested-loop for {}", sql);
-        prop_assert_eq!(&merge, &pairs, "merge != every-pair for {}", sql);
-
-        // Each layout exercised the strategy it was built to force.
-        let (sm, si, sp) = (dbs[0].stats(), dbs[1].stats(), dbs[2].stats());
-        prop_assert!(sm.join_merge_joins >= 1, "merge layout never merge-joined");
-        prop_assert_eq!(sm.join_index_probes, 0);
-        // One probe per non-NULL outer (left) row.
-        if rows_l.iter().any(|(k, _)| k.is_some()) {
-            prop_assert!(si.join_index_probes >= 1, "INL layout never probed");
-        }
-        prop_assert_eq!(si.join_merge_joins, 0);
-        prop_assert_eq!(
-            (sp.join_merge_joins, sp.join_index_probes),
-            (0, 0),
-            "unindexed layout used an index strategy"
-        );
     }
 }

