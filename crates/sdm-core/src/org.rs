@@ -7,10 +7,8 @@
 //! * **Level 3** — one file per *group*; all datasets and timesteps
 //!   append. Fewest files; offsets tracked in the `execution_table`.
 
-use serde::{Deserialize, Serialize};
-
 /// File-organization level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OrgLevel {
     /// File per (dataset, timestep).
     Level1,

@@ -1,9 +1,7 @@
 //! Basic SDM attribute types (the annotation vocabulary of Figure 4).
 
-use serde::{Deserialize, Serialize};
-
 /// Element type of a dataset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SdmType {
     /// C `double` (8 bytes) — the paper's DOUBLE.
     Double,
@@ -66,7 +64,7 @@ impl SdmElem for i64 {
 }
 
 /// What an imported file region contains (Figure 4's `file_content`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileContent {
     /// Index (indirection) arrays like `edge1`/`edge2`.
     Index,

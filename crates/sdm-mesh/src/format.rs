@@ -9,8 +9,6 @@
 //! and builds/validates file images with deterministic array contents so
 //! tests can verify end-to-end imports value-by-value.
 
-use serde::{Deserialize, Serialize};
-
 use crate::mesh::UnstructuredMesh;
 
 /// Byte size of the C `int` used for edge ids in the mesh file.
@@ -19,7 +17,7 @@ pub const INT_SIZE: u64 = 4;
 pub const DOUBLE_SIZE: u64 = 8;
 
 /// Layout of a `uns3d.msh`-style file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Uns3dLayout {
     /// Number of edges (`totalEdges`).
     pub total_edges: u64,

@@ -1,9 +1,7 @@
 //! Mesh representation.
 
-use serde::{Deserialize, Serialize};
-
 /// Cell topology of a mesh.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CellKind {
     /// Triangles (3 nodes per cell).
     Triangle,
@@ -31,7 +29,7 @@ impl CellKind {
 
 /// An unstructured mesh: node coordinates, unique undirected edges, and
 /// (optionally) the generating cells.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UnstructuredMesh {
     /// Node coordinates (z = 0 for 2-D meshes).
     pub coords: Vec<[f64; 3]>,

@@ -2,15 +2,13 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{DbError, DbResult};
 use crate::schema::Schema;
 use crate::table::Table;
 use crate::wal::record::Replay;
 
 /// All tables of one database, keyed by lower-cased name.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct Catalog {
     tables: BTreeMap<String, Table>,
 }
@@ -63,13 +61,10 @@ impl Catalog {
         self.tables.insert(Self::key(name), table);
     }
 
-    /// Check every table and rebuild its index maps from its rows
-    /// (snapshot load: serde persists index *definitions* but not the
-    /// maps).
-    pub(crate) fn rebuild_indexes(&mut self) -> DbResult<()> {
-        self.tables
-            .values_mut()
-            .try_for_each(Table::rebuild_indexes)
+    /// Every table with its lower-cased name, in name order (what a
+    /// checkpoint writes).
+    pub(crate) fn tables(&self) -> impl Iterator<Item = (&str, &Table)> {
+        self.tables.iter().map(|(name, t)| (name.as_str(), t))
     }
 
     /// Shared table access.

@@ -260,7 +260,8 @@ impl Database {
     }
 
     /// Checkpoint: write an atomic catalog snapshot covering every
-    /// committed transaction, and truncate the log. Returns the last
+    /// committed transaction — the catalog as one committed transaction
+    /// of log frames — and truncate the log. Returns the last
     /// transaction id the snapshot covers.
     ///
     /// A crash at *any* point is safe: the snapshot installs by
@@ -283,7 +284,7 @@ impl Database {
         // Seal the log: everything the snapshot covers is in sealed
         // segments, and later commits go to a fresh one.
         wal.rotate()?;
-        wal.install_snapshot(&encode_snapshot(last_tx, catalog)?)?;
+        wal.install_snapshot(&encode_snapshot(last_tx, catalog))?;
         stats.checkpoints += 1;
         Ok(last_tx)
     }
@@ -821,6 +822,36 @@ mod tests {
         assert!(rs.rows.iter().all(|r| r[0].is_null()));
         let s = db.stats();
         assert_eq!((s.index_scans, s.full_scans, s.rows_scanned), (1, 0, 5));
+    }
+
+    #[test]
+    fn checkpoint_keeps_every_double_bit_for_bit() {
+        // Compared by `to_bits`: `Value`'s `PartialEq` says NaN != NaN
+        // and -0.0 == 0.0.
+        let cells = [
+            Value::Double(f64::INFINITY),
+            Value::Double(f64::NEG_INFINITY),
+            Value::Double(f64::NAN),
+            Value::Double(-f64::NAN),
+            Value::Double(-0.0),
+            Value::Null,
+            Value::Double(0.1),
+        ];
+        let bits = |v: &Value| v.as_f64().map(f64::to_bits);
+        let dir = tempfile::tempdir().unwrap();
+        let db = Database::open(dir.path()).unwrap();
+        db.exec("CREATE TABLE t (x DOUBLE)", &[]).unwrap();
+        for x in &cells {
+            db.exec("INSERT INTO t VALUES (?)", std::slice::from_ref(x))
+                .unwrap();
+        }
+        db.checkpoint().unwrap();
+        drop(db);
+
+        let db = Database::open(dir.path()).unwrap();
+        assert_eq!(db.recovery_info().unwrap().replayed_txs, 0);
+        let got: Vec<_> = dump(&db, "t").iter().map(|r| bits(&r[0])).collect();
+        assert_eq!(got, cells.iter().map(bits).collect::<Vec<_>>());
     }
 
     #[test]

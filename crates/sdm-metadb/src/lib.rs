@@ -36,8 +36,8 @@
 //!   with zero SQL-text formatting or parsing.
 //! * [`wal`] — **durability**, so metadata survives "runs" the way a
 //!   MySQL server's tables did: a write-ahead log with one append and
-//!   one fsync per commit, checkpoint snapshots (the one on-disk
-//!   format), and crash recovery
+//!   one fsync per commit, checkpoint snapshots written in the log's
+//!   own frames (one on-disk format for both), and crash recovery
 //!   ([`Database::open`] replays the log to exactly the last committed
 //!   transaction), behind a [`wal::storage::WalStorage`] trait with
 //!   fsync'd-file and fault-injectable in-memory backends.

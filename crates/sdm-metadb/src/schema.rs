@@ -1,12 +1,10 @@
 //! Table schemas.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{DbError, DbResult};
 use crate::value::Value;
 
 /// Declared column type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ColType {
     /// 64-bit integer.
     Int,
@@ -40,7 +38,7 @@ impl ColType {
 }
 
 /// A named, typed column.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     /// Column name (case-sensitive as written in CREATE TABLE).
     pub name: String,
@@ -49,7 +47,7 @@ pub struct Column {
 }
 
 /// An ordered list of columns.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     /// Columns in declaration order.
     pub columns: Vec<Column>,
@@ -94,7 +92,7 @@ impl Schema {
     }
 
     /// Check a row's arity and that every column admits its value.
-    pub(crate) fn validate(&self, row: &[Value]) -> DbResult<()> {
+    fn validate(&self, row: &[Value]) -> DbResult<()> {
         if row.len() != self.columns.len() {
             return Err(DbError::Arity(format!(
                 "expected {} values, got {}",

@@ -14,8 +14,6 @@
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{DbError, DbResult};
 use crate::schema::Schema;
 use crate::value::{OrdKey, Value};
@@ -24,7 +22,7 @@ use crate::value::{OrdKey, Value};
 pub type Row = Vec<Value>;
 
 /// A secondary-index definition (`CREATE INDEX name ON t (c1, c2, ...)`).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IndexDef {
     /// Index name, unique within the table.
     pub name: String,
@@ -217,18 +215,15 @@ impl OrdIndex {
 /// secondary indexes maintained incrementally (`maps` parallels
 /// `indexes`).
 ///
-/// The maps are skipped by serde; the catalog rebuilds them on snapshot
-/// load, before a loaded table serves its first probe.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A checkpoint persists the definitions, not the maps: replaying its
+/// CREATE INDEX frames after the rows builds each map once.
+#[derive(Debug, Clone)]
 pub struct Table {
     /// The table's schema.
     pub schema: Schema,
     rows: Vec<Row>,
-    /// Declared secondary indexes (definitions persist; the maps
-    /// themselves are rebuilt on load).
-    #[serde(default)]
+    /// Declared secondary indexes.
     indexes: Vec<IndexDef>,
-    #[serde(skip)]
     maps: Vec<OrdIndex>,
 }
 
@@ -537,35 +532,6 @@ impl Table {
         Some(None)
     }
 
-    /// Check every row against the schema and every index against the
-    /// columns, then rebuild every index map from the rows (snapshot
-    /// load: serde skips the maps, and a snapshot read from storage is
-    /// not trusted).
-    pub(crate) fn rebuild_indexes(&mut self) -> DbResult<()> {
-        for row in &self.rows {
-            self.schema.validate(row)?;
-        }
-        self.maps = self
-            .indexes
-            .iter()
-            .map(|def| {
-                if def.columns.is_empty() {
-                    return Err(DbError::Arity(format!(
-                        "index {} names no columns",
-                        def.name
-                    )));
-                }
-                let cols = def
-                    .columns
-                    .iter()
-                    .map(|c| self.schema.index_of(c))
-                    .collect::<DbResult<Vec<usize>>>()?;
-                Ok(OrdIndex::build(cols, &self.rows))
-            })
-            .collect::<DbResult<_>>()?;
-        Ok(())
-    }
-
     /// Test/debug invariant: every patched map equals a from-scratch
     /// rebuild (same buckets, same ascending positions).
     #[cfg(test)]
@@ -751,24 +717,6 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_indexes_restores_maps() {
-        let mut t = table();
-        for i in 0..6 {
-            t.insert(vec![Value::Int(i % 2), Value::from("x")]).unwrap();
-        }
-        t.create_index("ik", &["k"]).unwrap();
-        t.create_index("okv", &["k", "v"]).unwrap();
-        t.maps.clear(); // simulate a deserialized table
-        t.rebuild_indexes().unwrap();
-        assert_eq!(t.probe_point(0, &[&Value::Int(0)]).unwrap(), &[0, 2, 4]);
-        assert_eq!(
-            t.probe_point(1, &[&Value::Int(1), &Value::from("x")])
-                .unwrap(),
-            &[1, 3, 5]
-        );
-    }
-
-    #[test]
     fn negative_zero_probe_finds_positive_zero_rows() {
         let mut t = Table::new(
             Schema::new(vec![Column {
@@ -950,7 +898,6 @@ mod tests {
         assert_eq!(t.rows()[max][0], Value::Double(2.5));
         // Only NULL and NaN left: both peeks report "no qualifying row".
         let mut t2 = t.clone();
-        t2.rebuild_indexes().unwrap();
         t2.delete_at(&[2, 3]); // the two finite rows
         assert_eq!(t2.peek_edge(0, &[], false), Some(None));
         assert_eq!(t2.peek_edge(0, &[], true), Some(None));

@@ -3,13 +3,13 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A dynamically typed cell value.
 ///
-/// The derived `PartialEq` is exact (bitwise for doubles, NULL == NULL);
-/// use [`Value::sql_eq`] for SQL comparison semantics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The derived `PartialEq` says NULL == NULL but compares doubles with
+/// IEEE `==` (`NaN != NaN`, `-0.0 == 0.0`): compare `f64::to_bits` to
+/// tell doubles apart bit for bit, and use [`Value::sql_eq`] for SQL
+/// comparison semantics.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// SQL NULL.
     Null,

@@ -14,15 +14,18 @@
 //!   frame go to storage in one append and one fsync. The [`Wal`] is a
 //!   plain struct owned by the database's one lock, so commits never
 //!   interleave and nothing else waits on a sync but the caller.
-//! * **Checkpoint.** [`crate::Database::checkpoint`] writes
-//!   `"<last_tx>\n<catalog JSON>"` via atomic temp+fsync+rename, and
-//!   only *then* deletes sealed segments — a crash anywhere in between
-//!   leaves a recoverable (snapshot, log) pair.
-//! * **Recovery.** `Wal::open` loads the newest valid snapshot and
-//!   replays committed transactions in log order, skipping anything the
-//!   snapshot already covers (`txid <= snapshot_last_tx`) and
-//!   discarding the torn tail after the last valid CRC. Uncommitted and
-//!   aborted transactions are never applied.
+//! * **Checkpoint.** [`crate::Database::checkpoint`] writes the catalog
+//!   as the log compacted: one committed transaction of ordinary frames
+//!   stamped `last_tx` (per table a CREATE TABLE, one APPEND per row in
+//!   position order, its CREATE INDEXes), installed via atomic
+//!   temp+fsync+rename. Only *then* does it delete sealed segments — a
+//!   crash anywhere in between leaves a recoverable (snapshot, log) pair.
+//! * **Recovery.** `Wal::open` replays the snapshot, then the committed
+//!   transactions in log order, skipping anything the snapshot already
+//!   covers (`txid <= snapshot_last_tx`) and discarding the torn tail
+//!   after the last valid CRC. Uncommitted and aborted transactions are
+//!   never applied. A snapshot is installed whole, so a snapshot that is
+//!   not exactly one committed transaction is an error, not a torn tail.
 //!
 //! A failed sync **poisons** the WAL (the PostgreSQL rule): once an
 //! fsync fails the kernel may have dropped the dirty pages, so claiming
@@ -43,7 +46,7 @@ pub mod storage;
 
 use crate::catalog::Catalog;
 use crate::error::{DbError, DbResult};
-use record::Replay;
+use record::{Frame, Replay, WalAppender};
 use storage::WalStorage;
 
 /// What recovery found when the database opened.
@@ -220,34 +223,56 @@ impl Wal {
     }
 }
 
-/// Encode a checkpoint snapshot: `"<last_tx>\n<catalog JSON>"`.
-pub(crate) fn encode_snapshot(last_tx: u64, catalog: &Catalog) -> DbResult<Vec<u8>> {
-    let json = serde_json::to_string(catalog)
-        .map_err(|e| DbError::Persist(format!("snapshot encode: {e}")))?;
-    Ok(format!("{last_tx}\n{json}").into_bytes())
+/// Encode a checkpoint snapshot: the catalog as one transaction stamped
+/// `last_tx`. Each table is a CREATE TABLE, one APPEND per row in
+/// position order (later UPDATE and DELETE frames address rows by
+/// position), then its CREATE INDEXes, so replay builds each map once.
+pub(crate) fn encode_snapshot(last_tx: u64, catalog: &Catalog) -> Vec<u8> {
+    let mut w = WalAppender::new(last_tx);
+    for (name, table) in catalog.tables() {
+        w.create_table(name, &table.schema);
+        for row in table.rows() {
+            w.append_rows(name, std::slice::from_ref(row));
+        }
+        for def in table.indexes() {
+            w.create_index(name, &def.name, &def.columns);
+        }
+    }
+    w.commit();
+    w.into_buf()
 }
 
-/// Decode a checkpoint snapshot into the catalog (indexes rebuilt) and
-/// the last transaction it covers.
+/// Replay a checkpoint snapshot into a fresh catalog, returning it with
+/// the last transaction the snapshot covers. Strict: the frames must
+/// consume every byte, carry one txid and end in their only COMMIT.
 fn decode_snapshot(bytes: &[u8]) -> DbResult<(Catalog, u64)> {
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| DbError::Persist("snapshot is not valid UTF-8".into()))?;
-    let (head, json) = text
-        .split_once('\n')
-        .ok_or_else(|| DbError::Persist("snapshot missing its txid header".into()))?;
-    let last_tx = head
-        .trim()
-        .parse::<u64>()
-        .map_err(|_| DbError::Persist("snapshot header is not a transaction id".into()))?;
-    let mut catalog: Catalog = serde_json::from_str(json)
-        .map_err(|e| DbError::Persist(format!("snapshot decode: {e}")))?;
-    catalog.rebuild_indexes()?;
+    let bad = |what: &str| DbError::Persist(format!("snapshot {what}"));
+    let (mut frames, consumed) = record::decode_all(bytes);
+    if consumed != bytes.len() {
+        return Err(bad("has bytes that are not a valid frame"));
+    }
+    let last_tx = match frames.pop() {
+        Some(Frame {
+            txid,
+            replay: Replay::Commit,
+        }) => txid,
+        _ => return Err(bad("does not end in a COMMIT")),
+    };
+    let mut catalog = Catalog::default();
+    for frame in frames {
+        if frame.txid != last_tx {
+            return Err(bad("holds frames of two transactions"));
+        }
+        if matches!(frame.replay, Replay::Commit | Replay::Abort) {
+            return Err(bad("ends its transaction early"));
+        }
+        catalog.apply_redo(frame.replay)?;
+    }
     Ok((catalog, last_tx))
 }
 
 #[cfg(test)]
 mod tests {
-    use super::record::WalAppender;
     use super::storage::{MemStorage, WalFaults};
     use super::*;
     use crate::schema::{ColType, Column, Schema};
@@ -363,7 +388,9 @@ mod tests {
         let txid = wal.begin_tx();
         assert!(wal.commit(txid, &tx_bytes(txid, 2)).is_err());
         assert!(wal.rotate().is_err());
-        assert!(wal.install_snapshot(b"0\n{}").is_err());
+        assert!(wal
+            .install_snapshot(&encode_snapshot(0, &Catalog::new()))
+            .is_err());
     }
 
     #[test]
@@ -377,7 +404,7 @@ mod tests {
         let (storage, h2) = MemStorage::from_persisted(h.persisted());
         let (mut wal2, catalog) = Wal::open(Box::new(storage)).unwrap();
         wal2.rotate().unwrap();
-        wal2.install_snapshot(&encode_snapshot(t1, &catalog).unwrap())
+        wal2.install_snapshot(&encode_snapshot(t1, &catalog))
             .unwrap();
         let t2 = wal2.begin_tx();
         wal2.commit(t2, &tx_bytes(t2, 8)).unwrap();
@@ -394,6 +421,57 @@ mod tests {
         assert_eq!(info.last_committed_tx, t2);
     }
 
+    /// Recover from a snapshot alone.
+    fn open_snapshot(snapshot: Vec<u8>) -> DbResult<(Wal, Catalog)> {
+        let (storage, _h) = MemStorage::from_persisted(storage::MemPersisted {
+            snapshot: Some(snapshot),
+            segments: Vec::new(),
+        });
+        Wal::open(Box::new(storage))
+    }
+
+    /// The frames `write` appends for transaction `txid`.
+    fn frames(txid: u64, write: impl FnOnce(&mut WalAppender)) -> Vec<u8> {
+        let mut w = WalAppender::new(txid);
+        write(&mut w);
+        w.into_buf()
+    }
+
+    #[test]
+    fn snapshot_that_is_not_one_committed_transaction_is_an_error() {
+        let table = |w: &mut WalAppender| w.create_table("t", &schema());
+        let row = |w: &mut WalAppender| w.append_rows("t", &[vec![Value::Int(7)]]);
+        let commit = |txid| frames(txid, WalAppender::commit);
+        let (_wal, catalog) =
+            open_snapshot([frames(5, table), frames(5, row), commit(5)].concat()).unwrap();
+        assert_eq!(catalog.get("t").unwrap().rows(), &[vec![Value::Int(7)]]);
+
+        let hostile = [
+            ("empty", Vec::new()),
+            ("no COMMIT", [frames(5, table), frames(5, row)].concat()),
+            (
+                "trailing bytes",
+                [frames(5, table), commit(5), vec![0; 3]].concat(),
+            ),
+            (
+                "two txids",
+                [frames(5, table), frames(6, row), commit(5)].concat(),
+            ),
+            (
+                "two COMMITs",
+                [frames(5, table), commit(5), frames(5, row), commit(5)].concat(),
+            ),
+            (
+                "an ABORT",
+                [frames(5, table), frames(5, WalAppender::abort), commit(5)].concat(),
+            ),
+        ];
+        for (what, snapshot) in hostile {
+            let err = open_snapshot(snapshot).err();
+            assert!(matches!(err, Some(DbError::Persist(_))), "{what}: {err:?}");
+        }
+    }
+
     #[test]
     fn torn_snapshot_install_keeps_old_snapshot_and_segments() {
         let (storage, h) = MemStorage::new();
@@ -407,7 +485,7 @@ mod tests {
         let (mut wal2, catalog2) = Wal::open(Box::new(storage)).unwrap();
         wal2.rotate().unwrap();
         h2.set_faults(WalFaults::none().torn_snapshot());
-        let doc = encode_snapshot(t1, &catalog2).unwrap();
+        let doc = encode_snapshot(t1, &catalog2);
         assert!(wal2.install_snapshot(&doc).is_err());
         // drop_sealed must NOT have run: the old (absent) snapshot and
         // the full log both survive.

@@ -14,6 +14,10 @@
 //! * plus live `crash_after_bytes` faults (the storage dies mid-append),
 //!   checkpoint crash windows, and the real file backend with a
 //!   physically truncated segment.
+//!
+//! Table `t` carries a DOUBLE column drawn from {±inf, NaN, -0.0,
+//! finite} and lives across checkpoints, and states are compared bit
+//! for bit: `Value`'s `PartialEq` says `NaN != NaN` and `-0.0 == 0.0`.
 
 use proptest::prelude::*;
 use sdm_metadb::{
@@ -27,16 +31,16 @@ use sdm_metadb::{
 /// therefore durable) transaction — one oracle boundary.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Autocommit `INSERT INTO t VALUES (k, v)`.
-    Insert(i64, i64),
-    /// Autocommit `UPDATE t SET v = v WHERE k = k`.
-    Update(i64, i64),
+    /// Autocommit `INSERT INTO t VALUES (k, v, x)`.
+    Insert(i64, i64, f64),
+    /// Autocommit `UPDATE t SET v = v, x = x WHERE k = k`.
+    Update(i64, i64, f64),
     /// Autocommit `DELETE FROM t WHERE k = k`.
     Delete(i64),
     /// Autocommit `DELETE FROM t` (logs a CLEAR record).
     Clear,
     /// One transaction of inserts that commits — all rows or none.
-    TxCommit(Vec<(i64, i64)>),
+    TxCommit(Vec<(i64, i64, f64)>),
     /// One transaction of non-transactional ops, each through
     /// `tx.exec`, that rolls back: it must leave the rows and the index
     /// as they were, and never resurrect.
@@ -59,10 +63,10 @@ fn apply(db: &Database, op: &Op) -> DbResult<()> {
     match op {
         Op::TxCommit(rows) => {
             db.transaction(|tx| {
-                for (k, v) in rows {
+                for (k, v, x) in rows {
                     tx.exec(
-                        "INSERT INTO t VALUES (?, ?)",
-                        &[Value::Int(*k), Value::Int(*v)],
+                        "INSERT INTO t VALUES (?, ?, ?)",
+                        &[Value::Int(*k), Value::Int(*v), Value::Double(*x)],
                     )?;
                 }
                 Ok(())
@@ -105,16 +109,16 @@ fn run(op: &Op, mut exec: impl FnMut(&str, &[Value]) -> DbResult<ResultSet>) -> 
         Err(e) => Err(e),
     };
     match op {
-        Op::Insert(k, v) => {
+        Op::Insert(k, v, x) => {
             exec(
-                "INSERT INTO t VALUES (?, ?)",
-                &[Value::Int(*k), Value::Int(*v)],
+                "INSERT INTO t VALUES (?, ?, ?)",
+                &[Value::Int(*k), Value::Int(*v), Value::Double(*x)],
             )?;
         }
-        Op::Update(k, v) => {
+        Op::Update(k, v, x) => {
             exec(
-                "UPDATE t SET v = ? WHERE k = ?",
-                &[Value::Int(*v), Value::Int(*k)],
+                "UPDATE t SET v = ?, x = ? WHERE k = ?",
+                &[Value::Int(*v), Value::Double(*x), Value::Int(*k)],
             )?;
         }
         Op::Delete(k) => {
@@ -132,16 +136,39 @@ fn run(op: &Op, mut exec: impl FnMut(&str, &[Value]) -> DbResult<ResultSet>) -> 
     Ok(())
 }
 
-/// Observable database state: the ordered rows of `t` and `u`, `None`
-/// when the table does not exist, and whether index `tk` exists.
-type State = (Option<Vec<Vec<Value>>>, Option<Vec<Vec<Value>>>, bool);
+/// A cell compared bit for bit.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Cell {
+    Null,
+    Int(i64),
+    Double(u64),
+    Text(String),
+}
 
-fn dump(db: &Database, table: &str) -> Option<Vec<Vec<Value>>> {
-    let sql = match table {
-        "t" => "SELECT k, v FROM t ORDER BY k, v",
-        _ => "SELECT a FROM u ORDER BY a",
-    };
-    db.exec(sql, &[]).ok().map(|rs| rs.rows)
+impl From<&Value> for Cell {
+    fn from(v: &Value) -> Self {
+        match v {
+            Value::Null => Cell::Null,
+            Value::Int(i) => Cell::Int(*i),
+            Value::Double(d) => Cell::Double(d.to_bits()),
+            Value::Text(s) => Cell::Text(s.clone()),
+        }
+    }
+}
+
+/// Observable database state: the rows of `t` and `u` in position
+/// order, `None` when the table does not exist, and whether index `tk`
+/// exists.
+type State = (Option<Vec<Vec<Cell>>>, Option<Vec<Vec<Cell>>>, bool);
+
+fn dump(db: &Database, table: &str) -> Option<Vec<Vec<Cell>>> {
+    let rs = db.exec(&format!("SELECT * FROM {table}"), &[]).ok()?;
+    Some(
+        rs.rows
+            .iter()
+            .map(|row| row.iter().map(Cell::from).collect())
+            .collect(),
+    )
 }
 
 fn state(db: &Database) -> State {
@@ -172,7 +199,8 @@ fn run_workload(ops: &[Op]) -> (Vec<u8>, Vec<(u64, State)>) {
     let (storage, h) = MemStorage::new();
     let db = Database::open_with_storage(Box::new(storage)).unwrap();
     let mut oracle: Vec<(u64, State)> = vec![(0, state(&db))];
-    db.exec("CREATE TABLE t (k INT, v INT)", &[]).unwrap();
+    db.exec("CREATE TABLE t (k INT, v INT, x DOUBLE)", &[])
+        .unwrap();
     oracle.push((h.log_len(), state(&db)));
     for op in ops {
         apply(&db, op).unwrap();
@@ -202,14 +230,14 @@ fn expected_at(oracle: &[(u64, State)], cut: u64) -> &State {
 #[test]
 fn scripted_workload_survives_a_cut_at_every_byte() {
     let ops = vec![
-        Op::Insert(1, 10),
-        Op::Insert(2, 20),
+        Op::Insert(1, 10, f64::NAN),
+        Op::Insert(2, 20, -0.0),
         Op::CreateIndex,
-        Op::TxCommit(vec![(3, 30), (4, 40)]),
-        Op::Update(2, 21),
+        Op::TxCommit(vec![(3, 30, f64::INFINITY), (4, 40, 0.5)]),
+        Op::Update(2, 21, f64::NEG_INFINITY),
         Op::TxRollback(vec![
-            Op::Insert(9, 90),
-            Op::Update(2, 99),
+            Op::Insert(9, 90, 9.0),
+            Op::Update(2, 99, f64::NAN),
             Op::Delete(3),
             Op::DropIndex,
             Op::CreateTable2,
@@ -222,7 +250,7 @@ fn scripted_workload_survives_a_cut_at_every_byte() {
         Op::DropIndex,
         Op::Clear,
         Op::DropTable2,
-        Op::Insert(5, 50),
+        Op::Insert(5, 50, -f64::NAN),
     ];
     let (log, oracle) = run_workload(&ops);
     assert!(log.len() > 200, "workload produced a real log");
@@ -243,16 +271,16 @@ fn scripted_workload_survives_a_cut_at_every_byte() {
 fn rolled_back_rows_never_resurrect_at_any_cut() {
     let marker = 777;
     let ops = vec![
-        Op::Insert(1, 10),
-        Op::TxRollback(vec![Op::Insert(marker, marker)]),
-        Op::Insert(2, 20),
+        Op::Insert(1, 10, 1.0),
+        Op::TxRollback(vec![Op::Insert(marker, marker, f64::NAN)]),
+        Op::Insert(2, 20, 2.0),
     ];
     let (log, _) = run_workload(&ops);
     for cut in 0..=log.len() {
         let db = reopen(None, &log[..cut]);
         if let Some(rows) = dump(&db, "t") {
             assert!(
-                !rows.iter().any(|r| r[0] == Value::Int(marker)),
+                !rows.iter().any(|r| r[0] == Cell::Int(marker)),
                 "rolled-back row resurrected at cut {cut}"
             );
         }
@@ -265,13 +293,13 @@ fn rolled_back_rows_never_resurrect_at_any_cut() {
 #[test]
 fn txids_stay_monotonic_across_reopen() {
     let ops = vec![
-        Op::Insert(1, 1),
-        Op::TxRollback(vec![Op::Insert(2, 2)]),
-        Op::Insert(3, 3),
+        Op::Insert(1, 1, 1.0),
+        Op::TxRollback(vec![Op::Insert(2, 2, 2.0)]),
+        Op::Insert(3, 3, 3.0),
     ];
     let (log, oracle) = run_workload(&ops);
     let db = reopen(None, &log);
-    db.exec("INSERT INTO t VALUES (4, 4)", &[]).unwrap();
+    db.exec("INSERT INTO t VALUES (4, 4, 4.0)", &[]).unwrap();
     let info = db.recovery_info().unwrap();
     assert!(info.last_committed_tx > 0);
     assert_eq!(
@@ -282,12 +310,24 @@ fn txids_stay_monotonic_across_reopen() {
 
 // ------------------------------------------------------ random workloads
 
+/// A DOUBLE cell: ±inf, NaN, -0.0 or a finite value, one time in five
+/// each.
+fn double(sel: u8, v: i64) -> f64 {
+    match sel % 5 {
+        0 => f64::INFINITY,
+        1 => f64::NEG_INFINITY,
+        2 => f64::NAN,
+        3 => -0.0,
+        _ => v as f64 / 4.0,
+    }
+}
+
 /// One non-transactional op: what autocommit runs, and what a rolled-back
 /// transaction carries.
 fn arb_stmt() -> impl Strategy<Value = Op> {
-    (0u8..8, 0i64..8, 0i64..100).prop_map(|(sel, k, v)| match sel {
-        0 | 1 => Op::Insert(k, v),
-        2 => Op::Update(k, v),
+    (0u8..8, 0i64..8, 0i64..100, any::<u8>()).prop_map(|(sel, k, v, x)| match sel {
+        0 | 1 => Op::Insert(k, v, double(x, v)),
+        2 => Op::Update(k, v, double(x, v)),
         3 => Op::Delete(k),
         4 => Op::Clear,
         5 => Op::CreateIndex,
@@ -305,11 +345,15 @@ fn arb_step() -> impl Strategy<Value = Vec<Op>> {
     (
         0u8..10,
         arb_stmt(),
-        proptest::collection::vec((0i64..8, 0i64..100), 1..4),
+        proptest::collection::vec((0i64..8, 0i64..100, any::<u8>()), 1..4),
         proptest::collection::vec(arb_stmt(), 1..6),
     )
         .prop_map(|(sel, stmt, rows, stmts)| match sel {
-            0 => vec![Op::TxCommit(rows)],
+            0 => vec![Op::TxCommit(
+                rows.into_iter()
+                    .map(|(k, v, x)| (k, v, double(x, v)))
+                    .collect(),
+            )],
             1 => vec![Op::TxRollback(stmts)],
             2 => vec![
                 Op::CreateTable2,
@@ -390,7 +434,7 @@ proptest! {
             MemStorage::with_faults(WalFaults::none().crash_after_bytes(budget));
         let db = Database::open_with_storage(Box::new(storage)).unwrap();
         let mut last_ok: Option<State> = None;
-        if db.exec("CREATE TABLE t (k INT, v INT)", &[]).is_ok() {
+        if db.exec("CREATE TABLE t (k INT, v INT, x DOUBLE)", &[]).is_ok() {
             last_ok = Some(state(&db));
             for op in &ops {
                 // After the crash point every durable op errors; the
@@ -421,7 +465,7 @@ proptest! {
     ) {
         let (storage, h) = MemStorage::new();
         let db = Database::open_with_storage(Box::new(storage)).unwrap();
-        db.exec("CREATE TABLE t (k INT, v INT)", &[]).unwrap();
+        db.exec("CREATE TABLE t (k INT, v INT, x DOUBLE)", &[]).unwrap();
         for op in &pre {
             apply(&db, op).unwrap();
         }
@@ -480,8 +524,8 @@ fn checkpoint_is_idempotent_and_survives_torn_install() {
     assert_eq!(
         dump(&db2, "t").unwrap(),
         vec![
-            vec![Value::Int(1), Value::Int(10)],
-            vec![Value::Int(2), Value::Int(20)],
+            vec![Cell::Int(1), Cell::Int(10)],
+            vec![Cell::Int(2), Cell::Int(20)],
         ]
     );
 }

@@ -1,11 +1,9 @@
 //! Machine presets bundling network + I/O cost models.
 
-use serde::{Deserialize, Serialize};
-
 use crate::cost::{validate, IoModel, NetworkModel};
 
 /// A complete simulated-machine description.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
     /// Human-readable preset name (shows up in bench reports).
     pub name: String,
@@ -142,13 +140,5 @@ mod tests {
     fn zero_stripe_rejected() {
         let c = MachineConfig::origin2000();
         MachineConfig::new("bad", c.network, c.io, 4, 0);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let c = MachineConfig::origin2000();
-        let s = serde_json::to_string(&c).unwrap();
-        let back: MachineConfig = serde_json::from_str(&s).unwrap();
-        assert_eq!(c, back);
     }
 }

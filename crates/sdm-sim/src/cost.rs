@@ -6,8 +6,6 @@
 //! absolute hardware numbers. Parameters are plain public fields so the
 //! ablation harnesses can sweep them.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::Seconds;
 
 /// Cost model for point-to-point message transfers (LogGP-flavoured).
@@ -15,7 +13,7 @@ use crate::time::Seconds;
 /// A message of `n` bytes from A to B:
 /// * occupies the sender for `overhead + n * inject_byte_time`,
 /// * arrives at the receiver `latency + n * byte_time` after it departs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkModel {
     /// One-way wire latency per message (the LogGP `L`), seconds.
     pub latency: Seconds,
@@ -69,7 +67,7 @@ impl NetworkModel {
 /// Servers model controller+disk pairs. Requests to a server queue behind
 /// each other (`busy_until` in the PFS crate); this model prices a single
 /// request once it reaches the head of the queue.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IoModel {
     /// Cost of a file open (metadata round trip + allocation), seconds.
     pub open_cost: Seconds,

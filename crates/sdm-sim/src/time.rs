@@ -6,8 +6,6 @@
 //! operations (barriers, collective completions, message receives) move a
 //! clock *forward* to an externally determined instant but never backward.
 
-use serde::{Deserialize, Serialize};
-
 /// Virtual time in seconds since the start of the simulated run.
 pub type Seconds = f64;
 
@@ -17,7 +15,7 @@ pub type Seconds = f64;
 /// established only through explicit synchronization (message timestamps,
 /// barrier maxima, server queues), mirroring how distributed wall clocks
 /// interact on a real machine.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct VClock {
     now: Seconds,
 }

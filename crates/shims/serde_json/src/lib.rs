@@ -1,12 +1,11 @@
 //! In-tree stand-in for the `serde_json` crate (see DESIGN.md, "Hermetic
-//! build"): prints and parses the `serde` shim's [`Json`] tree as JSON
-//! text.
+//! build"): parses JSON text into the `serde` shim's [`Json`] tree.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use serde::{Deserialize, Json, Serialize};
+use serde::Json;
 
-/// Serialization/parse error.
+/// Parse error.
 #[derive(Debug, Clone)]
 pub struct Error(String);
 
@@ -18,82 +17,8 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl From<serde::Error> for Error {
-    fn from(e: serde::Error) -> Self {
-        Error(e.to_string())
-    }
-}
-
 /// Result alias.
 pub type Result<T> = std::result::Result<T, Error>;
-
-// ---- writing ----
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn write_json(out: &mut String, v: &Json) {
-    match v {
-        Json::Null => out.push_str("null"),
-        Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Json::I64(i) => out.push_str(&i.to_string()),
-        Json::U64(u) => out.push_str(&u.to_string()),
-        Json::F64(d) => {
-            if d.is_finite() {
-                // `{:?}` prints the shortest representation that parses
-                // back to the same f64, and always includes `.` or `e`.
-                out.push_str(&format!("{d:?}"));
-            } else {
-                out.push_str("null"); // JSON has no NaN/Inf
-            }
-        }
-        Json::Str(s) => write_escaped(out, s),
-        Json::Arr(a) => {
-            out.push('[');
-            for (i, e) in a.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_json(out, e);
-            }
-            out.push(']');
-        }
-        Json::Obj(o) => {
-            out.push('{');
-            for (i, (k, e)) in o.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_escaped(out, k);
-                out.push(':');
-                write_json(out, e);
-            }
-            out.push('}');
-        }
-    }
-}
-
-/// Serialize a value to compact JSON text.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    write_json(&mut out, &value.to_json());
-    Ok(out)
-}
-
-// ---- parsing ----
 
 /// How deeply arrays and objects may nest (`serde_json`'s own limit):
 /// the parser recurses once per level, so hostile input must not choose
@@ -316,18 +241,13 @@ pub fn parse(s: &str) -> Result<Json> {
     Ok(v)
 }
 
-/// Deserialize a value from JSON text.
-pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
-    let tree = parse(s)?;
-    Ok(T::from_json(&tree)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn text_round_trip() {
+        let text = r#"{"a":-3,"b":[1.5,null,true],"c":"x \"y\"\nz","d":18446744073709551615}"#;
         let v = Json::Obj(vec![
             ("a".into(), Json::I64(-3)),
             (
@@ -337,26 +257,13 @@ mod tests {
             ("c".into(), Json::Str("x \"y\"\nz".into())),
             ("d".into(), Json::U64(u64::MAX)),
         ]);
-        let text = {
-            let mut s = String::new();
-            super::write_json(&mut s, &v);
-            s
-        };
-        assert_eq!(parse(&text).unwrap(), v);
-    }
-
-    #[test]
-    fn typed_round_trip() {
-        let v: Vec<(u32, String)> = vec![(1, "one".into()), (2, "two".into())];
-        let s = to_string(&v).unwrap();
-        let back: Vec<(u32, String)> = from_str(&s).unwrap();
-        assert_eq!(back, v);
+        assert_eq!(parse(text).unwrap(), v);
     }
 
     #[test]
     fn rejects_garbage() {
-        assert!(from_str::<Vec<u32>>("{ not json").is_err());
-        assert!(from_str::<Vec<u32>>("[1,2] trailing").is_err());
+        assert!(parse("{ not json").is_err());
+        assert!(parse("[1,2] trailing").is_err());
     }
 
     #[test]
@@ -369,9 +276,8 @@ mod tests {
 
     #[test]
     fn float_precision_survives() {
+        // `{:?}` prints the shortest text that parses back to the same f64.
         let x = 0.1f64 + 0.2;
-        let s = to_string(&x).unwrap();
-        let back: f64 = from_str(&s).unwrap();
-        assert_eq!(back, x);
+        assert_eq!(parse(&format!("{x:?}")).unwrap(), Json::F64(x));
     }
 }
