@@ -51,11 +51,10 @@ relation! {
         /// Run time: minute.
         pub min: i64 => Min,
     }
-    // The two hot aggregates are index-edge peeks: `MAX(runid)` reads
-    // the last key of `(runid)`, and "latest run of this application"
-    // reads the last key of the `(application, runid)` bucket for that
-    // application — neither visits a row. `execution_history` reads an
-    // application's run ids off the same `(application, runid)` index.
+    // `run_exists` probes `(runid)`. "Latest run of this application"
+    // and `execution_history` read the application's rows off the
+    // `(application, runid)` prefix. `allocate_runid`'s `MAX(runid)`
+    // scans the table, once per initialize.
     indexes {
         "run_table_runid" on (runid),
         "run_table_app_runid" on (application, runid),
@@ -100,10 +99,7 @@ relation! {
         pub file_name: String => FileName,
     }
     // The hot `(runid, dataset, timestep)` point lookup pins both
-    // composite key columns, so it resolves to one exact bucket;
-    // timestep-window queries (`runid = ? AND timestep BETWEEN ? AND ?`)
-    // walk the same index as an equality-prefix + range probe, per-run
-    // top-k-by-timestep streams it backwards with no sort, and
+    // composite key columns, so it resolves to one exact bucket, and
     // `execution_history` reads each run's rows off its `runid` prefix.
     indexes { "execution_runid_timestep" on (runid, timestep) }
 }
@@ -142,9 +138,8 @@ relation! {
         /// The history file.
         pub registered_file_name: String => RegisteredFileName,
     }
-    // Registry lookups key on (problem_size, num_procs): the composite
-    // index answers the exact pair as a point probe and a
-    // problem-size-only query as a prefix walk.
+    // Registry lookups and deletes key on (problem_size, num_procs): the
+    // composite index answers the exact pair with one probe.
     indexes { "index_table_psize_procs" on (problem_size, num_procs) }
 }
 
@@ -242,13 +237,13 @@ mod tests {
 
     #[test]
     fn hot_probe_shapes_have_ordered_composites() {
-        // (runid, timestep) lookups and timestep windows ride one
-        // composite on execution_table.
+        // (runid, timestep) lookups ride one composite on
+        // execution_table.
         assert!(ExecutionRow::TABLE
             .indexes
             .iter()
             .any(|ix| ix.columns == ["runid", "timestep"]));
-        // MAX(runid) and latest-run-of-application are index-edge peeks.
+        // Run-id and latest-run-of-application lookups probe run_table.
         assert!(RunRow::TABLE
             .indexes
             .iter()

@@ -33,23 +33,10 @@ pub enum Outcome {
 pub struct DbStats {
     /// SELECTs answered by a full table scan.
     pub full_scans: u64,
-    /// SELECTs answered through a secondary-index probe (point, range,
-    /// or key-ordered stream).
+    /// SELECTs answered through one secondary-index probe: the rows
+    /// whose leading key columns equal the WHERE clause's `col = ?`
+    /// pins (the whole key or a prefix of it).
     pub index_scans: u64,
-    /// SELECT plans that probed an index with a full equality key
-    /// (includes MIN/MAX first/last-key peeks).
-    pub plan_point_probes: u64,
-    /// SELECT plans that probed an index with an equality prefix plus a
-    /// range (or open prefix) on the next key column.
-    pub plan_range_probes: u64,
-    /// SELECT plans that streamed an index in key order to satisfy
-    /// ORDER BY (stopping at LIMIT) instead of sorting.
-    pub plan_ordered_scans: u64,
-    /// ORDER BY clauses that materialized rows and sorted them.
-    pub order_sorts: u64,
-    /// ORDER BY clauses satisfied by an index's key order — the sort
-    /// that never ran.
-    pub sorts_avoided: u64,
     /// SQL texts lexed and parsed (`Database::parse`, and so every
     /// `Database::exec`). Typed statements run through
     /// `Database::exec_stmt` never move this counter.
@@ -165,66 +152,40 @@ fn aggregate(func: AggFunc, vals: &[&Value]) -> Value {
             }
         }
         AggFunc::Min | AggFunc::Max => {
+            // NULL and NaN never win: NaN compares as unknown in SQL.
+            // The first row holding the extreme key is kept.
+            let wanted = if func == AggFunc::Min {
+                Ordering::Less
+            } else {
+                Ordering::Greater
+            };
             let mut best: Option<&Value> = None;
-            for v in vals.iter().filter(|v| !v.is_null()) {
-                best = Some(match best {
-                    None => v,
-                    Some(b) => match v.sql_cmp(b) {
-                        Some(Ordering::Less) if func == AggFunc::Min => v,
-                        Some(Ordering::Greater) if func == AggFunc::Max => v,
-                        _ => b,
-                    },
-                });
+            for v in vals
+                .iter()
+                .filter(|v| !v.is_null() && !v.as_f64().is_some_and(f64::is_nan))
+            {
+                if best.is_none_or(|b| v.key_cmp(b) == wanted) {
+                    best = Some(v);
+                }
             }
             best.cloned().unwrap_or(Value::Null)
         }
     }
 }
 
-/// Per-column constraints harvested from the top-level AND conjuncts of
-/// a WHERE clause: an equality pin and/or inclusive range bounds, each
-/// known without a row (literal or parameter). Strict bounds (`<`, `>`)
-/// are *widened* to inclusive — probes return candidate supersets and
-/// every caller re-verifies against the real predicate, so the boundary
-/// rows a widened range sweeps up are filtered back out.
-struct ColBounds<'a> {
-    /// Plain (unqualified) column name.
-    col: &'a str,
-    /// `col = v` pin.
-    eq: Option<Value>,
-    /// Inclusive lower bound (from `>` / `>=`).
-    lo: Option<Value>,
-    /// Inclusive upper bound (from `<` / `<=`).
-    hi: Option<Value>,
-}
-
-impl ColBounds<'_> {
-    /// Whether any constraint compares against NULL — such a conjunct
-    /// is unknown for every row, so the whole AND-filter matches
-    /// nothing.
-    fn has_null(&self) -> bool {
-        [&self.eq, &self.lo, &self.hi]
-            .iter()
-            .any(|v| v.as_ref().is_some_and(Value::is_null))
-    }
-}
-
-/// Walk the top-level AND tree collecting per-column equality pins and
-/// range bounds that resolve in `rel`. Multiple bounds on one column
-/// merge to the tightest comparable pair; conflicting or incomparable
-/// extras stay behind in the predicate, which callers re-verify anyway.
-fn collect_bounds<'a>(
+/// The `col = <literal|param>` conjuncts of `filter`'s top-level AND,
+/// as (plain column name, value) pins. Other conjuncts are left to
+/// re-verification.
+fn eq_pins<'a>(
     filter: &'a Expr,
-    params: &[Value],
+    params: &'a [Value],
     rel: &TableRel<'_>,
-    out: &mut Vec<ColBounds<'a>>,
+    out: &mut Vec<(&'a str, &'a Value)>,
 ) {
-    let const_of = |e: &Expr| -> Option<Value> {
-        match e {
-            Expr::Lit(v) => Some(v.clone()),
-            Expr::Param(i) => params.get(*i).cloned(),
-            _ => None,
-        }
+    let const_of = |e: &'a Expr| match e {
+        Expr::Lit(v) => Some(v),
+        Expr::Param(i) => params.get(*i),
+        _ => None,
     };
     match filter {
         Expr::Binary {
@@ -232,350 +193,103 @@ fn collect_bounds<'a>(
             lhs,
             rhs,
         } => {
-            collect_bounds(lhs, params, rel, out);
-            collect_bounds(rhs, params, rel, out);
-        }
-        Expr::Binary { op, lhs, rhs }
-            if matches!(
-                op,
-                BinOp::Eq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-            ) =>
-        {
-            // Normalize to `col <op> const`, flipping the comparison
-            // when the column sits on the right.
-            let (col, val, op) = match (lhs.as_ref(), rhs.as_ref()) {
-                (Expr::Col(c), e) => match const_of(e) {
-                    Some(v) => (c.as_str(), v, *op),
-                    None => return,
-                },
-                (e, Expr::Col(c)) => match const_of(e) {
-                    Some(v) => {
-                        let flipped = match op {
-                            BinOp::Lt => BinOp::Gt,
-                            BinOp::Le => BinOp::Ge,
-                            BinOp::Gt => BinOp::Lt,
-                            BinOp::Ge => BinOp::Le,
-                            other => *other,
-                        };
-                        (c.as_str(), v, flipped)
-                    }
-                    None => return,
-                },
-                _ => return,
-            };
-            if rel.col_index(col).is_err() {
-                return; // must resolve in this table
-            }
-            let plain = col.rsplit('.').next().unwrap_or(col);
-            let i = match out.iter().position(|b| b.col.eq_ignore_ascii_case(plain)) {
-                Some(i) => i,
-                None => {
-                    out.push(ColBounds {
-                        col: plain,
-                        eq: None,
-                        lo: None,
-                        hi: None,
-                    });
-                    out.len() - 1
-                }
-            };
-            let b = &mut out[i];
-            // Tightest comparable bound wins; ties and incomparable
-            // pairs keep the first seen (re-verification covers the
-            // rest of the predicate).
-            let tighter = |cur: &mut Option<Value>, v: Value, keep_greater: bool| match cur {
-                None => *cur = Some(v),
-                Some(c) => {
-                    if let Some(o) = v.sql_cmp(c) {
-                        if (o == Ordering::Greater) == keep_greater && o != Ordering::Equal {
-                            *cur = Some(v);
-                        }
-                    }
-                }
-            };
-            match op {
-                BinOp::Eq if b.eq.is_none() => b.eq = Some(val),
-                BinOp::Gt | BinOp::Ge => tighter(&mut b.lo, val, true),
-                BinOp::Lt | BinOp::Le => tighter(&mut b.hi, val, false),
-                // A repeated equality keeps the first pin; the arm's
-                // guard admits no other operator.
-                _ => {}
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Candidate row positions chosen by the planner: borrowed straight out
-/// of an index bucket (point probes) or collected by a range walk.
-/// Always ascending, i.e. scan order.
-enum Candidates<'c> {
-    Borrowed(&'c [usize]),
-    Owned(Vec<usize>),
-}
-
-impl Candidates<'_> {
-    fn as_slice(&self) -> &[usize] {
-        match self {
-            Candidates::Borrowed(s) => s,
-            Candidates::Owned(v) => v,
-        }
-    }
-}
-
-/// How the chosen plan restricted the candidates, for `DbStats`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum PlanKind {
-    /// Full-key equality probe.
-    Point,
-    /// Equality-prefix + range (or open prefix) walk of an index.
-    Range,
-}
-
-/// The cost-based access-path choice for one table: `None` means full
-/// scan.
-///
-/// The planner harvests per-column bounds from the WHERE conjuncts,
-/// then costs every index against them using the table's statistics —
-/// `Table::len` (row count) and `Table::index_distinct_keys`
-/// (cardinality). Indexes are tried most-selective-first (fewest
-/// estimated rows per key); point probes cost their exact bucket
-/// length, and range walks count candidates as they collect, aborting
-/// as soon as they exceed the best plan so far — or the full-scan cost,
-/// so a range that would sweep the whole table loses to the scan that
-/// avoids the extra bookkeeping. Candidates are a superset of the
-/// matching rows; callers re-verify with the full predicate.
-fn plan_candidates<'c>(
-    t: &'c Table,
-    rel: &TableRel<'_>,
-    filter: &Option<Expr>,
-    params: &[Value],
-) -> Option<(Candidates<'c>, PlanKind)> {
-    let f = filter.as_ref()?;
-    let mut bounds = Vec::new();
-    collect_bounds(f, params, rel, &mut bounds);
-    if bounds.is_empty() {
-        return None;
-    }
-    if bounds.iter().any(ColBounds::has_null) {
-        // A NULL comparison is unknown everywhere: nothing matches.
-        return Some((Candidates::Borrowed(&[]), PlanKind::Point));
-    }
-    let rows = t.len();
-    let mut order: Vec<usize> = (0..t.indexes().len()).collect();
-    order.sort_by_key(|&i| rows / t.index_distinct_keys(i).max(1));
-    let mut best: Option<(Candidates<'c>, PlanKind)> = None;
-    for i in order {
-        let def = &t.indexes()[i];
-        let best_len = best
-            .as_ref()
-            .map_or(usize::MAX, |(c, _)| c.as_slice().len());
-        // Longest equality-pinned prefix of this index's columns.
-        let eq_vals: Vec<&Value> = def
-            .columns
-            .iter()
-            .map_while(|c| {
-                bounds
-                    .iter()
-                    .find(|b| b.col.eq_ignore_ascii_case(c))
-                    .and_then(|b| b.eq.as_ref())
-            })
-            .collect();
-        let k = eq_vals.len();
-        if k == def.columns.len() {
-            if let Some(hits) = t.probe_point(i, &eq_vals) {
-                if hits.len() < best_len {
-                    best = Some((Candidates::Borrowed(hits), PlanKind::Point));
-                }
-            }
-            continue;
-        }
-        // Range (or open prefix) walk on the first unpinned column.
-        let (lo, hi) = bounds
-            .iter()
-            .find(|b| b.col.eq_ignore_ascii_case(&def.columns[k]))
-            .map_or((None, None), |b| (b.lo.as_ref(), b.hi.as_ref()));
-        if k == 0 && lo.is_none() && hi.is_none() {
-            continue; // unrestricted: that is just a scan
-        }
-        let abort_at = best_len.min(rows).saturating_sub(1);
-        if let Some(hits) = t.probe_range(i, &eq_vals, lo, hi, abort_at) {
-            best = Some((Candidates::Owned(hits), PlanKind::Range));
-        }
-    }
-    best
-}
-
-/// Record the chosen plan in the SELECT counters and hand back the
-/// candidate list (`None` = full scan).
-fn note_plan<'c>(
-    plan: &'c Option<(Candidates<'c>, PlanKind)>,
-    stats: &mut DbStats,
-) -> Option<&'c [usize]> {
-    match plan {
-        Some((c, kind)) => {
-            stats.index_scans += 1;
-            match kind {
-                PlanKind::Point => stats.plan_point_probes += 1,
-                PlanKind::Range => stats.plan_range_probes += 1,
-            }
-            Some(c.as_slice())
-        }
-        None => {
-            stats.full_scans += 1;
-            None
-        }
-    }
-}
-
-/// Decompose `filter` into pure `col = <const>` conjuncts. Returns
-/// `None` when any conjunct is something else (a range, OR, IS NULL,
-/// arithmetic, ...) — the peek fast path then does not apply.
-fn pure_eq_conjuncts<'a>(
-    filter: &'a Expr,
-    params: &[Value],
-    rel: &TableRel<'_>,
-    out: &mut Vec<(&'a str, Value)>,
-) -> Option<()> {
-    match filter {
-        Expr::Binary {
-            op: BinOp::And,
-            lhs,
-            rhs,
-        } => {
-            pure_eq_conjuncts(lhs, params, rel, out)?;
-            pure_eq_conjuncts(rhs, params, rel, out)
+            eq_pins(lhs, params, rel, out);
+            eq_pins(rhs, params, rel, out);
         }
         Expr::Binary {
             op: BinOp::Eq,
             lhs,
             rhs,
         } => {
-            let const_of = |e: &Expr| -> Option<Value> {
-                match e {
-                    Expr::Lit(v) => Some(v.clone()),
-                    Expr::Param(i) => params.get(*i).cloned(),
-                    _ => None,
+            let pin = match (lhs.as_ref(), rhs.as_ref()) {
+                (Expr::Col(c), e) | (e, Expr::Col(c)) => const_of(e).map(|v| (c.as_str(), v)),
+                _ => None,
+            };
+            if let Some((col, v)) = pin {
+                if rel.col_index(col).is_ok() {
+                    out.push((col.rsplit('.').next().unwrap_or(col), v));
                 }
-            };
-            let (col, val) = match (lhs.as_ref(), rhs.as_ref()) {
-                (Expr::Col(c), e) => (c.as_str(), const_of(e)?),
-                (e, Expr::Col(c)) => (c.as_str(), const_of(e)?),
-                _ => return None,
-            };
-            if rel.col_index(col).is_err() {
-                return None;
             }
-            out.push((col.rsplit('.').next().unwrap_or(col), val));
-            Some(())
         }
-        _ => None,
+        _ => {}
     }
 }
 
-/// Try to answer every aggregate item by peeking at an index edge (MIN/MAX) or the table length (unfiltered COUNT(*)), without
-/// visiting any rows. All-or-nothing: if any item can't be peeked the
-/// whole query falls back to the streaming pass, so the recorded plan
-/// stats describe the real access path.
+/// The one access path of SELECT, UPDATE and DELETE: the candidate
+/// rows of `t` for `filter`, in ascending position, or `None` to scan
+/// every row.
 ///
-/// A MIN(c)/MAX(c) peek needs an index whose columns are
-/// exactly the equality-pinned conjunct columns followed by `c` — the
-/// pinned prefix covers *all but the last* key column, so every row
-/// that is SQL-equal on `c` lands in one bucket and the bucket's first
-/// entry is the row a scan would have reported.
-fn peek_aggregates(
+/// It probes the index whose leading columns the most `col = ?` pins
+/// cover (the first declared index on a tie) with those pins as the
+/// key prefix; a NULL pin matches nothing. Candidates are a superset of
+/// the matching rows, and callers re-verify each against the whole
+/// predicate.
+fn candidates(
     t: &Table,
     rel: &TableRel<'_>,
-    params: &[Value],
-    items: &[SelectItem],
-    arg_idx: &[Option<usize>],
     filter: &Option<Expr>,
-    stats: &mut DbStats,
-) -> Option<Vec<Value>> {
-    let mut conjuncts = Vec::new();
-    if let Some(f) = filter {
-        pure_eq_conjuncts(f, params, rel, &mut conjuncts)?;
+    params: &[Value],
+) -> Option<Vec<usize>> {
+    let mut pins = Vec::new();
+    eq_pins(filter.as_ref()?, params, rel, &mut pins);
+    let mut best: Option<(usize, Vec<&Value>)> = None;
+    for (i, def) in t.indexes().iter().enumerate() {
+        let prefix: Vec<&Value> = def
+            .columns
+            .iter()
+            .map_while(|c| {
+                pins.iter()
+                    .find(|(p, _)| p.eq_ignore_ascii_case(c))
+                    .map(|&(_, v)| v)
+            })
+            .collect();
+        if prefix.len() > best.as_ref().map_or(0, |(_, b)| b.len()) {
+            best = Some((i, prefix));
+        }
     }
-    if conjuncts.iter().any(|(_, v)| v.is_null()) {
-        return None; // `col = NULL` matches nothing; let the scan say so
-    }
-    let rows = t.rows();
-    let mut out = Vec::with_capacity(items.len());
-    let mut peeks = 0u64;
-    for (it, idx) in items.iter().zip(arg_idx) {
-        let SelExpr::Agg { func, .. } = &it.expr else {
-            unreachable!()
-        };
-        let v = match (func, idx) {
-            (AggFunc::Count, None) if conjuncts.is_empty() => Value::Int(t.len() as i64),
-            (AggFunc::Min | AggFunc::Max, Some(c)) => {
-                let agg_col = &rel.schema.columns[*c].name;
-                let (i, def) = t.indexes().iter().enumerate().find(|(_, d)| {
-                    d.columns.len() == conjuncts.len() + 1
-                        && d.columns
-                            .last()
-                            .is_some_and(|l| l.eq_ignore_ascii_case(agg_col))
-                        && d.columns[..conjuncts.len()]
-                            .iter()
-                            .all(|dc| conjuncts.iter().any(|(cc, _)| cc.eq_ignore_ascii_case(dc)))
-                })?;
-                let prefix: Vec<&Value> = def.columns[..conjuncts.len()]
-                    .iter()
-                    .map(|dc| {
-                        conjuncts
-                            .iter()
-                            .find(|(cc, _)| cc.eq_ignore_ascii_case(dc))
-                            .map(|(_, v)| v)
-                    })
-                    .collect::<Option<_>>()?;
-                let pos = t.peek_edge(i, &prefix, matches!(func, AggFunc::Max))?;
-                peeks += 1;
-                pos.map_or(Value::Null, |p| rows[p][*c].clone())
-            }
-            _ => return None,
-        };
-        out.push(v);
-    }
-    // All items peeked — only now touch the counters (a mixed item list
-    // falls through to the streaming pass with clean stats).
-    stats.index_scans += peeks;
-    stats.plan_point_probes += peeks;
-    stats.rows_scanned += peeks;
-    Some(out)
+    let (i, prefix) = best?;
+    Some(t.probe_prefix(i, &prefix))
 }
 
-/// The rows of `t` that `filter` holds for, visiting only the plan's
-/// `candidates` when there are some (`None` = every row), in scan
-/// order.
-fn matching_rows<'t>(
-    t: &'t Table,
+/// The ascending positions of the rows of `t` that `filter` holds for,
+/// visiting only the [`candidates`] when an index applies. SELECTs pass
+/// their `stats`, which count the access and the rows visited.
+fn matching(
+    t: &Table,
     rel: &TableRel<'_>,
     filter: &Option<Expr>,
     params: &[Value],
-    candidates: Option<&[usize]>,
-    stats: &mut DbStats,
-) -> DbResult<Vec<&'t Row>> {
-    let rows = t.rows();
-    let n = candidates.map_or(rows.len(), <[usize]>::len);
-    stats.rows_scanned += n as u64;
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let row = &rows[candidates.map_or(i, |c| c[i])];
-        if let Some(f) = filter {
-            if !holds(f, rel, row, params)? {
-                continue;
+    stats: Option<&mut DbStats>,
+) -> DbResult<Vec<usize>> {
+    let visit = candidates(t, rel, filter, params);
+    if let Some(stats) = stats {
+        match &visit {
+            Some(c) => {
+                stats.index_scans += 1;
+                stats.rows_scanned += c.len() as u64;
+            }
+            None => {
+                stats.full_scans += 1;
+                stats.rows_scanned += t.len() as u64;
             }
         }
-        out.push(row);
+    }
+    let visit = visit.unwrap_or_else(|| (0..t.len()).collect());
+    let Some(f) = filter else {
+        return Ok(visit);
+    };
+    let rows = t.rows();
+    let mut out = Vec::with_capacity(visit.len());
+    for p in visit {
+        if holds(f, rel, &rows[p], params)? {
+            out.push(p);
+        }
     }
     Ok(out)
 }
 
 /// `SELECT <aggregates only> FROM t [WHERE ...]`: one row, from one
-/// streaming pass over borrowed rows (index-probed when possible). This
-/// is the `next_runid` fast path — `SELECT MAX(runid)` touches each
-/// candidate row once and clones nothing; when an index covers the
-/// aggregate it touches **no** rows and peeks the index edge instead.
+/// pass over the matching rows.
 fn exec_simple_aggregates(
     t: &Table,
     rel: &TableRel<'_>,
@@ -585,37 +299,26 @@ fn exec_simple_aggregates(
     filter: &Option<Expr>,
     limit: Option<usize>,
 ) -> DbResult<Outcome> {
-    let arg_idx: Vec<Option<usize>> = items
+    let aggs: Vec<(AggFunc, Option<usize>)> = items
         .iter()
         .map(|it| match &it.expr {
-            SelExpr::Agg { arg: Some(c), .. } => rel.col_index(c).map(Some),
-            SelExpr::Agg { arg: None, .. } => Ok(None),
+            SelExpr::Agg { func, arg: Some(c) } => Ok((*func, Some(rel.col_index(c)?))),
+            SelExpr::Agg { func, arg: None } => Ok((*func, None)),
             SelExpr::Col(_) => unreachable!("caller checked all items are aggregates"),
         })
         .collect::<DbResult<_>>()?;
-    let out = match peek_aggregates(t, rel, params, items, &arg_idx, filter, stats) {
-        Some(out) => out,
-        None => {
-            let plan = plan_candidates(t, rel, filter, params);
-            let matching = matching_rows(t, rel, filter, params, note_plan(&plan, stats), stats)?;
-            items
-                .iter()
-                .zip(&arg_idx)
-                .map(|(it, idx)| {
-                    let SelExpr::Agg { func, .. } = &it.expr else {
-                        unreachable!()
-                    };
-                    match idx {
-                        None => Value::Int(matching.len() as i64), // COUNT(*)
-                        Some(i) => {
-                            let vals: Vec<&Value> = matching.iter().map(|r| &r[*i]).collect();
-                            aggregate(*func, &vals)
-                        }
-                    }
-                })
-                .collect()
-        }
-    };
+    let matching = matching(t, rel, filter, params, Some(stats))?;
+    let rows = t.rows();
+    let out = aggs
+        .iter()
+        .map(|&(func, idx)| match idx {
+            None => Value::Int(matching.len() as i64), // COUNT(*)
+            Some(i) => {
+                let vals: Vec<&Value> = matching.iter().map(|&p| &rows[p][i]).collect();
+                aggregate(func, &vals)
+            }
+        })
+        .collect();
     let mut rows = vec![out];
     if let Some(l) = limit {
         rows.truncate(l);
@@ -842,9 +545,8 @@ pub(crate) fn execute_mutation(
             sets,
             filter,
         } => {
-            // Phase 1 (shared borrow): pick the touched rows — through
-            // an index probe when an equality conjunct allows — and
-            // build the validated replacement rows.
+            // Phase 1 (shared borrow): pick the touched rows and build
+            // the validated replacement rows.
             let t = catalog.get(table)?;
             let rel = TableRel {
                 table,
@@ -855,16 +557,10 @@ pub(crate) fn execute_mutation(
                 .iter()
                 .map(|(c, e)| Ok((schema.index_of(c)?, e)))
                 .collect::<DbResult<_>>()?;
-            let plan = plan_candidates(t, &rel, filter, params);
-            let candidates = plan.as_ref().map(|(c, _)| c.as_slice());
             let rows = t.rows();
             let mut updates: Vec<(usize, Row)> = Vec::new();
-            let mut visit = |pos: usize, row: &Row| -> DbResult<()> {
-                if let Some(f) = filter {
-                    if !holds(f, schema, row, params)? {
-                        return Ok(());
-                    }
-                }
+            for pos in matching(t, &rel, filter, params, None)? {
+                let row = &rows[pos];
                 // Evaluate against the pre-update row (snapshot
                 // semantics: `SET a = b, b = a` swaps).
                 let mut new_row = row.clone();
@@ -881,19 +577,6 @@ pub(crate) fn execute_mutation(
                     new_row[i] = col.ctype.coerce(v);
                 }
                 updates.push((pos, new_row));
-                Ok(())
-            };
-            match candidates {
-                Some(pos) => {
-                    for &p in pos {
-                        visit(p, &rows[p])?;
-                    }
-                }
-                None => {
-                    for (p, row) in rows.iter().enumerate() {
-                        visit(p, row)?;
-                    }
-                }
             }
             // Phase 2 (exclusive borrow): swap the new rows in; the
             // displaced originals are the undo images, the replacements
@@ -914,7 +597,7 @@ pub(crate) fn execute_mutation(
             Ok(Outcome::Affected(n))
         }
         Statement::Delete { table, filter } => {
-            let Some(f) = filter else {
+            if filter.is_none() {
                 // No WHERE: take every row in one sweep (the undo
                 // record restores them at their enumerated positions).
                 let t = catalog.get_mut(table)?;
@@ -932,28 +615,13 @@ pub(crate) fn execute_mutation(
                     });
                 }
                 return Ok(Outcome::Affected(n));
-            };
+            }
             let t = catalog.get(table)?;
             let rel = TableRel {
                 table,
                 schema: &t.schema,
             };
-            let schema = &t.schema;
-            let plan = plan_candidates(t, &rel, filter, params);
-            let candidates = plan.as_ref().map(|(c, _)| c.as_slice());
-            let rows = t.rows();
-            let hit = |p: usize| -> DbResult<Option<usize>> {
-                Ok(holds(f, schema, &rows[p], params)?.then_some(p))
-            };
-            let positions: Vec<usize> = match candidates {
-                Some(pos) => pos
-                    .iter()
-                    .filter_map(|&p| hit(p).transpose())
-                    .collect::<DbResult<_>>()?,
-                None => (0..rows.len())
-                    .filter_map(|p| hit(p).transpose())
-                    .collect::<DbResult<_>>()?,
-            };
+            let positions = matching(t, &rel, filter, params, None)?;
             if !positions.is_empty() {
                 if let Some(wal) = wal {
                     wal.delete_rows(table, &positions);
@@ -975,8 +643,8 @@ pub(crate) fn execute_mutation(
     }
 }
 
-/// The SELECT pipeline over one table: point/range plan or ordered
-/// index stream → WHERE → ORDER BY → projection → LIMIT. A list of
+/// The SELECT pipeline over one table: [`matching`] rows (an index
+/// probe or a scan, then WHERE) → ORDER BY → LIMIT → projection. A list of
 /// aggregates only is one row ([`exec_simple_aggregates`]); a list
 /// mixing columns and aggregates is an error.
 #[allow(clippy::too_many_arguments)]
@@ -1023,27 +691,12 @@ fn exec_select(
             return exec_simple_aggregates(t, &rel, params, stats, items, filter, limit);
         }
     }
-    let plan = plan_candidates(t, &rel, filter, params);
-    // Index-backed ORDER BY: stream rows straight out of an index when
-    // one delivers the requested order, and either a LIMIT makes early
-    // exit pay or no probe plan beats walking keys in order anyway.
-    let streamed = if !order_by.is_empty()
-        && order_by.iter().all(|o| o.desc == order_by[0].desc)
-        && (limit.is_some() || plan.is_none())
-    {
-        stream_ordered_rows(t, &rel, filter, params, order_by, limit, stats)?
-    } else {
-        None
-    };
-    let rows = match streamed {
-        Some(rows) => rows,
-        None => {
-            let candidates = note_plan(&plan, stats);
-            let mut rows = matching_rows(t, &rel, filter, params, candidates, stats)?;
-            sort_rows(&mut rows, order_by, &rel, limit, stats)?;
-            rows
-        }
-    };
+    let all = t.rows();
+    let mut rows: Vec<&Row> = matching(t, &rel, filter, params, Some(stats))?
+        .into_iter()
+        .map(|p| &all[p])
+        .collect();
+    sort_rows(&mut rows, order_by, &rel)?;
     let rows = rows.into_iter().take(limit.unwrap_or(usize::MAX));
     let (columns, rows): (Vec<String>, Vec<Row>) = match items {
         None => (
@@ -1069,142 +722,31 @@ fn exec_select(
     Ok(Outcome::Rows { columns, rows })
 }
 
-/// Stream the source rows of a SELECT out of an index
-/// that already delivers the ORDER BY order, honoring LIMIT as an
-/// early exit. Returns `None` when no index qualifies.
-///
-/// An index qualifies when its key columns are exactly an
-/// equality-pinned prefix (from the WHERE conjuncts) followed by the
-/// ORDER BY columns in sequence — nothing more. The exact-cover rule is
-/// what makes ties deterministic: rows equal on every key column share
-/// one bucket, and buckets store ascending positions, so ties come out
-/// in scan order just as the position-stable sort would emit them.
-/// Range bounds on the first ORDER BY column clip the walk; the full
-/// predicate is still re-verified per row.
-fn stream_ordered_rows<'t>(
-    t: &'t Table,
-    rel: &TableRel<'_>,
-    filter: &Option<Expr>,
-    params: &[Value],
-    order_by: &[OrderBy],
-    limit: Option<usize>,
-    stats: &mut DbStats,
-) -> DbResult<Option<Vec<&'t Row>>> {
-    let desc = order_by[0].desc;
-    let mut order_cols: Vec<&str> = Vec::with_capacity(order_by.len());
-    for o in order_by {
-        if rel.col_index(&o.column).is_err() {
-            return Ok(None); // e.g. ORDER BY an output alias
-        }
-        order_cols.push(o.column.rsplit('.').next().unwrap_or(&o.column));
-    }
-    let mut bounds = Vec::new();
-    if let Some(f) = filter {
-        collect_bounds(f, params, rel, &mut bounds);
-    }
-    if bounds.iter().any(ColBounds::has_null) {
-        return Ok(None); // empty result; the probe plan reports it
-    }
-    for (i, def) in t.indexes().iter().enumerate() {
-        let prefix: Vec<&Value> = def
-            .columns
-            .iter()
-            .map_while(|c| {
-                bounds
-                    .iter()
-                    .find(|b| b.col.eq_ignore_ascii_case(c))
-                    .and_then(|b| b.eq.as_ref())
-            })
-            .collect();
-        let e = prefix.len();
-        if def.columns.len() != e + order_cols.len()
-            || !def.columns[e..]
-                .iter()
-                .zip(&order_cols)
-                .all(|(dc, oc)| dc.eq_ignore_ascii_case(oc))
-        {
-            continue;
-        }
-        let (lo, hi) = bounds
-            .iter()
-            .find(|b| b.col.eq_ignore_ascii_case(&def.columns[e]))
-            .map_or((None, None), |b| (b.lo.as_ref(), b.hi.as_ref()));
-        let iter = t.stream_ordered(i, &prefix, lo, hi, desc);
-        stats.index_scans += 1;
-        stats.plan_ordered_scans += 1;
-        stats.sorts_avoided += 1;
-        let rows = t.rows();
-        let mut out = Vec::new();
-        for p in iter {
-            stats.rows_scanned += 1;
-            let row = &rows[p];
-            if let Some(f) = filter {
-                if !holds(f, rel, row, params)? {
-                    continue;
-                }
-            }
-            out.push(row);
-            if limit.is_some_and(|l| out.len() >= l) {
-                break;
-            }
-        }
-        return Ok(Some(out));
-    }
-    Ok(None)
-}
-
-/// Sort rows by the ORDER BY keys. When a `top_k` row budget applies
-/// (a LIMIT), the sort is a partial selection: pick the
-/// first `k` under the ordering, then sort only those — `ORDER BY ...
-/// LIMIT k` stops paying for a full sort of the table.
-///
-/// NULLs sort first ascending (last descending), matching the indexes'
-/// key order, and ties are resolved by input position in both
-/// the full and the top-k variants, so a sorted result is byte-for-byte
-/// the one an index-backed ordered stream produces.
-fn sort_rows(
-    rows: &mut Vec<&Row>,
-    order_by: &[OrderBy],
-    rel: &impl Resolve,
-    top_k: Option<usize>,
-    stats: &mut DbStats,
-) -> DbResult<()> {
+/// Sort rows by the ORDER BY keys in the index key order
+/// ([`Value::key_cmp`]: NULL < numbers < NaN < text; DESC reverses it).
+/// The order is total and the sort stable, so rows with equal keys keep
+/// their input (scan) order whatever access path produced them.
+fn sort_rows(rows: &mut [&Row], order_by: &[OrderBy], rel: &impl Resolve) -> DbResult<()> {
     if order_by.is_empty() {
         return Ok(());
     }
-    stats.order_sorts += 1;
     let keys: Vec<(usize, bool)> = order_by
         .iter()
         .map(|o| Ok((rel.col_index(&o.column)?, o.desc)))
         .collect::<DbResult<_>>()?;
-    let cmp = |a: &Row, b: &Row| {
-        for &(i, desc) in &keys {
-            let o = match (a[i].is_null(), b[i].is_null()) {
-                (true, true) => Ordering::Equal,
-                (true, false) => Ordering::Less,
-                (false, true) => Ordering::Greater,
-                (false, false) => a[i].sql_cmp(&b[i]).unwrap_or(Ordering::Equal),
-            };
-            let o = if desc { o.reverse() } else { o };
-            if o != Ordering::Equal {
-                return o;
-            }
-        }
-        Ordering::Equal
-    };
-    match top_k {
-        Some(k) if k > 0 && k < rows.len() => {
-            // Tag with input position so the unstable selection stays
-            // deterministic across equal keys at the cut line.
-            let mut tagged: Vec<(usize, &Row)> = rows.drain(..).enumerate().collect();
-            let cmp2 = |a: &(usize, &Row), b: &(usize, &Row)| cmp(a.1, b.1).then(a.0.cmp(&b.0));
-            tagged.select_nth_unstable_by(k - 1, cmp2);
-            tagged.truncate(k);
-            tagged.sort_by(cmp2);
-            rows.extend(tagged.into_iter().map(|(_, r)| r));
-        }
-        _ => rows.sort_by(|a, b| cmp(a, b)),
-    }
+    rows.sort_by(|a, b| {
+        keys.iter()
+            .map(|&(i, desc)| {
+                let o = a[i].key_cmp(&b[i]);
+                if desc {
+                    o.reverse()
+                } else {
+                    o
+                }
+            })
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    });
     Ok(())
 }
 
@@ -1496,7 +1038,7 @@ mod tests {
         assert_eq!(rows, vec![vec![Value::Int(20)]]);
     }
 
-    // ---- streaming aggregates / top-k ----
+    // ---- aggregates and ORDER BY ... LIMIT ----
 
     #[test]
     fn max_fast_path_matches_generic_answer() {
@@ -1585,7 +1127,7 @@ mod tests {
         assert!(none.is_empty());
     }
 
-    // ---- range planner / composite indexes ----
+    // ---- composite indexes ----
 
     /// 4 runs × 25 timesteps with a `(runid, ts)` composite index.
     fn exec_like() -> Catalog {
@@ -1609,7 +1151,73 @@ mod tests {
     }
 
     #[test]
+    fn full_key_equality_is_a_point_probe() {
+        let mut c = exec_like();
+        let mut stats = DbStats::default();
+        let out = execute(
+            &mut c,
+            &parse("SELECT off FROM e WHERE ts = ? AND runid = ?").unwrap(),
+            &[Value::Int(7), Value::Int(3)],
+            &mut stats,
+        )
+        .unwrap();
+        assert_eq!(rows_of(out), vec![vec![Value::Int(3007)]]);
+        assert_eq!(
+            (stats.index_scans, stats.full_scans),
+            (1, 0),
+            "conjunct order does not matter for the composite key"
+        );
+        assert_eq!(stats.rows_scanned, 1);
+    }
+
+    #[test]
+    fn null_bound_short_circuits_to_empty() {
+        let mut c = exec_like();
+        // `ts < NULL` is unknown for every row, so re-verification drops
+        // every candidate of the runid prefix.
+        let out = run(
+            &mut c,
+            "SELECT ts FROM e WHERE runid = 1 AND ts < ?",
+            &[Value::Null],
+        );
+        assert!(rows_of(out).is_empty(), "NULL comparison matches nothing");
+        // A NULL pin probes no row at all.
+        let mut stats = DbStats::default();
+        let out = execute(
+            &mut c,
+            &parse("SELECT ts FROM e WHERE runid = 1 AND ts = ?").unwrap(),
+            &[Value::Null],
+            &mut stats,
+        )
+        .unwrap();
+        assert!(rows_of(out).is_empty(), "NULL pin matches nothing");
+        assert_eq!((stats.index_scans, stats.rows_scanned), (1, 0));
+    }
+
+    #[test]
+    fn prefix_probe_without_range_bounds_scans_the_prefix() {
+        let mut c = exec_like();
+        let mut stats = DbStats::default();
+        let out = execute(
+            &mut c,
+            &parse("SELECT COUNT(off) FROM e WHERE runid = ?").unwrap(),
+            &[Value::Int(2)],
+            &mut stats,
+        )
+        .unwrap();
+        assert_eq!(rows_of(out), vec![vec![Value::Int(25)]]);
+        assert_eq!(
+            (stats.full_scans, stats.index_scans),
+            (0, 1),
+            "leading-column equality rides the composite as a prefix walk"
+        );
+        assert_eq!(stats.rows_scanned, 25);
+    }
+
+    #[test]
     fn range_probe_walks_ordered_index() {
+        // The runid pin probes the composite; the ts window is answered
+        // by re-verifying the rows of that prefix.
         let mut c = exec_like();
         let mut stats = DbStats::default();
         let out = execute(
@@ -1625,70 +1233,29 @@ mod tests {
                 .map(|t| vec![Value::Int(2000 + t)])
                 .collect::<Vec<_>>()
         );
-        assert_eq!(
-            (stats.full_scans, stats.index_scans, stats.plan_range_probes),
-            (0, 1, 1)
-        );
-        assert_eq!(stats.rows_scanned, 4, "only the window is visited");
+        assert_eq!((stats.full_scans, stats.index_scans), (0, 1));
+        assert_eq!(stats.rows_scanned, 25, "the runid prefix is visited");
     }
 
     #[test]
     fn strict_bounds_and_merging_give_exact_rows() {
+        // Strict and repeated bounds give exactly (5, 8].
         let mut c = exec_like();
-        let mut stats = DbStats::default();
-        // Strict bounds are widened for the probe; re-verification and
-        // tightest-bound merging still yield exactly (5, 8].
-        let out = execute(
+        let rows = rows_of(run(
             &mut c,
-            &parse("SELECT ts FROM e WHERE runid = 1 AND ts > 2 AND ts > 5 AND ts <= 8").unwrap(),
+            "SELECT ts FROM e WHERE runid = 1 AND ts > 2 AND ts > 5 AND ts <= 8",
             &[],
-            &mut stats,
-        )
-        .unwrap();
+        ));
         assert_eq!(
-            rows_of(out),
+            rows,
             (6..=8).map(|t| vec![Value::Int(t)]).collect::<Vec<_>>()
         );
-        assert_eq!(stats.plan_range_probes, 1);
-    }
-
-    #[test]
-    fn full_key_equality_is_a_point_probe() {
-        let mut c = exec_like();
-        let mut stats = DbStats::default();
-        let out = execute(
-            &mut c,
-            &parse("SELECT off FROM e WHERE ts = ? AND runid = ?").unwrap(),
-            &[Value::Int(7), Value::Int(3)],
-            &mut stats,
-        )
-        .unwrap();
-        assert_eq!(rows_of(out), vec![vec![Value::Int(3007)]]);
-        assert_eq!(
-            (stats.plan_point_probes, stats.plan_range_probes),
-            (1, 0),
-            "conjunct order does not matter for the composite key"
-        );
-        assert_eq!(stats.rows_scanned, 1);
-    }
-
-    #[test]
-    fn null_bound_short_circuits_to_empty() {
-        let mut c = exec_like();
-        let mut stats = DbStats::default();
-        let out = execute(
-            &mut c,
-            &parse("SELECT ts FROM e WHERE runid = 1 AND ts < ?").unwrap(),
-            &[Value::Null],
-            &mut stats,
-        )
-        .unwrap();
-        assert!(rows_of(out).is_empty(), "NULL comparison matches nothing");
-        assert_eq!((stats.index_scans, stats.rows_scanned), (1, 0));
     }
 
     #[test]
     fn order_by_limit_streams_off_ordered_index() {
+        // ORDER BY ... LIMIT over a probed prefix: one stable sort of
+        // the prefix, then the first LIMIT rows.
         let mut c = exec_like();
         let mut stats = DbStats::default();
         let out = execute(
@@ -1706,35 +1273,20 @@ mod tests {
                 vec![Value::Int(22)]
             ]
         );
-        assert_eq!(
-            (
-                stats.plan_ordered_scans,
-                stats.sorts_avoided,
-                stats.order_sorts
-            ),
-            (1, 1, 0),
-            "top-k streams keys backwards, no sort"
-        );
-        assert_eq!(stats.rows_scanned, 3, "LIMIT stops the walk");
-        // A range bound on the order column clips the stream too.
-        let out = execute(
+        assert_eq!((stats.full_scans, stats.index_scans), (0, 1));
+        // A range bound on the order column clips the rows too.
+        let rows = rows_of(run(
             &mut c,
-            &parse("SELECT ts FROM e WHERE runid = 1 AND ts >= 20 ORDER BY ts LIMIT 2").unwrap(),
+            "SELECT ts FROM e WHERE runid = 1 AND ts >= 20 ORDER BY ts LIMIT 2",
             &[],
-            &mut stats,
-        )
-        .unwrap();
-        assert_eq!(
-            rows_of(out),
-            vec![vec![Value::Int(20)], vec![Value::Int(21)]]
-        );
-        assert_eq!(stats.plan_ordered_scans, 2);
+        ));
+        assert_eq!(rows, vec![vec![Value::Int(20)], vec![Value::Int(21)]]);
     }
 
     #[test]
     fn streamed_order_matches_sorted_order() {
-        // Same query with and without the index: identical rows
-        // in identical order, including scan-order ties.
+        // With and without an index on the sort key: the same rows in
+        // the same order, ties in scan order (ASC and DESC alike).
         let build = |indexed: bool| {
             let mut c = Catalog::new();
             run(&mut c, "CREATE TABLE s (k INT, tag TEXT)", &[]);
@@ -1750,29 +1302,29 @@ mod tests {
             }
             c
         };
-        for sql in [
-            "SELECT tag FROM s ORDER BY k LIMIT 3",
-            "SELECT tag FROM s ORDER BY k DESC LIMIT 3",
-            "SELECT tag FROM s ORDER BY k",
+        for (sql, tags) in [
+            ("SELECT tag FROM s ORDER BY k LIMIT 3", "bda"),
+            ("SELECT tag FROM s ORDER BY k DESC LIMIT 3", "ace"),
+            ("SELECT tag FROM s ORDER BY k", "bdace"),
         ] {
-            let mut stats = DbStats::default();
-            let a =
-                rows_of(execute(&mut build(true), &parse(sql).unwrap(), &[], &mut stats).unwrap());
-            assert_eq!(stats.sorts_avoided, 1, "indexed run streams: {sql}");
-            let b = rows_of(run(&mut build(false), sql, &[]));
-            assert_eq!(a, b, "stream/sort divergence for: {sql}");
+            let want: Vec<Row> = tags
+                .chars()
+                .map(|t| vec![Value::Text(t.to_string())])
+                .collect();
+            assert_eq!(rows_of(run(&mut build(true), sql, &[])), want, "{sql}");
+            assert_eq!(rows_of(run(&mut build(false), sql, &[])), want, "{sql}");
         }
     }
 
     #[test]
     fn min_max_peek_reads_index_edges_without_rows() {
         let mut c = exec_like();
-        // NULLs are skipped by MIN even though they sort first.
         run(
             &mut c,
             "INSERT INTO e VALUES (1, NULL, NULL), (9, NULL, NULL)",
             &[],
         );
+        // NULLs are skipped by MIN even though they sort first.
         let mut stats = DbStats::default();
         let out = execute(
             &mut c,
@@ -1783,32 +1335,24 @@ mod tests {
         .unwrap();
         assert_eq!(rows_of(out), vec![vec![Value::Int(0), Value::Int(24)]]);
         assert_eq!(
-            (stats.plan_point_probes, stats.rows_scanned),
-            (2, 2),
-            "one edge peek per aggregate, no bucket sweep"
+            (stats.index_scans, stats.rows_scanned),
+            (1, 26),
+            "one probe of the runid prefix, NULL-tail row included"
         );
-        // An all-NULL bucket peeks to NULL, like the scan would report.
+        // An all-NULL column aggregates to NULL.
         let out = run(&mut c, "SELECT MAX(ts) FROM e WHERE runid = 9", &[]);
         assert_eq!(rows_of(out), vec![vec![Value::Null]]);
-        // Unfiltered MAX peeks the index tail (run_table's AllocMax).
+        // Unfiltered MAX (run_table's AllocMax) scans, index or not.
         run(&mut c, "CREATE INDEX e_ts ON e (ts)", &[]);
-        let mut stats = DbStats::default();
-        let out = execute(
-            &mut c,
-            &parse("SELECT MAX(ts) FROM e").unwrap(),
-            &[],
-            &mut stats,
-        )
-        .unwrap();
+        let out = run(&mut c, "SELECT MAX(ts) FROM e", &[]);
         assert_eq!(rows_of(out), vec![vec![Value::Int(24)]]);
-        assert_eq!(stats.rows_scanned, 1);
     }
 
     #[test]
     fn peek_falls_back_when_any_item_is_not_peekable() {
+        // MIN/MAX mix freely with other aggregates in one pass.
         let mut c = exec_like();
         let mut stats = DbStats::default();
-        // SUM can't peek, so the whole item list takes the generic pass.
         let out = execute(
             &mut c,
             &parse("SELECT MAX(ts), SUM(off) FROM e WHERE runid = 0").unwrap(),
@@ -1817,26 +1361,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(rows_of(out), vec![vec![Value::Int(24), Value::Int(300)]]);
-        assert_eq!(stats.rows_scanned, 25, "generic pass visits the bucket");
-    }
-
-    #[test]
-    fn prefix_probe_without_range_bounds_scans_the_prefix() {
-        let mut c = exec_like();
-        let mut stats = DbStats::default();
-        let out = execute(
-            &mut c,
-            &parse("SELECT COUNT(off) FROM e WHERE runid = ?").unwrap(),
-            &[Value::Int(2)],
-            &mut stats,
-        )
-        .unwrap();
-        assert_eq!(rows_of(out), vec![vec![Value::Int(25)]]);
-        assert_eq!(
-            (stats.full_scans, stats.plan_range_probes),
-            (0, 1),
-            "leading-column equality rides the composite as a prefix walk"
-        );
-        assert_eq!(stats.rows_scanned, 25);
+        assert_eq!(stats.rows_scanned, 25, "the pass visits the bucket");
     }
 }

@@ -7,8 +7,9 @@
 //! this crate provides that surface — a `SELECT` reads one table and
 //! lists either columns or aggregates (COUNT/SUM/AVG/MIN/MAX, one output
 //! row) — plus ordered secondary indexes (CREATE INDEX, one or more
-//! columns) with cost-based point/range/stream planning and incremental
-//! maintenance, and undo-log transactions (`Database::transaction`
+//! columns, maintained incrementally; a statement whose `col = ?` pins
+//! cover an index's leading columns probes it, any other scans), and
+//! undo-log transactions (`Database::transaction`
 //! closures, whose commit or rollback costs O(rows touched), never
 //! O(database)) — as an in-process engine:
 //!

@@ -45,8 +45,7 @@
 //! formatting, hashing, or parsing on the hot path —
 //! [`crate::DbStats::parse_misses`] stays flat while typed statements
 //! run. SQL text enters only by parsing into a `Stmt`
-//! ([`crate::Database::parse`], [`Stmt::parse`]); [`Stmt::to_sql`]
-//! renders one back for debugging.
+//! ([`crate::Database::parse`], [`Stmt::parse`]).
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -246,12 +245,6 @@ pub trait TypedColumn<R: Relation>: Copy {
     /// `column >= rhs`.
     fn ge(self, rhs: impl Into<Operand>) -> Filter<R> {
         self.cmp(BinOp::Ge, rhs)
-    }
-
-    /// `lo <= column AND column <= hi` — the closed range the planner
-    /// turns into one index walk when the column is indexed.
-    fn between(self, lo: impl Into<Operand>, hi: impl Into<Operand>) -> Filter<R> {
-        self.ge(lo).and(self.le(hi))
     }
 
     /// `column IS NULL`.
@@ -457,15 +450,6 @@ impl Stmt {
     pub fn ast(&self) -> &Statement {
         &self.ast
     }
-
-    /// Render back to SQL text (debugging, the deprecated veneer, and
-    /// benchmarks that model parse-per-call engines). Positional
-    /// parameters render as `?` and must have been numbered in source
-    /// order for the text to round-trip; non-finite doubles render as
-    /// `NULL`.
-    pub fn to_sql(&self) -> String {
-        render_statement(&self.ast)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -543,20 +527,6 @@ impl<R: Relation> Query<R> {
     /// `SELECT * FROM R WHERE pred`.
     pub fn filter(pred: Filter<R>) -> Self {
         Self::all().and(pred)
-    }
-
-    /// The composite-index probe shape: `prefix_col = key AND lo <=
-    /// range_col <= hi`. With an index on `(prefix_col,
-    /// range_col, …)` this compiles to one equality-prefix + range walk
-    /// instead of a scan.
-    pub fn prefix_range(
-        prefix_col: impl TypedColumn<R>,
-        key: impl Into<Operand>,
-        range_col: impl TypedColumn<R>,
-        lo: impl Into<Operand>,
-        hi: impl Into<Operand>,
-    ) -> Self {
-        Self::filter(prefix_col.eq(key).and(range_col.between(lo, hi)))
     }
 
     /// AND another predicate onto the `WHERE` clause.
@@ -791,238 +761,6 @@ pub fn decode<R: Relation>(rs: &crate::db::ResultSet) -> DbResult<Vec<R>> {
 }
 
 // ---------------------------------------------------------------------
-// SQL rendering (the text bridge)
-// ---------------------------------------------------------------------
-
-fn render_statement(stmt: &Statement) -> String {
-    let mut s = String::new();
-    match stmt {
-        Statement::CreateTable {
-            name,
-            columns,
-            if_not_exists,
-        } => {
-            s.push_str("CREATE TABLE ");
-            if *if_not_exists {
-                s.push_str("IF NOT EXISTS ");
-            }
-            s.push_str(name);
-            s.push_str(" (");
-            for (i, (col, ty)) in columns.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(col);
-                s.push(' ');
-                s.push_str(match ty {
-                    ColType::Int => "INT",
-                    ColType::Double => "DOUBLE",
-                    ColType::Text => "TEXT",
-                });
-            }
-            s.push(')');
-        }
-        Statement::DropTable { name } => {
-            s.push_str("DROP TABLE ");
-            s.push_str(name);
-        }
-        Statement::CreateIndex {
-            name,
-            table,
-            columns,
-        } => {
-            s.push_str("CREATE INDEX ");
-            s.push_str(name);
-            s.push_str(" ON ");
-            s.push_str(table);
-            s.push_str(" (");
-            s.push_str(&columns.join(", "));
-            s.push(')');
-        }
-        Statement::DropIndex { name, table } => {
-            s.push_str("DROP INDEX ");
-            s.push_str(name);
-            s.push_str(" ON ");
-            s.push_str(table);
-        }
-        Statement::Insert {
-            table,
-            columns,
-            rows,
-        } => {
-            s.push_str("INSERT INTO ");
-            s.push_str(table);
-            if let Some(cols) = columns {
-                s.push_str(" (");
-                s.push_str(&cols.join(", "));
-                s.push(')');
-            }
-            s.push_str(" VALUES ");
-            for (i, row) in rows.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                s.push('(');
-                for (j, e) in row.iter().enumerate() {
-                    if j > 0 {
-                        s.push_str(", ");
-                    }
-                    render_expr(e, &mut s);
-                }
-                s.push(')');
-            }
-        }
-        Statement::Select {
-            items,
-            table,
-            filter,
-            order_by,
-            limit,
-        } => {
-            s.push_str("SELECT ");
-            match items {
-                None => s.push('*'),
-                Some(items) => {
-                    for (i, item) in items.iter().enumerate() {
-                        if i > 0 {
-                            s.push_str(", ");
-                        }
-                        match &item.expr {
-                            SelExpr::Col(c) => s.push_str(c),
-                            SelExpr::Agg { func, arg } => {
-                                s.push_str(&func.name().to_ascii_uppercase());
-                                s.push('(');
-                                s.push_str(arg.as_deref().unwrap_or("*"));
-                                s.push(')');
-                            }
-                        }
-                        if let Some(a) = &item.alias {
-                            s.push_str(" AS ");
-                            s.push_str(a);
-                        }
-                    }
-                }
-            }
-            s.push_str(" FROM ");
-            s.push_str(table);
-            if let Some(f) = filter {
-                s.push_str(" WHERE ");
-                render_expr(f, &mut s);
-            }
-            render_order_limit(order_by, *limit, &mut s);
-        }
-        Statement::Update {
-            table,
-            sets,
-            filter,
-        } => {
-            s.push_str("UPDATE ");
-            s.push_str(table);
-            s.push_str(" SET ");
-            for (i, (col, e)) in sets.iter().enumerate() {
-                if i > 0 {
-                    s.push_str(", ");
-                }
-                s.push_str(col);
-                s.push_str(" = ");
-                render_expr(e, &mut s);
-            }
-            if let Some(f) = filter {
-                s.push_str(" WHERE ");
-                render_expr(f, &mut s);
-            }
-        }
-        Statement::Delete { table, filter } => {
-            s.push_str("DELETE FROM ");
-            s.push_str(table);
-            if let Some(f) = filter {
-                s.push_str(" WHERE ");
-                render_expr(f, &mut s);
-            }
-        }
-    }
-    s
-}
-
-fn render_order_limit(order_by: &[OrderBy], limit: Option<usize>, s: &mut String) {
-    if !order_by.is_empty() {
-        s.push_str(" ORDER BY ");
-        for (i, o) in order_by.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            s.push_str(&o.column);
-            if o.desc {
-                s.push_str(" DESC");
-            }
-        }
-    }
-    if let Some(k) = limit {
-        s.push_str(&format!(" LIMIT {k}"));
-    }
-}
-
-fn render_expr(e: &Expr, s: &mut String) {
-    match e {
-        Expr::Lit(v) => render_value(v, s),
-        Expr::Col(c) => s.push_str(c),
-        Expr::Param(_) => s.push('?'),
-        Expr::Neg(inner) => {
-            s.push('-');
-            render_expr(inner, s);
-        }
-        Expr::Not(inner) => {
-            s.push_str("NOT ");
-            render_expr(inner, s);
-        }
-        Expr::IsNull { expr, negated } => {
-            render_expr(expr, s);
-            s.push_str(if *negated { " IS NOT NULL" } else { " IS NULL" });
-        }
-        Expr::Binary { op, lhs, rhs } => {
-            s.push('(');
-            render_expr(lhs, s);
-            s.push_str(match op {
-                BinOp::Eq => " = ",
-                BinOp::Ne => " != ",
-                BinOp::Lt => " < ",
-                BinOp::Le => " <= ",
-                BinOp::Gt => " > ",
-                BinOp::Ge => " >= ",
-                BinOp::And => " AND ",
-                BinOp::Or => " OR ",
-                BinOp::Add => " + ",
-                BinOp::Sub => " - ",
-                BinOp::Mul => " * ",
-                BinOp::Div => " / ",
-            });
-            render_expr(rhs, s);
-            s.push(')');
-        }
-    }
-}
-
-fn render_value(v: &Value, s: &mut String) {
-    match v {
-        Value::Null => s.push_str("NULL"),
-        Value::Int(i) => s.push_str(&i.to_string()),
-        Value::Double(d) if d.is_finite() => {
-            let text = format!("{d}");
-            s.push_str(&text);
-            if !text.contains('.') {
-                s.push_str(".0");
-            }
-        }
-        Value::Double(_) => s.push_str("NULL"),
-        Value::Text(t) => {
-            s.push('\'');
-            s.push_str(&t.replace('\'', "''"));
-            s.push('\'');
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // relation! macro
 // ---------------------------------------------------------------------
 
@@ -1032,8 +770,9 @@ fn render_value(v: &Value, s: &mut String) {
 /// Column SQL names are the field names; DDL is generated from the
 /// descriptor, never hand-written.
 ///
-/// `indexes { ... }` declares secondary indexes over one or more columns
-/// (point, range, prefix, MIN/MAX-peek, and ORDER BY streaming):
+/// `indexes { ... }` declares secondary indexes over one or more columns;
+/// a query whose `col = ?` pins cover an index's leading columns probes
+/// it instead of scanning:
 ///
 /// ```
 /// sdm_metadb::relation! {
@@ -1324,66 +1063,23 @@ mod tests {
         let typed = Query::<TRow>::filter(TCol::K.eq(param(0)))
             .order_by(TCol::V)
             .compile();
-        let parsed = Stmt::parse(&typed.to_sql()).unwrap();
+        let parsed = Stmt::parse("SELECT * FROM t WHERE k = ? ORDER BY v").unwrap();
         let a = db.exec_stmt(&typed, &[Value::Int(2)]).unwrap();
         let b = db.exec_stmt(&parsed, &[Value::Int(2)]).unwrap();
         assert_eq!(a, b);
     }
 
     #[test]
-    fn to_sql_round_trips_every_builder() {
-        let db = db_with_rows();
-        let stmts = [
-            TRow::TABLE.create_table(),
-            Insert::<TRow>::row(TRow {
-                k: 5,
-                v: -3,
-                label: "it's".into(),
-            }),
-            Query::<TRow>::filter(TCol::Label.eq("it's").and(TCol::V.le(0i64)))
-                .select(&[TCol::K, TCol::V])
-                .order_by_desc(TCol::K)
-                .limit(4)
-                .compile(),
-            Update::<TRow>::new()
-                .set(TCol::V, 7i64)
-                .filter(TCol::K.eq(5i64))
-                .compile(),
-            Delete::<TRow>::filter(TCol::K.eq(5i64)).compile(),
-        ];
-        for stmt in stmts {
-            let text = stmt.to_sql();
-            let reparsed = Stmt::parse(&text).unwrap();
-            let a = db.exec_stmt(&stmt, &[]).unwrap();
-            let b = db.exec_stmt(&reparsed, &[]).unwrap();
-            // Mutations executed twice differ in affected rows only when
-            // the first run changed the data the second sees; compare the
-            // SELECT results instead for those.
-            if !stmt.is_mutation() {
-                assert_eq!(a, b, "round-trip mismatch for {text}");
-            }
-        }
-    }
-
-    #[test]
-    fn ordered_index_ddl_round_trips() {
-        let stmts = TRow::TABLE.create_indexes();
-        let texts: Vec<String> = stmts.iter().map(Stmt::to_sql).collect();
-        assert_eq!(texts[0], "CREATE INDEX t_k ON t (k)");
-        assert_eq!(texts[1], "CREATE INDEX t_kv ON t (k, v)");
-        for (stmt, text) in stmts.iter().zip(&texts) {
-            assert_eq!(Stmt::parse(text).unwrap().ast(), stmt.ast());
-        }
-    }
-
-    #[test]
     fn between_compiles_to_closed_range() {
+        // A closed range is two conjuncts; the k pin probes an index
+        // and re-verification keeps the window.
         let db = db_with_rows();
         db.reset_stats();
         let q = Query::<TRow>::filter(
             TCol::K
                 .eq(param(0))
-                .and(TCol::V.between(param(1), param(2))),
+                .and(TCol::V.ge(param(1)))
+                .and(TCol::V.le(param(2))),
         )
         .compile();
         let rs = db
@@ -1397,47 +1093,44 @@ mod tests {
         );
         let stats = db.stats();
         assert_eq!(
-            (stats.plan_range_probes, stats.full_scans),
+            (stats.index_scans, stats.full_scans),
             (1, 0),
-            "between rides the (k, v) index"
+            "the k pin rides an index"
         );
-        // The rendered text re-executes to the same rows.
-        let reparsed = Stmt::parse(&q.to_sql()).unwrap();
+        // The same statement as SQL text gives the same rows.
         let rs2 = db
-            .exec_stmt(&reparsed, &[Value::Int(1), Value::Int(3), Value::Int(8)])
+            .exec(
+                "SELECT * FROM t WHERE k = ? AND v >= ? AND v <= ?",
+                &[Value::Int(1), Value::Int(3), Value::Int(8)],
+            )
             .unwrap();
         assert_eq!(rs, rs2);
     }
 
     #[test]
-    fn prefix_range_round_trips_and_probes() {
+    fn prefix_window_matches_sql_and_probes() {
         let db = db_with_rows();
         db.reset_stats();
-        let q = Query::<TRow>::prefix_range(TCol::K, param(0), TCol::V, param(1), param(2))
-            .order_by(TCol::V)
-            .compile();
+        let q = Query::<TRow>::filter(
+            TCol::K
+                .eq(param(0))
+                .and(TCol::V.ge(param(1)))
+                .and(TCol::V.le(param(2))),
+        )
+        .order_by(TCol::V)
+        .compile();
         let params = [Value::Int(0), Value::Int(0), Value::Int(6)];
         let a = db.exec_stmt(&q, &params).unwrap();
         let rows: Vec<TRow> = decode(&a).unwrap();
         assert_eq!(rows.iter().map(|r| r.v).collect::<Vec<_>>(), [0, 3, 6]);
         let b = db
-            .exec_stmt(&Stmt::parse(&q.to_sql()).unwrap(), &params)
+            .exec(
+                "SELECT * FROM t WHERE k = ? AND v >= ? AND v <= ? ORDER BY v",
+                &params,
+            )
             .unwrap();
         assert_eq!(a, b);
         assert_eq!(db.stats().full_scans, 0);
-    }
-
-    #[test]
-    fn double_literals_render_parseably() {
-        let mut s = String::new();
-        render_value(&Value::Double(2.0), &mut s);
-        assert_eq!(s, "2.0");
-        s.clear();
-        render_value(&Value::Double(0.25), &mut s);
-        assert_eq!(s, "0.25");
-        s.clear();
-        render_value(&Value::Double(f64::NAN), &mut s);
-        assert_eq!(s, "NULL");
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Row storage and secondary indexes.
 //!
 //! Every secondary index (`OrdIndex`) is `BTreeMap`-backed over one or
-//! more columns, keyed by composite [`OrdKey`] vectors whose total order
-//! agrees with [`Value::sql_cmp`]. It answers point probes, half-open
-//! and closed range probes, prefix ranges, key-ordered streams
-//! (index-backed ORDER BY), and first/last-key peeks (MIN/MAX).
+//! more columns, keyed by composite [`OrdKey`] vectors. It answers one
+//! question, [`Table::probe_prefix`]: the rows whose leading key
+//! columns equal the given values, in ascending row position.
 //!
-//! Every probe returns *candidates*: rows whose keys match under the
+//! A probe returns *candidates*: rows whose keys match under the
 //! canonical key encoding. Callers re-verify candidates against the
-//! real predicate, which is what keeps NULL, NaN, and cross-type rows
-//! correct when a key range sweeps them up.
+//! real predicate, which is what drops NaN rows: they share one key,
+//! but `NaN = NaN` is unknown.
 
 use std::collections::BTreeMap;
 use std::ops::Bound;
@@ -78,9 +77,9 @@ fn shift_up(bucket: &mut [usize], entries: &[(usize, Row)]) {
 /// ([`OrdKey::Null`] sorts first). A prefix probe
 /// for `(runid = 5)` on a `(runid, timestep)` index must see rows whose
 /// `timestep` is NULL, or the index would hide rows a full scan finds.
-/// Equality and range probes never *produce* NULL bounds (the planner
-/// answers those with an empty set), so NULL-keyed rows only surface
-/// through prefix/unbounded scans, where re-verification decides.
+/// A probe never looks a NULL up (it answers that with no rows), so
+/// NULL-keyed rows only surface under a shorter prefix, where
+/// re-verification decides.
 #[derive(Debug, Clone, PartialEq)]
 struct OrdIndex {
     cols: Vec<usize>,
@@ -102,61 +101,6 @@ impl OrdIndex {
     /// The composite key of `row`.
     fn key_of(&self, row: &Row) -> Vec<OrdKey> {
         self.cols.iter().map(|&c| row[c].ord_key()).collect()
-    }
-
-    /// `BTreeMap` bounds covering exactly the keys that extend `prefix`
-    /// with a component in `[lo, hi]` (inclusive; callers widen strict
-    /// bounds and re-verify). Relies on [`OrdKey::successor`] to turn
-    /// inclusive upper bounds into exclusive ends, which keeps keys
-    /// with further tail columns inside the range.
-    #[allow(clippy::type_complexity)]
-    fn bounds(
-        prefix: &[OrdKey],
-        lo: Option<&OrdKey>,
-        hi: Option<&OrdKey>,
-    ) -> Option<(Bound<Vec<OrdKey>>, Bound<Vec<OrdKey>>)> {
-        if let (Some(l), Some(h)) = (lo, hi) {
-            if l > h {
-                return None; // empty range; BTreeMap::range would panic
-            }
-        }
-        let mut start = prefix.to_vec();
-        if let Some(l) = lo {
-            start.push(l.clone());
-        }
-        let end = match hi {
-            Some(h) => {
-                let mut e = prefix.to_vec();
-                e.push(h.successor());
-                Bound::Excluded(e)
-            }
-            None if prefix.is_empty() => Bound::Unbounded,
-            None => {
-                let mut e = prefix.to_vec();
-                let last = e.pop()?.successor();
-                e.push(last);
-                Bound::Excluded(e)
-            }
-        };
-        Some((Bound::Included(start), end))
-    }
-
-    /// Key-ordered buckets whose keys extend `prefix` with component
-    /// `prefix.len()` in `[lo, hi]`.
-    fn scan(
-        &self,
-        prefix: &[OrdKey],
-        lo: Option<&OrdKey>,
-        hi: Option<&OrdKey>,
-    ) -> std::collections::btree_map::Range<'_, Vec<OrdKey>, Vec<usize>> {
-        match Self::bounds(prefix, lo, hi) {
-            Some((s, e)) => self.map.range((s, e)),
-            // lo > hi: an empty, non-panicking range.
-            None => self.map.range((
-                Bound::Included(prefix.to_vec()),
-                Bound::Excluded(prefix.to_vec()),
-            )),
-        }
     }
 
     fn note_append(&mut self, pos: usize, row: &Row) {
@@ -227,9 +171,6 @@ pub struct Table {
     maps: Vec<OrdIndex>,
 }
 
-/// Empty candidate list for probes that miss (a borrowed `&[]`).
-const NO_ROWS: &[usize] = &[];
-
 impl Table {
     /// An empty table with the given schema.
     pub fn new(schema: Schema) -> Self {
@@ -241,7 +182,7 @@ impl Table {
         }
     }
 
-    /// Number of rows — the planner's per-table row-count statistic.
+    /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()
     }
@@ -406,130 +347,24 @@ impl Table {
         &self.indexes
     }
 
-    /// Distinct-key count of index `i` — the per-index cardinality
-    /// statistic (`rows / distinct` estimates bucket size). O(1).
-    pub fn index_distinct_keys(&self, i: usize) -> usize {
-        self.maps[i].map.len()
-    }
-
-    /// Full-key equality probe through index `i`: borrowed ascending
-    /// positions for the composite key `vals` (one value per index
-    /// column). `None` when the arity doesn't match the index.
-    pub fn probe_point(&self, i: usize, vals: &[&Value]) -> Option<&[usize]> {
-        let o = &self.maps[i];
-        if vals.len() != o.cols.len() {
-            return None;
-        }
+    /// Prefix probe through index `i`: the ascending positions of the
+    /// rows whose leading `vals.len()` key columns equal `vals`, the
+    /// whole key or any prefix of it. Rows whose later key columns are
+    /// NULL are included; a NULL in `vals` matches nothing (`NULL = x`
+    /// is unknown). Callers re-verify the rows against their predicate.
+    pub fn probe_prefix(&self, i: usize, vals: &[&Value]) -> Vec<usize> {
         if vals.iter().any(|v| v.is_null()) {
-            return Some(NO_ROWS); // NULL = x matches nothing
+            return Vec::new();
         }
-        let key: Vec<OrdKey> = vals.iter().map(|v| v.ord_key()).collect();
-        Some(o.map.get(&key).map_or(NO_ROWS, Vec::as_slice))
-    }
-
-    /// Range probe through index `i`: positions of rows whose
-    /// leading `prefix.len()` key columns equal `prefix` and whose next
-    /// key column lies in `[lo, hi]` (inclusive; either side may be
-    /// open — callers widen strict bounds and re-verify). Returns
-    /// **ascending** positions, i.e. scan order. Collection aborts and
-    /// returns `None` once more than `abort_at` candidates accumulate —
-    /// the cost-based planner passes the best plan found so far.
-    /// Also `None` when the prefix is too long.
-    pub fn probe_range(
-        &self,
-        i: usize,
-        prefix: &[&Value],
-        lo: Option<&Value>,
-        hi: Option<&Value>,
-        abort_at: usize,
-    ) -> Option<Vec<usize>> {
-        let o = &self.maps[i];
-        if prefix.len() >= o.cols.len() && (lo.is_some() || hi.is_some()) {
-            return None;
-        }
-        let pkeys: Vec<OrdKey> = prefix.iter().map(|v| v.ord_key()).collect();
-        let (lok, hik) = (lo.map(Value::ord_key), hi.map(Value::ord_key));
-        let mut out = Vec::new();
-        for (_, bucket) in o.scan(&pkeys, lok.as_ref(), hik.as_ref()) {
-            out.extend_from_slice(bucket);
-            if out.len() > abort_at {
-                return None;
-            }
-        }
+        let prefix: Vec<OrdKey> = vals.iter().map(|v| v.ord_key()).collect();
+        let mut out: Vec<usize> = self.maps[i]
+            .map
+            .range::<[OrdKey], _>((Bound::Included(prefix.as_slice()), Bound::Unbounded))
+            .take_while(|(key, _)| key.starts_with(&prefix))
+            .flat_map(|(_, bucket)| bucket.iter().copied())
+            .collect();
         out.sort_unstable();
-        Some(out)
-    }
-
-    /// Key-ordered position stream through index `i`: rows
-    /// whose leading key columns equal `prefix`, with the next key
-    /// column optionally bounded to `[lo, hi]`, in ascending
-    /// (`desc = false`) or descending key order. Ties (equal keys)
-    /// always stream in ascending row position — the order a stable
-    /// sort of the scan would produce. This is the index-backed
-    /// ORDER BY path: the caller stops at LIMIT instead of sorting.
-    pub fn stream_ordered(
-        &self,
-        i: usize,
-        prefix: &[&Value],
-        lo: Option<&Value>,
-        hi: Option<&Value>,
-        desc: bool,
-    ) -> Box<dyn Iterator<Item = usize> + '_> {
-        let pkeys: Vec<OrdKey> = prefix.iter().map(|v| v.ord_key()).collect();
-        let (lok, hik) = (lo.map(Value::ord_key), hi.map(Value::ord_key));
-        let range = self.maps[i].scan(&pkeys, lok.as_ref(), hik.as_ref());
-        if desc {
-            Box::new(range.rev().flat_map(|(_, b)| b.iter().copied()))
-        } else {
-            Box::new(range.flat_map(|(_, b)| b.iter().copied()))
-        }
-    }
-
-    /// First/last-key peek through index `i`: the position of a
-    /// row holding the MIN (`max = false`) or MAX (`max = true`) of the
-    /// index's *last* key column among rows whose leading columns equal
-    /// `prefix`. Only defined when `prefix` covers all but the last
-    /// index column, so every SQL-equal extremum shares one bucket and
-    /// the returned position is the scan-first row bearing it — exactly
-    /// what a streaming MIN/MAX aggregate would keep.
-    ///
-    /// NULL keys are skipped on both ends (aggregates ignore NULL); the
-    /// canonical NaN key is skipped too (`NaN < x` and `NaN > x` are
-    /// unknown, so NaN can never be a comparison-won extremum). Outer
-    /// `None` means the peek doesn't apply; inner `None` means no
-    /// qualifying row (the aggregate is NULL).
-    pub fn peek_edge(&self, i: usize, prefix: &[&Value], max: bool) -> Option<Option<usize>> {
-        let o = &self.maps[i];
-        if prefix.len() + 1 != o.cols.len() {
-            return None;
-        }
-        if prefix.iter().any(|v| v.is_null()) {
-            return Some(None); // NULL prefix equality matches nothing
-        }
-        let pkeys: Vec<OrdKey> = prefix.iter().map(|v| v.ord_key()).collect();
-        let k = pkeys.len();
-        if max {
-            for (key, bucket) in o.scan(&pkeys, None, None).rev() {
-                if key[k].is_nan() {
-                    continue;
-                }
-                if key[k] == OrdKey::Null {
-                    return Some(None); // only NULL keys left below
-                }
-                return Some(Some(bucket[0]));
-            }
-        } else {
-            for (key, bucket) in o.scan(&pkeys, None, None) {
-                if key[k] == OrdKey::Null {
-                    continue;
-                }
-                if key[k].is_nan() {
-                    return Some(None); // only NaN keys left above
-                }
-                return Some(Some(bucket[0]));
-            }
-        }
-        Some(None)
+        out
     }
 
     /// Test/debug invariant: every patched map equals a from-scratch
@@ -600,13 +435,13 @@ mod tests {
             t.insert(vec![Value::Int(i % 3), Value::from("x")]).unwrap();
         }
         t.create_index("ik", &["k"]).unwrap();
-        assert_eq!(t.probe_point(0, &[&Value::Int(1)]).unwrap(), &[1, 4, 7]);
-        // Wrong key arity: no index answer.
+        assert_eq!(t.probe_prefix(0, &[&Value::Int(1)]), [1, 4, 7]);
+        // A key longer than the index matches nothing.
         assert!(t
-            .probe_point(0, &[&Value::Int(1), &Value::from("x")])
-            .is_none());
-        // Probe miss: empty borrowed slice, not None.
-        assert_eq!(t.probe_point(0, &[&Value::Int(99)]), Some(NO_ROWS));
+            .probe_prefix(0, &[&Value::Int(1), &Value::from("x")])
+            .is_empty());
+        // Probe miss.
+        assert!(t.probe_prefix(0, &[&Value::Int(99)]).is_empty());
     }
 
     #[test]
@@ -614,12 +449,12 @@ mod tests {
         let mut t = table();
         t.insert(vec![Value::Int(7), Value::from("a")]).unwrap();
         t.create_index("ik", &["k"]).unwrap();
-        let seven = |t: &Table| t.probe_point(0, &[&Value::Int(7)]).unwrap().len();
+        let seven = |t: &Table| t.probe_prefix(0, &[&Value::Int(7)]).len();
         assert_eq!(seven(&t), 1);
         t.insert(vec![Value::Int(7), Value::from("b")]).unwrap();
         assert_eq!(seven(&t), 2);
         t.delete_at(&[0]);
-        assert_eq!(t.probe_point(0, &[&Value::Int(7)]).unwrap(), &[0]);
+        assert_eq!(t.probe_prefix(0, &[&Value::Int(7)]), [0]);
         assert!(t.maps_match_rebuild());
     }
 
@@ -629,7 +464,7 @@ mod tests {
         t.insert(vec![Value::Int(2), Value::from("a")]).unwrap();
         t.create_index("ik", &["k"]).unwrap();
         // SQL: 2 = 2.0, so a Double probe must find the Int row.
-        assert_eq!(t.probe_point(0, &[&Value::Double(2.0)]).unwrap(), &[0]);
+        assert_eq!(t.probe_prefix(0, &[&Value::Double(2.0)]), [0]);
     }
 
     #[test]
@@ -637,7 +472,7 @@ mod tests {
         let mut t = table();
         t.insert(vec![Value::Null, Value::from("a")]).unwrap();
         t.create_index("ik", &["k"]).unwrap();
-        assert!(t.probe_point(0, &[&Value::Null]).unwrap().is_empty());
+        assert!(t.probe_prefix(0, &[&Value::Null]).is_empty());
     }
 
     #[test]
@@ -730,21 +565,11 @@ mod tests {
         t.create_index("od", &["d"]).unwrap();
         // SQL: -0.0 = 0.0, so either probe must return both rows.
         for probe in [Value::Double(0.0), Value::Double(-0.0), Value::Int(0)] {
-            assert_eq!(t.probe_point(0, &[&probe]).unwrap(), &[0, 1]);
+            assert_eq!(t.probe_prefix(0, &[&probe]), [0, 1]);
         }
-        assert_eq!(
-            t.probe_range(
-                0,
-                &[],
-                Some(&Value::Double(-0.0)),
-                Some(&Value::Int(0)),
-                usize::MAX
-            ),
-            Some(vec![0, 1])
-        );
     }
 
-    /// A (runid, timestep)-shaped table for range/stream tests.
+    /// A (runid, timestep)-shaped table for prefix-probe tests.
     fn composite_table() -> Table {
         let mut t = Table::new(
             Schema::new(vec![
@@ -770,78 +595,21 @@ mod tests {
     }
 
     #[test]
-    fn range_probe_shapes() {
+    fn prefix_probe_takes_the_whole_key_or_a_prefix() {
         let t = composite_table();
-        let one = Value::Int(1);
-        let scan = |lo: Option<&Value>, hi: Option<&Value>| {
-            t.probe_range(0, &[&one], lo, hi, usize::MAX).unwrap()
-        };
-        let expect = |pred: &dyn Fn(i64) -> bool| -> Vec<usize> {
-            t.rows()
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r[0].as_i64() == Some(1) && pred(r[1].as_i64().unwrap()))
-                .map(|(i, _)| i)
-                .collect()
-        };
-        // Closed, half-open both sides, and unbounded (prefix) ranges.
-        assert_eq!(
-            scan(Some(&Value::Int(3)), Some(&Value::Int(7))),
-            expect(&|ts| (3..=7).contains(&ts))
-        );
-        assert_eq!(scan(Some(&Value::Int(9)), None), expect(&|ts| ts >= 9));
-        assert_eq!(scan(None, Some(&Value::Int(2))), expect(&|ts| ts <= 2));
-        assert_eq!(scan(None, None), expect(&|_| true));
-        // Inverted range: empty, not a panic.
-        assert_eq!(
-            scan(Some(&Value::Int(7)), Some(&Value::Int(3))),
-            Vec::<usize>::new()
-        );
-        // Cross-type bounds land between integers.
-        assert_eq!(
-            scan(Some(&Value::Double(2.5)), Some(&Value::Double(4.5))),
-            expect(&|ts| ts == 3 || ts == 4)
-        );
-        // Cost abort: more candidates than `abort_at` returns None.
-        assert!(t.probe_range(0, &[&one], None, None, 3).is_none());
-    }
-
-    #[test]
-    fn full_key_point_probe_and_distinct_stats() {
-        let t = composite_table();
-        let hits = t.probe_point(0, &[&Value::Int(2), &Value::Int(5)]).unwrap();
+        let hits = t.probe_prefix(0, &[&Value::Int(2), &Value::Int(5)]);
         assert_eq!(hits.len(), 1);
         assert_eq!(t.rows()[hits[0]], vec![Value::Int(2), Value::Int(5)]);
-        // 3 runs × 12 timesteps = 36 distinct composite keys.
-        assert_eq!(t.index_distinct_keys(0), 36);
-        // NULL in a point key matches nothing.
-        assert_eq!(
-            t.probe_point(0, &[&Value::Null, &Value::Int(5)]).unwrap(),
-            NO_ROWS
-        );
-    }
-
-    #[test]
-    fn stream_ordered_yields_key_order_and_scan_order_ties() {
-        let mut t = composite_table();
-        // A duplicate key: ties must stream in ascending position.
-        t.insert(vec![Value::Int(1), Value::Int(5)]).unwrap();
-        let one = Value::Int(1);
-        let asc: Vec<usize> = t.stream_ordered(0, &[&one], None, None, false).collect();
-        let ts_of = |p: usize| t.rows()[p][1].as_i64().unwrap();
-        assert!(asc
-            .windows(2)
-            .all(|w| { ts_of(w[0]) < ts_of(w[1]) || (ts_of(w[0]) == ts_of(w[1]) && w[0] < w[1]) }));
-        assert_eq!(asc.len(), 13);
-        let desc: Vec<usize> = t.stream_ordered(0, &[&one], None, None, true).collect();
-        assert!(desc
-            .windows(2)
-            .all(|w| { ts_of(w[0]) > ts_of(w[1]) || (ts_of(w[0]) == ts_of(w[1]) && w[0] < w[1]) }));
-        // Bounded stream honors the range.
-        let bounded: Vec<usize> = t
-            .stream_ordered(0, &[&one], Some(&Value::Int(4)), Some(&Value::Int(6)), true)
+        // A leading-column prefix spans many keys; the positions come
+        // back ascending, in scan order.
+        let scan: Vec<usize> = (0..t.len())
+            .filter(|&p| t.rows()[p][0] == Value::Int(1))
             .collect();
-        assert!(bounded.iter().all(|&p| (4..=6).contains(&ts_of(p))));
+        assert_eq!(t.probe_prefix(0, &[&Value::Int(1)]), scan);
+        // NULL anywhere in the key matches nothing.
+        assert!(t
+            .probe_prefix(0, &[&Value::Null, &Value::Int(5)])
+            .is_empty());
     }
 
     #[test]
@@ -851,86 +619,43 @@ mod tests {
         // prefix probe on runid — a full scan would return it.
         t.insert(vec![Value::Int(1), Value::Null]).unwrap();
         let pos = t.len() - 1;
-        let hits = t
-            .probe_range(0, &[&Value::Int(1)], None, None, usize::MAX)
-            .unwrap();
-        assert!(hits.contains(&pos));
-        // But a bounded range never reports it (ts <= 2 is unknown for
-        // NULL): OrdKey::Null sorts below every numeric bound.
-        let bounded = t
-            .probe_range(0, &[&Value::Int(1)], Some(&Value::Int(0)), None, usize::MAX)
-            .unwrap();
-        assert!(!bounded.contains(&pos));
-    }
-
-    #[test]
-    fn peek_edge_min_max() {
-        let t = composite_table();
-        // MAX(ts) within runid = 0: the row (0, 11).
-        let at = t.peek_edge(0, &[&Value::Int(0)], true).unwrap().unwrap();
-        assert_eq!(t.rows()[at], vec![Value::Int(0), Value::Int(11)]);
-        // MIN(ts) within runid = 2: the row (2, 0).
-        let at = t.peek_edge(0, &[&Value::Int(2)], false).unwrap().unwrap();
-        assert_eq!(t.rows()[at], vec![Value::Int(2), Value::Int(0)]);
-        // Missing prefix: no qualifying row.
-        assert_eq!(t.peek_edge(0, &[&Value::Int(99)], true), Some(None));
-        // Wrong prefix arity: the peek does not apply.
-        assert!(t.peek_edge(0, &[], true).is_none());
-    }
-
-    #[test]
-    fn peek_edge_skips_null_and_nan() {
-        let mut t = Table::new(
-            Schema::new(vec![Column {
-                name: "d".into(),
-                ctype: ColType::Double,
-            }])
-            .unwrap(),
-        );
-        t.insert(vec![Value::Null]).unwrap();
-        t.insert(vec![Value::Double(f64::NAN)]).unwrap();
-        t.insert(vec![Value::Double(2.5)]).unwrap();
-        t.insert(vec![Value::Double(-1.0)]).unwrap();
-        t.create_index("od", &["d"]).unwrap();
-        let min = t.peek_edge(0, &[], false).unwrap().unwrap();
-        assert_eq!(t.rows()[min][0], Value::Double(-1.0));
-        let max = t.peek_edge(0, &[], true).unwrap().unwrap();
-        assert_eq!(t.rows()[max][0], Value::Double(2.5));
-        // Only NULL and NaN left: both peeks report "no qualifying row".
-        let mut t2 = t.clone();
-        t2.delete_at(&[2, 3]); // the two finite rows
-        assert_eq!(t2.peek_edge(0, &[], false), Some(None));
-        assert_eq!(t2.peek_edge(0, &[], true), Some(None));
+        assert!(t.probe_prefix(0, &[&Value::Int(1)]).contains(&pos));
     }
 
     #[test]
     fn text_range_probe() {
+        // Text keys probe by equality; a numeric key never meets a text
+        // key (disjoint key classes). A text window is a re-verified
+        // scan, so through SQL it keeps the text rows in range only.
         let mut t = table();
         for (i, name) in ["alpha", "beta", "delta", "gamma"].iter().enumerate() {
             t.insert(vec![Value::Int(i as i64), Value::from(*name)])
                 .unwrap();
         }
         t.create_index("ov", &["v"]).unwrap();
-        let hits = t
-            .probe_range(
-                0,
-                &[],
-                Some(&Value::from("beta")),
-                Some(&Value::from("delta")),
-                usize::MAX,
-            )
-            .unwrap();
-        assert_eq!(hits, vec![1, 2]);
-        // A numeric bound never sweeps text keys (disjoint key classes).
-        let none = t
-            .probe_range(
-                0,
-                &[],
-                Some(&Value::Int(0)),
-                Some(&Value::Int(100)),
-                usize::MAX,
-            )
-            .unwrap();
-        assert!(none.is_empty());
+        assert_eq!(t.probe_prefix(0, &[&Value::from("delta")]), [2]);
+        assert!(t.probe_prefix(0, &[&Value::Int(0)]).is_empty());
+
+        let db = crate::db::Database::new();
+        db.exec("CREATE TABLE w (i INT, name TEXT)", &[]).unwrap();
+        db.exec(
+            "INSERT INTO w VALUES (0, 'alpha'), (1, 'beta'), (2, 'delta'), (3, 'gamma')",
+            &[],
+        )
+        .unwrap();
+        db.exec("CREATE INDEX w_name ON w (name)", &[]).unwrap();
+        let ids = |sql: &str| -> Vec<Value> {
+            db.exec(sql, &[])
+                .unwrap()
+                .rows
+                .into_iter()
+                .map(|r| r[0].clone())
+                .collect()
+        };
+        assert_eq!(
+            ids("SELECT i FROM w WHERE name >= 'beta' AND name <= 'delta'"),
+            [Value::Int(1), Value::Int(2)]
+        );
+        assert!(ids("SELECT i FROM w WHERE name >= 0 AND name <= 100").is_empty());
     }
 }

@@ -106,15 +106,24 @@ impl Value {
     /// * text orders lexicographically by bytes, as `sql_cmp` does;
     /// * the pairs `sql_cmp` leaves *undefined* get a fixed arbitrary
     ///   order: `Null < Num < Text`, and the canonical NaN sorts above
-    ///   every real number. Range probes stay correct because callers
-    ///   re-verify candidates against the real predicate, which
-    ///   rejects NULL/NaN/cross-type rows a key range may sweep up.
+    ///   every real number. ORDER BY sorts by this order
+    ///   ([`Value::key_cmp`]), so NULL and NaN have a fixed place.
     pub fn ord_key(&self) -> OrdKey {
         match self {
             Value::Null => OrdKey::Null,
             Value::Int(i) => OrdKey::num(*i as f64),
             Value::Double(d) => OrdKey::num(*d),
             Value::Text(s) => OrdKey::Text(s.clone()),
+        }
+    }
+
+    /// The total order of [`Value::ord_key`] — `NULL < numbers < NaN <
+    /// text` — without building a key for two texts. ORDER BY sorts
+    /// with it, so where a value lands never depends on the input order.
+    pub fn key_cmp(&self, other: &Value) -> Ordering {
+        match (self, other) {
+            (Value::Text(a), Value::Text(b)) => a.cmp(b),
+            _ => self.ord_key().cmp(&other.ord_key()),
         }
     }
 }
@@ -155,29 +164,6 @@ impl OrdKey {
             bits | (1 << 63)
         };
         OrdKey::Num(enc)
-    }
-
-    /// Whether this is the (canonical) NaN key. NaN sorts above every
-    /// real number, so MAX peeks on ordered indexes skip it.
-    pub fn is_nan(&self) -> bool {
-        *self == OrdKey::num(f64::NAN)
-    }
-
-    /// The immediate successor in key order. Used to turn an inclusive
-    /// composite-prefix upper bound into an exclusive `BTreeMap` range
-    /// end. Total: every key has a successor (`Num(u64::MAX)` rolls
-    /// into the text class, `Text` appends a NUL byte).
-    pub fn successor(&self) -> OrdKey {
-        match self {
-            OrdKey::Null => OrdKey::Num(0),
-            OrdKey::Num(u64::MAX) => OrdKey::Text(String::new()),
-            OrdKey::Num(b) => OrdKey::Num(b + 1),
-            OrdKey::Text(s) => {
-                let mut t = s.clone();
-                t.push('\0');
-                OrdKey::Text(t)
-            }
-        }
     }
 }
 
@@ -320,8 +306,7 @@ mod tests {
             Value::Double(payload).ord_key(),
             Value::Double(quiet).ord_key()
         );
-        assert!(Value::Double(payload).ord_key().is_nan());
-        assert!(!Value::Int(7).ord_key().is_nan());
+        assert_ne!(Value::Int(7).ord_key(), Value::Double(quiet).ord_key());
         // Text content decides equality.
         assert_eq!(Value::from("ab").ord_key(), Value::from("ab").ord_key());
         assert_ne!(Value::from("ab").ord_key(), Value::from("ba").ord_key());
@@ -343,27 +328,28 @@ mod tests {
     }
 
     #[test]
-    fn ord_key_successor_is_immediate() {
-        // successor(k) > k, and nothing representable sits between for
-        // the numeric class (bit increment) — spot-check adjacency.
-        for v in [
-            Value::Int(3),
-            Value::Double(-2.5),
-            Value::Double(0.0),
+    fn key_cmp_is_the_ord_key_order() {
+        let vals = [
+            Value::Null,
+            Value::Double(f64::NEG_INFINITY),
+            Value::Int(-1),
+            Value::Double(-0.0),
+            Value::Int(0),
+            Value::Double(2.5),
+            Value::Double(f64::INFINITY),
+            Value::Double(f64::NAN),
             Value::from(""),
-            Value::from("run"),
-        ] {
-            let k = v.ord_key();
-            assert!(k.successor() > k, "successor not greater for {v:?}");
+            Value::from("a"),
+        ];
+        for a in &vals {
+            for b in &vals {
+                assert_eq!(
+                    a.key_cmp(b),
+                    a.ord_key().cmp(&b.ord_key()),
+                    "{a:?} vs {b:?}"
+                );
+            }
         }
-        assert_eq!(
-            OrdKey::Num(u64::MAX).successor(),
-            OrdKey::Text(String::new())
-        );
-        assert_eq!(OrdKey::Null.successor(), OrdKey::Num(0));
-        // Text successor appends NUL: nothing orders strictly between.
-        assert!(OrdKey::Text("a".into()) < OrdKey::Text("a\0".into()));
-        assert!(OrdKey::Text("a\0".into()) < OrdKey::Text("aa".into()));
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //! `prepared_equivalence.rs` one layer up: for generated filters,
 //! orders, and limits, a compiled typed `Stmt` must return row-identical
 //! results to (a) the equivalent raw-SQL text executed through the
-//! parse path, (b) its own `to_sql()` rendering re-parsed, and (c) the
-//! same typed query against an unindexed twin table — while touching no
-//! SQL text itself.
+//! parse path and (b) the same typed query against an unindexed twin
+//! table — while touching no SQL text itself.
 
 use proptest::prelude::*;
 use sdm_metadb::stmt::{param, Filter, Query, Relation, Stmt, TypedColumn};
+use sdm_metadb::value::OrdKey;
 use sdm_metadb::{Database, Value};
 
 sdm_metadb::relation! {
@@ -51,7 +51,7 @@ fn twin_db(rows: &[(i64, i64)]) -> Database {
 
 /// One generated comparison: column k/v and operator. The parameter
 /// slot is positional (first comparison takes `?` 0, the second `?` 1)
-/// so the typed statement and its SQL rendering agree on numbering.
+/// so the typed statement and its SQL text agree on numbering.
 #[derive(Debug, Clone, Copy)]
 struct Cmp {
     on_v: bool,
@@ -202,12 +202,6 @@ proptest! {
         let via_text = db.exec(&sql, &params).unwrap();
         prop_assert_eq!(&via_typed, &via_text, "typed != raw for {}", sql);
 
-        // The typed statement's own rendering, re-parsed.
-        let rendered = Stmt::parse(&typed_i.to_sql()).unwrap();
-        let via_rendered = db.exec_stmt(&rendered, &params).unwrap();
-        prop_assert_eq!(&via_typed.rows, &via_rendered.rows,
-            "to_sql round-trip diverged: {}", typed_i.to_sql());
-
         // Same typed shape over the unindexed twin: planner equivalence.
         let typed_n = build_typed(shape, TnCol::K, TnCol::V);
         let via_scan = db.exec_stmt(&typed_n, &params).unwrap();
@@ -222,11 +216,11 @@ proptest! {
         prop_assert_eq!(&a, &b);
     }
 
-    /// The range builders (`between`, `prefix_range`) agree with the
-    /// unindexed twin and their own `to_sql()` re-parse — row sets AND
-    /// row order, streamed or sorted.
+    /// Range conjuncts on the typed layer agree with the unindexed twin
+    /// — row sets AND row order: an equality prefix plus a closed
+    /// range, and a closed range under a top-k.
     #[test]
-    fn typed_range_builders_match_scan_and_rendering(
+    fn typed_range_filters_match_scan(
         rows in proptest::collection::vec((0i64..10, -5i64..5), 0..50),
         key in 0i64..10,
         lo in -5i64..5,
@@ -234,42 +228,36 @@ proptest! {
     ) {
         let db = twin_db(&rows);
 
-        // Equality-prefix + closed-range composite probe.
-        let q_i = Query::<TiRow>::prefix_range(TiCol::K, param(0), TiCol::V, param(1), param(2))
-            .order_by(TiCol::V)
-            .compile();
-        let q_n = Query::<TnRow>::prefix_range(TnCol::K, param(0), TnCol::V, param(1), param(2))
-            .order_by(TnCol::V)
-            .compile();
+        let q_i = Query::<TiRow>::filter(
+            TiCol::K.eq(param(0)).and(TiCol::V.ge(param(1))).and(TiCol::V.le(param(2))),
+        )
+        .order_by(TiCol::V)
+        .compile();
+        let q_n = Query::<TnRow>::filter(
+            TnCol::K.eq(param(0)).and(TnCol::V.ge(param(1))).and(TnCol::V.le(param(2))),
+        )
+        .order_by(TnCol::V)
+        .compile();
         let params = [Value::Int(key), Value::Int(lo), Value::Int(hi)];
         db.reset_stats();
         let a = db.exec_stmt(&q_i, &params).unwrap();
         prop_assert_eq!(db.stats().parse_misses, 0, "typed path touched SQL text");
-        prop_assert_eq!(
-            db.stats().full_scans, 0,
-            "prefix_range must ride the (k, v) composite (probe or stream)"
-        );
+        prop_assert_eq!(db.stats().full_scans, 0, "the k pin must probe an index");
         let b = db.exec_stmt(&q_n, &params).unwrap();
-        prop_assert_eq!(&a.rows, &b.rows, "prefix_range: indexed != scan");
-        let c = db.exec_stmt(&Stmt::parse(&q_i.to_sql()).unwrap(), &params).unwrap();
-        prop_assert_eq!(&a.rows, &c.rows, "prefix_range to_sql round-trip diverged");
+        prop_assert_eq!(&a.rows, &b.rows, "prefix + range: indexed != scan");
 
-        // Standalone between + top-k: streamed off the `v` index on one
-        // side, partial-sorted on the other.
-        let q_i = Query::<TiRow>::filter(TiCol::V.between(param(0), param(1)))
+        let q_i = Query::<TiRow>::filter(TiCol::V.ge(param(0)).and(TiCol::V.le(param(1))))
             .order_by_desc(TiCol::V)
             .limit(3)
             .compile();
-        let q_n = Query::<TnRow>::filter(TnCol::V.between(param(0), param(1)))
+        let q_n = Query::<TnRow>::filter(TnCol::V.ge(param(0)).and(TnCol::V.le(param(1))))
             .order_by_desc(TnCol::V)
             .limit(3)
             .compile();
         let params = [Value::Int(lo), Value::Int(hi)];
         let a = db.exec_stmt(&q_i, &params).unwrap();
         let b = db.exec_stmt(&q_n, &params).unwrap();
-        prop_assert_eq!(&a.rows, &b.rows, "between top-k: indexed != scan");
-        let c = db.exec_stmt(&Stmt::parse(&q_i.to_sql()).unwrap(), &params).unwrap();
-        prop_assert_eq!(&a.rows, &c.rows, "between to_sql round-trip diverged");
+        prop_assert_eq!(&a.rows, &b.rows, "range top-k: indexed != scan");
     }
 
     #[test]
@@ -362,9 +350,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Typed statements over NULL-heavy, signed-zero, huge-integer rows
-    /// return identical rows through the indexed twin, the unindexed
-    /// twin, and the `to_sql()` re-parse — so the `OrdKey` encoding
-    /// can never make an indexed plan disagree with a scan.
+    /// return identical rows through the indexed and the unindexed
+    /// twin — so the `OrdKey` encoding can never make an indexed plan
+    /// disagree with a scan.
     #[test]
     fn typed_key_encoding_edges_agree(
         rows in proptest::collection::vec(edge_cell(), 0..40),
@@ -394,9 +382,6 @@ proptest! {
             db.exec_stmt(&ins_n, &row).unwrap();
         }
 
-        // Parameter slots stay positional within each shape so the
-        // typed statement and its `to_sql()` rendering agree on `?`
-        // numbering.
         let shapes: [(Stmt, Stmt, Vec<Value>); 3] = [
             (
                 Query::<TdRow>::filter(TdCol::D.eq(param(0))).compile(),
@@ -425,9 +410,6 @@ proptest! {
             let via_scan = db.exec_stmt(typed_n, params).unwrap();
             prop_assert_eq!(&via_indexed.rows, &via_scan.rows,
                 "indexed != scan for probe {:?}", params);
-            let rendered = Stmt::parse(&typed_i.to_sql()).unwrap();
-            let via_rendered = db.exec_stmt(&rendered, params).unwrap();
-            prop_assert_eq!(&via_indexed.rows, &via_rendered.rows);
         }
         // A NULL probe returns nothing from either plan.
         if probe_d.is_null() {
@@ -435,6 +417,179 @@ proptest! {
                 .exec_stmt(&shapes[0].0, &[Value::Null, Value::Int(0)])
                 .unwrap();
             prop_assert!(rs.is_empty(), "NULL = NULL must never match");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// A DOUBLE twin column: ORDER BY and MIN/MAX over NaN, ±0.0, ±inf, NULL
+// ---------------------------------------------------------------------
+
+sdm_metadb::relation! {
+    /// Indexed twin with a DOUBLE column, rows in generated order.
+    pub struct TxRow in "tx" as TxCol {
+        /// Group key.
+        pub k: i64 => K,
+        /// The DOUBLE column under test.
+        pub x: f64 => X,
+    }
+    indexes { "tx_x" on (x), "tx_kx" on (k, x) }
+}
+
+sdm_metadb::relation! {
+    /// Unindexed twin of [`TxRow`], rows in generated order.
+    pub struct TxnRow in "txn" as TxnCol {
+        /// Group key.
+        pub k: i64 => K,
+        /// The DOUBLE column under test.
+        pub x: f64 => X,
+    }
+}
+
+sdm_metadb::relation! {
+    /// Indexed twin of [`TxRow`], rows in reverse order.
+    pub struct TxrRow in "txr" as TxrCol {
+        /// Group key.
+        pub k: i64 => K,
+        /// The DOUBLE column under test.
+        pub x: f64 => X,
+    }
+    indexes { "txr_x" on (x), "txr_kx" on (k, x) }
+}
+
+fn double_cell() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Double(f64::NAN)),
+        Just(Value::Double(-0.0)),
+        Just(Value::Double(0.0)),
+        Just(Value::Double(f64::INFINITY)),
+        Just(Value::Double(f64::NEG_INFINITY)),
+        Just(Value::Null),
+        (-3i64..4).prop_map(|i| Value::Double(i as f64)),
+    ]
+}
+
+/// One `ORDER BY x` or `MIN(x)`/`MAX(x)` shape over a DOUBLE twin,
+/// optionally pinned to one `k`.
+fn double_query<R: Relation, C: TypedColumn<R>>(
+    k: C,
+    x: C,
+    pinned: bool,
+    agg: Option<bool>,
+    desc: bool,
+    limit: Option<usize>,
+) -> Stmt {
+    let mut q = if pinned {
+        Query::<R>::filter(k.eq(param(0)))
+    } else {
+        Query::<R>::all()
+    };
+    match agg {
+        Some(true) => return q.max(x).compile(),
+        Some(false) => return q.min(x).compile(),
+        None => {}
+    }
+    q = if desc {
+        q.order_by_desc(x)
+    } else {
+        q.order_by(x)
+    };
+    if let Some(l) = limit {
+        q = q.limit(l);
+    }
+    q.select(&[x]).compile()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// ORDER BY (ASC and DESC, with and without LIMIT) and MIN/MAX over
+    /// a DOUBLE column holding NaN, signed zeros, infinities and NULLs
+    /// give the same answer through the indexed twin, the unindexed
+    /// twin and a twin filled in reverse order, and that answer is the
+    /// index key order: NULL < numbers < NaN, MIN/MAX skipping NULL and
+    /// NaN. Values are compared through `ord_key`, under which -0.0 and
+    /// 0.0 tie (so their relative order is the tables' input order).
+    #[test]
+    fn double_order_by_and_min_max_agree_across_twins(
+        rows in proptest::collection::vec((0i64..3, double_cell()), 0..40),
+        key in 0i64..3,
+        pinned in any::<bool>(),
+        desc in any::<bool>(),
+        has_limit in any::<bool>(),
+        lim in 0usize..6,
+    ) {
+        let limit = has_limit.then_some(lim);
+        let db = Database::new();
+        db.exec_stmt(&TxRow::TABLE.create_table(), &[]).unwrap();
+        db.exec_stmt(&TxnRow::TABLE.create_table(), &[]).unwrap();
+        db.exec_stmt(&TxrRow::TABLE.create_table(), &[]).unwrap();
+        for ix in TxRow::TABLE.create_indexes().iter().chain(&TxrRow::TABLE.create_indexes()) {
+            db.exec_stmt(ix, &[]).unwrap();
+        }
+        let ins = [
+            sdm_metadb::stmt::Insert::<TxRow>::prepared(),
+            sdm_metadb::stmt::Insert::<TxnRow>::prepared(),
+        ];
+        for (k, x) in &rows {
+            for stmt in &ins {
+                db.exec_stmt(stmt, &[Value::Int(*k), x.clone()]).unwrap();
+            }
+        }
+        let ins_r = sdm_metadb::stmt::Insert::<TxrRow>::prepared();
+        for (k, x) in rows.iter().rev() {
+            db.exec_stmt(&ins_r, &[Value::Int(*k), x.clone()]).unwrap();
+        }
+        let params = if pinned { vec![Value::Int(key)] } else { vec![] };
+        let keys_of = |stmt: &Stmt| -> Vec<OrdKey> {
+            db.exec_stmt(stmt, &params)
+                .unwrap()
+                .rows
+                .iter()
+                .map(|r| r[0].ord_key())
+                .collect()
+        };
+        let picked: Vec<&Value> = rows
+            .iter()
+            .filter(|(k, _)| !pinned || *k == key)
+            .map(|(_, x)| x)
+            .collect();
+
+        // ORDER BY: the key order, cut at LIMIT.
+        let mut want: Vec<OrdKey> = picked.iter().map(|x| x.ord_key()).collect();
+        want.sort();
+        if desc {
+            want.reverse();
+        }
+        want.truncate(limit.unwrap_or(usize::MAX));
+        let twins = [
+            keys_of(&double_query(TxCol::K, TxCol::X, pinned, None, desc, limit)),
+            keys_of(&double_query(TxnCol::K, TxnCol::X, pinned, None, desc, limit)),
+            keys_of(&double_query(TxrCol::K, TxrCol::X, pinned, None, desc, limit)),
+        ];
+        for (name, got) in ["indexed", "unindexed", "reversed"].iter().zip(&twins) {
+            prop_assert_eq!(got, &want, "ORDER BY x (desc {}, limit {:?}): {}", desc, limit, name);
+        }
+
+        // MIN/MAX: NULL and NaN never win; nothing left is NULL.
+        let nan = Value::Double(f64::NAN).ord_key();
+        let finite: Vec<OrdKey> = picked
+            .iter()
+            .map(|x| x.ord_key())
+            .filter(|k| *k != OrdKey::Null && *k != nan)
+            .collect();
+        for max in [false, true] {
+            let want = if max { finite.iter().max() } else { finite.iter().min() }
+                .cloned()
+                .unwrap_or(OrdKey::Null);
+            let twins = [
+                keys_of(&double_query(TxCol::K, TxCol::X, pinned, Some(max), desc, limit)),
+                keys_of(&double_query(TxnCol::K, TxnCol::X, pinned, Some(max), desc, limit)),
+                keys_of(&double_query(TxrCol::K, TxrCol::X, pinned, Some(max), desc, limit)),
+            ];
+            for (name, got) in ["indexed", "unindexed", "reversed"].iter().zip(&twins) {
+                prop_assert_eq!(got, &vec![want.clone()], "{} (max {}): {}", "MIN/MAX", max, name);
+            }
         }
     }
 }
