@@ -16,7 +16,7 @@
 //! owned-element list is — skips the sort, and its permutations are
 //! plain copies.
 
-use sdm_mpi::datatype::Flattened;
+use sdm_mpi::datatype::{Filetype, Flattened};
 
 use crate::error::{SdmError, SdmResult};
 use crate::types::SdmType;
@@ -30,8 +30,9 @@ pub struct DataView {
     /// that goes to `sorted_map[k]`'s file slot.
     pub perm: Vec<u32>,
     /// Flattened filetype built from `sorted_map` (element units scaled
-    /// by the element size), relative to the dataset's base offset.
-    pub ftype: Flattened,
+    /// by the element size), relative to the dataset's base offset. Every
+    /// file view installed for this dataset shares it.
+    pub ftype: Filetype,
     /// Element size in bytes.
     pub elem_size: u64,
     /// The map was strictly ascending: `perm` is `0..n`, and every
@@ -78,7 +79,8 @@ impl DataView {
             segments: run_segments(&sorted_map, esize),
             extent,
             size: sorted_map.len() as u64 * esize,
-        };
+        }
+        .into();
         Ok(Self {
             sorted_map,
             perm,
@@ -236,7 +238,8 @@ mod tests {
             global_len * ty.size(),
             Datatype::indexed_block(1, sorted_map.clone(), elem),
         )
-        .flatten()?;
+        .flatten()?
+        .into();
         Ok(DataView {
             sorted_map,
             perm,

@@ -109,7 +109,7 @@ impl Transaction<'_> {
     pub fn exec_stmt(&mut self, stmt: &Stmt, params: &[Value]) -> DbResult<ResultSet> {
         outcome_to_set(
             self.engine
-                .run(stmt.ast(), params, &mut self.undo, self.redo.as_mut()),
+                .run(stmt, params, &mut self.undo, self.redo.as_mut()),
         )
     }
 
@@ -132,11 +132,13 @@ impl Engine {
     /// redo frames into `redo` before it applies.
     fn run(
         &mut self,
-        stmt: &Statement,
+        stmt: &Stmt,
         params: &[Value],
         undo: &mut UndoLog,
         redo: Option<&mut WalAppender>,
     ) -> DbResult<Outcome> {
+        stmt.check_params(params)?;
+        let stmt = stmt.ast();
         match stmt {
             Statement::Select { .. } => execute_read(&self.catalog, stmt, params, &mut self.stats),
             _ => execute_mutation(&mut self.catalog, stmt, params, undo, redo),
@@ -145,13 +147,11 @@ impl Engine {
 
     /// Execute one statement as a transaction of its own. Its undo log
     /// is thrown away: nothing can roll it back.
-    fn autocommit(&mut self, stmt: &Statement, params: &[Value]) -> DbResult<ResultSet> {
-        let mut redo = match stmt {
-            Statement::Select { .. } => None,
-            _ => self
-                .wal
-                .as_mut()
-                .map(|wal| WalAppender::new(wal.begin_tx())),
+    fn autocommit(&mut self, stmt: &Stmt, params: &[Value]) -> DbResult<ResultSet> {
+        let mut redo = if stmt.is_mutation() {
+            (self.wal.as_mut()).map(|wal| WalAppender::new(wal.begin_tx()))
+        } else {
+            None
         };
         let result = self.run(stmt, params, &mut UndoLog::default(), redo.as_mut());
         // The redo commits even when the statement *failed*: its partial
@@ -300,7 +300,7 @@ impl Database {
     pub fn exec(&self, sql: &str, params: &[Value]) -> DbResult<ResultSet> {
         let mut engine = self.engine()?;
         let stmt = engine.parse(sql)?;
-        engine.autocommit(stmt.ast(), params)
+        engine.autocommit(&stmt, params)
     }
 
     /// Execute a typed [`Stmt`] with positional `?` parameters. This is
@@ -309,7 +309,7 @@ impl Database {
     /// index use per execution and evaluates the statement's
     /// expressions by walking its AST.
     pub fn exec_stmt(&self, stmt: &Stmt, params: &[Value]) -> DbResult<ResultSet> {
-        self.engine()?.autocommit(stmt.ast(), params)
+        self.engine()?.autocommit(stmt, params)
     }
 
     /// Run `f` as one transaction: its statements, issued through the
@@ -449,6 +449,43 @@ mod tests {
         ])
         .unwrap();
         assert!(db.has_table("a") && db.has_table("b"));
+    }
+
+    /// A statement with more `?`s than parameters is an arity error
+    /// before it runs, whether or not a row would reach the `?`: on a
+    /// row (1, 2) with `k` indexed, `k = 99` probes nothing.
+    #[test]
+    fn missing_parameters_fail_before_any_row_is_read() {
+        let db = Database::new();
+        db.exec_batch(&[
+            "CREATE TABLE t (k INT, v INT)",
+            "CREATE INDEX tk ON t (k)",
+            "INSERT INTO t VALUES (1, 2)",
+        ])
+        .unwrap();
+        for sql in [
+            "SELECT * FROM t WHERE k = 99 AND v = ?",
+            "UPDATE t SET v = 3 WHERE k = 99 AND v = ?",
+            "DELETE FROM t WHERE k = 99 AND v = ?",
+            "UPDATE t SET v = ? WHERE k = 99",
+        ] {
+            for k in ["99", "1"] {
+                let sql = sql.replace("99", k);
+                let got = db.exec(&sql, &[]);
+                assert!(matches!(got, Err(DbError::Arity(_))), "{sql}: {got:?}");
+                let tx = db.transaction(|tx| tx.exec(&sql, &[]));
+                assert!(
+                    matches!(tx, Err(DbError::Arity(_))),
+                    "{sql} in a transaction"
+                );
+            }
+        }
+        let rs = db.exec("SELECT * FROM t", &[]).unwrap();
+        assert_eq!(rs.rows, vec![vec![Value::Int(1), Value::Int(2)]]);
+        let rs = db
+            .exec("SELECT * FROM t WHERE k = 99 AND v = ?", &[Value::Int(2)])
+            .unwrap();
+        assert!(rs.rows.is_empty());
     }
 
     #[test]

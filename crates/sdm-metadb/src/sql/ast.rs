@@ -34,6 +34,18 @@ pub enum Expr {
     },
 }
 
+impl Expr {
+    /// One past the highest `?` index in the expression; 0 if it has none.
+    pub(crate) fn param_count(&self) -> usize {
+        match self {
+            Expr::Lit(_) | Expr::Col(_) => 0,
+            Expr::Param(i) => i + 1,
+            Expr::Binary { lhs, rhs, .. } => lhs.param_count().max(rhs.param_count()),
+            Expr::Not(e) | Expr::Neg(e) | Expr::IsNull { expr: e, .. } => e.param_count(),
+        }
+    }
+}
+
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinOp {
@@ -218,4 +230,25 @@ pub enum Statement {
         /// WHERE predicate.
         filter: Option<Expr>,
     },
+}
+
+impl Statement {
+    /// The parameters an execution must bind: one past the highest `?`
+    /// index in any of the statement's expressions.
+    pub(crate) fn param_count(&self) -> usize {
+        let exprs: Vec<&Expr> = match self {
+            Statement::Insert { rows, .. } => rows.iter().flatten().collect(),
+            Statement::Select { filter, .. } | Statement::Delete { filter, .. } => {
+                filter.iter().collect()
+            }
+            Statement::Update { sets, filter, .. } => {
+                sets.iter().map(|(_, e)| e).chain(filter).collect()
+            }
+            Statement::CreateTable { .. }
+            | Statement::DropTable { .. }
+            | Statement::CreateIndex { .. }
+            | Statement::DropIndex { .. } => Vec::new(),
+        };
+        exprs.into_iter().map(Expr::param_count).max().unwrap_or(0)
+    }
 }

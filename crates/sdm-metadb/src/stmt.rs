@@ -50,7 +50,7 @@
 use std::marker::PhantomData;
 use std::sync::Arc;
 
-use crate::error::DbResult;
+use crate::error::{DbError, DbResult};
 use crate::schema::ColType;
 use crate::sql::ast::{AggFunc, BinOp, Expr, OrderBy, SelExpr, SelectItem, Statement};
 use crate::sql::parse;
@@ -406,6 +406,8 @@ impl<R: Relation> Filter<R> {
 pub struct Stmt {
     ast: Arc<Statement>,
     table: Arc<str>,
+    /// The parameters an execution must bind.
+    params: usize,
 }
 
 impl Stmt {
@@ -422,6 +424,7 @@ impl Stmt {
             | Statement::DropIndex { table: name, .. } => Arc::from(name.as_str()),
         };
         Stmt {
+            params: ast.param_count(),
             ast: Arc::new(ast),
             table,
         }
@@ -449,6 +452,20 @@ impl Stmt {
     /// The executable AST.
     pub fn ast(&self) -> &Statement {
         &self.ast
+    }
+
+    /// Fail with [`DbError::Arity`] unless `params` binds every `?` of
+    /// the statement. Checked before execution, so the answer does not
+    /// depend on whether some row reaches the `?`.
+    pub(crate) fn check_params(&self, params: &[Value]) -> DbResult<()> {
+        if params.len() < self.params {
+            return Err(DbError::Arity(format!(
+                "the statement takes {} parameters (got {})",
+                self.params,
+                params.len()
+            )));
+        }
+        Ok(())
     }
 }
 

@@ -9,6 +9,9 @@
 //! list of `(byte offset, byte length)` segments with adjacent runs
 //! coalesced — the representation the I/O layer consumes.
 
+use std::ops::Deref;
+use std::sync::Arc;
+
 use crate::error::{MpiError, MpiResult};
 
 /// A derived datatype: a tree of layout combinators over an elementary
@@ -255,6 +258,40 @@ impl Flattened {
             end = off + len;
         }
         holes
+    }
+}
+
+/// A flattened filetype and the payload bytes before each of its
+/// segments, summed once: clones share both, so every file view installed
+/// with a dataset's filetype searches the same prefix sums.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Filetype(Arc<(Flattened, Vec<u64>)>);
+
+impl Filetype {
+    /// The payload bytes before each segment.
+    pub(crate) fn starts(&self) -> &[u64] {
+        &self.0 .1
+    }
+}
+
+impl From<Flattened> for Filetype {
+    fn from(ftype: Flattened) -> Self {
+        let mut sum = 0;
+        let starts = (ftype.segments.iter())
+            .map(|&(_, l)| {
+                sum += l;
+                sum - l
+            })
+            .collect();
+        Self(Arc::new((ftype, starts)))
+    }
+}
+
+impl Deref for Filetype {
+    type Target = Flattened;
+
+    fn deref(&self) -> &Flattened {
+        &self.0 .0
     }
 }
 

@@ -27,6 +27,8 @@ pub enum MpiError {
     Pfs(PfsError),
     /// Datatype/view construction error.
     InvalidDatatype(String),
+    /// A peer's message breaks the protocol it is part of.
+    Protocol(String),
 }
 
 impl fmt::Display for MpiError {
@@ -47,6 +49,7 @@ impl fmt::Display for MpiError {
             }
             MpiError::Pfs(e) => write!(f, "file system: {e}"),
             MpiError::InvalidDatatype(s) => write!(f, "invalid datatype: {s}"),
+            MpiError::Protocol(s) => write!(f, "protocol violation: {s}"),
         }
     }
 }

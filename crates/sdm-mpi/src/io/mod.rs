@@ -11,7 +11,7 @@ use std::sync::Arc;
 use sdm_pfs::{Pfs, PfsError, PfsFile};
 
 use crate::comm::Comm;
-use crate::datatype::Flattened;
+use crate::datatype::Filetype;
 use crate::error::MpiResult;
 use crate::pod::{as_bytes, as_bytes_mut, Pod};
 
@@ -132,8 +132,14 @@ impl MpiFile {
     }
 
     /// Install a file view (`MPI_File_set_view`): `disp` plus a flattened
-    /// filetype. Charges the view cost.
-    pub fn set_view(&mut self, comm: &mut Comm, disp: u64, ftype: Flattened) -> MpiResult<()> {
+    /// filetype, shared rather than copied when it is a [`Filetype`].
+    /// Charges the view cost.
+    pub fn set_view(
+        &mut self,
+        comm: &mut Comm,
+        disp: u64,
+        ftype: impl Into<Filetype>,
+    ) -> MpiResult<()> {
         self.view = FileView::new(disp, ftype)?;
         let t = self.pfs.view_cost(comm.now());
         comm.sync_to(t);
@@ -179,7 +185,7 @@ impl MpiFile {
     pub fn write_view<T: Pod>(&self, comm: &mut Comm, view_off: u64, data: &[T]) -> MpiResult<()> {
         self.sync(comm);
         let bytes = as_bytes(data);
-        let segs = self.view.segments(view_off, bytes.len() as u64);
+        let segs: Vec<_> = self.view.segments(view_off, bytes.len() as u64).collect();
         let t = sieve::sieved_write(&self.pfs, &self.file, &segs, bytes, &self.hints, comm.now())?;
         comm.sync_to(t);
         Ok(())
@@ -195,7 +201,7 @@ impl MpiFile {
     ) -> MpiResult<()> {
         self.sync(comm);
         let nbytes = std::mem::size_of_val(buf) as u64;
-        let segs = self.view.segments(view_off, nbytes);
+        let segs: Vec<_> = self.view.segments(view_off, nbytes).collect();
         let bytes = as_bytes_mut(buf);
         let t = sieve::sieved_read(&self.pfs, &self.file, &segs, bytes, &self.hints, comm.now())?;
         comm.sync_to(t);

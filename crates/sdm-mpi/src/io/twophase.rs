@@ -205,20 +205,25 @@ impl Schedule {
     }
 
     /// The one planning pass: split a rank's segments (ascending and
-    /// disjoint, as a file view yields them) by aggregator domain.
-    fn plan(&self, segs: &[(u64, u64)]) -> Vec<Vec<Piece>> {
-        debug_assert!(
-            segs.windows(2).all(|w| w[0].0 + w[0].1 <= w[1].0),
-            "collective I/O needs ascending, disjoint segments"
-        );
+    /// disjoint, as a file view yields them, and `nbytes` long) at the
+    /// domain boundaries they cross, following the domains along.
+    fn plan(&self, segs: impl Iterator<Item = (u64, u64)>, nbytes: usize) -> Vec<Vec<Piece>> {
         let mut per_agg: Vec<Vec<Piece>> = vec![Vec::new(); self.naggs];
+        let (mut d, mut dhi) = (0, self.domain(0).1);
         let mut pos = 0u64;
-        for &(off, len) in segs {
+        for (off, len) in segs {
+            debug_assert!(
+                per_agg[d].last().is_none_or(|p| p.off + p.len <= off),
+                "collective I/O needs ascending, disjoint segments"
+            );
             let end = off + len;
             let mut cur = off;
             while cur < end {
-                let d = ((cur - self.gmin) / self.share) as usize;
-                let upto = end.min(self.domain(d).1);
+                while dhi <= cur {
+                    d += 1;
+                    dhi = self.domain(d).1;
+                }
+                let upto = end.min(dhi);
                 per_agg[d].push(Piece {
                     off: cur,
                     len: upto - cur,
@@ -228,6 +233,7 @@ impl Schedule {
             }
             pos += len;
         }
+        debug_assert_eq!(pos, nbytes as u64);
         per_agg
     }
 }
@@ -261,6 +267,11 @@ fn window_bytes(pieces: &[Piece], mut cur: usize, wlo: u64, whi: u64) -> usize {
     n
 }
 
+/// The file range `[lo, hi)` ascending segments span, if any.
+fn span(segs: &[(u64, u64)]) -> Option<(u64, u64)> {
+    Some((segs.first()?.0, segs.last().map(|&(o, l)| o + l)?))
+}
+
 /// Encoded length of the descriptors of `n` pieces.
 fn header_len(n: usize) -> usize {
     8 + n * 16
@@ -279,8 +290,10 @@ fn push_header(msg: &mut Vec<u8>, pieces: &[Piece]) {
 /// Decode the descriptors at the front of `bytes` and return them with
 /// their encoded length. An empty message holds none. The count comes
 /// from a peer: one that no message could hold is a `LengthMismatch`,
-/// whatever arithmetic it would overflow.
-fn decode_header(bytes: &[u8]) -> MpiResult<(Vec<Piece>, usize)> {
+/// whatever arithmetic it would overflow. So do the pieces: each must be
+/// non-empty, start at or after the end of the one before, and lie in
+/// the aggregator's `domain`, or the message is a `Protocol` error.
+fn decode_header(bytes: &[u8], (dlo, dhi): (u64, u64)) -> MpiResult<(Vec<Piece>, usize)> {
     if bytes.is_empty() {
         return Ok((Vec::new(), 0));
     }
@@ -300,15 +313,65 @@ fn decode_header(bytes: &[u8]) -> MpiResult<(Vec<Piece>, usize)> {
         .and_then(|end| bytes.get(8..end))
         .ok_or_else(|| short(end.unwrap_or(usize::MAX)))?;
     let (words, _) = body.as_chunks::<8>();
-    let pieces = words
-        .chunks_exact(2)
-        .map(|w| Piece {
-            off: u64::from_ne_bytes(w[0]),
-            len: u64::from_ne_bytes(w[1]),
-            pos: 0,
-        })
-        .collect();
+    let mut pieces = Vec::with_capacity(words.len() / 2);
+    let mut at = dlo;
+    for w in words.chunks_exact(2) {
+        let (off, len) = (u64::from_ne_bytes(w[0]), u64::from_ne_bytes(w[1]));
+        at = (off.checked_add(len))
+            .filter(|&end| len > 0 && off >= at && end <= dhi)
+            .ok_or_else(|| {
+                MpiError::Protocol(format!(
+                    "descriptor ({off}, {len}) after byte {at} is not an ascending, \
+                     disjoint piece of the domain [{dlo}, {dhi})"
+                ))
+            })?;
+        pieces.push(Piece { off, len, pos: 0 });
+    }
     Ok((pieces, 8 + body.len()))
+}
+
+/// `Err` unless `msg` is `header` descriptor bytes and the `payload`
+/// bytes they claim.
+fn check_payload(msg: &[u8], header: usize, payload: usize) -> MpiResult<()> {
+    let (expected, got) = (header + payload, msg.len());
+    let mismatch = MpiError::LengthMismatch { expected, got };
+    (got == expected).then_some(()).ok_or(mismatch)
+}
+
+/// Merge two ascending lists of `[lo, hi)` intervals into their union,
+/// ascending, joining intervals that overlap or touch.
+fn merge(
+    a: impl Iterator<Item = (u64, u64)>,
+    b: impl Iterator<Item = (u64, u64)>,
+) -> Vec<(u64, u64)> {
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    // The interval being joined, pushed once the next one leaves a gap.
+    let (mut out, mut kept) = (Vec::new(), None::<(u64, u64)>);
+    while let Some(next) = match (a.peek(), b.peek()) {
+        (Some(x), Some(y)) if y.0 < x.0 => b.next(),
+        (Some(_), _) => a.next(),
+        (None, _) => b.next(),
+    } {
+        match &mut kept {
+            Some(k) if next.0 <= k.1 => k.1 = k.1.max(next.1),
+            _ => out.extend(kept.replace(next)),
+        }
+    }
+    out.extend(kept);
+    out
+}
+
+/// The union of every source's pieces as disjoint, non-adjacent `[lo,
+/// hi)` intervals, ascending: the sources' ascending lists merged
+/// pairwise, halves of the sources at a time.
+fn union(sources: &[Vec<Piece>]) -> Vec<(u64, u64)> {
+    let ends = |p: &Piece| (p.off, p.off + p.len);
+    if sources.len() <= 2 {
+        let (a, b) = sources.split_at(sources.len().min(1));
+        return merge(a.iter().flatten().map(ends), b.iter().flatten().map(ends));
+    }
+    let (a, b) = sources.split_at(sources.len() / 2);
+    merge(union(a).into_iter(), union(b).into_iter())
 }
 
 /// The memory an aggregator moves a file's data through, and what the
@@ -373,28 +436,17 @@ impl Aggregator {
     }
 
     /// Take in the descriptors at the front of every other rank's
-    /// message. Returns the descriptors' encoded length per source (what
-    /// precedes any payload).
-    fn learn(&mut self, received: &[Vec<u8>]) -> MpiResult<Vec<usize>> {
+    /// message, each checked against this aggregator's `domain`. Returns
+    /// the descriptors' encoded length per source (what precedes any
+    /// payload).
+    fn learn(&mut self, received: &[Vec<u8>], domain: (u64, u64)) -> MpiResult<Vec<usize>> {
         let mut header = vec![0; received.len()];
         for (src, msg) in received.iter().enumerate() {
             if src != self.rank {
-                (self.pieces[src], header[src]) = decode_header(msg)?;
+                (self.pieces[src], header[src]) = decode_header(msg, domain)?;
             }
         }
-        self.cover = (self.pieces.iter().flatten())
-            .map(|p| (p.off, p.off + p.len))
-            .collect();
-        // Stable sort: the input is one ascending run per source, which
-        // it merges instead of sorting from scratch.
-        self.cover.sort();
-        self.cover.dedup_by(|next, kept| {
-            let joins = next.0 <= kept.1;
-            if joins {
-                kept.1 = kept.1.max(next.1);
-            }
-            joins
-        });
+        self.cover = union(&self.pieces);
         Ok(header)
     }
 
@@ -449,9 +501,10 @@ impl MpiFile {
         view_off: u64,
         data: &[T],
     ) -> MpiResult<()> {
-        let bytes = as_bytes(data);
-        let my_segs = self.view().segments(view_off, bytes.len() as u64);
-        self.two_phase_write(comm, &my_segs, bytes)
+        let (bytes, view) = (as_bytes(data), &self.view);
+        let len = bytes.len() as u64;
+        let (span, segs) = (view.span(view_off, len), view.segments(view_off, len));
+        self.two_phase_write(comm, span, segs, bytes)
     }
 
     /// Wait for the collective writes begun on this handle (what
@@ -470,10 +523,10 @@ impl MpiFile {
         view_off: u64,
         buf: &mut [T],
     ) -> MpiResult<()> {
-        let nbytes = std::mem::size_of_val(buf) as u64;
-        let my_segs = self.view().segments(view_off, nbytes);
-        let bytes = as_bytes_mut(buf);
-        self.two_phase_read(comm, &my_segs, bytes)
+        let (buf, view) = (as_bytes_mut(buf), &self.view);
+        let len = buf.len() as u64;
+        let (span, segs) = (view.span(view_off, len), view.segments(view_off, len));
+        self.two_phase_read(comm, span, segs, buf)
     }
 
     /// Collective write of explicit absolute segments, ascending and
@@ -498,7 +551,7 @@ impl MpiFile {
         segs: &[(u64, u64)],
         data: &[u8],
     ) -> MpiResult<()> {
-        self.two_phase_write(comm, segs, data)
+        self.two_phase_write(comm, span(segs), segs.iter().copied(), data)
     }
 
     /// Collective read of explicit absolute segments, ascending and
@@ -509,32 +562,27 @@ impl MpiFile {
         segs: &[(u64, u64)],
         buf: &mut [u8],
     ) -> MpiResult<()> {
-        self.two_phase_read(comm, segs, buf)
+        self.two_phase_read(comm, span(segs), segs.iter().copied(), buf)
     }
 
-    /// Global byte range of all ranks' requests; `None` if all are empty.
-    fn global_range(&self, comm: &mut Comm, segs: &[(u64, u64)]) -> MpiResult<Option<(u64, u64)>> {
-        let lo = segs.first().map_or(u64::MAX, |&(o, _)| o);
-        let hi = segs.last().map_or(0, |&(o, l)| o + l);
+    /// Agree on the schedule of one collective over the global range of
+    /// the ranks' requests, this rank's spanning `span`, a read's with
+    /// the window sizes `shrinking`; `None` if no rank requests anything.
+    fn schedule(
+        &self,
+        comm: &mut Comm,
+        span: Option<(u64, u64)>,
+        shrinking: bool,
+    ) -> MpiResult<Option<Schedule>> {
+        let (lo, hi) = span.unwrap_or((u64::MAX, 0));
         // One reduction for both ends: the minimum of `MAX - hi` is the
         // maximum of `hi`.
         let ends = comm.allreduce_min(&[lo, u64::MAX - hi])?;
         let (gmin, gmax) = (ends[0], u64::MAX - ends[1]);
-        Ok((gmin < gmax).then_some((gmin, gmax)))
-    }
-
-    /// Agree on the schedule of one collective, a read's with the window
-    /// sizes `shrinking`; `None` if no rank requests anything.
-    fn schedule(
-        &self,
-        comm: &mut Comm,
-        segs: &[(u64, u64)],
-        shrinking: bool,
-    ) -> MpiResult<Option<Schedule>> {
         let cfg = self.pfs().config();
-        Ok(self.global_range(comm, segs)?.map(|range| {
+        Ok((gmin < gmax).then(|| {
             Schedule::new(
-                range,
+                (gmin, gmax),
                 self.hints().aggregators(comm.size()),
                 (cfg.stripe_size * cfg.io_servers) as u64,
                 self.hints().cb_buffer_size as u64,
@@ -549,19 +597,16 @@ impl MpiFile {
     fn two_phase_write(
         &mut self,
         comm: &mut Comm,
-        segs: &[(u64, u64)],
+        span: Option<(u64, u64)>,
+        segs: impl Iterator<Item = (u64, u64)>,
         data: &[u8],
     ) -> MpiResult<()> {
-        debug_assert_eq!(
-            segs.iter().map(|&(_, l)| l).sum::<u64>() as usize,
-            data.len()
-        );
-        let Some(sched) = self.schedule(comm, segs, false)? else {
+        let Some(sched) = self.schedule(comm, span, false)? else {
             comm.barrier();
             return Ok(());
         };
         let (rank, size) = (comm.rank(), comm.size());
-        let mut plan = sched.plan(segs);
+        let mut plan = sched.plan(segs, data.len());
         let mut agg = (rank < sched.naggs)
             .then(|| Aggregator::new(size, rank, std::mem::take(&mut plan[rank])));
         let mut send_cur = vec![0usize; sched.naggs];
@@ -610,9 +655,14 @@ impl MpiFile {
 
             let Some(agg) = &mut agg else { continue };
             if r == 0 {
-                header = agg.learn(&received)?;
+                header = agg.learn(&received, sched.domain(rank))?;
             }
             let (wlo, whi) = sched.window(rank, r);
+            // Every peer's payload is checked before anything is copied.
+            for (src, msg) in received.iter().enumerate().filter(|&(src, _)| src != rank) {
+                let payload = window_bytes(&agg.pieces[src], agg.cur[src], wlo, whi);
+                check_payload(msg, header[src], payload)?;
+            }
             if let Some((lo, hi, holes)) = agg.touched(wlo, whi) {
                 let span = self.staging.span(half, (hi - lo) as usize);
                 if holes {
@@ -678,21 +728,18 @@ impl MpiFile {
     fn two_phase_read(
         &mut self,
         comm: &mut Comm,
-        segs: &[(u64, u64)],
+        span: Option<(u64, u64)>,
+        segs: impl Iterator<Item = (u64, u64)>,
         buf: &mut [u8],
     ) -> MpiResult<()> {
-        debug_assert_eq!(
-            segs.iter().map(|&(_, l)| l).sum::<u64>() as usize,
-            buf.len()
-        );
         // Reads are not deferred and need both halves.
         self.sync(comm);
-        let Some(sched) = self.schedule(comm, segs, true)? else {
+        let Some(sched) = self.schedule(comm, span, true)? else {
             comm.barrier();
             return Ok(());
         };
         let (rank, size) = (comm.rank(), comm.size());
-        let mut plan = sched.plan(segs);
+        let mut plan = sched.plan(segs, buf.len());
         let mut agg = (rank < sched.naggs)
             .then(|| Aggregator::new(size, rank, std::mem::take(&mut plan[rank])));
 
@@ -710,7 +757,7 @@ impl MpiFile {
         // the time its read completes.
         let mut staged: [Option<(u64, Seconds)>; 2] = [None; 2];
         if let Some(agg) = &mut agg {
-            agg.learn(&received)?;
+            agg.learn(&received, sched.domain(rank))?;
             staged[0] = self.read_ahead(agg, sched.window(rank, 0), 0, comm.now())?;
         }
         drop(received);
@@ -757,11 +804,15 @@ impl MpiFile {
             let replies = comm.alltoallv_bytes(replies)?;
             for (d, pieces) in plan.iter().enumerate() {
                 let (wlo, whi) = sched.window(d, r);
-                let mut at = 0;
+                let (reply, mut at) = (&replies[d], 0);
+                // A short reply fails once what it holds is copied.
                 walk_window(pieces, &mut reply_cur[d], wlo, whi, |_, len, pos| {
-                    buf[pos..pos + len].copy_from_slice(&replies[d][at..at + len]);
+                    if let Some(from) = reply.get(at..at + len) {
+                        buf[pos..pos + len].copy_from_slice(from);
+                    }
                     at += len;
                 });
+                check_payload(reply, 0, at)?;
             }
         }
 
@@ -1133,7 +1184,7 @@ mod tests {
 
     /// A collective that fits in one round has nothing to overlap: it
     /// costs what the serial engine charged, less the reduction that
-    /// `global_range` fused away. The two domains are one stripe unit
+    /// `schedule` fused away. The two domains are one stripe unit
     /// each, on different servers, so no queue depends on thread timing.
     #[test]
     fn single_round_costs_what_the_serial_engine_did_less_one_reduction() {
@@ -1316,14 +1367,163 @@ mod tests {
             msg.extend_from_slice(&[0; 32]);
             assert!(
                 matches!(
-                    decode_header(&msg),
+                    decode_header(&msg, (0, u64::MAX)),
                     Err(MpiError::LengthMismatch { got: 40, .. })
                 ),
                 "count {count}"
             );
         }
-        let (pieces, len) = decode_header(&[&2u64.to_ne_bytes()[..], &[0; 40]].concat()).unwrap();
+        let msg = header_of(&[(0, 8), (16, 8)], 8);
+        let (pieces, len) = decode_header(&msg, (0, u64::MAX)).unwrap();
         assert_eq!((pieces.len(), len), (2, 40));
+    }
+
+    /// Descriptors of `pieces`, then `payload` bytes.
+    fn header_of(pieces: &[(u64, u64)], payload: usize) -> Vec<u8> {
+        let pieces: Vec<Piece> = (pieces.iter())
+            .map(|&(off, len)| Piece { off, len, pos: 0 })
+            .collect();
+        let mut msg = Vec::new();
+        push_header(&mut msg, &pieces);
+        msg.resize(msg.len() + payload, 0);
+        msg
+    }
+
+    /// A peer's pieces must ascend without overlap, hold a byte each and
+    /// lie in the aggregator's domain; touching pieces are fine.
+    #[test]
+    fn decode_header_rejects_pieces_out_of_order_or_domain() {
+        let domain = (16, 200);
+        for bad in [
+            &[(100, 8), (50, 8)][..],
+            &[(16, 16), (24, 8)],
+            &[(8, 16)],
+            &[(196, 8)],
+            &[(32, 0)],
+            &[(u64::MAX, 2)],
+        ] {
+            assert!(
+                matches!(
+                    decode_header(&header_of(bad, 0), domain),
+                    Err(MpiError::Protocol(_))
+                ),
+                "{bad:?}"
+            );
+        }
+        let (pieces, _) =
+            decode_header(&header_of(&[(16, 8), (24, 8), (192, 8)], 0), domain).unwrap();
+        assert_eq!(pieces.len(), 3);
+    }
+
+    /// The aggregator refuses descending descriptors when it learns
+    /// them, before `walk_window` could underflow on them.
+    #[test]
+    fn learn_rejects_descending_descriptors() {
+        let mut agg = Aggregator::new(2, 0, Vec::new());
+        let received = [Vec::new(), header_of(&[(100, 8), (50, 8)], 16)];
+        assert!(matches!(
+            agg.learn(&received, (0, 200)),
+            Err(MpiError::Protocol(_))
+        ));
+    }
+
+    /// A round whose payload is shorter than the descriptors claim fails
+    /// instead of indexing past the message: on the aggregator of a
+    /// write, and on the requester of a read. Rank 1, then rank 0, plays
+    /// its side of the protocol by hand.
+    #[test]
+    fn short_payload_is_an_error() {
+        let pfs = tiny_pfs();
+        let hints = crate::io::Hints {
+            cb_nodes: Some(1),
+            ..Default::default()
+        };
+        let out = World::run(2, MachineConfig::test_tiny(), |c| {
+            let mut f = MpiFile::open_collective(c, &pfs, "short.bin", true).unwrap();
+            f.set_hints(hints.clone());
+            if c.rank() == 0 {
+                return f.write_all_segments(c, &[(0, 8)], &[1; 8]).err();
+            }
+            // The global range [0, 16), then 8 bytes claimed at 8 and 4 sent.
+            c.allreduce_min(&[8u64, u64::MAX - 16]).unwrap();
+            c.alltoallv_bytes(vec![header_of(&[(8, 8)], 4), Vec::new()])
+                .unwrap();
+            None
+        });
+        let short = |expected, got| Some(MpiError::LengthMismatch { expected, got });
+        assert_eq!(out[0], short(24 + 8, 24 + 4));
+        let out = World::run(2, MachineConfig::test_tiny(), |c| {
+            let mut f = MpiFile::open_collective(c, &pfs, "short.bin", true).unwrap();
+            f.set_hints(hints.clone());
+            if c.rank() == 1 {
+                let err = f.read_all_segments(c, &[(0, 8)], &mut [0; 8]).err();
+                // Meet rank 0 where the read's closing barrier would have.
+                if err.is_some() {
+                    c.barrier();
+                }
+                return err;
+            }
+            // No request of its own, no descriptors, then 4 of 8 bytes.
+            c.allreduce_min(&[u64::MAX, u64::MAX]).unwrap();
+            c.alltoallv_bytes(vec![Vec::new(); 2]).unwrap();
+            c.alltoallv_bytes(vec![Vec::new(), vec![0; 4]]).unwrap();
+            c.barrier();
+            None
+        });
+        assert_eq!(out[1], short(8, 4));
+    }
+
+    /// The reference for `union`: every interval collected and sorted,
+    /// and the ones that overlap or touch joined.
+    fn sorted_union(sources: &[Vec<Piece>]) -> Vec<(u64, u64)> {
+        let mut cover: Vec<(u64, u64)> = (sources.iter().flatten())
+            .map(|p| (p.off, p.off + p.len))
+            .collect();
+        cover.sort();
+        cover.dedup_by(|next, kept| {
+            let joins = next.0 <= kept.1;
+            if joins {
+                kept.1 = kept.1.max(next.1);
+            }
+            joins
+        });
+        cover
+    }
+
+    /// The reference for `Schedule::plan`: one division per piece finds
+    /// its domain.
+    fn divided_plan(sched: &Schedule, segs: &[(u64, u64)]) -> Vec<Vec<Piece>> {
+        let mut per_agg: Vec<Vec<Piece>> = vec![Vec::new(); sched.naggs];
+        let mut pos = 0u64;
+        for &(off, len) in segs {
+            let end = off + len;
+            let mut cur = off;
+            while cur < end {
+                let d = ((cur - sched.gmin) / sched.share) as usize;
+                let upto = end.min(sched.domain(d).1);
+                per_agg[d].push(Piece {
+                    off: cur,
+                    len: upto - cur,
+                    pos: pos + (cur - off),
+                });
+                cur = upto;
+            }
+            pos += len;
+        }
+        per_agg
+    }
+
+    /// Ascending, disjoint `(offset, length)` pieces from `(gap, length)`
+    /// steps starting at `start`: a zero gap makes two pieces touch.
+    fn ascending(start: u64, steps: &[(u64, u64)]) -> Vec<(u64, u64)> {
+        let mut at = start;
+        (steps.iter())
+            .map(|&(gap, len)| {
+                let piece = (at + gap, len);
+                at += gap + len;
+                piece
+            })
+            .collect()
     }
 
     proptest::proptest! {
@@ -1395,6 +1595,47 @@ mod tests {
                 let cut = sizes[0].iter().filter(|&len| len % cycle != 0).count();
                 proptest::prop_assert!(cut <= 1, "{} windows are not whole cycles", cut);
             }
+        }
+
+        /// The merged union equals the sorted one for 1–8 sources whose
+        /// pieces overlap across sources, touch and leave sources empty.
+        #[test]
+        fn union_equals_the_sorted_union(
+            sources in proptest::collection::vec(
+                (0u64..64, proptest::collection::vec((0u64..4, 1u64..12), 0..24)),
+                1..9,
+            ),
+        ) {
+            let sources: Vec<Vec<Piece>> = (sources.iter())
+                .map(|(start, steps)| {
+                    (ascending(*start, steps).into_iter())
+                        .map(|(off, len)| Piece { off, len, pos: 0 })
+                        .collect()
+                })
+                .collect();
+            proptest::prop_assert_eq!(union(&sources), sorted_union(&sources));
+        }
+
+        /// The one-pass plan equals one division per piece, for any range,
+        /// aggregator count and segments inside the range.
+        #[test]
+        fn plan_equals_the_divided_plan(
+            gmin in 0u64..1000,
+            naggs in 1usize..9,
+            start in 0u64..16,
+            steps in proptest::collection::vec((0u64..40, 1u64..40), 1..40),
+            tail in 0u64..64,
+        ) {
+            let segs: Vec<(u64, u64)> = (ascending(start, &steps).into_iter())
+                .map(|(off, len)| (gmin + off, len))
+                .collect();
+            let gmax = segs.last().map_or(gmin, |&(o, l)| o + l) + tail;
+            let bytes = segs.iter().map(|&(_, l)| l as usize).sum();
+            let sched = Schedule::new((gmin, gmax), naggs, 64, 1 << 10, false);
+            proptest::prop_assert_eq!(
+                sched.plan(segs.iter().copied(), bytes),
+                divided_plan(&sched, &segs)
+            );
         }
     }
 }
