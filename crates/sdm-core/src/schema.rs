@@ -12,12 +12,12 @@
 //! use sdm_core::schema::{ExecutionCol, ExecutionRow};
 //! use sdm_metadb::stmt::{param, Query, TypedColumn};
 //!
-//! // "Where did the last k timesteps of this run's dataset land?"
+//! // "Where did every timestep of this run's dataset land?"
 //! let stmt = Query::<ExecutionRow>::filter(
 //!     ExecutionCol::Runid.eq(param(0)).and(ExecutionCol::Dataset.eq(param(1))),
 //! )
-//! .order_by_desc(ExecutionCol::Timestep)
-//! .limit(8)
+//! .select(&[ExecutionCol::Timestep, ExecutionCol::FileOffset])
+//! .order_by(ExecutionCol::Timestep)
 //! .compile();
 //! assert_eq!(stmt.table(), "execution_table");
 //! ```

@@ -305,9 +305,8 @@ impl Database {
 
     /// Execute a typed [`Stmt`] with positional `?` parameters. This is
     /// the text-free execution path: no lexing, no SQL string
-    /// ([`DbStats::parse_misses`] does not move). The executor plans
-    /// index use per execution and evaluates the statement's
-    /// expressions by walking its AST.
+    /// ([`DbStats::parse_misses`] does not move). The executor resolves
+    /// the statement's pins and picks its index once per execution.
     pub fn exec_stmt(&self, stmt: &Stmt, params: &[Value]) -> DbResult<ResultSet> {
         self.engine()?.autocommit(stmt, params)
     }
@@ -353,14 +352,6 @@ impl Database {
         }
     }
 
-    /// Execute several `;`-free statements in order (schema setup).
-    pub fn exec_batch(&self, stmts: &[&str]) -> DbResult<()> {
-        for s in stmts {
-            self.exec(s, &[])?;
-        }
-        Ok(())
-    }
-
     /// Whether a table exists.
     pub fn has_table(&self, name: &str) -> bool {
         self.inspect().catalog.contains(name)
@@ -400,10 +391,12 @@ mod tests {
             .exec("SELECT v FROM kv WHERE k = ?", &[Value::from("y")])
             .unwrap();
         assert_eq!(rs.scalar(), Some(&Value::Int(2)));
-        let rs = db.exec("UPDATE kv SET v = v * 10", &[]).unwrap();
-        assert_eq!(rs.affected, 2);
+        let rs = db
+            .exec("UPDATE kv SET v = ? WHERE k = 'x'", &[Value::Int(30)])
+            .unwrap();
+        assert_eq!(rs.affected, 1);
         let rs = db.exec("SELECT v FROM kv ORDER BY v", &[]).unwrap();
-        assert_eq!(rs.rows, vec![vec![Value::Int(10)], vec![Value::Int(20)]]);
+        assert_eq!(rs.rows, vec![vec![Value::Int(2)], vec![Value::Int(30)]]);
     }
 
     #[test]
@@ -439,30 +432,19 @@ mod tests {
         assert_eq!(rs.len(), 400);
     }
 
-    #[test]
-    fn exec_batch_runs_all() {
-        let db = Database::new();
-        db.exec_batch(&[
-            "CREATE TABLE a (x INT)",
-            "CREATE TABLE b (y INT)",
-            "INSERT INTO a VALUES (1)",
-        ])
-        .unwrap();
-        assert!(db.has_table("a") && db.has_table("b"));
-    }
-
     /// A statement with more `?`s than parameters is an arity error
     /// before it runs, whether or not a row would reach the `?`: on a
     /// row (1, 2) with `k` indexed, `k = 99` probes nothing.
     #[test]
     fn missing_parameters_fail_before_any_row_is_read() {
         let db = Database::new();
-        db.exec_batch(&[
+        for sql in [
             "CREATE TABLE t (k INT, v INT)",
             "CREATE INDEX tk ON t (k)",
             "INSERT INTO t VALUES (1, 2)",
-        ])
-        .unwrap();
+        ] {
+            db.exec(sql, &[]).unwrap();
+        }
         for sql in [
             "SELECT * FROM t WHERE k = 99 AND v = ?",
             "UPDATE t SET v = 3 WHERE k = 99 AND v = ?",
@@ -641,13 +623,13 @@ mod tests {
         db.exec("CREATE INDEX tk ON t (k)", &[]).unwrap();
         db.reset_stats();
         db.exec("SELECT * FROM t WHERE k = 5", &[]).unwrap();
-        // No index answers `k + 0`, so this one scans.
-        db.exec("SELECT * FROM t WHERE k + 0 > 5", &[]).unwrap();
+        // No WHERE, no index to probe: this one scans.
+        db.exec("SELECT * FROM t", &[]).unwrap();
         let s = db.stats();
         assert_eq!((s.index_scans, s.full_scans), (1, 1));
-        // The index probe touched one row; the fallback scanned all 20.
+        // The index probe touched one row; the scan all 20.
         assert_eq!(s.rows_scanned, 21);
-        assert_eq!(s.rows_returned, 15);
+        assert_eq!(s.rows_returned, 21);
     }
 
     #[test]
@@ -678,7 +660,6 @@ mod tests {
 
     #[test]
     fn deeply_nested_sql_is_a_parse_error_not_a_stack_overflow() {
-        use crate::sql::parser::MAX_EXPR_DEPTH;
         let db = Database::new();
         db.exec("CREATE TABLE t (a INT)", &[]).unwrap();
         db.exec("INSERT INTO t VALUES (1)", &[]).unwrap();
@@ -693,51 +674,73 @@ mod tests {
         for where_ in &hostile {
             let sql = format!("SELECT a FROM t WHERE {where_}");
             assert!(
-                matches!(db.exec(&sql, &[]), Err(DbError::Parse(_))),
+                matches!(db.exec(&sql, &[]), Err(DbError::Parse(_) | DbError::Lex(_))),
                 "{}…",
                 &where_[..16]
             );
         }
-        // Just inside the cap, the same shapes parse and evaluate.
-        let d = MAX_EXPR_DEPTH - 1;
-        let fine = [
-            format!("{}a = 1{}", "(".repeat(d), ")".repeat(d)),
-            format!("{}a = 1", "NOT NOT ".repeat(d / 2 - 1)),
-            format!("{}a = 1", "- - ".repeat(d / 2 - 1)),
-            format!("{} = 1", vec!["a"; d / 2].join(" * ")),
-            vec!["a = 1"; d / 2].join(" OR "),
-        ];
-        for where_ in &fine {
-            let rs = db.exec(&format!("SELECT a FROM t WHERE {where_}"), &[]);
-            assert_eq!(rs.unwrap().rows, vec![vec![Value::Int(1)]], "{where_}");
-        }
+        // The grammar does not recurse, so a pin chain as long is fine.
+        let pins = vec!["a = 1"; n].join(" AND ");
+        let rs = db.exec(&format!("SELECT a FROM t WHERE {pins}"), &[]);
+        assert_eq!(rs.unwrap().rows, vec![vec![Value::Int(1)]]);
     }
 
     #[test]
-    fn unknown_column_over_an_empty_table_is_not_an_error() {
-        // Column names resolve per evaluated row, so no row means no
-        // error — the same answer with or without an index to probe.
+    fn removed_constructs_are_lex_or_parse_errors() {
+        let db = Database::new();
+        db.exec("CREATE TABLE t (a INT, b TEXT)", &[]).unwrap();
+        db.exec("INSERT INTO t VALUES (1, 'x')", &[]).unwrap();
+        for (construct, sql) in [
+            ("OR", "SELECT a FROM t WHERE a = 1 OR a = 2"),
+            ("NOT", "SELECT a FROM t WHERE NOT a = 1"),
+            ("<", "SELECT a FROM t WHERE a < 2"),
+            (">=", "DELETE FROM t WHERE a >= 0"),
+            ("!=", "UPDATE t SET b = 'y' WHERE a != 1"),
+            ("IS NULL", "SELECT a FROM t WHERE b IS NULL"),
+            ("+", "UPDATE t SET a = a + 1"),
+            ("SUM", "SELECT SUM(a) FROM t"),
+            ("AVG", "SELECT AVG(a) FROM t"),
+            ("MIN", "SELECT MIN(a) FROM t"),
+            ("LIMIT", "SELECT a FROM t LIMIT 1"),
+            ("DESC", "SELECT a FROM t ORDER BY a DESC"),
+            ("AS", "SELECT a AS n FROM t"),
+            ("t.c", "SELECT t.a FROM t"),
+            ("INSERT … (cols)", "INSERT INTO t (a) VALUES (2)"),
+        ] {
+            let got = db.exec(sql, &[]);
+            assert!(
+                matches!(got, Err(DbError::Parse(_) | DbError::Lex(_))),
+                "{construct}: {got:?}"
+            );
+        }
+        let rs = db.exec("SELECT * FROM t", &[]).unwrap();
+        assert_eq!(rs.rows, vec![vec![Value::Int(1), Value::from("x")]]);
+    }
+
+    #[test]
+    fn unknown_column_is_an_error_before_any_row_is_read() {
+        // Pins and assignments resolve before the first row is read, so
+        // an empty table and a full one give the same error, with or
+        // without an index to probe.
         let db = Database::new();
         db.exec("CREATE TABLE t (a INT)", &[]).unwrap();
-        for sql in [
+        let sqls = [
             "SELECT a FROM t WHERE nope = 1",
             "SELECT COUNT(*) FROM t WHERE nope = 1",
-            "UPDATE t SET a = nope WHERE nope = 1",
+            "UPDATE t SET nope = 1 WHERE a = 1",
+            "UPDATE t SET a = 1 WHERE nope = 1",
             "DELETE FROM t WHERE nope = 1",
-        ] {
-            assert!(db.exec(sql, &[]).is_ok(), "{sql}");
-        }
-        db.exec("INSERT INTO t VALUES (1)", &[]).unwrap();
-        for sql in [
-            "SELECT a FROM t WHERE nope = 1",
-            "SELECT COUNT(*) FROM t WHERE nope = 1",
-            "UPDATE t SET a = nope",
-            "DELETE FROM t WHERE nope = 1",
-        ] {
-            assert!(
-                matches!(db.exec(sql, &[]), Err(DbError::NoSuchColumn(_))),
-                "{sql}"
-            );
+        ];
+        for fill in ["", "INSERT INTO t VALUES (1)", "CREATE INDEX ta ON t (a)"] {
+            if !fill.is_empty() {
+                db.exec(fill, &[]).unwrap();
+            }
+            for sql in sqls {
+                assert!(
+                    matches!(db.exec(sql, &[]), Err(DbError::NoSuchColumn(_))),
+                    "{sql} after {fill:?}"
+                );
+            }
         }
     }
 
@@ -844,7 +847,7 @@ mod tests {
         let db = Database::open(dir.path()).unwrap();
         db.exec("CREATE TABLE t (k INT, b TEXT)", &[]).unwrap();
         for i in 0..20 {
-            db.exec("INSERT INTO t (k) VALUES (?)", &[Value::Int(i % 4)])
+            db.exec("INSERT INTO t VALUES (?, NULL)", &[Value::Int(i % 4)])
                 .unwrap();
         }
         db.exec("CREATE INDEX tk ON t (k)", &[]).unwrap();
@@ -898,11 +901,12 @@ mod tests {
         fn autocommits(seed: i64) -> (u64, u64) {
             let (storage, _h) = MemStorage::new();
             let db = Database::open_with_storage(Box::new(storage)).unwrap();
-            db.exec_batch(&[
+            for sql in [
                 "CREATE TABLE ex (runid INT, dataset TEXT, timestep INT, off INT, file TEXT)",
                 "CREATE INDEX ex_run ON ex (runid)",
-            ])
-            .unwrap();
+            ] {
+                db.exec(sql, &[]).unwrap();
+            }
             let insert = "INSERT INTO ex VALUES (?, 'p', ?, ?, 'f.dat')";
             let row = |runid: i64, t: i64| [runid, t, t * 512].map(Value::Int);
             db.transaction(|tx| {

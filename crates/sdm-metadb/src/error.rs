@@ -15,7 +15,7 @@ pub enum DbError {
     TableExists(String),
     /// Unknown column.
     NoSuchColumn(String),
-    /// Type error during evaluation or insertion.
+    /// A value of the wrong type for its column (INSERT or UPDATE).
     Type(String),
     /// Wrong number of values/parameters.
     Arity(String),

@@ -1,26 +1,25 @@
 //! Embedded relational metadata database.
 //!
 //! Stands in for the MySQL 3.23 server the paper used for SDM's
-//! application metadata. SDM issues embedded SQL (CREATE TABLE / INSERT /
-//! SELECT / UPDATE / DELETE with WHERE, ORDER BY, LIMIT and `?`
-//! placeholders) against six small tables, one table per statement;
-//! this crate provides that surface — a `SELECT` reads one table and
-//! lists either columns or aggregates (COUNT/SUM/AVG/MIN/MAX, one output
-//! row) — plus ordered secondary indexes (CREATE INDEX, one or more
-//! columns, maintained incrementally; a statement whose `col = ?` pins
-//! cover an index's leading columns probes it, any other scans), and
-//! undo-log transactions (`Database::transaction`
-//! closures, whose commit or rollback costs O(rows touched), never
-//! O(database)) — as an in-process engine:
+//! application metadata. SDM keeps six small tables and asks them only
+//! key lookups, inserts, one-row updates and deletes by key, so this
+//! crate's SQL subset is exactly that: CREATE TABLE / INDEX, DROP TABLE
+//! / INDEX, INSERT … VALUES, `SELECT * | c, … | COUNT(*) | MAX(c) FROM t
+//! [WHERE] [ORDER BY c, …]`, UPDATE … SET and DELETE, where a WHERE
+//! clause is a conjunction of equality pins `c = v AND …` and `v` is a
+//! literal or a `?` placeholder. It provides ordered secondary indexes
+//! (one or more columns, maintained incrementally; a statement whose
+//! pins cover an index's leading columns probes it, any other scans)
+//! and undo-log transactions (`Database::transaction` closures, whose
+//! commit or rollback costs O(rows touched), never O(database)) — as an
+//! in-process engine:
 //!
 //! * [`value::Value`] / [`schema::Schema`] — the type system (INT,
 //!   DOUBLE, TEXT + NULL).
-//! * [`sql`] — lexer, AST, recursive-descent parser for the SQL subset.
+//! * [`sql`] — lexer, AST and parser for the SQL subset.
 //! * [`exec`] — statement execution (shared-borrow reads, undo-logging
-//!   mutations).
-//! * [`eval`] — expression evaluation: one walk over the AST per row,
-//!   with SQL three-valued logic and errors (never panics) for bad
-//!   columns, types and parameters.
+//!   mutations): pins resolve to column positions once per execution,
+//!   and rows match under SQL equality, so NULL and NaN match nothing.
 //! * [`undo`] — per-transaction row-level undo logs (a rollback
 //!   replays them in reverse).
 //! * [`Database`] — the embedded connection: one lock over the catalog,
@@ -52,7 +51,6 @@
 pub mod catalog;
 pub mod db;
 pub mod error;
-pub mod eval;
 pub mod exec;
 pub mod schema;
 pub mod sql;

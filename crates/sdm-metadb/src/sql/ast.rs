@@ -3,160 +3,43 @@
 use crate::schema::ColType;
 use crate::value::Value;
 
-/// Expressions appearing in WHERE, SET, and VALUES clauses.
+/// A value in a VALUES, SET or WHERE position: a concrete value baked
+/// into the statement, or a positional `?` parameter supplied at
+/// execution time (the compile-once hot-path shape).
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
-    /// Literal value.
-    Lit(Value),
-    /// Column reference (possibly qualified: `t.col`).
-    Col(String),
-    /// Positional `?` parameter (0-based).
+pub enum Operand {
+    /// A literal value.
+    Value(Value),
+    /// Positional parameter (0-based).
     Param(usize),
-    /// Binary operation.
-    Binary {
-        /// Operator.
-        op: BinOp,
-        /// Left operand.
-        lhs: Box<Expr>,
-        /// Right operand.
-        rhs: Box<Expr>,
-    },
-    /// Logical negation.
-    Not(Box<Expr>),
-    /// Arithmetic negation.
-    Neg(Box<Expr>),
-    /// `expr IS NULL` (`negated` for `IS NOT NULL`).
-    IsNull {
-        /// Operand.
-        expr: Box<Expr>,
-        /// True for `IS NOT NULL`.
-        negated: bool,
-    },
 }
 
-impl Expr {
-    /// One past the highest `?` index in the expression; 0 if it has none.
-    pub(crate) fn param_count(&self) -> usize {
+impl Operand {
+    /// One past the `?` index of this operand; 0 for a literal.
+    fn param_count(&self) -> usize {
         match self {
-            Expr::Lit(_) | Expr::Col(_) => 0,
-            Expr::Param(i) => i + 1,
-            Expr::Binary { lhs, rhs, .. } => lhs.param_count().max(rhs.param_count()),
-            Expr::Not(e) | Expr::Neg(e) | Expr::IsNull { expr: e, .. } => e.param_count(),
+            Operand::Value(_) => 0,
+            Operand::Param(i) => i + 1,
         }
     }
 }
 
-/// Binary operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinOp {
-    /// `=`
-    Eq,
-    /// `!=` / `<>`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-    /// `AND`
-    And,
-    /// `OR`
-    Or,
-    /// `+`
-    Add,
-    /// `-`
-    Sub,
-    /// `*`
-    Mul,
-    /// `/`
-    Div,
-}
+/// `(column, operand)` pairs: a WHERE clause's pins, `col = v AND …`
+/// (empty for no WHERE), or an UPDATE's assignments.
+pub type Pins = Vec<(String, Operand)>;
 
-/// Aggregate functions usable in a SELECT list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFunc {
-    /// `COUNT(*)` / `COUNT(col)` (non-NULL count).
+/// What a SELECT lists.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Projection {
+    /// `*`: every column, in schema order.
+    All,
+    /// `c, …`: the named columns, in the order given.
+    Cols(Vec<String>),
+    /// `COUNT(*)`: one row, the number of matching rows.
     Count,
-    /// `SUM(col)`; NULL over an empty/all-NULL input.
-    Sum,
-    /// `AVG(col)`; NULL over an empty/all-NULL input.
-    Avg,
-    /// `MIN(col)` under SQL ordering, NULLs skipped.
-    Min,
-    /// `MAX(col)` under SQL ordering, NULLs skipped.
-    Max,
-}
-
-impl AggFunc {
-    /// The SQL spelling, lower-cased (used for default output names).
-    pub fn name(self) -> &'static str {
-        match self {
-            AggFunc::Count => "count",
-            AggFunc::Sum => "sum",
-            AggFunc::Avg => "avg",
-            AggFunc::Min => "min",
-            AggFunc::Max => "max",
-        }
-    }
-}
-
-/// One item of a SELECT list.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SelExpr {
-    /// Plain (possibly qualified) column reference.
-    Col(String),
-    /// Aggregate call; `arg = None` means `*` (COUNT only).
-    Agg {
-        /// The aggregate function.
-        func: AggFunc,
-        /// Argument column, or `None` for `*`.
-        arg: Option<String>,
-    },
-}
-
-/// A projected SELECT item with an optional `AS` alias.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SelectItem {
-    /// The projected expression.
-    pub expr: SelExpr,
-    /// `AS alias`, if given.
-    pub alias: Option<String>,
-}
-
-impl SelectItem {
-    /// Plain column item without alias (test/convenience constructor).
-    pub fn col(name: impl Into<String>) -> Self {
-        Self {
-            expr: SelExpr::Col(name.into()),
-            alias: None,
-        }
-    }
-
-    /// The output column name: the alias if present, else the column
-    /// name as written, else `func(arg)`.
-    pub fn output_name(&self) -> String {
-        if let Some(a) = &self.alias {
-            return a.clone();
-        }
-        match &self.expr {
-            SelExpr::Col(c) => c.clone(),
-            SelExpr::Agg { func, arg } => {
-                format!("{}({})", func.name(), arg.as_deref().unwrap_or("*"))
-            }
-        }
-    }
-}
-
-/// ORDER BY key.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OrderBy {
-    /// Column name (an output name for aggregate queries).
-    pub column: String,
-    /// Descending if true.
-    pub desc: bool,
+    /// `MAX(c)`: one row, the largest non-NULL, non-NaN value of `c`
+    /// in key order (NULL when there is none).
+    Max(String),
 }
 
 /// A parsed statement.
@@ -192,63 +75,60 @@ pub enum Statement {
         /// Owning table.
         table: String,
     },
-    /// INSERT INTO ... VALUES (...), (...), ...
+    /// INSERT INTO ... VALUES (...), (...), ... with every column given
+    /// in schema order.
     Insert {
         /// Table name.
         table: String,
-        /// Optional explicit column list.
-        columns: Option<Vec<String>>,
         /// Value tuples.
-        rows: Vec<Vec<Expr>>,
+        rows: Vec<Vec<Operand>>,
     },
     /// SELECT.
     Select {
-        /// Projected items, or `None` for `*`.
-        items: Option<Vec<SelectItem>>,
+        /// What the statement lists.
+        proj: Projection,
         /// Source table.
         table: String,
-        /// WHERE predicate.
-        filter: Option<Expr>,
-        /// ORDER BY keys.
-        order_by: Vec<OrderBy>,
-        /// LIMIT.
-        limit: Option<usize>,
+        /// WHERE pins.
+        filter: Pins,
+        /// ORDER BY columns, each ascending in key order.
+        order_by: Vec<String>,
     },
     /// UPDATE ... SET ...
     Update {
         /// Table name.
         table: String,
-        /// `(column, value-expression)` assignments.
-        sets: Vec<(String, Expr)>,
-        /// WHERE predicate.
-        filter: Option<Expr>,
+        /// `(column, value)` assignments.
+        sets: Pins,
+        /// WHERE pins.
+        filter: Pins,
     },
     /// DELETE FROM.
     Delete {
         /// Table name.
         table: String,
-        /// WHERE predicate.
-        filter: Option<Expr>,
+        /// WHERE pins.
+        filter: Pins,
     },
 }
 
 impl Statement {
     /// The parameters an execution must bind: one past the highest `?`
-    /// index in any of the statement's expressions.
+    /// index among the statement's operands.
     pub(crate) fn param_count(&self) -> usize {
-        let exprs: Vec<&Expr> = match self {
+        let ops: Vec<&Operand> = match self {
             Statement::Insert { rows, .. } => rows.iter().flatten().collect(),
             Statement::Select { filter, .. } | Statement::Delete { filter, .. } => {
-                filter.iter().collect()
+                filter.iter().map(|(_, o)| o).collect()
             }
             Statement::Update { sets, filter, .. } => {
-                sets.iter().map(|(_, e)| e).chain(filter).collect()
+                sets.iter().chain(filter).map(|(_, o)| o).collect()
             }
             Statement::CreateTable { .. }
             | Statement::DropTable { .. }
             | Statement::CreateIndex { .. }
             | Statement::DropIndex { .. } => Vec::new(),
         };
-        exprs.into_iter().map(Expr::param_count).max().unwrap_or(0)
+        ops.into_iter().map(Operand::param_count).max().unwrap_or(0)
     }
 }

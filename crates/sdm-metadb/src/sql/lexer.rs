@@ -16,7 +16,7 @@ pub enum Token {
     Str(String),
     /// `?` positional parameter.
     Param,
-    /// Punctuation / operators.
+    /// `(`
     LParen,
     /// `)`
     RParen,
@@ -26,22 +26,8 @@ pub enum Token {
     Star,
     /// `=`
     Eq,
-    /// `!=` or `<>`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-    /// `+`
-    Plus,
-    /// `-`
+    /// `-` (a negative number's sign)
     Minus,
-    /// `/`
-    Slash,
     /// `;`
     Semi,
 }
@@ -79,10 +65,6 @@ pub fn lex(input: &str) -> DbResult<Vec<Token>> {
                 out.push(Token::Param);
                 i += 1;
             }
-            '+' => {
-                out.push(Token::Plus);
-                i += 1;
-            }
             '-' => {
                 // `--` line comment
                 if i + 1 < bytes.len() && bytes[i + 1] == b'-' {
@@ -94,42 +76,9 @@ pub fn lex(input: &str) -> DbResult<Vec<Token>> {
                     i += 1;
                 }
             }
-            '/' => {
-                out.push(Token::Slash);
-                i += 1;
-            }
             '=' => {
                 out.push(Token::Eq);
                 i += 1;
-            }
-            '!' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    out.push(Token::Ne);
-                    i += 2;
-                } else {
-                    return Err(DbError::Lex(format!("unexpected '!' at byte {i}")));
-                }
-            }
-            '<' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    out.push(Token::Le);
-                    i += 2;
-                } else if i + 1 < bytes.len() && bytes[i + 1] == b'>' {
-                    out.push(Token::Ne);
-                    i += 2;
-                } else {
-                    out.push(Token::Lt);
-                    i += 1;
-                }
-            }
-            '>' => {
-                if i + 1 < bytes.len() && bytes[i + 1] == b'=' {
-                    out.push(Token::Ge);
-                    i += 2;
-                } else {
-                    out.push(Token::Gt);
-                    i += 1;
-                }
             }
             '\'' => {
                 // Quotes are ASCII, so the text between two of them is
@@ -185,12 +134,9 @@ pub fn lex(input: &str) -> DbResult<Vec<Token>> {
                 }
             }
             'a'..='z' | 'A'..='Z' | '_' => {
-                // `.` continues an identifier so qualified column names
-                // (`table.column`) lex as a single token; a leading digit
-                // still routes to the numeric branch above.
                 let start = i;
                 while i < bytes.len()
-                    && matches!(bytes[i] as char, 'a'..='z' | 'A'..='Z' | '0'..='9' | '_' | '.')
+                    && matches!(bytes[i] as char, 'a'..='z' | 'A'..='Z' | '0'..='9' | '_')
                 {
                     i += 1;
                 }
@@ -212,7 +158,7 @@ mod tests {
 
     #[test]
     fn lex_select() {
-        let toks = lex("SELECT * FROM t WHERE a >= 10").unwrap();
+        let toks = lex("SELECT * FROM t WHERE a = 10").unwrap();
         assert_eq!(
             toks,
             vec![
@@ -222,7 +168,7 @@ mod tests {
                 Token::Ident("t".into()),
                 Token::Ident("WHERE".into()),
                 Token::Ident("a".into()),
-                Token::Ge,
+                Token::Eq,
                 Token::Int(10),
             ]
         );
@@ -250,8 +196,10 @@ mod tests {
 
     #[test]
     fn lex_ne_both_spellings() {
-        assert_eq!(lex("<>").unwrap(), vec![Token::Ne]);
-        assert_eq!(lex("!=").unwrap(), vec![Token::Ne]);
+        // Pins compare for equality only: neither spelling of
+        // not-equal is a token.
+        assert!(matches!(lex("a <> 1"), Err(DbError::Lex(_))));
+        assert!(matches!(lex("a != 1"), Err(DbError::Lex(_))));
     }
 
     #[test]
@@ -271,8 +219,9 @@ mod tests {
 
     #[test]
     fn lex_comment_skipped() {
-        let toks = lex("SELECT 1 -- trailing comment\n+ 2").unwrap();
-        assert_eq!(toks.len(), 4);
+        let toks = lex("SELECT 1 -- trailing comment\n, -2").unwrap();
+        assert_eq!(toks[2..], [Token::Comma, Token::Minus, Token::Int(2)]);
+        assert_eq!(toks.len(), 5);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Property tests: INSERT/SELECT round-trips for arbitrary values;
-//! WHERE filters match an in-memory reference; ORDER BY sorts stably;
+//! WHERE pins match an in-memory reference; ORDER BY sorts stably;
 //! parsing hostile text returns `Ok` or `Err` and never panics.
 
 use proptest::prelude::*;
@@ -40,57 +40,80 @@ proptest! {
     }
 
     #[test]
-    fn where_filter_matches_reference(keys in proptest::collection::vec(-50i64..50, 1..40), bound in -50i64..50) {
+    fn where_filter_matches_reference(
+        rows in proptest::collection::vec((-3i64..3, 0i64..3), 1..40),
+        k in -3i64..3,
+        v in 0i64..3,
+        both in any::<bool>(),
+    ) {
         let db = Database::new();
-        db.exec("CREATE TABLE t (k INT)", &[]).unwrap();
-        for k in &keys {
-            db.exec("INSERT INTO t VALUES (?)", &[Value::Int(*k)]).unwrap();
+        db.exec("CREATE TABLE t (k INT, v INT)", &[]).unwrap();
+        for &(rk, rv) in &rows {
+            db.exec("INSERT INTO t VALUES (?, ?)", &[Value::Int(rk), Value::Int(rv)]).unwrap();
         }
-        let rs = db.exec("SELECT k FROM t WHERE k >= ?", &[Value::Int(bound)]).unwrap();
-        let want: Vec<i64> = keys.iter().copied().filter(|&k| k >= bound).collect();
-        let got: Vec<i64> = rs.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
+        let (sql, params) = if both {
+            ("SELECT k, v FROM t WHERE v = ? AND k = ?", vec![Value::Int(v), Value::Int(k)])
+        } else {
+            ("SELECT k, v FROM t WHERE k = ?", vec![Value::Int(k)])
+        };
+        let rs = db.exec(sql, &params).unwrap();
+        let want: Vec<(i64, i64)> = rows
+            .iter()
+            .copied()
+            .filter(|&(rk, rv)| rk == k && (!both || rv == v))
+            .collect();
+        let got: Vec<(i64, i64)> = rs
+            .rows
+            .iter()
+            .map(|r| (r[0].as_i64().unwrap(), r[1].as_i64().unwrap()))
+            .collect();
         prop_assert_eq!(got, want, "insertion order preserved under filter");
     }
 
     #[test]
-    fn order_by_sorts(keys in proptest::collection::vec(-1000i64..1000, 1..40)) {
+    fn order_by_sorts(rows in proptest::collection::vec((-5i64..5, -1000i64..1000), 1..40)) {
         let db = Database::new();
-        db.exec("CREATE TABLE t (k INT)", &[]).unwrap();
-        for k in &keys {
-            db.exec("INSERT INTO t VALUES (?)", &[Value::Int(*k)]).unwrap();
+        db.exec("CREATE TABLE t (k INT, v INT)", &[]).unwrap();
+        for &(k, v) in &rows {
+            db.exec("INSERT INTO t VALUES (?, ?)", &[Value::Int(k), Value::Int(v)]).unwrap();
         }
-        let rs = db.exec("SELECT k FROM t ORDER BY k", &[]).unwrap();
-        let got: Vec<i64> = rs.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
-        let mut want = keys.clone();
+        let ints = |sql: &str| -> Vec<(i64, i64)> {
+            db.exec(sql, &[])
+                .unwrap()
+                .rows
+                .iter()
+                .map(|r| (r[0].as_i64().unwrap(), r[1].as_i64().unwrap()))
+                .collect()
+        };
+        let mut want = rows.clone();
         want.sort_unstable();
-        prop_assert_eq!(got, want);
-        // DESC is the reverse.
-        let rs = db.exec("SELECT k FROM t ORDER BY k DESC", &[]).unwrap();
-        let got: Vec<i64> = rs.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
-        let mut want_desc = keys.clone();
-        want_desc.sort_unstable_by(|a, b| b.cmp(a));
-        prop_assert_eq!(got, want_desc);
+        prop_assert_eq!(ints("SELECT k, v FROM t ORDER BY k, v"), want);
+        // One key: a stable sort, ties in insertion order.
+        let mut want = rows.clone();
+        want.sort_by_key(|&(k, _)| k);
+        prop_assert_eq!(ints("SELECT k, v FROM t ORDER BY k"), want);
     }
 
     #[test]
-    fn update_delete_counts_match(keys in proptest::collection::vec(0i64..100, 1..40), pivot in 0i64..100) {
+    fn update_delete_counts_match(keys in proptest::collection::vec(0i64..10, 1..40), pivot in 0i64..10) {
         let db = Database::new();
         db.exec("CREATE TABLE t (k INT)", &[]).unwrap();
         for k in &keys {
             db.exec("INSERT INTO t VALUES (?)", &[Value::Int(*k)]).unwrap();
         }
-        let below = keys.iter().filter(|&&k| k < pivot).count();
-        let rs = db.exec("UPDATE t SET k = k + 1000 WHERE k < ?", &[Value::Int(pivot)]).unwrap();
-        prop_assert_eq!(rs.affected, below);
-        let rs = db.exec("DELETE FROM t WHERE k >= 1000", &[]).unwrap();
-        prop_assert_eq!(rs.affected, below);
+        let hits = keys.iter().filter(|&&k| k == pivot).count();
+        let rs = db.exec("UPDATE t SET k = ? WHERE k = ?", &[Value::Int(1000), Value::Int(pivot)]).unwrap();
+        prop_assert_eq!(rs.affected, hits);
+        let rs = db.exec("DELETE FROM t WHERE k = 1000", &[]).unwrap();
+        prop_assert_eq!(rs.affected, hits);
         let rs = db.exec("SELECT k FROM t", &[]).unwrap();
-        prop_assert_eq!(rs.len(), keys.len() - below);
+        prop_assert_eq!(rs.len(), keys.len() - hits);
     }
 }
 
 /// One spelling of every token the lexer produces and every keyword the
-/// parser accepts, plus malformed fragments: an unterminated string, a
+/// parser accepts, plus malformed fragments: constructs outside the
+/// grammar (`OR`, `<`, `+`, `t.a`, `DESC`, …), an unterminated string, a
 /// lone `!`, a non-ASCII letter, a comment opener, an out-of-range
 /// integer. Separated by single spaces.
 const TOKENS: &str = "SELECT INSERT INTO VALUES UPDATE SET DELETE FROM WHERE CREATE DROP \

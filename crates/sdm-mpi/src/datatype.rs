@@ -261,29 +261,56 @@ impl Flattened {
     }
 }
 
-/// A flattened filetype and the payload bytes before each of its
-/// segments, summed once: clones share both, so every file view installed
-/// with a dataset's filetype searches the same prefix sums.
+/// A flattened filetype, the payload bytes before each of its segments,
+/// and why a file view could not tile it (if it could not), all worked
+/// out in one pass: clones share them, so every file view installed with
+/// a dataset's filetype searches the same prefix sums and checks nothing
+/// again.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Filetype(Arc<(Flattened, Vec<u64>)>);
+pub struct Filetype(Arc<(Flattened, Vec<u64>, Option<&'static str>)>);
 
 impl Filetype {
     /// The payload bytes before each segment.
     pub(crate) fn starts(&self) -> &[u64] {
         &self.0 .1
     }
+
+    /// Why a file view cannot tile this filetype, if it cannot: its
+    /// segments must ascend without overlapping (as MPI requires of a
+    /// filetype's displacements; empty ones may sit among them), `size`
+    /// must be their total length and not zero if there are any, and
+    /// `extent` must reach the last segment's end.
+    pub(crate) fn fault(&self) -> Option<&'static str> {
+        self.0 .2
+    }
 }
 
 impl From<Flattened> for Filetype {
     fn from(ftype: Flattened) -> Self {
-        let mut sum = 0;
-        let starts = (ftype.segments.iter())
-            .map(|&(_, l)| {
-                sum += l;
-                sum - l
-            })
-            .collect();
-        Self(Arc::new((ftype, starts)))
+        let mut starts = Vec::with_capacity(ftype.segments.len());
+        let (mut end, mut size, mut fault) = (0u64, 0u64, None);
+        for &(o, l) in &ftype.segments {
+            starts.push(size);
+            if o < end {
+                fault.get_or_insert("segments overlap or descend");
+            }
+            match (o.checked_add(l), size.checked_add(l)) {
+                (Some(e), Some(s)) => (end, size) = (e, s),
+                _ => {
+                    fault.get_or_insert("segments overflow the offset range");
+                }
+            }
+        }
+        let fault = fault.or(if size != ftype.size {
+            Some("size differs from the sum of its segment lengths")
+        } else if size == 0 && !ftype.segments.is_empty() {
+            Some("has segments but no bytes")
+        } else if ftype.extent < end {
+            Some("extent smaller than its last segment end")
+        } else {
+            None
+        });
+        Self(Arc::new((ftype, starts, fault)))
     }
 }
 

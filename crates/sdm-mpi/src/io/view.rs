@@ -27,13 +27,12 @@ impl FileView {
         Self { disp, ftype }
     }
 
-    /// A view with the given flattened filetype at `disp`.
+    /// A view with the given flattened filetype at `disp`, if the view
+    /// can tile it (see `Filetype::fault`).
     pub fn new(disp: u64, ftype: impl Into<Filetype>) -> MpiResult<Self> {
         let ftype = ftype.into();
-        if ftype.size > 0 && ftype.extent < ftype.segments.last().map_or(0, |&(o, l)| o + l) {
-            return Err(MpiError::InvalidDatatype(
-                "filetype extent smaller than its last segment end".into(),
-            ));
+        if let Some(why) = ftype.fault() {
+            return Err(MpiError::InvalidDatatype(format!("filetype {why}")));
         }
         Ok(Self { disp, ftype })
     }
@@ -174,6 +173,43 @@ mod tests {
             size: 16,
         };
         assert!(FileView::new(0, f).is_err());
+    }
+
+    fn rejected(segments: Vec<(u64, u64)>, extent: u64, size: u64) -> bool {
+        let f = Flattened {
+            segments,
+            extent,
+            size,
+        };
+        matches!(FileView::new(0, f), Err(MpiError::InvalidDatatype(_)))
+    }
+
+    #[test]
+    fn filetype_with_segments_but_no_bytes_rejected() {
+        // Accepted, this view divided by zero on its first access.
+        assert!(rejected(vec![(0, 0)], 8, 0));
+        assert!(rejected(vec![(0, 0), (4, 0)], 8, 0));
+        // No segments and no bytes is the empty contiguous view.
+        assert!(!rejected(vec![], 0, 0));
+    }
+
+    #[test]
+    fn filetype_size_must_be_its_segments_sum() {
+        assert!(rejected(vec![(0, 8), (16, 8)], 32, 24));
+        assert!(rejected(vec![(0, 8), (16, 8)], 32, 8));
+        assert!(rejected(vec![], 8, 8));
+        assert!(rejected(vec![(u64::MAX, 2)], u64::MAX, 2));
+        assert!(!rejected(vec![(0, 8), (16, 8)], 32, 16));
+    }
+
+    #[test]
+    fn filetype_segments_must_ascend_without_overlap() {
+        assert!(rejected(vec![(16, 8), (0, 8)], 32, 16));
+        assert!(rejected(vec![(0, 8), (4, 8)], 32, 16));
+        // Touching segments and empty ones among them stay legal.
+        assert!(!rejected(vec![(0, 8), (8, 8)], 16, 16));
+        assert!(!rejected(vec![(0, 8), (8, 0), (8, 0), (12, 4)], 16, 12));
+        assert!(rejected(vec![(0, 8), (12, 0), (8, 4)], 16, 12));
     }
 
     #[test]

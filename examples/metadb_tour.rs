@@ -55,25 +55,28 @@ fn main() {
     // Ad-hoc queries are typed statements too: built fluently over the
     // schema's column enums, compiled once, and replayed with fresh
     // parameters — no SQL text is ever formatted or parsed.
-    let last_writes = Query::<ExecutionRow>::filter(
+    let p_writes = Query::<ExecutionRow>::filter(
         ExecutionCol::Runid
             .eq(param(0))
-            .and(ExecutionCol::Timestep.ge(1)),
+            .and(ExecutionCol::Dataset.eq(param(1))),
     )
-    .select(&[
-        ExecutionCol::Dataset,
-        ExecutionCol::Timestep,
-        ExecutionCol::FileOffset,
-    ])
-    .order_by_desc(ExecutionCol::FileOffset)
-    .limit(3)
+    .select(&[ExecutionCol::Timestep, ExecutionCol::FileOffset])
+    .order_by(ExecutionCol::Timestep)
     .compile();
-    let rs = store.run(&last_writes, &[Value::Int(runid)]).unwrap();
-    println!("\nlast three writes (newest first):");
+    let rs = store
+        .run(&p_writes, &[Value::Int(runid), Value::from("p")])
+        .unwrap();
+    println!("\nwrites of dataset p (by timestep):");
     for row in &rs.rows {
-        println!("  dataset={} t={} offset={}", row[0], row[1], row[2]);
+        println!("  t={} offset={}", row[0], row[1]);
     }
     assert_eq!(rs.len(), 3);
+    let latest = Query::<ExecutionRow>::filter(ExecutionCol::Runid.eq(param(0)))
+        .max(ExecutionCol::Timestep)
+        .compile();
+    let rs = store.run(&latest, &[Value::Int(runid)]).unwrap();
+    println!("latest timestep: {}", rs.rows[0][0]);
+    assert_eq!(rs.scalar(), Some(&Value::Int(2)));
     let stats = db.stats();
     println!(
         "engine: {} SQL texts parsed; scans: {} indexed / {} full",
