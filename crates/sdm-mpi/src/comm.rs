@@ -1,7 +1,9 @@
 //! SPMD world launch and the per-rank communicator.
 
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
 
 use sdm_sim::stats::Counters;
 use sdm_sim::{MachineConfig, Seconds, VClock};
@@ -10,12 +12,76 @@ use crate::envelope::{tags, Envelope, Tag};
 use crate::error::{MpiError, MpiResult};
 use crate::pod::{as_bytes, vec_from_bytes, Pod};
 
+/// How long a waiting rank polls before it parks. A futex park plus the
+/// wake that ends it costs 6–7 µs on a 2-vCPU x86-64 host, and spinning
+/// for about that long before blocking is 2-competitive (Karlin, Li,
+/// Manasse & Owicki, SOSP 1991); 10 µs covers the park with a margin.
+/// DESIGN.md "How rank threads wait" has the measurements.
+const SPIN: Duration = Duration::from_micros(10);
+
+/// Rank threads alive in this process, over every running world.
+static LIVE_RANKS: AtomicUsize = AtomicUsize::new(0);
+
+/// The spin budget when `live` rank threads share `cores` cores: a rank
+/// that spins while another waits for a core delays the very rank it
+/// waits for, so an oversubscribed process parks at once.
+fn spin_budget_for(live: usize, cores: usize) -> Duration {
+    if live <= cores {
+        SPIN
+    } else {
+        Duration::ZERO
+    }
+}
+
+fn spin_budget() -> Duration {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from));
+    spin_budget_for(LIVE_RANKS.load(Ordering::Relaxed), cores)
+}
+
+/// Poll `ready` until it yields a value or the spin budget runs out.
+fn spin_for<T>(mut ready: impl FnMut() -> Option<T>) -> Option<T> {
+    let budget = spin_budget();
+    if budget.is_zero() {
+        return None;
+    }
+    let start = Instant::now();
+    loop {
+        if let Some(v) = ready() {
+            return Some(v);
+        }
+        if start.elapsed() >= budget {
+            return None;
+        }
+        std::hint::spin_loop();
+    }
+}
+
+/// Counts a world's rank threads in [`LIVE_RANKS`] while it runs.
+struct LiveRanks(usize);
+
+impl LiveRanks {
+    fn enter(n: usize) -> Self {
+        LIVE_RANKS.fetch_add(n, Ordering::Relaxed);
+        Self(n)
+    }
+}
+
+impl Drop for LiveRanks {
+    fn drop(&mut self) {
+        LIVE_RANKS.fetch_sub(self.0, Ordering::Relaxed);
+    }
+}
+
 /// Sense-reversing barrier that also computes the max of a value carried
 /// by each participant (used to synchronize virtual clocks).
 #[derive(Debug)]
 struct MaxBarrier {
     state: Mutex<BarrierState>,
     cv: Condvar,
+    /// `state.generation`, stored after `results` is written, for
+    /// waiters that poll before they park.
+    generation: AtomicU64,
 }
 
 #[derive(Debug)]
@@ -26,6 +92,9 @@ struct BarrierState {
     acc: f64,
     /// Results of the two most recent generations (gen % 2 indexes).
     results: [f64; 2],
+    /// The first rank whose communicator was dropped, if any: the
+    /// generation in progress can no longer complete.
+    departed: Option<usize>,
 }
 
 impl MaxBarrier {
@@ -37,13 +106,18 @@ impl MaxBarrier {
                 generation: 0,
                 acc: f64::NEG_INFINITY,
                 results: [0.0; 2],
+                departed: None,
             }),
             cv: Condvar::new(),
+            generation: AtomicU64::new(0),
         }
     }
 
     /// Enter with value `x`; returns the max over all participants of
     /// this generation.
+    ///
+    /// Panics if a rank left the world before reaching this generation,
+    /// which can then never complete.
     fn rendezvous_max(&self, x: f64) -> f64 {
         let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         let gen = s.generation;
@@ -55,14 +129,28 @@ impl MaxBarrier {
             s.count = 0;
             s.acc = f64::NEG_INFINITY;
             s.generation += 1;
+            self.generation.store(s.generation, Ordering::Release);
             self.cv.notify_all();
-            result
-        } else {
-            while s.generation == gen {
-                s = self.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
-            }
-            s.results[(gen % 2) as usize]
+            return result;
         }
+        drop(s);
+        spin_for(|| (self.generation.load(Ordering::Acquire) != gen).then_some(()));
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        while s.generation == gen {
+            if let Some(rank) = s.departed {
+                drop(s);
+                panic!("rank {rank} left the world before barrier generation {gen} completed");
+            }
+            s = self.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+        s.results[(gen % 2) as usize]
+    }
+
+    /// Record that `rank` will never enter again, and wake the waiters.
+    fn depart(&self, rank: usize) {
+        let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        s.departed.get_or_insert(rank);
+        self.cv.notify_all();
     }
 }
 
@@ -91,13 +179,17 @@ pub struct World;
 impl World {
     /// Run `f` on `n` ranks and return each rank's result, indexed by rank.
     ///
-    /// Panics in any rank propagate after all threads join.
+    /// Panics in any rank propagate after all threads join. A rank that
+    /// returns or panics fails its peers' receives from it and the
+    /// barriers it never reaches, so one failing rank cannot hang the
+    /// others.
     pub fn run<T, F>(n: usize, config: MachineConfig, f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(&mut Comm) -> T + Sync,
     {
         assert!(n > 0, "world needs at least one rank");
+        let _live = LiveRanks::enter(n);
         let shared = Arc::new(Shared {
             config: Arc::new(config),
             barrier: MaxBarrier::new(n),
@@ -160,8 +252,8 @@ pub struct Comm {
 impl Drop for Comm {
     fn drop(&mut self) {
         // Tell every peer this rank is gone, so their blocking receives
-        // from us error out instead of waiting forever. Failures are
-        // fine: the peer may already be gone itself.
+        // from us error out, and their barriers panic, instead of waiting
+        // forever. Failures are fine: the peer may already be gone itself.
         for dst in 0..self.size {
             if dst != self.rank {
                 let _ = self.txs[dst].send(Envelope {
@@ -172,6 +264,7 @@ impl Drop for Comm {
                 });
             }
         }
+        self.shared.barrier.depart(self.rank);
     }
 }
 
@@ -274,7 +367,10 @@ impl Comm {
             if self.finished[src] {
                 return Err(MpiError::Disconnected);
             }
-            let env = self.rx.recv().map_err(|_| MpiError::Disconnected)?;
+            let env = match spin_for(|| self.rx.try_recv().ok()) {
+                Some(env) => env,
+                None => self.rx.recv().map_err(|_| MpiError::Disconnected)?,
+            };
             if env.tag == tags::FIN {
                 self.finished[env.src] = true;
                 continue;
@@ -493,5 +589,119 @@ mod tests {
             acc
         });
         assert!((out[0] - out[1]).abs() < 1e-9 && (out[1] - out[2]).abs() < 1e-9);
+    }
+
+    /// Run a world on another thread and return its results, or the
+    /// panic it propagated; a world still running after 20 s fails the
+    /// test instead of hanging it.
+    fn run_with_watchdog<T: Send + 'static>(
+        nprocs: usize,
+        rank: impl Fn(&mut Comm) -> T + Send + Sync + 'static,
+    ) -> std::thread::Result<Vec<T>> {
+        let (tx, rx) = channel();
+        let world = std::thread::spawn(move || {
+            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                World::run(nprocs, tiny(), rank)
+            }));
+            let _ = tx.send(out);
+        });
+        // Not joined on a timeout: a hung world never returns.
+        let out = rx
+            .recv_timeout(Duration::from_secs(20))
+            .unwrap_or_else(|_| panic!("ranks still waiting after 20 s"));
+        world.join().unwrap();
+        out
+    }
+
+    fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+        panic
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| panic.downcast_ref::<&str>().map(|m| m.to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn a_panicking_rank_does_not_hang_a_barrier() {
+        let err = run_with_watchdog(2, |c| {
+            if c.rank() == 0 {
+                panic!("rank 0 gives up");
+            }
+            c.barrier();
+        })
+        .unwrap_err();
+        assert_eq!(panic_message(&*err), "rank 0 gives up");
+    }
+
+    #[test]
+    fn a_rank_that_returns_early_fails_the_barrier_naming_it() {
+        let err = run_with_watchdog(3, |c| {
+            if c.rank() != 1 {
+                c.barrier();
+            }
+        })
+        .unwrap_err();
+        let message = panic_message(&*err);
+        assert!(message.contains("rank 1 left the world"), "{message}");
+    }
+
+    #[test]
+    fn a_barrier_completed_before_a_rank_leaves_returns_normally() {
+        for _ in 0..20 {
+            let out = run_with_watchdog(2, |c| {
+                if c.rank() == 0 {
+                    // Arrive last and leave at once, so rank 1 mostly
+                    // wakes to a completed generation and a departure
+                    // together; either order of arrival must return.
+                    std::thread::sleep(Duration::from_millis(1));
+                    c.compute(1.0);
+                }
+                c.barrier();
+                c.now()
+            })
+            .unwrap();
+            assert!(out[1] >= 1.0, "{out:?}");
+        }
+    }
+
+    #[test]
+    fn the_spin_budget_is_zero_once_ranks_outnumber_cores() {
+        assert_eq!(spin_budget_for(1, 2), SPIN);
+        assert_eq!(spin_budget_for(2, 2), SPIN);
+        assert_eq!(spin_budget_for(3, 2), Duration::ZERO);
+        assert_eq!(spin_budget_for(64, 2), Duration::ZERO);
+        // Two worlds alive at once count together: one rank here plus
+        // `cores` in the inner world exceed the cores, whatever else runs.
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let inner = World::run(1, tiny(), |_| World::run(cores, tiny(), |_| spin_budget()));
+        assert!(inner[0].iter().all(|b| b.is_zero()), "{inner:?}");
+    }
+
+    #[test]
+    fn a_receive_outlasting_the_spin_still_completes() {
+        let out = World::run(2, tiny(), |c| {
+            if c.rank() == 0 {
+                std::thread::sleep(Duration::from_millis(20));
+                c.send(1, 4, &[7u64]).unwrap();
+                0
+            } else {
+                c.recv_vec::<u64>(0, 4).unwrap()[0]
+            }
+        });
+        assert_eq!(out[1], 7);
+    }
+
+    #[test]
+    fn a_barrier_outlasting_the_spin_still_completes_with_the_max() {
+        let out = World::run(3, tiny(), |c| {
+            if c.rank() == 2 {
+                std::thread::sleep(Duration::from_millis(20));
+                c.compute(5.0);
+            }
+            c.barrier();
+            c.now()
+        });
+        let expected = 5.0 + tiny().network.latency;
+        assert!(out.iter().all(|t| (t - expected).abs() < 1e-12), "{out:?}");
     }
 }
