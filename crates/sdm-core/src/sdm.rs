@@ -471,6 +471,12 @@ impl Sdm {
     /// Collectively read back a dataset written in this run through a
     /// typed handle. The installed view selects which elements this rank
     /// receives, in its local order.
+    ///
+    /// `out` is untouched by an error raised before any byte moves: an
+    /// unwritten step ([`SdmError::NotWritten`]), an `out` of the wrong
+    /// length, a failed open. After an I/O error mid-read, `out` may
+    /// hold part of the data, as an MPI read buffer is undefined after
+    /// an error.
     pub fn read_handle<T: SdmElem>(
         &mut self,
         comm: &mut Comm,
@@ -554,13 +560,20 @@ impl Sdm {
                     view.len()
                 )));
             }
-            Ok(view.ftype.clone())
+            Ok((view.ftype.clone(), view.is_identity()))
         });
         let f = self.open_cached(comm, s.group_handle(), &file_name, false)?;
-        f.set_view(comm, base as u64, ftype?)?;
-        let mut file_ordered = vec![T::default(); out.len()];
-        f.read_all(comm, 0, &mut file_ordered)?;
-        self.slot_view(s)?.to_user_order_into(&file_ordered, out)?;
+        let (ftype, identity) = ftype?;
+        f.set_view(comm, base as u64, ftype)?;
+        // File order is the caller's order under an ascending view, so
+        // the read lands in `out` itself.
+        if identity {
+            f.read_all(comm, 0, out)?;
+        } else {
+            let mut file_ordered = vec![T::default(); out.len()];
+            f.read_all(comm, 0, &mut file_ordered)?;
+            self.slot_view(s)?.to_user_order_into(&file_ordered, out)?;
+        }
         if self.cfg.org.opens_per_timestep() {
             if let Some(f) = self
                 .group_at_mut(s.group_handle())?

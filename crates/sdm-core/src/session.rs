@@ -19,9 +19,10 @@
 //!   exactly one metadata round trip (the paper's per-dataset cadence
 //!   pays one of each per dataset).
 
+use std::borrow::Cow;
 use std::marker::PhantomData;
 
-use sdm_mpi::pod::Pod;
+use sdm_mpi::pod::{as_bytes, Pod};
 use sdm_mpi::Comm;
 
 use crate::dataset::DatasetDesc;
@@ -254,20 +255,23 @@ impl GroupRegistration {
     }
 }
 
-/// One staged dataset write inside a [`TimestepScope`]: the buffer is
-/// already permuted to file order and viewed as raw bytes.
-struct Staged {
+/// One staged dataset write inside a [`TimestepScope`], as raw bytes in
+/// file order: the caller's buffer itself when the dataset's view is the
+/// identity, else a permuted copy of it.
+struct Staged<'a> {
     slot: DatasetSlot,
-    bytes: Vec<u8>,
+    bytes: Cow<'a, [u8]>,
 }
 
 /// RAII scope for one timestep's writes, from [`Sdm::timestep`].
 ///
-/// [`TimestepScope::write`] stages data (applying the dataset's view
-/// permutation immediately, so errors surface at the call site); the
+/// [`TimestepScope::write`] stages data (checking it against the
+/// dataset's view immediately, so errors surface at the call site); the
 /// staged writes are issued when the scope closes — explicitly through
 /// [`TimestepScope::commit`] (which reports errors) or implicitly on
-/// drop (best-effort). Closing performs, in order:
+/// drop (best-effort). A staged buffer stays borrowed until then, as an
+/// MPI nonblocking write's buffer does until it completes. Closing
+/// performs, in order:
 ///
 /// 1. one collective I/O burst: every staged region is appended and
 ///    its two-phase collective write *begun* back-to-back, so the
@@ -299,7 +303,7 @@ pub struct TimestepScope<'a> {
     sdm: &'a mut Sdm,
     comm: &'a mut Comm,
     timestep: i64,
-    staged: Vec<Staged>,
+    staged: Vec<Staged<'a>>,
     closed: bool,
     poisoned: bool,
 }
@@ -326,22 +330,57 @@ impl<'a> TimestepScope<'a> {
         self.staged.len()
     }
 
-    /// Stage a typed write: `buf` (in the caller's local element order)
-    /// is permuted to file order now and issued at scope close. No name
-    /// lookup, no element-size check.
-    pub fn write<T: SdmElem>(&mut self, h: DatasetHandle<T>, buf: &[T]) -> SdmResult<()> {
+    /// Stage a typed write of `buf`, in the caller's local element
+    /// order, to be issued at scope close. No name lookup, no
+    /// element-size check. An ascending view's data is already in file
+    /// order, so `buf` itself is staged; any other view permutes a copy
+    /// now.
+    ///
+    /// `buf` stays borrowed until the scope closes ([`commit`],
+    /// [`abandon`] or drop): it cannot change under a write that has not
+    /// been issued yet.
+    ///
+    /// ```compile_fail,E0506
+    /// # use sdm_core::{DatasetHandle, Sdm, SdmResult};
+    /// # fn step(sdm: &mut Sdm, comm: &mut sdm_mpi::Comm, h: DatasetHandle<f64>) -> SdmResult<()> {
+    /// let mut buf = vec![1.0; 4];
+    /// let mut step = sdm.timestep(comm, 0);
+    /// step.write(h, &buf)?;
+    /// buf[0] = 2.0; // error[E0506]: `buf` is still borrowed by `step`
+    /// step.commit()
+    /// # }
+    /// ```
+    ///
+    /// Changing the buffer once the scope is closed is fine:
+    ///
+    /// ```no_run
+    /// # use sdm_core::{DatasetHandle, Sdm, SdmResult};
+    /// # fn step(sdm: &mut Sdm, comm: &mut sdm_mpi::Comm, h: DatasetHandle<f64>) -> SdmResult<()> {
+    /// let mut buf = vec![1.0; 4];
+    /// let mut step = sdm.timestep(comm, 0);
+    /// step.write(h, &buf)?;
+    /// step.commit()?;
+    /// buf[0] = 2.0;
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
+    /// [`commit`]: TimestepScope::commit
+    /// [`abandon`]: TimestepScope::abandon
+    pub fn write<T: SdmElem>(&mut self, h: DatasetHandle<T>, buf: &'a [T]) -> SdmResult<()> {
         self.stage(h.slot(), buf)
     }
 
-    fn stage<T: Pod>(&mut self, slot: DatasetSlot, buf: &[T]) -> SdmResult<()> {
+    fn stage<T: Pod>(&mut self, slot: DatasetSlot, buf: &'a [T]) -> SdmResult<()> {
         let staged = (|| {
             let view = self.sdm.slot_view(slot)?;
-            Ok(Staged {
-                slot,
-                // One pass, one allocation: permute straight into the
-                // staged byte buffer.
-                bytes: view.to_file_order_bytes(buf)?,
-            })
+            let bytes = if view.is_identity() {
+                view.check_len("buffer", buf.len())?;
+                Cow::Borrowed(as_bytes(buf))
+            } else {
+                Cow::Owned(view.to_file_order_bytes(buf)?)
+            };
+            Ok(Staged { slot, bytes })
         })();
         match staged {
             Ok(s) => {
@@ -384,7 +423,12 @@ impl<'a> TimestepScope<'a> {
     /// Issue a batch of staged writes: the collective I/O burst, its
     /// drain, and the single-transaction metadata landing in one round
     /// trip.
-    fn issue(sdm: &mut Sdm, comm: &mut Comm, timestep: i64, staged: Vec<Staged>) -> SdmResult<()> {
+    fn issue(
+        sdm: &mut Sdm,
+        comm: &mut Comm,
+        timestep: i64,
+        staged: Vec<Staged<'_>>,
+    ) -> SdmResult<()> {
         if staged.is_empty() {
             return Ok(());
         }

@@ -13,8 +13,8 @@
 //! past one O(n) check that the map ascends, the segments cost
 //! O(runs · log run length) probes rather than a visit to every element.
 //! A map that is already strictly ascending — what a partition's
-//! owned-element list is — skips the sort, and its permutations are
-//! plain copies.
+//! owned-element list is — skips the sort, and its data needs no
+//! permutation: SDM writes and reads the caller's buffer in place.
 
 use sdm_mpi::datatype::{Filetype, Flattened};
 
@@ -100,7 +100,13 @@ impl DataView {
         self.sorted_map.is_empty()
     }
 
-    fn check_len(&self, what: &str, len: usize) -> SdmResult<()> {
+    /// Whether the map was strictly ascending, so that a buffer in the
+    /// caller's order is already in file order.
+    pub(crate) fn is_identity(&self) -> bool {
+        self.identity
+    }
+
+    pub(crate) fn check_len(&self, what: &str, len: usize) -> SdmResult<()> {
         if len != self.perm.len() {
             return Err(SdmError::Usage(format!(
                 "{what} has {len} elements but view selects {}",
@@ -121,7 +127,7 @@ impl DataView {
 
     /// [`DataView::to_file_order`], permuting straight into a byte
     /// buffer: one allocation and one pass, for callers (the timestep
-    /// scope) that stage the result as raw bytes anyway.
+    /// scope, under a permuted view) that stage the result as raw bytes.
     pub fn to_file_order_bytes<T: sdm_mpi::pod::Pod>(&self, user: &[T]) -> SdmResult<Vec<u8>> {
         self.check_len("buffer", user.len())?;
         let src = sdm_mpi::pod::as_bytes(user);

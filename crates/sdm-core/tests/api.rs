@@ -468,8 +468,9 @@ fn level2_appends_across_timesteps() {
             let hp = g.handle::<f64>("p").unwrap();
             s.set_view(c, hp, &[0, 1, 2, 3]).unwrap();
             for t in 0..3i64 {
+                let vals = [t as f64; 4];
                 let mut step = s.timestep(c, t);
-                step.write(hp, &[t as f64; 4]).unwrap();
+                step.write(hp, &vals).unwrap();
                 step.commit().unwrap();
             }
             // Read back the middle timestep.

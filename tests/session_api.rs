@@ -451,10 +451,12 @@ fn commit_drains_the_data_before_it_records_any_row() {
                 }
                 let mut issued_by_step = Vec::new();
                 for t in 0..STEPS {
+                    let bufs: Vec<Vec<f64>> = (0..handles.len())
+                        .map(|d| mine.iter().map(|&g| value(d, g, t)).collect())
+                        .collect();
                     let mut step = sdm.timestep(c, t);
-                    for (d, &h) in handles.iter().enumerate() {
-                        let buf: Vec<f64> = mine.iter().map(|&g| value(d, g, t)).collect();
-                        step.write(h, &buf).unwrap();
+                    for (&h, buf) in handles.iter().zip(&bufs) {
+                        step.write(h, buf).unwrap();
                     }
                     step.commit().unwrap();
                     assert!(
@@ -498,8 +500,9 @@ fn one_step(c: &mut Comm, pfs: &Arc<Pfs>, store: &SharedStore) -> SdmResult<()> 
     let h = g.handle::<f64>("p")?;
     let mine: Vec<u64> = (c.rank() as u64..GLOBAL).step_by(c.size()).collect();
     sdm.set_view(c, h, &mine)?;
+    let ones = vec![1.0; mine.len()];
     let mut step = sdm.timestep(c, 0);
-    step.write(h, &vec![1.0; mine.len()])?;
+    step.write(h, &ones)?;
     step.commit()?;
     let mut back = vec![0.0; mine.len()];
     sdm.read_handle(c, h, 0, &mut back)?;
@@ -685,8 +688,9 @@ fn a_write_at_the_end_of_a_1_tib_dataset_commits_and_reads_back() {
         let h = g.handle::<f64>("x").unwrap();
         let mine = [N - 2 + c.rank() as u64];
         sdm.set_view(c, h, &mine).unwrap();
+        let vals = [mine[0] as f64];
         let mut step = sdm.timestep(c, 0);
-        step.write(h, &[mine[0] as f64]).unwrap();
+        step.write(h, &vals).unwrap();
         step.commit().unwrap();
         let mut back = [0.0];
         sdm.read_handle(c, h, 0, &mut back).unwrap();
@@ -722,10 +726,12 @@ fn stats_per_commit(store: &SharedStore) -> Vec<StoreStats> {
         }
         let mut seen = vec![store.stats()];
         for t in 0..3 {
+            let vals: Vec<Vec<f64>> = (0..handles.len())
+                .map(|d| mine.iter().map(|&g| value(d, g, t)).collect())
+                .collect();
             let mut step = sdm.timestep(c, t);
-            for (d, &h) in handles.iter().enumerate() {
-                let vals: Vec<f64> = mine.iter().map(|&g| value(d, g, t)).collect();
-                step.write(h, &vals).unwrap();
+            for (&h, v) in handles.iter().zip(&vals) {
+                step.write(h, v).unwrap();
             }
             step.commit().unwrap();
             seen.push(store.stats());
